@@ -683,46 +683,6 @@ pub fn settle_deferred(
     stats
 }
 
-/// [`run_protected_journey_with_directory`] with *deferred* signature
-/// verification: every per-hop certificate check is pushed onto `queue`
-/// instead of being verified on arrival, and the whole queue is settled in
-/// one [`refstate_crypto::verify_batch`] pass when the journey ends.
-///
-/// This is the batch-verify entry point fleet-scale drivers use: the DSA
-/// verifications that dominate the protected-journey p50 collapse from two
-/// modexps per hop into one fused double exponentiation per hop, all run
-/// back-to-back at journey end. The trade-off is timeliness of the
-/// *authenticity* check only — re-execution checks still run per hop, so
-/// state tampering is detected exactly as in the eager variant; a forged
-/// signature is detected by the owner at journey end instead of by the
-/// next host.
-///
-/// The queue is drained before returning. A deferred signature that fails
-/// the batch check surfaces as owner-detected [`FraudEvidence`] (unless an
-/// earlier per-hop check already detected a fraud, which takes precedence).
-///
-/// # Errors
-///
-/// See [`ProtocolError`]. Detected fraud is reported in the outcome, not
-/// as an error.
-pub fn run_protected_journey_batched(
-    hosts: &mut [Host],
-    start: impl Into<HostId>,
-    agent: AgentImage,
-    config: &ProtocolConfig,
-    log: &EventLog,
-    directory: &KeyDirectory,
-    queue: &mut VerificationQueue,
-) -> Result<ProtocolOutcome, ProtocolError> {
-    // A batch of one: the journey-at-a-time entry point is the deferred
-    // seam settled immediately, so both paths share one implementation.
-    let journey =
-        run_protected_journey_deferred(hosts, start, agent, config, log, directory, queue)?;
-    let mut journeys = vec![journey];
-    settle_deferred(&mut journeys, config, log, directory, queue, 1);
-    Ok(journeys.pop().expect("one journey in, one out").outcome)
-}
-
 /// The journey loop. The owner's final re-execution check is never run
 /// here — it is returned as a [`PendingFinalCheck`] (when due) and settled
 /// by [`settle_deferred`], alone or amortized across a batch.
@@ -1244,6 +1204,25 @@ mod tests {
         assert!(s.remainder() <= s.total);
     }
 
+    /// One journey with deferred signatures, settled alone: a batch of
+    /// one through the same seam a service settles whole ticks with.
+    fn run_deferred_alone(
+        hosts: &mut [Host],
+        agent: AgentImage,
+        config: &ProtocolConfig,
+        log: &EventLog,
+        directory: &KeyDirectory,
+    ) -> ProtocolOutcome {
+        let mut queue = VerificationQueue::new();
+        let journey =
+            run_protected_journey_deferred(hosts, "h1", agent, config, log, directory, &mut queue)
+                .unwrap();
+        let mut journeys = vec![journey];
+        settle_deferred(&mut journeys, config, log, directory, &mut queue, 1);
+        assert!(queue.is_empty(), "settle flushes the queue");
+        journeys.pop().unwrap().outcome
+    }
+
     #[test]
     fn batched_journey_matches_eager_journey() {
         let run = |batched: bool, attack: Option<Attack>| {
@@ -1251,19 +1230,8 @@ mod tests {
             let log = EventLog::new();
             let directory = host_directory(&hosts);
             if batched {
-                let mut queue = VerificationQueue::new();
-                let outcome = run_protected_journey_batched(
-                    &mut hosts,
-                    "h1",
-                    sum_agent(),
-                    &ProtocolConfig::default(),
-                    &log,
-                    &directory,
-                    &mut queue,
-                )
-                .unwrap();
-                assert!(queue.is_empty(), "flush drains the queue");
-                outcome
+                let config = ProtocolConfig::default();
+                run_deferred_alone(&mut hosts, sum_agent(), &config, &log, &directory)
             } else {
                 run_protected_journey(
                     &mut hosts,
@@ -1312,17 +1280,8 @@ mod tests {
         for h in hosts.iter().filter(|h| h.id().as_str() != "h2") {
             directory.register(h.id().as_str(), h.public_key().clone());
         }
-        let mut queue = VerificationQueue::new();
-        let outcome = run_protected_journey_batched(
-            &mut hosts,
-            "h1",
-            sum_agent(),
-            &ProtocolConfig::default(),
-            &log,
-            &directory,
-            &mut queue,
-        )
-        .unwrap();
+        let config = ProtocolConfig::default();
+        let outcome = run_deferred_alone(&mut hosts, sum_agent(), &config, &log, &directory);
         let fraud = outcome.fraud.expect("unverifiable certificate flagged");
         assert_eq!(fraud.culprit.as_str(), "h2");
         assert_eq!(fraud.detector.as_str(), "owner");
@@ -1387,23 +1346,14 @@ mod tests {
         };
         let config = ProtocolConfig::default();
 
-        // Reference: one batched (deferred + immediately settled) run each.
+        // Reference: each journey deferred and settled alone.
         let mut reference = Vec::new();
         for (name, attack, h3) in &scenarios {
             let mut hosts = build_hosts(attack.clone(), h3.clone());
             let log = EventLog::new();
             let directory = host_directory(&hosts);
-            let mut queue = VerificationQueue::new();
-            let outcome = run_protected_journey_batched(
-                &mut hosts,
-                "h1",
-                agent_named(name),
-                &config,
-                &log,
-                &directory,
-                &mut queue,
-            )
-            .unwrap();
+            let outcome =
+                run_deferred_alone(&mut hosts, agent_named(name), &config, &log, &directory);
             reference.push(verdict_lines(&outcome));
         }
 

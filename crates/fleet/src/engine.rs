@@ -1,17 +1,17 @@
 //! The journey scheduler: a crossbeam-channel worker pool driving
 //! thousands of protected journeys concurrently.
 //!
-//! The idiom mirrors `refstate_platform::ThreadedNetwork`: channels carry
-//! the work, each worker owns its state, and the main thread joins on a
-//! results channel. Three properties make the pool fleet-grade:
+//! Channels carry the work, each worker owns its state, and the main
+//! thread joins on a results channel. Three properties make the pool
+//! fleet-grade:
 //!
 //! * **per-scenario RNG streams** — every scenario derives its own seed
 //!   from `(fleet seed, scenario id)`, so results do not depend on which
 //!   worker ran it or in what order (worker-count invariance),
 //! * **pooled key material** — DSA key generation dominates host
 //!   construction, so workers draw host keys from a pre-generated pool
-//!   (deterministically indexed by scenario and position) through
-//!   [`Host::with_keys`] instead of generating per journey,
+//!   (deterministically indexed by scenario and position) instead of
+//!   generating per journey,
 //! * **deterministic result ordering** — results are collected and sorted
 //!   by scenario id before aggregation, so the [`FleetReport`] is
 //!   byte-identical for a fixed seed.
@@ -19,12 +19,12 @@
 //! Mechanism dispatch goes exclusively through the
 //! [`refstate_mechanisms::api`] surface: the engine resolves
 //! [`ProtectionMechanism`]s from a [`MechanismRegistry`] (or takes them
-//! directly in [`FleetConfig::mechanisms`]), checks each profile's
-//! topology against the generated scenario, and hands compatible
-//! mechanisms a [`JourneyCtx`]. A mechanism whose profile is incompatible
-//! with a scenario (e.g. `replication` on a stage-less linear route) is
-//! skipped and surfaces as `n/a` in the report rather than a fake 0.00
-//! rate.
+//! directly in [`FleetConfig::mechanisms`]) and runs each scenario
+//! through the shared [`crate::journey`] path — the one the resident
+//! service runs too — settling every journey as soon as it returns. A
+//! mechanism whose profile is incompatible with a scenario (e.g.
+//! `replication` on a stage-less linear route) is skipped and surfaces as
+//! `n/a` in the report rather than a fake 0.00 rate.
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,17 +34,16 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refstate_core::protocol::host_directory;
 use refstate_core::{ReplayCache, VerificationPipeline};
 use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_mechanisms::api::{
-    run_instrumented, JourneyCtx, JourneyVerdict, MechanismConfig, MechanismRegistry,
-    ProtectionMechanism,
+    JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
 };
-use refstate_platform::{Event, EventLog, Host};
+use refstate_platform::{EventLog, HostSpec};
 use refstate_telemetry as telemetry;
 
 use crate::campaign::CampaignMeta;
+use crate::journey::{self, JourneyEnv};
 use crate::report::{FleetReport, FleetTiming, LatencyPercentiles, StageBreakdown};
 use crate::scenario::{self, GeneratedScenario, Preset};
 
@@ -223,62 +222,42 @@ fn run_scenario(
     pipeline: &Arc<VerificationPipeline>,
 ) -> ScenarioResult {
     let scenario = scenario::generate(config.seed, id, config.preset);
-    let has_stages = scenario.stages.is_some();
-    // Off-route hosts (replicas or witness spares) make the disjoint-set
-    // topology drivable.
-    let has_spares = scenario
-        .specs
-        .iter()
-        .any(|spec| !scenario.route.contains(&spec.id));
     // Campaign steps run under one span so traces group each journey by
     // its engagement.
     let _campaign_span = scenario
         .campaign
         .as_ref()
         .map(|_| telemetry::span("fleet.campaign.step", "fleet"));
+    let key = move |pos: usize, _: &HostSpec| {
+        &keys[(id as usize).wrapping_mul(31).wrapping_add(pos) % keys.len()]
+    };
+    // Keys depend on the scenario alone, so one directory serves every
+    // mechanism.
+    let directory = journey::scenario_directory(&scenario, key);
     let mut runs = Vec::with_capacity(config.mechanisms.len());
     for mechanism in &config.mechanisms {
-        if !mechanism.profile().compatible_with(has_stages, has_spares) {
-            continue;
-        }
-        let mut hosts: Vec<Host> = scenario
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(pos, spec)| {
-                let key =
-                    keys[(id as usize).wrapping_mul(31).wrapping_add(pos) % keys.len()].clone();
-                // pos+1 keeps h0's stream distinct from the generator's
-                // own seed for this scenario (pos 0 would XOR with zero).
-                let session_seed =
-                    scenario::scenario_seed(config.seed, id ^ ((pos as u64 + 1) << 48));
-                Host::with_keys(spec.clone(), key, session_seed)
-            })
-            .collect();
-        let directory = host_directory(&hosts);
         let log = EventLog::new();
-        if let Some(gone) = &scenario.churned {
-            log.record(Event::HostChurned { host: gone.clone() });
-        }
-        let start = Instant::now();
-        // The ctx's own RNG stream: scenario-derived, scheduling-free.
-        let ctx_seed = scenario::scenario_seed(config.seed, id ^ (1u64 << 63));
-        let mut ctx = JourneyCtx::new(
-            &mut hosts,
-            scenario.route.clone(),
-            scenario.agent.clone(),
-            &directory,
-            &config.adapter,
-            &log,
-            ctx_seed,
-        )
-        .with_pipeline(pipeline.clone());
-        if let Some(stages) = &scenario.stages {
-            ctx = ctx.with_stages(stages.clone());
-        }
-        let verdict = run_instrumented(mechanism.as_ref(), &mut ctx);
-        let latency = start.elapsed();
-        runs.push(score(mechanism.name(), verdict, &scenario, latency));
+        let env = JourneyEnv {
+            seed: config.seed,
+            directory: &directory,
+            config: &config.adapter,
+            pipeline,
+            log: &log,
+        };
+        let Some((split, started)) = journey::run_journey(&env, &scenario, mechanism.as_ref(), key)
+        else {
+            continue;
+        };
+        let verdict = {
+            let _scope = telemetry::scoped(mechanism.name());
+            split.settle(&config.adapter, pipeline, &log, &directory)
+        };
+        runs.push(score(
+            mechanism.name(),
+            verdict,
+            &scenario,
+            started.elapsed(),
+        ));
     }
     ScenarioResult {
         id,
@@ -335,8 +314,8 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     }
     drop(keygen);
 
-    // The ThreadedNetwork idiom: a pre-filled job queue, cloned receivers,
-    // one results channel back to the collector.
+    // A pre-filled job queue, cloned receivers, one results channel back
+    // to the collector.
     let (job_tx, job_rx): (Sender<u64>, Receiver<u64>) = unbounded();
     let (result_tx, result_rx): (Sender<ScenarioResult>, Receiver<ScenarioResult>) = unbounded();
     for id in 0..config.scenarios {

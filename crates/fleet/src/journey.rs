@@ -1,0 +1,118 @@
+//! The one scenario → journey path every driver shares.
+//!
+//! The fleet engine and the resident service (`refstate-serve`) both turn
+//! a [`GeneratedScenario`] into one protected journey under one
+//! mechanism. This module is that path, so the two cannot drift: the
+//! topology compatibility test, host instantiation (each driver passes
+//! its own key chooser), the churn event, the per-journey seeds, and the
+//! telemetry scope and `journey` span all live here. It stops at the
+//! [`SplitVerdict`]: the fleet engine settles each journey at once, the
+//! service settles an owner's pending journeys in one batch per tick.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use refstate_core::VerificationPipeline;
+use refstate_crypto::{DsaKeyPair, KeyDirectory};
+use refstate_mechanisms::api::{JourneyCtx, MechanismConfig, ProtectionMechanism, SplitVerdict};
+use refstate_platform::{Event, EventLog, Host, HostSpec};
+use refstate_telemetry as telemetry;
+
+use crate::scenario::{scenario_seed, GeneratedScenario};
+
+/// What a driver holds fixed across the journeys it runs.
+pub struct JourneyEnv<'a> {
+    /// The seed the scenarios were generated under (the fleet seed, or a
+    /// service owner's seed); host and context RNG streams derive from it.
+    pub seed: u64,
+    /// The PKI covering every host a scenario instantiates.
+    pub directory: &'a KeyDirectory,
+    /// Shared mechanism configuration.
+    pub config: &'a MechanismConfig,
+    /// The verification pipeline every re-execution funnels through.
+    pub pipeline: &'a Arc<VerificationPipeline>,
+    /// The event log journeys record into.
+    pub log: &'a EventLog,
+}
+
+/// Whether `mechanism`'s topology can run `scenario`: replicated-stage
+/// mechanisms need stages, disjoint-set mechanisms need off-route hosts
+/// (replicas or witness spares).
+fn compatible(mechanism: &dyn ProtectionMechanism, scenario: &GeneratedScenario) -> bool {
+    let has_spares = scenario
+        .specs
+        .iter()
+        .any(|spec| !scenario.route.contains(&spec.id));
+    mechanism
+        .profile()
+        .compatible_with(scenario.stages.is_some(), has_spares)
+}
+
+/// The PKI for `scenario`'s hosts when the host at spec position `pos`
+/// signs with `key(pos, spec)` — the directory [`run_journey`]'s hosts
+/// verify against.
+pub(crate) fn scenario_directory<'k>(
+    scenario: &GeneratedScenario,
+    key: impl Fn(usize, &HostSpec) -> &'k DsaKeyPair,
+) -> KeyDirectory {
+    let mut directory = KeyDirectory::new();
+    for (pos, spec) in scenario.specs.iter().enumerate() {
+        directory.register(spec.id.as_str(), key(pos, spec).public().clone());
+    }
+    directory
+}
+
+/// Runs the host-side journey of `scenario` under `mechanism`: fresh
+/// hosts keyed by `key(pos, spec)`, the churn event when a route host
+/// left the network, and [`ProtectionMechanism::run_split`] under the
+/// mechanism's telemetry scope and a `journey` span.
+///
+/// Returns `None` when the mechanism's topology cannot run the scenario
+/// (replicated-stage mechanisms need stages, disjoint-set mechanisms need
+/// off-route hosts). Otherwise returns the split verdict and the
+/// instant the journey began — after host instantiation, so a caller
+/// timing the journey (and its settle) times the mechanism alone.
+pub fn run_journey<'k>(
+    env: &JourneyEnv<'_>,
+    scenario: &GeneratedScenario,
+    mechanism: &dyn ProtectionMechanism,
+    key: impl Fn(usize, &HostSpec) -> &'k DsaKeyPair,
+) -> Option<(SplitVerdict, Instant)> {
+    if !compatible(mechanism, scenario) {
+        return None;
+    }
+    let id = scenario.id;
+    let mut hosts: Vec<Host> = scenario
+        .specs
+        .iter()
+        .enumerate()
+        .map(|(pos, spec)| {
+            // pos+1 keeps h0's stream distinct from the generator's own
+            // seed for this scenario (pos 0 would XOR with zero).
+            let session_seed = scenario_seed(env.seed, id ^ ((pos as u64 + 1) << 48));
+            Host::with_keys(spec.clone(), key(pos, spec).clone(), session_seed)
+        })
+        .collect();
+    let _scope = telemetry::scoped(mechanism.name());
+    if let Some(gone) = &scenario.churned {
+        env.log.record(Event::HostChurned { host: gone.clone() });
+    }
+    let started = Instant::now();
+    // The ctx's own RNG stream: scenario-derived, scheduling-free.
+    let ctx_seed = scenario_seed(env.seed, id ^ (1u64 << 63));
+    let mut ctx = JourneyCtx::new(
+        &mut hosts,
+        scenario.route.clone(),
+        scenario.agent.clone(),
+        env.directory,
+        env.config,
+        env.log,
+        ctx_seed,
+    )
+    .with_pipeline(env.pipeline.clone());
+    if let Some(stages) = &scenario.stages {
+        ctx = ctx.with_stages(stages.clone());
+    }
+    let _span = telemetry::span("journey", "mechanism");
+    Some((mechanism.run_split(&mut ctx), started))
+}

@@ -138,19 +138,7 @@ impl JsonWriter {
 
     fn push_string(&mut self, s: &str) {
         self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
+        refstate_telemetry::export::escape_into(&mut self.out, s);
         self.out.push('"');
     }
 }

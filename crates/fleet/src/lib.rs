@@ -19,12 +19,14 @@
 //!   persisting across the journeys of the `adaptive` preset, graded by
 //!   the report's [`AdaptationReport`] (detection latency in journeys,
 //!   detection-under-adaptation rate, false-accusation rate),
-//! * [`engine`] — a crossbeam-channel worker pool (the
-//!   `ThreadedNetwork` idiom) driving thousands of protected journeys
-//!   concurrently, with per-scenario RNG streams, a pooled DSA key
-//!   directory, and results ordered by scenario id; every mechanism is
-//!   dispatched through the [`MechanismRegistry`] — no engine code names
-//!   a concrete mechanism,
+//! * [`journey`] — the one scenario → journey path (host instantiation,
+//!   seeds, churn, telemetry scope) the engine and the resident service
+//!   share, ending at a mechanism's split verdict,
+//! * [`engine`] — a crossbeam-channel worker pool driving thousands of
+//!   protected journeys concurrently, with per-scenario RNG streams, a
+//!   pooled DSA key directory, and results ordered by scenario id; every
+//!   mechanism is dispatched through the [`MechanismRegistry`] — no
+//!   engine code names a concrete mechanism,
 //! * [`report`] — [`FleetReport`]: detection rate, false-accusation
 //!   rate, and culprit-attribution accuracy per mechanism × attack
 //!   class (deterministic, byte-stable JSON; a mechanism that ran no
@@ -73,6 +75,7 @@
 
 pub mod campaign;
 pub mod engine;
+pub mod journey;
 pub mod json;
 pub mod report;
 pub mod scenario;

@@ -10,8 +10,9 @@
 //!   registry [`name`](ProtectionMechanism::name), a
 //!   [`MechanismProfile`] declaring what the mechanism needs (check
 //!   moment, reference data, route topology, signatures), and one
-//!   [`run`](ProtectionMechanism::run) entry point over a
-//!   [`JourneyCtx`],
+//!   [`run_split`](ProtectionMechanism::run_split) entry point over a
+//!   [`JourneyCtx`] whose owner-side remainder, if any, settles through
+//!   [`settle_owner_batch`] — alone or amortized across a batch,
 //! * [`MechanismRegistry`] — the single dispatch table the fleet engine,
 //!   detection matrix, CLI, and benches all resolve mechanisms through
 //!   (by name; new mechanisms plug in without touching any engine),
@@ -102,13 +103,6 @@ impl MechanismProfile {
             RouteTopology::DisjointSets => scenario_has_spares,
         }
     }
-
-    /// [`MechanismProfile::compatible_with`] for callers that only know
-    /// whether stages exist: staged scenarios always carry off-route
-    /// replicas, so the spare-host answer follows the stage answer.
-    pub fn compatible_with_stages(&self, scenario_has_stages: bool) -> bool {
-        self.compatible_with(scenario_has_stages, scenario_has_stages)
-    }
 }
 
 /// Shared per-journey configuration every mechanism runs under, so
@@ -130,11 +124,11 @@ pub struct MechanismConfig {
     /// Hop budget for the unchecked drivers.
     pub max_hops: usize,
     /// Defer per-hop signature checks into the journey's
-    /// [`VerificationQueue`] and settle them in one batch at journey end
-    /// (see `refstate_core::protocol::run_protected_journey_batched`).
-    /// On by default: it does not change verdicts for any attack in the
-    /// taxonomy (none forge signatures) and removes the per-hop
-    /// verification from the latency path.
+    /// [`VerificationQueue`] and settle them in one batch with the
+    /// owner-side checks (see [`settle_owner_batch`]). On by default: it
+    /// does not change verdicts for any attack in the taxonomy (none forge
+    /// signatures) and removes the per-hop verification from the latency
+    /// path. Off, every signature verifies on arrival.
     pub defer_signatures: bool,
     /// Worker threads for owner-side bulk `check_sessions` passes (`0` =
     /// one per available core); plumbed into
@@ -167,7 +161,7 @@ impl Default for MechanismConfig {
 ///
 /// An engine builds one context per (scenario, mechanism) pair — hosts
 /// are consumed by execution — and hands it to
-/// [`ProtectionMechanism::run`]. The context carries:
+/// [`ProtectionMechanism::run_split`]. The context carries:
 ///
 /// * the instantiated `hosts` and the planned linear `route` (the primary
 ///   path; `route[0]` is the trusted home),
@@ -255,29 +249,12 @@ impl<'a> JourneyCtx<'a> {
 
     /// Opens a telemetry span for one stage of the mechanism's journey
     /// (e.g. the forward run vs. the audit). The span records a duration
-    /// histogram under the active scope — the mechanism name, when driven
-    /// through [`run_instrumented`] — and a trace event at the `Full`
-    /// level; it costs one atomic load when telemetry is off.
+    /// histogram under the active telemetry scope (the mechanism's name,
+    /// when the driver set it) and a trace event at the `Full` level; it
+    /// costs one atomic load when telemetry is off.
     pub fn stage(&self, name: &'static str) -> telemetry::Span {
         telemetry::span(name, "stage")
     }
-}
-
-/// Runs one mechanism over one journey with telemetry attribution: the
-/// thread's telemetry scope is set to the mechanism's name for the
-/// duration (so every pipeline/crypto/VM measurement triggered by the
-/// journey lands under that mechanism), and the journey itself is
-/// recorded as a `journey` span.
-///
-/// Verdicts are identical to calling [`ProtectionMechanism::run`]
-/// directly — telemetry is strictly observational.
-pub fn run_instrumented(
-    mechanism: &dyn ProtectionMechanism,
-    ctx: &mut JourneyCtx<'_>,
-) -> JourneyVerdict {
-    let _scope = telemetry::scoped(mechanism.name());
-    let _span = telemetry::span("journey", "mechanism");
-    mechanism.run(ctx)
 }
 
 impl fmt::Debug for JourneyCtx<'_> {
@@ -370,6 +347,33 @@ pub enum SplitVerdict {
     Pending(Box<PendingOwnerJourney>),
 }
 
+impl From<JourneyVerdict> for SplitVerdict {
+    fn from(verdict: JourneyVerdict) -> Self {
+        SplitVerdict::Settled(verdict)
+    }
+}
+
+impl SplitVerdict {
+    /// The final verdict: a pending owner side settles through
+    /// [`settle_owner_batch`] as a batch of one.
+    pub fn settle(
+        self,
+        config: &MechanismConfig,
+        pipeline: &Arc<VerificationPipeline>,
+        log: &EventLog,
+        directory: &KeyDirectory,
+    ) -> JourneyVerdict {
+        match self {
+            SplitVerdict::Settled(verdict) => verdict,
+            SplitVerdict::Pending(pending) => {
+                let (mut verdicts, _) =
+                    settle_owner_batch(vec![*pending], config, pipeline, log, directory);
+                verdicts.pop().expect("one journey in, one verdict out")
+            }
+        }
+    }
+}
+
 /// A journey whose owner-side settlement is outstanding, lifted out of
 /// its (by now dropped) [`JourneyCtx`].
 #[derive(Debug)]
@@ -396,8 +400,9 @@ pub fn protocol_verdict(outcome: &ProtocolOutcome) -> JourneyVerdict {
 
 /// Settles a batch of [`PendingOwnerJourney`]s in two amortized passes —
 /// one bulk `check_sessions_with` over every pending final check
-/// (distributed over `workers`; verdict order is worker-invariant) and one
-/// batch flush over every deferred signature — and returns the final
+/// (distributed over `config.check_workers`; verdict order is
+/// worker-invariant) and one batch flush over every deferred signature —
+/// and returns the final
 /// [`JourneyVerdict`]s in input order, plus the settle counters.
 ///
 /// All journeys in the batch must share `directory` (one owner's PKI view)
@@ -409,7 +414,6 @@ pub fn settle_owner_batch(
     pipeline: &Arc<VerificationPipeline>,
     log: &EventLog,
     directory: &KeyDirectory,
-    workers: usize,
 ) -> (Vec<JourneyVerdict>, SettleStats) {
     let _span = telemetry::span("mechanism.settle_batch", "mechanism");
     let protocol = ProtocolConfig {
@@ -430,7 +434,7 @@ pub fn settle_owner_batch(
         log,
         directory,
         &mut queue,
-        workers,
+        config.check_workers,
     );
     let verdicts = journeys
         .iter()
@@ -443,10 +447,11 @@ pub fn settle_owner_batch(
 /// moment × reference-data × algorithm abstraction as a trait.
 ///
 /// Implementations run one protected journey over a [`JourneyCtx`] and
-/// report a [`JourneyVerdict`]. Everything that drives mechanisms — the
-/// fleet engine, the detection matrix, the CLI, benches — dispatches
-/// through a [`MechanismRegistry`] of these, so a new mechanism is one
-/// `impl` plus one [`MechanismRegistry::register`] call.
+/// report a [`SplitVerdict`]. Everything that drives mechanisms — the
+/// fleet engine, the detection matrix, the resident service, the CLI,
+/// benches — dispatches through a [`MechanismRegistry`] of these, so a
+/// new mechanism is one `impl` plus one [`MechanismRegistry::register`]
+/// call.
 pub trait ProtectionMechanism: Send + Sync {
     /// The registry/CLI/report name (stable, lowercase, no spaces).
     fn name(&self) -> &'static str;
@@ -457,25 +462,25 @@ pub trait ProtectionMechanism: Send + Sync {
     /// What the mechanism needs (taxonomy axes + execution shape).
     fn profile(&self) -> MechanismProfile;
 
-    /// Runs one journey and reports the uniform verdict.
+    /// Runs the host-side part of one journey — the one journey method a
+    /// mechanism implements. A mechanism without an owner-side phase
+    /// returns its final verdict (`verdict.into()`); one with an
+    /// owner-side phase may hand it back as a [`SplitVerdict::Pending`]
+    /// for the driver to settle, alone or amortized across a batch (see
+    /// [`settle_owner_batch`]).
     ///
     /// Callers must only hand over contexts the profile is compatible
-    /// with (see [`MechanismProfile::compatible_with_stages`]); a
+    /// with (see [`MechanismProfile::compatible_with`]); a
     /// replicated-stage mechanism given a stage-less context reports an
     /// infrastructure error rather than panicking.
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict;
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict;
 
-    /// Runs the host-side part of one journey and, when the mechanism
-    /// supports owner-side batching, hands the rest back as a
-    /// [`SplitVerdict::Pending`] for a service to settle amortized across
-    /// a tick (see [`settle_owner_batch`]).
-    ///
-    /// The default settles everything inline — equivalent to
-    /// [`run`](Self::run) — so only mechanisms with a meaningful
-    /// owner-side phase (the session-checking protocol) override it.
-    /// Registry dispatch stays mechanism-generic either way.
-    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
-        SplitVerdict::Settled(self.run(ctx))
+    /// Runs one journey to its final verdict:
+    /// [`run_split`](Self::run_split), with a pending owner side settled
+    /// as a batch of one.
+    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+        self.run_split(ctx)
+            .settle(ctx.config, &ctx.pipeline, ctx.log, ctx.directory)
     }
 }
 
@@ -669,18 +674,16 @@ mod tests {
     #[test]
     fn topology_compatibility() {
         let registry = MechanismRegistry::builtin();
-        let replication = registry.get("replication").unwrap();
-        assert!(!replication.profile().compatible_with_stages(false));
-        assert!(replication.profile().compatible_with_stages(true));
-        let protocol = registry.get("protocol").unwrap();
-        assert!(protocol.profile().compatible_with_stages(false));
-        assert!(protocol.profile().compatible_with_stages(true));
-        // The disjoint-set mechanism needs spare hosts, not stages; the
-        // stage-only shorthand maps stages to spares (replicas exist).
-        let cooperating = registry.get("cooperating").unwrap();
-        assert!(!cooperating.profile().compatible_with(false, false));
-        assert!(cooperating.profile().compatible_with(false, true));
-        assert!(cooperating.profile().compatible_with_stages(true));
-        assert!(!cooperating.profile().compatible_with_stages(false));
+        let replication = registry.get("replication").unwrap().profile();
+        assert!(!replication.compatible_with(false, true));
+        assert!(replication.compatible_with(true, true));
+        let protocol = registry.get("protocol").unwrap().profile();
+        assert!(protocol.compatible_with(false, false));
+        assert!(protocol.compatible_with(true, true));
+        // The disjoint-set mechanism needs spare hosts, not stages.
+        let cooperating = registry.get("cooperating").unwrap().profile();
+        assert!(!cooperating.compatible_with(false, false));
+        assert!(!cooperating.compatible_with(true, false));
+        assert!(cooperating.compatible_with(false, true));
     }
 }

@@ -56,7 +56,7 @@ use refstate_vm::{DataState, ExecConfig, SessionEnd, VmError};
 use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::api::{
-    JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology,
+    JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology, SplitVerdict,
 };
 
 /// The owner's per-journey chain secret: the root the anchor and every
@@ -918,7 +918,7 @@ impl ProtectionMechanism for ChainedMac {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let secret = ChainSecret::from_rng(&mut ctx.rng);
         let agent_id = ctx.agent.id.clone();
         let start = ctx.start().clone();
@@ -937,7 +937,7 @@ impl ProtectionMechanism for ChainedMac {
             Ok(journey) => {
                 if journey.failure.is_some() {
                     // The agent died en route; the chain never came home.
-                    return JourneyVerdict::clean(false);
+                    return JourneyVerdict::clean(false).into();
                 }
                 let _verify = ctx.stage("chained.verify");
                 let final_digest = sha256(&to_wire(&journey.final_state));
@@ -957,6 +957,7 @@ impl ProtectionMechanism for ChainedMac {
             }
             Err(_) => JourneyVerdict::clean(false),
         }
+        .into()
     }
 }
 
@@ -989,7 +990,7 @@ impl ProtectionMechanism for EncapsulatedResults {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let mut nonce = [0u8; 32];
         ctx.rng.fill_bytes(&mut nonce);
         let agent_id = ctx.agent.id.clone();
@@ -1009,17 +1010,17 @@ impl ProtectionMechanism for EncapsulatedResults {
         drop(forward);
         let journey = match journey {
             Ok(journey) => journey,
-            Err(_) => return JourneyVerdict::clean(false),
+            Err(_) => return JourneyVerdict::clean(false).into(),
         };
         if let Some(fraud) = journey.fraud {
             // An en-route arrival check aborted the journey.
-            return JourneyVerdict::accusing(vec![fraud.culprit], false);
+            return JourneyVerdict::accusing(vec![fraud.culprit], false).into();
         }
         if journey.failure.is_some() {
-            return JourneyVerdict::clean(false);
+            return JourneyVerdict::clean(false).into();
         }
         let Some(final_state) = &journey.final_state else {
-            return JourneyVerdict::clean(false);
+            return JourneyVerdict::clean(false).into();
         };
         let anchor = encapsulation_anchor(&agent_id, &nonce);
         let final_digest = sha256(&to_wire(final_state));
@@ -1043,6 +1044,7 @@ impl ProtectionMechanism for EncapsulatedResults {
             }
             None => JourneyVerdict::clean(true),
         }
+        .into()
     }
 }
 

@@ -26,7 +26,7 @@ use refstate_platform::{Attack, Event, HostId};
 use refstate_vm::SessionEnd;
 
 use crate::api::{
-    JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology,
+    JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology, SplitVerdict,
 };
 
 /// The hosts available as witnesses: every context host that is not on
@@ -72,12 +72,12 @@ impl ProtectionMechanism for CooperatingAgents {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let witnesses = witness_set(ctx);
         if witnesses.is_empty() {
             // Engines check the profile first; a context without spare
             // hosts is an infrastructure failure, not a panic.
-            return JourneyVerdict::clean(false);
+            return JourneyVerdict::clean(false).into();
         }
 
         let mut agent = ctx.agent.clone();
@@ -90,7 +90,7 @@ impl ProtectionMechanism for CooperatingAgents {
         for hop in 0..ctx.config.max_hops {
             let Some(host) = ctx.hosts.iter_mut().find(|h| h.id() == &current) else {
                 // Churned or unknown host: the worker agent is lost.
-                return JourneyVerdict::clean(false);
+                return JourneyVerdict::clean(false).into();
             };
             let trusted = host.is_trusted();
             // Cross-set collusion: the executing host recruited a witness.
@@ -100,7 +100,7 @@ impl ProtectionMechanism for CooperatingAgents {
             };
             let record = match host.execute_session(&agent, &ctx.config.exec, ctx.log) {
                 Ok(record) => record,
-                Err(_) => return JourneyVerdict::clean(false),
+                Err(_) => return JourneyVerdict::clean(false).into(),
             };
             let halted = matches!(record.outcome.end, SessionEnd::Halt);
 
@@ -140,18 +140,18 @@ impl ProtectionMechanism for CooperatingAgents {
                             detector: witness,
                             reason: format!("cooperating witness check failed: {outcome:?}"),
                         });
-                        return JourneyVerdict::accusing(vec![current], halted);
+                        return JourneyVerdict::accusing(vec![current], halted).into();
                     }
                 }
             }
 
             agent.state = record.outcome.state.clone();
             match record.outcome.end {
-                SessionEnd::Halt => return JourneyVerdict::clean(true),
+                SessionEnd::Halt => return JourneyVerdict::clean(true).into(),
                 SessionEnd::Migrate(next) => {
                     let next = HostId::new(next);
                     if !ctx.hosts.iter().any(|h| h.id() == &next) {
-                        return JourneyVerdict::clean(false);
+                        return JourneyVerdict::clean(false).into();
                     }
                     let bytes = refstate_wire::to_wire(&agent).len();
                     ctx.log.record(Event::Migrated {
@@ -165,7 +165,7 @@ impl ProtectionMechanism for CooperatingAgents {
             }
         }
         // Hop budget exhausted: a runaway itinerary is infrastructure.
-        JourneyVerdict::clean(false)
+        JourneyVerdict::clean(false).into()
     }
 }
 

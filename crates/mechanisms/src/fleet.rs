@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use refstate_core::framework::{run_framework_journey, ProtectedAgent, ProtectionConfig};
 use refstate_core::protocol::{
-    run_protected_journey_batched, run_protected_journey_deferred,
-    run_protected_journey_with_directory, ProtocolConfig,
+    run_protected_journey_deferred, run_protected_journey_with_directory, ProtocolConfig,
 };
 use refstate_core::{CheckMoment, ReExecutionChecker, ReferenceDataKind, ReferenceDataRequest};
 use refstate_platform::run_plain_journey;
@@ -56,7 +55,7 @@ impl ProtectionMechanism for Unprotected {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let outcome = run_plain_journey(
             ctx.hosts,
             ctx.start().clone(),
@@ -65,7 +64,7 @@ impl ProtectionMechanism for Unprotected {
             ctx.log,
             ctx.config.max_hops,
         );
-        JourneyVerdict::clean(outcome.is_ok())
+        JourneyVerdict::clean(outcome.is_ok()).into()
     }
 }
 
@@ -100,7 +99,7 @@ impl ProtectionMechanism for StateAppraisal {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         match crate::appraisal::run_appraised_journey(
             ctx.hosts,
             ctx.start().clone(),
@@ -117,6 +116,7 @@ impl ProtectionMechanism for StateAppraisal {
             },
             Err(_) => JourneyVerdict::clean(false),
         }
+        .into()
     }
 }
 
@@ -145,7 +145,7 @@ impl ProtectionMechanism for FrameworkReExecution {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let checker = ReExecutionChecker::new().with_pipeline(ctx.pipeline.clone());
         let protection =
             ProtectionConfig::new(Arc::new(checker)).check_workers(ctx.config.check_workers);
@@ -167,17 +167,17 @@ impl ProtectionMechanism for FrameworkReExecution {
             },
             Err(_) => JourneyVerdict::clean(false),
         }
+        .into()
     }
 }
 
 /// The paper's §5.1 session-checking protocol (signatures included).
 ///
 /// When [`crate::api::MechanismConfig::defer_signatures`] is set (the
-/// default), the
-/// per-hop certificate verifications are deferred into the context's
-/// [`crate::api::JourneyCtx::queue`] and settled in one batch at journey
-/// end — the DSA-dominated part of the journey p50 collapses into one
-/// fused double-exponentiation pass.
+/// default), the per-hop certificate verifications are deferred into the
+/// context's [`crate::api::JourneyCtx::queue`] and settled in one batch
+/// with the owner's final check — the DSA-dominated part of the journey
+/// p50 collapses into one fused double-exponentiation pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionCheckingProtocol;
 
@@ -202,7 +202,14 @@ impl ProtectionMechanism for SessionCheckingProtocol {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    /// With [`defer_signatures`](crate::api::MechanismConfig::defer_signatures)
+    /// on, the host-side journey only: signature checks accumulate on the
+    /// context's queue and the owner's final check is left pending, so a
+    /// driver can settle many journeys in two amortized passes
+    /// ([`crate::api::settle_owner_batch`]). Off, every certificate
+    /// verifies on arrival and the owner's final check runs inline — the
+    /// paper's eager protocol, settled here.
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let protocol = ProtocolConfig {
             exec: ctx.config.exec.clone(),
             max_hops: ctx.config.max_hops,
@@ -210,8 +217,8 @@ impl ProtectionMechanism for SessionCheckingProtocol {
             ..ctx.config.protocol.clone()
         };
         let stage = ctx.stage("protocol.journey");
-        let result = if ctx.config.defer_signatures {
-            run_protected_journey_batched(
+        let split = if ctx.config.defer_signatures {
+            run_protected_journey_deferred(
                 ctx.hosts,
                 ctx.start().clone(),
                 ctx.agent.clone(),
@@ -220,6 +227,12 @@ impl ProtectionMechanism for SessionCheckingProtocol {
                 ctx.directory,
                 &mut ctx.queue,
             )
+            .map(|journey| {
+                SplitVerdict::Pending(Box::new(PendingOwnerJourney {
+                    journey,
+                    queue: std::mem::take(&mut ctx.queue),
+                }))
+            })
         } else {
             run_protected_journey_with_directory(
                 ctx.hosts,
@@ -229,46 +242,10 @@ impl ProtectionMechanism for SessionCheckingProtocol {
                 ctx.log,
                 ctx.directory,
             )
+            .map(|outcome| protocol_verdict(&outcome).into())
         };
         drop(stage);
-        match result {
-            Ok(outcome) => protocol_verdict(&outcome),
-            Err(_) => JourneyVerdict::clean(false),
-        }
-    }
-
-    /// The host-side journey only: signature checks accumulate on the
-    /// context's queue and the owner's final check is left pending, so a
-    /// resident service can settle a whole tick of journeys in two
-    /// amortized passes ([`crate::api::settle_owner_batch`]). Always
-    /// defers, regardless of
-    /// [`defer_signatures`](crate::api::MechanismConfig::defer_signatures)
-    /// — deferral is this entry point's contract.
-    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
-        let protocol = ProtocolConfig {
-            exec: ctx.config.exec.clone(),
-            max_hops: ctx.config.max_hops,
-            pipeline: ctx.pipeline.clone(),
-            ..ctx.config.protocol.clone()
-        };
-        let stage = ctx.stage("protocol.journey");
-        let result = run_protected_journey_deferred(
-            ctx.hosts,
-            ctx.start().clone(),
-            ctx.agent.clone(),
-            &protocol,
-            ctx.log,
-            ctx.directory,
-            &mut ctx.queue,
-        );
-        drop(stage);
-        match result {
-            Ok(journey) => SplitVerdict::Pending(Box::new(PendingOwnerJourney {
-                journey,
-                queue: std::mem::take(&mut ctx.queue),
-            })),
-            Err(_) => SplitVerdict::Settled(JourneyVerdict::clean(false)),
-        }
+        split.unwrap_or_else(|_| JourneyVerdict::clean(false).into())
     }
 }
 
@@ -297,7 +274,7 @@ impl ProtectionMechanism for ExecutionTraces {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let program = ctx.agent.program.clone();
         let forward = ctx.stage("traces.forward");
         let journey = run_traced_journey(
@@ -327,6 +304,7 @@ impl ProtectionMechanism for ExecutionTraces {
             }
             Err(_) => JourneyVerdict::clean(false),
         }
+        .into()
     }
 }
 
@@ -363,11 +341,11 @@ impl ProtectionMechanism for ReplicatedStages {
         }
     }
 
-    fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
+    fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let Some(stages) = ctx.stages.clone() else {
             // Engines check the profile first; a stage-less context is an
             // infrastructure failure, not a panic.
-            return JourneyVerdict::clean(false);
+            return JourneyVerdict::clean(false).into();
         };
         match run_replicated_pipeline_checked(
             ctx.hosts,
@@ -389,6 +367,7 @@ impl ProtectionMechanism for ReplicatedStages {
             }
             Err(_) => JourneyVerdict::clean(false),
         }
+        .into()
     }
 }
 
@@ -572,7 +551,7 @@ mod tests {
         // Three journeys per round: honest, mid-route tamperer, and a
         // rule-preserving tamperer. Splitting the owner side out and
         // settling all three in one batch must reproduce the inline
-        // verdicts, across worker counts.
+        // verdicts, across check-worker counts.
         let attacks: Vec<Option<Attack>> = vec![
             None,
             Some(Attack::TamperVariable {
@@ -606,7 +585,11 @@ mod tests {
             })
             .collect();
 
-        for workers in [1, 2, 8] {
+        for check_workers in [1, 2, 8] {
+            let batch_config = MechanismConfig {
+                check_workers,
+                ..config.clone()
+            };
             let log = EventLog::new();
             let pipeline = Arc::new(refstate_core::VerificationPipeline::uncached());
             let mut host_sets: Vec<Vec<Host>> = attacks.iter().map(|a| hosts(a.clone())).collect();
@@ -616,8 +599,9 @@ mod tests {
             for (i, hs) in host_sets.iter_mut().enumerate() {
                 let mut agent = three_host_agent();
                 agent.id = refstate_platform::AgentId::new(format!("fleet-{i}"));
-                let mut ctx = JourneyCtx::new(hs, route(), agent, &directory, &config, &log, 9)
-                    .with_pipeline(pipeline.clone());
+                let mut ctx =
+                    JourneyCtx::new(hs, route(), agent, &directory, &batch_config, &log, 9)
+                        .with_pipeline(pipeline.clone());
                 match SessionCheckingProtocol.run_split(&mut ctx) {
                     SplitVerdict::Pending(p) => {
                         assert!(ctx.queue.is_empty(), "queue lifted into the pending");
@@ -627,14 +611,13 @@ mod tests {
                 }
             }
             let (verdicts, stats) =
-                settle_owner_batch(pendings, &config, &pipeline, &log, &directory, workers);
-            assert_eq!(verdicts, inline, "workers={workers}");
+                settle_owner_batch(pendings, &batch_config, &pipeline, &log, &directory);
+            assert_eq!(verdicts, inline, "check_workers={check_workers}");
             assert!(stats.flush_verifications > 0, "signatures were deferred");
             assert_eq!(stats.unattributed_failures, 0);
         }
 
-        // The default split settles immediately for mechanisms without an
-        // owner-side phase.
+        // Mechanisms without an owner-side phase settle in the split.
         let mut hs = hosts(None);
         let directory = host_directory(&hs);
         let log = EventLog::new();

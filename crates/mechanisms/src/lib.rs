@@ -47,7 +47,7 @@
 //!
 //! # Adding a mechanism
 //!
-//! Implement [`ProtectionMechanism`] (name, profile, `run` over a
+//! Implement [`ProtectionMechanism`] (name, profile, `run_split` over a
 //! [`JourneyCtx`]) and register it:
 //!
 //! ```
@@ -55,7 +55,7 @@
 //! use refstate_core::ReferenceDataRequest;
 //! use refstate_mechanisms::api::{
 //!     JourneyCtx, JourneyVerdict, MechanismProfile, MechanismRegistry,
-//!     ProtectionMechanism, RouteTopology,
+//!     ProtectionMechanism, RouteTopology, SplitVerdict,
 //! };
 //!
 //! struct AlwaysClean;
@@ -71,8 +71,8 @@
 //!             uses_signatures: false,
 //!         }
 //!     }
-//!     fn run(&self, _ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
-//!         JourneyVerdict::clean(true)
+//!     fn run_split(&self, _ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
+//!         JourneyVerdict::clean(true).into()
 //!     }
 //! }
 //!
@@ -97,8 +97,8 @@ pub mod replication;
 pub mod traces;
 
 pub use api::{
-    run_instrumented, JourneyCtx, JourneyVerdict, MechanismConfig, MechanismProfile,
-    MechanismRegistry, ProtectionMechanism, RouteTopology, UnknownMechanism,
+    JourneyCtx, JourneyVerdict, MechanismConfig, MechanismProfile, MechanismRegistry,
+    ProtectionMechanism, RouteTopology, UnknownMechanism,
 };
 pub use appraisal::{run_appraised_journey, AppraisalOutcome};
 pub use chained::{

@@ -12,15 +12,10 @@
 //!   classes from the paper's Fig. 2 taxonomy that touch agent state or
 //!   session input,
 //! * [`AgentImage`] — the unit of migration (code + data state),
-//! * [`Event`] / [`EventLog`] — a timeline of everything that happened,
-//! * [`HostNode`] / [`SimNetwork`] — a deterministic, single-threaded
-//!   message-passing network for protocol drivers,
-//! * [`ThreadedNetwork`] — the same node interface on real threads with
-//!   crossbeam channels, for stress tests and the threaded benches.
+//! * [`Event`] / [`EventLog`] — a timeline of everything that happened.
 //!
-//! The paper's measurements ran three hosts "in one address space" —
-//! [`SimNetwork`] reproduces exactly that; [`ThreadedNetwork`] goes one
-//! step further than the original evaluation.
+//! The paper's measurements ran three hosts "in one address space"; the
+//! journey drivers here and in the protocol crates do the same.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +26,6 @@ mod event;
 mod feed;
 mod host;
 mod journey;
-mod net;
-mod threaded;
 
 pub use agent::{AgentId, AgentImage};
 pub use attack::{Attack, Behaviour};
@@ -40,5 +33,3 @@ pub use event::{Event, EventLog};
 pub use feed::{FeedItem, InputFeed};
 pub use host::{Host, HostId, HostSpec, SessionRecord};
 pub use journey::{run_plain_journey, JourneyError, JourneyOutcome};
-pub use net::{HostNode, NetError, SimNetwork, Step};
-pub use threaded::ThreadedNetwork;

@@ -73,13 +73,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_core::{ReplayCache, VerificationPipeline};
 use refstate_crypto::{DsaKeyPair, DsaParams, KeyDirectory};
+use refstate_fleet::journey::{run_journey, JourneyEnv};
 use refstate_fleet::scenario::{self, Preset};
 use refstate_mechanisms::api::{
     settle_owner_batch, JourneyVerdict, MechanismConfig, MechanismRegistry, PendingOwnerJourney,
     ProtectionMechanism, SplitVerdict,
 };
-use refstate_mechanisms::JourneyCtx;
-use refstate_platform::{EventLog, Host};
+use refstate_platform::{EventLog, HostSpec};
 use refstate_store::{LogStore, StateStore};
 use refstate_telemetry as telemetry;
 
@@ -761,6 +761,17 @@ impl Service {
         let mut pendings: Vec<PendingOwnerJourney> = Vec::new();
         let mut pending_slots: Vec<usize> = Vec::new();
 
+        let env = JourneyEnv {
+            seed: shard.seed,
+            directory: &shard.directory,
+            config: &shard.config,
+            pipeline: &shard.pipeline,
+            log: &shard.log,
+        };
+        let pool = &self.params_pool;
+        let key = move |_: usize, spec: &HostSpec| {
+            &pool[key_index(shard.seed, spec.id.as_str(), pool.len())]
+        };
         for (slot, (journey, queued_at)) in jobs.iter().enumerate() {
             let (journey, queued_at) = (*journey, *queued_at);
             telemetry::observe(
@@ -768,55 +779,12 @@ impl Service {
                 queued_at.elapsed().as_micros() as u64,
             );
             let generated = scenario::generate(shard.seed, journey, shard.preset);
-            let has_spares = generated
-                .specs
-                .iter()
-                .any(|spec| !generated.route.contains(&spec.id));
-            let compatible = shard
-                .mechanism
-                .profile()
-                .compatible_with(generated.stages.is_some(), has_spares);
-            if !compatible {
-                // A topology mismatch (e.g. `replication` on a linear
-                // preset) is the owner's registration error, surfaced as
-                // an infrastructure verdict rather than a dropped journey.
-                slots[slot] = Some(verdict_reply(
-                    shard.name.clone(),
-                    journey,
-                    shard.mechanism.name(),
-                    &JourneyVerdict::clean(false),
-                ));
-                continue;
-            }
-            let mut hosts: Vec<Host> = generated
-                .specs
-                .iter()
-                .enumerate()
-                .map(|(pos, spec)| {
-                    let key = self.params_pool
-                        [key_index(shard.seed, spec.id.as_str(), self.params_pool.len())]
-                    .clone();
-                    let session_seed =
-                        scenario::scenario_seed(shard.seed, journey ^ ((pos as u64 + 1) << 48));
-                    Host::with_keys(spec.clone(), key, session_seed)
-                })
-                .collect();
-            let ctx_seed = scenario::scenario_seed(shard.seed, journey ^ (1u64 << 63));
-            let _scope = telemetry::scoped(shard.mechanism.name());
-            let mut ctx = JourneyCtx::new(
-                &mut hosts,
-                generated.route.clone(),
-                generated.agent.clone(),
-                &shard.directory,
-                &shard.config,
-                &shard.log,
-                ctx_seed,
-            )
-            .with_pipeline(shard.pipeline.clone());
-            if let Some(stages) = &generated.stages {
-                ctx = ctx.with_stages(stages.clone());
-            }
-            match shard.mechanism.run_split(&mut ctx) {
+            // A topology mismatch (e.g. `replication` on a linear preset)
+            // is the owner's registration error, surfaced as an
+            // infrastructure verdict rather than a dropped journey.
+            let split = run_journey(&env, &generated, shard.mechanism.as_ref(), key)
+                .map_or_else(|| JourneyVerdict::clean(false).into(), |(split, _)| split);
+            match split {
                 SplitVerdict::Settled(verdict) => {
                     slots[slot] = Some(verdict_reply(
                         shard.name.clone(),
@@ -843,7 +811,6 @@ impl Service {
                 &shard.pipeline,
                 &shard.log,
                 &shard.directory,
-                self.config.check_workers,
             );
             for ((slot, journey), verdict) in pending_slots.into_iter().zip(journeys).zip(verdicts)
             {
@@ -1203,48 +1170,76 @@ mod tests {
     #[test]
     fn service_verdicts_match_fleet_engine_verdicts() {
         // The resident service and the batch fleet engine must agree on
-        // what a journey's verdict is — the service is a re-packaging of
-        // the same mechanism API, not a different checker. Fleet host
-        // keys come from a different pool assignment, but verdicts do
-        // not depend on which (registered) key a host signs with.
-        let seed = 11u64;
+        // what a journey's verdict is — both run the same scenario →
+        // journey path, and verdicts do not depend on which (registered)
+        // key a host signs with, so the differing key pools must not
+        // show. One row per preset × built-in mechanism over the first 8
+        // journeys; the seed is the first whose adaptive window churns a
+        // host, so the churn path is compared too.
+        let registry = MechanismRegistry::builtin();
+        let seed = (11u64..)
+            .find(|&seed| {
+                (0..8).any(|id| {
+                    scenario::generate(seed, id, Preset::Adaptive)
+                        .churned
+                        .is_some()
+                })
+            })
+            .expect("some adaptive window churns");
         let service = Service::new(ServeConfig::default());
-        register(&service, "alice", seed, "single-tamperer", "protocol");
-        for journey in 0..8u64 {
-            service.handle(Request::Submit {
-                owner: "alice".into(),
-                journey,
+        for preset in Preset::ALL {
+            let fleet = refstate_fleet::run_fleet(&refstate_fleet::FleetConfig {
+                scenarios: 8,
+                workers: 2,
+                seed,
+                preset,
+                mechanisms: registry.all(),
+                key_pool: 8,
+                ..refstate_fleet::FleetConfig::default()
             });
-        }
-        service.handle(Request::Tick);
-        let Response::Verdicts(verdicts) = service.handle(Request::Drain {
-            owner: "alice".into(),
-        }) else {
-            panic!("drain returns verdicts");
-        };
-
-        let fleet = refstate_fleet::run_fleet(&refstate_fleet::FleetConfig {
-            scenarios: 8,
-            workers: 2,
-            seed,
-            preset: Preset::SingleTamperer,
-            mechanisms: vec![MechanismRegistry::builtin().get("protocol").unwrap()],
-            key_pool: 8,
-            ..refstate_fleet::FleetConfig::default()
-        });
-        for (verdict, result) in verdicts.iter().zip(&fleet.results) {
-            assert_eq!(verdict.journey, result.id);
-            let run = &result.runs[0];
-            assert_eq!(
-                verdict.detected, run.detected,
-                "journey {}",
-                verdict.journey
-            );
-            assert_eq!(
-                verdict.completed, run.completed,
-                "journey {}",
-                verdict.journey
-            );
+            for mechanism in registry.names() {
+                let owner = format!("{}-{mechanism}", preset.name());
+                register(&service, &owner, seed, preset.name(), mechanism);
+                for journey in 0..8u64 {
+                    service.handle(Request::Submit {
+                        owner: owner.clone(),
+                        journey,
+                    });
+                }
+                service.handle(Request::TickOwners(vec![owner.clone()]));
+                let Response::Verdicts(verdicts) = service.handle(Request::Drain {
+                    owner: owner.clone(),
+                }) else {
+                    panic!("drain returns verdicts");
+                };
+                assert_eq!(verdicts.len(), 8, "{owner}");
+                for (verdict, result) in verdicts.iter().zip(&fleet.results) {
+                    let row = format!("{owner} journey {}", verdict.journey);
+                    assert_eq!(verdict.journey, result.id, "{row}");
+                    let Some(run) = result.runs.iter().find(|run| run.mechanism == mechanism)
+                    else {
+                        // The fleet skips an incompatible topology; the
+                        // service reports it as an infrastructure verdict.
+                        assert!(verdict.infra_error && !verdict.detected, "{row}");
+                        continue;
+                    };
+                    assert_eq!(
+                        (verdict.detected, verdict.completed, verdict.infra_error),
+                        (run.detected, run.completed, run.infra_error),
+                        "{row}"
+                    );
+                    let generated = scenario::generate(seed, verdict.journey, preset);
+                    let attacker = generated.attacker.as_ref().map(|(host, _)| host.as_str());
+                    let false_accusation =
+                        verdict.accused.iter().any(|a| Some(a.as_str()) != attacker);
+                    assert_eq!(false_accusation, run.false_accusation, "{row}");
+                    let correct_culprit = verdict
+                        .detected
+                        .then(|| attacker.map(|a| verdict.accused.iter().any(|x| x == a)))
+                        .flatten();
+                    assert_eq!(correct_culprit, run.correct_culprit, "{row}");
+                }
+            }
         }
     }
 

@@ -402,19 +402,22 @@ impl SoakOutcome {
 
     /// The schema-checked SLO JSON artifact (`refstate-soak-slo-v1`).
     pub fn to_json(&self, check_workers: usize, queue_capacity: usize) -> String {
+        let quoted = |s: &str| {
+            let mut literal = String::from('"');
+            refstate_telemetry::export::escape_into(&mut literal, s);
+            literal.push('"');
+            literal
+        };
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
         out.push_str("  \"schema\": \"refstate-soak-slo-v1\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
         out.push_str(&format!("  \"owners\": {},\n", self.config.owners));
         out.push_str(&format!("  \"journeys\": {},\n", self.config.journeys));
-        out.push_str(&format!(
-            "  \"preset\": {},\n",
-            json_str(&self.config.preset)
-        ));
+        out.push_str(&format!("  \"preset\": {},\n", quoted(&self.config.preset)));
         out.push_str(&format!(
             "  \"mechanism\": {},\n",
-            json_str(&self.config.mechanism)
+            quoted(&self.config.mechanism)
         ));
         out.push_str(&format!("  \"tick_every\": {},\n", self.config.tick_every));
         out.push_str(&format!("  \"start\": {},\n", self.config.start));
@@ -487,7 +490,7 @@ impl SoakOutcome {
         out.push_str("  \"owners_detail\": [\n");
         for (i, owner) in self.owners.iter().enumerate() {
             out.push_str("    {");
-            out.push_str(&format!("\"owner\": {}, ", json_str(&owner.owner)));
+            out.push_str(&format!("\"owner\": {}, ", quoted(&owner.owner)));
             out.push_str(&format!("\"accepted\": {}, ", owner.accepted));
             out.push_str(&format!("\"rejected\": {}, ", owner.rejected));
             out.push_str(&format!("\"verified\": {}, ", owner.verified));
@@ -513,9 +516,9 @@ impl SoakOutcome {
             for (i, checkpoint) in warm.checkpoints.iter().enumerate() {
                 out.push_str(&format!(
                     "      {{\"owner\": {}, \"offset\": {}, \"digest\": {}}}",
-                    json_str(&checkpoint.owner),
+                    quoted(&checkpoint.owner),
                     checkpoint.offset,
-                    json_str(&checkpoint.digest)
+                    quoted(&checkpoint.digest)
                 ));
                 if i + 1 < warm.checkpoints.len() {
                     out.push(',');
@@ -536,27 +539,11 @@ impl SoakOutcome {
         }
         out.push_str(&format!(
             "  \"stream_digest\": {}\n",
-            json_str(&self.stream_digest())
+            quoted(&self.stream_digest())
         ));
         out.push_str("}\n");
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Drives one lockstep soak run against `endpoint` (one request in

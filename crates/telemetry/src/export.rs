@@ -9,8 +9,10 @@
 use crate::metrics::MetricsSnapshot;
 use crate::span::TraceEvent;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
+/// Escapes a string for inclusion in a JSON string literal: quotes,
+/// backslashes, and control characters (`\n`, `\r`, `\t` by name, the
+/// rest as `\u00XX`). The workspace's one JSON string escaper.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
