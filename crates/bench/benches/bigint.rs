@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_bigint::{random_in_unit_range, FixedBase, Montgomery, Uint};
 use refstate_crypto::DsaParams;
+use refstate_telemetry::json::JsonWriter;
 
 /// One benchmark shape: a named DSA group and a batch of exponents drawn
 /// below its `q` (the distribution every signing/verification exponent
@@ -120,22 +121,28 @@ fn emit_bench_json() {
             fixed_base,
             schoolbook / fixed_base,
         );
-        cases.push(format!(
-            "{{\"group\":\"{}\",\"op\":\"pow_mod\",\"schoolbook_ns\":{:.1},\
-             \"montgomery_ns\":{:.1},\"fixed_base_ns\":{:.1},\
-             \"montgomery_speedup\":{:.2},\"fixed_base_speedup\":{:.2}}}",
-            shape.name,
-            schoolbook,
-            montgomery,
-            fixed_base,
-            schoolbook / montgomery,
-            schoolbook / fixed_base,
-        ));
+        cases.push((shape.name, schoolbook, montgomery, fixed_base));
     }
-    let json = format!(
-        "{{\"bench\":\"bigint\",\"smoke\":{smoke},\"cases\":[{}]}}",
-        cases.join(",")
-    );
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("bench", "bigint");
+    w.field_bool("smoke", smoke);
+    w.key("cases");
+    w.begin_array();
+    for (group, schoolbook, montgomery, fixed_base) in cases {
+        w.begin_object();
+        w.field_str("group", group);
+        w.field_str("op", "pow_mod");
+        w.field_f64("schoolbook_ns", schoolbook);
+        w.field_f64("montgomery_ns", montgomery);
+        w.field_f64("fixed_base_ns", fixed_base);
+        w.field_f64("montgomery_speedup", schoolbook / montgomery);
+        w.field_f64("fixed_base_speedup", schoolbook / fixed_base);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    let json = w.finish();
 
     let path = std::env::var("BENCH_BIGINT_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bigint.json").to_owned()
@@ -143,7 +150,7 @@ fn emit_bench_json() {
     // A smoke run proves the pipeline but must not overwrite the
     // committed trajectory with low-confidence numbers.
     let path = if smoke { format!("{path}.smoke") } else { path };
-    match std::fs::write(&path, format!("{json}\n")) {
+    match std::fs::write(&path, json + "\n") {
         Ok(()) => println!("wrote arithmetic perf trajectory to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

@@ -9,17 +9,17 @@
 //! telemetry per-stage breakdown per mechanism, for the mixed,
 //! replicated, chained, encapsulated, cooperating, and adaptive presets
 //! — the adaptive block also carries the campaign `adaptation` grades —
-//! plus the measured off-vs-full telemetry overhead) so future PRs have
-//! a perf trajectory to diff against. Set `BENCH_FLEET_OUT` to change
-//! the output path.
+//! plus the measured off-vs-full telemetry overhead and the host's
+//! `parallelism`) so future PRs have a perf trajectory to diff against.
+//! Fleets run one worker per core, except the explicit worker sweep.
+//! Set `BENCH_FLEET_OUT` to change the output path.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use refstate_fleet::{
-    run_fleet, FleetConfig, FleetRun, MechanismRegistry, Preset, ProtectionMechanism,
-};
+use refstate_fleet::{run_fleet, FleetConfig, MechanismRegistry, Preset, ProtectionMechanism};
 use refstate_telemetry as telemetry;
+use refstate_telemetry::json::JsonWriter;
 
 const SCENARIOS: u64 = 64;
 
@@ -51,7 +51,7 @@ fn bench_per_mechanism(c: &mut Criterion) {
             refstate_fleet::RouteTopology::ReplicatedStages => Preset::Replicated,
             refstate_fleet::RouteTopology::DisjointSets => Preset::Cooperating,
         };
-        let config = bench_config(vec![mechanism.clone()], preset, 4);
+        let config = bench_config(vec![mechanism.clone()], preset, 0);
         group.bench_with_input(
             BenchmarkId::from_parameter(mechanism.name()),
             &config,
@@ -86,23 +86,12 @@ fn emit_bench_json() {
     fn trajectory_config(preset: Preset) -> FleetConfig {
         FleetConfig {
             scenarios: 256,
-            workers: 4,
+            workers: 0,
             seed: 42,
             preset,
             key_pool: 32,
             ..FleetConfig::default()
         }
-    }
-
-    fn run_block(preset: Preset) -> (String, FleetRun) {
-        let run = run_fleet(&trajectory_config(preset));
-        // Clear this run's trace timeline so successive blocks never push
-        // the collector toward its drop cap.
-        let _ = telemetry::drain_trace();
-        (
-            format!("\"{}\":{}", preset.name(), run.timing.to_json()),
-            run,
-        )
     }
 
     /// Best journeys/s for one run at `level` — the comparison takes the
@@ -124,46 +113,63 @@ fn emit_bench_json() {
         off = off.max(one_run_journeys_per_sec(telemetry::TelemetryLevel::Off));
         full = full.max(one_run_journeys_per_sec(telemetry::TelemetryLevel::Full));
     }
-    let overhead_pct = (1.0 - full / off) * 100.0;
-    let overhead = format!(
-        "\"telemetry_overhead\":{{\"off_journeys_per_sec\":{off:.6},\
-         \"full_journeys_per_sec\":{full:.6},\"overhead_pct\":{overhead_pct:.6}}}"
+
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("bench", "fleet");
+    w.field_u64("scenarios", 256);
+    w.field_u64("seed", 42);
+    w.field_u64(
+        "parallelism",
+        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
     );
+    w.key("telemetry_overhead");
+    w.begin_object();
+    w.field_f64("off_journeys_per_sec", off);
+    w.field_f64("full_journeys_per_sec", full);
+    w.field_f64("overhead_pct", (1.0 - full / off) * 100.0);
+    w.end_object();
 
     // The trajectory blocks themselves run at full telemetry so the
     // per-stage breakdown (cache hit vs replay vs signature verify) is
     // populated; the deterministic report is level-independent.
     telemetry::set_level(telemetry::TelemetryLevel::Full);
-    let (mixed, _) = run_block(Preset::Mixed);
-    let (replicated, _) = run_block(Preset::Replicated);
-    let (chained, _) = run_block(Preset::Chained);
-    let (encapsulated, _) = run_block(Preset::Encapsulated);
-    let (cooperating, _) = run_block(Preset::Cooperating);
-    let (adaptive_timing, adaptive_run) = run_block(Preset::Adaptive);
+    for preset in [
+        Preset::Mixed,
+        Preset::Replicated,
+        Preset::Chained,
+        Preset::Encapsulated,
+        Preset::Cooperating,
+        Preset::Adaptive,
+    ] {
+        let run = run_fleet(&trajectory_config(preset));
+        // Clear this run's trace timeline so successive blocks never push
+        // the collector toward its drop cap.
+        let _ = telemetry::drain_trace();
+        w.key(preset.name());
+        w.begin_object();
+        run.timing.write_json(&mut w);
+        // The adaptive block carries the campaign grades next to its
+        // timing: detection latency and detection-under-adaptation become
+        // part of the perf trajectory.
+        if let Some(adaptation) = &run.report.adaptation {
+            w.key("adaptation");
+            w.begin_object();
+            adaptation.write_json(&mut w);
+            w.end_object();
+        }
+        w.end_object();
+    }
     telemetry::set_level(telemetry::TelemetryLevel::Off);
-    // The adaptive block carries the campaign grades next to its timing:
-    // detection latency and detection-under-adaptation become part of
-    // the perf trajectory.
-    let adaptation = adaptive_run
-        .report
-        .adaptation
-        .as_ref()
-        .expect("adaptive fleets always grade campaigns")
-        .to_json();
-    let adaptive = format!(
-        "{},\"adaptation\":{adaptation}}}",
-        &adaptive_timing[..adaptive_timing.len() - 1]
-    );
-    let json = format!(
-        "{{\"bench\":\"fleet\",\"scenarios\":256,\"seed\":42,{overhead},{mixed},{replicated},{chained},{encapsulated},{cooperating},{adaptive}}}"
-    );
+    w.end_object();
+    let json = w.finish();
 
     // Default next to the workspace root (cargo bench runs with the
     // package directory as CWD), so the trajectory file has one home.
     let path = std::env::var("BENCH_FLEET_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json").to_owned()
     });
-    match std::fs::write(&path, format!("{json}\n")) {
+    match std::fs::write(&path, json + "\n") {
         Ok(()) => println!("wrote perf trajectory to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

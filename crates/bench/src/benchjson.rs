@@ -1,272 +1,25 @@
-//! A minimal JSON reader and the schemas of the committed `BENCH_*.json`
-//! perf-trajectory files.
+//! The schemas of the committed `BENCH_*.json` perf-trajectory files and
+//! of the artifacts the CLIs emit, over the workspace's one JSON parser.
 //!
-//! The workspace has no serde (offline build, vendored shims only), but
 //! CI must be able to prove that the benchmark artifacts at the repo root
 //! still parse and still carry the fields the README's trajectory tables
 //! and future PRs diff against — a hand-edited or half-written file
-//! should fail the build, not rot silently. This module implements the
-//! few hundred lines that buys: a strict recursive-descent JSON parser
-//! ([`parse`]) and one schema predicate per artifact
-//! ([`check_bigint_schema`], [`check_fleet_schema`]), driven by the
-//! `check_bench_json` binary in CI.
+//! should fail the build, not rot silently. This module holds one schema
+//! predicate per artifact ([`check_bigint_schema`], [`check_fleet_schema`],
+//! [`check_chrome_trace`], [`check_metrics_jsonl`], [`check_slo_schema`]),
+//! driven by the `check_bench_json` binary in CI. The parser itself lives
+//! in [`refstate_telemetry::json`] and is re-exported here.
+//!
+//! Percentile fields come in two definitions, and each schema says which
+//! one its fields use:
+//!
+//! * **exact nearest rank** — the observed sample at rank `⌈q·n⌉`
+//!   ([`refstate_telemetry::metrics::nearest_rank`]);
+//! * **histogram bucket bound** — the log-linear histogram's bucket upper
+//!   bound at that same rank, clamped to the observed max, at most 1/8
+//!   relative error ([`refstate_telemetry::HistogramSnapshot::quantile`]).
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`, which covers the bench fields).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order is not preserved (keys are sorted).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on objects; `None` for other variants or missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(map) => Some(map),
-            _ => None,
-        }
-    }
-}
-
-/// A parse or schema failure, with enough context to locate it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError(String);
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one complete JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters after JSON document"));
-    }
-    Ok(value)
-}
-
-fn err(pos: usize, what: &str) -> JsonError {
-    JsonError(format!("at byte {pos}: {what}"))
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&ch) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, &format!("expected '{}'", ch as char)))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Json,
-) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, &format!("expected '{word}'")))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, &format!("invalid number {text:?}")))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let start = *pos;
-    // Accumulate raw bytes and decode as UTF-8 once at the closing quote,
-    // so multi-byte characters survive intact; escapes append their
-    // characters' UTF-8 encodings.
-    let mut out: Vec<u8> = Vec::new();
-    let push_char = |out: &mut Vec<u8>, c: char| {
-        let mut buf = [0u8; 4];
-        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-    };
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| err(start, "string is not valid UTF-8"));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0c),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "invalid \\u escape"))?;
-                        // Surrogates are not paired; the bench files never
-                        // contain them.
-                        push_char(&mut out, char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(err(*pos, "expected ',' or ']' in array")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(err(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
+pub use refstate_telemetry::json::{parse, Json, JsonError};
 
 fn require_num(value: &Json, path: &str, key: &str) -> Result<f64, JsonError> {
     value
@@ -385,13 +138,22 @@ fn check_stage_breakdown(block: &Json, block_name: &str, telemetry: &str) -> Res
 /// `campaigns`, and a non-empty per-mechanism list whose cells hold the
 /// campaign counters and a `detection_under_adaptation` rate in `[0, 1]`
 /// or `null`). Finally the `telemetry_overhead` block must show
-/// `--telemetry full` costing at most 5% journeys/s versus `off`.
+/// `--telemetry full` costing at most 5% journeys/s versus `off`, and a
+/// top-level `parallelism` (the host's core count), when present, must be
+/// positive.
+///
+/// Percentiles: `latency_percentiles.*` are exact nearest rank over every
+/// journey's latency; `stage_breakdown.*.p50_us`/`p99_us` are histogram
+/// bucket bounds (see the module docs).
 pub fn check_fleet_schema(doc: &Json) -> Result<(), JsonError> {
     if doc.get("bench").and_then(Json::as_str) != Some("fleet") {
         return Err(JsonError("bench: expected \"fleet\"".into()));
     }
     require_positive(doc, "$", "scenarios")?;
     require_num(doc, "$", "seed")?;
+    if doc.get("parallelism").is_some() {
+        require_positive(doc, "$", "parallelism")?;
+    }
     let overhead = doc
         .get("telemetry_overhead")
         .ok_or_else(|| JsonError("telemetry_overhead: missing block".into()))?;
@@ -610,6 +372,8 @@ pub fn check_chrome_trace(doc: &Json) -> Result<(), JsonError> {
 /// a counter (`value`) or a histogram (`count`/`sum`/`min`/`max`,
 /// `p50`/`p90`/`p99`, and a sparse `buckets` array of
 /// `[bucket_lower_bound, count]` pairs whose counts sum to `count`).
+/// The `p50`/`p90`/`p99` fields are histogram bucket bounds (see the
+/// module docs).
 pub fn check_metrics_jsonl(text: &str) -> Result<(), JsonError> {
     for (i, line) in text.lines().enumerate() {
         let path = format!("metrics line {}", i + 1);
@@ -666,6 +430,26 @@ pub fn check_metrics_jsonl(text: &str) -> Result<(), JsonError> {
     Ok(())
 }
 
+/// Checks the `latency_us` block under `parent` (reported as `path`): a
+/// monotone `p50 ≤ p95 ≤ p99 ≤ max` ladder of non-negative numbers.
+fn check_latency_ladder(parent: &Json, path: &str) -> Result<(), JsonError> {
+    let ladder = parent
+        .get("latency_us")
+        .ok_or_else(|| JsonError(format!("{path}: missing block")))?;
+    let mut previous = 0.0;
+    for key in ["p50", "p95", "p99", "max"] {
+        let value = require_non_negative(ladder, path, key)?;
+        if value < previous {
+            return Err(JsonError(format!(
+                "{path}.{key}: {value} breaks the percentile ladder \
+                 (previous rung was {previous})"
+            )));
+        }
+        previous = value;
+    }
+    Ok(())
+}
+
 /// Validates the `refstate-soak-slo-v1` artifact as emitted by the serve
 /// CLI's `--slo-out` (and printed after every soak run): the soak shape
 /// (`seed`, positive `owners`/`journeys`/`tick_every`, `preset` and
@@ -689,6 +473,9 @@ pub fn check_metrics_jsonl(text: &str) -> Result<(), JsonError> {
 /// aggregate throughput). A non-zero `dropped` is a schema violation,
 /// not a warning: the drain invariant (no accepted journey goes
 /// unverified) is the artifact's reason to exist.
+///
+/// Percentiles: every `latency_us.*` ladder, aggregate and per
+/// connection, is exact nearest rank over client-observed latencies.
 pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
     if doc.get("schema").and_then(Json::as_str) != Some("refstate-soak-slo-v1") {
         return Err(JsonError(
@@ -750,20 +537,7 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
         )));
     }
 
-    let latency = doc
-        .get("latency_us")
-        .ok_or_else(|| JsonError("latency_us: missing block".into()))?;
-    let mut previous = 0.0;
-    for key in ["p50", "p95", "p99", "max"] {
-        let value = require_non_negative(latency, "latency_us", key)?;
-        if value < previous {
-            return Err(JsonError(format!(
-                "latency_us.{key}: {value} breaks the percentile ladder \
-                 (previous rung was {previous})"
-            )));
-        }
-        previous = value;
-    }
+    check_latency_ladder(doc, "latency_us")?;
 
     let per_connection = doc
         .get("per_connection")
@@ -783,20 +557,7 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
             require_non_negative(conn, &path, key)?;
         }
         connection_verified += require_non_negative(conn, &path, "verified")?;
-        let ladder = conn
-            .get("latency_us")
-            .ok_or_else(|| JsonError(format!("{path}.latency_us: missing block")))?;
-        let mut previous = 0.0;
-        for key in ["p50", "p95", "p99", "max"] {
-            let value = require_non_negative(ladder, &format!("{path}.latency_us"), key)?;
-            if value < previous {
-                return Err(JsonError(format!(
-                    "{path}.latency_us.{key}: {value} breaks the percentile \
-                     ladder (previous rung was {previous})"
-                )));
-            }
-            previous = value;
-        }
+        check_latency_ladder(conn, &format!("{path}.latency_us"))?;
     }
     if connection_verified != verified {
         return Err(JsonError(format!(
@@ -921,46 +682,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(parse("42").unwrap(), Json::Num(42.0));
-        assert_eq!(parse("-3.5e2").unwrap(), Json::Num(-350.0));
-        assert_eq!(parse("\"hi\\n\"").unwrap(), Json::Str("hi\n".into()));
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let doc = parse(r#"{"a": [1, {"b": null}], "c": "x"}"#).unwrap();
-        assert_eq!(doc.get("c").and_then(Json::as_str), Some("x"));
-        let arr = doc.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].as_num(), Some(1.0));
-        assert_eq!(arr[1].get("b"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\":}"] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn unicode_escape_round_trips() {
-        assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
-        assert_eq!(parse(r#""\u00b5s""#).unwrap(), Json::Str("µs".into()));
-    }
-
-    #[test]
-    fn multi_byte_utf8_survives() {
-        assert_eq!(
-            parse("\"µs → fast\"").unwrap(),
-            Json::Str("µs → fast".into())
-        );
-    }
-
-    #[test]
     fn bigint_schema_accepts_valid_and_rejects_broken() {
         let good = r#"{"bench":"bigint","cases":[
             {"group":"512","op":"pow_mod","schoolbook_ns":100.0,
@@ -1030,8 +751,8 @@ mod tests {
             "mean_detection_latency_journeys":0.133333,
             "false_accusation_rate":0.000000},"per_policy":{}}]}"#;
 
-    /// Splices campaign grades into a fleet block, the way the bench
-    /// harness builds the adaptive block.
+    /// Adds campaign grades to a fleet block, as the bench harness's
+    /// adaptive block carries them.
     fn adaptive_block(base: &str, adaptation: &str) -> String {
         let trimmed = base.trim_end().strip_suffix('}').expect("block object");
         format!("{trimmed},\"adaptation\":{adaptation}}}")
@@ -1076,6 +797,17 @@ mod tests {
         ] {
             assert!(check_fleet_schema(&parse(&missing).unwrap()).is_err());
         }
+    }
+
+    #[test]
+    fn fleet_schema_checks_parallelism_when_present() {
+        let good = fleet_doc(
+            &fleet_block("0.667"),
+            &fleet_block_with("0.5", CHAINED_ROWS),
+        );
+        let with = |cores: &str| good.replacen("{", &format!(r#"{{"parallelism":{cores},"#), 1);
+        assert!(check_fleet_schema(&parse(&with("2")).unwrap()).is_ok());
+        assert!(check_fleet_schema(&parse(&with("0")).unwrap()).is_err());
     }
 
     #[test]

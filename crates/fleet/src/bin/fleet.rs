@@ -40,6 +40,7 @@
 
 use refstate_fleet::{run_fleet, FleetConfig, MechanismRegistry, Preset, ProtectionMechanism};
 use refstate_telemetry as telemetry;
+use refstate_telemetry::json::JsonWriter;
 use std::sync::Arc;
 
 fn usage(registry: &MechanismRegistry, exit: i32) -> ! {
@@ -203,11 +204,18 @@ fn main() {
         if !opts.json_only {
             println!();
         }
-        println!(
-            "{{\"report\":{},\"timing\":{}}}",
-            run.report.to_json(),
-            run.timing.to_json()
-        );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("report");
+        w.begin_object();
+        run.report.write_json(&mut w);
+        w.end_object();
+        w.key("timing");
+        w.begin_object();
+        run.timing.write_json(&mut w);
+        w.end_object();
+        w.end_object();
+        println!("{}", w.finish());
     }
 
     if let Some(path) = &opts.trace_out {

@@ -1,9 +1,9 @@
-//! The journey scheduler: a crossbeam-channel worker pool driving
-//! thousands of protected journeys concurrently.
+//! The journey scheduler: a scoped worker pool driving thousands of
+//! protected journeys concurrently.
 //!
-//! Channels carry the work, each worker owns its state, and the main
-//! thread joins on a results channel. Three properties make the pool
-//! fleet-grade:
+//! Workers claim scenario ids from one shared atomic cursor until the
+//! fleet is exhausted, and each returns the results it produced. Three
+//! properties make the pool fleet-grade:
 //!
 //! * **per-scenario RNG streams** — every scenario derives its own seed
 //!   from `(fleet seed, scenario id)`, so results do not depend on which
@@ -27,11 +27,11 @@
 //! `n/a` in the report rather than a fake 0.00 rate.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_core::{ReplayCache, VerificationPipeline};
@@ -307,57 +307,51 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
         .map(|_| DsaKeyPair::generate(&params, &mut key_rng))
         .collect();
     // Build every pooled key's fixed-base verification table up front:
-    // the worker threads' clones share the caches, so no journey pays a
-    // first-use table build inside its measured latency.
+    // the workers share the pool, so no journey pays a first-use table
+    // build inside its measured latency.
     for key in &keys {
         key.public().precompute();
     }
     drop(keygen);
 
-    // A pre-filled job queue, cloned receivers, one results channel back
-    // to the collector.
-    let (job_tx, job_rx): (Sender<u64>, Receiver<u64>) = unbounded();
-    let (result_tx, result_rx): (Sender<ScenarioResult>, Receiver<ScenarioResult>) = unbounded();
-    for id in 0..config.scenarios {
-        job_tx.send(id).expect("queue open");
-    }
-    drop(job_tx); // workers drain until empty
-
-    let mut handles = Vec::with_capacity(workers);
-    for worker in 0..workers as u32 {
-        let job_rx = job_rx.clone();
-        let result_tx = result_tx.clone();
-        let config = config.clone();
-        let keys = keys.clone();
-        let pipeline = pipeline.clone();
-        handles.push(thread::spawn(move || {
-            loop {
-                // Queue wait vs run time: the wait timer only records when
-                // a job actually arrives (the final empty-queue recv is
-                // shutdown, not contention).
-                let wait = telemetry::Timer::start();
-                let Ok(id) = job_rx.recv() else { break };
-                wait.finish("fleet.queue_wait", "fleet");
-                let busy = telemetry::Timer::start();
-                let result = run_scenario(id, &config, &keys, &pipeline);
-                let spent = busy.finish("fleet.scenario", "fleet");
-                telemetry::count_indexed("fleet.worker.scenarios", worker, 1);
-                telemetry::count_indexed("fleet.worker.busy_us", worker, spent.as_micros() as u64);
-                if result_tx.send(result).is_err() {
-                    return; // collector gone; shut down quietly
-                }
-            }
-        }));
-    }
-    drop(result_tx);
-
-    let mut results: Vec<ScenarioResult> = Vec::with_capacity(config.scenarios as usize);
-    while let Ok(result) = result_rx.recv() {
-        results.push(result);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
+    // Workers claim ids from a shared cursor and hand back what they ran.
+    let next_id = AtomicU64::new(0);
+    let mut results: Vec<ScenarioResult> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers as u32)
+            .map(|worker| {
+                let (next_id, keys, pipeline) = (&next_id, &keys, &pipeline);
+                scope.spawn(move || {
+                    let mut ran = Vec::new();
+                    loop {
+                        // Claim wait vs run time: the wait timer only
+                        // records a claim that yields an id (the final
+                        // exhausted claim is shutdown, not contention).
+                        let wait = telemetry::Timer::start();
+                        let id = next_id.fetch_add(1, Ordering::Relaxed);
+                        if id >= config.scenarios {
+                            return ran;
+                        }
+                        wait.finish("fleet.queue_wait", "fleet");
+                        let busy = telemetry::Timer::start();
+                        ran.push(run_scenario(id, config, keys, pipeline));
+                        let spent = busy.finish("fleet.scenario", "fleet");
+                        telemetry::count_indexed("fleet.worker.scenarios", worker, 1);
+                        telemetry::count_indexed(
+                            "fleet.worker.busy_us",
+                            worker,
+                            spent.as_micros() as u64,
+                        );
+                    }
+                })
+            })
+            .collect();
+        // Joining each worker (not just leaving the scope) waits for its
+        // thread exit, which flushes its telemetry before the delta below.
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("fleet worker panicked"))
+            .collect()
+    });
     // Deterministic ordering regardless of worker interleaving.
     results.sort_unstable_by_key(|r| r.id);
 

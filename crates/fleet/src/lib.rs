@@ -22,8 +22,8 @@
 //! * [`journey`] — the one scenario → journey path (host instantiation,
 //!   seeds, churn, telemetry scope) the engine and the resident service
 //!   share, ending at a mechanism's split verdict,
-//! * [`engine`] — a crossbeam-channel worker pool driving thousands of
-//!   protected journeys concurrently, with per-scenario RNG streams, a
+//! * [`engine`] — a scoped worker pool driving thousands of protected
+//!   journeys concurrently, with per-scenario RNG streams, a
 //!   pooled DSA key directory, and results ordered by scenario id; every
 //!   mechanism is dispatched through the [`MechanismRegistry`] — no
 //!   engine code names a concrete mechanism,
@@ -76,7 +76,6 @@
 pub mod campaign;
 pub mod engine;
 pub mod journey;
-pub mod json;
 pub mod report;
 pub mod scenario;
 
@@ -86,6 +85,8 @@ pub use refstate_mechanisms::api::{
     JourneyCtx, JourneyVerdict, MechanismConfig, MechanismProfile, MechanismRegistry,
     ProtectionMechanism, RouteTopology, UnknownMechanism,
 };
+/// The workspace's JSON writer, at home in [`refstate_telemetry::json`].
+pub use refstate_telemetry::json;
 pub use report::{
     AdaptationCell, AdaptationReport, CellStats, FleetReport, FleetTiming, LatencyPercentiles,
     MechanismAdaptation, MechanismReport, StageBreakdown, StageStats,

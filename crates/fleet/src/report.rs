@@ -19,10 +19,11 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use refstate_core::PipelineStatsSnapshot;
+use refstate_telemetry::json::JsonWriter;
+use refstate_telemetry::metrics::nearest_rank;
 use refstate_telemetry::{HistogramSnapshot, MetricsSnapshot, TelemetryLevel};
 
 use crate::engine::{MechanismRun, ScenarioResult};
-use crate::json::JsonWriter;
 
 /// Counters for one (mechanism, attack-class) cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -486,6 +487,14 @@ impl FleetReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
+        self.write_json(&mut w);
+        w.end_object();
+        w.finish()
+    }
+
+    /// Writes the report's fields into `w`'s open object, so callers can
+    /// nest the report inside a larger document.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field_u64("seed", self.seed);
         w.field_str("preset", self.preset);
         w.field_u64("scenarios", self.scenarios);
@@ -497,14 +506,14 @@ impl FleetReport {
             w.field_bool("ran", !m.not_run());
             w.key("total");
             w.begin_object();
-            m.total.write_json(&mut w);
+            m.total.write_json(w);
             w.end_object();
             w.key("per_attack");
             w.begin_object();
             for (label, cell) in &m.per_attack {
                 w.key(label);
                 w.begin_object();
-                cell.write_json(&mut w);
+                cell.write_json(w);
                 w.end_object();
             }
             w.end_object();
@@ -515,16 +524,18 @@ impl FleetReport {
         // non-adaptive reports keep their historical bytes.
         if let Some(adaptation) = &self.adaptation {
             w.key("adaptation");
-            adaptation.write_json(&mut w);
+            w.begin_object();
+            adaptation.write_json(w);
+            w.end_object();
         }
-        w.end_object();
-        w.finish()
     }
 }
 
 impl AdaptationReport {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
+    /// Writes the campaign grades' fields into `w`'s open object — the
+    /// object the `"adaptation"` key carries inside
+    /// [`FleetReport::to_json`], and the bench trajectory's adaptive block.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field_u64("journeys_per_campaign", self.journeys_per_campaign);
         w.field_u64("campaigns", self.campaigns);
         w.key("mechanisms");
@@ -548,17 +559,6 @@ impl AdaptationReport {
             w.end_object();
         }
         w.end_array();
-        w.end_object();
-    }
-
-    /// Canonical JSON for the adaptation grades as a standalone object —
-    /// the same bytes the `"adaptation"` key carries inside
-    /// [`FleetReport::to_json`]. The bench harness embeds this in
-    /// `BENCH_fleet.json`.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 
@@ -576,16 +576,14 @@ pub struct LatencyPercentiles {
 }
 
 impl LatencyPercentiles {
-    /// Computes percentiles from raw per-journey latencies.
+    /// Computes [`nearest_rank`] percentiles from raw per-journey
+    /// latencies, so every field is an observed latency.
     pub fn from_latencies(latencies: &mut [Duration]) -> Option<LatencyPercentiles> {
         if latencies.is_empty() {
             return None;
         }
         latencies.sort_unstable();
-        let pick = |q: f64| {
-            let idx = ((latencies.len() as f64 - 1.0) * q).round() as usize;
-            latencies[idx]
-        };
+        let pick = |q: f64| latencies[nearest_rank(latencies.len() as u64, q) as usize - 1];
         Some(LatencyPercentiles {
             p50: pick(0.50),
             p90: pick(0.90),
@@ -752,6 +750,15 @@ impl FleetTiming {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
+        self.write_json(&mut w);
+        w.end_object();
+        w.finish()
+    }
+
+    /// Writes the timing block's fields into `w`'s open object, so
+    /// callers can nest or extend it (the bench trajectory adds the
+    /// adaptive block's campaign grades beside them).
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field_u64("workers", self.workers as u64);
         w.field_f64("wall_seconds", self.wall.as_secs_f64());
         w.field_f64("scenarios_per_sec", self.scenarios_per_sec);
@@ -802,8 +809,6 @@ impl FleetTiming {
             w.end_object();
         }
         w.end_object();
-        w.end_object();
-        w.finish()
     }
 }
 
@@ -815,7 +820,7 @@ mod tests {
     fn percentiles_of_known_distribution() {
         let mut lats: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
         let p = LatencyPercentiles::from_latencies(&mut lats).unwrap();
-        assert_eq!(p.p50, Duration::from_millis(51));
+        assert_eq!(p.p50, Duration::from_millis(50));
         assert_eq!(p.p90, Duration::from_millis(90));
         assert_eq!(p.p99, Duration::from_millis(99));
         assert_eq!(p.max, Duration::from_millis(100));

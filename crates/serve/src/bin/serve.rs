@@ -1,13 +1,13 @@
 //! The service CLI: run a resident TCP server (with a background tick
-//! driver), or drive a soak load — lockstep or over N pipelined
-//! connections — and report SLOs.
+//! driver), or drive a soak load over 1 to N pipelined connections and
+//! report SLOs.
 //!
 //! ```text
 //! # resident server on a fixed port, server-paced ticks every 1ms
 //! cargo run --release -p refstate-serve --bin serve -- --listen 127.0.0.1:7440
 //!
 //! # in-process soak: 8 pipelined connections, 8 owners, 10k journeys,
-//! # throughput ratio vs a single lockstep connection, SLO JSON to a file
+//! # throughput ratio vs a single connection, SLO JSON to a file
 //! cargo run --release -p refstate-serve --bin serve -- --soak \
 //!     --connections 8 --compare-single --owners 8 --journeys 10000 \
 //!     --seed 42 --preset mixed --mechanism protocol --slo-out slo.json
@@ -26,10 +26,11 @@
 //! * `--connect ADDR` — soak against a remote server instead of an
 //!   in-process service
 //! * `--connections N` — drive the soak over `N` pipelined connections
-//!   (owners partition across them; default 1 = lockstep)
-//! * `--compare-single` — also run a single-connection lockstep baseline
-//!   (settle-workers 1, no driver), record the throughput ratio in the
-//!   SLO artifact, and fail unless the verdict streams are byte-identical
+//!   (owners partition across them; default 1)
+//! * `--compare-single` — also run an in-process single-connection
+//!   baseline (settle-workers 1, no driver), record the throughput ratio
+//!   in the SLO artifact, and fail unless the verdict streams are
+//!   byte-identical
 //! * `--require-ratio X` — with `--compare-single`, fail unless the
 //!   throughput ratio reaches `X`; pick `X` from the host's parallelism
 //!   (the artifact records it) — ≥3 is the expectation on ≥8 cores,
@@ -40,8 +41,7 @@
 //!   the previous legs' total so journey ids continue)
 //! * `--resume` — resume a soak against a warm-restarted server: accept
 //!   restored registrations and verify the server's durable stream
-//!   checkpoints sit exactly at `--start`'s offsets (single lockstep
-//!   connection only)
+//!   checkpoints sit exactly at `--start`'s offsets
 //! * `--key-pool N`, `--queue-capacity N`, `--check-workers N`,
 //!   `--settle-workers N` (0 = one per core), `--no-replay-cache` —
 //!   service knobs (in-process / `--listen`)
@@ -64,8 +64,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use refstate_serve::{
-    run_soak, run_soak_concurrent, Client, LocalPipelined, PipelinedClient, ServeConfig, Server,
-    Service, SoakConfig, SoakOutcome, TickDriver, TickDriverConfig, TickDriverMeta, TickPolicy,
+    run_soak_concurrent, LocalPipelined, PipelinedClient, ServeConfig, Server, Service, SoakConfig,
+    SoakOutcome, TickDriver, TickDriverConfig, TickPolicy,
 };
 use refstate_telemetry as telemetry;
 
@@ -217,10 +217,6 @@ fn parse_args() -> Options {
         eprintln!("--require-ratio needs the baseline from --compare-single");
         usage(2);
     }
-    if (options.soak_config.resume || options.soak_config.start > 0) && options.connections > 1 {
-        eprintln!("--resume / --start run over a single lockstep connection");
-        usage(2);
-    }
     if options.soak_config.resume && options.compare_single {
         eprintln!("--resume continues a durable history; --compare-single starts one cold");
         usage(2);
@@ -251,20 +247,38 @@ fn driver_config(
     })
 }
 
-fn driver_meta(config: &TickDriverConfig) -> TickDriverMeta {
-    TickDriverMeta {
-        interval: config.interval,
-        batch_min: config.policy.batch_min,
-        max_age: config.policy.max_age,
+/// An in-process soak over `connections` [`LocalPipelined`] connections
+/// into one fresh service, with the tick driver `driver` (if any) racing
+/// the clients' own ticks.
+fn soak_in_process(
+    serve_config: ServeConfig,
+    driver: Option<TickDriverConfig>,
+    config: &SoakConfig,
+    connections: usize,
+) -> SoakOutcome {
+    let queue_capacity = serve_config.queue_capacity;
+    let service = Arc::new(Service::new(serve_config));
+    let running = driver
+        .clone()
+        .map(|driver| TickDriver::start(Arc::clone(&service), driver));
+    let mut outcome = run_soak_concurrent(
+        |_| LocalPipelined::new(Arc::clone(&service)),
+        config,
+        connections,
+        queue_capacity,
+    );
+    if let Some(running) = running {
+        running.stop();
     }
+    outcome.tick_driver = driver;
+    outcome
 }
 
 /// Runs the soak shape in whichever deployment the flags selected.
 fn run_load(options: &Options) -> SoakOutcome {
     let config = &options.soak_config;
-    let queue_capacity = options.serve_config.queue_capacity;
     match &options.connect {
-        Some(addr) if options.connections > 1 => run_soak_concurrent(
+        Some(addr) => run_soak_concurrent(
             |connection| {
                 PipelinedClient::connect(addr.as_str()).unwrap_or_else(|error| {
                     eprintln!("connection {connection}: cannot connect to {addr}: {error}");
@@ -273,41 +287,14 @@ fn run_load(options: &Options) -> SoakOutcome {
             },
             config,
             options.connections,
-            queue_capacity,
+            options.serve_config.queue_capacity,
         ),
-        Some(addr) => {
-            let mut client = match Client::connect(addr.as_str()) {
-                Ok(client) => client,
-                Err(error) => {
-                    eprintln!("cannot connect to {addr}: {error}");
-                    std::process::exit(1);
-                }
-            };
-            run_soak(&mut client, config)
-        }
-        None => {
-            let service = Arc::new(Service::new(options.serve_config.clone()));
-            let driver = driver_config(options, None);
-            let running = driver
-                .as_ref()
-                .map(|config| TickDriver::start(Arc::clone(&service), config.clone()));
-            let mut outcome = if options.connections > 1 {
-                run_soak_concurrent(
-                    |_| LocalPipelined::new(Arc::clone(&service)),
-                    config,
-                    options.connections,
-                    queue_capacity,
-                )
-            } else {
-                let mut endpoint = Arc::clone(&service);
-                run_soak(&mut endpoint, config)
-            };
-            if let Some(running) = running {
-                running.stop();
-            }
-            outcome.tick_driver = driver.as_ref().map(driver_meta);
-            outcome
-        }
+        None => soak_in_process(
+            options.serve_config.clone(),
+            driver_config(options, None),
+            config,
+            options.connections,
+        ),
     }
 }
 
@@ -342,14 +329,18 @@ fn main() {
     let mut outcome = run_load(&options);
 
     if options.compare_single {
-        // The pre-sharding deployment: one lockstep connection, one
-        // settle worker, no driver. The ratio this records is the
-        // scaling claim; the byte-compare is the determinism claim.
-        let mut baseline_service = Service::new(ServeConfig {
-            settle_workers: 1,
-            ..options.serve_config.clone()
-        });
-        let baseline = run_soak(&mut baseline_service, &options.soak_config);
+        // The serial deployment: one connection, one settle worker, no
+        // driver. The ratio this records is the scaling claim; the
+        // byte-compare is the determinism claim.
+        let baseline = soak_in_process(
+            ServeConfig {
+                settle_workers: 1,
+                ..options.serve_config.clone()
+            },
+            None,
+            &options.soak_config,
+            1,
+        );
         if baseline.stream != outcome.stream {
             eprintln!(
                 "determinism violation: {}-connection stream diverged from the \
@@ -387,7 +378,7 @@ fn main() {
     let json = outcome.to_json(
         options.serve_config.check_workers,
         options.serve_config.queue_capacity,
-    );
+    ) + "\n";
     print!("{json}");
     if let Some(path) = &options.slo_out {
         write_file(path, &json);

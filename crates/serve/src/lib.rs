@@ -28,11 +28,11 @@
 //! * [`net`] — a TCP shell with pipelined connections: each connection
 //!   runs a reader/writer thread pair around a bounded response window,
 //!   so clients can keep many requests in flight on one socket,
-//! * [`soak`] — the load driver: sustained multi-owner streams, single
-//!   lockstep connection or N pipelined connections, with
-//!   client-observed p50/p95/p99 verdict latency and aggregate
-//!   journeys/s, emitted as the schema-checked `refstate-soak-slo-v1`
-//!   JSON artifact.
+//! * [`soak`] — the load driver: sustained multi-owner streams over 1 to
+//!   N pipelined connections (in process or over TCP), optionally
+//!   resuming a durable history, with client-observed p50/p95/p99
+//!   verdict latency and aggregate journeys/s, emitted as the
+//!   schema-checked `refstate-soak-slo-v1` JSON artifact.
 //!
 //! The contract under all of it: for a fixed registration and per-owner
 //! submission order, each owner's verdict stream is **byte-identical**
@@ -56,12 +56,12 @@ pub mod service;
 pub mod soak;
 
 pub use driver::{TickDriver, TickDriverConfig, TickPolicy};
-pub use net::{Client, PipelinedClient, Server};
+pub use net::{PipelinedClient, Server};
 pub use proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
 };
 pub use service::{ServeConfig, Service};
 pub use soak::{
-    run_soak, run_soak_concurrent, ConnectionOutcome, Endpoint, LocalPipelined, PipelinedEndpoint,
-    SloPercentiles, SoakConfig, SoakOutcome, TickDriverMeta, WarmStartMeta,
+    run_soak_concurrent, ConnectionOutcome, LocalPipelined, PipelinedEndpoint, SloPercentiles,
+    SoakConfig, SoakOutcome, WarmStartMeta,
 };

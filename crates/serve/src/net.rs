@@ -14,8 +14,9 @@
 //!   the reader blocks, which backpressures the socket.
 //! * the **writer** drains that queue into response frames, batching
 //!   opportunistically: it keeps writing while responses are ready and
-//!   flushes when the queue runs dry, so a lockstep client still sees
-//!   one flush per reply while a pipelining client gets batched writes.
+//!   flushes when the queue runs dry, so a client with one request in
+//!   flight still sees one flush per reply while a pipelining client
+//!   gets batched writes.
 //!
 //! Responses always come back in request order (the reader handles
 //! requests serially), so the 1:1 request/response protocol contract
@@ -225,38 +226,6 @@ fn serve_connection(
 
 fn frame_error_message(error: &FrameError) -> String {
     format!("bad request frame: {error}")
-}
-
-/// A blocking client for the framed protocol: one request, one response.
-pub struct Client {
-    writer: io::BufWriter<TcpStream>,
-    reader: FrameReader<TcpStream>,
-}
-
-impl Client {
-    /// Connects to a server.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let writer = io::BufWriter::new(stream.try_clone()?);
-        Ok(Client {
-            writer,
-            reader: FrameReader::new(stream, refstate_wire::DEFAULT_MAX_FRAME),
-        })
-    }
-
-    /// Sends one request and reads the matching response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, FrameError> {
-        write_message(&mut self.writer, request, refstate_wire::DEFAULT_MAX_FRAME)?;
-        self.writer.flush().map_err(FrameError::Io)?;
-        match self.reader.read_message::<Response>()? {
-            Some(response) => Ok(response),
-            None => Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed before replying",
-            ))),
-        }
-    }
 }
 
 /// A pipelining client: decoupled send and receive halves over one

@@ -148,13 +148,15 @@ fn stream_ns(owner: &str) -> String {
     format!("stream/{owner}")
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into a running FNV-1a hash — the same fold the soak
-/// driver's `stream_digest` uses, so a server-side stream checkpoint is
-/// directly comparable to a client-side stream artifact digest.
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into a running FNV-1a hash — the fold behind both the
+/// durable stream checkpoints and the soak's
+/// [`SoakOutcome::stream_digest`](crate::soak::SoakOutcome::stream_digest),
+/// so a server-side checkpoint is directly comparable to a client-side
+/// stream artifact digest.
+pub(crate) fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for byte in bytes {
         hash ^= *byte as u64;
         hash = hash.wrapping_mul(FNV_PRIME);

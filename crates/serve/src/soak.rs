@@ -1,13 +1,22 @@
-//! The soak driver: sustained multi-owner load with client-observed SLO
-//! percentiles, over one lockstep connection or N pipelined connections.
+//! The soak driver: sustained multi-owner load over one or more pipelined
+//! connections, with client-observed SLO percentiles.
 //!
 //! A soak run registers `owners` tenants, streams `journeys` submissions
-//! round-robin across them, paces the service with ticks (client ticks
-//! in [`run_soak`]; per-partition [`Request::TickOwners`] hints — or the
-//! server-side driver alone — in [`run_soak_concurrent`]), and drains
-//! verdicts as they settle. Latency is measured *client-side* — submit
-//! instant to drain instant — so the percentiles are end-to-end service
-//! numbers.
+//! across them, paces the service with per-partition
+//! [`Request::TickOwners`] hints (a server-side tick driver may tick as
+//! well), and drains verdicts as they settle. Latency is measured
+//! *client-side* — submit instant to drain instant — so the percentiles
+//! are end-to-end service numbers.
+//!
+//! Owners are partitioned across connections (owner `i` belongs to
+//! connection `i % connections`) so each owner's journeys are submitted
+//! from exactly one connection, in order — the one client-side
+//! obligation the determinism contract places on a pipelining
+//! deployment. Each connection keeps a bounded burst of submissions in
+//! flight and syncs (tick + drain) before any owner's queue can reach the
+//! service's admission bound, so nothing is ever refused and nothing is
+//! ever dropped. One connection is simply the partition that holds every
+//! owner.
 //!
 //! The verdict stream is reported **grouped by owner** (each owner's
 //! verdicts in admission order, owners concatenated in registration
@@ -17,14 +26,11 @@
 //! digest — byte-identical for a fixed seed across runs, worker counts,
 //! connection counts, tick pacing, and telemetry levels.
 //!
-//! The concurrent driver partitions owners across connections (owner
-//! `i` belongs to connection `i % connections`) so each owner's journeys
-//! are submitted from exactly one connection, in order — the one
-//! client-side obligation the determinism contract places on a
-//! pipelining deployment. Each connection keeps a bounded burst of
-//! submissions in flight and syncs (tick + drain) before any owner's
-//! queue can reach the service's admission bound, so nothing is ever
-//! refused and nothing is ever dropped.
+//! A soak may also *resume* a durable history against a warm-restarted
+//! server ([`SoakConfig::resume`]): connection 0 accepts the restored
+//! registrations and checks the server's stream checkpoints before any
+//! load starts, and journey ids continue where the interrupted run
+//! stopped.
 //!
 //! The outcome serializes as schema-checked JSON
 //! (`refstate-soak-slo-v1`, validated by the bench crate's
@@ -37,47 +43,20 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use refstate_fleet::scenario::scenario_seed;
+use refstate_telemetry::json::JsonWriter;
+use refstate_telemetry::metrics::nearest_rank;
 
+use crate::driver::TickDriverConfig;
 use crate::net::PipelinedClient;
 use crate::proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
 };
-use crate::service::Service;
-
-/// Anything that can answer protocol requests in lockstep: the
-/// in-process service or a TCP [`crate::net::Client`].
-pub trait Endpoint {
-    /// Sends one request, returns its response.
-    fn call(&mut self, request: Request) -> Response;
-}
-
-impl Endpoint for Service {
-    fn call(&mut self, request: Request) -> Response {
-        self.handle(request)
-    }
-}
-
-impl Endpoint for Arc<Service> {
-    fn call(&mut self, request: Request) -> Response {
-        self.handle(request)
-    }
-}
-
-impl Endpoint for crate::net::Client {
-    fn call(&mut self, request: Request) -> Response {
-        match crate::net::Client::call(self, &request) {
-            Ok(response) => response,
-            Err(error) => Response::Error {
-                message: format!("transport failure: {error}"),
-            },
-        }
-    }
-}
+use crate::service::{fnv_fold, Service, FNV_BASIS};
 
 /// A transport that can keep many requests in flight: buffered sends, an
-/// explicit flush, and strictly request-ordered receives. The concurrent
-/// soak driver windows over this; errors are reported as strings because
-/// a soak treats any transport failure as fatal.
+/// explicit flush, and strictly request-ordered receives. The soak
+/// driver windows over this; errors are reported as strings because a
+/// soak treats any transport failure as fatal.
 pub trait PipelinedEndpoint: Send {
     /// Queues one request (may buffer without transmitting).
     fn send(&mut self, request: Request) -> Result<(), String>;
@@ -85,6 +64,13 @@ pub trait PipelinedEndpoint: Send {
     fn flush(&mut self) -> Result<(), String>;
     /// Receives the response to the oldest unanswered request.
     fn recv(&mut self) -> Result<Response, String>;
+
+    /// One request, one response, with nothing else in flight.
+    fn call(&mut self, request: Request) -> Result<Response, String> {
+        self.send(request)?;
+        self.flush()?;
+        self.recv()
+    }
 }
 
 impl PipelinedEndpoint for PipelinedClient {
@@ -152,7 +138,7 @@ pub struct SoakConfig {
     pub preset: String,
     /// Mechanism name, passed through to each registration.
     pub mechanism: String,
-    /// Tick (and drain) after this many accepted submissions.
+    /// Tick (and drain) after at most this many submission rounds.
     pub tick_every: usize,
     /// First global submission index. Submission `k` targets owner
     /// `k % owners` with journey id `k / owners`, so a resumed soak sets
@@ -214,7 +200,8 @@ impl SoakConfig {
     }
 }
 
-/// Client-observed latency percentiles, in microseconds.
+/// Client-observed latency percentiles, in microseconds: nearest rank
+/// over the exact samples ([`nearest_rank`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SloPercentiles {
     /// Median verdict latency.
@@ -233,22 +220,25 @@ impl SloPercentiles {
             return SloPercentiles::default();
         }
         latencies.sort_unstable();
-        // Nearest-rank percentiles: the q-th percentile is the value at
-        // 1-based rank ⌈q·n⌉ — the smallest observation with at least a
-        // q fraction of the sample at or below it. (The previous
-        // `round((n-1)·q)` interpolation over-reported small samples:
-        // with two observations it called the *larger* one the median,
-        // and with 100 it returned the 51st value as p50.)
-        let at = |q: f64| -> u64 {
-            let rank = (latencies.len() as f64 * q).ceil() as usize;
-            latencies[rank.clamp(1, latencies.len()) - 1].as_micros() as u64
+        let at = |q: f64| {
+            latencies[nearest_rank(latencies.len() as u64, q) as usize - 1].as_micros() as u64
         };
         SloPercentiles {
             p50_us: at(0.50),
             p95_us: at(0.95),
             p99_us: at(0.99),
-            max_us: latencies[latencies.len() - 1].as_micros() as u64,
+            max_us: at(1.0),
         }
+    }
+
+    /// The `{"p50","p95","p99","max"}` ladder object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_u64("p50", self.p50_us);
+        w.field_u64("p95", self.p95_us);
+        w.field_u64("p99", self.p99_us);
+        w.field_u64("max", self.max_us);
+        w.end_object();
     }
 }
 
@@ -263,25 +253,13 @@ pub struct ConnectionOutcome {
     pub submitted: u64,
     /// Submissions admitted.
     pub accepted: u64,
-    /// Submissions refused (always zero on the concurrent path, whose
-    /// capacity accounting makes refusal impossible).
+    /// Submissions refused (always zero: the driver's capacity
+    /// accounting makes refusal impossible).
     pub rejected: u64,
     /// Verdicts this connection drained.
     pub verified: u64,
     /// This connection's client-observed verdict latency.
     pub latency: SloPercentiles,
-}
-
-/// The server-side tick-driver pacing a soak ran under, echoed into the
-/// SLO JSON so the artifact records how the run was driven.
-#[derive(Debug, Clone)]
-pub struct TickDriverMeta {
-    /// Scan interval.
-    pub interval: Duration,
-    /// Batch-amortization threshold.
-    pub batch_min: usize,
-    /// Latency deadline.
-    pub max_age: Duration,
 }
 
 /// What a resumed soak observed about the server's warm start, echoed
@@ -304,12 +282,12 @@ pub struct WarmStartMeta {
 pub struct SoakOutcome {
     /// The load shape that ran.
     pub config: SoakConfig,
-    /// Submissions attempted (accepted + rejected attempts).
+    /// Submissions attempted.
     pub submitted: u64,
     /// Submissions admitted.
     pub accepted: u64,
-    /// Submissions refused (each refused attempt counts once; a refused
-    /// journey is retried after a tick and may be admitted then).
+    /// Submissions refused (always zero; see
+    /// [`ConnectionOutcome::rejected`]).
     pub rejected: u64,
     /// Verdicts drained.
     pub verified: u64,
@@ -335,11 +313,11 @@ pub struct SoakOutcome {
     pub per_connection: Vec<ConnectionOutcome>,
     /// The server-side tick-driver pacing, when one ran (set by the
     /// caller that started the driver).
-    pub tick_driver: Option<TickDriverMeta>,
+    pub tick_driver: Option<TickDriverConfig>,
     /// The warm-start handshake, when this was a resumed run.
     pub warm_start: Option<WarmStartMeta>,
-    /// Aggregate journeys/s of a single-connection lockstep baseline run,
-    /// when the caller measured one for comparison.
+    /// Aggregate journeys/s of a single-connection baseline run, when
+    /// the caller measured one for comparison.
     pub baseline_journeys_per_sec: Option<f64>,
     /// Hardware parallelism of the host the soak ran on
     /// (`std::thread::available_parallelism`). Recorded so throughput
@@ -390,447 +368,130 @@ impl SoakOutcome {
         Some(self.journeys_per_sec() / baseline)
     }
 
-    /// FNV-1a digest of the verdict stream, as printed in the SLO JSON.
+    /// FNV-1a digest of the verdict stream, as printed in the SLO JSON —
+    /// the fold the service's durable stream checkpoints use.
     pub fn stream_digest(&self) -> String {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.stream.as_bytes() {
-            hash ^= *byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", fnv_fold(FNV_BASIS, self.stream.as_bytes()))
     }
 
     /// The schema-checked SLO JSON artifact (`refstate-soak-slo-v1`).
     pub fn to_json(&self, check_workers: usize, queue_capacity: usize) -> String {
-        let quoted = |s: &str| {
-            let mut literal = String::from('"');
-            refstate_telemetry::export::escape_into(&mut literal, s);
-            literal.push('"');
-            literal
-        };
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"refstate-soak-slo-v1\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"owners\": {},\n", self.config.owners));
-        out.push_str(&format!("  \"journeys\": {},\n", self.config.journeys));
-        out.push_str(&format!("  \"preset\": {},\n", quoted(&self.config.preset)));
-        out.push_str(&format!(
-            "  \"mechanism\": {},\n",
-            quoted(&self.config.mechanism)
-        ));
-        out.push_str(&format!("  \"tick_every\": {},\n", self.config.tick_every));
-        out.push_str(&format!("  \"start\": {},\n", self.config.start));
-        out.push_str(&format!("  \"check_workers\": {check_workers},\n"));
-        out.push_str(&format!("  \"queue_capacity\": {queue_capacity},\n"));
-        out.push_str(&format!("  \"connections\": {},\n", self.connections));
-        out.push_str("  \"aggregate\": {\n");
-        out.push_str(&format!(
-            "    \"elapsed_us\": {},\n",
-            self.elapsed.as_micros().max(1)
-        ));
-        out.push_str(&format!(
-            "    \"journeys_per_sec\": {:.3},\n",
-            self.journeys_per_sec()
-        ));
-        out.push_str(&format!("    \"parallelism\": {}\n", self.parallelism));
-        out.push_str("  },\n");
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_str("schema", "refstate-soak-slo-v1");
+        w.field_u64("seed", self.config.seed);
+        w.field_u64("owners", self.config.owners as u64);
+        w.field_u64("journeys", self.config.journeys);
+        w.field_str("preset", &self.config.preset);
+        w.field_str("mechanism", &self.config.mechanism);
+        w.field_u64("tick_every", self.config.tick_every as u64);
+        w.field_u64("start", self.config.start);
+        w.field_u64("check_workers", check_workers as u64);
+        w.field_u64("queue_capacity", queue_capacity as u64);
+        w.field_u64("connections", self.connections as u64);
+        w.key("aggregate");
+        w.begin_object();
+        w.field_u64("elapsed_us", (self.elapsed.as_micros() as u64).max(1));
+        w.field_f64("journeys_per_sec", self.journeys_per_sec());
+        w.field_u64("parallelism", self.parallelism as u64);
+        w.end_object();
         if let Some(driver) = &self.tick_driver {
-            out.push_str("  \"tick_driver\": {\n");
-            out.push_str(&format!(
-                "    \"interval_us\": {},\n",
-                driver.interval.as_micros()
-            ));
-            out.push_str(&format!("    \"batch_min\": {},\n", driver.batch_min));
-            out.push_str(&format!(
-                "    \"max_age_us\": {}\n",
-                driver.max_age.as_micros()
-            ));
-            out.push_str("  },\n");
+            w.key("tick_driver");
+            w.begin_object();
+            w.field_u64("interval_us", driver.interval.as_micros() as u64);
+            w.field_u64("batch_min", driver.policy.batch_min as u64);
+            w.field_u64("max_age_us", driver.policy.max_age.as_micros() as u64);
+            w.end_object();
         }
-        out.push_str("  \"counts\": {\n");
-        out.push_str(&format!("    \"submitted\": {},\n", self.submitted));
-        out.push_str(&format!("    \"accepted\": {},\n", self.accepted));
-        out.push_str(&format!("    \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("    \"verified\": {},\n", self.verified));
-        out.push_str(&format!("    \"detected\": {},\n", self.detected));
-        out.push_str(&format!("    \"dropped\": {}\n", self.dropped));
-        out.push_str("  },\n");
-        out.push_str("  \"latency_us\": {\n");
-        out.push_str(&format!("    \"p50\": {},\n", self.latency.p50_us));
-        out.push_str(&format!("    \"p95\": {},\n", self.latency.p95_us));
-        out.push_str(&format!("    \"p99\": {},\n", self.latency.p99_us));
-        out.push_str(&format!("    \"max\": {}\n", self.latency.max_us));
-        out.push_str("  },\n");
-        out.push_str("  \"per_connection\": [\n");
-        for (i, conn) in self.per_connection.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"connection\": {}, ", conn.connection));
-            out.push_str(&format!("\"owners\": {}, ", conn.owners));
-            out.push_str(&format!("\"submitted\": {}, ", conn.submitted));
-            out.push_str(&format!("\"accepted\": {}, ", conn.accepted));
-            out.push_str(&format!("\"rejected\": {}, ", conn.rejected));
-            out.push_str(&format!("\"verified\": {}, ", conn.verified));
-            out.push_str(&format!(
-                "\"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                conn.latency.p50_us, conn.latency.p95_us, conn.latency.p99_us, conn.latency.max_us
-            ));
-            out.push('}');
-            if i + 1 < self.per_connection.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        w.key("counts");
+        w.begin_object();
+        w.field_u64("submitted", self.submitted);
+        w.field_u64("accepted", self.accepted);
+        w.field_u64("rejected", self.rejected);
+        w.field_u64("verified", self.verified);
+        w.field_u64("detected", self.detected);
+        w.field_u64("dropped", self.dropped);
+        w.end_object();
+        w.key("latency_us");
+        self.latency.write_json(&mut w);
+        w.key("per_connection");
+        w.begin_array();
+        for conn in &self.per_connection {
+            w.begin_object();
+            w.field_u64("connection", conn.connection as u64);
+            w.field_u64("owners", conn.owners as u64);
+            w.field_u64("submitted", conn.submitted);
+            w.field_u64("accepted", conn.accepted);
+            w.field_u64("rejected", conn.rejected);
+            w.field_u64("verified", conn.verified);
+            w.key("latency_us");
+            conn.latency.write_json(&mut w);
+            w.end_object();
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"cache\": {\n");
-        out.push_str(&format!("    \"hits\": {},\n", self.cache_hits()));
-        out.push_str(&format!("    \"misses\": {},\n", self.cache_misses()));
-        out.push_str(&format!("    \"hit_rate\": {:.6}\n", self.cache_hit_rate()));
-        out.push_str("  },\n");
-        out.push_str("  \"owners_detail\": [\n");
-        for (i, owner) in self.owners.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"owner\": {}, ", quoted(&owner.owner)));
-            out.push_str(&format!("\"accepted\": {}, ", owner.accepted));
-            out.push_str(&format!("\"rejected\": {}, ", owner.rejected));
-            out.push_str(&format!("\"verified\": {}, ", owner.verified));
-            out.push_str(&format!("\"detected\": {}, ", owner.detected));
-            out.push_str(&format!("\"final_checks\": {}, ", owner.final_checks));
-            out.push_str(&format!(
-                "\"flush_verifications\": {}, ",
-                owner.flush_verifications
-            ));
-            out.push_str(&format!("\"flush_failures\": {}", owner.flush_failures));
-            out.push('}');
-            if i + 1 < self.owners.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        w.end_array();
+        w.key("cache");
+        w.begin_object();
+        w.field_u64("hits", self.cache_hits());
+        w.field_u64("misses", self.cache_misses());
+        w.field_f64("hit_rate", self.cache_hit_rate());
+        w.end_object();
+        w.key("owners_detail");
+        w.begin_array();
+        for owner in &self.owners {
+            w.begin_object();
+            w.field_str("owner", &owner.owner);
+            w.field_u64("accepted", owner.accepted);
+            w.field_u64("rejected", owner.rejected);
+            w.field_u64("verified", owner.verified);
+            w.field_u64("detected", owner.detected);
+            w.field_u64("final_checks", owner.final_checks);
+            w.field_u64("flush_verifications", owner.flush_verifications);
+            w.field_u64("flush_failures", owner.flush_failures);
+            w.end_object();
         }
-        out.push_str("  ],\n");
+        w.end_array();
         if let Some(warm) = &self.warm_start {
-            out.push_str("  \"warm_start\": {\n");
-            out.push_str(&format!("    \"generation\": {},\n", warm.generation));
-            out.push_str(&format!("    \"resume_offset\": {},\n", warm.resume_offset));
-            out.push_str("    \"checkpoints\": [\n");
-            for (i, checkpoint) in warm.checkpoints.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"owner\": {}, \"offset\": {}, \"digest\": {}}}",
-                    quoted(&checkpoint.owner),
-                    checkpoint.offset,
-                    quoted(&checkpoint.digest)
-                ));
-                if i + 1 < warm.checkpoints.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+            w.key("warm_start");
+            w.begin_object();
+            w.field_u64("generation", warm.generation);
+            w.field_u64("resume_offset", warm.resume_offset);
+            w.key("checkpoints");
+            w.begin_array();
+            for checkpoint in &warm.checkpoints {
+                w.begin_object();
+                w.field_str("owner", &checkpoint.owner);
+                w.field_u64("offset", checkpoint.offset);
+                w.field_str("digest", &checkpoint.digest);
+                w.end_object();
             }
-            out.push_str("    ]\n");
-            out.push_str("  },\n");
+            w.end_array();
+            w.end_object();
         }
         if let (Some(baseline), Some(ratio)) = (
             self.baseline_journeys_per_sec,
             self.throughput_ratio_vs_single(),
         ) {
-            out.push_str("  \"single_connection_baseline\": {\n");
-            out.push_str(&format!("    \"journeys_per_sec\": {baseline:.3}\n"));
-            out.push_str("  },\n");
-            out.push_str(&format!("  \"throughput_ratio_vs_single\": {ratio:.3},\n"));
+            w.key("single_connection_baseline");
+            w.begin_object();
+            w.field_f64("journeys_per_sec", baseline);
+            w.end_object();
+            w.field_f64("throughput_ratio_vs_single", ratio);
         }
-        out.push_str(&format!(
-            "  \"stream_digest\": {}\n",
-            quoted(&self.stream_digest())
-        ));
-        out.push_str("}\n");
-        out
+        w.field_str("stream_digest", &self.stream_digest());
+        w.end_object();
+        w.finish()
     }
 }
 
-/// Drives one lockstep soak run against `endpoint` (one request in
-/// flight at a time — the single-connection baseline the concurrent
-/// driver is measured against).
-///
-/// Submissions go round-robin across owners (submission `k` targets
-/// owner `k % owners` with journey id `k / owners`); a
-/// [`RejectReason::QueueFull`] refusal triggers one tick-and-retry, so
-/// sustained overload degrades to tick-paced admission instead of loss.
-/// After the last submission the driver sends [`Request::Shutdown`]
-/// (settling everything admitted) and drains every owner a final time.
-///
-/// # Panics
-///
-/// Panics if the endpoint rejects a registration or replies out of
-/// protocol — a soak against a misconfigured service is a setup error,
-/// not a measurement.
-pub fn run_soak(endpoint: &mut dyn Endpoint, config: &SoakConfig) -> SoakOutcome {
-    assert!(config.owners > 0, "soak needs at least one owner");
-    assert!(config.tick_every > 0, "tick_every must be positive");
-    let owner_names: Vec<String> = (0..config.owners).map(SoakConfig::owner_name).collect();
-    let name_to_index: HashMap<String, usize> = owner_names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| (name.clone(), i))
-        .collect();
-    for (index, name) in owner_names.iter().enumerate() {
-        let reply = endpoint.call(Request::Register(RegisterOwner {
-            owner: name.clone(),
-            seed: config.owner_seed(index),
-            preset: config.preset.clone(),
-            mechanism: config.mechanism.clone(),
-        }));
-        // A resumed leg finds its owners restored from the server's
-        // state dir; the duplicate rejection is the expected handshake.
-        let restored = config.resume
-            && matches!(
-                reply,
-                Response::Rejected {
-                    reason: RejectReason::DuplicateOwner,
-                    ..
-                }
-            );
-        assert!(
-            matches!(reply, Response::Registered { .. }) || restored,
-            "registration of {name} failed: {reply:?}"
-        );
-    }
-
-    // Before a resumed leg submits anything, verify the server's durable
-    // streams stand exactly where the interrupted run left them: owner
-    // `i`'s stream offset must equal the number of journeys the first
-    // `start` submissions assigned it. A mismatch means the state dir
-    // lost (or duplicated) verdicts — the drain invariant across the
-    // restart — so the soak refuses to continue.
-    let warm_start = config.resume.then(|| {
-        let reply = endpoint.call(Request::StreamState);
-        let Response::StreamState { generation, owners } = reply else {
-            panic!("stream-state query failed: {reply:?}");
-        };
-        for (index, name) in owner_names.iter().enumerate() {
-            let expected = config.first_journey_for(index);
-            let checkpoint = owners
-                .iter()
-                .find(|c| &c.owner == name)
-                .unwrap_or_else(|| panic!("server reports no stream checkpoint for {name}"));
-            assert_eq!(
-                checkpoint.offset, expected,
-                "resume mismatch: {name}'s durable stream is at offset {}, expected {expected}",
-                checkpoint.offset
-            );
-        }
-        WarmStartMeta {
-            generation,
-            resume_offset: config.start,
-            checkpoints: owners,
-        }
-    });
-
-    let started = Instant::now();
-    let mut submitted = 0u64;
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    let mut detected = 0u64;
-    let mut in_flight: HashMap<(String, u64), Instant> = HashMap::new();
-    let mut latencies: Vec<Duration> = Vec::with_capacity(config.journeys as usize);
-    let mut streams: Vec<String> = vec![String::new(); config.owners];
-    let mut verified = 0u64;
-    let mut since_tick = 0usize;
-
-    let drain_all = |endpoint: &mut dyn Endpoint,
-                     in_flight: &mut HashMap<(String, u64), Instant>,
-                     latencies: &mut Vec<Duration>,
-                     streams: &mut [String],
-                     verified: &mut u64,
-                     detected: &mut u64| {
-        for name in &owner_names {
-            let reply = endpoint.call(Request::Drain {
-                owner: name.clone(),
-            });
-            let Response::Verdicts(verdicts) = reply else {
-                panic!("drain of {name} failed: {reply:?}");
-            };
-            for verdict in verdicts {
-                record_verdict(
-                    verdict,
-                    in_flight,
-                    latencies,
-                    streams,
-                    &name_to_index,
-                    verified,
-                    detected,
-                );
-            }
-        }
-    };
-
-    for k in config.start..config.start + config.journeys {
-        let index = (k % config.owners as u64) as usize;
-        let owner = &owner_names[index];
-        let journey = k / config.owners as u64;
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            submitted += 1;
-            let queued = Instant::now();
-            let reply = endpoint.call(Request::Submit {
-                owner: owner.clone(),
-                journey,
-            });
-            match reply {
-                Response::Accepted { .. } => {
-                    in_flight.insert((owner.clone(), journey), queued);
-                    accepted += 1;
-                    since_tick += 1;
-                    break;
-                }
-                Response::Rejected {
-                    reason: RejectReason::QueueFull,
-                    ..
-                } => {
-                    rejected += 1;
-                    // Relieve pressure, then retry; two refusals in a row
-                    // would mean the tick itself cannot drain the queue,
-                    // which the bounded-queue design makes impossible.
-                    assert!(attempts < 3, "submission refused after a tick drained");
-                    endpoint.call(Request::Tick);
-                    since_tick = 0;
-                    drain_all(
-                        endpoint,
-                        &mut in_flight,
-                        &mut latencies,
-                        &mut streams,
-                        &mut verified,
-                        &mut detected,
-                    );
-                }
-                other => panic!("submission of {owner}/{journey} failed: {other:?}"),
-            }
-        }
-        if since_tick >= config.tick_every {
-            endpoint.call(Request::Tick);
-            since_tick = 0;
-            drain_all(
-                endpoint,
-                &mut in_flight,
-                &mut latencies,
-                &mut streams,
-                &mut verified,
-                &mut detected,
-            );
-        }
-    }
-
-    // Shutdown settles every admitted journey; the final drain empties
-    // the outboxes. Anything left in `in_flight` afterwards was dropped.
-    let reply = endpoint.call(Request::Shutdown);
-    assert!(
-        matches!(reply, Response::ShuttingDown { .. }),
-        "shutdown failed: {reply:?}"
-    );
-    drain_all(
-        endpoint,
-        &mut in_flight,
-        &mut latencies,
-        &mut streams,
-        &mut verified,
-        &mut detected,
-    );
-    let elapsed = started.elapsed();
-
-    let owners = owner_names
-        .iter()
-        .map(|name| {
-            let reply = endpoint.call(Request::Stats {
-                owner: name.clone(),
-            });
-            let Response::Stats(stats) = reply else {
-                panic!("stats of {name} failed: {reply:?}");
-            };
-            stats
-        })
-        .collect();
-
-    let latency = SloPercentiles::from_latencies(&mut latencies);
-    SoakOutcome {
-        config: config.clone(),
-        submitted,
-        accepted,
-        rejected,
-        verified,
-        detected,
-        dropped: in_flight.len() as u64,
-        latency,
-        owners,
-        stream: streams.concat(),
-        connections: 1,
-        elapsed,
-        per_connection: vec![ConnectionOutcome {
-            connection: 0,
-            owners: config.owners,
-            submitted,
-            accepted,
-            rejected,
-            verified,
-            latency,
-        }],
-        tick_driver: None,
-        warm_start,
-        baseline_journeys_per_sec: None,
-        parallelism: host_parallelism(),
-    }
-}
-
-/// `std::thread::available_parallelism`, degraded to 1 when the host
-/// refuses to answer.
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn record_verdict(
-    verdict: VerdictReply,
-    in_flight: &mut HashMap<(String, u64), Instant>,
-    latencies: &mut Vec<Duration>,
-    streams: &mut [String],
-    name_to_index: &HashMap<String, usize>,
-    verified: &mut u64,
-    detected: &mut u64,
-) {
-    if let Some(queued) = in_flight.remove(&(verdict.owner.clone(), verdict.journey)) {
-        latencies.push(queued.elapsed());
-    }
-    *verified += 1;
-    if verdict.detected {
-        *detected += 1;
-    }
-    if let Some(&index) = name_to_index.get(&verdict.owner) {
-        streams[index].push_str(&verdict.stream_line());
-        streams[index].push('\n');
-    }
-}
-
-/// What the soak worker expects the next in-order response to answer.
+/// What the soak worker expects the next in-order response to answer
+/// (owners by their slot in the connection's partition).
 enum Pending {
-    Submit { owner: usize, journey: u64 },
+    Submit { slot: usize, journey: u64 },
     Ticked,
-    Drained { owner: usize },
+    Drained { slot: usize },
 }
 
-/// One connection's slice of a concurrent soak.
-struct WorkerResult {
-    submitted: u64,
-    accepted: u64,
-    verified: u64,
-    detected: u64,
-    dropped: u64,
-    latencies: Vec<Duration>,
-    /// `(global owner index, that owner's verdict stream)`.
-    streams: Vec<(usize, String)>,
-    /// `(global owner index, closing stats)`.
-    stats: Vec<(usize, OwnerStats)>,
-}
-
-/// Shared coordination for the concurrent soak workers.
+/// Shared coordination for the soak workers.
 struct WorkerContext<'a> {
     config: &'a SoakConfig,
     owner_names: &'a [String],
@@ -843,16 +504,22 @@ struct WorkerContext<'a> {
     shutdown_done: &'a Barrier,
 }
 
-/// Per-connection soak state: the pipeline window bookkeeping and the
-/// per-owner verdict accounting.
+/// One connection's slice of a soak: its owner partition, the pipeline
+/// window bookkeeping, and the per-owner verdict accounting.
 struct ConnState<'a> {
-    my_owners: &'a [usize],
-    my_names: &'a [String],
+    /// Global indices of the owners this connection drives.
+    my_owners: Vec<usize>,
+    my_names: Vec<String>,
     name_to_index: &'a HashMap<String, usize>,
     pending: VecDeque<Pending>,
+    /// Submitted journeys still waiting for their verdict (dropped ones,
+    /// once the run is over).
     in_flight: HashMap<(usize, u64), Instant>,
     latencies: Vec<Duration>,
+    /// Global owner index → that owner's verdict stream.
     streams: HashMap<usize, String>,
+    /// `(global owner index, closing stats)`.
+    stats: Vec<(usize, OwnerStats)>,
     submitted: u64,
     accepted: u64,
     verified: u64,
@@ -860,18 +527,19 @@ struct ConnState<'a> {
 }
 
 impl ConnState<'_> {
+    /// Submits journey `journey` of the owner in partition slot `slot`.
     fn submit(
         &mut self,
         endpoint: &mut dyn PipelinedEndpoint,
-        owner: usize,
-        name: &str,
+        slot: usize,
         journey: u64,
     ) -> Result<(), String> {
+        let owner = self.my_owners[slot];
         endpoint.send(Request::Submit {
-            owner: name.into(),
+            owner: self.my_names[slot].clone(),
             journey,
         })?;
-        self.pending.push_back(Pending::Submit { owner, journey });
+        self.pending.push_back(Pending::Submit { slot, journey });
         self.in_flight.insert((owner, journey), Instant::now());
         self.submitted += 1;
         Ok(())
@@ -889,11 +557,11 @@ impl ConnState<'_> {
     }
 
     fn queue_drains(&mut self, endpoint: &mut dyn PipelinedEndpoint) -> Result<(), String> {
-        for (&owner, name) in self.my_owners.iter().zip(self.my_names) {
+        for (slot, name) in self.my_names.iter().enumerate() {
             endpoint.send(Request::Drain {
                 owner: name.clone(),
             })?;
-            self.pending.push_back(Pending::Drained { owner });
+            self.pending.push_back(Pending::Drained { slot });
         }
         Ok(())
     }
@@ -905,10 +573,10 @@ impl ConnState<'_> {
             let response = endpoint.recv()?;
             match (expected, response) {
                 (Pending::Submit { .. }, Response::Accepted { .. }) => self.accepted += 1,
-                (Pending::Submit { owner, journey }, other) => {
+                (Pending::Submit { slot, journey }, other) => {
                     return Err(format!(
                         "submission of {}/{journey} failed: {other:?}",
-                        self.my_names[self.slot_of(owner)]
+                        self.my_names[slot]
                     ));
                 }
                 (Pending::Ticked, Response::Ticked { .. }) => {}
@@ -918,22 +586,15 @@ impl ConnState<'_> {
                         self.record(verdict);
                     }
                 }
-                (Pending::Drained { owner }, other) => {
+                (Pending::Drained { slot }, other) => {
                     return Err(format!(
                         "drain of {} failed: {other:?}",
-                        self.my_names[self.slot_of(owner)]
+                        self.my_names[slot]
                     ));
                 }
             }
         }
         Ok(())
-    }
-
-    fn slot_of(&self, owner: usize) -> usize {
-        self.my_owners
-            .iter()
-            .position(|&o| o == owner)
-            .expect("owner belongs to this connection")
     }
 
     fn record(&mut self, verdict: VerdictReply) {
@@ -954,20 +615,16 @@ impl ConnState<'_> {
     }
 }
 
-/// One connection's worth of concurrent soak: submit this partition's
-/// journeys in order with a bounded burst in flight, sync before any
-/// owner's queue can reach the admission bound, and collect verdicts.
-fn soak_worker(
+/// One connection's worth of soak: submit this partition's journeys in
+/// order with a bounded burst in flight, sync before any owner's queue
+/// can reach the admission bound, and collect verdicts.
+fn soak_worker<'a>(
     endpoint: &mut dyn PipelinedEndpoint,
     connection: usize,
-    ctx: &WorkerContext<'_>,
-) -> Result<WorkerResult, String> {
+    ctx: &WorkerContext<'a>,
+) -> Result<ConnState<'a>, String> {
     let my_owners: Vec<usize> = (0..ctx.config.owners)
         .filter(|i| i % ctx.connections == connection)
-        .collect();
-    let my_names: Vec<String> = my_owners
-        .iter()
-        .map(|&i| ctx.owner_names[i].clone())
         .collect();
     let rounds = my_owners
         .iter()
@@ -980,13 +637,17 @@ fn soak_worker(
     let burst = ctx.config.tick_every.min(ctx.queue_capacity).max(1) as u64;
 
     let mut state = ConnState {
-        my_owners: &my_owners,
-        my_names: &my_names,
+        my_names: my_owners
+            .iter()
+            .map(|&i| ctx.owner_names[i].clone())
+            .collect(),
         name_to_index: ctx.name_to_index,
         pending: VecDeque::new(),
         in_flight: HashMap::new(),
         latencies: Vec::new(),
         streams: my_owners.iter().map(|&i| (i, String::new())).collect(),
+        stats: Vec::new(),
+        my_owners,
         submitted: 0,
         accepted: 0,
         verified: 0,
@@ -994,9 +655,10 @@ fn soak_worker(
     };
 
     for round in 0..rounds {
-        for (slot, &owner) in my_owners.iter().enumerate() {
+        for slot in 0..state.my_owners.len() {
+            let owner = state.my_owners[slot];
             if round < ctx.config.journeys_for(owner) {
-                state.submit(endpoint, owner, &my_names[slot], round)?;
+                state.submit(endpoint, slot, ctx.config.first_journey_for(owner) + round)?;
             }
         }
         if (round + 1) % burst == 0 {
@@ -1010,8 +672,7 @@ fn soak_worker(
     // settles any service-side stragglers) before the final sweep.
     ctx.submit_done.wait();
     if connection == 0 {
-        endpoint.send(Request::Shutdown)?;
-        match endpoint.recv()? {
+        match endpoint.call(Request::Shutdown)? {
             Response::ShuttingDown { .. } => {}
             other => return Err(format!("shutdown failed: {other:?}")),
         }
@@ -1021,37 +682,59 @@ fn soak_worker(
     state.queue_drains(endpoint)?;
     state.settle(endpoint)?;
 
-    let mut stats = Vec::new();
-    for name in &my_names {
+    for name in &state.my_names {
         endpoint.send(Request::Stats {
             owner: name.clone(),
         })?;
     }
     endpoint.flush()?;
-    for (&owner, name) in my_owners.iter().zip(&my_names) {
+    for (&owner, name) in state.my_owners.iter().zip(&state.my_names) {
         match endpoint.recv()? {
-            Response::Stats(owner_stats) => stats.push((owner, owner_stats)),
+            Response::Stats(owner_stats) => state.stats.push((owner, owner_stats)),
             other => return Err(format!("stats of {name} failed: {other:?}")),
         }
     }
-
-    let mut streams: Vec<(usize, String)> = state.streams.into_iter().collect();
-    streams.sort_by_key(|(owner, _)| *owner);
-    Ok(WorkerResult {
-        submitted: state.submitted,
-        accepted: state.accepted,
-        verified: state.verified,
-        detected: state.detected,
-        dropped: state.in_flight.len() as u64,
-        latencies: state.latencies,
-        streams,
-        stats,
-    })
+    Ok(state)
 }
 
-/// Drives a concurrent soak over `connections` pipelined endpoints
-/// (`connect(i)` builds connection `i`; index 0 also registers the
-/// owners before the load starts).
+/// The resume handshake, on connection 0 before any load: the server's
+/// durable streams must stand exactly where the interrupted run left
+/// them — owner `i`'s stream offset equal to the number of journeys the
+/// first `start` submissions assigned it. A mismatch means the state dir
+/// lost (or duplicated) verdicts, the drain invariant across the
+/// restart, so the soak refuses to continue.
+fn check_resume(
+    endpoint: &mut dyn PipelinedEndpoint,
+    config: &SoakConfig,
+    owner_names: &[String],
+) -> WarmStartMeta {
+    let reply = endpoint.call(Request::StreamState);
+    let Ok(Response::StreamState { generation, owners }) = reply else {
+        panic!("stream-state query failed: {reply:?}");
+    };
+    for (index, name) in owner_names.iter().enumerate() {
+        let expected = config.first_journey_for(index);
+        let checkpoint = owners
+            .iter()
+            .find(|c| &c.owner == name)
+            .unwrap_or_else(|| panic!("server reports no stream checkpoint for {name}"));
+        assert_eq!(
+            checkpoint.offset, expected,
+            "resume mismatch: {name}'s durable stream is at offset {}, expected {expected}",
+            checkpoint.offset
+        );
+    }
+    WarmStartMeta {
+        generation,
+        resume_offset: config.start,
+        checkpoints: owners,
+    }
+}
+
+/// Drives a soak over `connections` pipelined endpoints (`connect(i)`
+/// builds connection `i`; index 0 also registers the owners — and, for
+/// a resumed run, checks the server's stream checkpoints — before the
+/// load starts).
 ///
 /// Owners are partitioned across connections (`owner i` → connection
 /// `i % connections`), each connection submits its owners' journeys in
@@ -1060,17 +743,20 @@ fn soak_worker(
 /// Ticking may additionally happen server-side (a background
 /// [`crate::driver::TickDriver`]); the workers' own
 /// [`Request::TickOwners`] syncs make the run self-sufficient without
-/// one.
+/// one. After the last submission connection 0 sends
+/// [`Request::Shutdown`] (settling everything admitted) and every
+/// connection drains its owners a final time.
 ///
 /// The merged outcome's verdict stream is grouped by owner and
-/// byte-identical to a [`run_soak`] of the same shape — the determinism
-/// contract this driver exists to demonstrate under concurrency.
+/// byte-identical for every connection count — the determinism contract
+/// this driver exists to demonstrate under concurrency.
 ///
 /// # Panics
 ///
 /// Panics if any connection fails mid-run (transport error, rejected
-/// registration, out-of-protocol reply) — a soak against a broken
-/// deployment is a setup error, not a measurement.
+/// registration, out-of-protocol reply) or a resumed server's streams do
+/// not sit at the expected offsets — a soak against a broken deployment
+/// is a setup error, not a measurement.
 pub fn run_soak_concurrent<E, F>(
     connect: F,
     config: &SoakConfig,
@@ -1085,10 +771,6 @@ where
     assert!(connections > 0, "soak needs at least one connection");
     assert!(config.tick_every > 0, "tick_every must be positive");
     assert!(queue_capacity > 0, "queue_capacity must be positive");
-    assert!(
-        config.start == 0 && !config.resume,
-        "resumed soaks run over a single lockstep connection (run_soak)"
-    );
 
     let owner_names: Vec<String> = (0..config.owners).map(SoakConfig::owner_name).collect();
     let name_to_index: HashMap<String, usize> = owner_names
@@ -1101,19 +783,26 @@ where
     // the tenant universe is identical however many connections follow.
     let mut first = connect(0);
     for (index, name) in owner_names.iter().enumerate() {
-        first
-            .send(Request::Register(RegisterOwner {
-                owner: name.clone(),
-                seed: config.owner_seed(index),
-                preset: config.preset.clone(),
-                mechanism: config.mechanism.clone(),
-            }))
-            .unwrap_or_else(|error| panic!("registration of {name} failed: {error}"));
-        match first.recv() {
+        let reply = first.call(Request::Register(RegisterOwner {
+            owner: name.clone(),
+            seed: config.owner_seed(index),
+            preset: config.preset.clone(),
+            mechanism: config.mechanism.clone(),
+        }));
+        match reply {
             Ok(Response::Registered { .. }) => {}
+            // A resumed leg finds its owners restored from the server's
+            // state dir; the duplicate rejection is the expected handshake.
+            Ok(Response::Rejected {
+                reason: RejectReason::DuplicateOwner,
+                ..
+            }) if config.resume => {}
             other => panic!("registration of {name} failed: {other:?}"),
         }
     }
+    let warm_start = config
+        .resume
+        .then(|| check_resume(&mut first, config, &owner_names));
 
     let submit_done = Barrier::new(connections);
     let shutdown_done = Barrier::new(connections);
@@ -1128,7 +817,7 @@ where
     };
 
     let started = Instant::now();
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let results: Vec<ConnState> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(connections);
         let mut first = Some(first);
         let ctx = &ctx;
@@ -1161,26 +850,26 @@ where
     let mut per_connection = Vec::with_capacity(connections);
     let mut all_latencies: Vec<Duration> = Vec::new();
     let (mut submitted, mut accepted, mut verified, mut detected, mut dropped) = (0, 0, 0, 0, 0);
-    for (connection, mut result) in results.into_iter().enumerate() {
-        submitted += result.submitted;
-        accepted += result.accepted;
-        verified += result.verified;
-        detected += result.detected;
-        dropped += result.dropped;
+    for (connection, mut conn) in results.into_iter().enumerate() {
+        submitted += conn.submitted;
+        accepted += conn.accepted;
+        verified += conn.verified;
+        detected += conn.detected;
+        dropped += conn.in_flight.len() as u64;
         per_connection.push(ConnectionOutcome {
             connection,
-            owners: result.streams.len(),
-            submitted: result.submitted,
-            accepted: result.accepted,
+            owners: conn.my_owners.len(),
+            submitted: conn.submitted,
+            accepted: conn.accepted,
             rejected: 0,
-            verified: result.verified,
-            latency: SloPercentiles::from_latencies(&mut result.latencies),
+            verified: conn.verified,
+            latency: SloPercentiles::from_latencies(&mut conn.latencies),
         });
-        all_latencies.extend(result.latencies);
-        for (owner, stream) in result.streams {
+        all_latencies.extend(conn.latencies);
+        for (owner, stream) in conn.streams {
             streams[owner] = stream;
         }
-        for (owner, stats) in result.stats {
+        for (owner, stats) in conn.stats {
             owner_stats[owner] = Some(stats);
         }
     }
@@ -1203,9 +892,9 @@ where
         elapsed,
         per_connection,
         tick_driver: None,
-        warm_start: None,
+        warm_start,
         baseline_journeys_per_sec: None,
-        parallelism: host_parallelism(),
+        parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -1213,45 +902,26 @@ where
 mod tests {
     use super::*;
     use crate::service::ServeConfig;
+    use refstate_telemetry::json::{self, Json};
 
-    fn percentiles_of(values_us: &[u64]) -> SloPercentiles {
-        let mut latencies: Vec<Duration> = values_us
-            .iter()
-            .map(|&v| Duration::from_micros(v))
-            .collect();
-        SloPercentiles::from_latencies(&mut latencies)
+    /// A soak over `connections` in-process connections into one fresh
+    /// service.
+    fn soak(serve_config: ServeConfig, config: &SoakConfig, connections: usize) -> SoakOutcome {
+        let service = Arc::new(Service::new(serve_config.clone()));
+        run_soak_concurrent(
+            |_| LocalPipelined::new(Arc::clone(&service)),
+            config,
+            connections,
+            serve_config.queue_capacity,
+        )
     }
 
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        // n = 1: every percentile is the one observation.
-        let one = percentiles_of(&[7]);
-        assert_eq!(
-            (one.p50_us, one.p95_us, one.p99_us, one.max_us),
-            (7, 7, 7, 7)
-        );
-        // n = 2: rank ⌈0.5·2⌉ = 1, so p50 is the *lower* observation —
-        // the old round((n-1)·q) code reported the larger one.
-        let two = percentiles_of(&[1, 2]);
-        assert_eq!(two.p50_us, 1, "p50 of two samples is the lower one");
-        assert_eq!(two.p95_us, 2);
-        assert_eq!(two.p99_us, 2);
-        assert_eq!(two.max_us, 2);
-        // n = 3: p50 is the middle value, the tail percentiles the max.
-        let three = percentiles_of(&[30, 10, 20]);
-        assert_eq!(three.p50_us, 20);
-        assert_eq!(three.p95_us, 30);
-        assert_eq!(three.p99_us, 30);
-        // n = 100 over 1..=100: pN is exactly N (rank ⌈N⌉) — the old
-        // code returned 51 for p50.
-        let hundred: Vec<u64> = (1..=100).collect();
-        let p = percentiles_of(&hundred);
-        assert_eq!(p.p50_us, 50);
-        assert_eq!(p.p95_us, 95);
-        assert_eq!(p.p99_us, 99);
-        assert_eq!(p.max_us, 100);
-        // Empty input stays all-zero.
-        assert_eq!(percentiles_of(&[]).max_us, 0);
+    fn slo_doc(outcome: &SoakOutcome) -> Json {
+        json::parse(&outcome.to_json(1, 64)).expect("the SLO artifact parses")
+    }
+
+    fn at<'a>(doc: &'a Json, path: &[&str]) -> Option<&'a Json> {
+        path.iter().try_fold(doc, |value, key| value.get(key))
     }
 
     #[test]
@@ -1285,16 +955,15 @@ mod tests {
 
     #[test]
     fn slo_json_carries_warm_start_block_when_resumed() {
-        let mut service = Service::new(ServeConfig::default());
         let config = SoakConfig {
             owners: 1,
             journeys: 4,
             tick_every: 2,
             ..SoakConfig::default()
         };
-        let mut outcome = run_soak(&mut service, &config);
+        let mut outcome = soak(ServeConfig::default(), &config, 1);
         assert!(outcome.warm_start.is_none());
-        assert!(!outcome.to_json(1, 64).contains("\"warm_start\""));
+        assert!(slo_doc(&outcome).get("warm_start").is_none());
         outcome.warm_start = Some(WarmStartMeta {
             generation: 2,
             resume_offset: 4,
@@ -1304,20 +973,15 @@ mod tests {
                 digest: "00000000deadbeef".into(),
             }],
         });
-        let json = outcome.to_json(1, 64);
-        assert!(json.contains("\"warm_start\": {"));
-        assert!(json.contains("\"generation\": 2"));
-        assert!(json.contains("\"resume_offset\": 4"));
-        assert!(json
-            .contains("{\"owner\": \"owner-0\", \"offset\": 4, \"digest\": \"00000000deadbeef\"}"));
+        let expected = json::parse(
+            r#"{"generation":2,"resume_offset":4,"checkpoints":[
+                {"owner":"owner-0","offset":4,"digest":"00000000deadbeef"}]}"#,
+        );
+        assert_eq!(slo_doc(&outcome).get("warm_start"), expected.as_ref().ok());
     }
 
     #[test]
     fn soak_drains_everything_it_accepts() {
-        let mut service = Service::new(ServeConfig {
-            queue_capacity: 8,
-            ..ServeConfig::default()
-        });
         let config = SoakConfig {
             owners: 2,
             journeys: 30,
@@ -1325,7 +989,11 @@ mod tests {
             tick_every: 5,
             ..SoakConfig::default()
         };
-        let outcome = run_soak(&mut service, &config);
+        let serve_config = ServeConfig {
+            queue_capacity: 8,
+            ..ServeConfig::default()
+        };
+        let outcome = soak(serve_config, &config, 1);
         assert_eq!(outcome.accepted, 30);
         assert_eq!(outcome.verified, 30);
         assert_eq!(outcome.dropped, 0, "no accepted journey goes unverified");
@@ -1339,7 +1007,6 @@ mod tests {
 
     #[test]
     fn slo_json_has_schema_and_digest() {
-        let mut service = Service::new(ServeConfig::default());
         let config = SoakConfig {
             owners: 1,
             journeys: 6,
@@ -1348,47 +1015,52 @@ mod tests {
             preset: "all-honest".into(),
             ..SoakConfig::default()
         };
-        let outcome = run_soak(&mut service, &config);
-        let json = outcome.to_json(1, 64);
-        assert!(json.contains("\"schema\": \"refstate-soak-slo-v1\""));
-        assert!(json.contains(&format!(
-            "\"stream_digest\": \"{}\"",
-            outcome.stream_digest()
-        )));
-        assert!(json.contains("\"dropped\": 0"));
-        assert!(json.contains("\"connections\": 1"));
-        assert!(json.contains("\"per_connection\": ["));
-        assert!(json.contains("\"aggregate\": {"));
+        let outcome = soak(ServeConfig::default(), &config, 1);
+        let doc = slo_doc(&outcome);
+        let text = |key: &str| doc.get(key).and_then(Json::as_str);
+        assert_eq!(text("schema"), Some("refstate-soak-slo-v1"));
+        assert_eq!(
+            text("stream_digest"),
+            Some(outcome.stream_digest().as_str())
+        );
+        assert_eq!(at(&doc, &["counts", "dropped"]), Some(&Json::Num(0.0)));
+        assert_eq!(at(&doc, &["connections"]), Some(&Json::Num(1.0)));
+        assert_eq!(
+            doc.get("per_connection")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(1)
+        );
+        assert!(at(&doc, &["aggregate", "journeys_per_sec"]).is_some());
         // No driver and no baseline ran, so neither block is emitted.
-        assert!(!json.contains("\"tick_driver\""));
-        assert!(!json.contains("\"single_connection_baseline\""));
+        assert!(doc.get("tick_driver").is_none());
+        assert!(doc.get("single_connection_baseline").is_none());
     }
 
     #[test]
     fn slo_json_carries_driver_and_baseline_blocks_when_present() {
-        let mut service = Service::new(ServeConfig::default());
         let config = SoakConfig {
             owners: 1,
             journeys: 4,
             tick_every: 2,
             ..SoakConfig::default()
         };
-        let mut outcome = run_soak(&mut service, &config);
-        outcome.tick_driver = Some(TickDriverMeta {
+        let mut outcome = soak(ServeConfig::default(), &config, 1);
+        outcome.tick_driver = Some(TickDriverConfig {
             interval: Duration::from_millis(1),
-            batch_min: 16,
-            max_age: Duration::from_millis(5),
+            ..TickDriverConfig::default()
         });
         outcome.baseline_journeys_per_sec = Some(outcome.journeys_per_sec() / 3.0);
-        let json = outcome.to_json(1, 64);
-        assert!(json.contains("\"tick_driver\": {"));
-        assert!(json.contains("\"interval_us\": 1000"));
-        assert!(json.contains("\"single_connection_baseline\": {"));
-        assert!(json.contains("\"throughput_ratio_vs_single\": 3.000"));
+        let doc = slo_doc(&outcome);
+        let num = |path: &[&str]| at(&doc, path).and_then(Json::as_num);
+        assert_eq!(num(&["tick_driver", "interval_us"]), Some(1000.0));
+        assert!(num(&["single_connection_baseline", "journeys_per_sec"]).is_some());
+        let ratio = num(&["throughput_ratio_vs_single"]).unwrap();
+        assert!((ratio - 3.0).abs() < 1e-6, "ratio {ratio}");
     }
 
     #[test]
-    fn concurrent_soak_matches_the_single_connection_stream() {
+    fn soak_stream_is_invariant_across_connection_counts() {
         let config = SoakConfig {
             owners: 3,
             journeys: 24,
@@ -1402,22 +1074,14 @@ mod tests {
             ..ServeConfig::default()
         };
 
-        let mut single = Service::new(serve_config.clone());
-        let baseline = run_soak(&mut single, &config);
-
-        let shared = Arc::new(Service::new(serve_config.clone()));
-        let concurrent = run_soak_concurrent(
-            |_| LocalPipelined::new(Arc::clone(&shared)),
-            &config,
-            2,
-            serve_config.queue_capacity,
-        );
+        let single = soak(serve_config.clone(), &config, 1);
+        let concurrent = soak(serve_config, &config, 2);
 
         assert_eq!(
-            concurrent.stream, baseline.stream,
+            concurrent.stream, single.stream,
             "stream must not depend on connections"
         );
-        assert_eq!(concurrent.verified, baseline.verified);
+        assert_eq!(concurrent.verified, single.verified);
         assert_eq!(concurrent.dropped, 0);
         assert_eq!(
             concurrent.rejected, 0,
@@ -1439,7 +1103,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_soak_tolerates_more_connections_than_owners() {
+    fn soak_tolerates_more_connections_than_owners() {
         let config = SoakConfig {
             owners: 2,
             journeys: 10,
@@ -1452,13 +1116,7 @@ mod tests {
             key_pool: 8,
             ..ServeConfig::default()
         };
-        let shared = Arc::new(Service::new(serve_config.clone()));
-        let outcome = run_soak_concurrent(
-            |_| LocalPipelined::new(Arc::clone(&shared)),
-            &config,
-            4,
-            serve_config.queue_capacity,
-        );
+        let outcome = soak(serve_config, &config, 4);
         assert_eq!(outcome.verified, 10);
         assert_eq!(outcome.dropped, 0);
         assert_eq!(outcome.per_connection.len(), 4);

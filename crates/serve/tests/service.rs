@@ -1,16 +1,15 @@
 //! Service-level guarantees: admission control, the drain invariant,
 //! worker-, connection-, and telemetry-invariant golden verdict
-//! streams, per-owner lock independence, and the TCP transport
-//! (lockstep and pipelined).
+//! streams, per-owner lock independence, and the pipelined TCP
+//! transport.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use refstate_serve::{
-    run_soak, run_soak_concurrent, Client, LocalPipelined, PipelinedClient, RegisterOwner,
-    RejectReason, Request, Response, ServeConfig, Server, Service, SoakConfig, TickDriver,
-    TickDriverConfig,
+    run_soak_concurrent, LocalPipelined, PipelinedClient, RegisterOwner, RejectReason, Request,
+    Response, ServeConfig, Server, Service, SoakConfig, SoakOutcome, TickDriver, TickDriverConfig,
 };
 use refstate_telemetry as telemetry;
 
@@ -131,14 +130,35 @@ fn graceful_shutdown_settles_every_accepted_journey() {
     }
 }
 
-fn soak_stream(check_workers: usize, seed: u64, preset: &str, mechanism: &str) -> String {
-    let mut service = Service::new(ServeConfig {
-        check_workers,
-        queue_capacity: 16,
-        key_pool: 16,
-        ..ServeConfig::default()
-    });
-    let config = SoakConfig {
+/// A soak over `connections` in-process connections into a fresh
+/// service, with the background tick driver racing the clients' own
+/// ticks when `drive` is set.
+fn soak_local(
+    serve_config: &ServeConfig,
+    config: &SoakConfig,
+    connections: usize,
+    drive: bool,
+) -> SoakOutcome {
+    let service = Arc::new(Service::new(serve_config.clone()));
+    let driver =
+        drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig::default()));
+    let outcome = run_soak_concurrent(
+        |_| LocalPipelined::new(Arc::clone(&service)),
+        config,
+        connections,
+        serve_config.queue_capacity,
+    );
+    if let Some(driver) = driver {
+        driver.stop();
+    }
+    assert_eq!(outcome.dropped, 0);
+    outcome
+}
+
+/// The golden fixtures' load shape: 4 owners, 48 journeys, ticks every
+/// 12 rounds, queues of 16.
+fn golden_shape(seed: u64, preset: &str, mechanism: &str) -> SoakConfig {
+    SoakConfig {
         owners: 4,
         journeys: 48,
         seed,
@@ -146,11 +166,34 @@ fn soak_stream(check_workers: usize, seed: u64, preset: &str, mechanism: &str) -
         mechanism: mechanism.into(),
         tick_every: 12,
         ..SoakConfig::default()
-    };
-    let outcome = run_soak(&mut service, &config);
-    assert_eq!(outcome.dropped, 0);
+    }
+}
+
+fn golden_service(check_workers: usize) -> ServeConfig {
+    ServeConfig {
+        check_workers,
+        queue_capacity: 16,
+        key_pool: 16,
+        ..ServeConfig::default()
+    }
+}
+
+fn soak_stream(check_workers: usize, seed: u64, preset: &str, mechanism: &str) -> String {
+    let outcome = soak_local(
+        &golden_service(check_workers),
+        &golden_shape(seed, preset, mechanism),
+        1,
+        false,
+    );
     assert_eq!(outcome.verified, 48);
     outcome.stream
+}
+
+fn golden_stream(fixture: &str) -> String {
+    let path = golden_path(fixture);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden fixture {path:?} ({e}); run with REGEN_GOLDEN=1")
+    })
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -167,15 +210,16 @@ fn check_golden_stream(fixture: &str, preset: &str, mechanism: &str) {
     let seed = 42;
     let baseline = soak_stream(1, seed, preset, mechanism);
 
-    let path = golden_path(fixture);
     if std::env::var("REGEN_GOLDEN").is_ok() {
+        let path = golden_path(fixture);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &baseline).unwrap();
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden fixture {path:?} ({e}); run with REGEN_GOLDEN=1")
-    });
-    assert_eq!(baseline, golden, "verdict stream drifted from the fixture");
+    assert_eq!(
+        baseline,
+        golden_stream(fixture),
+        "verdict stream drifted from the fixture"
+    );
 
     for check_workers in [2, 8] {
         assert_eq!(
@@ -218,48 +262,18 @@ fn cooperating_verdict_stream_is_golden_across_workers_and_telemetry() {
 }
 
 /// The sharding determinism contract, across deployment shapes: the
-/// per-owner verdict stream the lockstep single-connection soak
-/// produces is byte-identical when the same load is driven over 1, 4,
-/// or 16 pipelined connections, with and without the background tick
-/// driver racing the clients' own ticks.
+/// golden fixture's load, driven over 1, 4, or 16 pipelined
+/// connections, with and without the background tick driver racing the
+/// clients' own ticks, reproduces the committed stream byte for byte.
 #[test]
 fn verdict_stream_is_identical_across_connection_counts_and_tick_pacing() {
-    let serve_config = ServeConfig {
-        queue_capacity: 16,
-        key_pool: 16,
-        ..ServeConfig::default()
-    };
-    let config = SoakConfig {
-        owners: 4,
-        journeys: 48,
-        seed: 42,
-        preset: "mixed".into(),
-        mechanism: "protocol".into(),
-        tick_every: 12,
-        ..SoakConfig::default()
-    };
-
-    let mut lockstep = Service::new(serve_config.clone());
-    let baseline = run_soak(&mut lockstep, &config);
-    assert_eq!(baseline.dropped, 0);
-
+    let golden = golden_stream("soak_mixed_seed42.stream");
+    let config = golden_shape(42, "mixed", "protocol");
     for connections in [1, 4, 16] {
         for drive in [false, true] {
-            let service = Arc::new(Service::new(serve_config.clone()));
-            let driver =
-                drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig::default()));
-            let outcome = run_soak_concurrent(
-                |_| LocalPipelined::new(Arc::clone(&service)),
-                &config,
-                connections,
-                serve_config.queue_capacity,
-            );
-            if let Some(driver) = driver {
-                driver.stop();
-            }
-            assert_eq!(outcome.dropped, 0);
+            let outcome = soak_local(&golden_service(1), &config, connections, drive);
             assert_eq!(
-                outcome.stream, baseline.stream,
+                outcome.stream, golden,
                 "stream must be invariant under connections={connections} \
                  tick_driver={drive}"
             );
@@ -445,9 +459,9 @@ fn pipelined_tcp_responses_come_back_in_request_order() {
 
 #[test]
 fn tcp_roundtrip_matches_in_process_service() {
-    // The same request sequence, once in process and once over TCP,
-    // must produce identical verdict streams: the transport adds framing
-    // only, never semantics.
+    // The same soak, once in process and once over TCP on one and two
+    // pipelined connections, must produce identical verdict streams: the
+    // transport adds framing only, never semantics.
     let config = SoakConfig {
         owners: 2,
         journeys: 12,
@@ -461,21 +475,26 @@ fn tcp_roundtrip_matches_in_process_service() {
         key_pool: 8,
         ..ServeConfig::default()
     };
+    let local_outcome = soak_local(&serve_config, &config, 1, false);
 
-    let mut local = Service::new(serve_config.clone());
-    let local_outcome = run_soak(&mut local, &config);
-
-    let server = Server::bind(Service::new(serve_config), "127.0.0.1:0").expect("bind");
-    let addr = server.addr();
-    let mut client = Client::connect(addr).expect("connect");
-    let remote_outcome = run_soak(&mut client, &config);
-    assert_eq!(remote_outcome.stream, local_outcome.stream);
-    assert_eq!(remote_outcome.dropped, 0);
-
-    // The soak sent Shutdown; the accept loop notices and exits. join
-    // waits for every connection to close, so hang up first.
-    drop(client);
-    server.join();
+    for connections in [1, 2] {
+        let server = Server::bind(Service::new(serve_config.clone()), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let remote_outcome = run_soak_concurrent(
+            |_| PipelinedClient::connect(addr).expect("connect"),
+            &config,
+            connections,
+            serve_config.queue_capacity,
+        );
+        assert_eq!(
+            remote_outcome.stream, local_outcome.stream,
+            "TCP over {connections} connections"
+        );
+        assert_eq!(remote_outcome.dropped, 0);
+        // The soak sent Shutdown and its clients hung up when it
+        // returned; the accept loop notices and exits.
+        server.join();
+    }
 }
 
 #[test]

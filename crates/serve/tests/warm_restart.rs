@@ -5,9 +5,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use refstate_serve::{
-    run_soak, RegisterOwner, Request, Response, ServeConfig, Service, SoakConfig,
+    run_soak_concurrent, LocalPipelined, RegisterOwner, Request, Response, ServeConfig, Service,
+    SoakConfig, SoakOutcome,
 };
 
 struct TempDir(PathBuf);
@@ -41,6 +43,21 @@ fn serve_config(state_dir: Option<&Path>) -> ServeConfig {
     }
 }
 
+/// Soaks `config` over `connections` in-process connections, then drops
+/// the service (closing its state dir, if any).
+fn soak(serve_config: ServeConfig, config: &SoakConfig, connections: usize) -> SoakOutcome {
+    let queue_capacity = serve_config.queue_capacity;
+    let service = Arc::new(Service::new(serve_config));
+    let outcome = run_soak_concurrent(
+        |_| LocalPipelined::new(Arc::clone(&service)),
+        config,
+        connections,
+        queue_capacity,
+    );
+    assert_eq!(outcome.dropped, 0);
+    outcome
+}
+
 /// Concatenates each owner's lines from `legs` in owner order — the
 /// grouped-stream merge a restart-spanning run needs before it can be
 /// compared byte-for-byte with a single uninterrupted run.
@@ -62,7 +79,6 @@ fn merge_by_owner(legs: &[&str], owners: usize) -> String {
 
 #[test]
 fn resumed_soak_stream_matches_an_uninterrupted_run() {
-    let dir = TempDir::new("resume");
     let base = SoakConfig {
         owners: 3,
         journeys: 24,
@@ -72,50 +88,53 @@ fn resumed_soak_stream_matches_an_uninterrupted_run() {
     };
 
     // The uninterrupted reference: one cold service, all 24 journeys.
-    let mut cold = Service::new(serve_config(None));
-    let cold_outcome = run_soak(&mut cold, &base);
-    assert_eq!(cold_outcome.dropped, 0);
+    let cold_outcome = soak(serve_config(None), &base, 1);
 
-    // Leg 1: half the journeys against a durable service, then the
-    // soak's Shutdown stops it and the process-side state drops.
-    let mut leg1_service = Service::new(serve_config(Some(dir.path())));
-    let leg1 = run_soak(
-        &mut leg1_service,
-        &SoakConfig {
-            journeys: 12,
-            ..base.clone()
-        },
-    );
-    assert_eq!(leg1.dropped, 0);
-    drop(leg1_service);
+    // The resume handshake runs on connection 0 before any worker
+    // starts, so leg 2 may fan out over several connections.
+    for connections in [1, 3] {
+        let dir = TempDir::new("resume");
 
-    // Leg 2: reopen the same dir and resume where leg 1 stopped.
-    let mut leg2_service = Service::new(serve_config(Some(dir.path())));
-    let leg2 = run_soak(
-        &mut leg2_service,
-        &SoakConfig {
-            journeys: 12,
-            start: 12,
-            resume: true,
-            ..base.clone()
-        },
-    );
-    assert_eq!(leg2.dropped, 0);
+        // Leg 1: half the journeys against a durable service, then the
+        // soak's Shutdown stops it and the process-side state drops.
+        let leg1 = soak(
+            serve_config(Some(dir.path())),
+            &SoakConfig {
+                journeys: 12,
+                ..base.clone()
+            },
+            1,
+        );
 
-    // The resume handshake observed a real warm start: generation 2,
-    // every owner's durable stream checkpointed at its leg-1 share.
-    let warm = leg2.warm_start.as_ref().expect("resumed run records meta");
-    assert_eq!(warm.generation, 2, "second open of the same state dir");
-    assert_eq!(warm.resume_offset, 12);
-    assert!(warm.checkpoints.iter().all(|c| c.offset == 4));
+        // Leg 2: reopen the same dir and resume where leg 1 stopped.
+        let leg2 = soak(
+            serve_config(Some(dir.path())),
+            &SoakConfig {
+                journeys: 12,
+                start: 12,
+                resume: true,
+                ..base.clone()
+            },
+            connections,
+        );
 
-    // The restart-spanning history, merged per owner, is byte-identical
-    // to the uninterrupted run — the drain invariant survived the stop.
-    assert_eq!(
-        merge_by_owner(&[&leg1.stream, &leg2.stream], base.owners),
-        cold_outcome.stream,
-        "resumed verdict stream diverged from the uninterrupted run"
-    );
+        // The resume handshake observed a real warm start: generation 2,
+        // every owner's durable stream checkpointed at its leg-1 share.
+        let warm = leg2.warm_start.as_ref().expect("resumed run records meta");
+        assert_eq!(warm.generation, 2, "second open of the same state dir");
+        assert_eq!(warm.resume_offset, 12);
+        assert!(warm.checkpoints.iter().all(|c| c.offset == 4));
+
+        // The restart-spanning history, merged per owner, is
+        // byte-identical to the uninterrupted run — the drain invariant
+        // survived the stop.
+        assert_eq!(
+            merge_by_owner(&[&leg1.stream, &leg2.stream], base.owners),
+            cold_outcome.stream,
+            "resumed verdict stream diverged from the uninterrupted run \
+             (leg 2 over {connections} connections)"
+        );
+    }
 }
 
 #[test]

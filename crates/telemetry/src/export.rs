@@ -1,40 +1,14 @@
 //! Exporters: Chrome `trace_event` JSON and a metrics JSONL stream.
 //!
-//! Both formats are written with a tiny hand-rolled JSON emitter (the
-//! telemetry crate depends on nothing but the `parking_lot` shim). The
-//! Chrome trace output is the array form understood by `chrome://tracing`
-//! and Perfetto's legacy-trace importer; the metrics stream is one JSON
-//! object per line, one line per counter or histogram series.
+//! Both formats are written through the workspace's one JSON writer
+//! ([`crate::json::JsonWriter`]). The Chrome trace output is the array
+//! form understood by `chrome://tracing` and Perfetto's legacy-trace
+//! importer; the metrics stream is one JSON object per line, one line per
+//! counter or histogram series.
 
-use crate::metrics::MetricsSnapshot;
+use crate::json::JsonWriter;
+use crate::metrics::{HistogramSnapshot, MetricKey, MetricsSnapshot};
 use crate::span::TraceEvent;
-
-/// Escapes a string for inclusion in a JSON string literal: quotes,
-/// backslashes, and control characters (`\n`, `\r`, `\t` by name, the
-/// rest as `\u00XX`). The workspace's one JSON string escaper.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
-}
 
 /// Renders trace events as a Chrome `trace_event` JSON array.
 ///
@@ -43,40 +17,65 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
 /// thread-scoped `"ph":"i"` events. The telemetry scope rides along as
 /// `args.scope`, making per-mechanism lanes filterable in Perfetto.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 2);
-    out.push('[');
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{");
-        push_str_field(&mut out, "name", &event.name);
-        out.push(',');
-        push_str_field(&mut out, "cat", event.cat);
-        out.push_str(&format!(
-            ",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
-            event.tid,
-            event.ts_ns as f64 / 1_000.0
-        ));
+    let mut w = JsonWriter::new();
+    w.begin_array();
+    for event in events {
+        w.begin_object();
+        w.field_str("name", &event.name);
+        w.field_str("cat", event.cat);
+        w.field_u64("pid", 1);
+        w.field_u64("tid", event.tid);
+        w.field_f64("ts", event.ts_ns as f64 / 1_000.0);
         match event.dur_ns {
             Some(dur_ns) => {
-                out.push_str(&format!(
-                    ",\"ph\":\"X\",\"dur\":{:.3}",
-                    dur_ns as f64 / 1_000.0
-                ));
+                w.field_str("ph", "X");
+                w.field_f64("dur", dur_ns as f64 / 1_000.0);
             }
-            None => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
+            None => {
+                w.field_str("ph", "i");
+                w.field_str("s", "t");
+            }
         }
-        out.push_str(",\"args\":{");
-        push_str_field(&mut out, "scope", event.scope);
+        w.key("args");
+        w.begin_object();
+        w.field_str("scope", event.scope);
         for (key, value) in &event.args {
-            out.push(',');
-            push_str_field(&mut out, key, value);
+            w.field_str(key, value);
         }
-        out.push_str("}}");
+        w.end_object();
+        w.end_object();
     }
-    out.push_str("\n]\n");
-    out
+    w.end_array();
+    w.finish()
+}
+
+/// One JSONL line: the series identity, then `body`'s fields.
+fn metric_line(kind: &str, key: &MetricKey, body: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_str("type", kind);
+    w.field_str("scope", key.scope);
+    w.field_str("name", key.name);
+    w.field_u64("index", u64::from(key.index));
+    body(&mut w);
+    w.end_object();
+    w.finish() + "\n"
+}
+
+fn histogram_fields(w: &mut JsonWriter, hist: &HistogramSnapshot) {
+    w.field_u64("count", hist.count);
+    w.field_u64("sum", hist.sum);
+    w.field_u64("min", hist.min);
+    w.field_u64("max", hist.max);
+    w.field_u64("p50", hist.quantile(0.5));
+    w.field_u64("p90", hist.quantile(0.9));
+    w.field_u64("p99", hist.quantile(0.99));
+    w.key("buckets");
+    w.begin_array();
+    for (lower, count) in hist.nonzero_buckets() {
+        w.u64_array(&[lower, count]);
+    }
+    w.end_array();
 }
 
 /// Renders a metrics snapshot as JSONL: one JSON object per line.
@@ -85,51 +84,26 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// `{"type":"counter","scope":"protocol","name":"pipeline.cache_hit","index":0,"value":12}`;
 /// histogram lines add `count`/`sum`/`min`/`max`, approximate `p50`/`p90`/`p99`,
 /// and the sparse `buckets` array of `[bucket_lower_bound, count]` pairs.
-/// Values are raw units — nanoseconds for duration histograms.
+/// Values are raw units — nanoseconds for duration histograms. The
+/// percentiles are the log-linear bucket bound at the
+/// [`nearest_rank`](crate::metrics::nearest_rank) observation
+/// ([`HistogramSnapshot::quantile`], at most 1/8 relative error).
 pub fn metrics_jsonl(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (key, value) in &snapshot.counters {
-        out.push('{');
-        push_str_field(&mut out, "type", "counter");
-        out.push(',');
-        push_str_field(&mut out, "scope", key.scope);
-        out.push(',');
-        push_str_field(&mut out, "name", key.name);
-        out.push_str(&format!(",\"index\":{},\"value\":{}}}\n", key.index, value));
-    }
-    for (key, hist) in &snapshot.histograms {
-        out.push('{');
-        push_str_field(&mut out, "type", "histogram");
-        out.push(',');
-        push_str_field(&mut out, "scope", key.scope);
-        out.push(',');
-        push_str_field(&mut out, "name", key.name);
-        out.push_str(&format!(
-            ",\"index\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            key.index,
-            hist.count,
-            hist.sum,
-            hist.min,
-            hist.max,
-            hist.quantile(0.5),
-            hist.quantile(0.9),
-            hist.quantile(0.99),
-        ));
-        for (i, (lower, count)) in hist.nonzero_buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{lower},{count}]"));
-        }
-        out.push_str("]}\n");
-    }
-    out
+    let counters = snapshot
+        .counters
+        .iter()
+        .map(|(key, &value)| metric_line("counter", key, |w| w.field_u64("value", value)));
+    let histograms = snapshot
+        .histograms
+        .iter()
+        .map(|(key, hist)| metric_line("histogram", key, |w| histogram_fields(w, hist)));
+    counters.chain(histograms).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Histogram, MetricKey};
+    use crate::metrics::Histogram;
     use std::borrow::Cow;
 
     fn sample_events() -> Vec<TraceEvent> {
@@ -161,8 +135,8 @@ mod tests {
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":42.000"));
-        assert!(json.contains("\"ts\":1.500"));
+        assert!(json.contains("\"dur\":42.000000"));
+        assert!(json.contains("\"ts\":1.500000"));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"s\":\"t\""));
         assert!(json.contains("\"scope\":\"protocol\""));
@@ -173,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_a_valid_empty_array() {
-        assert_eq!(chrome_trace_json(&[]), "[\n]\n");
+        assert_eq!(chrome_trace_json(&[]), "[]");
     }
 
     #[test]
@@ -208,7 +182,7 @@ mod tests {
         assert!(lines[1].contains("\"sum\":200100"));
         assert!(lines[1].contains("\"buckets\":[["));
         for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+            crate::json::parse(line).expect("each line is one JSON document");
         }
     }
 }

@@ -4,7 +4,9 @@
 //! workspace: span-based tracing into per-thread ring buffers, named
 //! counters and log-linear histograms with a snapshot API, and exporters
 //! for Chrome `trace_event` JSON (Perfetto / `chrome://tracing` loadable)
-//! and a metrics JSONL stream.
+//! and a metrics JSONL stream. It is also the lowest crate that writes
+//! JSON, so it hosts the workspace's one JSON writer and parser
+//! ([`json`]) and its one percentile rule ([`metrics::nearest_rank`]).
 //!
 //! ## Determinism contract
 //!
@@ -47,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod span;

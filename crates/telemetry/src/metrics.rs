@@ -88,6 +88,19 @@ pub fn bucket_index(value: u64) -> usize {
     SUB_BUCKETS + (msb - 2) * SUB_BUCKETS + sub
 }
 
+/// The workspace's one percentile rule: the 1-based rank of the
+/// `q`-quantile among `n` ordered observations, `⌈q·n⌉` clamped to
+/// `1..=n` (0 when there is nothing to rank). This is nearest rank: the
+/// smallest observation with at least a `q` fraction of the sample at or
+/// below it, so a percentile is always an observed value, never an
+/// interpolation, and the median of two samples is the lower one.
+pub fn nearest_rank(n: u64, q: f64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    ((q * n as f64).ceil() as u64).clamp(1, n)
+}
+
 /// Returns the inclusive `(lower, upper)` value range covered by a bucket.
 ///
 /// # Panics
@@ -181,14 +194,14 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Estimates the `q`-quantile (`0.0..=1.0`) from the buckets.
     ///
-    /// Returns the upper bound of the bucket containing the target rank,
-    /// clamped to the exact observed `max` — so the worst-case relative
-    /// error is the sub-bucket width (1/8).
+    /// Returns the upper bound of the bucket holding the [`nearest_rank`]
+    /// observation, clamped to the exact observed `max` — so the
+    /// worst-case relative error is the sub-bucket width (1/8).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let target = nearest_rank(self.count, q);
         let mut cumulative = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
             cumulative += n;
@@ -361,6 +374,36 @@ mod tests {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(lo <= v && v <= hi);
             assert!((hi - lo) as f64 <= lo as f64 / 4.0 + 1.0);
+        }
+    }
+
+    #[test]
+    fn nearest_rank_is_ceil_qn_clamped_to_the_sample() {
+        // (n, q, rank): nothing to rank at n = 0; the one sample at n = 1;
+        // the *lower* of two samples as the median; the middle of three;
+        // exactly rank N for pN of 100;
+        // out-of-range quantiles clamp to the sample.
+        for (n, q, rank) in [
+            (0, 0.5, 0),
+            (1, 0.0, 1),
+            (1, 0.5, 1),
+            (1, 0.99, 1),
+            (2, 0.5, 1),
+            (2, 0.95, 2),
+            (2, 0.99, 2),
+            (3, 0.5, 2),
+            (3, 0.95, 3),
+            (3, 0.99, 3),
+            (100, 0.5, 50),
+            (100, 0.9, 90),
+            (100, 0.95, 95),
+            (100, 0.99, 99),
+            (100, 1.0, 100),
+            (100, 0.0, 1),
+            (100, -1.0, 1),
+            (100, 2.0, 100),
+        ] {
+            assert_eq!(nearest_rank(n, q), rank, "n = {n}, q = {q}");
         }
     }
 
