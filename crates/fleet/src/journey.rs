@@ -116,3 +116,75 @@ pub fn run_journey<'k>(
     let _span = telemetry::span("journey", "mechanism");
     Some((mechanism.run_split(&mut ctx), started))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use refstate_crypto::{sha256, DsaParams};
+    use refstate_mechanisms::api::MechanismRegistry;
+
+    use crate::scenario::{generate, Preset};
+
+    /// One digest per built-in mechanism over the event timeline and
+    /// verdict of the first 24 seed-42 scenarios of every preset: a
+    /// change to any journey driver that moves an event, a byte count or
+    /// a verdict moves its mechanism's row.
+    #[test]
+    fn event_timelines_are_pinned() {
+        let params = DsaParams::test_group_256();
+        let mut rng = StdRng::seed_from_u64(42);
+        let keys: Vec<DsaKeyPair> = (0..8)
+            .map(|_| DsaKeyPair::generate(&params, &mut rng))
+            .collect();
+        let key = |pos: usize, _: &HostSpec| &keys[pos % keys.len()];
+        let config = MechanismConfig::default();
+        let pipeline = Arc::new(VerificationPipeline::uncached());
+        let digests: Vec<(&str, String)> = MechanismRegistry::builtin()
+            .iter()
+            .map(|mechanism| {
+                let mut text = String::new();
+                for preset in Preset::ALL {
+                    for id in 0..24 {
+                        let scenario = generate(42, id, preset);
+                        let directory = scenario_directory(&scenario, key);
+                        let log = EventLog::new();
+                        let env = JourneyEnv {
+                            seed: 42,
+                            directory: &directory,
+                            config: &config,
+                            pipeline: &pipeline,
+                            log: &log,
+                        };
+                        let Some((split, _)) =
+                            run_journey(&env, &scenario, mechanism.as_ref(), key)
+                        else {
+                            continue;
+                        };
+                        let verdict = split.settle(&config, &pipeline, &log, &directory);
+                        text.push_str(&log.render());
+                        text.push_str(&format!("{verdict:?}\n"));
+                    }
+                }
+                (mechanism.name(), sha256(text.as_bytes()).short())
+            })
+            .collect();
+        let pinned = [
+            ("unprotected", "f4338975"),
+            ("appraisal", "a187c61d"),
+            ("framework", "ebbfc3cd"),
+            ("protocol", "5009b9ef"),
+            ("traces", "5ccee155"),
+            ("replication", "8286e4f5"),
+            ("chained", "9eaaf28b"),
+            ("encapsulated", "a6e6e15b"),
+            ("cooperating", "8dfff1e4"),
+        ];
+        let pinned: Vec<(&str, String)> = pinned
+            .into_iter()
+            .map(|(name, digest)| (name, digest.to_owned()))
+            .collect();
+        assert_eq!(digests, pinned);
+    }
+}
