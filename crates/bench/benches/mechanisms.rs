@@ -178,6 +178,7 @@ fn bench_replication_width(c: &mut Criterion) {
                     build_generic_agent(PARAMS),
                     &exec,
                     &EventLog::new(),
+                    &refstate_core::VerificationPipeline::uncached(),
                 )
                 .unwrap()
             })

@@ -210,8 +210,10 @@ fn main() {
             // directly, so strip the itinerary by letting the vote carry it.
             let agent = build_generic_agent(params);
             let log = EventLog::new();
+            let pipeline = refstate_core::VerificationPipeline::uncached();
             let outcome =
-                run_replicated_pipeline(&mut hosts, &stages, agent, &exec, &log).expect("pipeline");
+                run_replicated_pipeline(&mut hosts, &stages, agent, &exec, &log, &pipeline)
+                    .expect("pipeline");
             assert!(outcome.suspects.is_empty());
         }),
     ));

@@ -10,12 +10,17 @@
 //! [`crate::protocol`].
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use refstate_platform::{AgentImage, Event, EventLog, Host, HostId, SessionRecord};
-use refstate_vm::{DataState, ExecConfig, Program, SessionEnd, TraceMode, VmError};
+use refstate_platform::{
+    walk, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord, Visit,
+};
+use refstate_vm::{DataState, ExecConfig, Program, TraceMode};
 
-use crate::checker::{check_sessions_with, CheckContext, CheckOutcome, CheckingAlgorithm};
+use crate::checker::{
+    check_sessions_with, CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason,
+};
 use crate::moment::CheckMoment;
 use crate::refdata::{HostFacilities, ReferenceData, ReferenceDataKind};
 use crate::route::{RouteRecording, SignedRoute};
@@ -111,49 +116,6 @@ impl ProtectedAgent {
     }
 }
 
-/// Errors from a framework journey.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum FrameworkError {
-    /// The agent migrated to an unregistered host.
-    UnknownHost {
-        /// The destination.
-        host: HostId,
-    },
-    /// Hop budget exhausted.
-    TooManyHops {
-        /// The budget.
-        limit: usize,
-    },
-    /// A session failed in the VM.
-    Vm(VmError),
-}
-
-impl fmt::Display for FrameworkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameworkError::UnknownHost { host } => write!(f, "unknown migration target {host}"),
-            FrameworkError::TooManyHops { limit } => write!(f, "journey exceeded {limit} hops"),
-            FrameworkError::Vm(e) => write!(f, "session failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameworkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FrameworkError::Vm(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<VmError> for FrameworkError {
-    fn from(e: VmError) -> Self {
-        FrameworkError::Vm(e)
-    }
-}
-
 /// The result of a framework-protected journey.
 #[derive(Debug)]
 pub struct FrameworkOutcome {
@@ -194,6 +156,184 @@ fn reference_state_for_evidence(
     crate::pipeline::VerificationPipeline::uncached().reference_state(program, initial, input, exec)
 }
 
+/// A session kept for checking: its sequence number, executor and
+/// record. Sessions of hosts the configuration skips are never kept.
+struct Kept {
+    seq: u64,
+    executor: HostId,
+    record: SessionRecord,
+}
+
+/// The framework's part of the itinerary: sign the route and keep each
+/// checked session on departure; with [`CheckMoment::AfterSession`],
+/// check the previous session on arrival.
+struct FrameworkLeg<'a> {
+    config: &'a ProtectionConfig,
+    exec: &'a ExecConfig,
+    log: &'a EventLog,
+    route: SignedRoute,
+    verdicts: Vec<CheckVerdict>,
+    /// AfterSession: the previous session. AfterTask: every session.
+    kept: Vec<Kept>,
+}
+
+impl FrameworkLeg<'_> {
+    /// Records a check's outcome — the `CheckPerformed` event, the
+    /// verdict and, on failure, the `FraudDetected` event — and returns
+    /// the failure.
+    fn record(
+        &mut self,
+        kept: &Kept,
+        checker: &HostId,
+        outcome: CheckOutcome,
+    ) -> Option<FailureReason> {
+        self.log.record(Event::CheckPerformed {
+            checker: checker.clone(),
+            checked: kept.executor.clone(),
+            passed: outcome.passed(),
+        });
+        let failure = match outcome {
+            CheckOutcome::Passed => None,
+            CheckOutcome::Failed(reason) => Some(reason),
+        };
+        self.verdicts.push(CheckVerdict {
+            checked: kept.executor.clone(),
+            checker: checker.clone(),
+            seq: kept.seq,
+            failure: failure.clone(),
+        });
+        if let Some(reason) = &failure {
+            self.log.record(Event::FraudDetected {
+                culprit: kept.executor.clone(),
+                detector: checker.clone(),
+                reason: reason.to_string(),
+            });
+        }
+        failure
+    }
+
+    /// The evidence of a failed check.
+    fn evidence(
+        &self,
+        agent: &AgentImage,
+        kept: &Kept,
+        checker: &HostId,
+        data: &ReferenceData,
+        reason: FailureReason,
+    ) -> FraudEvidence {
+        FraudEvidence {
+            culprit: kept.executor.clone(),
+            detector: checker.clone(),
+            agent: agent.id.clone(),
+            seq: kept.seq,
+            reason,
+            initial_state: kept.record.initial_state.clone(),
+            claimed_state: kept.record.outcome.state.clone(),
+            reference_state: reference_state_for_evidence(&agent.program, data, self.exec),
+            input: kept.record.outcome.input_log.clone(),
+            signed_claim: None,
+        }
+    }
+
+    /// Checks one kept session at `checker`: the arrival check, and the
+    /// owner's check of the halting host's session.
+    fn check(
+        &mut self,
+        agent: &AgentImage,
+        kept: &Kept,
+        checker: &HostId,
+    ) -> Option<FraudEvidence> {
+        let data =
+            HostFacilities::new(&kept.record).provide(&self.config.algorithm.required_data());
+        let ctx = CheckContext {
+            program: &agent.program,
+            data: &data,
+            exec: self.exec.clone(),
+        };
+        let outcome = self.config.algorithm.check(&ctx);
+        let reason = self.record(kept, checker, outcome)?;
+        Some(self.evidence(agent, kept, checker, &data, reason))
+    }
+
+    /// The checks after the agent halted at `last`: the halting host's own
+    /// session (AfterSession; the owner's check, attributed to the halting
+    /// host) or every kept session in one bulk pass through the
+    /// `check_sessions` seam (AfterTask; outcomes stay in journey order
+    /// for any worker count).
+    fn finish(&mut self, agent: &AgentImage, last: &HostId) -> Option<FraudEvidence> {
+        let kept = std::mem::take(&mut self.kept);
+        if self.config.moment == CheckMoment::AfterSession {
+            let session = kept.into_iter().next()?;
+            let checker = session.executor.clone();
+            return self.check(agent, &session, &checker);
+        }
+        let required = self.config.algorithm.required_data();
+        let datas: Vec<ReferenceData> = kept
+            .iter()
+            .map(|k| HostFacilities::new(&k.record).provide(&required))
+            .collect();
+        let contexts: Vec<CheckContext<'_>> = datas
+            .iter()
+            .map(|data| CheckContext {
+                program: &agent.program,
+                data,
+                exec: self.exec.clone(),
+            })
+            .collect();
+        let outcomes = check_sessions_with(
+            self.config.algorithm.as_ref(),
+            &contexts,
+            self.config.check_workers,
+        );
+        let mut fraud = None;
+        for ((session, data), outcome) in kept.iter().zip(&datas).zip(outcomes) {
+            if let Some(reason) = self.record(session, last, outcome) {
+                if fraud.is_none() {
+                    fraud = Some(self.evidence(agent, session, last, data, reason));
+                }
+            }
+        }
+        fraud
+    }
+}
+
+impl Leg for FrameworkLeg<'_> {
+    type Stop = FraudEvidence;
+
+    /// checkAfterSession: the first action on arrival (paper Fig. 4).
+    fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<FraudEvidence> {
+        if self.config.moment != CheckMoment::AfterSession {
+            return ControlFlow::Continue(());
+        }
+        let Some(previous) = self.kept.pop() else {
+            return ControlFlow::Continue(());
+        };
+        match self.check(visit.agent, &previous, visit.here()) {
+            Some(fraud) => ControlFlow::Break(fraud),
+            None => ControlFlow::Continue(()),
+        }
+    }
+
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<FraudEvidence, usize> {
+        let host = &mut visit.hosts[visit.at];
+        if self.config.route == RouteRecording::SignedAppend {
+            self.route.append_signed_by(host);
+        }
+        if !(self.config.skip_trusted && host.is_trusted()) {
+            self.kept.push(Kept {
+                seq: visit.seq(),
+                executor: visit.here().clone(),
+                record,
+            });
+        }
+        ControlFlow::Continue(0)
+    }
+}
+
 /// Runs a protected journey under the generic framework.
 ///
 /// The agent starts at `start`; after each migration the *receiving* host
@@ -207,15 +347,15 @@ fn reference_state_for_evidence(
 ///
 /// # Errors
 ///
-/// See [`FrameworkError`]. A *detected fraud* is not an error — it is the
+/// See [`JourneyError`]. A *detected fraud* is not an error — it is the
 /// mechanism working; errors are infrastructure failures.
 pub fn run_framework_journey(
     hosts: &mut [Host],
     start: impl Into<HostId>,
     agent: ProtectedAgent,
     log: &EventLog,
-) -> Result<FrameworkOutcome, FrameworkError> {
-    let ProtectedAgent { mut image, config } = agent;
+) -> Result<FrameworkOutcome, JourneyError> {
+    let ProtectedAgent { image, config } = agent;
     let mut exec = config.exec.clone();
     if config
         .algorithm
@@ -224,350 +364,29 @@ pub fn run_framework_journey(
     {
         exec.trace_mode = TraceMode::Full;
     }
-
-    let mut current = start.into();
-    log.record(Event::AgentCreated {
-        agent: image.id.clone(),
-        home: current.clone(),
-    });
-    let mut path = vec![current.clone()];
-    let mut verdicts: Vec<CheckVerdict> = Vec::new();
-    let mut route = SignedRoute::new(image.id.clone());
-    // Retained (executor, initial, record) tuples for AfterTask checking.
-    let mut retained: Vec<(HostId, SessionRecord)> = Vec::new();
-    // The previous session, for AfterSession checking on arrival.
-    let mut previous: Option<(HostId, SessionRecord)> = None;
-
-    let mut hops = 0usize;
-    loop {
-        if hops > config.max_hops {
-            return Err(FrameworkError::TooManyHops {
-                limit: config.max_hops,
-            });
-        }
-        hops += 1;
-
-        let host_index = hosts
-            .iter()
-            .position(|h| h.id() == &current)
-            .ok_or_else(|| FrameworkError::UnknownHost {
-                host: current.clone(),
-            })?;
-
-        // --- checkAfterSession: first action on arrival (paper Fig. 4) ---
-        if config.moment == CheckMoment::AfterSession {
-            if let Some((executor, record)) = previous.take() {
-                let trusted_executor = hosts
-                    .iter()
-                    .find(|h| h.id() == &executor)
-                    .map(|h| h.is_trusted())
-                    .unwrap_or(false);
-                if !(config.skip_trusted && trusted_executor) {
-                    let facilities = HostFacilities::new(&record);
-                    let data = facilities.provide(&config.algorithm.required_data());
-                    let ctx = CheckContext {
-                        program: &image.program,
-                        data: &data,
-                        exec: exec.clone(),
-                    };
-                    let outcome = config.algorithm.check(&ctx);
-                    let passed = outcome.passed();
-                    log.record(Event::CheckPerformed {
-                        checker: current.clone(),
-                        checked: executor.clone(),
-                        passed,
-                    });
-                    let seq = (path.len() - 2) as u64;
-                    match outcome {
-                        CheckOutcome::Passed => verdicts.push(CheckVerdict {
-                            checked: executor.clone(),
-                            checker: current.clone(),
-                            seq,
-                            failure: None,
-                        }),
-                        CheckOutcome::Failed(reason) => {
-                            log.record(Event::FraudDetected {
-                                culprit: executor.clone(),
-                                detector: current.clone(),
-                                reason: reason.to_string(),
-                            });
-                            verdicts.push(CheckVerdict {
-                                checked: executor.clone(),
-                                checker: current.clone(),
-                                seq,
-                                failure: Some(reason.clone()),
-                            });
-                            let fraud = FraudEvidence {
-                                culprit: executor.clone(),
-                                detector: current.clone(),
-                                agent: image.id.clone(),
-                                seq,
-                                reason,
-                                initial_state: record.initial_state.clone(),
-                                claimed_state: record.outcome.state.clone(),
-                                reference_state: reference_state_for_evidence(
-                                    &image.program,
-                                    &data,
-                                    &exec,
-                                ),
-                                input: record.outcome.input_log.clone(),
-                                signed_claim: None,
-                            };
-                            return Ok(FrameworkOutcome {
-                                final_state: record.outcome.state,
-                                path,
-                                verdicts,
-                                fraud: Some(fraud),
-                                route,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- execute the session on the current host ---
-        let host = &mut hosts[host_index];
-        let record = host.execute_session(&image, &exec, log)?;
-        if config.route == RouteRecording::SignedAppend {
-            // The host signs its own route entry. We borrow its key via a
-            // small signing detour: hosts sign payloads themselves.
-            append_route_entry(&mut route, host);
-        }
-        image.state = record.outcome.state.clone();
-        let end = record.outcome.end.clone();
-
-        match config.moment {
-            CheckMoment::AfterSession => previous = Some((current.clone(), record)),
-            CheckMoment::AfterTask => retained.push((current.clone(), record)),
-        }
-
-        match end {
-            SessionEnd::Migrate(next) => {
-                let next = HostId::new(next);
-                if !hosts.iter().any(|h| h.id() == &next) {
-                    return Err(FrameworkError::UnknownHost { host: next });
-                }
-                let bytes = refstate_wire::to_wire(&image).len();
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next.clone(),
-                    agent: image.id.clone(),
-                    bytes,
-                });
-                path.push(next.clone());
-                current = next;
-            }
-            SessionEnd::Halt => break,
-        }
-    }
-
-    // --- checkAfterSession for the final session (the last host's own
-    // session is checked by the owner/home conceptually; here the journey
-    // ends, and the final session was executed by the halting host) ---
-    let mut fraud = None;
-    if config.moment == CheckMoment::AfterSession {
-        if let Some((executor, record)) = previous.take() {
-            // The halting host's session is checked by the owner — modelled
-            // as a final check attributed to the same halting host id.
-            let trusted_executor = hosts
-                .iter()
-                .find(|h| h.id() == &executor)
-                .map(|h| h.is_trusted())
-                .unwrap_or(false);
-            if !(config.skip_trusted && trusted_executor) {
-                fraud = run_task_check(
-                    &image.program,
-                    &exec,
-                    &config,
-                    &executor,
-                    &executor,
-                    (path.len() - 1) as u64,
-                    &record,
-                    &image,
-                    log,
-                    &mut verdicts,
-                )?;
-            }
-        }
-    }
-
-    // --- checkAfterTask: evaluate every retained session at the last host,
-    // in one bulk pass through the `check_sessions` seam (the owner-side
-    // batch is the natural parallelism unit; outcomes stay in journey
-    // order for any worker count) ---
-    if config.moment == CheckMoment::AfterTask {
-        let last = current.clone();
-        let checked: Vec<(usize, &HostId, &SessionRecord)> = retained
-            .iter()
-            .enumerate()
-            .filter(|(_, (executor, _))| {
-                let trusted_executor = hosts
-                    .iter()
-                    .find(|h| h.id() == executor)
-                    .map(|h| h.is_trusted())
-                    .unwrap_or(false);
-                !(config.skip_trusted && trusted_executor)
-            })
-            .map(|(seq, (executor, record))| (seq, executor, record))
-            .collect();
-        let datas: Vec<ReferenceData> = checked
-            .iter()
-            .map(|(_, _, record)| {
-                HostFacilities::new(record).provide(&config.algorithm.required_data())
-            })
-            .collect();
-        let contexts: Vec<CheckContext<'_>> = datas
-            .iter()
-            .map(|data| CheckContext {
-                program: &image.program,
-                data,
-                exec: exec.clone(),
-            })
-            .collect();
-        let outcomes =
-            check_sessions_with(config.algorithm.as_ref(), &contexts, config.check_workers);
-        for (((seq, executor, record), data), outcome) in
-            checked.into_iter().zip(&datas).zip(outcomes)
-        {
-            log.record(Event::CheckPerformed {
-                checker: last.clone(),
-                checked: executor.clone(),
-                passed: outcome.passed(),
-            });
-            match outcome {
-                CheckOutcome::Passed => verdicts.push(CheckVerdict {
-                    checked: executor.clone(),
-                    checker: last.clone(),
-                    seq: seq as u64,
-                    failure: None,
-                }),
-                CheckOutcome::Failed(reason) => {
-                    log.record(Event::FraudDetected {
-                        culprit: executor.clone(),
-                        detector: last.clone(),
-                        reason: reason.to_string(),
-                    });
-                    verdicts.push(CheckVerdict {
-                        checked: executor.clone(),
-                        checker: last.clone(),
-                        seq: seq as u64,
-                        failure: Some(reason.clone()),
-                    });
-                    if fraud.is_none() {
-                        fraud = Some(FraudEvidence {
-                            culprit: executor.clone(),
-                            detector: last.clone(),
-                            agent: image.id.clone(),
-                            seq: seq as u64,
-                            reason,
-                            initial_state: record.initial_state.clone(),
-                            claimed_state: record.outcome.state.clone(),
-                            reference_state: reference_state_for_evidence(
-                                &image.program,
-                                data,
-                                &exec,
-                            ),
-                            input: record.outcome.input_log.clone(),
-                            signed_claim: None,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
+    let mut leg = FrameworkLeg {
+        config: &config,
+        exec: &exec,
+        log,
+        route: SignedRoute::new(image.id.clone()),
+        verdicts: Vec::new(),
+        kept: Vec::new(),
+    };
+    let walk = walk(hosts, start, image, &exec, log, config.max_hops, &mut leg);
+    let fraud = match walk.result? {
+        Some(fraud) => Some(fraud),
+        None => leg.finish(
+            &walk.image,
+            walk.path.last().expect("a path is never empty"),
+        ),
+    };
     Ok(FrameworkOutcome {
-        final_state: image.state,
-        path,
-        verdicts,
+        final_state: walk.image.state,
+        path: walk.path,
+        verdicts: leg.verdicts,
         fraud,
-        route,
+        route: leg.route,
     })
-}
-
-/// Checks one session at task end, returning the fraud evidence of a
-/// failed check (helper for the final-session check in AfterSession mode:
-/// an attack on the *last* host of the route must surface as fraud, not
-/// just as a failed verdict).
-#[allow(clippy::too_many_arguments)]
-fn run_task_check(
-    program: &Program,
-    exec: &ExecConfig,
-    config: &ProtectionConfig,
-    executor: &HostId,
-    checker: &HostId,
-    seq: u64,
-    record: &SessionRecord,
-    image: &AgentImage,
-    log: &EventLog,
-    verdicts: &mut Vec<CheckVerdict>,
-) -> Result<Option<FraudEvidence>, FrameworkError> {
-    let facilities = HostFacilities::new(record);
-    let data = facilities.provide(&config.algorithm.required_data());
-    let ctx = CheckContext {
-        program,
-        data: &data,
-        exec: exec.clone(),
-    };
-    let outcome = config.algorithm.check(&ctx);
-    log.record(Event::CheckPerformed {
-        checker: checker.clone(),
-        checked: executor.clone(),
-        passed: outcome.passed(),
-    });
-    let failure = match outcome {
-        CheckOutcome::Passed => None,
-        CheckOutcome::Failed(reason) => Some(reason),
-    };
-    verdicts.push(CheckVerdict {
-        checked: executor.clone(),
-        checker: checker.clone(),
-        seq,
-        failure: failure.clone(),
-    });
-    Ok(failure.map(|reason| {
-        log.record(Event::FraudDetected {
-            culprit: executor.clone(),
-            detector: checker.clone(),
-            reason: reason.to_string(),
-        });
-        FraudEvidence {
-            culprit: executor.clone(),
-            detector: checker.clone(),
-            agent: image.id.clone(),
-            seq,
-            reason,
-            initial_state: record.initial_state.clone(),
-            claimed_state: record.outcome.state.clone(),
-            reference_state: reference_state_for_evidence(program, &data, exec),
-            input: record.outcome.input_log.clone(),
-            signed_claim: None,
-        }
-    }))
-}
-
-fn append_route_entry(route: &mut SignedRoute, host: &mut Host) {
-    // Hosts sign with their own keys through Host::sign; SignedRoute
-    // expects a DsaKeyPair, so route signing goes through a sign-adapter:
-    // the entry payload is built by SignedRoute::append's logic inline.
-    let entry = crate::route::RouteEntry {
-        agent: route_agent(route),
-        seq: route.len() as u64,
-        host: host.id().clone(),
-    };
-    let signed = host.sign(entry);
-    route_push(route, signed);
-}
-
-// SignedRoute intentionally keeps its internals private; these two small
-// helpers live here to avoid widening its public API beyond tests' needs.
-fn route_agent(route: &SignedRoute) -> refstate_platform::AgentId {
-    route.agent_id().expect("route created with an agent id")
-}
-
-fn route_push(route: &mut SignedRoute, entry: refstate_crypto::Signed<crate::route::RouteEntry>) {
-    route.push_signed_entry(entry);
 }
 
 #[cfg(test)]
@@ -879,6 +698,6 @@ mod tests {
             &log,
         )
         .unwrap_err();
-        assert!(matches!(err, FrameworkError::UnknownHost { .. }));
+        assert!(matches!(err, JourneyError::UnknownHost { .. }));
     }
 }

@@ -26,13 +26,16 @@
 //! simply skips step 2) — the paper accepts this trade-off for timeliness,
 //! and the driver reproduces it faithfully.
 
-use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use refstate_crypto::{sha256, Digest, KeyDirectory, Signed, VerificationQueue};
-use refstate_platform::{AgentId, AgentImage, Event, EventLog, Host, HostId};
-use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd, VmError};
+use refstate_platform::{
+    walk, AgentId, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord,
+    Visit,
+};
+use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd};
 use refstate_wire::{from_wire, to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::checker::{
@@ -183,8 +186,10 @@ impl Default for ProtocolConfig {
 pub struct ProtocolStats {
     /// Time spent computing and verifying signatures ("sign & verify").
     pub sign_verify: Duration,
-    /// Time spent executing agent sessions in the VM ("cycle" work lives
-    /// here for the generic measurement agent).
+    /// Time spent executing agent sessions in the VM — the sum of each
+    /// session's [`SessionRecord::elapsed`], which excludes attack
+    /// application and event logging ("cycle" work lives here for the
+    /// generic measurement agent).
     pub execution: Duration,
     /// Time spent re-executing sessions for checking (the protocol's
     /// "computation is roughly doubled" cost).
@@ -211,50 +216,6 @@ impl ProtocolStats {
             .saturating_sub(self.sign_verify)
             .saturating_sub(self.execution)
             .saturating_sub(self.checking)
-    }
-}
-
-/// Errors from the protocol driver (infrastructure failures; a detected
-/// fraud is a *successful* outcome, not an error).
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ProtocolError {
-    /// The agent migrated to an unregistered host.
-    UnknownHost {
-        /// The destination.
-        host: HostId,
-    },
-    /// Hop budget exhausted.
-    TooManyHops {
-        /// The budget.
-        limit: usize,
-    },
-    /// A session failed in the VM.
-    Vm(VmError),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::UnknownHost { host } => write!(f, "unknown migration target {host}"),
-            ProtocolError::TooManyHops { limit } => write!(f, "journey exceeded {limit} hops"),
-            ProtocolError::Vm(e) => write!(f, "session failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProtocolError::Vm(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<VmError> for ProtocolError {
-    fn from(e: VmError) -> Self {
-        ProtocolError::Vm(e)
     }
 }
 
@@ -319,7 +280,7 @@ pub fn host_directory(hosts: &[Host]) -> KeyDirectory {
 ///
 /// # Errors
 ///
-/// See [`ProtocolError`]. Detected fraud is reported in the outcome, not
+/// See [`JourneyError`]. Detected fraud is reported in the outcome, not
 /// as an error.
 pub fn run_protected_journey(
     hosts: &mut [Host],
@@ -327,7 +288,7 @@ pub fn run_protected_journey(
     agent: AgentImage,
     config: &ProtocolConfig,
     log: &EventLog,
-) -> Result<ProtocolOutcome, ProtocolError> {
+) -> Result<ProtocolOutcome, JourneyError> {
     let directory = host_directory(hosts);
     run_protected_journey_with_directory(hosts, start, agent, config, log, &directory)
 }
@@ -342,7 +303,7 @@ pub fn run_protected_journey(
 ///
 /// # Errors
 ///
-/// See [`ProtocolError`]. Detected fraud is reported in the outcome, not
+/// See [`JourneyError`]. Detected fraud is reported in the outcome, not
 /// as an error.
 pub fn run_protected_journey_with_directory(
     hosts: &mut [Host],
@@ -351,7 +312,7 @@ pub fn run_protected_journey_with_directory(
     config: &ProtocolConfig,
     log: &EventLog,
     directory: &KeyDirectory,
-) -> Result<ProtocolOutcome, ProtocolError> {
+) -> Result<ProtocolOutcome, JourneyError> {
     let agent_id = agent.id.clone();
     let (outcome, pending) =
         run_journey_inner(hosts, start.into(), agent, config, log, directory, None)?;
@@ -434,7 +395,7 @@ pub struct SettleStats {
 ///
 /// # Errors
 ///
-/// See [`ProtocolError`]. Detected fraud is reported in the outcome, not
+/// See [`JourneyError`]. Detected fraud is reported in the outcome, not
 /// as an error.
 pub fn run_protected_journey_deferred(
     hosts: &mut [Host],
@@ -444,7 +405,7 @@ pub fn run_protected_journey_deferred(
     log: &EventLog,
     directory: &KeyDirectory,
     queue: &mut VerificationQueue,
-) -> Result<DeferredJourney, ProtocolError> {
+) -> Result<DeferredJourney, JourneyError> {
     let agent_id = agent.id.clone();
     let before = queue.len();
     let (outcome, pending) = run_journey_inner(
@@ -683,6 +644,187 @@ pub fn settle_deferred(
     stats
 }
 
+/// The protocol's part of the itinerary: on arrival, verify the incoming
+/// certificate, re-execute the previous session unless it is skipped,
+/// and counter-sign the accepted initial state; on departure, sign this
+/// session's certificate and carry it as the migration's baggage.
+struct ProtocolLeg<'a> {
+    config: &'a ProtocolConfig,
+    log: &'a EventLog,
+    directory: &'a KeyDirectory,
+    /// Deferred mode: where certificate signatures wait for the batch.
+    queue: Option<&'a mut VerificationQueue>,
+    stats: ProtocolStats,
+    verdicts: Vec<CheckVerdict>,
+    commitments: Vec<Signed<InitCommitment>>,
+    /// The previous session's certificate and its executor's index in
+    /// the host set, checked on arrival.
+    incoming: Option<(usize, Signed<SessionCertificate>)>,
+    /// The owner's final check, once the agent halted.
+    pending: Option<PendingFinalCheck>,
+}
+
+impl Leg for ProtocolLeg<'_> {
+    type Stop = FraudEvidence<SessionCertificate>;
+
+    fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<Self::Stop> {
+        let Some((executor, signed_cert)) = self.incoming.take() else {
+            return ControlFlow::Continue(());
+        };
+        let sig_ok = match self.queue.as_deref_mut() {
+            // Deferred mode: authenticity settles in one batch at
+            // journey end; accept the certificate provisionally.
+            Some(queue) => {
+                queue.defer_signed(&signed_cert);
+                true
+            }
+            None => {
+                let t = Instant::now();
+                let ok = signed_cert.verify(self.directory).is_ok();
+                self.stats.sign_verify += t.elapsed();
+                self.stats.verifications += 1;
+                ok
+            }
+        };
+
+        let cert = signed_cert.payload();
+        let here = visit.here();
+        let mut failure: Option<FailureReason> = None;
+        let mut reference_state = None;
+        if !sig_ok {
+            failure = Some(FailureReason::ProgramRejected {
+                detail: "session certificate signature invalid".into(),
+            });
+        } else if receiver_checks(self.config, &visit.hosts[executor], here) {
+            // checkAfterSession: re-execute the previous session —
+            // through the shared verification pipeline, so an identical
+            // re-execution performed by any other driver (or the owner's
+            // audit later) is a cache hit.
+            let t = Instant::now();
+            let claimed_next = cert.next.as_ref().map(|h| h.as_str().to_owned());
+            let (outcome, reference) = self.config.pipeline.verify_session_with_reference(
+                &visit.agent.program,
+                &cert.initial_state,
+                &cert.resulting_state,
+                &cert.input,
+                Some(&claimed_next),
+                &self.config.exec,
+            );
+            if let CheckOutcome::Failed(reason) = outcome {
+                failure = Some(reason);
+                // Fraud evidence carries the complete reference state;
+                // the check hands back the one it materialized while
+                // diffing, so the failure path costs no extra replay.
+                reference_state = reference;
+            }
+            self.stats.checking += t.elapsed();
+            self.stats.reexecutions += 1;
+            self.log.record(Event::CheckPerformed {
+                checker: here.clone(),
+                checked: cert.executor.clone(),
+                passed: failure.is_none(),
+            });
+        }
+
+        let Some(reason) = failure else {
+            self.verdicts.push(CheckVerdict {
+                checked: cert.executor.clone(),
+                checker: here.clone(),
+                seq: cert.seq,
+                failure: None,
+            });
+            // Dual-signing: commit to the accepted initial state of the
+            // session about to run here.
+            let t = Instant::now();
+            let commitment = InitCommitment {
+                agent: visit.agent.id.clone(),
+                seq: visit.seq(),
+                receiver: here.clone(),
+                initial_digest: cert.resulting_digest(),
+            };
+            let signed = visit.hosts[visit.at].sign(commitment);
+            self.stats.sign_verify += t.elapsed();
+            self.stats.signatures += 1;
+            self.commitments.push(signed);
+            return ControlFlow::Continue(());
+        };
+        self.log.record(Event::FraudDetected {
+            culprit: cert.executor.clone(),
+            detector: here.clone(),
+            reason: reason.to_string(),
+        });
+        self.verdicts.push(CheckVerdict {
+            checked: cert.executor.clone(),
+            checker: here.clone(),
+            seq: cert.seq,
+            failure: Some(reason.clone()),
+        });
+        ControlFlow::Break(FraudEvidence {
+            culprit: cert.executor.clone(),
+            detector: here.clone(),
+            agent: visit.agent.id.clone(),
+            seq: cert.seq,
+            reason,
+            initial_state: cert.initial_state.clone(),
+            claimed_state: cert.resulting_state.clone(),
+            reference_state,
+            input: cert.input.clone(),
+            signed_claim: Some(signed_cert),
+        })
+    }
+
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<Self::Stop, usize> {
+        self.stats.execution += record.elapsed;
+        let next = match record.outcome.end {
+            SessionEnd::Migrate(h) => Some(HostId::new(h)),
+            SessionEnd::Halt => None,
+        };
+        let halted = next.is_none();
+        let cert = SessionCertificate {
+            agent: visit.agent.id.clone(),
+            seq: visit.seq(),
+            executor: visit.here().clone(),
+            initial_state: record.initial_state,
+            resulting_state: record.outcome.state,
+            input: record.outcome.input_log,
+            next,
+        };
+        let host = &mut visit.hosts[visit.at];
+        let t = Instant::now();
+        let signed_cert = host.sign(cert);
+        self.stats.sign_verify += t.elapsed();
+        self.stats.signatures += 1;
+
+        if !halted {
+            let baggage = to_wire(signed_cert.payload()).len();
+            self.incoming = Some((visit.at, signed_cert));
+            return ControlFlow::Continue(baggage);
+        }
+        // Task complete. The final session is checked by the owner
+        // (modelled as an owner-side verification pass when the halting
+        // host is untrusted). The check itself is handed back as a
+        // [`PendingFinalCheck`] and performed by [`settle_deferred`]'s
+        // [`check_sessions_with`] bulk pass — the single seam every
+        // owner-side `checkAfterTask` verification funnels into, so
+        // batching and parallelism work land in one place.
+        if !(self.config.skip_trusted && host.is_trusted()) {
+            let cert = signed_cert.payload();
+            self.pending = Some(PendingFinalCheck {
+                program: visit.agent.program.clone(),
+                agent: cert.agent.clone(),
+                executor: cert.executor.clone(),
+                seq: cert.seq,
+                signed_cert,
+            });
+        }
+        ControlFlow::Continue(0)
+    }
+}
+
 /// The journey loop. The owner's final re-execution check is never run
 /// here — it is returned as a [`PendingFinalCheck`] (when due) and settled
 /// by [`settle_deferred`], alone or amortized across a batch.
@@ -693,244 +835,44 @@ fn run_journey_inner(
     config: &ProtocolConfig,
     log: &EventLog,
     directory: &KeyDirectory,
-    mut queue: Option<&mut VerificationQueue>,
-) -> Result<(ProtocolOutcome, Option<PendingFinalCheck>), ProtocolError> {
+    queue: Option<&mut VerificationQueue>,
+) -> Result<(ProtocolOutcome, Option<PendingFinalCheck>), JourneyError> {
     let journey_start = Instant::now();
-    let mut stats = ProtocolStats::default();
-
-    let mut current = start;
-    log.record(Event::AgentCreated {
-        agent: agent.id.clone(),
-        home: current.clone(),
-    });
-    let mut path = vec![current.clone()];
-    let mut verdicts = Vec::new();
-    let mut commitments = Vec::new();
-
-    let mut image = agent;
-    // The certificate of the previous session, to be checked on arrival.
-    let mut incoming: Option<Signed<SessionCertificate>> = None;
-    let mut seq: u64 = 0;
-
-    loop {
-        if path.len() > config.max_hops {
-            return Err(ProtocolError::TooManyHops {
-                limit: config.max_hops,
-            });
-        }
-        let host_index = hosts
-            .iter()
-            .position(|h| h.id() == &current)
-            .ok_or_else(|| ProtocolError::UnknownHost {
-                host: current.clone(),
-            })?;
-
-        // --- arrival: verify and (maybe) re-execute the previous session ---
-        if let Some(signed_cert) = incoming.take() {
-            let sig_ok = match queue.as_deref_mut() {
-                // Deferred mode: authenticity settles in one batch at
-                // journey end; accept the certificate provisionally.
-                Some(queue) => {
-                    queue.defer_signed(&signed_cert);
-                    true
-                }
-                None => {
-                    let t = Instant::now();
-                    let ok = signed_cert.verify(directory).is_ok();
-                    stats.sign_verify += t.elapsed();
-                    stats.verifications += 1;
-                    ok
-                }
-            };
-
-            let cert = signed_cert.payload().clone();
-            let executor_index = hosts
-                .iter()
-                .position(|h| h.id() == &cert.executor)
-                .ok_or_else(|| ProtocolError::UnknownHost {
-                    host: cert.executor.clone(),
-                })?;
-
-            let mut failure: Option<FailureReason> = None;
-            let mut reference_state = None;
-
-            if !sig_ok {
-                failure = Some(FailureReason::ProgramRejected {
-                    detail: "session certificate signature invalid".into(),
-                });
-            } else if receiver_checks(config, &hosts[executor_index], &current) {
-                // checkAfterSession: re-execute the previous session —
-                // through the shared verification pipeline, so an
-                // identical re-execution performed by any other driver
-                // (or the owner's audit later) is a cache hit.
-                let t = Instant::now();
-                let claimed_next = cert.next.as_ref().map(|h| h.as_str().to_owned());
-                let (outcome, reference) = config.pipeline.verify_session_with_reference(
-                    &image.program,
-                    &cert.initial_state,
-                    &cert.resulting_state,
-                    &cert.input,
-                    Some(&claimed_next),
-                    &config.exec,
-                );
-                if let CheckOutcome::Failed(reason) = outcome {
-                    failure = Some(reason);
-                    // Fraud evidence carries the complete reference state;
-                    // the check hands back the one it materialized while
-                    // diffing, so the failure path costs no extra replay.
-                    reference_state = reference;
-                }
-                stats.checking += t.elapsed();
-                stats.reexecutions += 1;
-                log.record(Event::CheckPerformed {
-                    checker: current.clone(),
-                    checked: cert.executor.clone(),
-                    passed: failure.is_none(),
-                });
-            }
-
-            match failure {
-                None => {
-                    verdicts.push(CheckVerdict {
-                        checked: cert.executor.clone(),
-                        checker: current.clone(),
-                        seq: cert.seq,
-                        failure: None,
-                    });
-                    // Dual-signing: commit to the accepted initial state of
-                    // the session about to run here.
-                    let t = Instant::now();
-                    let commitment = InitCommitment {
-                        agent: image.id.clone(),
-                        seq,
-                        receiver: current.clone(),
-                        initial_digest: cert.resulting_digest(),
-                    };
-                    let signed = hosts[host_index].sign(commitment);
-                    stats.sign_verify += t.elapsed();
-                    stats.signatures += 1;
-                    commitments.push(signed);
-                }
-                Some(reason) => {
-                    log.record(Event::FraudDetected {
-                        culprit: cert.executor.clone(),
-                        detector: current.clone(),
-                        reason: reason.to_string(),
-                    });
-                    verdicts.push(CheckVerdict {
-                        checked: cert.executor.clone(),
-                        checker: current.clone(),
-                        seq: cert.seq,
-                        failure: Some(reason.clone()),
-                    });
-                    stats.total = journey_start.elapsed();
-                    let fraud = FraudEvidence {
-                        culprit: cert.executor.clone(),
-                        detector: current.clone(),
-                        agent: image.id.clone(),
-                        seq: cert.seq,
-                        reason,
-                        initial_state: cert.initial_state.clone(),
-                        claimed_state: cert.resulting_state.clone(),
-                        reference_state,
-                        input: cert.input.clone(),
-                        signed_claim: Some(signed_cert),
-                    };
-                    return Ok((
-                        ProtocolOutcome {
-                            final_state: cert.resulting_state,
-                            path,
-                            verdicts,
-                            fraud: Some(fraud),
-                            commitments,
-                            stats,
-                        },
-                        None,
-                    ));
-                }
-            }
-        }
-
-        // --- execute this host's session ---
-        let host = &mut hosts[host_index];
-        let t = Instant::now();
-        let record = host.execute_session(&image, &config.exec, log)?;
-        stats.execution += t.elapsed();
-
-        image.state = record.outcome.state.clone();
-        let next = match &record.outcome.end {
-            SessionEnd::Migrate(h) => Some(HostId::new(h.clone())),
-            SessionEnd::Halt => None,
-        };
-
-        // Build and sign this session's certificate.
-        let cert = SessionCertificate {
-            agent: image.id.clone(),
-            seq,
-            executor: current.clone(),
-            initial_state: record.initial_state.clone(),
-            resulting_state: record.outcome.state.clone(),
-            input: record.outcome.input_log.clone(),
-            next: next.clone(),
-        };
-        let t = Instant::now();
-        let signed_cert = hosts[host_index].sign(cert);
-        stats.sign_verify += t.elapsed();
-        stats.signatures += 1;
-
-        match next {
-            Some(next_host) => {
-                if !hosts.iter().any(|h| h.id() == &next_host) {
-                    return Err(ProtocolError::UnknownHost { host: next_host });
-                }
-                let bytes = to_wire(&image).len() + to_wire(signed_cert.payload()).len();
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next_host.clone(),
-                    agent: image.id.clone(),
-                    bytes,
-                });
-                incoming = Some(signed_cert);
-                path.push(next_host.clone());
-                current = next_host;
-                seq += 1;
-            }
-            None => {
-                // Task complete. The final session is checked by the owner
-                // (modelled as an owner-side verification pass when the
-                // halting host is untrusted). The check itself is handed
-                // back as a [`PendingFinalCheck`] and performed by
-                // [`settle_deferred`]'s [`check_sessions_with`] bulk pass
-                // — the single seam every owner-side `checkAfterTask`
-                // verification funnels into, so batching and parallelism
-                // work land in one place.
-                let host_trusted = hosts[host_index].is_trusted();
-                let pending = if config.skip_trusted && host_trusted {
-                    None
-                } else {
-                    Some(PendingFinalCheck {
-                        program: image.program.clone(),
-                        agent: image.id.clone(),
-                        executor: current.clone(),
-                        seq,
-                        signed_cert,
-                    })
-                };
-                stats.total = journey_start.elapsed();
-                return Ok((
-                    ProtocolOutcome {
-                        final_state: image.state,
-                        path,
-                        verdicts,
-                        fraud: None,
-                        commitments,
-                        stats,
-                    },
-                    pending,
-                ));
-            }
-        }
-    }
+    let mut leg = ProtocolLeg {
+        config,
+        log,
+        directory,
+        queue,
+        stats: ProtocolStats::default(),
+        verdicts: Vec::new(),
+        commitments: Vec::new(),
+        incoming: None,
+        pending: None,
+    };
+    let walk = walk(
+        hosts,
+        start,
+        agent,
+        &config.exec,
+        log,
+        config.max_hops,
+        &mut leg,
+    );
+    let fraud = walk.result?;
+    let mut stats = leg.stats;
+    stats.total = journey_start.elapsed();
+    Ok((
+        ProtocolOutcome {
+            // On fraud: the state the culprit claimed, kept as evidence.
+            final_state: walk.image.state,
+            path: walk.path,
+            verdicts: leg.verdicts,
+            fraud,
+            commitments: leg.commitments,
+            stats,
+        },
+        leg.pending,
+    ))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::fmt;
 
 use rand::RngCore;
 use refstate_crypto::{DsaKeyPair, KeyDirectory, Signed, VerifyError};
-use refstate_platform::{AgentId, HostId};
+use refstate_platform::{AgentId, Host, HostId};
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// The three route-recording strategies of §3.5.
@@ -74,7 +74,7 @@ impl Decode for RouteEntry {
 /// use rand::SeedableRng;
 /// use refstate_core::route::SignedRoute;
 /// use refstate_crypto::{DsaKeyPair, DsaParams, KeyDirectory};
-/// use refstate_platform::{AgentId, HostId};
+/// use refstate_platform::{AgentId, Host, HostId};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
 /// let params = DsaParams::test_group_256();
@@ -144,30 +144,30 @@ impl SignedRoute {
         }
     }
 
-    /// The agent this route belongs to.
-    pub(crate) fn agent_id(&self) -> Option<AgentId> {
-        self.agent.clone()
-    }
-
-    /// Appends an externally signed entry (used by the framework driver,
-    /// where hosts sign with their own keys).
-    pub(crate) fn push_signed_entry(&mut self, entry: Signed<RouteEntry>) {
-        self.entries.push(entry);
-    }
-
-    /// Appends a hop, signed by the visiting host's keys.
-    pub fn append(&mut self, host: HostId, keys: &DsaKeyPair, rng: &mut dyn RngCore) {
+    /// The entry naming `host` as the next hop.
+    fn next_entry(&self, host: HostId) -> RouteEntry {
         let agent = self
             .agent
             .clone()
             .expect("route must be created with an agent id");
-        let entry = RouteEntry {
+        RouteEntry {
             agent,
             seq: self.entries.len() as u64,
-            host: host.clone(),
-        };
+            host,
+        }
+    }
+
+    /// Appends a hop, signed by the visiting host's keys.
+    pub fn append(&mut self, host: HostId, keys: &DsaKeyPair, rng: &mut dyn RngCore) {
+        let entry = self.next_entry(host.clone());
         self.entries
             .push(Signed::seal(entry, host.as_str(), keys, rng));
+    }
+
+    /// Appends a hop for `host`, which signs its own entry.
+    pub(crate) fn append_signed_by(&mut self, host: &mut Host) {
+        let entry = self.next_entry(host.id().clone());
+        self.entries.push(host.sign(entry));
     }
 
     /// The recorded hosts in order.

@@ -109,19 +109,15 @@ impl MechanismProfile {
 /// aggregate rates compare like with like.
 #[derive(Debug, Clone)]
 pub struct MechanismConfig {
-    /// Execution limits for sessions and checks, applied uniformly (the
-    /// protocol mechanism overrides its [`ProtocolConfig::exec`] and
-    /// `max_hops` with these shared values).
+    /// Execution limits for sessions and checks, applied uniformly.
     pub exec: ExecConfig,
-    /// Config for the session-checking protocol (its `exec` and
-    /// `max_hops` are superseded by the shared fields above).
-    pub protocol: ProtocolConfig,
     /// Rule set for state appraisal. The default expresses what a
     /// programmer of the route agent plausibly writes (`total` defined
     /// and non-negative) — rule-preserving attacks pass it, matching the
     /// §4.1 "lower end of the scale".
     pub rules: RuleSet,
-    /// Hop budget for the unchecked drivers.
+    /// Hop budget: the most sessions a linear journey runs before it
+    /// counts as a runaway itinerary (an infrastructure error).
     pub max_hops: usize,
     /// Defer per-hop signature checks into the journey's
     /// [`VerificationQueue`] and settle them in one batch with the
@@ -143,7 +139,6 @@ impl Default for MechanismConfig {
     fn default() -> Self {
         MechanismConfig {
             exec: ExecConfig::default(),
-            protocol: ProtocolConfig::default(),
             rules: RuleSet::new()
                 .rule("total-defined", Pred::Defined("total".into()))
                 .rule(
@@ -420,7 +415,7 @@ pub fn settle_owner_batch(
         exec: config.exec.clone(),
         max_hops: config.max_hops,
         pipeline: pipeline.clone(),
-        ..config.protocol.clone()
+        ..ProtocolConfig::default()
     };
     let mut queue = VerificationQueue::new();
     let mut journeys = Vec::with_capacity(pendings.len());

@@ -13,10 +13,14 @@
 //!   example: without the inputs, a wrong minimum is unfalsifiable),
 //! * a colluding receiving host can simply not check.
 
+use std::ops::ControlFlow;
+
 use refstate_core::rules::RuleSet;
 use refstate_core::verdict::CheckVerdict;
-use refstate_platform::{AgentImage, Event, EventLog, Host, HostId};
-use refstate_vm::{DataState, ExecConfig, SessionEnd, VmError};
+use refstate_platform::{
+    walk, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, Visit,
+};
+use refstate_vm::{DataState, ExecConfig};
 
 /// The outcome of a state-appraised journey.
 #[derive(Debug)]
@@ -40,6 +44,54 @@ impl AppraisalOutcome {
     }
 }
 
+/// The appraisal's part of the itinerary: every receiving host that does
+/// not collude appraises the arriving state against the rules.
+struct Appraise<'a> {
+    rules: &'a RuleSet,
+    colluders: &'a [HostId],
+    creation_state: DataState,
+    log: &'a EventLog,
+    verdicts: Vec<CheckVerdict>,
+}
+
+impl Leg for Appraise<'_> {
+    /// `(culprit, detector)` of a rejected state.
+    type Stop = (HostId, HostId);
+
+    fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<(HostId, HostId)> {
+        let (here, previous) = (visit.here(), visit.previous().expect("not the start host"));
+        if self.colluders.contains(here) {
+            return ControlFlow::Continue(());
+        }
+        let report = self
+            .rules
+            .evaluate(&self.creation_state, &visit.agent.state);
+        let passed = report.passed();
+        self.log.record(Event::CheckPerformed {
+            checker: here.clone(),
+            checked: previous.clone(),
+            passed,
+        });
+        self.verdicts.push(CheckVerdict {
+            checked: previous.clone(),
+            checker: here.clone(),
+            seq: visit.seq() - 1,
+            failure: (!passed).then(|| refstate_core::FailureReason::RuleViolated {
+                violations: report.violations.clone(),
+            }),
+        });
+        if passed {
+            return ControlFlow::Continue(());
+        }
+        self.log.record(Event::FraudDetected {
+            culprit: previous.clone(),
+            detector: here.clone(),
+            reason: format!("{} appraisal rule(s) violated", report.violations.len()),
+        });
+        ControlFlow::Break((previous.clone(), here.clone()))
+    }
+}
+
 /// Runs a journey in which every receiving host appraises the arriving
 /// agent state against `rules` before executing it.
 ///
@@ -49,8 +101,8 @@ impl AppraisalOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`VmError`] for infrastructure failures (the appraisal result is
-/// reported in the outcome, not as an error).
+/// See [`JourneyError`]; the appraisal result is reported in the
+/// outcome, not as an error.
 #[allow(clippy::too_many_arguments)]
 pub fn run_appraised_journey(
     hosts: &mut [Host],
@@ -61,94 +113,21 @@ pub fn run_appraised_journey(
     exec: &ExecConfig,
     log: &EventLog,
     max_hops: usize,
-) -> Result<AppraisalOutcome, VmError> {
-    let mut image = agent;
-    let creation_state = image.state.clone();
-    let mut current: HostId = start.into();
-    log.record(Event::AgentCreated {
-        agent: image.id.clone(),
-        home: current.clone(),
-    });
-    let mut path = vec![current.clone()];
-    let mut verdicts = Vec::new();
-    let mut previous: Option<HostId> = None;
-
-    for _ in 0..max_hops {
-        // --- appraisal on arrival (not at the creation host) ---
-        if let Some(prev) = &previous {
-            if !colluders.contains(&current) {
-                let report = rules.evaluate(&creation_state, &image.state);
-                let passed = report.passed();
-                log.record(Event::CheckPerformed {
-                    checker: current.clone(),
-                    checked: prev.clone(),
-                    passed,
-                });
-                verdicts.push(CheckVerdict {
-                    checked: prev.clone(),
-                    checker: current.clone(),
-                    seq: (path.len() - 2) as u64,
-                    failure: if passed {
-                        None
-                    } else {
-                        Some(refstate_core::FailureReason::RuleViolated {
-                            violations: report.violations.clone(),
-                        })
-                    },
-                });
-                if !passed {
-                    log.record(Event::FraudDetected {
-                        culprit: prev.clone(),
-                        detector: current.clone(),
-                        reason: format!("{} appraisal rule(s) violated", report.violations.len()),
-                    });
-                    return Ok(AppraisalOutcome {
-                        final_state: image.state,
-                        path,
-                        verdicts,
-                        rejection: Some((prev.clone(), current.clone())),
-                    });
-                }
-            }
-        }
-
-        // --- execute ---
-        let host =
-            hosts
-                .iter_mut()
-                .find(|h| h.id() == &current)
-                .ok_or(VmError::InputUnavailable {
-                    pc: 0,
-                    what: format!("host:{current}"),
-                })?;
-        let record = host.execute_session(&image, exec, log)?;
-        image.state = record.outcome.state.clone();
-        match &record.outcome.end {
-            SessionEnd::Halt => {
-                return Ok(AppraisalOutcome {
-                    final_state: image.state,
-                    path,
-                    verdicts,
-                    rejection: None,
-                })
-            }
-            SessionEnd::Migrate(next) => {
-                let next = HostId::new(next.clone());
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next.clone(),
-                    agent: image.id.clone(),
-                    bytes: refstate_wire::to_wire(&image).len(),
-                });
-                previous = Some(current.clone());
-                path.push(next.clone());
-                current = next;
-            }
-        }
-    }
-    Err(VmError::StepLimitExceeded {
-        limit: max_hops as u64,
-        session: None,
+) -> Result<AppraisalOutcome, JourneyError> {
+    let mut leg = Appraise {
+        rules,
+        colluders,
+        creation_state: agent.state.clone(),
+        log,
+        verdicts: Vec::new(),
+    };
+    let walk = walk(hosts, start, agent, exec, log, max_hops, &mut leg);
+    let rejection = walk.result?;
+    Ok(AppraisalOutcome {
+        final_state: walk.image.state,
+        path: walk.path,
+        verdicts: leg.verdicts,
+        rejection,
     })
 }
 

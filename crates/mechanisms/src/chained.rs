@@ -45,14 +45,19 @@
 //!   [`MechanismConfig::defer_signatures`](crate::api::MechanismConfig::defer_signatures)
 //!   to `false` for eager per-arrival `verify_fused` instead).
 
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use rand::RngCore;
 use refstate_core::CheckMoment;
 use refstate_core::{ReferenceDataKind, ReferenceDataRequest};
 use refstate_crypto::{sha256, Digest, HmacSha256, KeyDirectory, Signed, VerificationQueue};
-use refstate_platform::{AgentId, AgentImage, Attack, Event, EventLog, Host, HostId};
-use refstate_vm::{DataState, ExecConfig, SessionEnd, VmError};
+use refstate_platform::{
+    walk, AgentId, AgentImage, Attack, Event, EventLog, Host, HostId, JourneyError, Leg,
+    SessionRecord, Visit,
+};
+use refstate_vm::{DataState, ExecConfig};
 use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::api::{
@@ -311,33 +316,6 @@ pub struct ChainFraud {
     pub reason: ChainBreak,
 }
 
-/// Journey errors (infrastructure only — detection is not an error).
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ChainError {
-    /// Unknown migration target.
-    UnknownHost {
-        /// The destination.
-        host: HostId,
-    },
-    /// Hop budget exceeded.
-    TooManyHops {
-        /// The budget.
-        limit: usize,
-    },
-}
-
-impl fmt::Display for ChainError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChainError::UnknownHost { host } => write!(f, "unknown migration target {host}"),
-            ChainError::TooManyHops { limit } => write!(f, "journey exceeded {limit} hops"),
-        }
-    }
-}
-
-impl std::error::Error for ChainError {}
-
 /// A completed MAC-chained journey.
 #[derive(Debug)]
 pub struct MacChainJourney {
@@ -348,9 +326,6 @@ pub struct MacChainJourney {
     /// The carried chain, as the owner received it (manipulations
     /// included).
     pub links: Vec<ChainLink>,
-    /// Set when a session crashed and the journey ended early (the owner
-    /// never receives the chain).
-    pub failure: Option<VmError>,
 }
 
 /// Applies one chain attack to the links collected so far (the chain the
@@ -393,60 +368,31 @@ fn apply_chain_attack<L>(
     }
 }
 
-/// Runs a journey under the MAC-chain discipline: every host appends a
-/// [`ChainLink`] for its session; hosts whose behaviour is a chain
-/// attack manipulate the received chain first. Nothing checks en route —
-/// only the owner holds the keys ([`verify_mac_chain`]).
-///
-/// # Errors
-///
-/// See [`ChainError`]. A mid-journey VM crash is reported through
-/// [`MacChainJourney::failure`] (partial journey), not as an error.
-pub fn run_mac_chained_journey(
-    hosts: &mut [Host],
-    start: impl Into<HostId>,
-    agent: AgentImage,
-    secret: &ChainSecret,
-    exec: &ExecConfig,
-    log: &EventLog,
-    max_hops: usize,
-) -> Result<MacChainJourney, ChainError> {
-    let mut image = agent;
-    let mut current: HostId = start.into();
-    log.record(Event::AgentCreated {
-        agent: image.id.clone(),
-        home: current.clone(),
-    });
-    let anchor = secret.anchor(&image.id);
-    let mut path = vec![current.clone()];
-    let mut links: Vec<ChainLink> = Vec::new();
+/// The MAC chain's part of the itinerary: on departure, a
+/// chain-attacking host manipulates the chain it received, then every
+/// host appends its own link.
+struct MacChaining<'a> {
+    secret: &'a ChainSecret,
+    anchor: Digest,
+    log: &'a EventLog,
+    links: Vec<ChainLink>,
+}
 
-    for _ in 0..max_hops {
-        let host = hosts
-            .iter_mut()
-            .find(|h| h.id() == &current)
-            .ok_or_else(|| ChainError::UnknownHost {
-                host: current.clone(),
-            })?;
-        let attack = host.behaviour().attack().cloned();
-        let record = match host.execute_session(&image, exec, log) {
-            Ok(record) => record,
-            Err(e) => {
-                return Ok(MacChainJourney {
-                    final_state: image.state,
-                    path,
-                    links,
-                    failure: Some(e),
-                });
-            }
-        };
+impl Leg for MacChaining<'_> {
+    type Stop = Infallible;
 
-        // A chain-attacking host manipulates the chain it received
-        // before appending its own (valid) link on top.
-        if let Some(attack) = attack.as_ref().filter(|a| a.targets_result_chain()) {
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<Infallible, usize> {
+        let here = visit.here();
+        let attack = visit.hosts[visit.at].behaviour().attack();
+        if let Some(attack) = attack.filter(|a| a.targets_result_chain()) {
+            let (secret, anchor) = (self.secret, self.anchor);
             let applied = apply_chain_attack(
                 attack,
-                &mut links,
+                &mut self.links,
                 |last| {
                     // Substitution without the victim's key: the stale
                     // MAC no longer covers the forged digest.
@@ -467,58 +413,62 @@ pub fn run_mac_chained_journey(
                 },
             );
             if applied {
-                log.record(Event::AttackApplied {
-                    host: current.clone(),
+                self.log.record(Event::AttackApplied {
+                    host: here.clone(),
                     attack: attack.label().to_owned(),
                 });
             }
         }
 
-        let next = match &record.outcome.end {
-            SessionEnd::Migrate(h) => Some(HostId::new(h.clone())),
-            SessionEnd::Halt => None,
-        };
         // Continue the sequence the (possibly manipulated) chain claims:
         // the strongest adversary re-numbers seamlessly, so verification
         // must not rely on sequence gaps alone.
-        let seq = links.last().map(|l| l.seq + 1).unwrap_or(0);
-        let prev = links.last().map(|l| l.mac).unwrap_or(anchor);
+        let seq = self.links.last().map(|l| l.seq + 1).unwrap_or(0);
+        let prev = self.links.last().map(|l| l.mac).unwrap_or(self.anchor);
         let mut link = ChainLink {
             seq,
-            executor: current.clone(),
+            executor: here.clone(),
             result_digest: sha256(&to_wire(&record.outcome.state)),
-            next: next.clone(),
-            mac: anchor, // placeholder, overwritten below
+            next: record.next_hop(),
+            mac: self.anchor, // placeholder, overwritten below
         };
-        link.mac = ChainLink::chain_mac(secret, &prev, &link);
-        links.push(link);
-
-        image.state = record.outcome.state.clone();
-        match next {
-            None => {
-                return Ok(MacChainJourney {
-                    final_state: image.state,
-                    path,
-                    links,
-                    failure: None,
-                })
-            }
-            Some(next_host) => {
-                if !hosts.iter().any(|h| h.id() == &next_host) {
-                    return Err(ChainError::UnknownHost { host: next_host });
-                }
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next_host.clone(),
-                    agent: image.id.clone(),
-                    bytes: to_wire(&image).len(),
-                });
-                path.push(next_host.clone());
-                current = next_host;
-            }
-        }
+        link.mac = ChainLink::chain_mac(self.secret, &prev, &link);
+        self.links.push(link);
+        ControlFlow::Continue(0)
     }
-    Err(ChainError::TooManyHops { limit: max_hops })
+}
+
+/// Runs a journey under the MAC-chain discipline: every host appends a
+/// [`ChainLink`] for its session; hosts whose behaviour is a chain
+/// attack manipulate the received chain first. Nothing checks en route —
+/// only the owner holds the keys ([`verify_mac_chain`]).
+///
+/// # Errors
+///
+/// See [`JourneyError`]; a crashed session is [`JourneyError::Vm`] (the
+/// owner never receives the chain).
+pub fn run_mac_chained_journey(
+    hosts: &mut [Host],
+    start: impl Into<HostId>,
+    agent: AgentImage,
+    secret: &ChainSecret,
+    exec: &ExecConfig,
+    log: &EventLog,
+    max_hops: usize,
+) -> Result<MacChainJourney, JourneyError> {
+    let mut leg = MacChaining {
+        secret,
+        anchor: secret.anchor(&agent.id),
+        log,
+        links: Vec::new(),
+    };
+    let walk = walk(hosts, start, agent, exec, log, max_hops, &mut leg);
+    walk.result?;
+    Ok(MacChainJourney {
+        final_state: walk.image.state,
+        path: walk.path,
+        links: leg.links,
+    })
 }
 
 /// The owner-side verification of a MAC chain: recompute every link's
@@ -585,8 +535,6 @@ pub struct EncapsulatedJourney {
     pub chain: Vec<Signed<Encapsulation>>,
     /// The detection, when one fired (en route or owner-side).
     pub fraud: Option<ChainFraud>,
-    /// Set when a session crashed and the journey ended early.
-    pub failure: Option<VmError>,
 }
 
 /// Structural verification of an encapsulation chain: first-executor,
@@ -706,111 +654,78 @@ pub fn owner_verify_encapsulations(
     })
 }
 
-/// Runs a journey under the signed-encapsulation discipline. Honest
-/// hosts verify the received chain's structure on arrival (and, when
-/// `defer_signatures` is `false`, every signature eagerly through the
-/// fused fast path) and abort the journey on a break, blaming the host
-/// that handed the chain over. The owner re-verifies everything at the
-/// end through [`owner_verify_encapsulations`].
-///
-/// # Errors
-///
-/// See [`ChainError`]; VM crashes surface as
-/// [`EncapsulatedJourney::failure`].
-#[allow(clippy::too_many_arguments)] // journey drivers take the full kit
-pub fn run_encapsulated_journey(
-    hosts: &mut [Host],
-    start: impl Into<HostId>,
-    agent: AgentImage,
-    nonce: &[u8; 32],
-    exec: &ExecConfig,
-    log: &EventLog,
-    max_hops: usize,
-    directory: &KeyDirectory,
+/// The encapsulation's part of the itinerary: honest hosts check the
+/// received chain on arrival; on departure, a chain-attacking host
+/// manipulates the chain it received, then every host appends its own
+/// signed encapsulation.
+struct Encapsulating<'a> {
+    start: &'a HostId,
+    anchor: Digest,
+    directory: &'a KeyDirectory,
     defer_signatures: bool,
-) -> Result<EncapsulatedJourney, ChainError> {
-    let start: HostId = start.into();
-    let mut image = agent;
-    let mut current = start.clone();
-    log.record(Event::AgentCreated {
-        agent: image.id.clone(),
-        home: current.clone(),
-    });
-    let anchor = encapsulation_anchor(&image.id, nonce);
-    let mut path = vec![current.clone()];
-    let mut chain: Vec<Signed<Encapsulation>> = Vec::new();
+    log: &'a EventLog,
+    chain: Vec<Signed<Encapsulation>>,
+}
 
-    for _ in 0..max_hops {
-        let host_index = hosts
-            .iter()
-            .position(|h| h.id() == &current)
-            .ok_or_else(|| ChainError::UnknownHost {
-                host: current.clone(),
-            })?;
-        let attack = hosts[host_index].behaviour().attack().cloned();
-        let honest_host = attack.is_none();
+impl Leg for Encapsulating<'_> {
+    type Stop = ChainFraud;
 
-        // Arrival check (honest hosts only; an attacker has no reason to
-        // report itself): chain structure, the top entry's commitment to
-        // *this* host, and — on the eager path — every signature.
-        if honest_host && !chain.is_empty() {
-            let mut found = check_encapsulation_structure(&chain, &anchor, &start);
-            if found.is_none() {
-                let top = chain.last().expect("non-empty").payload();
-                if top.next.as_ref() != Some(&current) {
-                    found = Some((chain.len() - 1, ChainBreak::NextHopMismatch));
+    /// Honest hosts only (an attacker has no reason to report itself):
+    /// chain structure, the top entry's commitment to *this* host, and —
+    /// on the eager path — every signature.
+    fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<ChainFraud> {
+        if visit.hosts[visit.at].behaviour().attack().is_some() {
+            return ControlFlow::Continue(());
+        }
+        let (here, previous) = (visit.here(), visit.previous().expect("not the start host"));
+        let chain = &self.chain;
+        let found = check_encapsulation_structure(chain, &self.anchor, self.start)
+            .or_else(|| {
+                let top = chain.last()?.payload();
+                (top.next.as_ref() != Some(here))
+                    .then(|| (chain.len() - 1, ChainBreak::NextHopMismatch))
+            })
+            .or_else(|| {
+                if self.defer_signatures {
+                    return None;
                 }
-            }
-            if found.is_none() && !defer_signatures {
-                found = chain
+                chain
                     .iter()
-                    .position(|link| link.verify(directory).is_err())
-                    .map(|slot| (slot, ChainBreak::BadSignature));
-            }
-            if let Some((_, reason)) = found {
-                // The previous hop handed over a broken chain.
-                let culprit = path[path.len() - 2].clone();
-                log.record(Event::FraudDetected {
-                    culprit: culprit.clone(),
-                    detector: current.clone(),
-                    reason: reason.to_string(),
-                });
-                return Ok(EncapsulatedJourney {
-                    final_state: None,
-                    path,
-                    chain,
-                    fraud: Some(ChainFraud {
-                        culprit,
-                        detector: current,
-                        reason,
-                    }),
-                    failure: None,
-                });
-            }
-            log.record(Event::CheckPerformed {
-                checker: current.clone(),
-                checked: path[path.len() - 2].clone(),
+                    .position(|link| link.verify(self.directory).is_err())
+                    .map(|slot| (slot, ChainBreak::BadSignature))
+            });
+        let Some((_, reason)) = found else {
+            self.log.record(Event::CheckPerformed {
+                checker: here.clone(),
+                checked: previous.clone(),
                 passed: true,
             });
-        }
-
-        let record = match hosts[host_index].execute_session(&image, exec, log) {
-            Ok(record) => record,
-            Err(e) => {
-                return Ok(EncapsulatedJourney {
-                    final_state: None,
-                    path,
-                    chain,
-                    fraud: None,
-                    failure: Some(e),
-                });
-            }
+            return ControlFlow::Continue(());
         };
+        // The previous hop handed over a broken chain.
+        self.log.record(Event::FraudDetected {
+            culprit: previous.clone(),
+            detector: here.clone(),
+            reason: reason.to_string(),
+        });
+        ControlFlow::Break(ChainFraud {
+            culprit: previous.clone(),
+            detector: here.clone(),
+            reason,
+        })
+    }
 
-        if let Some(attack) = attack.as_ref().filter(|a| a.targets_result_chain()) {
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<ChainFraud, usize> {
+        let attack = visit.hosts[visit.at].behaviour().attack();
+        if let Some(attack) = attack.filter(|a| a.targets_result_chain()).cloned() {
+            let hosts = &mut *visit.hosts;
             let applied = apply_chain_attack(
-                attack,
-                &mut chain,
+                &attack,
+                &mut self.chain,
                 |last| {
                     // Substitution without the victim's signing key: the
                     // stale signature no longer covers the forged bytes.
@@ -838,55 +753,68 @@ pub fn run_encapsulated_journey(
                 },
             );
             if applied {
-                log.record(Event::AttackApplied {
-                    host: current.clone(),
+                self.log.record(Event::AttackApplied {
+                    host: visit.here().clone(),
                     attack: attack.label().to_owned(),
                 });
             }
         }
 
-        let next = match &record.outcome.end {
-            SessionEnd::Migrate(h) => Some(HostId::new(h.clone())),
-            SessionEnd::Halt => None,
-        };
-        let seq = chain.last().map(|l| l.payload().seq + 1).unwrap_or(0);
-        let prev_head = chain.last().map(encapsulation_head).unwrap_or(anchor);
         let payload = Encapsulation {
-            seq,
-            executor: current.clone(),
+            seq: self.chain.last().map(|l| l.payload().seq + 1).unwrap_or(0),
+            executor: visit.here().clone(),
             result_digest: sha256(&to_wire(&record.outcome.state)),
-            prev_head,
-            next: next.clone(),
+            prev_head: self
+                .chain
+                .last()
+                .map(encapsulation_head)
+                .unwrap_or(self.anchor),
+            next: record.next_hop(),
         };
-        chain.push(hosts[host_index].sign(payload));
-
-        image.state = record.outcome.state.clone();
-        match next {
-            None => {
-                return Ok(EncapsulatedJourney {
-                    final_state: Some(image.state),
-                    path,
-                    chain,
-                    fraud: None,
-                    failure: None,
-                })
-            }
-            Some(next_host) => {
-                if !hosts.iter().any(|h| h.id() == &next_host) {
-                    return Err(ChainError::UnknownHost { host: next_host });
-                }
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next_host.clone(),
-                    agent: image.id.clone(),
-                    bytes: to_wire(&image).len(),
-                });
-                path.push(next_host.clone());
-                current = next_host;
-            }
-        }
+        self.chain.push(visit.hosts[visit.at].sign(payload));
+        ControlFlow::Continue(0)
     }
-    Err(ChainError::TooManyHops { limit: max_hops })
+}
+
+/// Runs a journey under the signed-encapsulation discipline. Honest
+/// hosts verify the received chain's structure on arrival (and, when
+/// `defer_signatures` is `false`, every signature eagerly through the
+/// fused fast path) and abort the journey on a break, blaming the host
+/// that handed the chain over. The owner re-verifies everything at the
+/// end through [`owner_verify_encapsulations`].
+///
+/// # Errors
+///
+/// See [`JourneyError`]; a crashed session is [`JourneyError::Vm`].
+#[allow(clippy::too_many_arguments)] // journey drivers take the full kit
+pub fn run_encapsulated_journey(
+    hosts: &mut [Host],
+    start: impl Into<HostId>,
+    agent: AgentImage,
+    nonce: &[u8; 32],
+    exec: &ExecConfig,
+    log: &EventLog,
+    max_hops: usize,
+    directory: &KeyDirectory,
+    defer_signatures: bool,
+) -> Result<EncapsulatedJourney, JourneyError> {
+    let start: HostId = start.into();
+    let mut leg = Encapsulating {
+        start: &start,
+        anchor: encapsulation_anchor(&agent.id, nonce),
+        directory,
+        defer_signatures,
+        log,
+        chain: Vec::new(),
+    };
+    let walk = walk(hosts, start.clone(), agent, exec, log, max_hops, &mut leg);
+    let fraud = walk.result?;
+    Ok(EncapsulatedJourney {
+        final_state: fraud.is_none().then_some(walk.image.state),
+        path: walk.path,
+        chain: leg.chain,
+        fraud,
+    })
 }
 
 /// Karjoth-style chained MACs as a registry citizen (`chained`): per-hop
@@ -935,10 +863,6 @@ impl ProtectionMechanism for ChainedMac {
         drop(forward);
         match journey {
             Ok(journey) => {
-                if journey.failure.is_some() {
-                    // The agent died en route; the chain never came home.
-                    return JourneyVerdict::clean(false).into();
-                }
                 let _verify = ctx.stage("chained.verify");
                 let final_digest = sha256(&to_wire(&journey.final_state));
                 let verdict =
@@ -955,6 +879,7 @@ impl ProtectionMechanism for ChainedMac {
                     None => JourneyVerdict::clean(true),
                 }
             }
+            // The agent died en route; the chain never came home.
             Err(_) => JourneyVerdict::clean(false),
         }
         .into()
@@ -1015,9 +940,6 @@ impl ProtectionMechanism for EncapsulatedResults {
         if let Some(fraud) = journey.fraud {
             // An en-route arrival check aborted the journey.
             return JourneyVerdict::accusing(vec![fraud.culprit], false).into();
-        }
-        if journey.failure.is_some() {
-            return JourneyVerdict::clean(false).into();
         }
         let Some(final_state) = &journey.final_state else {
             return JourneyVerdict::clean(false).into();

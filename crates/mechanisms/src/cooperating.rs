@@ -21,9 +21,12 @@
 //! generator does) aim collusion at the right witness without simulating
 //! the journey.
 
-use refstate_core::{CheckMoment, ReferenceDataKind, ReferenceDataRequest};
-use refstate_platform::{Attack, Event, HostId};
-use refstate_vm::SessionEnd;
+use std::ops::ControlFlow;
+
+use refstate_core::{CheckMoment, ReferenceDataKind, ReferenceDataRequest, VerificationPipeline};
+use refstate_platform::{walk, Attack, Event, EventLog, HostId, Leg, SessionRecord, Visit};
+use refstate_telemetry as telemetry;
+use refstate_vm::{ExecConfig, SessionEnd};
 
 use crate::api::{
     JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology, SplitVerdict,
@@ -79,93 +82,98 @@ impl ProtectionMechanism for CooperatingAgents {
             // hosts is an infrastructure failure, not a panic.
             return JourneyVerdict::clean(false).into();
         }
+        let start = ctx.start().clone();
+        let mut leg = Witnessing {
+            witnesses,
+            pipeline: &ctx.pipeline,
+            exec: &ctx.config.exec,
+            log: ctx.log,
+        };
+        let walk = walk(
+            ctx.hosts,
+            start,
+            ctx.agent.clone(),
+            &ctx.config.exec,
+            ctx.log,
+            ctx.config.max_hops,
+            &mut leg,
+        );
+        match walk.result {
+            Ok(Some(accusation)) => accusation,
+            Ok(None) => JourneyVerdict::clean(true),
+            // A churned or unknown host, a crashed session or a runaway
+            // itinerary: the worker agent is lost.
+            Err(_) => JourneyVerdict::clean(false),
+        }
+        .into()
+    }
+}
 
-        let mut agent = ctx.agent.clone();
-        let mut current = ctx.start().clone();
-        ctx.log.record(Event::AgentCreated {
-            agent: agent.id.clone(),
-            home: current.clone(),
-        });
+/// The witness set's part of the itinerary: after every session of an
+/// untrusted route host, the witness assigned to the hop re-executes it.
+struct Witnessing<'a> {
+    witnesses: Vec<HostId>,
+    pipeline: &'a VerificationPipeline,
+    exec: &'a ExecConfig,
+    log: &'a EventLog,
+}
 
-        for hop in 0..ctx.config.max_hops {
-            let Some(host) = ctx.hosts.iter_mut().find(|h| h.id() == &current) else {
-                // Churned or unknown host: the worker agent is lost.
-                return JourneyVerdict::clean(false).into();
-            };
-            let trusted = host.is_trusted();
-            // Cross-set collusion: the executing host recruited a witness.
-            let recruited = match host.behaviour().attack() {
-                Some(Attack::CollaborateTamper { accomplice, .. }) => Some(accomplice.clone()),
-                _ => None,
-            };
-            let record = match host.execute_session(&agent, &ctx.config.exec, ctx.log) {
-                Ok(record) => record,
-                Err(_) => return JourneyVerdict::clean(false).into(),
-            };
-            let halted = matches!(record.outcome.end, SessionEnd::Halt);
+impl Leg for Witnessing<'_> {
+    type Stop = JourneyVerdict;
 
-            if !trusted {
-                let _span = ctx.stage("cooperating.check");
-                let witness = witnesses[hop % witnesses.len()].clone();
-                if recruited.as_ref() == Some(&witness) {
-                    // The assigned witness vouches instead of checking —
-                    // the mechanism's pinned cross-set blind spot.
-                    ctx.log.record(Event::CheckPerformed {
-                        checker: witness,
-                        checked: current.clone(),
-                        passed: true,
-                    });
-                } else {
-                    let claimed_next = match &record.outcome.end {
-                        SessionEnd::Halt => None,
-                        SessionEnd::Migrate(next) => Some(next.clone()),
-                    };
-                    let outcome = ctx.pipeline.verify_session(
-                        &agent.program,
-                        &record.initial_state,
-                        &record.outcome.state,
-                        &record.outcome.input_log,
-                        Some(&claimed_next),
-                        &ctx.config.exec,
-                    );
-                    let passed = outcome.passed();
-                    ctx.log.record(Event::CheckPerformed {
-                        checker: witness.clone(),
-                        checked: current.clone(),
-                        passed,
-                    });
-                    if !passed {
-                        ctx.log.record(Event::FraudDetected {
-                            culprit: current.clone(),
-                            detector: witness,
-                            reason: format!("cooperating witness check failed: {outcome:?}"),
-                        });
-                        return JourneyVerdict::accusing(vec![current], halted).into();
-                    }
-                }
-            }
-
-            agent.state = record.outcome.state.clone();
-            match record.outcome.end {
-                SessionEnd::Halt => return JourneyVerdict::clean(true).into(),
-                SessionEnd::Migrate(next) => {
-                    let next = HostId::new(next);
-                    if !ctx.hosts.iter().any(|h| h.id() == &next) {
-                        return JourneyVerdict::clean(false).into();
-                    }
-                    let bytes = refstate_wire::to_wire(&agent).len();
-                    ctx.log.record(Event::Migrated {
-                        from: current.clone(),
-                        to: next.clone(),
-                        agent: agent.id.clone(),
-                        bytes,
-                    });
-                    current = next;
-                }
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<JourneyVerdict, usize> {
+        let host = &visit.hosts[visit.at];
+        if host.is_trusted() {
+            return ControlFlow::Continue(0);
+        }
+        let _span = telemetry::span("cooperating.check", "stage");
+        let here = visit.here();
+        let witness = &self.witnesses[visit.seq() as usize % self.witnesses.len()];
+        // Cross-set collusion: the executing host recruited a witness.
+        if let Some(Attack::CollaborateTamper { accomplice, .. }) = host.behaviour().attack() {
+            if accomplice == witness {
+                // The assigned witness vouches instead of checking — the
+                // mechanism's pinned cross-set blind spot.
+                self.log.record(Event::CheckPerformed {
+                    checker: witness.clone(),
+                    checked: here.clone(),
+                    passed: true,
+                });
+                return ControlFlow::Continue(0);
             }
         }
-        // Hop budget exhausted: a runaway itinerary is infrastructure.
-        JourneyVerdict::clean(false).into()
+        let claimed_next = match &record.outcome.end {
+            SessionEnd::Halt => None,
+            SessionEnd::Migrate(next) => Some(next.clone()),
+        };
+        let outcome = self.pipeline.verify_session(
+            &visit.agent.program,
+            &record.initial_state,
+            &record.outcome.state,
+            &record.outcome.input_log,
+            Some(&claimed_next),
+            self.exec,
+        );
+        let passed = outcome.passed();
+        self.log.record(Event::CheckPerformed {
+            checker: witness.clone(),
+            checked: here.clone(),
+            passed,
+        });
+        if passed {
+            return ControlFlow::Continue(0);
+        }
+        self.log.record(Event::FraudDetected {
+            culprit: here.clone(),
+            detector: witness.clone(),
+            reason: format!("cooperating witness check failed: {outcome:?}"),
+        });
+        let halted = claimed_next.is_none();
+        ControlFlow::Break(JourneyVerdict::accusing(vec![here.clone()], halted))
     }
 }
 

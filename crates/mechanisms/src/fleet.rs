@@ -29,7 +29,7 @@ use crate::api::{
     protocol_verdict, JourneyCtx, JourneyVerdict, MechanismProfile, PendingOwnerJourney,
     ProtectionMechanism, RouteTopology, SplitVerdict,
 };
-use crate::replication::run_replicated_pipeline_checked;
+use crate::replication::run_replicated_pipeline;
 use crate::traces::{audit_journey_with_pipeline, run_traced_journey};
 
 /// No protection at all: the baseline row every report needs. Never
@@ -147,8 +147,11 @@ impl ProtectionMechanism for FrameworkReExecution {
 
     fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let checker = ReExecutionChecker::new().with_pipeline(ctx.pipeline.clone());
-        let protection =
-            ProtectionConfig::new(Arc::new(checker)).check_workers(ctx.config.check_workers);
+        let protection = ProtectionConfig {
+            exec: ctx.config.exec.clone(),
+            max_hops: ctx.config.max_hops,
+            ..ProtectionConfig::new(Arc::new(checker)).check_workers(ctx.config.check_workers)
+        };
         match run_framework_journey(
             ctx.hosts,
             ctx.start().clone(),
@@ -214,7 +217,7 @@ impl ProtectionMechanism for SessionCheckingProtocol {
             exec: ctx.config.exec.clone(),
             max_hops: ctx.config.max_hops,
             pipeline: ctx.pipeline.clone(),
-            ..ctx.config.protocol.clone()
+            ..ProtocolConfig::default()
         };
         let stage = ctx.stage("protocol.journey");
         let split = if ctx.config.defer_signatures {
@@ -347,7 +350,7 @@ impl ProtectionMechanism for ReplicatedStages {
             // infrastructure failure, not a panic.
             return JourneyVerdict::clean(false).into();
         };
-        match run_replicated_pipeline_checked(
+        match run_replicated_pipeline(
             ctx.hosts,
             &stages,
             ctx.agent.clone(),
@@ -380,7 +383,7 @@ mod tests {
     use rand::SeedableRng;
     use refstate_core::protocol::host_directory;
     use refstate_crypto::DsaParams;
-    use refstate_platform::{AgentImage, Attack, EventLog, Host, HostId, HostSpec};
+    use refstate_platform::{AgentImage, Attack, Event, EventLog, Host, HostId, HostSpec};
     use refstate_vm::{assemble, DataState, Value};
 
     fn three_host_agent() -> AgentImage {
@@ -633,6 +636,63 @@ mod tests {
         match StateAppraisal.run_split(&mut ctx) {
             SplitVerdict::Settled(v) => assert!(!v.detected),
             SplitVerdict::Pending(_) => panic!("appraisal has no owner-side phase"),
+        }
+    }
+
+    #[test]
+    fn every_linear_mechanism_keeps_one_hop_budget() {
+        // A runaway a <-> b ping-pong, and an agent bound for a host that
+        // does not exist.
+        let ping_pong = assemble(
+            r#"
+            load "at_b"
+            jnz to_a
+            push true
+            store "at_b"
+            push "b"
+            migrate
+        to_a:
+            push false
+            store "at_b"
+            push "a"
+            migrate
+        "#,
+        )
+        .unwrap();
+        let mut state = DataState::new();
+        state.set("at_b", Value::Bool(false));
+        // Keeps the default appraisal rules satisfied.
+        state.set("total", Value::Int(0));
+        let runaway = AgentImage::new("runaway", ping_pong, state.clone());
+        let lost = assemble("push \"nowhere\"\nmigrate").unwrap();
+        let lost = AgentImage::new("lost", lost, state);
+        let config = MechanismConfig {
+            max_hops: 5,
+            ..MechanismConfig::default()
+        };
+        let registry = MechanismRegistry::builtin();
+        for mechanism in registry.iter().filter(|m| m.name() != "replication") {
+            for (agent, sessions) in [(&runaway, 5), (&lost, 1)] {
+                let mut hs = hosts(None);
+                let directory = host_directory(&hs);
+                let log = EventLog::new();
+                let route = vec![HostId::new("a"), HostId::new("b"), HostId::new("c")];
+                let mut ctx =
+                    JourneyCtx::new(&mut hs, route, agent.clone(), &directory, &config, &log, 9);
+                let verdict = mechanism.run(&mut ctx);
+                let case = format!("{} / {}", mechanism.name(), agent.id);
+                assert!(
+                    verdict.infra_error && !verdict.detected,
+                    "{case}: {verdict:?}"
+                );
+                let started = log.count_matching(|e| matches!(e, Event::SessionStarted { .. }));
+                assert_eq!(started, sessions, "{case}");
+                assert!(
+                    !log.render().contains("nowhere"),
+                    "{case}:\n{}",
+                    log.render()
+                );
+            }
         }
     }
 

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 
 use refstate_core::{ReplaySummary, VerificationPipeline};
 use refstate_crypto::{sha256, Digest};
-use refstate_platform::{AgentImage, Event, EventLog, Host, HostId};
-use refstate_vm::{DataState, ExecConfig, InputLog, SessionEnd, VmError};
+use refstate_platform::{AgentImage, Event, EventLog, Host, HostId, JourneyError};
+use refstate_vm::{DataState, ExecConfig, InputLog, SessionEnd};
 use refstate_wire::to_wire;
 
 /// One stage: the replica hosts that execute it in parallel.
@@ -66,9 +66,8 @@ pub struct ReplicationOutcome {
     /// the one it claimed, so the replica lied about its computation (a
     /// suspect absent here diverged consistently with its own log — e.g.
     /// forged input, which replicated resources expose but re-execution
-    /// cannot, §4.2). Populated only by
-    /// [`run_replicated_pipeline_checked`]; the vote — and therefore
-    /// `suspects` — is unaffected.
+    /// cannot, §4.2). The vote — and therefore `suspects` — is
+    /// unaffected.
     pub confirmed_tampering: Vec<HostId>,
 }
 
@@ -80,97 +79,36 @@ impl ReplicationOutcome {
     }
 }
 
-/// Errors from the pipeline driver.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ReplicationError {
-    /// A referenced replica is not registered.
-    UnknownHost {
-        /// The missing replica.
-        host: HostId,
-    },
-    /// A stage reached no majority (more than `⌈n/2⌉-1` malicious or
-    /// diverging replicas).
-    NoMajority {
-        /// The failing stage.
-        stage: usize,
-    },
-    /// A replica session failed.
-    Vm(VmError),
-}
-
-impl std::fmt::Display for ReplicationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplicationError::UnknownHost { host } => write!(f, "unknown replica {host}"),
-            ReplicationError::NoMajority { stage } => {
-                write!(f, "stage {stage} reached no majority")
-            }
-            ReplicationError::Vm(e) => write!(f, "replica session failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReplicationError {}
-
-impl From<VmError> for ReplicationError {
-    fn from(e: VmError) -> Self {
-        ReplicationError::Vm(e)
-    }
-}
-
 /// Runs the agent through a pipeline of replicated stages.
 ///
 /// Each stage executes one session of the agent on every replica, starting
 /// from the previous stage's majority state. The replicas' input feeds play
 /// the role of the replicated resources (honest replicas must be
 /// provisioned identically, which is the mechanism's deployment burden the
-/// paper points out).
+/// paper points out). A stage without a majority (more than `⌈n/2⌉-1`
+/// malicious or diverging replicas) ends the run with
+/// [`ReplicationOutcome::final_state`] `None`.
+///
+/// Every dissenting replica's session is then re-executed from its own
+/// recorded input log through `pipeline`, and replicas whose claimed state
+/// or continuation diverges from that reference are reported in
+/// [`ReplicationOutcome::confirmed_tampering`] — reference-state-grade
+/// evidence on top of the vote. Honest replicas of a stage share one
+/// session fingerprint, so with a cached pipeline the confirmation costs
+/// at most one replay per divergent stage.
 ///
 /// # Errors
 ///
-/// [`ReplicationError::NoMajority`] when voting fails — with fewer than
-/// `⌈n/2⌉` honest replicas the mechanism's precondition is broken.
+/// [`JourneyError::UnknownHost`] for a replica that is not in `hosts`,
+/// [`JourneyError::Vm`] for a replica session that failed.
 pub fn run_replicated_pipeline(
     hosts: &mut [Host],
     stages: &[StageSpec],
     agent: AgentImage,
     exec: &ExecConfig,
     log: &EventLog,
-) -> Result<ReplicationOutcome, ReplicationError> {
-    run_replicated_inner(hosts, stages, agent, exec, log, None)
-}
-
-/// [`run_replicated_pipeline`] with dissent *confirmation* through the
-/// shared verification pipeline.
-///
-/// Voting is unchanged (same majorities, same suspects); additionally,
-/// every dissenting replica's session is re-executed from its own
-/// recorded input log, and replicas whose claimed state diverges from
-/// that reference state are reported in
-/// [`ReplicationOutcome::confirmed_tampering`] — reference-state-grade
-/// evidence on top of the vote. Honest replicas of a stage share one
-/// session fingerprint, so with a cached pipeline the confirmation costs
-/// at most one replay per divergent stage.
-pub fn run_replicated_pipeline_checked(
-    hosts: &mut [Host],
-    stages: &[StageSpec],
-    agent: AgentImage,
-    exec: &ExecConfig,
-    log: &EventLog,
     pipeline: &VerificationPipeline,
-) -> Result<ReplicationOutcome, ReplicationError> {
-    run_replicated_inner(hosts, stages, agent, exec, log, Some(pipeline))
-}
-
-fn run_replicated_inner(
-    hosts: &mut [Host],
-    stages: &[StageSpec],
-    agent: AgentImage,
-    exec: &ExecConfig,
-    log: &EventLog,
-    pipeline: Option<&VerificationPipeline>,
-) -> Result<ReplicationOutcome, ReplicationError> {
+) -> Result<ReplicationOutcome, JourneyError> {
     let mut state = agent.state.clone();
     let mut votes = Vec::with_capacity(stages.len());
     let mut suspects: Vec<HostId> = Vec::new();
@@ -189,7 +127,7 @@ fn run_replicated_inner(
             let host = hosts
                 .iter_mut()
                 .find(|h| h.id() == replica_id)
-                .ok_or_else(|| ReplicationError::UnknownHost {
+                .ok_or_else(|| JourneyError::UnknownHost {
                     host: replica_id.clone(),
                 })?;
             let image = AgentImage::new(agent.id.clone(), agent.program.clone(), state.clone());
@@ -205,13 +143,11 @@ fn run_replicated_inner(
             let digest = sha256(&vote_bytes);
             tally.entry(digest).or_default().push(replica_id.clone());
             states.insert(digest, record.outcome.state.clone());
-            if pipeline.is_some() {
-                claims.push((
-                    replica_id.clone(),
-                    record.outcome.input_log,
-                    record.outcome.end,
-                ));
-            }
+            claims.push((
+                replica_id.clone(),
+                record.outcome.input_log,
+                record.outcome.end,
+            ));
         }
 
         let quorum = stage.replicas.len() / 2 + 1;
@@ -237,36 +173,34 @@ fn run_replicated_inner(
                 reason: "replica vote diverged from majority".into(),
             });
         }
-        if let Some(pipeline) = pipeline {
-            // Confirm each dissenter against its own log: a replica whose
-            // claimed state *or claimed continuation decision* differs
-            // from the reference re-execution lied about its computation,
-            // not (only) about its resources. Dissent is the rare case,
-            // so all hashing happens here, not on the honest-majority
-            // path. (`state` still holds this stage's initial state — the
-            // winner is adopted below.)
-            for (replica, input, claimed_end) in &claims {
-                if !dissenters.contains(replica) {
-                    continue;
+        // Confirm each dissenter against its own log: a replica whose
+        // claimed state *or claimed continuation decision* differs from
+        // the reference re-execution lied about its computation, not
+        // (only) about its resources. Dissent is the rare case, so all
+        // hashing happens here, not on the honest-majority path. (`state`
+        // still holds this stage's initial state — the winner is adopted
+        // below.)
+        for (replica, input, claimed_end) in &claims {
+            if !dissenters.contains(replica) {
+                continue;
+            }
+            let claimed_digest = tally
+                .iter()
+                .find(|(_, voters)| voters.contains(replica))
+                .and_then(|(digest, _)| states.get(digest))
+                .map(|claimed| sha256(&to_wire(claimed)));
+            let diverged = match pipeline.replay(&agent.program, &state, input, exec) {
+                ReplaySummary::Ok {
+                    state_digest, end, ..
+                } => {
+                    claimed_digest.is_none_or(|claimed| claimed != state_digest)
+                        || &end != claimed_end
                 }
-                let claimed_digest = tally
-                    .iter()
-                    .find(|(_, voters)| voters.contains(replica))
-                    .and_then(|(digest, _)| states.get(digest))
-                    .map(|claimed| sha256(&to_wire(claimed)));
-                let diverged = match pipeline.replay(&agent.program, &state, input, exec) {
-                    ReplaySummary::Ok {
-                        state_digest, end, ..
-                    } => {
-                        claimed_digest.is_none_or(|claimed| claimed != state_digest)
-                            || &end != claimed_end
-                    }
-                    // A log the session cannot even replay is a lie too.
-                    ReplaySummary::Failed(_) => true,
-                };
-                if diverged && !confirmed_tampering.contains(replica) {
-                    confirmed_tampering.push(replica.clone());
-                }
+                // A log the session cannot even replay is a lie too.
+                ReplaySummary::Failed(_) => true,
+            };
+            if diverged && !confirmed_tampering.contains(replica) {
+                confirmed_tampering.push(replica.clone());
             }
         }
         let vote = StageVote {
@@ -275,13 +209,11 @@ fn run_replicated_inner(
             winner,
             dissenters,
         };
-        let has_majority = vote.has_majority();
         votes.push(vote);
 
         match winner {
             Some(w) => state = states.remove(&w).expect("winner digest present"),
             None => {
-                debug_assert!(!has_majority);
                 return Ok(ReplicationOutcome {
                     final_state: None,
                     votes,
@@ -368,6 +300,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         assert!(outcome.unanimous());
@@ -384,6 +317,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         assert_eq!(outcome.final_state.unwrap().get_int("total"), Some(60));
@@ -404,6 +338,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         assert_eq!(outcome.final_state.unwrap().get_int("total"), Some(60));
@@ -422,6 +357,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         // The attackers' identical forged state wins stage 0.
@@ -471,6 +407,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         assert!(outcome.final_state.is_none());
@@ -486,7 +423,7 @@ mod tests {
         let (mut hosts, stages) = build(3, 3, &[10, 20, 30], &[(1, 2)]);
         let log = EventLog::new();
         let pipeline = VerificationPipeline::with_cache(Arc::new(ReplayCache::new()));
-        let outcome = run_replicated_pipeline_checked(
+        let outcome = run_replicated_pipeline(
             &mut hosts,
             &stages,
             stage_agent(),
@@ -519,7 +456,7 @@ mod tests {
             .collect();
         let stages = vec![StageSpec::new(["f0", "f1", "f2"])];
         let log = EventLog::new();
-        let outcome = run_replicated_pipeline_checked(
+        let outcome = run_replicated_pipeline(
             &mut hosts,
             &stages,
             stage_agent(),
@@ -557,7 +494,7 @@ mod tests {
         let stages = vec![StageSpec::new(["r0", "r1", "r2"])];
         let log = EventLog::new();
         let pipeline = VerificationPipeline::uncached();
-        let outcome = run_replicated_pipeline_checked(
+        let outcome = run_replicated_pipeline(
             &mut hosts,
             &stages,
             stage_agent(),
@@ -571,22 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_pipeline_reports_no_confirmations() {
-        let (mut hosts, stages) = build(2, 3, &[10, 20], &[(1, 0)]);
-        let log = EventLog::new();
-        let outcome = run_replicated_pipeline(
-            &mut hosts,
-            &stages,
-            stage_agent(),
-            &ExecConfig::default(),
-            &log,
-        )
-        .unwrap();
-        assert_eq!(outcome.suspects.len(), 1);
-        assert!(outcome.confirmed_tampering.is_empty());
-    }
-
-    #[test]
     fn unknown_replica_is_an_error() {
         let (mut hosts, _) = build(1, 2, &[1], &[]);
         let stages = vec![StageSpec::new(["ghost"])];
@@ -597,9 +518,10 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap_err();
-        assert!(matches!(err, ReplicationError::UnknownHost { .. }));
+        assert!(matches!(err, JourneyError::UnknownHost { .. }));
     }
 
     #[test]
@@ -637,6 +559,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
+            &VerificationPipeline::uncached(),
         )
         .unwrap();
         assert_eq!(outcome.suspects, vec![HostId::new("y2")]);

@@ -15,13 +15,15 @@
 //!   exist" — the audit report exposes digests, not states;
 //! * detection works "as long as the host does not lie about the input".
 
-use std::fmt;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 use refstate_crypto::{sha256, Digest, KeyDirectory, Signed};
-use refstate_platform::{AgentId, AgentImage, Event, EventLog, Host, HostId};
-use refstate_vm::{
-    DataState, ExecConfig, InputLog, Program, SessionEnd, Trace, TraceMode, VmError,
+use refstate_platform::{
+    walk, AgentId, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord,
+    Visit,
 };
+use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd, Trace, TraceMode};
 use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use refstate_core::verdict::CheckVerdict;
@@ -140,48 +142,55 @@ impl AuditReport {
     }
 }
 
-/// Journey errors (infrastructure only).
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum TraceError {
-    /// Unknown migration target.
-    UnknownHost {
-        /// The destination.
-        host: HostId,
-    },
-    /// Hop budget exceeded.
-    TooManyHops {
-        /// The budget.
-        limit: usize,
-    },
-    /// A session failed.
-    Vm(VmError),
+/// The traces' part of the itinerary: on departure, the host stores its
+/// trace locally and signs the hashes it forwards.
+#[derive(Default)]
+struct Tracing {
+    commitments: Vec<Signed<TraceCommitment>>,
+    stores: Vec<StoredSession>,
 }
 
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::UnknownHost { host } => write!(f, "unknown migration target {host}"),
-            TraceError::TooManyHops { limit } => write!(f, "journey exceeded {limit} hops"),
-            TraceError::Vm(e) => write!(f, "session failed: {e}"),
-        }
-    }
-}
+impl Leg for Tracing {
+    type Stop = Infallible;
 
-impl std::error::Error for TraceError {}
-
-impl From<VmError> for TraceError {
-    fn from(e: VmError) -> Self {
-        TraceError::Vm(e)
+    fn depart(
+        &mut self,
+        visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<Infallible, usize> {
+        let (seq, executor) = (visit.seq(), visit.here().clone());
+        let commitment = TraceCommitment {
+            agent: visit.agent.id.clone(),
+            seq,
+            executor: executor.clone(),
+            initial_digest: sha256(&to_wire(&record.initial_state)),
+            trace_digest: sha256(&to_wire(&record.outcome.trace)),
+            resulting_digest: sha256(&to_wire(&record.outcome.state)),
+            next: record.next_hop(),
+        };
+        self.commitments
+            .push(visit.hosts[visit.at].sign(commitment));
+        self.stores.push(StoredSession {
+            executor,
+            seq,
+            initial_state: record.initial_state,
+            trace: record.outcome.trace,
+            input: record.outcome.input_log,
+        });
+        ControlFlow::Continue(0)
     }
 }
 
 /// Runs a journey under the traces mechanism: hosts execute with full
 /// tracing, store traces locally, and forward signed commitments.
 ///
+/// A session that crashes ends the journey early with
+/// [`TracedJourney::failure`] set, keeping what was collected so far for
+/// the owner's audit.
+///
 /// # Errors
 ///
-/// See [`TraceError`].
+/// See [`JourneyError`]; a crashed session is not an error.
 pub fn run_traced_journey(
     hosts: &mut [Host],
     start: impl Into<HostId>,
@@ -189,93 +198,25 @@ pub fn run_traced_journey(
     exec: &ExecConfig,
     log: &EventLog,
     max_hops: usize,
-) -> Result<TracedJourney, TraceError> {
-    let mut image = agent;
-    let mut current: HostId = start.into();
-    log.record(Event::AgentCreated {
-        agent: image.id.clone(),
-        home: current.clone(),
-    });
-    let mut path = vec![current.clone()];
-    let mut commitments = Vec::new();
-    let mut stores = Vec::new();
+) -> Result<TracedJourney, JourneyError> {
     let mut exec = exec.clone();
     exec.trace_mode = TraceMode::Full;
-
-    for seq in 0..max_hops as u64 {
-        let host = hosts
-            .iter_mut()
-            .find(|h| h.id() == &current)
-            .ok_or_else(|| TraceError::UnknownHost {
-                host: current.clone(),
-            })?;
-        let record = match host.execute_session(&image, &exec, log) {
-            Ok(record) => record,
-            Err(e) => {
-                // The agent crashed mid-journey (often the downstream
-                // symptom of an upstream manipulation). Return the partial
-                // journey so the owner can audit what was collected.
-                return Ok(TracedJourney {
-                    final_state: image.state,
-                    path,
-                    commitments,
-                    stores,
-                    failure: Some(e.to_string()),
-                });
-            }
-        };
-
-        let next = match &record.outcome.end {
-            SessionEnd::Migrate(h) => Some(HostId::new(h.clone())),
-            SessionEnd::Halt => None,
-        };
-        // The host stores its trace locally...
-        stores.push(StoredSession {
-            executor: current.clone(),
-            seq,
-            initial_state: record.initial_state.clone(),
-            trace: record.outcome.trace.clone(),
-            input: record.outcome.input_log.clone(),
-        });
-        // ...and signs the hashes it forwards.
-        let commitment = TraceCommitment {
-            agent: image.id.clone(),
-            seq,
-            executor: current.clone(),
-            initial_digest: sha256(&to_wire(&record.initial_state)),
-            trace_digest: sha256(&to_wire(&record.outcome.trace)),
-            resulting_digest: sha256(&to_wire(&record.outcome.state)),
-            next: next.clone(),
-        };
-        commitments.push(host.sign(commitment));
-
-        image.state = record.outcome.state.clone();
-        match next {
-            None => {
-                return Ok(TracedJourney {
-                    final_state: image.state,
-                    path,
-                    commitments,
-                    stores,
-                    failure: None,
-                })
-            }
-            Some(next_host) => {
-                if !hosts.iter().any(|h| h.id() == &next_host) {
-                    return Err(TraceError::UnknownHost { host: next_host });
-                }
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next_host.clone(),
-                    agent: image.id.clone(),
-                    bytes: to_wire(&image).len(),
-                });
-                path.push(next_host.clone());
-                current = next_host;
-            }
-        }
-    }
-    Err(TraceError::TooManyHops { limit: max_hops })
+    let mut leg = Tracing::default();
+    let walk = walk(hosts, start, agent, &exec, log, max_hops, &mut leg);
+    let failure = match walk.result {
+        Ok(_) => None,
+        // The agent crashed mid-journey (often the downstream symptom of
+        // an upstream manipulation).
+        Err(JourneyError::Vm(e)) => Some(e.to_string()),
+        Err(e) => return Err(e),
+    };
+    Ok(TracedJourney {
+        final_state: walk.image.state,
+        path: walk.path,
+        commitments: leg.commitments,
+        stores: leg.stores,
+        failure,
+    })
 }
 
 /// The owner-side audit: verify commitments, fetch traces, re-execute, and

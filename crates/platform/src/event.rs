@@ -45,7 +45,8 @@ pub enum Event {
         to: HostId,
         /// The agent.
         agent: AgentId,
-        /// Serialized size of the migration message in bytes.
+        /// Size of the migration message in bytes: the agent image's
+        /// wire encoding plus the journey driver's baggage.
         bytes: usize,
     },
     /// A host applied an attack.

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use refstate_crypto::{DsaKeyPair, DsaParams, DsaPublicKey, Signed};
 use refstate_vm::{
-    run_compiled_session, CompiledProgram, DataState, ExecConfig, SessionIo, SessionOutcome,
-    SyscallKind, Value, VmError,
+    run_compiled_session, CompiledProgram, DataState, ExecConfig, SessionEnd, SessionIo,
+    SessionOutcome, SyscallKind, Value, VmError,
 };
 use refstate_wire::Encode;
 
@@ -141,6 +141,16 @@ pub struct SessionRecord {
     pub provenance: Vec<Option<Signed<Value>>>,
     /// Wall-clock execution time of the session.
     pub elapsed: Duration,
+}
+
+impl SessionRecord {
+    /// The host the session sends the agent to (`None` when it halted).
+    pub fn next_hop(&self) -> Option<HostId> {
+        match &self.outcome.end {
+            SessionEnd::Migrate(host) => Some(HostId::new(host.clone())),
+            SessionEnd::Halt => None,
+        }
+    }
 }
 
 /// A live host: spec plus key material and a session RNG.

@@ -1,8 +1,10 @@
-//! The plain (unprotected) journey driver: follow the agent's migrations
-//! host to host until it halts.
+//! The itinerary every linear journey driver runs on ([`walk`]), and the
+//! plain (unprotected) driver built on it.
 
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use refstate_vm::{ExecConfig, SessionEnd, VmError};
 
@@ -53,6 +55,170 @@ impl From<VmError> for JourneyError {
     }
 }
 
+/// Where a [`Leg`] hook runs: the journey's hosts, the one the agent is
+/// on, the path so far, and the agent.
+#[derive(Debug)]
+pub struct Visit<'a> {
+    /// Every host of the journey.
+    pub hosts: &'a mut [Host],
+    /// The index in `hosts` of the host the agent is on.
+    pub at: usize,
+    /// The hosts visited so far, in order, ending with this one.
+    pub path: &'a [HostId],
+    /// The agent. On departure it carries the session's resulting state.
+    pub agent: &'a AgentImage,
+}
+
+impl Visit<'_> {
+    /// The host the agent is on.
+    pub fn here(&self) -> &HostId {
+        self.path.last().expect("a path starts at the start host")
+    }
+
+    /// The host the agent arrived from (`None` at the start host).
+    pub fn previous(&self) -> Option<&HostId> {
+        self.path.len().checked_sub(2).map(|i| &self.path[i])
+    }
+
+    /// The sequence number of this host's session (0 at the start host).
+    pub fn seq(&self) -> u64 {
+        self.path.len() as u64 - 1
+    }
+}
+
+/// What a linear mechanism adds to the itinerary: a check on arrival and
+/// a step on departure. Both default to doing nothing; either can stop
+/// the journey with the driver's own outcome.
+pub trait Leg {
+    /// What a hook stops the journey with (a detected fraud, a verdict).
+    type Stop;
+
+    /// Runs when the agent arrives at a host, before its session; never
+    /// at the start host.
+    fn arrive(&mut self, _visit: Visit<'_>) -> ControlFlow<Self::Stop> {
+        ControlFlow::Continue(())
+    }
+
+    /// Runs after a host's session, once the agent carries its resulting
+    /// state. Continues with the bytes of baggage the migration carries
+    /// on top of the agent image (0 when the agent halted).
+    fn depart(
+        &mut self,
+        _visit: Visit<'_>,
+        _record: SessionRecord,
+    ) -> ControlFlow<Self::Stop, usize> {
+        ControlFlow::Continue(0)
+    }
+}
+
+/// Where a [`walk`] ended.
+#[derive(Debug)]
+pub struct Walk<S> {
+    /// The agent as it ended, with the state of its last completed
+    /// session.
+    pub image: AgentImage,
+    /// The hosts visited, in order, starting with the start host.
+    pub path: Vec<HostId>,
+    /// `Ok(None)` when the agent halted, `Ok(Some(stop))` when a hook
+    /// stopped the journey, or the error that ended it.
+    pub result: Result<Option<S>, JourneyError>,
+}
+
+/// Walks `agent` from `start` across `hosts`, one session per host, until
+/// it halts, `leg` stops it, or something fails.
+///
+/// The walk owns the itinerary: it records `AgentCreated`; for each of
+/// at most `max_hops` sessions it looks up the host (an unknown host is
+/// [`JourneyError::UnknownHost`]), calls [`Leg::arrive`] (not at the
+/// start host), runs [`Host::execute_session`], gives the agent the
+/// resulting state and calls [`Leg::depart`]. On a migration it checks
+/// the target exists ([`JourneyError::UnknownHost`], with no event, if
+/// not) and records `Migrated` with the image's wire size plus the leg's
+/// baggage. A budget that runs out is [`JourneyError::TooManyHops`].
+pub fn walk<L: Leg>(
+    hosts: &mut [Host],
+    start: impl Into<HostId>,
+    mut agent: AgentImage,
+    exec: &ExecConfig,
+    log: &EventLog,
+    max_hops: usize,
+    leg: &mut L,
+) -> Walk<L::Stop> {
+    let start = start.into();
+    log.record(Event::AgentCreated {
+        agent: agent.id.clone(),
+        home: start.clone(),
+    });
+    let mut path = vec![start];
+    let result = walk_path(hosts, &mut path, &mut agent, exec, log, max_hops, leg);
+    Walk {
+        image: agent,
+        path,
+        result,
+    }
+}
+
+/// The loop of [`walk`], over a path and agent the caller owns so both
+/// survive an error.
+fn walk_path<L: Leg>(
+    hosts: &mut [Host],
+    path: &mut Vec<HostId>,
+    agent: &mut AgentImage,
+    exec: &ExecConfig,
+    log: &EventLog,
+    max_hops: usize,
+    leg: &mut L,
+) -> Result<Option<L::Stop>, JourneyError> {
+    for _ in 0..max_hops {
+        let here = path.last().expect("a path starts at the start host");
+        let at = hosts
+            .iter()
+            .position(|h| h.id() == here)
+            .ok_or_else(|| JourneyError::UnknownHost { host: here.clone() })?;
+        if path.len() > 1 {
+            let visit = Visit {
+                hosts: &mut *hosts,
+                at,
+                path,
+                agent,
+            };
+            if let ControlFlow::Break(stop) = leg.arrive(visit) {
+                return Ok(Some(stop));
+            }
+        }
+
+        let record = hosts[at].execute_session(agent, exec, log)?;
+        agent.state = record.outcome.state.clone();
+        let end = record.outcome.end.clone();
+        let visit = Visit {
+            hosts: &mut *hosts,
+            at,
+            path,
+            agent,
+        };
+        let baggage = match leg.depart(visit, record) {
+            ControlFlow::Continue(bytes) => bytes,
+            ControlFlow::Break(stop) => return Ok(Some(stop)),
+        };
+
+        let SessionEnd::Migrate(next) = end else {
+            return Ok(None);
+        };
+        let next = HostId::new(next);
+        if !hosts.iter().any(|h| h.id() == &next) {
+            return Err(JourneyError::UnknownHost { host: next });
+        }
+        log.record(Event::Migrated {
+            from: hosts[at].id().clone(),
+            to: next.clone(),
+            agent: agent.id.clone(),
+            bytes: refstate_wire::to_wire(&*agent).len() + baggage,
+        });
+        path.push(next);
+    }
+    Err(JourneyError::TooManyHops { limit: max_hops })
+}
+
 /// The result of a completed journey.
 #[derive(Debug)]
 pub struct JourneyOutcome {
@@ -62,6 +228,22 @@ pub struct JourneyOutcome {
     pub path: Vec<HostId>,
     /// Per-session records, parallel to `path`.
     pub records: Vec<SessionRecord>,
+}
+
+/// Keeps every session record, checks nothing.
+struct Records(Vec<SessionRecord>);
+
+impl Leg for Records {
+    type Stop = Infallible;
+
+    fn depart(
+        &mut self,
+        _visit: Visit<'_>,
+        record: SessionRecord,
+    ) -> ControlFlow<Infallible, usize> {
+        self.0.push(record);
+        ControlFlow::Continue(0)
+    }
 }
 
 /// Runs an agent across `hosts` with **no protection at all**: sessions
@@ -89,15 +271,7 @@ pub struct JourneyOutcome {
 ///     Host::new(HostSpec::new("home").with_input("p", Value::Int(10)), &params, &mut rng),
 ///     Host::new(HostSpec::new("shop").with_input("p", Value::Int(20)), &params, &mut rng),
 /// ];
-/// let program = assemble(r#"
-///     input "p"
-///     store "first"
-///     push "shop"
-///     migrate
-/// "#)?;
-/// // Session 2 re-runs from the top on "shop"; "first" already exists, so
-/// // the shop's quote overwrites it and the agent halts... this tiny agent
-/// // simply migrates once and halts on arrival.
+/// // Collect "p" at home, migrate to the shop once, and halt there.
 /// let program = assemble(r#"
 ///     load "done"
 ///     jnz finish
@@ -121,56 +295,19 @@ pub struct JourneyOutcome {
 pub fn run_plain_journey(
     hosts: &mut [Host],
     start: impl Into<HostId>,
-    mut agent: AgentImage,
+    agent: AgentImage,
     config: &ExecConfig,
     log: &EventLog,
     max_hops: usize,
 ) -> Result<JourneyOutcome, JourneyError> {
-    let mut current = start.into();
-    log.record(Event::AgentCreated {
-        agent: agent.id.clone(),
-        home: current.clone(),
-    });
-    let mut path = vec![current.clone()];
-    let mut records = Vec::new();
-
-    for _ in 0..max_hops {
-        let host = hosts
-            .iter_mut()
-            .find(|h| h.id() == &current)
-            .ok_or_else(|| JourneyError::UnknownHost {
-                host: current.clone(),
-            })?;
-        let record = host.execute_session(&agent, config, log)?;
-        agent.state = record.outcome.state.clone();
-        let end = record.outcome.end.clone();
-        records.push(record);
-        match end {
-            SessionEnd::Halt => {
-                return Ok(JourneyOutcome {
-                    final_image: agent,
-                    path,
-                    records,
-                });
-            }
-            SessionEnd::Migrate(next) => {
-                let next = HostId::new(next);
-                if !hosts.iter().any(|h| h.id() == &next) {
-                    return Err(JourneyError::UnknownHost { host: next });
-                }
-                let bytes = refstate_wire::to_wire(&agent).len();
-                log.record(Event::Migrated {
-                    from: current.clone(),
-                    to: next.clone(),
-                    agent: agent.id.clone(),
-                    bytes,
-                });
-                path.push(next.clone());
-                current = next;
-            }
-        }
-    }
-    Err(JourneyError::TooManyHops { limit: max_hops })
+    let mut records = Records(Vec::new());
+    let walk = walk(hosts, start, agent, config, log, max_hops, &mut records);
+    walk.result?;
+    Ok(JourneyOutcome {
+        final_image: walk.image,
+        path: walk.path,
+        records: records.0,
+    })
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! ```
 
 use rand::SeedableRng;
+use refstate::core::VerificationPipeline;
 use refstate::crypto::DsaParams;
 use refstate::mechanisms::{run_replicated_pipeline, StageSpec};
 use refstate::platform::{AgentImage, Attack, EventLog, Host, HostSpec};
@@ -59,8 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let log = EventLog::new();
-    let outcome =
-        run_replicated_pipeline(&mut hosts, &stages, agent, &ExecConfig::default(), &log)?;
+    let outcome = run_replicated_pipeline(
+        &mut hosts,
+        &stages,
+        agent,
+        &ExecConfig::default(),
+        &log,
+        &VerificationPipeline::uncached(),
+    )?;
 
     println!("per-stage votes:");
     for vote in &outcome.votes {
