@@ -1,14 +1,16 @@
 //! `bigint` exponentiation micro-bench: schoolbook vs Montgomery vs
 //! fixed-base, at the DSA shapes the protocols actually run (the group's
-//! prime `p`, exponents below the subgroup order `q`).
+//! prime `p`, exponents below the subgroup order `q`): the 256-bit test
+//! group the fleet and the service sign and verify in, and the 512- and
+//! 1024-bit groups of the paper's measurements.
 //!
 //! Besides the criterion groups, the bench emits a machine-readable
 //! `BENCH_bigint.json` (ns/op for each path and group size, plus the
-//! derived speedups) so the perf trajectory of the arithmetic layer is
-//! diffable PR over PR, exactly like `BENCH_fleet.json` is for the fleet
-//! engine. Set `BENCH_BIGINT_OUT` to change the output path; set
-//! `BENCH_SMOKE=1` (CI) to shrink the measurement to a schema-shaped
-//! smoke run.
+//! derived speedups and the host's `parallelism`) so the perf trajectory
+//! of the arithmetic layer is diffable PR over PR, exactly like
+//! `BENCH_fleet.json` is for the fleet engine. Set `BENCH_BIGINT_OUT` to
+//! change the output path; set `BENCH_SMOKE=1` (CI) to shrink the
+//! measurement to a schema-shaped smoke run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,6 +34,7 @@ struct Shape {
 fn shapes() -> Vec<Shape> {
     let mut rng = StdRng::seed_from_u64(0xB16_B00B5);
     [
+        ("256", DsaParams::test_group_256()),
         ("512", DsaParams::group_512()),
         ("1024", DsaParams::group_1024()),
     ]
@@ -127,6 +130,10 @@ fn emit_bench_json() {
     w.begin_object();
     w.field_str("bench", "bigint");
     w.field_bool("smoke", smoke);
+    w.field_u64(
+        "parallelism",
+        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+    );
     w.key("cases");
     w.begin_array();
     for (group, schoolbook, montgomery, fixed_base) in cases {

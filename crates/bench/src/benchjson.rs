@@ -41,10 +41,15 @@ fn require_positive(value: &Json, path: &str, key: &str) -> Result<f64, JsonErro
 
 /// Validates the `BENCH_bigint.json` schema: `bench == "bigint"`, a
 /// non-empty `cases` array whose entries carry the three per-path timings
-/// (positive ns/op) plus `group` and `op` labels.
+/// (positive ns/op) plus `group` and `op` labels, and a top-level
+/// `parallelism` (the host's core count) that, when present, must be
+/// positive.
 pub fn check_bigint_schema(doc: &Json) -> Result<(), JsonError> {
     if doc.get("bench").and_then(Json::as_str) != Some("bigint") {
         return Err(JsonError("bench: expected \"bigint\"".into()));
+    }
+    if doc.get("parallelism").is_some() {
+        require_positive(doc, "$", "parallelism")?;
     }
     let cases = doc
         .get("cases")
@@ -696,6 +701,17 @@ mod tests {
             {"group":"512","op":"pow_mod","schoolbook_ns":-1,
              "montgomery_ns":30.0,"fixed_base_ns":10.0}]}"#;
         assert!(check_bigint_schema(&parse(negative).unwrap()).is_err());
+    }
+
+    #[test]
+    fn bigint_schema_checks_parallelism_when_present() {
+        let good = r#"{"bench":"bigint","cases":[
+            {"group":"256","op":"pow_mod","schoolbook_ns":100.0,
+             "montgomery_ns":30.0,"fixed_base_ns":10.0}]}"#;
+        let with = |cores: &str| good.replacen("{", &format!(r#"{{"parallelism":{cores},"#), 1);
+        assert!(check_bigint_schema(&parse(&with("2")).unwrap()).is_ok());
+        assert!(check_bigint_schema(&parse(&with("0")).unwrap()).is_err());
+        assert!(check_bigint_schema(&parse(&with("\"two\"")).unwrap()).is_err());
     }
 
     /// One stage_breakdown row with all three stages present.

@@ -59,7 +59,7 @@ use crate::uint::Uint;
 /// and the conversion back via [`from_mont`](Montgomery::from_mont).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MontInt {
-    limbs: Vec<u64>,
+    pub(crate) limbs: Vec<u64>,
 }
 
 /// A Montgomery reduction context for one fixed odd modulus.
@@ -135,17 +135,21 @@ impl Montgomery {
         } else {
             value.rem(&self.n)
         };
-        MontInt {
-            limbs: self.cios(&to_fixed_limbs(&reduced, k), &self.r2),
-        }
+        let mut limbs = vec![0; k];
+        self.cios(&to_fixed_limbs(&reduced, k), &self.r2, &mut limbs);
+        MontInt { limbs }
     }
 
     /// Converts a Montgomery residue back to an ordinary integer in
     /// `[0, n)`.
     pub fn from_mont(&self, value: &MontInt) -> Uint {
         self.check_width(value);
-        let one = to_fixed_limbs(&Uint::one(), self.n_limbs.len());
-        Uint::from_limbs(self.cios(&value.limbs, &one))
+        let k = self.n_limbs.len();
+        let mut one = vec![0; k];
+        one[0] = 1;
+        let mut limbs = vec![0; k];
+        self.cios(&value.limbs, &one, &mut limbs);
+        Uint::from_limbs(limbs)
     }
 
     /// The Montgomery form of 1 (the multiplicative identity of the
@@ -165,9 +169,9 @@ impl Montgomery {
     pub fn mont_mul(&self, a: &MontInt, b: &MontInt) -> MontInt {
         self.check_width(a);
         self.check_width(b);
-        MontInt {
-            limbs: self.cios(&a.limbs, &b.limbs),
-        }
+        let mut limbs = vec![0; self.n_limbs.len()];
+        self.cios(&a.limbs, &b.limbs, &mut limbs);
+        MontInt { limbs }
     }
 
     /// Raises a Montgomery residue to `exponent` by left-to-right
@@ -183,21 +187,24 @@ impl Montgomery {
         if bits == 0 {
             return self.one_mont();
         }
+        let k = self.n_limbs.len();
         let window = window_width(bits);
-        // Odd powers base^1, base^3, …, base^(2^w - 1).
-        let base_sq = self.cios(&base.limbs, &base.limbs);
-        let mut odd_powers = Vec::with_capacity(1 << (window - 1));
-        odd_powers.push(base.limbs.clone());
+        // Odd powers base^1, base^3, …, base^(2^w - 1), `k` limbs each.
+        let mut base_sq = vec![0; k];
+        self.cios(&base.limbs, &base.limbs, &mut base_sq);
+        let mut odd_powers = vec![0; k << (window - 1)];
+        odd_powers[..k].copy_from_slice(&base.limbs);
         for i in 1..(1 << (window - 1)) {
-            let next = self.cios(&odd_powers[i - 1], &base_sq);
-            odd_powers.push(next);
+            let (done, rest) = odd_powers.split_at_mut(i * k);
+            self.cios(&done[(i - 1) * k..], &base_sq, &mut rest[..k]);
         }
 
         let mut acc = self.one.clone();
+        let mut scratch = vec![0; k];
         let mut i = bits; // scan position: next unprocessed bit is i - 1
         while i > 0 {
             if !exponent.bit(i - 1) {
-                acc = self.cios(&acc, &acc);
+                self.square_assign(&mut acc, &mut scratch);
                 i -= 1;
                 continue;
             }
@@ -208,11 +215,12 @@ impl Montgomery {
             }
             let mut value = 0usize;
             for b in (j..i).rev() {
-                acc = self.cios(&acc, &acc);
+                self.square_assign(&mut acc, &mut scratch);
                 value = (value << 1) | exponent.bit(b) as usize;
             }
             debug_assert!(value % 2 == 1);
-            acc = self.cios(&acc, &odd_powers[value / 2]);
+            let entry = value / 2 * k;
+            self.mul_assign(&mut acc, &odd_powers[entry..entry + k], &mut scratch);
             i = j;
         }
         MontInt { limbs: acc }
@@ -246,10 +254,11 @@ impl Montgomery {
         self.check_width(a);
         let plain = Uint::from_limbs(a.limbs.clone()).inv_mod(&self.n)?;
         let k = self.n_limbs.len();
-        let unmapped = self.cios(&to_fixed_limbs(&plain, k), &self.r2);
-        Some(MontInt {
-            limbs: self.cios(&unmapped, &self.r2),
-        })
+        let mut unmapped = vec![0; k];
+        self.cios(&to_fixed_limbs(&plain, k), &self.r2, &mut unmapped);
+        let mut limbs = vec![0; k];
+        self.cios(&unmapped, &self.r2, &mut limbs);
+        Some(MontInt { limbs })
     }
 
     /// Computes `a⁻¹ mod n` through the domain (reduce in, [`Montgomery::inv`],
@@ -308,25 +317,44 @@ impl Montgomery {
         );
     }
 
-    /// One CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod n` as `k`
-    /// limbs. Operands must be `k` limbs and represent values `< n`.
-    fn cios(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// `acc ← acc²·R⁻¹`: the product lands in `scratch`, then the two
+    /// buffers swap, so a ladder of squarings allocates nothing.
+    fn square_assign(&self, acc: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+        self.cios(acc, acc, scratch);
+        std::mem::swap(acc, scratch);
+    }
+
+    /// `acc ← acc·b·R⁻¹` through `scratch`, as [`Self::square_assign`].
+    pub(crate) fn mul_assign(&self, acc: &mut Vec<u64>, b: &[u64], scratch: &mut Vec<u64>) {
+        self.cios(acc, b, scratch);
+        std::mem::swap(acc, scratch);
+    }
+
+    /// One CIOS Montgomery multiplication: writes `a·b·R⁻¹ mod n` into the
+    /// `k`-limb buffer `t`. Operands must be `k` limbs and represent values
+    /// `< n`. The running sum is `k + 2` limbs wide: its low `k` limbs are
+    /// `t` itself and the two overflow words live in locals, so the
+    /// multiplication allocates nothing.
+    pub(crate) fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let k = self.n_limbs.len();
-        let n = &self.n_limbs;
+        let n = &self.n_limbs[..k];
         debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        let mut t = vec![0u64; k + 2];
-        for &ai in a.iter() {
+        let b = &b[..k];
+        let t = &mut t[..k];
+        t.fill(0);
+        // The limbs above `t`: t[k] and t[k + 1] of the textbook layout.
+        let mut top: u64 = 0;
+        for &ai in a {
             // t += ai * b
             let mut carry: u64 = 0;
-            for j in 0..k {
-                let cur = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                t[j] = cur as u64;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                let cur = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+                *tj = cur as u64;
                 carry = (cur >> 64) as u64;
             }
-            let cur = t[k] as u128 + carry as u128;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
+            let cur = top as u128 + carry as u128;
+            top = cur as u64;
+            let overflow = (cur >> 64) as u64;
 
             // Eliminate the low word: t += m·n with m ≡ -t[0]/n[0], then
             // shift one word right (the low word is zero by construction).
@@ -339,27 +367,22 @@ impl Montgomery {
                 t[j - 1] = cur as u64;
                 carry = (cur >> 64) as u64;
             }
-            let cur = t[k] as u128 + carry as u128;
+            let cur = top as u128 + carry as u128;
             t[k - 1] = cur as u64;
-            t[k] = t[k + 1] + ((cur >> 64) as u64);
+            top = overflow + ((cur >> 64) as u64);
         }
 
         // Conditional final subtraction into [0, n).
-        let needs_sub = t[k] != 0 || ge_limbs(&t[..k], n);
-        let mut out = Vec::with_capacity(k);
-        if needs_sub {
+        if top != 0 || ge_limbs(t, n) {
             let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(n[j]);
+            for (tj, &nj) in t.iter_mut().zip(n) {
+                let (d1, b1) = tj.overflowing_sub(nj);
                 let (d2, b2) = d1.overflowing_sub(borrow);
-                out.push(d2);
+                *tj = d2;
                 borrow = (b1 as u64) + (b2 as u64);
             }
-            debug_assert_eq!(borrow, t[k]);
-        } else {
-            out.extend_from_slice(&t[..k]);
+            debug_assert_eq!(borrow, top);
         }
-        out
     }
 }
 

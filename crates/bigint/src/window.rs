@@ -23,8 +23,10 @@
 //!   sliding-window ladder ([`Montgomery::mont_pow`]) — correct, just not
 //!   table-accelerated.
 //! * Memory: `ceil(max_exp_bits / w) · (2^w - 1)` Montgomery residues of
-//!   modulus width (≈ 38 KiB for a 1024-bit modulus, 160-bit exponents,
-//!   `w = 4`).
+//!   modulus width, in one contiguous limb vector: 75 KiB for a 1024-bit
+//!   modulus and 160-bit exponents (40 digits × 15 entries × 128 B), 15 KiB
+//!   for a 256-bit modulus and 128-bit exponents (32 × 15 × 32 B), both at
+//!   `w = 4`.
 //!
 //! # Examples
 //!
@@ -45,9 +47,10 @@ use std::sync::Arc;
 use crate::montgomery::{MontInt, Montgomery};
 use crate::uint::Uint;
 
-/// Default digit width: 16-entry rows, one multiplication per 4 exponent
-/// bits. The sweet spot for the 160-bit DSA exponents this workspace
-/// signs and verifies with (table build cost amortizes within ~15
+/// Default digit width: 15-entry rows, one multiplication per 4 exponent
+/// bits. The sweet spot for the 128- to 256-bit DSA exponents this
+/// workspace signs and verifies with (fleet and serve run the 256-bit
+/// group with a 128-bit `q`; the table build amortizes within ~15
 /// exponentiations).
 const DEFAULT_WINDOW: usize = 4;
 
@@ -64,9 +67,10 @@ pub struct FixedBase {
     window: usize,
     /// Number of digit positions covered by the table.
     digits: usize,
-    /// Row-major: entry `i·(2^w - 1) + (j - 1)` is `base^(j·2^(w·i))` in
-    /// Montgomery form, `j` in `1..2^w`.
-    table: Vec<MontInt>,
+    /// Row-major, one contiguous allocation of `k`-limb entries: entry
+    /// `i·(2^w - 1) + (j - 1)` is `base^(j·2^(w·i))` in Montgomery form,
+    /// `j` in `1..2^w`.
+    table: Vec<u64>,
 }
 
 impl FixedBase {
@@ -89,19 +93,23 @@ impl FixedBase {
         let digits = max_exp_bits.div_ceil(window).max(1);
         let row = (1usize << window) - 1;
         let base_mont = mont.to_mont(base);
+        let k = base_mont.limbs.len();
 
-        let mut table = Vec::with_capacity(digits * row);
+        let mut table = vec![0; digits * row * k];
         // `position` walks base^(2^(w·i)); each row holds its powers 1..2^w.
-        let mut position = base_mont.clone();
-        for _ in 0..digits {
-            let mut power = position.clone();
-            table.push(power.clone());
-            for _ in 2..=row {
-                power = mont.mont_mul(&power, &position);
-                table.push(power.clone());
+        let mut position = base_mont.limbs.clone();
+        let mut scratch = vec![0; k];
+        for i in 0..digits {
+            let start = i * row * k;
+            table[start..start + k].copy_from_slice(&position);
+            for j in 1..row {
+                let (done, rest) = table.split_at_mut(start + j * k);
+                mont.cios(&done[start + (j - 1) * k..], &position, &mut rest[..k]);
             }
             // base^(2^(w·(i+1))) = base^((2^w - 1)·2^(w·i)) · base^(2^(w·i)).
-            position = mont.mont_mul(&power, &position);
+            let last = start + (row - 1) * k;
+            mont.cios(&table[last..last + k], &position, &mut scratch);
+            std::mem::swap(&mut position, &mut scratch);
         }
         FixedBase {
             mont,
@@ -118,7 +126,9 @@ impl FixedBase {
     }
 
     /// Raises the fixed base to `exponent`, returning the result in the
-    /// Montgomery domain (one multiplication per non-zero digit).
+    /// Montgomery domain (one multiplication per non-zero digit after the
+    /// first, which seeds the accumulator; the walk allocates its two
+    /// `k`-limb buffers once).
     ///
     /// Stays in the domain so callers can fuse several fixed-base results
     /// (`g^u1 · y^u2`) with [`Montgomery::mont_mul`] before converting out
@@ -129,19 +139,30 @@ impl FixedBase {
             // Oversized exponent: correct generic fallback.
             return self.mont.mont_pow(&self.base, exponent);
         }
+        let k = self.base.limbs.len();
         let row = (1usize << self.window) - 1;
-        let mut acc = self.mont.one_mont();
-        let used_digits = bits.div_ceil(self.window);
-        for i in 0..used_digits {
+        let mut acc = self.mont.one_mont().limbs;
+        let mut scratch = vec![0; k];
+        let mut seeded = false;
+        for i in 0..bits.div_ceil(self.window) {
             let mut digit = 0usize;
             for b in (0..self.window).rev() {
                 digit = (digit << 1) | exponent.bit(i * self.window + b) as usize;
             }
-            if digit != 0 {
-                acc = self.mont.mont_mul(&acc, &self.table[i * row + digit - 1]);
+            if digit == 0 {
+                continue;
+            }
+            let entry = (i * row + digit - 1) * k;
+            let entry = &self.table[entry..entry + k];
+            if seeded {
+                self.mont.mul_assign(&mut acc, entry, &mut scratch);
+            } else {
+                // 1·entry is the entry itself (residues are fully reduced).
+                acc.copy_from_slice(entry);
+                seeded = true;
             }
         }
-        acc
+        MontInt { limbs: acc }
     }
 
     /// Raises the fixed base to `exponent`, returning an ordinary integer

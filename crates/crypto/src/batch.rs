@@ -6,10 +6,11 @@
 //! the protected-journey p50. A [`VerificationQueue`] trades timeliness
 //! for throughput: hops defer their signature checks and the journey
 //! settles the whole queue in one [`flush`](VerificationQueue::flush)
-//! through [`crate::verify_batch`], where every check is two fixed-base
-//! table walks plus one Montgomery multiplication
-//! ([`crate::DsaPublicKey::verify_fused`]) — the repeated signers in a
-//! journey's queue hit the same cached `y`-tables back to back.
+//! through [`crate::verify_batch`]. A flush pays one modular inversion per
+//! DSA group, shared by all its checks, and each check then costs two
+//! fixed-base table walks plus one Montgomery multiplication — the
+//! repeated signers in a journey's queue hit the same cached `y`-tables
+//! back to back. Verdicts stay per check and exact.
 //! Re-execution checks still run per hop — only the *authenticity* checks
 //! move to the end, so a forged certificate is caught at journey end
 //! instead of at the next hop (the deferred variant's documented

@@ -14,9 +14,13 @@
 //! and [`DsaPublicKey`] caches a [`FixedBase`] table for its `y`; both
 //! caches are `Arc`-shared across clones, so a key registered in a
 //! [`crate::KeyDirectory`] (or pooled by the fleet engine) builds its
-//! table once and every holder benefits. The fused verification path
-//! ([`DsaPublicKey::verify_fused`], and [`verify_batch`] on top of it)
-//! collapses to **two table walks and one Montgomery multiplication**.
+//! table once and every holder benefits. The accelerated verification
+//! path ([`verify_batch`], and [`DsaPublicKey::verify_fused`] as a batch
+//! of one) collapses each check to **two table walks and one Montgomery
+//! multiplication**, and a batch pays **one inversion per group**: the
+//! `s` values of a group share a single inversion in the `q`-domain
+//! (Montgomery's trick). Verdicts stay per entry and exact — nothing is
+//! aggregated probabilistically.
 //!
 //! [`DsaPublicKey::verify`] deliberately stays on the schoolbook
 //! two-modexp path: it is the reference oracle the equivalence tests pin
@@ -34,8 +38,8 @@ use rand::RngCore;
 use refstate_telemetry as telemetry;
 
 use refstate_bigint::{
-    gen_prime, is_probable_prime, random_exact_bits, random_in_unit_range, FixedBase, Montgomery,
-    Uint,
+    gen_prime, is_probable_prime, random_exact_bits, random_in_unit_range, FixedBase, MontInt,
+    Montgomery, Uint,
 };
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -48,11 +52,13 @@ const MR_ROUNDS: u32 = 40;
 /// for `p`, a fixed-base table for the generator `g` (sized for
 /// exponents up to `|q|` bits — every DSA exponent is reduced mod `q`),
 /// and a second Montgomery context for the subgroup order `q` so the
-/// verify-side scalar arithmetic (`w = s⁻¹`, `u1 = z·w`, `u2 = r·w`)
-/// runs in-domain without the division-based round trip. `q_mont` is
-/// `None` only for wire-decoded parameters with an even `q` — such a
-/// `q` is not a valid subgroup order, but decode is structural-only, so
-/// the scalar path degrades to schoolbook instead of panicking.
+/// verify-side scalar arithmetic (`w = s⁻¹`, shared across a batch by one
+/// inversion of the product of the `s` values, then `u1 = z·w`,
+/// `u2 = r·w`) runs in-domain without the division-based round trip.
+/// `q_mont` is `None` only for wire-decoded parameters with an even `q` —
+/// such a `q` is not a valid subgroup order, but decode is
+/// structural-only, so the scalar path degrades to schoolbook instead of
+/// panicking.
 #[derive(Debug)]
 pub(crate) struct GroupAccel {
     pub(crate) mont: Arc<Montgomery>,
@@ -477,64 +483,37 @@ impl DsaPublicKey {
         v == *r
     }
 
-    /// [`DsaPublicKey::verify`] on the accelerated path: `g^u1` and
-    /// `y^u2` come out of the group's and the key's precomputed
-    /// [`FixedBase`] tables as Montgomery residues, fused by a single
-    /// [`Montgomery`] multiplication — two table walks (one
-    /// multiplication per non-zero exponent digit, **no squarings**) per
-    /// verification.
+    /// [`DsaPublicKey::verify`] on the accelerated path: [`verify_batch`]
+    /// over this one entry. `g^u1` and `y^u2` come out of the group's and
+    /// the key's precomputed [`FixedBase`] tables as Montgomery residues,
+    /// fused by a single [`Montgomery`] multiplication — two table walks
+    /// (one multiplication per non-zero exponent digit, **no squarings**)
+    /// per verification.
     ///
     /// Identical accept/reject behaviour to [`DsaPublicKey::verify`] —
-    /// the batch property tests pin this. [`verify_batch`] is built on
-    /// this entry point. Groups that cannot host a Montgomery context
-    /// fall back to one Shamir double exponentiation (`g^u1 · y^u2` in a
-    /// shared square-and-multiply ladder).
+    /// the batch property tests pin this. Groups that cannot host a
+    /// Montgomery context fall back to one Shamir double exponentiation
+    /// (`g^u1 · y^u2` in a shared square-and-multiply ladder).
     pub fn verify_fused(&self, message: &[u8], signature: &Signature) -> bool {
-        let timer = telemetry::Timer::start();
-        let accepted = self.verify_fused_inner(message, signature);
-        timer.finish("crypto.verify", "crypto");
-        accepted
+        verify_batch(&[BatchEntry {
+            key: self,
+            message,
+            signature,
+        }])[0]
     }
 
-    fn verify_fused_inner(&self, message: &[u8], signature: &Signature) -> bool {
+    /// The tail of every accelerated verification once `u1 = z·w` and
+    /// `u2 = r·w` are known: `v = (g^u1 · y^u2 mod p) mod q`, accepted iff
+    /// `v = r`.
+    fn accepts(&self, u1: &Uint, u2: &Uint, r: &Uint) -> bool {
         let q = &self.params.q;
-        let p = &self.params.p;
-        let r = &signature.r;
-        let s = &signature.s;
-        if r.is_zero() || r >= q || s.is_zero() || s >= q {
-            return false;
-        }
-        let z = self.params.hash_to_z(message);
-        // The scalar leg (w = s⁻¹ mod q, u1 = z·w, u2 = r·w) runs inside
-        // the q-domain when the group hosts one: the inverse chains into
-        // both products without converting out between operations.
-        let accel = self.y_accel();
-        let (u1, u2) = match accel.and_then(|(a, _)| a.q_mont.as_ref()) {
-            Some(qm) => {
-                let w = match qm.inv(&qm.to_mont(s)) {
-                    Some(w) => w,
-                    None => return false,
-                };
-                (
-                    qm.from_mont(&qm.mont_mul(&qm.to_mont(&z), &w)),
-                    qm.from_mont(&qm.mont_mul(&qm.to_mont(r), &w)),
-                )
-            }
-            None => {
-                let w = match s.inv_mod(q) {
-                    Some(w) => w,
-                    None => return false,
-                };
-                (z.mul_mod(&w, q), r.mul_mod(&w, q))
-            }
-        };
-        let v = match accel {
+        let v = match self.y_accel() {
             Some((accel, y_table)) => {
-                let gm = accel.g_table.pow(&u1);
-                let ym = y_table.pow(&u2);
+                let gm = accel.g_table.pow(u1);
+                let ym = y_table.pow(u2);
                 accel.mont.from_mont(&accel.mont.mont_mul(&gm, &ym)).rem(q)
             }
-            None => double_pow_mod(&self.params.g, &u1, &self.y, &u2, p).rem(q),
+            None => double_pow_mod(&self.params.g, u1, &self.y, u2, &self.params.p).rem(q),
         };
         v == *r
     }
@@ -576,13 +555,32 @@ pub struct BatchEntry<'a> {
 ///
 /// Each entry is judged exactly as [`DsaPublicKey::verify`] would judge it
 /// — no small-exponent aggregation tricks, which standard DSA rules out
-/// because `r` only retains `g^k mod p mod q` — but every check runs
-/// through the table-accelerated path ([`DsaPublicKey::verify_fused`]):
-/// two fixed-base table walks plus one Montgomery multiplication per
-/// signature, with each key's `y`-table built once and shared across the
-/// batch (and across every clone of the key). This is the batch half of
-/// the protocol's deferred-verification path (see
-/// `refstate-core::protocol`).
+/// because `r` only retains `g^k mod p mod q` — so verdicts stay per entry
+/// and exact. What the batch shares is the inversion: the entries are
+/// partitioned by group, and within a group every in-range `s` is
+/// multiplied into one product in the `q`-domain, inverted **once**, and
+/// walked back to each entry's own `w = s⁻¹` (Montgomery's trick: one
+/// inversion plus `3(n − 1)` multiplications instead of `n` inversions).
+/// A batch therefore costs one inversion per group. Each entry then
+/// finishes alone: hash, `u1 = z·w`, `u2 = r·w`, two fixed-base table
+/// walks plus one Montgomery multiplication, with each key's `y`-table
+/// built once and shared across the batch (and across every clone of the
+/// key). This is the batch half of the protocol's deferred-verification
+/// path (see `refstate-core::protocol`), and
+/// [`DsaPublicKey::verify_fused`] is this function over one entry.
+///
+/// A component outside `[1, q)` rejects its entry before the product is
+/// formed, so a zero `s` cannot poison the rest of its group. Two inputs
+/// skip the shared inversion: a group whose `q` cannot host a Montgomery
+/// context (even `q`, or a key whose even `p` hosts none) inverts each `s`
+/// on the schoolbook path, and a product with no inverse (possible only
+/// for a composite `q` from an unvalidated wire decode) makes each entry
+/// invert alone, so an entry fails only on its own `s`.
+///
+/// Telemetry: `crypto.batch_size` and the `crypto.verify_batch` span once
+/// per call; `crypto.verify` once per entry, timing that entry's own
+/// work. The shared inversion is inside `crypto.verify_batch` but in no
+/// entry's `crypto.verify`.
 ///
 /// # Examples
 ///
@@ -603,12 +601,102 @@ pub struct BatchEntry<'a> {
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
     telemetry::observe("crypto.batch_size", entries.len() as u64);
     let timer = telemetry::Timer::start();
-    let verdicts = entries
-        .iter()
-        .map(|e| e.key.verify_fused(e.message, e.signature))
-        .collect();
+    let mut verdicts = vec![false; entries.len()];
+    // Entry indices per group, in batch order.
+    let mut groups: Vec<(&DsaParams, Vec<usize>)> = Vec::new();
+    for (i, entry) in entries.iter().enumerate() {
+        let params = &entry.key.params;
+        let Signature { r, s } = entry.signature;
+        if r.is_zero() || r >= &params.q || s.is_zero() || s >= &params.q {
+            telemetry::Timer::start().finish("crypto.verify", "crypto");
+            continue;
+        }
+        match groups.iter_mut().find(|(group, _)| *group == params) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((params, vec![i])),
+        }
+    }
+    for (params, members) in &groups {
+        verify_group(params, entries, members, &mut verdicts);
+    }
     timer.finish("crypto.verify_batch", "crypto");
     verdicts
+}
+
+/// Judges the in-range entries `members` of one group, writing each
+/// verdict into `verdicts`: one shared inversion in the group's
+/// `q`-domain (schoolbook inversion per entry when it has none), then
+/// each entry's own tail.
+fn verify_group(
+    params: &DsaParams,
+    entries: &[BatchEntry<'_>],
+    members: &[usize],
+    verdicts: &mut [bool],
+) {
+    let q = &params.q;
+    let shared = params
+        .accel()
+        .and_then(|accel| accel.q_mont.as_ref())
+        .map(|qm| {
+            let s: Vec<MontInt> = members
+                .iter()
+                .map(|&i| qm.to_mont(&entries[i].signature.s))
+                .collect();
+            (qm, batch_inverses(qm, &s))
+        });
+    for (n, &i) in members.iter().enumerate() {
+        let BatchEntry {
+            key,
+            message,
+            signature,
+        } = entries[i];
+        let timer = telemetry::Timer::start();
+        let z = params.hash_to_z(message);
+        let r = &signature.r;
+        // (u1, u2) = (z·w, r·w), in the q-domain when the group has one.
+        let scalars = match &shared {
+            Some((qm, inverses)) => inverses[n].as_ref().map(|w| {
+                let times_w = |x: &Uint| qm.from_mont(&qm.mont_mul(&qm.to_mont(x), w));
+                (times_w(&z), times_w(r))
+            }),
+            None => signature
+                .s
+                .inv_mod(q)
+                .map(|w| (z.mul_mod(&w, q), r.mul_mod(&w, q))),
+        };
+        verdicts[i] = scalars.is_some_and(|(u1, u2)| key.accepts(&u1, &u2, r));
+        timer.finish("crypto.verify", "crypto");
+    }
+}
+
+/// Montgomery's trick: the inverse of every residue in `values` from one
+/// [`Montgomery::inv`] plus `3(n − 1)` multiplications. The prefix
+/// products `c_i = v_0 ⋯ v_i` run forward; `c_(n−1)⁻¹` walks back, with
+/// `v_i⁻¹ = c_i⁻¹ · c_(i−1)` and `c_(i−1)⁻¹ = c_i⁻¹ · v_i`. When the product
+/// has no inverse each value is inverted alone, so only the values that
+/// share a factor with the modulus come back `None`.
+fn batch_inverses(qm: &Montgomery, values: &[MontInt]) -> Vec<Option<MontInt>> {
+    let Some((first, rest)) = values.split_first() else {
+        return Vec::new();
+    };
+    // prefix[i] = c_i for i < n − 1; the loop leaves c_(n−1) in `product`.
+    let mut prefix = Vec::with_capacity(rest.len());
+    let mut product = first.clone();
+    for v in rest {
+        let next = qm.mont_mul(&product, v);
+        prefix.push(product);
+        product = next;
+    }
+    let Some(mut inverse) = qm.inv(&product) else {
+        return values.iter().map(|v| qm.inv(v)).collect();
+    };
+    let mut inverses = vec![None; values.len()];
+    for i in (1..values.len()).rev() {
+        inverses[i] = Some(qm.mont_mul(&inverse, &prefix[i - 1]));
+        inverse = qm.mont_mul(&inverse, &values[i]);
+    }
+    inverses[0] = Some(inverse);
+    inverses
 }
 
 impl Encode for DsaPublicKey {
@@ -865,6 +953,52 @@ mod tests {
             },
         ]);
         assert_eq!(verdicts, vec![true, false, true]);
+    }
+
+    #[test]
+    fn empty_batch_returns_no_verdicts() {
+        assert!(verify_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn batch_of_one_agrees_with_verify_fused() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let params = small_params(&mut rng);
+        let keys = DsaKeyPair::generate(&params, &mut rng);
+        let sig = keys.sign(b"msg", &mut rng);
+        for (message, expect) in [(&b"msg"[..], true), (b"tampered", false)] {
+            let batch = verify_batch(&[BatchEntry {
+                key: keys.public(),
+                message,
+                signature: &sig,
+            }]);
+            assert_eq!(batch, vec![keys.public().verify_fused(message, &sig)]);
+            assert_eq!(batch, vec![expect]);
+        }
+    }
+
+    #[test]
+    fn batch_inverses_match_one_inversion_each() {
+        // 99991 is prime: one shared inversion. 15015 = 3·5·7·11·13: the
+        // product of [2, 3, 4, 16] shares the factor 3, so every value is
+        // inverted alone and only 3 has no inverse.
+        for (modulus, values) in [
+            (99991u64, vec![2u64, 3, 4, 16, 99990]),
+            (15015, vec![2, 3, 4, 16]),
+        ] {
+            let q = Uint::from(modulus);
+            let qm = Montgomery::new(&q).unwrap();
+            let residues: Vec<MontInt> =
+                values.iter().map(|&v| qm.to_mont(&Uint::from(v))).collect();
+            let inverses: Vec<Option<Uint>> = batch_inverses(&qm, &residues)
+                .iter()
+                .map(|w| w.as_ref().map(|w| qm.from_mont(w)))
+                .collect();
+            let expect: Vec<Option<Uint>> =
+                values.iter().map(|&v| Uint::from(v).inv_mod(&q)).collect();
+            assert_eq!(inverses, expect, "modulus {modulus}");
+        }
+        assert!(batch_inverses(&Montgomery::new(&Uint::from(7u64)).unwrap(), &[]).is_empty());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use refstate_bigint::Uint;
 use refstate_crypto::{
-    sha1, sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, HmacSha256, KeyDirectory,
-    Sha256, Signed,
+    sha1, sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
+    KeyDirectory, Sha256, Signature, Signed,
 };
-use refstate_wire::{from_wire, to_wire};
+use refstate_wire::{from_wire, to_wire, Writer};
 
 /// One key pair in a small (fast) group, shared across cases.
 fn keys() -> &'static DsaKeyPair {
@@ -146,7 +147,7 @@ proptest! {
     /// underlying claim.
     #[test]
     fn pow_g_agrees_with_schoolbook(seed in any::<u64>()) {
-        use refstate_bigint::{random_in_unit_range, Uint};
+        use refstate_bigint::random_in_unit_range;
         let mut rng = StdRng::seed_from_u64(seed);
         let params = DsaParams::test_group_256();
         let e = random_in_unit_range(&mut rng, params.q());
@@ -170,50 +171,113 @@ proptest! {
     }
 }
 
+/// One key pair in the paper's 512-bit group, shared across cases.
+fn wide_keys() -> &'static DsaKeyPair {
+    use std::sync::OnceLock;
+    static KEYS: OnceLock<DsaKeyPair> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0xBEEF);
+        DsaKeyPair::generate(&DsaParams::group_512(), &mut rng)
+    })
+}
+
+/// A signature with arbitrary components, built the only way a hostile
+/// one arrives: through the wire decoder, which checks no range.
+fn wire_signature(r: &Uint, s: &Uint) -> Signature {
+    let mut w = Writer::new();
+    w.put_bytes(&r.to_be_bytes());
+    w.put_bytes(&s.to_be_bytes());
+    from_wire(&w.into_inner()).expect("two byte strings decode")
+}
+
+/// `key` with `p` replaced by `p + 1`, decoded from the wire: the decoder
+/// checks structure only, and an even `p` hosts no Montgomery context.
+fn even_p_key(key: &DsaPublicKey) -> DsaPublicKey {
+    let params = key.params();
+    let mut w = Writer::new();
+    for value in [
+        &(params.p() + &Uint::one()),
+        params.q(),
+        params.g(),
+        key.y(),
+    ] {
+        w.put_bytes(&value.to_be_bytes());
+    }
+    let decoded: DsaPublicKey = from_wire(&w.into_inner()).expect("structurally valid key");
+    assert!(decoded.params().p().is_even());
+    decoded
+}
+
+/// The out-of-range variants of `sig` in a group of order `q`: each
+/// component at 0 and at `q`, plus `s + q`, which is `s` again modulo `q`
+/// and so verifies if it slips past the range check into the product.
+fn out_of_range(sig: &Signature, q: &Uint) -> [Signature; 5] {
+    let (r, s) = (sig.r(), sig.s());
+    [
+        wire_signature(&Uint::zero(), s),
+        wire_signature(r, &Uint::zero()),
+        wire_signature(q, s),
+        wire_signature(r, q),
+        wire_signature(r, &(s + q)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// `verify_batch` agrees with per-signature `verify` over a batch of
-    /// 100 random signatures, a random subset of which is corrupted (in
-    /// message, signature bytes, or key attribution).
+    /// 100 random signatures that interleaves two groups (the 256-bit
+    /// test group and the 512-bit group), a key whose even `p` has no
+    /// Montgomery context, and corruptions in message, key attribution
+    /// and wire-decoded components outside `[1, q)`.
     #[test]
     fn batch_verify_equals_per_signature_verify(
         seed in any::<u64>(),
-        corrupt_mask in proptest::collection::vec(any::<bool>(), 100),
+        kinds in proptest::collection::vec(0u8..8, 100),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let signer = keys();
+        let wide = wide_keys();
         let stranger = DsaKeyPair::generate(&DsaParams::test_group_256(), &mut rng);
-        let mut messages: Vec<Vec<u8>> = Vec::with_capacity(100);
-        let mut sigs = Vec::with_capacity(100);
-        for (i, corrupt) in corrupt_mask.iter().enumerate() {
+        let even_p = even_p_key(signer.public());
+        let mut rows: Vec<(&DsaPublicKey, Vec<u8>, Signature)> = Vec::with_capacity(100);
+        for (i, kind) in kinds.iter().enumerate() {
             let message = format!("batch message {i} of seed {seed}").into_bytes();
-            let sig = if *corrupt && i % 2 == 0 {
-                // Corruption A: signature by the wrong key.
-                stranger.sign(&message, &mut rng)
-            } else if *corrupt {
-                // Corruption B: signature over a different message.
-                signer.sign(b"something else entirely", &mut rng)
-            } else {
-                signer.sign(&message, &mut rng)
+            let row = match kind {
+                0 => (signer.public(), signer.sign(&message, &mut rng)),
+                // Signature by the wrong key.
+                1 => (signer.public(), stranger.sign(&message, &mut rng)),
+                // Signature over a different message.
+                2 => (signer.public(), signer.sign(b"something else entirely", &mut rng)),
+                3 => (wide.public(), wide.sign(&message, &mut rng)),
+                // A 256-bit signature checked against the 512-bit key.
+                4 => (wide.public(), signer.sign(&message, &mut rng)),
+                5 => (&even_p, signer.sign(&message, &mut rng)),
+                6 => {
+                    let sig = signer.sign(&message, &mut rng);
+                    let bad = out_of_range(&sig, signer.public().params().q());
+                    (signer.public(), bad[i % bad.len()].clone())
+                }
+                _ => {
+                    let sig = wide.sign(&message, &mut rng);
+                    let bad = out_of_range(&sig, wide.public().params().q());
+                    (wide.public(), bad[i % bad.len()].clone())
+                }
             };
-            messages.push(message);
-            sigs.push(sig);
+            rows.push((row.0, message, row.1));
         }
-        let entries: Vec<BatchEntry<'_>> = messages
+        let entries: Vec<BatchEntry<'_>> = rows
             .iter()
-            .zip(&sigs)
-            .map(|(message, signature)| BatchEntry {
-                key: signer.public(),
+            .map(|(key, message, signature)| BatchEntry {
+                key,
                 message,
                 signature,
             })
             .collect();
         let batch = verify_batch(&entries);
-        let singles: Vec<bool> = messages
+        let singles: Vec<bool> = rows
             .iter()
-            .zip(&sigs)
-            .map(|(m, s)| signer.public().verify(m, s))
+            .map(|(key, message, signature)| key.verify(message, signature))
             .collect();
         prop_assert_eq!(batch, singles);
     }
