@@ -83,6 +83,17 @@ fn require_non_negative(value: &Json, path: &str, key: &str) -> Result<f64, Json
     }
 }
 
+fn require_count(value: &Json, path: &str, key: &str) -> Result<f64, JsonError> {
+    let n = require_non_negative(value, path, key)?;
+    if n.fract() == 0.0 {
+        Ok(n)
+    } else {
+        Err(JsonError(format!(
+            "{path}.{key}: must be an integer, got {n}"
+        )))
+    }
+}
+
 /// The per-mechanism verification stages a `stage_breakdown` row carries.
 const STAGE_KEYS: [&str; 3] = ["cache_hit", "replay", "sig_verify"];
 
@@ -469,7 +480,8 @@ fn check_latency_ladder(parent: &Json, path: &str) -> Result<(), JsonError> {
 /// block with `hit_rate` in `[0, 1]`, one `owners_detail` row per
 /// owner, and a 16-hex-digit `stream_digest` pinning the verdict
 /// stream. Optional blocks are validated when present: `tick_driver`
-/// (positive `interval_us`/`batch_min`/`max_age_us`), `warm_start`
+/// (what the group-commit driver did: integer `ticks` and `verdicts`,
+/// the latter at most `counts.verified`), `warm_start`
 /// (a resumed run's restart handshake: `generation` ≥ 2,
 /// non-negative `resume_offset`, one durable-stream checkpoint row per
 /// owner with a 16-hex-digit digest), and
@@ -508,12 +520,6 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
     require_non_negative(aggregate, "aggregate", "journeys_per_sec")?;
     require_positive(aggregate, "aggregate", "parallelism")?;
 
-    if let Some(driver) = doc.get("tick_driver") {
-        require_positive(driver, "tick_driver", "interval_us")?;
-        require_positive(driver, "tick_driver", "batch_min")?;
-        require_positive(driver, "tick_driver", "max_age_us")?;
-    }
-
     let counts = doc
         .get("counts")
         .ok_or_else(|| JsonError("counts: missing block".into()))?;
@@ -540,6 +546,15 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
             "counts.dropped: {dropped} accepted journeys never produced a \
              verdict — the drain invariant requires zero"
         )));
+    }
+    if let Some(driver) = doc.get("tick_driver") {
+        require_count(driver, "tick_driver", "ticks")?;
+        let driven = require_count(driver, "tick_driver", "verdicts")?;
+        if driven > verified {
+            return Err(JsonError(format!(
+                "tick_driver.verdicts: {driven} exceeds counts.verified ({verified})"
+            )));
+        }
     }
 
     check_latency_ladder(doc, "latency_us")?;
@@ -1116,11 +1131,21 @@ mod tests {
         let with_driver = good.replace(
             r#""connections":2,"#,
             r#""connections":2,
-               "tick_driver":{"interval_us":1000,"batch_min":16,"max_age_us":5000},"#,
+               "tick_driver":{"ticks":12,"verdicts":48},"#,
         );
         assert!(check_slo_schema(&parse(&with_driver).unwrap()).is_ok());
-        let stalled = with_driver.replace("\"interval_us\":1000", "\"interval_us\":0");
-        assert!(check_slo_schema(&parse(&stalled).unwrap()).is_err());
+        let idle = with_driver.replace(r#""ticks":12,"verdicts":48"#, r#""ticks":0,"verdicts":0"#);
+        assert!(check_slo_schema(&parse(&idle).unwrap()).is_ok());
+        for broken in [
+            r#""ticks":-1,"verdicts":48"#,
+            r#""ticks":12,"verdicts":-48"#,
+            r#""ticks":12.5,"verdicts":48"#,
+            // More verdicts than the whole run verified.
+            r#""ticks":12,"verdicts":49"#,
+        ] {
+            let doc = with_driver.replace(r#""ticks":12,"verdicts":48"#, broken);
+            assert!(check_slo_schema(&parse(&doc).unwrap()).is_err(), "{broken}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! report SLOs.
 //!
 //! ```text
-//! # resident server on a fixed port, server-paced ticks every 1ms
+//! # resident server on a fixed port, settled by its group-commit driver
 //! cargo run --release -p refstate-serve --bin serve -- --listen 127.0.0.1:7440
 //!
 //! # in-process soak: 8 pipelined connections, 8 owners, 10k journeys,
@@ -20,8 +20,8 @@
 //! Flags:
 //!
 //! * `--listen ADDR` — serve the framed TCP protocol on `ADDR` until a
-//!   client sends `Shutdown`; a background tick driver paces settlement
-//!   (disable with `--tick-interval 0`)
+//!   client sends `Shutdown`; a background tick driver settles every
+//!   submit, so clients need not tick (disable with `--tick-driver off`)
 //! * `--soak` — drive a soak run (in-process unless `--connect`)
 //! * `--connect ADDR` — soak against a remote server instead of an
 //!   in-process service
@@ -50,10 +50,9 @@
 //!   verdict streams to an append-only log store in `DIR`, so a
 //!   restarted server warm-starts with its caches hot and its streams
 //!   checkpointed
-//! * `--tick-interval MS` (0 = off), `--tick-batch-min N`,
-//!   `--tick-max-age MS` — tick-driver pacing (`--listen` defaults to a
-//!   1ms driver; in-process soaks run driverless unless given an
-//!   interval)
+//! * `--tick-driver on|off` — run the group-commit tick driver, woken
+//!   by every accepted submit (default on for `--listen`, off for
+//!   in-process soaks; a `--connect` soak uses the server's)
 //! * `--slo-out PATH` — write the `refstate-soak-slo-v1` JSON artifact
 //! * `--stream-out PATH` — write the verdict stream (golden-fixture
 //!   format, grouped by owner)
@@ -61,27 +60,24 @@
 //!   verdict streams are byte-identical at every level)
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use refstate_serve::{
     run_soak_concurrent, LocalPipelined, PipelinedClient, ServeConfig, Server, Service, SoakConfig,
-    SoakOutcome, TickDriver, TickDriverConfig, TickPolicy,
+    SoakOutcome, TickDriver, TickDriverConfig,
 };
 use refstate_telemetry as telemetry;
 
 fn usage(exit: i32) -> ! {
     eprintln!(
-        "usage: serve --listen ADDR [service knobs] [tick-driver knobs]\n\
+        "usage: serve --listen ADDR [service knobs] [--tick-driver on|off]\n\
          \x20      serve --soak [--connect ADDR] [--connections N] \
          [--compare-single] [--owners N] [--journeys N] [--seed S] \
          [--preset P] [--mechanism M] [--tick-every N] [--start N] \
          [--resume] [--slo-out PATH] \
-         [--stream-out PATH] [service knobs] [tick-driver knobs]\n\
+         [--stream-out PATH] [service knobs] [--tick-driver on|off]\n\
          service knobs: --key-pool N --queue-capacity N --check-workers N \
          --settle-workers N --no-replay-cache --state-dir DIR \
-         --telemetry off|counters|full\n\
-         tick-driver knobs: --tick-interval MS --tick-batch-min N \
-         --tick-max-age MS"
+         --telemetry off|counters|full"
     );
     std::process::exit(exit);
 }
@@ -95,10 +91,8 @@ struct Options {
     require_ratio: Option<f64>,
     soak_config: SoakConfig,
     serve_config: ServeConfig,
-    /// `None` = mode default (1ms for `--listen`, off for soaks);
-    /// `Some(ZERO)` = explicitly off.
-    tick_interval: Option<Duration>,
-    tick_policy: TickPolicy,
+    /// `None` = mode default (on for `--listen`, off for soaks).
+    tick_driver: Option<bool>,
     slo_out: Option<String>,
     stream_out: Option<String>,
     telemetry: telemetry::TelemetryLevel,
@@ -115,8 +109,7 @@ fn parse_args() -> Options {
         require_ratio: None,
         soak_config: SoakConfig::default(),
         serve_config: ServeConfig::default(),
-        tick_interval: None,
-        tick_policy: TickPolicy::default(),
+        tick_driver: None,
         slo_out: None,
         stream_out: None,
         telemetry: telemetry::TelemetryLevel::Off,
@@ -177,16 +170,12 @@ fn parse_args() -> Options {
                 options.soak_config.start = value(&mut i).parse().unwrap_or_else(|_| usage(2))
             }
             "--resume" => options.soak_config.resume = true,
-            "--tick-interval" => {
-                let ms: u64 = value(&mut i).parse().unwrap_or_else(|_| usage(2));
-                options.tick_interval = Some(Duration::from_millis(ms));
-            }
-            "--tick-batch-min" => {
-                options.tick_policy.batch_min = value(&mut i).parse().unwrap_or_else(|_| usage(2))
-            }
-            "--tick-max-age" => {
-                let ms: u64 = value(&mut i).parse().unwrap_or_else(|_| usage(2));
-                options.tick_policy.max_age = Duration::from_millis(ms);
+            "--tick-driver" => {
+                options.tick_driver = match value(&mut i).as_str() {
+                    "on" => Some(true),
+                    "off" => Some(false),
+                    _ => usage(2),
+                }
             }
             "--slo-out" => options.slo_out = Some(value(&mut i)),
             "--stream-out" => options.stream_out = Some(value(&mut i)),
@@ -232,45 +221,25 @@ fn write_file(path: &str, contents: &str) {
     eprintln!("wrote {path}");
 }
 
-/// The tick-driver configuration a mode resolved to, if any.
-fn driver_config(
-    options: &Options,
-    default_interval: Option<Duration>,
-) -> Option<TickDriverConfig> {
-    let interval = options.tick_interval.or(default_interval)?;
-    if interval.is_zero() {
-        return None;
-    }
-    Some(TickDriverConfig {
-        interval,
-        policy: options.tick_policy.clone(),
-    })
-}
-
 /// An in-process soak over `connections` [`LocalPipelined`] connections
-/// into one fresh service, with the tick driver `driver` (if any) racing
-/// the clients' own ticks.
+/// into one fresh service, with the tick driver (when `drive` is set)
+/// racing the clients' own ticks.
 fn soak_in_process(
     serve_config: ServeConfig,
-    driver: Option<TickDriverConfig>,
+    drive: bool,
     config: &SoakConfig,
     connections: usize,
 ) -> SoakOutcome {
     let queue_capacity = serve_config.queue_capacity;
     let service = Arc::new(Service::new(serve_config));
-    let running = driver
-        .clone()
-        .map(|driver| TickDriver::start(Arc::clone(&service), driver));
+    let driver = drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig));
     let mut outcome = run_soak_concurrent(
         |_| LocalPipelined::new(Arc::clone(&service)),
         config,
         connections,
         queue_capacity,
     );
-    if let Some(running) = running {
-        running.stop();
-    }
-    outcome.tick_driver = driver;
+    outcome.tick_driver = driver.map(TickDriver::stop);
     outcome
 }
 
@@ -291,7 +260,7 @@ fn run_load(options: &Options) -> SoakOutcome {
         ),
         None => soak_in_process(
             options.serve_config.clone(),
-            driver_config(options, None),
+            options.tick_driver.unwrap_or(false),
             config,
             options.connections,
         ),
@@ -311,14 +280,11 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        // The resident server paces itself by default: clients need not
-        // send a single Tick.
-        if let Some(config) = driver_config(&options, Some(TickDriverConfig::default().interval)) {
-            eprintln!(
-                "tick driver: every {:?}, batch-min {}, max-age {:?}",
-                config.interval, config.policy.batch_min, config.policy.max_age
-            );
-            server.start_tick_driver(config);
+        // The resident server settles on its own by default: clients
+        // need not send a single Tick.
+        if options.tick_driver.unwrap_or(true) {
+            eprintln!("tick driver: group commit, woken by every submit");
+            server.start_tick_driver();
         }
         eprintln!("serving on {}", server.addr());
         server.join();
@@ -337,7 +303,7 @@ fn main() {
                 settle_workers: 1,
                 ..options.serve_config.clone()
             },
-            None,
+            false,
             &options.soak_config,
             1,
         );

@@ -21,10 +21,10 @@
 //!   independent owners in parallel across a small worker pool
 //!   (`settle_workers`) — each owner still settles in one amortized
 //!   `settle_owner_batch`,
-//! * [`driver`] — the server-side tick driver: a background thread that
-//!   scans the shards and ticks the ones whose queues are worth settling
-//!   (batch-size or age eligibility), making client `Tick` requests
-//!   optional pacing hints,
+//! * [`driver`] — the server-side tick driver: a group commit woken by
+//!   every accepted submit, which ticks each owner with queued work —
+//!   the batch is whatever queued while the previous tick ran — making
+//!   client `Tick` requests optional pacing hints,
 //! * [`net`] — a TCP shell with pipelined connections: each connection
 //!   runs a reader/writer thread pair around a bounded response window,
 //!   so clients can keep many requests in flight on one socket,
@@ -55,7 +55,7 @@ pub mod proto;
 pub mod service;
 pub mod soak;
 
-pub use driver::{TickDriver, TickDriverConfig, TickPolicy};
+pub use driver::{TickDriver, TickDriverConfig, TickDriverStats};
 pub use net::{PipelinedClient, Server};
 pub use proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,

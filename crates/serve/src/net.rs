@@ -123,10 +123,18 @@ impl Server {
         &self.service
     }
 
-    /// Starts the background tick driver over this server's service.
-    /// Replaces (stopping) any previous driver.
-    pub fn start_tick_driver(&mut self, config: TickDriverConfig) {
-        self.driver = Some(TickDriver::start(Arc::clone(&self.service), config));
+    /// Starts the background tick driver over this server's service; it
+    /// runs until [`Server::join`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service already had a driver (see
+    /// [`TickDriver::start`]).
+    pub fn start_tick_driver(&mut self) {
+        self.driver = Some(TickDriver::start(
+            Arc::clone(&self.service),
+            TickDriverConfig,
+        ));
     }
 
     /// Whether a `Shutdown` request has been processed.
@@ -140,17 +148,18 @@ impl Server {
     /// shutdown: outboxes stay drainable, and clients on *other*
     /// connections than the one that sent `Shutdown` may still be
     /// draining verdicts — exiting while they do would reset their
-    /// sockets mid-read. Stops the tick driver, and returns the shared
-    /// service for post-mortem inspection.
+    /// sockets mid-read. Only then stops the tick driver, which serves
+    /// those connections until they close, and returns the shared service
+    /// for post-mortem inspection.
     pub fn join(mut self) -> Arc<Service> {
-        if let Some(driver) = self.driver.take() {
-            driver.stop();
-        }
         let _ = self.accept_loop.join();
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.connections.lock().expect("connection registry"));
         for handle in handles {
             let _ = handle.join();
+        }
+        if let Some(driver) = self.driver.take() {
+            driver.stop();
         }
         self.service
     }

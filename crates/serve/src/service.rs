@@ -26,14 +26,17 @@
 //!   and `exec` (the tick-execution lock). Submits for different owners
 //!   never share a lock, and a submit for owner A proceeds while owner
 //!   B's batch is mid-settle.
+//! * **the doorbell** — an accepted submit then rings the tick driver's
+//!   doorbell: one atomic load while the bell is already rung, one swap
+//!   plus a thread unpark on the clear → rung edge, and no lock.
 //! * **the exec lock pins verdict order** — a tick drains an owner's
 //!   ingress, runs the batch, and appends to the outbox all under that
 //!   owner's `exec` lock, so concurrent tickers (several connections, the
 //!   background driver, the shutdown drain) serialize *per owner* and the
 //!   outbox always receives verdicts in admission order.
 //! * **control plane** — registration serializes on a separate control
-//!   lock (the master key directory); stats are lock-free atomics plus
-//!   two queue-length peeks.
+//!   lock (the master key directory); stats read the shard's atomics
+//!   plus brief peeks under its ingress, outbox and stream locks.
 //!
 //! # Determinism contract
 //!
@@ -83,6 +86,7 @@ use refstate_platform::{EventLog, HostSpec};
 use refstate_store::{LogStore, StateStore};
 use refstate_telemetry as telemetry;
 
+use crate::driver::Doorbell;
 use crate::proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
 };
@@ -263,18 +267,6 @@ pub(crate) struct OwnerShard {
     flush_failures: AtomicU64,
 }
 
-impl OwnerShard {
-    /// Queue length and age of the oldest queued journey, for the tick
-    /// driver's batching policy. One brief ingress lock.
-    pub(crate) fn queue_depth_and_age(&self) -> (usize, Option<std::time::Duration>) {
-        let ingress = self.ingress.lock().expect("ingress lock");
-        (
-            ingress.len(),
-            ingress.front().map(|(_, queued_at)| queued_at.elapsed()),
-        )
-    }
-}
-
 /// The resident multi-tenant verification service.
 ///
 /// Internally locked: [`Service::handle`] takes `&self` and may be called
@@ -314,6 +306,9 @@ pub struct Service {
     /// writes.
     owners: RwLock<Vec<Arc<OwnerShard>>>,
     shutting_down: AtomicBool,
+    /// Rung by every accepted submit and by shutdown; the tick driver
+    /// parks on it.
+    pub(crate) bell: Doorbell,
     /// The durable backend, when `state_dir` is configured.
     store: Option<Arc<dyn StateStore>>,
 }
@@ -393,6 +388,7 @@ impl Service {
             registry: MechanismRegistry::builtin(),
             owners: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
+            bell: Doorbell::default(),
             store,
         };
         // Re-install every persisted registration, in registration order
@@ -670,6 +666,7 @@ impl Service {
                 reason,
             };
         }
+        self.bell.ring();
         shard.accepted.fetch_add(1, Ordering::Relaxed);
         telemetry::count_indexed("serve.owner.accepted", shard.index, 1);
         Response::Accepted { owner, journey }
@@ -951,13 +948,11 @@ impl Service {
     /// whoever wins an owner's exec lock settles that owner's batch.
     fn shutdown(&self) -> Response {
         self.shutting_down.store(true, Ordering::SeqCst);
+        // Wake a parked tick driver so it sees the flag and exits.
+        self.bell.ring();
         let shards = self.shards();
         let mut settled = 0u64;
         loop {
-            // Tick unconditionally — the shutdown drain ignores the tick
-            // driver's batch-min/max-age eligibility, so a shard with one
-            // young queued journey still settles instead of waiting for a
-            // policy that will never fire again.
             settled += self.tick_shards(&shards);
             // A concurrent ticker (the background driver, another
             // connection) may have drained an ingress queue and still be

@@ -46,7 +46,7 @@ use refstate_fleet::scenario::scenario_seed;
 use refstate_telemetry::json::JsonWriter;
 use refstate_telemetry::metrics::nearest_rank;
 
-use crate::driver::TickDriverConfig;
+use crate::driver::TickDriverStats;
 use crate::net::PipelinedClient;
 use crate::proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
@@ -311,9 +311,9 @@ pub struct SoakOutcome {
     pub elapsed: Duration,
     /// Per-connection breakdown, in connection order.
     pub per_connection: Vec<ConnectionOutcome>,
-    /// The server-side tick-driver pacing, when one ran (set by the
-    /// caller that started the driver).
-    pub tick_driver: Option<TickDriverConfig>,
+    /// What the server-side tick driver did, when one ran (set by the
+    /// caller that started and stopped it).
+    pub tick_driver: Option<TickDriverStats>,
     /// The warm-start handshake, when this was a resumed run.
     pub warm_start: Option<WarmStartMeta>,
     /// Aggregate journeys/s of a single-connection baseline run, when
@@ -398,9 +398,8 @@ impl SoakOutcome {
         if let Some(driver) = &self.tick_driver {
             w.key("tick_driver");
             w.begin_object();
-            w.field_u64("interval_us", driver.interval.as_micros() as u64);
-            w.field_u64("batch_min", driver.policy.batch_min as u64);
-            w.field_u64("max_age_us", driver.policy.max_age.as_micros() as u64);
+            w.field_u64("ticks", driver.ticks);
+            w.field_u64("verdicts", driver.verdicts);
             w.end_object();
         }
         w.key("counts");
@@ -1046,14 +1045,15 @@ mod tests {
             ..SoakConfig::default()
         };
         let mut outcome = soak(ServeConfig::default(), &config, 1);
-        outcome.tick_driver = Some(TickDriverConfig {
-            interval: Duration::from_millis(1),
-            ..TickDriverConfig::default()
+        outcome.tick_driver = Some(TickDriverStats {
+            ticks: 3,
+            verdicts: 4,
         });
         outcome.baseline_journeys_per_sec = Some(outcome.journeys_per_sec() / 3.0);
         let doc = slo_doc(&outcome);
         let num = |path: &[&str]| at(&doc, path).and_then(Json::as_num);
-        assert_eq!(num(&["tick_driver", "interval_us"]), Some(1000.0));
+        assert_eq!(num(&["tick_driver", "ticks"]), Some(3.0));
+        assert_eq!(num(&["tick_driver", "verdicts"]), Some(4.0));
         assert!(num(&["single_connection_baseline", "journeys_per_sec"]).is_some());
         let ratio = num(&["throughput_ratio_vs_single"]).unwrap();
         assert!((ratio - 3.0).abs() < 1e-6, "ratio {ratio}");

@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use refstate_serve::{
     run_soak_concurrent, LocalPipelined, PipelinedClient, RegisterOwner, RejectReason, Request,
@@ -140,8 +141,7 @@ fn soak_local(
     drive: bool,
 ) -> SoakOutcome {
     let service = Arc::new(Service::new(serve_config.clone()));
-    let driver =
-        drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig::default()));
+    let driver = drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig));
     let outcome = run_soak_concurrent(
         |_| LocalPipelined::new(Arc::clone(&service)),
         config,
@@ -455,6 +455,66 @@ fn pipelined_tcp_responses_come_back_in_request_order() {
     // join waits for every connection to close; hang up first.
     drop(client);
     server.join();
+}
+
+/// The resident server settles on its own: a client that submits and
+/// drains, never sending `Tick`, still gets its verdict while `join`
+/// blocks on another thread exactly as the binary's `main` does.
+#[test]
+fn resident_server_settles_without_client_ticks() {
+    let mut server = Server::bind(
+        Service::new(ServeConfig {
+            key_pool: 8,
+            ..ServeConfig::default()
+        }),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    server.start_tick_driver();
+    let addr = server.addr();
+    let joined = std::thread::spawn(move || server.join());
+
+    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut call = |request: Request| {
+        client.send(&request).expect("send");
+        client.recv().expect("reply")
+    };
+    let reply = call(Request::Register(RegisterOwner {
+        owner: "dave".into(),
+        seed: 3,
+        preset: "single-tamperer".into(),
+        mechanism: "protocol".into(),
+    }));
+    assert!(matches!(reply, Response::Registered { .. }), "{reply:?}");
+    let reply = call(Request::Submit {
+        owner: "dave".into(),
+        journey: 0,
+    });
+    assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let verdicts = loop {
+        let Response::Verdicts(verdicts) = call(Request::Drain {
+            owner: "dave".into(),
+        }) else {
+            panic!("drain reply");
+        };
+        if !verdicts.is_empty() {
+            break verdicts;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no verdict without a client tick"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(verdicts.len(), 1);
+    assert_eq!(
+        call(Request::Shutdown),
+        Response::ShuttingDown { settled: 0 },
+        "the driver, not the shutdown drain, settled the journey"
+    );
+    drop(client);
+    joined.join().expect("server join");
 }
 
 #[test]
