@@ -4,18 +4,19 @@
 //! group the fleet and the service sign and verify in, and the 512- and
 //! 1024-bit groups of the paper's measurements.
 //!
-//! Besides the criterion groups, the bench emits a machine-readable
-//! `BENCH_bigint.json` (ns/op for each path and group size, plus the
-//! derived speedups and the host's `parallelism`) so the perf trajectory
-//! of the arithmetic layer is diffable PR over PR, exactly like
-//! `BENCH_fleet.json` is for the fleet engine. Set `BENCH_BIGINT_OUT` to
-//! change the output path; set `BENCH_SMOKE=1` (CI) to shrink the
-//! measurement to a schema-shaped smoke run.
+//! A plain `harness = false` main: it prints one line per group size and
+//! writes the machine-readable `BENCH_bigint.json` (ns/op for each path
+//! and group size, plus the derived speedups and the host's
+//! `parallelism`), so the perf trajectory of the arithmetic layer is
+//! diffable PR over PR, exactly like `BENCH_fleet.json` is for the fleet
+//! engine. Set `BENCH_BIGINT_OUT` to change the output path; set
+//! `BENCH_SMOKE=1` (CI) to shrink the measurement to a schema-shaped
+//! smoke run written to `<path>.smoke`.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_bigint::{random_in_unit_range, FixedBase, Montgomery, Uint};
@@ -52,32 +53,6 @@ fn shapes() -> Vec<Shape> {
     .collect()
 }
 
-fn bench_pow_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bigint_pow");
-    for shape in shapes() {
-        let p = shape.params.p().clone();
-        let g = shape.params.g().clone();
-        let e = shape.exponents[0].clone();
-        let mont = Montgomery::new(&p).expect("group primes are odd");
-        let table = FixedBase::new(Arc::new(mont.clone()), &g, shape.params.q().bit_len());
-
-        group.bench_with_input(
-            BenchmarkId::new("schoolbook", shape.name),
-            &(&g, &e, &p),
-            |b, (g, e, p)| b.iter(|| black_box(g.pow_mod(e, p))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("montgomery", shape.name),
-            &(&g, &e),
-            |b, (g, e)| b.iter(|| black_box(mont.pow_mod(g, e))),
-        );
-        group.bench_with_input(BenchmarkId::new("fixed_base", shape.name), &e, |b, e| {
-            b.iter(|| black_box(table.pow_mod(e)))
-        });
-    }
-    group.finish();
-}
-
 /// Times `op` over the exponent batch, repeating until `budget_ms` of
 /// wall clock is spent, and returns ns per operation.
 fn time_ns(exponents: &[Uint], budget_ms: u64, mut op: impl FnMut(&Uint) -> Uint) -> f64 {
@@ -95,15 +70,11 @@ fn time_ns(exponents: &[Uint], budget_ms: u64, mut op: impl FnMut(&Uint) -> Uint
     started.elapsed().as_nanos() as f64 / ops as f64
 }
 
-/// `BENCH_SMOKE` opts into the bounded CI smoke run; `0`/empty mean off.
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// One calibrated measurement per shape and path, serialized as the
 /// arithmetic perf trajectory.
 fn emit_bench_json() {
-    let smoke = smoke_mode();
+    // `BENCH_SMOKE` opts into the bounded CI smoke run; `0`/empty mean off.
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let budget_ms = if smoke { 20 } else { 300 };
     let mut cases = Vec::new();
     for shape in shapes() {
@@ -163,13 +134,6 @@ fn emit_bench_json() {
     }
 }
 
-criterion_group!(benches, bench_pow_paths);
-
 fn main() {
-    // Criterion groups are skipped in smoke mode: the JSON emitter below
-    // runs the same three paths with a bounded budget.
-    if !smoke_mode() {
-        benches();
-    }
     emit_bench_json();
 }

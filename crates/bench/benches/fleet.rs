@@ -1,82 +1,22 @@
-//! Fleet throughput: scenarios/second through the scenario engine, per
-//! mechanism and for the full matrix.
+//! Fleet throughput: journeys/second through the scenario engine, per
+//! preset and mechanism.
 //!
 //! This is the bench trajectory counterpart of the `fleet` CLI's
 //! `journeys_per_sec` metric: small fixed fleets, measured hot.
 //!
-//! Besides the criterion groups, the bench emits a machine-readable
+//! A plain `harness = false` main: it writes the machine-readable
 //! `BENCH_fleet.json` (journeys/sec plus p50/p99 latency and the
 //! telemetry per-stage breakdown per mechanism, for the mixed,
 //! replicated, chained, encapsulated, cooperating, and adaptive presets
 //! — the adaptive block also carries the campaign `adaptation` grades —
 //! plus the measured off-vs-full telemetry overhead and the host's
 //! `parallelism`) so future PRs have a perf trajectory to diff against.
-//! Fleets run one worker per core, except the explicit worker sweep.
-//! Set `BENCH_FLEET_OUT` to change the output path.
+//! Fleets run one worker per core. Set `BENCH_FLEET_OUT` to change the
+//! output path.
 
-use std::sync::Arc;
-
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use refstate_fleet::{run_fleet, FleetConfig, MechanismRegistry, Preset, ProtectionMechanism};
+use refstate_fleet::{run_fleet, FleetConfig, Preset};
 use refstate_telemetry as telemetry;
 use refstate_telemetry::json::JsonWriter;
-
-const SCENARIOS: u64 = 64;
-
-fn bench_config(
-    mechanisms: Vec<Arc<dyn ProtectionMechanism>>,
-    preset: Preset,
-    workers: usize,
-) -> FleetConfig {
-    FleetConfig {
-        scenarios: SCENARIOS,
-        workers,
-        seed: 42,
-        preset,
-        mechanisms,
-        key_pool: 16,
-        ..FleetConfig::default()
-    }
-}
-
-fn bench_per_mechanism(c: &mut Criterion) {
-    let registry = MechanismRegistry::builtin();
-    let mut group = c.benchmark_group("fleet_mechanism");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(SCENARIOS));
-    for mechanism in registry.iter() {
-        // Every mechanism benches on the preset its topology is made for.
-        let preset = match mechanism.profile().topology {
-            refstate_fleet::RouteTopology::Linear => Preset::Mixed,
-            refstate_fleet::RouteTopology::ReplicatedStages => Preset::Replicated,
-            refstate_fleet::RouteTopology::DisjointSets => Preset::Cooperating,
-        };
-        let config = bench_config(vec![mechanism.clone()], preset, 0);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(mechanism.name()),
-            &config,
-            |b, config| b.iter(|| run_fleet(config)),
-        );
-    }
-    group.finish();
-}
-
-fn bench_worker_scaling(c: &mut Criterion) {
-    let registry = MechanismRegistry::builtin();
-    let protocol = registry.get("protocol").expect("built in");
-    let mut group = c.benchmark_group("fleet_workers");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(SCENARIOS));
-    for workers in [1usize, 2, 4, 8] {
-        let config = bench_config(vec![protocol.clone()], Preset::Mixed, workers);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &config,
-            |b, config| b.iter(|| run_fleet(config)),
-        );
-    }
-    group.finish();
-}
 
 /// One calibrated fleet run per preset, serialized as the perf
 /// trajectory: journeys/sec, per-mechanism latency percentiles, and the
@@ -175,9 +115,6 @@ fn emit_bench_json() {
     }
 }
 
-criterion_group!(benches, bench_per_mechanism, bench_worker_scaling);
-
 fn main() {
-    benches();
     emit_bench_json();
 }

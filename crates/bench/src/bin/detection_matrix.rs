@@ -5,7 +5,9 @@
 //! ```
 //!
 //! This is the empirical form of the paper's §4 protection-bandwidth
-//! analysis; the expected pattern is documented in EXPERIMENTS.md.
+//! analysis; the expected pattern is
+//! `refstate_mechanisms::matrix::standard_scenarios`, whose
+//! `expected_detectable` flags this binary prints under the matrix.
 
 use refstate_mechanisms::matrix::{detection_matrix, render_matrix, standard_scenarios};
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
-/// A hash digest of up to 32 bytes (SHA-1 produces 20, SHA-256 produces 32).
+/// A hash digest of up to 32 bytes (SHA-256 produces 32).
 ///
 /// Digests identify agent states, traces, and inputs throughout the
 /// workspace; they compare in constant structure (byte-wise `Eq`) and render

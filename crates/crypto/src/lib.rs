@@ -7,7 +7,7 @@
 //! dependency set, so this crate implements the required primitives from
 //! scratch on top of [`refstate_bigint`]:
 //!
-//! * [`Sha1`] and [`Sha256`] — FIPS 180-4 hash functions,
+//! * [`Sha256`] — the FIPS 180-4 hash function,
 //! * [`HmacSha256`] — HMAC (FIPS 198-1) over SHA-256,
 //! * [`DsaParams`] / [`DsaKeyPair`] / [`Signature`] — FIPS 186-style DSA
 //!   with the paper's 512-bit group plus 256-bit (fast tests) and 1024-bit
@@ -49,7 +49,6 @@ mod envelope;
 mod groups;
 mod hmac;
 mod keydir;
-mod sha1;
 mod sha256;
 
 pub use batch::{DeferredSignature, VerificationQueue};
@@ -60,5 +59,4 @@ pub use dsa::{
 pub use envelope::{Signed, VerifyError};
 pub use hmac::HmacSha256;
 pub use keydir::KeyDirectory;
-pub use sha1::{sha1, Sha1};
 pub use sha256::{sha256, Sha256};

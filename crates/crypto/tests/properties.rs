@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_bigint::Uint;
 use refstate_crypto::{
-    sha1, sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
+    sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
     KeyDirectory, Sha256, Signature, Signed,
 };
 use refstate_wire::{from_wire, to_wire, Writer};
@@ -88,7 +88,6 @@ proptest! {
     fn hashes_distinguish(a in proptest::collection::vec(any::<u8>(), 0..64), b in proptest::collection::vec(any::<u8>(), 0..64)) {
         prop_assume!(a != b);
         prop_assert_ne!(sha256(&a), sha256(&b));
-        prop_assert_ne!(sha1(&a), sha1(&b));
     }
 
     /// HMAC verification accepts the genuine tag and rejects key or

@@ -119,13 +119,6 @@ pub struct MechanismConfig {
     /// Hop budget: the most sessions a linear journey runs before it
     /// counts as a runaway itinerary (an infrastructure error).
     pub max_hops: usize,
-    /// Defer per-hop signature checks into the journey's
-    /// [`VerificationQueue`] and settle them in one batch with the
-    /// owner-side checks (see [`settle_owner_batch`]). On by default: it
-    /// does not change verdicts for any attack in the taxonomy (none forge
-    /// signatures) and removes the per-hop verification from the latency
-    /// path. Off, every signature verifies on arrival.
-    pub defer_signatures: bool,
     /// Worker threads for owner-side bulk `check_sessions` passes (`0` =
     /// one per available core); plumbed into
     /// `refstate_core::framework::ProtectionConfig::check_workers`.
@@ -146,7 +139,6 @@ impl Default for MechanismConfig {
                     Pred::cmp(CmpOp::Ge, Expr::var("total"), Expr::int(0)),
                 ),
             max_hops: 64,
-            defer_signatures: true,
             check_workers: 1,
         }
     }

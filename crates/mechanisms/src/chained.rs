@@ -41,9 +41,7 @@
 //!   broken chain over. Signature checks ride the crypto crate's fast
 //!   path: deferred into the journey's
 //!   [`VerificationQueue`] and
-//!   settled in one fused-exponentiation batch at journey end (set
-//!   [`MechanismConfig::defer_signatures`](crate::api::MechanismConfig::defer_signatures)
-//!   to `false` for eager per-arrival `verify_fused` instead).
+//!   settled in one fused-exponentiation batch at journey end.
 
 use std::convert::Infallible;
 use std::fmt;
@@ -661,8 +659,6 @@ pub fn owner_verify_encapsulations(
 struct Encapsulating<'a> {
     start: &'a HostId,
     anchor: Digest,
-    directory: &'a KeyDirectory,
-    defer_signatures: bool,
     log: &'a EventLog,
     chain: Vec<Signed<Encapsulation>>,
 }
@@ -671,29 +667,19 @@ impl Leg for Encapsulating<'_> {
     type Stop = ChainFraud;
 
     /// Honest hosts only (an attacker has no reason to report itself):
-    /// chain structure, the top entry's commitment to *this* host, and —
-    /// on the eager path — every signature.
+    /// chain structure and the top entry's commitment to *this* host.
+    /// Signatures wait for the owner's batched check.
     fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<ChainFraud> {
         if visit.hosts[visit.at].behaviour().attack().is_some() {
             return ControlFlow::Continue(());
         }
         let (here, previous) = (visit.here(), visit.previous().expect("not the start host"));
         let chain = &self.chain;
-        let found = check_encapsulation_structure(chain, &self.anchor, self.start)
-            .or_else(|| {
-                let top = chain.last()?.payload();
-                (top.next.as_ref() != Some(here))
-                    .then(|| (chain.len() - 1, ChainBreak::NextHopMismatch))
-            })
-            .or_else(|| {
-                if self.defer_signatures {
-                    return None;
-                }
-                chain
-                    .iter()
-                    .position(|link| link.verify(self.directory).is_err())
-                    .map(|slot| (slot, ChainBreak::BadSignature))
-            });
+        let found = check_encapsulation_structure(chain, &self.anchor, self.start).or_else(|| {
+            let top = chain.last()?.payload();
+            (top.next.as_ref() != Some(here))
+                .then(|| (chain.len() - 1, ChainBreak::NextHopMismatch))
+        });
         let Some((_, reason)) = found else {
             self.log.record(Event::CheckPerformed {
                 checker: here.clone(),
@@ -777,16 +763,14 @@ impl Leg for Encapsulating<'_> {
 }
 
 /// Runs a journey under the signed-encapsulation discipline. Honest
-/// hosts verify the received chain's structure on arrival (and, when
-/// `defer_signatures` is `false`, every signature eagerly through the
-/// fused fast path) and abort the journey on a break, blaming the host
-/// that handed the chain over. The owner re-verifies everything at the
-/// end through [`owner_verify_encapsulations`].
+/// hosts verify the received chain's structure on arrival and abort the
+/// journey on a break, blaming the host that handed the chain over. The
+/// owner verifies every signature at the end, in one batch, through
+/// [`owner_verify_encapsulations`].
 ///
 /// # Errors
 ///
 /// See [`JourneyError`]; a crashed session is [`JourneyError::Vm`].
-#[allow(clippy::too_many_arguments)] // journey drivers take the full kit
 pub fn run_encapsulated_journey(
     hosts: &mut [Host],
     start: impl Into<HostId>,
@@ -795,15 +779,11 @@ pub fn run_encapsulated_journey(
     exec: &ExecConfig,
     log: &EventLog,
     max_hops: usize,
-    directory: &KeyDirectory,
-    defer_signatures: bool,
 ) -> Result<EncapsulatedJourney, JourneyError> {
     let start: HostId = start.into();
     let mut leg = Encapsulating {
         start: &start,
         anchor: encapsulation_anchor(&agent.id, nonce),
-        directory,
-        defer_signatures,
         log,
         chain: Vec::new(),
     };
@@ -929,8 +909,6 @@ impl ProtectionMechanism for EncapsulatedResults {
             &ctx.config.exec,
             ctx.log,
             ctx.config.max_hops,
-            ctx.directory,
-            ctx.config.defer_signatures,
         );
         drop(forward);
         let journey = match journey {
@@ -1044,29 +1022,24 @@ mod tests {
 
     #[test]
     fn honest_encapsulated_chain_verifies_clean() {
-        for defer in [true, false] {
-            let mut hs = hosts(4, None);
-            let directory = host_directory(&hs);
-            let config = MechanismConfig {
-                defer_signatures: defer,
-                ..MechanismConfig::default()
-            };
-            let log = EventLog::new();
-            let route: Vec<HostId> = (0..4).map(|p| HostId::new(format!("h{p}"))).collect();
-            let mut ctx = JourneyCtx::new(
-                &mut hs,
-                route,
-                route_agent(4),
-                &directory,
-                &config,
-                &log,
-                77,
-            );
-            let verdict = EncapsulatedResults.run(&mut ctx);
-            assert!(!verdict.detected, "defer={defer}");
-            assert!(verdict.completed);
-            assert!(ctx.queue.is_empty(), "the owner flush drains the queue");
-        }
+        let mut hs = hosts(4, None);
+        let directory = host_directory(&hs);
+        let config = MechanismConfig::default();
+        let log = EventLog::new();
+        let route: Vec<HostId> = (0..4).map(|p| HostId::new(format!("h{p}"))).collect();
+        let mut ctx = JourneyCtx::new(
+            &mut hs,
+            route,
+            route_agent(4),
+            &directory,
+            &config,
+            &log,
+            77,
+        );
+        let verdict = EncapsulatedResults.run(&mut ctx);
+        assert!(!verdict.detected);
+        assert!(verdict.completed);
+        assert!(ctx.queue.is_empty(), "the owner flush drains the queue");
     }
 
     #[test]
@@ -1096,8 +1069,6 @@ mod tests {
                 &config.exec,
                 &log,
                 config.max_hops,
-                &directory,
-                true,
             )
             .unwrap();
             let final_state = journey.final_state.as_ref().expect("journey completed");

@@ -19,15 +19,13 @@
 use std::sync::Arc;
 
 use refstate_core::framework::{run_framework_journey, ProtectedAgent, ProtectionConfig};
-use refstate_core::protocol::{
-    run_protected_journey_deferred, run_protected_journey_with_directory, ProtocolConfig,
-};
+use refstate_core::protocol::{run_protected_journey_deferred, ProtocolConfig};
 use refstate_core::{CheckMoment, ReExecutionChecker, ReferenceDataKind, ReferenceDataRequest};
 use refstate_platform::run_plain_journey;
 
 use crate::api::{
-    protocol_verdict, JourneyCtx, JourneyVerdict, MechanismProfile, PendingOwnerJourney,
-    ProtectionMechanism, RouteTopology, SplitVerdict,
+    JourneyCtx, JourneyVerdict, MechanismProfile, PendingOwnerJourney, ProtectionMechanism,
+    RouteTopology, SplitVerdict,
 };
 use crate::replication::run_replicated_pipeline;
 use crate::traces::{audit_journey_with_pipeline, run_traced_journey};
@@ -176,11 +174,13 @@ impl ProtectionMechanism for FrameworkReExecution {
 
 /// The paper's §5.1 session-checking protocol (signatures included).
 ///
-/// When [`crate::api::MechanismConfig::defer_signatures`] is set (the
-/// default), the per-hop certificate verifications are deferred into the
-/// context's [`crate::api::JourneyCtx::queue`] and settled in one batch
-/// with the owner's final check — the DSA-dominated part of the journey
-/// p50 collapses into one fused double-exponentiation pass.
+/// The per-hop certificate verifications are deferred into the context's
+/// [`crate::api::JourneyCtx::queue`] and settled in one batch with the
+/// owner's final check — the DSA-dominated part of the journey p50
+/// collapses into one fused double-exponentiation pass. Deferral changes
+/// no verdict for any attack in the taxonomy (none forge signatures);
+/// `refstate_core::protocol::run_protected_journey` remains the eager
+/// reference that verifies every certificate on arrival.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionCheckingProtocol;
 
@@ -205,13 +205,10 @@ impl ProtectionMechanism for SessionCheckingProtocol {
         }
     }
 
-    /// With [`defer_signatures`](crate::api::MechanismConfig::defer_signatures)
-    /// on, the host-side journey only: signature checks accumulate on the
+    /// The host-side journey only: signature checks accumulate on the
     /// context's queue and the owner's final check is left pending, so a
     /// driver can settle many journeys in two amortized passes
-    /// ([`crate::api::settle_owner_batch`]). Off, every certificate
-    /// verifies on arrival and the owner's final check runs inline — the
-    /// paper's eager protocol, settled here.
+    /// ([`crate::api::settle_owner_batch`]).
     fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let protocol = ProtocolConfig {
             exec: ctx.config.exec.clone(),
@@ -220,33 +217,21 @@ impl ProtectionMechanism for SessionCheckingProtocol {
             ..ProtocolConfig::default()
         };
         let stage = ctx.stage("protocol.journey");
-        let split = if ctx.config.defer_signatures {
-            run_protected_journey_deferred(
-                ctx.hosts,
-                ctx.start().clone(),
-                ctx.agent.clone(),
-                &protocol,
-                ctx.log,
-                ctx.directory,
-                &mut ctx.queue,
-            )
-            .map(|journey| {
-                SplitVerdict::Pending(Box::new(PendingOwnerJourney {
-                    journey,
-                    queue: std::mem::take(&mut ctx.queue),
-                }))
-            })
-        } else {
-            run_protected_journey_with_directory(
-                ctx.hosts,
-                ctx.start().clone(),
-                ctx.agent.clone(),
-                &protocol,
-                ctx.log,
-                ctx.directory,
-            )
-            .map(|outcome| protocol_verdict(&outcome).into())
-        };
+        let split = run_protected_journey_deferred(
+            ctx.hosts,
+            ctx.start().clone(),
+            ctx.agent.clone(),
+            &protocol,
+            ctx.log,
+            ctx.directory,
+            &mut ctx.queue,
+        )
+        .map(|journey| {
+            SplitVerdict::Pending(Box::new(PendingOwnerJourney {
+                journey,
+                queue: std::mem::take(&mut ctx.queue),
+            }))
+        });
         drop(stage);
         split.unwrap_or_else(|_| JourneyVerdict::clean(false).into())
     }
@@ -377,11 +362,11 @@ impl ProtectionMechanism for ReplicatedStages {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{MechanismConfig, MechanismRegistry};
+    use crate::api::{protocol_verdict, MechanismConfig, MechanismRegistry};
     use crate::replication::StageSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use refstate_core::protocol::host_directory;
+    use refstate_core::protocol::{host_directory, run_protected_journey};
     use refstate_crypto::DsaParams;
     use refstate_platform::{AgentImage, Attack, Event, EventLog, Host, HostId, HostSpec};
     use refstate_vm::{assemble, DataState, Value};
@@ -518,32 +503,47 @@ mod tests {
 
     #[test]
     fn protocol_deferred_and_eager_verdicts_agree() {
-        for defer in [false, true] {
-            let mut hs = hosts(Some(Attack::TamperVariable {
+        let tamperer = || {
+            hosts(Some(Attack::TamperVariable {
                 name: "total".into(),
                 value: Value::Int(-9),
-            }));
-            let directory = host_directory(&hs);
-            let config = MechanismConfig {
-                defer_signatures: defer,
-                ..MechanismConfig::default()
-            };
-            let log = EventLog::new();
-            let route = vec![HostId::new("a"), HostId::new("b"), HostId::new("c")];
-            let mut ctx = JourneyCtx::new(
-                &mut hs,
-                route,
-                three_host_agent(),
-                &directory,
-                &config,
-                &log,
-                9,
-            );
-            let verdict = SessionCheckingProtocol.run(&mut ctx);
-            assert!(verdict.detected, "defer={defer}");
-            assert_eq!(verdict.accused, vec![HostId::new("b")]);
-            assert!(ctx.queue.is_empty(), "the batched run drains its queue");
-        }
+            }))
+        };
+        let config = MechanismConfig::default();
+        let mut hs = tamperer();
+        let directory = host_directory(&hs);
+        let log = EventLog::new();
+        let route = vec![HostId::new("a"), HostId::new("b"), HostId::new("c")];
+        let mut ctx = JourneyCtx::new(
+            &mut hs,
+            route,
+            three_host_agent(),
+            &directory,
+            &config,
+            &log,
+            9,
+        );
+        let deferred = SessionCheckingProtocol.run(&mut ctx);
+        assert!(ctx.queue.is_empty(), "the batched run drains its queue");
+
+        // The paper's eager protocol, every certificate verified on
+        // arrival, over identical hosts.
+        let protocol = ProtocolConfig {
+            exec: config.exec.clone(),
+            max_hops: config.max_hops,
+            ..ProtocolConfig::default()
+        };
+        let eager = run_protected_journey(
+            &mut tamperer(),
+            "a",
+            three_host_agent(),
+            &protocol,
+            &EventLog::new(),
+        )
+        .unwrap();
+        assert_eq!(deferred, protocol_verdict(&eager));
+        assert!(deferred.detected);
+        assert_eq!(deferred.accused, vec![HostId::new("b")]);
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //! | `unprotected` | — (baseline) | never | none | linear | no |
 //! | `appraisal` | State appraisal (Farmer/Guttman/Swarup) | after session (on arrival) | initial + resulting state | linear | no |
 //! | `framework` | The generic framework, re-execution checking | after session | initial + resulting state + input | linear | no |
-//! | `protocol` | §5.1 session checking | after session | initial + resulting state + input | linear | yes (deferrable) |
+//! | `protocol` | §5.1 session checking | after session | initial + resulting state + input | linear | yes (deferred to the owner batch) |
 //! | `traces` | Execution traces (Vigna) | after task, on suspicion | initial state + trace + input | linear | yes |
 //! | `replication` | Server replication (Minsky et al.) | after session (parallel) | resulting state + replicated resources | replicated stages | no |
 //! | `chained` | Chained MACs (Karjoth et al.) | after task | resulting state (recorded chain) | linear | no (HMAC) |
-//! | `encapsulated` | Signed result encapsulation (Rodríguez–Sobrado) | after session (on arrival) + owner batch | resulting state (recorded chain) | linear | yes (deferrable) |
+//! | `encapsulated` | Signed result encapsulation (Rodríguez–Sobrado) | after session (on arrival) + owner batch | resulting state (recorded chain) | linear | yes (deferred to the owner batch) |
 //! | `cooperating` | Cooperating agents (Roth) | after session (on the witness set) | initial + resulting state + input | disjoint sets | no |
 //!
 //! The per-mechanism modules ([`appraisal`], [`replication`], [`traces`],
@@ -43,7 +43,8 @@
 //! *interface* (sublinear verification of an execution leading to the final
 //! state, no reference data needed) and the cost shape (O(k·log n)
 //! verification vs O(n) re-execution), though not PCP soundness against
-//! fully adaptive provers. See DESIGN.md §4 for the substitution record.
+//! fully adaptive provers. The [`proofs`] module docs record the
+//! substitution and its soundness bound.
 //!
 //! # Adding a mechanism
 //!

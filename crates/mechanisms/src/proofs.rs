@@ -22,7 +22,7 @@
 //! A prover who fabricates a final state must corrupt at least one step
 //! transition, which each challenge catches with probability ≥ 1/n, so `k`
 //! challenges give soundness `1 - (1 - f)^k` for a fraction `f` of corrupt
-//! transitions (the usual PCP-lite trade-off; see DESIGN.md §4).
+//! transitions (the usual PCP-lite trade-off).
 
 use std::fmt;
 
@@ -663,6 +663,68 @@ mod tests {
                 &ExecConfig::default(),
             )
             .unwrap();
+    }
+
+    /// Verification with a fixed `k` stays sublinear in the execution
+    /// length: `k` openings whose paths grow with `log n`, never `n`.
+    #[test]
+    fn verification_opens_k_steps_on_log_depth_paths() {
+        for iterations in [50, 200, 800] {
+            let program = assemble(&format!(
+                r#"
+                push 0
+                store "x"
+            loop:
+                load "x"
+                push {iterations}
+                ge
+                jnz done
+                load "x"
+                push 1
+                add
+                store "x"
+                jump loop
+            done:
+                halt
+            "#
+            ))
+            .unwrap();
+            let prover = Prover::execute(
+                AgentId::new("a"),
+                &program,
+                DataState::new(),
+                &mut ScriptedIo::new(),
+                &ExecConfig::default(),
+            )
+            .unwrap();
+            let proof = prover.proof().clone();
+            let verifier = Verifier::new(16);
+            let challenges = verifier.challenges_for(&proof);
+            assert_eq!(challenges.len(), 16, "{iterations} iterations");
+            // The tree commits to `steps + 1` snapshots.
+            let depth = (proof.steps + 1).next_power_of_two().trailing_zeros() as usize;
+            let openings: Vec<StepOpening> = challenges
+                .into_iter()
+                .map(|i| prover.open_step(i).unwrap())
+                .collect();
+            for opening in &openings {
+                assert_eq!(opening.before_path.siblings.len(), depth);
+                assert_eq!(opening.after_path.siblings.len(), depth);
+            }
+            let (first, fp, last, lp) = prover.open_boundaries();
+            verifier
+                .verify_transcript(
+                    &program,
+                    &proof,
+                    &first,
+                    &fp,
+                    &last,
+                    &lp,
+                    &openings,
+                    &ExecConfig::default(),
+                )
+                .unwrap();
+        }
     }
 
     #[test]

@@ -78,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nnote: real holographic proofs (Biehl/Meyer/Wetzel) are NP-hard to\n\
          construct — the paper sets them aside for exactly that reason. This\n\
          Merkle-transcript substitute keeps the interface (self-contained proof,\n\
-         sublinear verification) at the cost of weaker soundness; see DESIGN.md §4."
+         sublinear verification) at the cost of weaker soundness; see the\n\
+         refstate_mechanisms::proofs module docs."
     );
     Ok(())
 }

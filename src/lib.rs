@@ -21,7 +21,7 @@
 //! * [`fleet`] — the fleet-scale scenario engine: seeded generation of
 //!   thousands of host topologies and attack mixes, a multi-threaded
 //!   journey scheduler, and detection/throughput reporting,
-//! * [`crypto`] — SHA-1/SHA-256/HMAC/DSA and signed envelopes,
+//! * [`crypto`] — SHA-256/HMAC/DSA and signed envelopes,
 //! * [`wire`] — the canonical binary encoding everything is hashed and
 //!   signed through,
 //! * [`bigint`] — the arbitrary-precision arithmetic under DSA.
