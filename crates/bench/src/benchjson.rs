@@ -141,8 +141,8 @@ fn check_stage_breakdown(block: &Json, block_name: &str, telemetry: &str) -> Res
 /// `scenarios`/`seed`, and for each of the `mixed`, `replicated`,
 /// `chained`, `encapsulated`, `cooperating`, and `adaptive` blocks a
 /// positive `journeys_per_sec`,
-/// the verification-pipeline fields (`check_workers`, a `replay` block
-/// with hit/miss/replay/eviction/occupancy counts and a `hit_rate` in
+/// the verification-pipeline fields (a `replay` block with
+/// hit/miss/replay/eviction/occupancy counts and a `hit_rate` in
 /// `[0, 1]`), a `telemetry` level, a `stage_breakdown` block (whose
 /// `protocol`/`traces`/`encapsulated` rows are mandatory when the block
 /// ran with telemetry on), plus a non-empty `latency_percentiles` map
@@ -197,13 +197,6 @@ pub fn check_fleet_schema(doc: &Json) -> Result<(), JsonError> {
         require_positive(block, block_name, "wall_seconds")?;
         require_positive(block, block_name, "scenarios_per_sec")?;
         require_positive(block, block_name, "journeys_per_sec")?;
-        // `0` is a legal check-worker setting (one per core).
-        let check_workers = require_num(block, block_name, "check_workers")?;
-        if check_workers < 0.0 {
-            return Err(JsonError(format!(
-                "{block_name}.check_workers: must be non-negative, got {check_workers}"
-            )));
-        }
         let telemetry = block
             .get("telemetry")
             .and_then(Json::as_str)
@@ -508,8 +501,6 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
         }
     }
     require_positive(doc, "$", "tick_every")?;
-    // `0` is a legal check-worker setting (one per core).
-    require_non_negative(doc, "$", "check_workers")?;
     require_positive(doc, "$", "queue_capacity")?;
     let connection_count = require_positive(doc, "$", "connections")?;
 
@@ -744,14 +735,13 @@ mod tests {
         )
     }
 
-    /// A valid fleet block with the replay/check-worker/telemetry fields;
+    /// A valid fleet block with the replay/telemetry fields;
     /// the `hit_rate`, latency map, telemetry level, and stage breakdown
     /// are injectable so tests can break each one independently.
     fn fleet_block_full(hit_rate: &str, latencies: &str, telemetry: &str, stages: &str) -> String {
         format!(
             r#"{{"workers":4,"wall_seconds":1.0,"scenarios_per_sec":10.0,
-                "journeys_per_sec":50.0,"check_workers":1,
-                "telemetry":"{telemetry}",
+                "journeys_per_sec":50.0,"telemetry":"{telemetry}",
                 "replay":{{"cache_enabled":true,"hits":10,"misses":5,
                     "replays":5,"hit_rate":{hit_rate},"evictions":0,
                     "occupancy":5,"capacity":65536}},
@@ -880,7 +870,7 @@ mod tests {
 
     #[test]
     fn fleet_schema_requires_the_pipeline_fields() {
-        // A pre-pipeline block (no check_workers/replay) must be rejected:
+        // A pre-pipeline block (no replay block) must be rejected:
         // the trajectory file has to carry the cache facts going forward.
         let stale = r#"{"workers":4,"wall_seconds":1.0,"scenarios_per_sec":10.0,
             "journeys_per_sec":50.0,"latency_percentiles":{
@@ -1021,8 +1011,7 @@ mod tests {
         format!(
             r#"{{"schema":"refstate-soak-slo-v1","seed":42,"owners":2,
                 "journeys":48,"preset":"mixed","mechanism":"protocol",
-                "tick_every":12,"check_workers":1,"queue_capacity":64,
-                "connections":2,
+                "tick_every":12,"queue_capacity":64,"connections":2,
                 "aggregate":{{"elapsed_us":16000,"journeys_per_sec":3000.0,
                     "parallelism":8}},
                 "counts":{{"submitted":50,"accepted":48,"rejected":2,

@@ -17,7 +17,7 @@ use refstate_bench::{build_generic_agent, build_three_hosts, AgentParams};
 use refstate_core::framework::{run_framework_journey, ProtectedAgent, ProtectionConfig};
 use refstate_core::protocol::{run_protected_journey, ProtocolConfig};
 use refstate_core::rules::{CmpOp, Expr, Pred, RuleSet};
-use refstate_core::{CheckMoment, ReExecutionChecker, RuleChecker};
+use refstate_core::{CheckMoment, ReExecutionChecker, RuleChecker, VerificationPipeline};
 use refstate_crypto::{DsaParams, KeyDirectory};
 use refstate_platform::{run_plain_journey, AgentId, EventLog};
 use refstate_vm::{DataState, ExecConfig, ScriptedIo, Value};
@@ -175,7 +175,14 @@ fn main() {
             let journey =
                 refstate_mechanisms::run_traced_journey(&mut hosts, "h1", agent, &exec, &log, 10)
                     .expect("journey");
-            let report = refstate_mechanisms::audit_journey(&journey, &program, &dir, &exec, &log);
+            let report = refstate_mechanisms::audit_journey(
+                &journey,
+                &program,
+                &dir,
+                &exec,
+                &log,
+                &VerificationPipeline::uncached(),
+            );
             assert!(report.clean());
         }),
     ));
@@ -210,7 +217,7 @@ fn main() {
             // directly, so strip the itinerary by letting the vote carry it.
             let agent = build_generic_agent(params);
             let log = EventLog::new();
-            let pipeline = refstate_core::VerificationPipeline::uncached();
+            let pipeline = VerificationPipeline::uncached();
             let outcome =
                 run_replicated_pipeline(&mut hosts, &stages, agent, &exec, &log, &pipeline)
                     .expect("pipeline");

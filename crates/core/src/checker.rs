@@ -178,70 +178,6 @@ pub(crate) fn state_diff(
     diff
 }
 
-/// Judges many sessions with one algorithm in a single call — the bulk
-/// counterpart of [`CheckingAlgorithm::check`] for owner-side
-/// `checkAfterTask` verification, where the whole journey's retained
-/// reference data is checked at once (one context per session, in journey
-/// order).
-///
-/// This is the seam the protocol driver's owner-side check and the
-/// framework's `checkAfterTask` pass run through, so every owner-side
-/// bulk verification shares one entry point. Resolves the worker count
-/// automatically; see [`check_sessions_with`] for an explicit one.
-pub fn check_sessions(
-    algorithm: &dyn CheckingAlgorithm,
-    contexts: &[CheckContext<'_>],
-) -> Vec<CheckOutcome> {
-    check_sessions_with(algorithm, contexts, 0)
-}
-
-/// [`check_sessions`] with an explicit worker count (`0` = one worker per
-/// available core, capped at the batch size).
-///
-/// Contexts are distributed over a scoped worker pool (the fleet
-/// scheduler idiom: a shared cursor, workers drain until empty) and the
-/// outcomes are returned **in input order regardless of worker count** —
-/// scheduling must never leak into a verification verdict sequence.
-/// Batches of one, or one worker, run inline with no thread overhead.
-pub fn check_sessions_with(
-    algorithm: &dyn CheckingAlgorithm,
-    contexts: &[CheckContext<'_>],
-    workers: usize,
-) -> Vec<CheckOutcome> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-    .min(contexts.len());
-    if workers <= 1 || contexts.len() <= 1 {
-        return contexts.iter().map(|ctx| algorithm.check(ctx)).collect();
-    }
-
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let results = std::sync::Mutex::new(Vec::with_capacity(contexts.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(ctx) = contexts.get(index) else {
-                    return;
-                };
-                let outcome = algorithm.check(ctx);
-                results
-                    .lock()
-                    .expect("no panics hold the results lock")
-                    .push((index, outcome));
-            });
-        }
-    });
-    let mut results = results.into_inner().expect("workers joined");
-    results.sort_unstable_by_key(|(index, _)| *index);
-    results.into_iter().map(|(_, outcome)| outcome).collect()
-}
-
 /// The "rules" algorithm: evaluate a [`RuleSet`] over initial and resulting
 /// state. Cheap, but blind to anything the rules don't express (§3.1's
 /// price-shopping example is untestable by rules alone).
@@ -694,42 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn check_sessions_outcomes_are_input_ordered_for_any_worker_count() {
-        // A batch with a deterministic honest/tampered pattern: outcome
-        // order must match context order for every worker count.
-        let sessions: Vec<(Program, ReferenceData)> = (0..13)
-            .map(|i| {
-                if i % 3 == 0 {
-                    session_data(Some(("double", Value::Int(-1000 - i))))
-                } else {
-                    session_data(None)
-                }
-            })
-            .collect();
-        let contexts: Vec<CheckContext<'_>> = sessions
-            .iter()
-            .map(|(program, data)| CheckContext {
-                program,
-                data,
-                exec: ExecConfig::default(),
-            })
-            .collect();
-        let checker = ReExecutionChecker::new();
-        let baseline = check_sessions_with(&checker, &contexts, 1);
-        assert_eq!(baseline.len(), contexts.len());
-        for (i, outcome) in baseline.iter().enumerate() {
-            assert_eq!(outcome.passed(), i % 3 != 0, "context {i}");
-        }
-        for workers in [0, 2, 3, 5, 8, 32] {
-            assert_eq!(
-                check_sessions_with(&checker, &contexts, workers),
-                baseline,
-                "worker count {workers} changed the outcome order"
-            );
-        }
-    }
-
-    #[test]
     fn checkers_sharing_a_cached_pipeline_dedup_replays() {
         use crate::pipeline::{ReplayCache, VerificationPipeline};
         let (program, data) = session_data(None);
@@ -748,30 +648,6 @@ mod tests {
         let stats = pipeline.snapshot();
         assert_eq!(stats.replays, 1, "the second checker hit the cache");
         assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn check_sessions_judges_each_context() {
-        let (honest_program, honest_data) = session_data(None);
-        let (tampered_program, tampered_data) = session_data(Some(("double", Value::Int(9999))));
-        assert_eq!(honest_program, tampered_program);
-        let checker = ReExecutionChecker::new();
-        let contexts = [
-            CheckContext {
-                program: &honest_program,
-                data: &honest_data,
-                exec: ExecConfig::default(),
-            },
-            CheckContext {
-                program: &tampered_program,
-                data: &tampered_data,
-                exec: ExecConfig::default(),
-            },
-        ];
-        let outcomes = check_sessions(&checker, &contexts);
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].passed());
-        assert!(!outcomes[1].passed());
     }
 
     #[test]

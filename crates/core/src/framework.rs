@@ -18,9 +18,7 @@ use refstate_platform::{
 };
 use refstate_vm::{DataState, ExecConfig, Program, TraceMode};
 
-use crate::checker::{
-    check_sessions_with, CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason,
-};
+use crate::checker::{CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason};
 use crate::moment::CheckMoment;
 use crate::refdata::{HostFacilities, ReferenceData, ReferenceDataKind};
 use crate::route::{RouteRecording, SignedRoute};
@@ -42,10 +40,6 @@ pub struct ProtectionConfig {
     pub exec: ExecConfig,
     /// Hop budget.
     pub max_hops: usize,
-    /// Worker threads for the `checkAfterTask` bulk verification pass
-    /// (`0` = one per available core). Outcomes are order-stable for any
-    /// value; see [`crate::checker::check_sessions_with`].
-    pub check_workers: usize,
 }
 
 impl ProtectionConfig {
@@ -60,19 +54,12 @@ impl ProtectionConfig {
             skip_trusted: true,
             exec: ExecConfig::default(),
             max_hops: 64,
-            check_workers: 0,
         }
     }
 
     /// Sets the checking moment.
     pub fn moment(mut self, moment: CheckMoment) -> Self {
         self.moment = moment;
-        self
-    }
-
-    /// Sets the worker count for the `checkAfterTask` bulk pass.
-    pub fn check_workers(mut self, workers: usize) -> Self {
-        self.check_workers = workers;
         self
     }
 
@@ -257,9 +244,8 @@ impl FrameworkLeg<'_> {
 
     /// The checks after the agent halted at `last`: the halting host's own
     /// session (AfterSession; the owner's check, attributed to the halting
-    /// host) or every kept session in one bulk pass through the
-    /// `check_sessions` seam (AfterTask; outcomes stay in journey order
-    /// for any worker count).
+    /// host) or every kept session in journey order (AfterTask; the
+    /// evidence is the first failure's).
     fn finish(&mut self, agent: &AgentImage, last: &HostId) -> Option<FraudEvidence> {
         let kept = std::mem::take(&mut self.kept);
         if self.config.moment == CheckMoment::AfterSession {
@@ -268,28 +254,17 @@ impl FrameworkLeg<'_> {
             return self.check(agent, &session, &checker);
         }
         let required = self.config.algorithm.required_data();
-        let datas: Vec<ReferenceData> = kept
-            .iter()
-            .map(|k| HostFacilities::new(&k.record).provide(&required))
-            .collect();
-        let contexts: Vec<CheckContext<'_>> = datas
-            .iter()
-            .map(|data| CheckContext {
-                program: &agent.program,
-                data,
-                exec: self.exec.clone(),
-            })
-            .collect();
-        let outcomes = check_sessions_with(
-            self.config.algorithm.as_ref(),
-            &contexts,
-            self.config.check_workers,
-        );
         let mut fraud = None;
-        for ((session, data), outcome) in kept.iter().zip(&datas).zip(outcomes) {
+        for session in &kept {
+            let data = HostFacilities::new(&session.record).provide(&required);
+            let outcome = self.config.algorithm.check(&CheckContext {
+                program: &agent.program,
+                data: &data,
+                exec: self.exec.clone(),
+            });
             if let Some(reason) = self.record(session, last, outcome) {
                 if fraud.is_none() {
-                    fraud = Some(self.evidence(agent, session, last, data, reason));
+                    fraud = Some(self.evidence(agent, session, last, &data, reason));
                 }
             }
         }
@@ -576,45 +551,6 @@ mod tests {
         assert_eq!(fraud.culprit.as_str(), "h2");
         // Compromised state propagated into later sessions.
         assert_eq!(outcome.final_state.get_int("total"), Some(31)); // 1 + 30
-    }
-
-    #[test]
-    fn after_task_bulk_check_is_worker_invariant() {
-        // The checkAfterTask pass runs through the parallel
-        // `check_sessions` seam; worker count must not change the verdict
-        // sequence.
-        let run = |workers: usize| {
-            let mut hosts = hosts_with(Some(Attack::TamperVariable {
-                name: "total".into(),
-                value: Value::Int(1),
-            }));
-            let log = EventLog::new();
-            let config = reexec_config()
-                .moment(CheckMoment::AfterTask)
-                .check_trusted_too()
-                .check_workers(workers);
-            run_framework_journey(
-                &mut hosts,
-                "h1",
-                ProtectedAgent::new(sum_agent(), config),
-                &log,
-            )
-            .unwrap()
-        };
-        let baseline = run(1);
-        for workers in [0, 2, 4, 8] {
-            let outcome = run(workers);
-            assert_eq!(outcome.verdicts.len(), baseline.verdicts.len());
-            for (a, b) in outcome.verdicts.iter().zip(&baseline.verdicts) {
-                assert_eq!(a.checked, b.checked, "workers={workers}");
-                assert_eq!(a.seq, b.seq, "workers={workers}");
-                assert_eq!(a.passed(), b.passed(), "workers={workers}");
-            }
-            assert_eq!(
-                outcome.fraud.as_ref().map(|f| f.culprit.clone()),
-                baseline.fraud.as_ref().map(|f| f.culprit.clone()),
-            );
-        }
     }
 
     #[test]

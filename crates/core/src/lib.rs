@@ -105,8 +105,8 @@ pub mod verdict;
 
 pub use attack::AttackArea;
 pub use checker::{
-    check_sessions, check_sessions_with, CheckContext, CheckOutcome, CheckingAlgorithm,
-    FailureReason, ProgramChecker, ReExecutionChecker, RuleChecker,
+    CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason, ProgramChecker,
+    ReExecutionChecker, RuleChecker,
 };
 pub use compare::{ExactCompare, IgnoreVars, StateCompare, UnorderedLists};
 pub use framework::{ProtectedAgent, ProtectionConfig};

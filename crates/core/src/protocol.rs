@@ -39,7 +39,7 @@ use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd};
 use refstate_wire::{from_wire, to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::checker::{
-    check_sessions_with, CheckContext, CheckOutcome, FailureReason, ReExecutionChecker,
+    CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason, ReExecutionChecker,
 };
 use crate::pipeline::VerificationPipeline;
 use crate::refdata::ReferenceData;
@@ -325,7 +325,7 @@ pub fn run_protected_journey_with_directory(
     // Nothing was deferred to a queue in eager mode; settling runs only
     // the owner's final check (if any).
     let mut empty = VerificationQueue::new();
-    settle_deferred(&mut journeys, config, log, directory, &mut empty, 1);
+    settle_deferred(&mut journeys, config, log, directory, &mut empty);
     Ok(journeys.pop().expect("one journey in, one out").outcome)
 }
 
@@ -352,7 +352,7 @@ pub struct DeferredJourney {
 
 /// The owner-side re-execution of a journey's final session, postponed so
 /// a service can run many journeys' final checks in one
-/// [`check_sessions_with`] pass.
+/// [`settle_deferred`] pass.
 #[derive(Debug)]
 pub struct PendingFinalCheck {
     /// The agent's code, re-executed by the check.
@@ -389,9 +389,9 @@ pub struct SettleStats {
 ///
 /// This is the resident-service seam: a service collects the
 /// [`DeferredJourney`]s of a whole tick, then calls [`settle_deferred`]
-/// once — one [`check_sessions_with`] pass over every pending final check
-/// and one [`VerificationQueue::flush`] over every deferred signature,
-/// instead of one of each per journey.
+/// once — one re-execution pass over every pending final check and one
+/// [`VerificationQueue::flush`] over every deferred signature, instead of
+/// one of each per journey.
 ///
 /// # Errors
 ///
@@ -426,11 +426,9 @@ pub fn run_protected_journey_deferred(
     })
 }
 
-/// Settles a batch of [`DeferredJourney`]s: one bulk re-execution pass
-/// over every pending final check (distributed over `workers` workers —
-/// outcomes are applied in input order regardless of worker count, so the
-/// verdict streams are worker-invariant), then one batch flush of `queue`
-/// with per-journey fraud attribution.
+/// Settles a batch of [`DeferredJourney`]s: every pending final check in
+/// input order, then one batch flush of `queue` with per-journey fraud
+/// attribution.
 ///
 /// Verdicts, fraud evidence, log events, and stats land on each journey's
 /// [`outcome`](DeferredJourney::outcome), in the same order the
@@ -445,58 +443,34 @@ pub fn settle_deferred(
     log: &EventLog,
     directory: &KeyDirectory,
     queue: &mut VerificationQueue,
-    workers: usize,
 ) -> SettleStats {
     let mut stats = SettleStats::default();
 
-    // --- one bulk pass over every pending final check ---
-    let work: Vec<(usize, ReferenceData)> = journeys
-        .iter()
-        .enumerate()
-        .filter_map(|(i, j)| {
-            let cert = j.pending.as_ref()?.signed_cert.payload();
-            let data = ReferenceData {
-                initial_state: Some(cert.initial_state.clone()),
-                resulting_state: Some(cert.resulting_state.clone()),
-                input: Some(cert.input.clone()),
-                execution_log: None,
-                resources: None,
-                // State-only final check: the halt itself was the observed
-                // session end, so there is no migration claim to
-                // cross-check.
-                claimed_next: None,
-            };
-            Some((i, data))
-        })
-        .collect();
-    let checked = work.len() as u32;
-    let t = Instant::now();
-    let outcomes = {
-        let contexts: Vec<CheckContext<'_>> = work
-            .iter()
-            .map(|(i, data)| CheckContext {
-                program: &journeys[*i]
-                    .pending
-                    .as_ref()
-                    .expect("work built from pending")
-                    .program,
-                data,
-                exec: config.exec.clone(),
-            })
-            .collect();
-        let checker = ReExecutionChecker::new().with_pipeline(config.pipeline.clone());
-        check_sessions_with(&checker, &contexts, workers)
-    };
-    let check_share = if checked > 0 {
-        t.elapsed() / checked
-    } else {
-        Duration::ZERO
-    };
-    stats.final_checks = checked;
-
-    for ((i, _), outcome) in work.into_iter().zip(outcomes) {
-        let journey = &mut journeys[i];
-        let pending = journey.pending.take().expect("work built from pending");
+    // --- every pending final check, in input order ---
+    let checker = ReExecutionChecker::new().with_pipeline(config.pipeline.clone());
+    for journey in journeys.iter_mut() {
+        let Some(pending) = journey.pending.take() else {
+            continue;
+        };
+        let cert = pending.signed_cert.payload();
+        let data = ReferenceData {
+            initial_state: Some(cert.initial_state.clone()),
+            resulting_state: Some(cert.resulting_state.clone()),
+            input: Some(cert.input.clone()),
+            execution_log: None,
+            resources: None,
+            // State-only final check: the halt itself was the observed
+            // session end, so there is no migration claim to cross-check.
+            claimed_next: None,
+        };
+        let t = Instant::now();
+        let outcome = checker.check(&CheckContext {
+            program: &pending.program,
+            data: &data,
+            exec: config.exec.clone(),
+        });
+        let elapsed = t.elapsed();
+        stats.final_checks += 1;
         let failure = match outcome {
             CheckOutcome::Passed => None,
             CheckOutcome::Failed(reason) => Some(reason),
@@ -513,8 +487,8 @@ pub fn settle_deferred(
             seq: pending.seq,
             failure: failure.clone(),
         });
-        journey.outcome.stats.checking += check_share;
-        journey.outcome.stats.total += check_share;
+        journey.outcome.stats.checking += elapsed;
+        journey.outcome.stats.total += elapsed;
         journey.outcome.stats.reexecutions += 1;
         if let Some(reason) = failure {
             log.record(Event::FraudDetected {
@@ -807,10 +781,9 @@ impl Leg for ProtocolLeg<'_> {
         // Task complete. The final session is checked by the owner
         // (modelled as an owner-side verification pass when the halting
         // host is untrusted). The check itself is handed back as a
-        // [`PendingFinalCheck`] and performed by [`settle_deferred`]'s
-        // [`check_sessions_with`] bulk pass — the single seam every
-        // owner-side `checkAfterTask` verification funnels into, so
-        // batching and parallelism work land in one place.
+        // [`PendingFinalCheck`] and performed by [`settle_deferred`] — the
+        // single seam every owner-side final check funnels into, so
+        // batching lands in one place.
         if !(self.config.skip_trusted && host.is_trusted()) {
             let cert = signed_cert.payload();
             self.pending = Some(PendingFinalCheck {
@@ -1160,7 +1133,7 @@ mod tests {
             run_protected_journey_deferred(hosts, "h1", agent, config, log, directory, &mut queue)
                 .unwrap();
         let mut journeys = vec![journey];
-        settle_deferred(&mut journeys, config, log, directory, &mut queue, 1);
+        settle_deferred(&mut journeys, config, log, directory, &mut queue);
         assert!(queue.is_empty(), "settle flushes the queue");
         journeys.pop().unwrap().outcome
     }
@@ -1257,7 +1230,7 @@ mod tests {
         // Three journeys with distinct agents: honest, mid-route tamperer,
         // and an untrusted final host the owner must check. Settling all
         // three in one pass must yield the same per-journey verdict
-        // streams as settling each alone — across worker counts.
+        // streams as settling each alone.
         let scenarios: Vec<(&str, Option<Attack>, Option<HostSpec>)> = vec![
             ("fleet-0", None, None),
             (
@@ -1299,51 +1272,38 @@ mod tests {
             reference.push(verdict_lines(&outcome));
         }
 
-        for workers in [1, 2, 8] {
-            let log = EventLog::new();
-            let mut queue = VerificationQueue::new();
-            let mut journeys = Vec::new();
-            let mut host_sets: Vec<Vec<Host>> = scenarios
-                .iter()
-                .map(|(_, attack, h3)| build_hosts(attack.clone(), h3.clone()))
-                .collect();
-            // `build_hosts` reseeds identically, so every set carries the
-            // same key material — one directory covers them all.
-            let directory = host_directory(&host_sets[0]);
-            for ((name, _, _), hosts) in scenarios.iter().zip(host_sets.iter_mut()) {
-                let journey = run_protected_journey_deferred(
-                    hosts,
-                    "h1",
-                    agent_named(name),
-                    &config,
-                    &log,
-                    &directory,
-                    &mut queue,
-                )
-                .unwrap();
-                journeys.push(journey);
-            }
-            let stats = settle_deferred(
-                &mut journeys,
+        let log = EventLog::new();
+        let mut queue = VerificationQueue::new();
+        let mut journeys = Vec::new();
+        let mut host_sets: Vec<Vec<Host>> = scenarios
+            .iter()
+            .map(|(_, attack, h3)| build_hosts(attack.clone(), h3.clone()))
+            .collect();
+        // `build_hosts` reseeds identically, so every set carries the
+        // same key material — one directory covers them all.
+        let directory = host_directory(&host_sets[0]);
+        for ((name, _, _), hosts) in scenarios.iter().zip(host_sets.iter_mut()) {
+            let journey = run_protected_journey_deferred(
+                hosts,
+                "h1",
+                agent_named(name),
                 &config,
                 &log,
                 &directory,
                 &mut queue,
-                workers,
-            );
-            assert!(queue.is_empty(), "settle flushes the shared queue");
-            assert_eq!(
-                stats.final_checks, 1,
-                "only fleet-2 halts on an untrusted host"
-            );
-            assert_eq!(stats.unattributed_failures, 0);
-            for (journey, expected) in journeys.iter().zip(&reference) {
-                assert_eq!(
-                    &verdict_lines(&journey.outcome),
-                    expected,
-                    "workers={workers}"
-                );
-            }
+            )
+            .unwrap();
+            journeys.push(journey);
+        }
+        let stats = settle_deferred(&mut journeys, &config, &log, &directory, &mut queue);
+        assert!(queue.is_empty(), "settle flushes the shared queue");
+        assert_eq!(
+            stats.final_checks, 1,
+            "only fleet-2 halts on an untrusted host"
+        );
+        assert_eq!(stats.unattributed_failures, 0);
+        for (journey, expected) in journeys.iter().zip(&reference) {
+            assert_eq!(&verdict_lines(&journey.outcome), expected);
         }
     }
 

@@ -1,11 +1,10 @@
-//! Property tests for the owner-side bulk-check seam: outcome order (and
-//! every verdict) must be invariant under the worker count for any mix
-//! of passing, failing, and erroring sessions.
+//! Property tests for the owner-side re-execution check: every session of
+//! a random mix of passing, failing, and erroring sessions gets the
+//! judgment its mode calls for.
 
 use proptest::prelude::*;
 use refstate_core::{
-    check_sessions_with, CheckContext, CheckOutcome, FailureReason, ReExecutionChecker,
-    ReferenceData,
+    CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason, ReExecutionChecker, ReferenceData,
 };
 use refstate_vm::{
     assemble, run_session, DataState, ExecConfig, InputKind, InputRecord, Program, ScriptedIo,
@@ -76,32 +75,21 @@ fn mode_of(draw: u8) -> SessionMode {
 }
 
 proptest! {
-    /// Random mixed pass/fail/error batches, checked at every worker
-    /// count in `0..=8` (`0` = one worker per core): the outcome vector
-    /// must equal the serial baseline element for element, and each
-    /// element must match its session's mode.
+    /// Random mixed pass/fail/error batches, checked session by session
+    /// in order: each outcome must match its session's mode.
     #[test]
-    fn check_sessions_is_worker_invariant_over_mixed_batches(
+    fn reexecution_judges_mixed_batches_by_mode(
         draws in proptest::collection::vec(any::<u8>(), 1..14),
     ) {
         let modes: Vec<SessionMode> = draws.iter().map(|&d| mode_of(d)).collect();
-        let sessions: Vec<(Program, ReferenceData)> = modes
-            .iter()
-            .enumerate()
-            .map(|(i, &mode)| session_data(mode, i as i64))
-            .collect();
-        let contexts: Vec<CheckContext<'_>> = sessions
-            .iter()
-            .map(|(program, data)| CheckContext {
-                program,
-                data,
-                exec: ExecConfig::default(),
-            })
-            .collect();
         let checker = ReExecutionChecker::new();
-        let baseline = check_sessions_with(&checker, &contexts, 1);
-        prop_assert_eq!(baseline.len(), contexts.len());
-        for (i, (outcome, mode)) in baseline.iter().zip(&modes).enumerate() {
+        for (i, &mode) in modes.iter().enumerate() {
+            let (program, data) = session_data(mode, i as i64);
+            let outcome = checker.check(&CheckContext {
+                program: &program,
+                data: &data,
+                exec: ExecConfig::default(),
+            });
             let matches_mode = match mode {
                 SessionMode::Pass => outcome.passed(),
                 SessionMode::Fail => matches!(
@@ -114,44 +102,6 @@ proptest! {
                 ),
             };
             prop_assert!(matches_mode, "session {} ({:?}) judged {:?}", i, mode, outcome);
-        }
-        for workers in 0..=8usize {
-            let outcomes = check_sessions_with(&checker, &contexts, workers);
-            prop_assert_eq!(
-                &outcomes,
-                &baseline,
-                "worker count {} changed the verdict sequence",
-                workers
-            );
-        }
-    }
-
-    /// The padded-log error must never be reordered into a different
-    /// session's slot: a batch of all-distinct failure diffs keeps its
-    /// per-session evidence aligned at every worker count.
-    #[test]
-    fn failing_batches_keep_their_evidence_aligned(count in 2usize..10, workers in 2usize..9) {
-        let sessions: Vec<(Program, ReferenceData)> = (0..count)
-            .map(|i| session_data(SessionMode::Fail, i as i64))
-            .collect();
-        let contexts: Vec<CheckContext<'_>> = sessions
-            .iter()
-            .map(|(program, data)| CheckContext {
-                program,
-                data,
-                exec: ExecConfig::default(),
-            })
-            .collect();
-        let checker = ReExecutionChecker::new();
-        let outcomes = check_sessions_with(&checker, &contexts, workers);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let CheckOutcome::Failed(FailureReason::StateMismatch { diff, .. }) = outcome else {
-                panic!("expected StateMismatch, got {outcome:?}");
-            };
-            // The forged value carries the session index: slot i must
-            // hold session i's evidence.
-            prop_assert_eq!(diff.len(), 1);
-            prop_assert_eq!(&diff[0].1, &format!("{}", -1000 - i as i64));
         }
     }
 }

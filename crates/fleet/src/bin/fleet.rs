@@ -24,9 +24,6 @@
 //!   and mechanisms; the deterministic report is byte-identical either
 //!   way (the determinism guard `replay_cache_does_not_change_the_report`
 //!   pins it)
-//! * `--check-workers N` — worker threads for owner-side bulk
-//!   `check_sessions` passes inside each journey (default 1; `0` = one
-//!   per core)
 //! * `--telemetry off|counters|full` — observability level (default
 //!   `off`; the deterministic report is byte-identical at every level,
 //!   pinned by the telemetry determinism guard)
@@ -47,7 +44,7 @@ fn usage(registry: &MechanismRegistry, exit: i32) -> ! {
     eprintln!(
         "usage: fleet [--scenarios N] [--workers N] [--seed S] [--preset P] \
          [--mechanisms LIST] [--mechanism M]... \
-         [--replay-cache|--no-replay-cache] [--check-workers N] \
+         [--replay-cache|--no-replay-cache] \
          [--telemetry off|counters|full] [--trace-out PATH] \
          [--metrics-out PATH] [--json-only|--no-json]\n\
          presets: {}\n\
@@ -129,10 +126,6 @@ fn parse_args(registry: &MechanismRegistry) -> (FleetConfig, OutputOptions) {
             }
             "--replay-cache" => config.replay_cache = true,
             "--no-replay-cache" => config.replay_cache = false,
-            "--check-workers" => {
-                config.adapter.check_workers =
-                    value(&mut i).parse().unwrap_or_else(|_| usage(registry, 2))
-            }
             "--telemetry" => {
                 let name = value(&mut i);
                 level = telemetry::TelemetryLevel::parse(&name).unwrap_or_else(|| {

@@ -37,7 +37,7 @@ use rand::SeedableRng;
 use refstate_core::{ReplayCache, VerificationPipeline};
 use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_mechanisms::api::{
-    JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
+    settle, JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
 };
 use refstate_platform::{EventLog, HostSpec};
 use refstate_telemetry as telemetry;
@@ -71,9 +71,6 @@ pub struct FleetConfig {
     /// replay-per-check behaviour; the [`FleetReport`] is byte-identical
     /// either way (pinned by a test — the cache is a memo, not a
     /// semantic).
-    ///
-    /// The owner-side check-worker knob lives on
-    /// [`MechanismConfig::check_workers`] (`adapter.check_workers`).
     pub replay_cache: bool,
 }
 
@@ -248,10 +245,11 @@ fn run_scenario(
         else {
             continue;
         };
-        let verdict = {
+        let (mut verdicts, _) = {
             let _scope = telemetry::scoped(mechanism.name());
-            split.settle(&config.adapter, pipeline, &log, &directory)
+            settle(vec![split], &config.adapter, pipeline, &log, &directory)
         };
+        let verdict = verdicts.pop().expect("one split in, one verdict out");
         runs.push(score(
             mechanism.name(),
             verdict,
@@ -388,7 +386,6 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
         scenarios_per_sec: results.len() as f64 / wall.as_secs_f64().max(f64::EPSILON),
         journeys_per_sec: journeys as f64 / wall.as_secs_f64().max(f64::EPSILON),
         latencies,
-        check_workers: config.adapter.check_workers,
         replay_cache: config.replay_cache,
         replay: pipeline.snapshot(),
         telemetry: telemetry::level(),

@@ -6,8 +6,9 @@
 //! topology compatibility test, host instantiation (each driver passes
 //! its own key chooser), the churn event, the per-journey seeds, and the
 //! telemetry scope and `journey` span all live here. It stops at the
-//! [`SplitVerdict`]: the fleet engine settles each journey at once, the
-//! service settles an owner's pending journeys in one batch per tick.
+//! [`SplitVerdict`]: both drivers finish through
+//! [`refstate_mechanisms::api::settle`] — the fleet engine one journey at
+//! a time, the service an owner's whole tick in one batch.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -123,7 +124,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use refstate_crypto::{sha256, DsaParams};
-    use refstate_mechanisms::api::MechanismRegistry;
+    use refstate_mechanisms::api::{settle, MechanismRegistry};
 
     use crate::scenario::{generate, Preset};
 
@@ -162,9 +163,10 @@ mod tests {
                         else {
                             continue;
                         };
-                        let verdict = split.settle(&config, &pipeline, &log, &directory);
+                        let (verdicts, _) =
+                            settle(vec![split], &config, &pipeline, &log, &directory);
                         text.push_str(&log.render());
-                        text.push_str(&format!("{verdict:?}\n"));
+                        text.push_str(&format!("{:?}\n", verdicts[0]));
                     }
                 }
                 format!("{} {}", mechanism.name(), sha256(text.as_bytes()).short())

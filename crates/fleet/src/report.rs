@@ -670,9 +670,6 @@ pub struct FleetTiming {
     /// Latency percentiles per mechanism name, in run order (mechanisms
     /// that ran no journeys have no entry).
     pub latencies: Vec<(&'static str, LatencyPercentiles)>,
-    /// Worker threads for owner-side bulk `check_sessions` passes inside
-    /// each journey.
-    pub check_workers: usize,
     /// Whether the run shared a replay cache across journeys.
     pub replay_cache: bool,
     /// The verification pipeline's counters: cache hits/misses, actual VM
@@ -702,7 +699,7 @@ impl FleetTiming {
         let _ = writeln!(
             out,
             "replay cache: {} — {} hits / {} misses ({:.1}% hit rate), {} replays, \
-             {} evictions, occupancy {}/{}; check workers: {}",
+             {} evictions, occupancy {}/{}",
             if self.replay_cache { "on" } else { "off" },
             self.replay.hits,
             self.replay.misses,
@@ -711,7 +708,6 @@ impl FleetTiming {
             self.replay.evictions,
             self.replay.cache_entries,
             self.replay.cache_capacity,
-            self.check_workers,
         );
         if !self.stages.is_empty() {
             let _ = writeln!(
@@ -763,7 +759,6 @@ impl FleetTiming {
         w.field_f64("wall_seconds", self.wall.as_secs_f64());
         w.field_f64("scenarios_per_sec", self.scenarios_per_sec);
         w.field_f64("journeys_per_sec", self.journeys_per_sec);
-        w.field_u64("check_workers", self.check_workers as u64);
         w.field_str("telemetry", self.telemetry.name());
         w.key("replay");
         w.begin_object();

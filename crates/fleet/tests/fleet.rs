@@ -117,20 +117,6 @@ fn cached_fleet_replays_fewer_than_journeys_times_hops() {
 }
 
 #[test]
-fn check_worker_knob_does_not_change_the_report() {
-    let run_with = |check_workers: usize| {
-        let mut c = config(Preset::Mixed, all_builtin(), 2);
-        c.scenarios = 40;
-        c.adapter.check_workers = check_workers;
-        run_fleet(&c)
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    assert_eq!(serial.report.to_json(), parallel.report.to_json());
-    assert_eq!(parallel.timing.check_workers, 4);
-}
-
-#[test]
 fn different_seed_produces_different_fleet() {
     let a = run_fleet(&config(Preset::Mixed, mechanisms(&["unprotected"]), 4));
     let mut other = config(Preset::Mixed, mechanisms(&["unprotected"]), 4);

@@ -12,7 +12,7 @@
 //!   moment, reference data, route topology, signatures), and one
 //!   [`run_split`](ProtectionMechanism::run_split) entry point over a
 //!   [`JourneyCtx`] whose owner-side remainder, if any, settles through
-//!   [`settle_owner_batch`] — alone or amortized across a batch,
+//!   [`settle`] — alone or amortized across a batch,
 //! * [`MechanismRegistry`] — the single dispatch table the fleet engine,
 //!   detection matrix, CLI, and benches all resolve mechanisms through
 //!   (by name; new mechanisms plug in without touching any engine),
@@ -119,13 +119,6 @@ pub struct MechanismConfig {
     /// Hop budget: the most sessions a linear journey runs before it
     /// counts as a runaway itinerary (an infrastructure error).
     pub max_hops: usize,
-    /// Worker threads for owner-side bulk `check_sessions` passes (`0` =
-    /// one per available core); plumbed into
-    /// `refstate_core::framework::ProtectionConfig::check_workers`.
-    /// Verdict order is worker-invariant. Defaults to 1: fleet engines
-    /// already saturate the cores with journey workers, so nested check
-    /// parallelism is opt-in.
-    pub check_workers: usize,
 }
 
 impl Default for MechanismConfig {
@@ -139,7 +132,6 @@ impl Default for MechanismConfig {
                     Pred::cmp(CmpOp::Ge, Expr::var("total"), Expr::int(0)),
                 ),
             max_hops: 64,
-            check_workers: 1,
         }
     }
 }
@@ -330,34 +322,13 @@ pub enum SplitVerdict {
     Settled(JourneyVerdict),
     /// The host-side journey ran; the owner-side settlement (final
     /// re-execution check, deferred signature flush) is pending. Collect
-    /// these and resolve them with [`settle_owner_batch`].
+    /// these and resolve them with [`settle`].
     Pending(Box<PendingOwnerJourney>),
 }
 
 impl From<JourneyVerdict> for SplitVerdict {
     fn from(verdict: JourneyVerdict) -> Self {
         SplitVerdict::Settled(verdict)
-    }
-}
-
-impl SplitVerdict {
-    /// The final verdict: a pending owner side settles through
-    /// [`settle_owner_batch`] as a batch of one.
-    pub fn settle(
-        self,
-        config: &MechanismConfig,
-        pipeline: &Arc<VerificationPipeline>,
-        log: &EventLog,
-        directory: &KeyDirectory,
-    ) -> JourneyVerdict {
-        match self {
-            SplitVerdict::Settled(verdict) => verdict,
-            SplitVerdict::Pending(pending) => {
-                let (mut verdicts, _) =
-                    settle_owner_batch(vec![*pending], config, pipeline, log, directory);
-                verdicts.pop().expect("one journey in, one verdict out")
-            }
-        }
     }
 }
 
@@ -385,23 +356,49 @@ pub fn protocol_verdict(outcome: &ProtocolOutcome) -> JourneyVerdict {
     }
 }
 
-/// Settles a batch of [`PendingOwnerJourney`]s in two amortized passes —
-/// one bulk `check_sessions_with` over every pending final check
-/// (distributed over `config.check_workers`; verdict order is
-/// worker-invariant) and one batch flush over every deferred signature —
-/// and returns the final
-/// [`JourneyVerdict`]s in input order, plus the settle counters.
+/// Settles a batch of [`SplitVerdict`]s into their final
+/// [`JourneyVerdict`]s, in input order, plus the settle counters — the one
+/// owner-side settle path.
+///
+/// Settled splits pass through in place. Pending ones merge their deferred
+/// signatures into one queue and settle together in one
+/// [`settle_deferred`] pass: every pending final re-execution check in
+/// input order, then one batch flush over every deferred signature. The
+/// `mechanism.settle_batch` span opens only when something is pending.
 ///
 /// All journeys in the batch must share `directory` (one owner's PKI view)
 /// and `pipeline`. Verdicts are identical to settling each journey alone —
 /// amortization changes cost, never outcomes.
-pub fn settle_owner_batch(
-    pendings: Vec<PendingOwnerJourney>,
+pub fn settle(
+    splits: Vec<SplitVerdict>,
     config: &MechanismConfig,
     pipeline: &Arc<VerificationPipeline>,
     log: &EventLog,
     directory: &KeyDirectory,
 ) -> (Vec<JourneyVerdict>, SettleStats) {
+    let mut queue = VerificationQueue::new();
+    let mut journeys = Vec::new();
+    let slots: Vec<Option<JourneyVerdict>> = splits
+        .into_iter()
+        .map(|split| match split {
+            SplitVerdict::Settled(verdict) => Some(verdict),
+            SplitVerdict::Pending(pending) => {
+                let PendingOwnerJourney {
+                    journey,
+                    queue: mut deferred,
+                } = *pending;
+                queue.append(&mut deferred);
+                journeys.push(journey);
+                None
+            }
+        })
+        .collect();
+    if journeys.is_empty() {
+        return (
+            slots.into_iter().flatten().collect(),
+            SettleStats::default(),
+        );
+    }
     let _span = telemetry::span("mechanism.settle_batch", "mechanism");
     let protocol = ProtocolConfig {
         exec: config.exec.clone(),
@@ -409,23 +406,14 @@ pub fn settle_owner_batch(
         pipeline: pipeline.clone(),
         ..ProtocolConfig::default()
     };
-    let mut queue = VerificationQueue::new();
-    let mut journeys = Vec::with_capacity(pendings.len());
-    for mut pending in pendings {
-        queue.append(&mut pending.queue);
-        journeys.push(pending.journey);
-    }
-    let stats = settle_deferred(
-        &mut journeys,
-        &protocol,
-        log,
-        directory,
-        &mut queue,
-        config.check_workers,
-    );
-    let verdicts = journeys
-        .iter()
-        .map(|j| protocol_verdict(&j.outcome))
+    let stats = settle_deferred(&mut journeys, &protocol, log, directory, &mut queue);
+    let mut pending = journeys.iter().map(|j| protocol_verdict(&j.outcome));
+    let verdicts = slots
+        .into_iter()
+        .map(|slot| {
+            slot.or_else(|| pending.next())
+                .expect("one verdict per pending split")
+        })
         .collect();
     (verdicts, stats)
 }
@@ -454,7 +442,7 @@ pub trait ProtectionMechanism: Send + Sync {
     /// returns its final verdict (`verdict.into()`); one with an
     /// owner-side phase may hand it back as a [`SplitVerdict::Pending`]
     /// for the driver to settle, alone or amortized across a batch (see
-    /// [`settle_owner_batch`]).
+    /// [`settle`]).
     ///
     /// Callers must only hand over contexts the profile is compatible
     /// with (see [`MechanismProfile::compatible_with`]); a
@@ -466,8 +454,15 @@ pub trait ProtectionMechanism: Send + Sync {
     /// [`run_split`](Self::run_split), with a pending owner side settled
     /// as a batch of one.
     fn run(&self, ctx: &mut JourneyCtx<'_>) -> JourneyVerdict {
-        self.run_split(ctx)
-            .settle(ctx.config, &ctx.pipeline, ctx.log, ctx.directory)
+        let split = self.run_split(ctx);
+        let (mut verdicts, _) = settle(
+            vec![split],
+            ctx.config,
+            &ctx.pipeline,
+            ctx.log,
+            ctx.directory,
+        );
+        verdicts.pop().expect("one split in, one verdict out")
     }
 }
 

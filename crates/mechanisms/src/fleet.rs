@@ -28,7 +28,7 @@ use crate::api::{
     RouteTopology, SplitVerdict,
 };
 use crate::replication::run_replicated_pipeline;
-use crate::traces::{audit_journey_with_pipeline, run_traced_journey};
+use crate::traces::{audit_journey, run_traced_journey};
 
 /// No protection at all: the baseline row every report needs. Never
 /// detects, never accuses.
@@ -148,7 +148,7 @@ impl ProtectionMechanism for FrameworkReExecution {
         let protection = ProtectionConfig {
             exec: ctx.config.exec.clone(),
             max_hops: ctx.config.max_hops,
-            ..ProtectionConfig::new(Arc::new(checker)).check_workers(ctx.config.check_workers)
+            ..ProtectionConfig::new(Arc::new(checker))
         };
         match run_framework_journey(
             ctx.hosts,
@@ -208,7 +208,7 @@ impl ProtectionMechanism for SessionCheckingProtocol {
     /// The host-side journey only: signature checks accumulate on the
     /// context's queue and the owner's final check is left pending, so a
     /// driver can settle many journeys in two amortized passes
-    /// ([`crate::api::settle_owner_batch`]).
+    /// ([`crate::api::settle`]).
     fn run_split(&self, ctx: &mut JourneyCtx<'_>) -> SplitVerdict {
         let protocol = ProtocolConfig {
             exec: ctx.config.exec.clone(),
@@ -277,7 +277,7 @@ impl ProtectionMechanism for ExecutionTraces {
         match journey {
             Ok(journey) => {
                 let _audit = ctx.stage("traces.audit");
-                let report = audit_journey_with_pipeline(
+                let report = audit_journey(
                     &journey,
                     &program,
                     ctx.directory,
@@ -548,13 +548,13 @@ mod tests {
 
     #[test]
     fn split_and_batch_settle_match_inline_run() {
-        use crate::api::settle_owner_batch;
+        use crate::api::settle;
         use std::sync::Arc;
 
-        // Three journeys per round: honest, mid-route tamperer, and a
+        // Three protocol journeys: honest, mid-route tamperer, and a
         // rule-preserving tamperer. Splitting the owner side out and
-        // settling all three in one batch must reproduce the inline
-        // verdicts, across check-worker counts.
+        // settling all three in one batch, with a settled verdict between
+        // them, must reproduce the inline verdicts in input order.
         let attacks: Vec<Option<Attack>> = vec![
             None,
             Some(Attack::TamperVariable {
@@ -569,7 +569,7 @@ mod tests {
         let config = MechanismConfig::default();
         let route = || vec![HostId::new("a"), HostId::new("b"), HostId::new("c")];
 
-        let inline: Vec<JourneyVerdict> = attacks
+        let mut inline: Vec<JourneyVerdict> = attacks
             .iter()
             .map(|attack| {
                 let mut hs = hosts(attack.clone());
@@ -588,42 +588,28 @@ mod tests {
             })
             .collect();
 
-        for check_workers in [1, 2, 8] {
-            let batch_config = MechanismConfig {
-                check_workers,
-                ..config.clone()
-            };
-            let log = EventLog::new();
-            let pipeline = Arc::new(refstate_core::VerificationPipeline::uncached());
-            let mut host_sets: Vec<Vec<Host>> = attacks.iter().map(|a| hosts(a.clone())).collect();
-            // Identical reseeding: one directory covers every set.
-            let directory = host_directory(&host_sets[0]);
-            let mut pendings = Vec::new();
-            for (i, hs) in host_sets.iter_mut().enumerate() {
-                let mut agent = three_host_agent();
-                agent.id = refstate_platform::AgentId::new(format!("fleet-{i}"));
-                let mut ctx =
-                    JourneyCtx::new(hs, route(), agent, &directory, &batch_config, &log, 9)
-                        .with_pipeline(pipeline.clone());
-                match SessionCheckingProtocol.run_split(&mut ctx) {
-                    SplitVerdict::Pending(p) => {
-                        assert!(ctx.queue.is_empty(), "queue lifted into the pending");
-                        pendings.push(*p);
-                    }
-                    SplitVerdict::Settled(v) => panic!("journey ran, expected pending: {v:?}"),
-                }
-            }
-            let (verdicts, stats) =
-                settle_owner_batch(pendings, &batch_config, &pipeline, &log, &directory);
-            assert_eq!(verdicts, inline, "check_workers={check_workers}");
-            assert!(stats.flush_verifications > 0, "signatures were deferred");
-            assert_eq!(stats.unattributed_failures, 0);
+        let log = EventLog::new();
+        let pipeline = Arc::new(refstate_core::VerificationPipeline::uncached());
+        let mut host_sets: Vec<Vec<Host>> = attacks.iter().map(|a| hosts(a.clone())).collect();
+        // Identical reseeding: one directory covers every set.
+        let directory = host_directory(&host_sets[0]);
+        let mut splits = Vec::new();
+        for (i, hs) in host_sets.iter_mut().enumerate() {
+            let mut agent = three_host_agent();
+            agent.id = refstate_platform::AgentId::new(format!("fleet-{i}"));
+            let mut ctx = JourneyCtx::new(hs, route(), agent, &directory, &config, &log, 9)
+                .with_pipeline(pipeline.clone());
+            let split = SessionCheckingProtocol.run_split(&mut ctx);
+            assert!(
+                matches!(split, SplitVerdict::Pending(_)),
+                "journey ran, expected pending: {split:?}"
+            );
+            assert!(ctx.queue.is_empty(), "queue lifted into the pending");
+            splits.push(split);
         }
 
         // Mechanisms without an owner-side phase settle in the split.
         let mut hs = hosts(None);
-        let directory = host_directory(&hs);
-        let log = EventLog::new();
         let mut ctx = JourneyCtx::new(
             &mut hs,
             route(),
@@ -633,10 +619,18 @@ mod tests {
             &log,
             9,
         );
-        match StateAppraisal.run_split(&mut ctx) {
-            SplitVerdict::Settled(v) => assert!(!v.detected),
+        let appraisal = match StateAppraisal.run_split(&mut ctx) {
+            SplitVerdict::Settled(v) => v,
             SplitVerdict::Pending(_) => panic!("appraisal has no owner-side phase"),
-        }
+        };
+        assert!(!appraisal.detected);
+        splits.insert(2, SplitVerdict::Settled(appraisal.clone()));
+        inline.insert(2, appraisal);
+
+        let (verdicts, stats) = settle(splits, &config, &pipeline, &log, &directory);
+        assert_eq!(verdicts, inline);
+        assert!(stats.flush_verifications > 0, "signatures were deferred");
+        assert_eq!(stats.unattributed_failures, 0);
     }
 
     #[test]

@@ -222,35 +222,12 @@ pub fn run_traced_journey(
 /// The owner-side audit: verify commitments, fetch traces, re-execute, and
 /// identify the first cheating host.
 ///
-/// Re-executions run through a private, uncached
-/// [`VerificationPipeline`]; fleet drivers that share a replay cache use
-/// [`audit_journey_with_pipeline`], where a session already re-executed by
-/// another mechanism's check is a cache hit.
-pub fn audit_journey(
-    journey: &TracedJourney,
-    program: &Program,
-    directory: &KeyDirectory,
-    exec: &ExecConfig,
-    log: &EventLog,
-) -> AuditReport {
-    audit_journey_with_pipeline(
-        journey,
-        program,
-        directory,
-        exec,
-        log,
-        &VerificationPipeline::uncached(),
-    )
-}
-
-/// [`audit_journey`] over a caller-supplied [`VerificationPipeline`].
-///
 /// The audit walks the sessions in order and stops at the first
 /// inconsistency (later sessions ran on a corrupted state and cannot be
-/// judged fairly). The re-execution of step 4 is answered by the
-/// pipeline's digest memo when any driver already replayed the same
-/// session.
-pub fn audit_journey_with_pipeline(
+/// judged fairly). Re-executions run through `pipeline`: with a shared
+/// replay cache, a session another mechanism's check already replayed is a
+/// cache hit; [`VerificationPipeline::uncached`] replays every session.
+pub fn audit_journey(
     journey: &TracedJourney,
     program: &Program,
     directory: &KeyDirectory,
@@ -490,7 +467,14 @@ mod tests {
         assert_eq!(journey.final_state.get_int("total"), Some(60));
         assert_eq!(journey.commitments.len(), 3);
         assert_eq!(journey.stores.len(), 3);
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert!(report.clean());
         assert_eq!(report.verdicts.len(), 3);
     }
@@ -509,7 +493,14 @@ mod tests {
         // The journey itself completes — nothing checks en route; the wrong
         // value rode along to the end.
         assert_eq!(journey.final_state.get_int("total"), Some(1029));
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert_eq!(report.culprit, Some(HostId::new("b")));
         // Evidence is digest-level only (the paper's stated limitation).
         let (claimed, reference) = report.digest_evidence.expect("digest evidence");
@@ -527,7 +518,14 @@ mod tests {
         let program = agent.program.clone();
         let journey =
             run_traced_journey(&mut hosts, "a", agent, &ExecConfig::default(), &log, 10).unwrap();
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert!(
             report.clean(),
             "detection works only as long as the host does not lie about the input"
@@ -547,7 +545,14 @@ mod tests {
             run_traced_journey(&mut hosts, "a", agent, &ExecConfig::default(), &log, 10).unwrap();
         // The cheater "loses" its trace to evade re-execution: still blamed.
         journey.stores[1].trace = Trace::new(TraceMode::Full);
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }
 
@@ -564,7 +569,14 @@ mod tests {
             c.resulting_digest = sha256(b"forged");
             c
         });
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }
 
@@ -590,7 +602,14 @@ mod tests {
             next: journey.commitments[1].payload().next.clone(),
         };
         journey.commitments[1] = host_b.sign(forged);
-        let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+        let report = audit_journey(
+            &journey,
+            &program,
+            &dir,
+            &ExecConfig::default(),
+            &log,
+            &VerificationPipeline::uncached(),
+        );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }
 

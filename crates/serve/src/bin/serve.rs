@@ -36,15 +36,16 @@
 //!   (the artifact records it) — ≥3 is the expectation on ≥8 cores,
 //!   while a single core caps any CPU-bound ratio near 1
 //! * `--owners N`, `--journeys N`, `--seed S`, `--preset P`,
-//!   `--mechanism M`, `--tick-every N` — soak shape
+//!   `--mechanism M`, `--tick-every N` — soak shape (`--owners`,
+//!   `--tick-every`, `--key-pool`, `--queue-capacity` and
+//!   `--connections` must be at least 1)
 //! * `--start N` — first global submission index (a resumed leg passes
 //!   the previous legs' total so journey ids continue)
 //! * `--resume` — resume a soak against a warm-restarted server: accept
 //!   restored registrations and verify the server's durable stream
 //!   checkpoints sit exactly at `--start`'s offsets
-//! * `--key-pool N`, `--queue-capacity N`, `--check-workers N`,
-//!   `--settle-workers N` (0 = one per core), `--no-replay-cache` —
-//!   service knobs (in-process / `--listen`)
+//! * `--key-pool N`, `--queue-capacity N`, `--settle-workers N` (0 = one
+//!   per core) — service knobs (in-process / `--listen`)
 //! * `--state-dir DIR` — durable state: persist registrations, the key
 //!   directory, the replay cache, the VM compile table, and per-owner
 //!   verdict streams to an append-only log store in `DIR`, so a
@@ -75,9 +76,8 @@ fn usage(exit: i32) -> ! {
          [--preset P] [--mechanism M] [--tick-every N] [--start N] \
          [--resume] [--slo-out PATH] \
          [--stream-out PATH] [service knobs] [--tick-driver on|off]\n\
-         service knobs: --key-pool N --queue-capacity N --check-workers N \
-         --settle-workers N --no-replay-cache --state-dir DIR \
-         --telemetry off|counters|full"
+         service knobs: --key-pool N --queue-capacity N \
+         --settle-workers N --state-dir DIR --telemetry off|counters|full"
     );
     std::process::exit(exit);
 }
@@ -154,15 +154,10 @@ fn parse_args() -> Options {
                 options.serve_config.queue_capacity =
                     value(&mut i).parse().unwrap_or_else(|_| usage(2))
             }
-            "--check-workers" => {
-                options.serve_config.check_workers =
-                    value(&mut i).parse().unwrap_or_else(|_| usage(2))
-            }
             "--settle-workers" => {
                 options.serve_config.settle_workers =
                     value(&mut i).parse().unwrap_or_else(|_| usage(2))
             }
-            "--no-replay-cache" => options.serve_config.replay_cache = false,
             "--state-dir" => {
                 options.serve_config.state_dir = Some(std::path::PathBuf::from(value(&mut i)))
             }
@@ -198,9 +193,17 @@ fn parse_args() -> Options {
         eprintln!("--listen and --soak are exclusive; soak a server via --connect");
         usage(2);
     }
-    if options.connections == 0 {
-        eprintln!("--connections must be at least 1");
-        usage(2);
+    for (flag, value) in [
+        ("--connections", options.connections),
+        ("--owners", options.soak_config.owners),
+        ("--tick-every", options.soak_config.tick_every),
+        ("--queue-capacity", options.serve_config.queue_capacity),
+        ("--key-pool", options.serve_config.key_pool),
+    ] {
+        if value == 0 {
+            eprintln!("{flag} must be at least 1");
+            usage(2);
+        }
     }
     if options.require_ratio.is_some() && !options.compare_single {
         eprintln!("--require-ratio needs the baseline from --compare-single");
@@ -341,10 +344,7 @@ fn main() {
         }
     }
 
-    let json = outcome.to_json(
-        options.serve_config.check_workers,
-        options.serve_config.queue_capacity,
-    ) + "\n";
+    let json = outcome.to_json(options.serve_config.queue_capacity) + "\n";
     print!("{json}");
     if let Some(path) = &options.slo_out {
         write_file(path, &json);

@@ -19,8 +19,8 @@
 //!   shared replay cache, bounded ingress queues, per-owner exec locks).
 //!   Submits for different owners never contend, and a tick settles
 //!   independent owners in parallel across a small worker pool
-//!   (`settle_workers`) — each owner still settles in one amortized
-//!   `settle_owner_batch`,
+//!   (`settle_workers`) — each owner still settles its whole tick in one
+//!   amortized `refstate_mechanisms::api::settle`,
 //! * [`driver`] — the server-side tick driver: a group commit woken by
 //!   every accepted submit, which ticks each owner with queued work —
 //!   the batch is whatever queued while the previous tick ran — making
@@ -36,8 +36,7 @@
 //!
 //! The contract under all of it: for a fixed registration and per-owner
 //! submission order, each owner's verdict stream is **byte-identical**
-//! across runs, `check_workers` and `settle_workers` settings,
-//! connection counts, tick pacing (client ticks, the background driver,
+//! across runs, `settle_workers` settings, connection counts, tick pacing (client ticks, the background driver,
 //! or both), and telemetry levels — parallelism and observability change
 //! cost, never outcomes. Golden fixtures in `tests/` pin this. With a
 //! durable state dir ([`ServeConfig::state_dir`]) the contract extends

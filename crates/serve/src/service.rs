@@ -43,7 +43,7 @@
 //! For a fixed registration and a fixed per-owner submission order, each
 //! owner's verdict stream (the concatenation of its drained
 //! [`VerdictReply`]s) is **byte-identical** across: settle worker counts,
-//! check worker counts, how many connections submit or tick, which engine
+//! how many connections submit or tick, which engine
 //! fires the tick (client `Tick`/`TickOwners`, server tick driver, or
 //! shutdown drain), tick pacing, and telemetry levels. The stream is
 //! *not* a function of how journeys interleave **across** owners — only
@@ -55,9 +55,8 @@
 //! * **cross-journey amortization** — every admitted journey runs its
 //!   host-side part, and each owner's outstanding owner-side work (final
 //!   re-execution checks, deferred signature verifications) settles in
-//!   *one* `settle_owner_batch` per owner per tick: one bulk
-//!   `check_sessions_with` pass and one batch signature flush, instead of
-//!   one of each per journey.
+//!   *one* [`settle`] per owner per tick: one re-execution pass and one
+//!   batch signature flush, instead of one of each per journey.
 //! * **bounded admission** — each owner has a bounded ingress queue;
 //!   submissions past the bound are refused with
 //!   [`RejectReason::QueueFull`] instead of queuing unboundedly, and a
@@ -79,8 +78,7 @@ use refstate_crypto::{DsaKeyPair, DsaParams, KeyDirectory};
 use refstate_fleet::journey::{run_journey, JourneyEnv};
 use refstate_fleet::scenario::{self, Preset};
 use refstate_mechanisms::api::{
-    settle_owner_batch, JourneyVerdict, MechanismConfig, MechanismRegistry, PendingOwnerJourney,
-    ProtectionMechanism, SplitVerdict,
+    settle, JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
 };
 use refstate_platform::{EventLog, HostSpec};
 use refstate_store::{LogStore, StateStore};
@@ -101,16 +99,11 @@ pub struct ServeConfig {
     pub key_pool: usize,
     /// Per-owner ingress bound; submissions past it are rejected.
     pub queue_capacity: usize,
-    /// Worker threads for the owner-side bulk session-check pass inside
-    /// a tick (`0` = one per core). Verdict streams are invariant in this.
-    pub check_workers: usize,
     /// Worker threads settling *independent owners* in parallel within
     /// one tick (`1` = sequential, `0` = one per core). Per-owner verdict
     /// streams are invariant in this: each owner's whole batch runs on
     /// one worker under its exec lock.
     pub settle_workers: usize,
-    /// Share one sharded [`ReplayCache`] across every tenant's pipeline.
-    pub replay_cache: bool,
     /// Durable-state directory. When set, the service opens (or creates)
     /// an append-only [`LogStore`] there and persists its registrations,
     /// key directory, replay cache, compile table, and per-owner verdict
@@ -126,9 +119,7 @@ impl Default for ServeConfig {
             seed: 42,
             key_pool: 32,
             queue_capacity: 64,
-            check_workers: 1,
             settle_workers: 1,
-            replay_cache: true,
             state_dir: None,
         }
     }
@@ -300,7 +291,8 @@ pub struct Service {
     /// Control lock: the master key directory, held across a whole
     /// registration (the only mutation path).
     master: Mutex<KeyDirectory>,
-    cache: Option<Arc<ReplayCache>>,
+    /// One sharded replay cache shared by every tenant's pipeline.
+    cache: Arc<ReplayCache>,
     registry: MechanismRegistry,
     /// The routing layer: reads clone one `Arc`, only registration
     /// writes.
@@ -362,19 +354,13 @@ impl Service {
                 );
             }
         }
-        let cache = if config.replay_cache {
-            Some(Arc::new(match &store {
-                Some(store) => ReplayCache::persistent(
-                    ReplayCache::DEFAULT_CAPACITY,
-                    Arc::clone(store),
-                    NS_REPLAY,
-                )
-                .unwrap_or_else(|e| panic!("state dir corrupt: replay cache: {e}")),
-                None => ReplayCache::new(),
-            }))
-        } else {
-            None
-        };
+        let cache = Arc::new(match &store {
+            Some(store) => {
+                ReplayCache::persistent(ReplayCache::DEFAULT_CAPACITY, Arc::clone(store), NS_REPLAY)
+                    .unwrap_or_else(|e| panic!("state dir corrupt: replay cache: {e}"))
+            }
+            None => ReplayCache::new(),
+        });
         let master = match &store {
             Some(store) => KeyDirectory::load_from(store.as_ref(), NS_KEYDIR)
                 .unwrap_or_else(|e| panic!("state dir corrupt: key directory: {e}")),
@@ -577,14 +563,8 @@ impl Service {
             StreamState::default()
         };
 
-        let pipeline = Arc::new(match &self.cache {
-            Some(cache) => VerificationPipeline::with_cache(Arc::clone(cache)),
-            None => VerificationPipeline::uncached(),
-        });
-        let config = MechanismConfig {
-            check_workers: self.config.check_workers,
-            ..MechanismConfig::default()
-        };
+        let pipeline = Arc::new(VerificationPipeline::with_cache(Arc::clone(&self.cache)));
+        let config = MechanismConfig::default();
         telemetry::count("serve.owner.registered", 1);
         let mut owners = self.owners.write().expect("owner table lock");
         let index = owners.len() as u32;
@@ -752,14 +732,6 @@ impl Service {
         // lifetime.
         shard.log.clear();
 
-        // Verdict slots in admission order: settled-inline journeys fill
-        // theirs immediately, deferred ones after the amortized batch, so
-        // the outbox order never depends on which path a journey took.
-        let mut slots: Vec<Option<VerdictReply>> = Vec::with_capacity(jobs.len());
-        slots.resize_with(jobs.len(), || None);
-        let mut pendings: Vec<PendingOwnerJourney> = Vec::new();
-        let mut pending_slots: Vec<usize> = Vec::new();
-
         let env = JourneyEnv {
             seed: shard.seed,
             directory: &shard.directory,
@@ -771,70 +743,52 @@ impl Service {
         let key = move |_: usize, spec: &HostSpec| {
             &pool[key_index(shard.seed, spec.id.as_str(), pool.len())]
         };
-        for (slot, (journey, queued_at)) in jobs.iter().enumerate() {
-            let (journey, queued_at) = (*journey, *queued_at);
-            telemetry::observe(
-                "serve.queue_wait_us",
-                queued_at.elapsed().as_micros() as u64,
-            );
-            let generated = scenario::generate(shard.seed, journey, shard.preset);
-            // A topology mismatch (e.g. `replication` on a linear preset)
-            // is the owner's registration error, surfaced as an
-            // infrastructure verdict rather than a dropped journey.
-            let split = run_journey(&env, &generated, shard.mechanism.as_ref(), key)
-                .map_or_else(|| JourneyVerdict::clean(false).into(), |(split, _)| split);
-            match split {
-                SplitVerdict::Settled(verdict) => {
-                    slots[slot] = Some(verdict_reply(
-                        shard.name.clone(),
-                        journey,
-                        shard.mechanism.name(),
-                        &verdict,
-                    ));
-                }
-                SplitVerdict::Pending(pending) => {
-                    pendings.push(*pending);
-                    pending_slots.push(slot);
-                }
-            }
-        }
+        let splits = jobs
+            .iter()
+            .map(|&(journey, queued_at)| {
+                telemetry::observe(
+                    "serve.queue_wait_us",
+                    queued_at.elapsed().as_micros() as u64,
+                );
+                let generated = scenario::generate(shard.seed, journey, shard.preset);
+                // A topology mismatch (e.g. `replication` on a linear
+                // preset) is the owner's registration error, surfaced as
+                // an infrastructure verdict rather than a dropped journey.
+                run_journey(&env, &generated, shard.mechanism.as_ref(), key)
+                    .map_or_else(|| JourneyVerdict::clean(false).into(), |(split, _)| split)
+            })
+            .collect();
 
-        // The amortized owner-side pass: one bulk session-check plus one
-        // signature flush for everything this owner deferred this tick.
-        if !pendings.is_empty() {
-            let journeys: Vec<u64> = pending_slots.iter().map(|&s| jobs[s].0).collect();
+        // The amortized owner-side pass: one re-execution pass plus one
+        // signature flush for everything this owner deferred this tick;
+        // verdicts come back in admission order whichever path a journey
+        // took.
+        let (verdicts, stats) = {
             let _scope = telemetry::scoped(shard.mechanism.name());
-            let (verdicts, stats) = settle_owner_batch(
-                pendings,
+            settle(
+                splits,
                 &shard.config,
                 &shard.pipeline,
                 &shard.log,
                 &shard.directory,
-            );
-            for ((slot, journey), verdict) in pending_slots.into_iter().zip(journeys).zip(verdicts)
-            {
-                slots[slot] = Some(verdict_reply(
-                    shard.name.clone(),
-                    journey,
-                    shard.mechanism.name(),
-                    &verdict,
-                ));
-            }
-            shard
-                .final_checks
-                .fetch_add(stats.final_checks as u64, Ordering::Relaxed);
-            shard
-                .flush_verifications
-                .fetch_add(stats.flush_verifications as u64, Ordering::Relaxed);
-            shard.flush_failures.fetch_add(
-                (stats.flush_failures + stats.unattributed_failures) as u64,
-                Ordering::Relaxed,
-            );
-        }
-
-        let replies: Vec<VerdictReply> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every admitted journey settles in its tick"))
+            )
+        };
+        shard
+            .final_checks
+            .fetch_add(stats.final_checks as u64, Ordering::Relaxed);
+        shard
+            .flush_verifications
+            .fetch_add(stats.flush_verifications as u64, Ordering::Relaxed);
+        shard.flush_failures.fetch_add(
+            (stats.flush_failures + stats.unattributed_failures) as u64,
+            Ordering::Relaxed,
+        );
+        let replies: Vec<VerdictReply> = jobs
+            .iter()
+            .zip(&verdicts)
+            .map(|(&(journey, _), verdict)| {
+                verdict_reply(shard.name.clone(), journey, shard.mechanism.name(), verdict)
+            })
             .collect();
 
         // Persist the batch to the owner's durable stream (still under

@@ -375,7 +375,7 @@ impl SoakOutcome {
     }
 
     /// The schema-checked SLO JSON artifact (`refstate-soak-slo-v1`).
-    pub fn to_json(&self, check_workers: usize, queue_capacity: usize) -> String {
+    pub fn to_json(&self, queue_capacity: usize) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", "refstate-soak-slo-v1");
@@ -386,7 +386,6 @@ impl SoakOutcome {
         w.field_str("mechanism", &self.config.mechanism);
         w.field_u64("tick_every", self.config.tick_every as u64);
         w.field_u64("start", self.config.start);
-        w.field_u64("check_workers", check_workers as u64);
         w.field_u64("queue_capacity", queue_capacity as u64);
         w.field_u64("connections", self.connections as u64);
         w.key("aggregate");
@@ -916,7 +915,7 @@ mod tests {
     }
 
     fn slo_doc(outcome: &SoakOutcome) -> Json {
-        json::parse(&outcome.to_json(1, 64)).expect("the SLO artifact parses")
+        json::parse(&outcome.to_json(64)).expect("the SLO artifact parses")
     }
 
     fn at<'a>(doc: &'a Json, path: &[&str]) -> Option<&'a Json> {

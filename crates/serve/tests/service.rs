@@ -169,18 +169,17 @@ fn golden_shape(seed: u64, preset: &str, mechanism: &str) -> SoakConfig {
     }
 }
 
-fn golden_service(check_workers: usize) -> ServeConfig {
+fn golden_service() -> ServeConfig {
     ServeConfig {
-        check_workers,
         queue_capacity: 16,
         key_pool: 16,
         ..ServeConfig::default()
     }
 }
 
-fn soak_stream(check_workers: usize, seed: u64, preset: &str, mechanism: &str) -> String {
+fn soak_stream(seed: u64, preset: &str, mechanism: &str) -> String {
     let outcome = soak_local(
-        &golden_service(check_workers),
+        &golden_service(),
         &golden_shape(seed, preset, mechanism),
         1,
         false,
@@ -203,12 +202,12 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// The tentpole determinism contract: for a fixed seed and request order,
-/// the per-owner verdict stream is byte-identical across runs, worker
-/// counts, and telemetry levels — pinned against a committed fixture.
+/// the per-owner verdict stream is byte-identical across runs and
+/// telemetry levels — pinned against a committed fixture.
 /// Regenerate with `REGEN_GOLDEN=1 cargo test -p refstate-serve`.
 fn check_golden_stream(fixture: &str, preset: &str, mechanism: &str) {
     let seed = 42;
-    let baseline = soak_stream(1, seed, preset, mechanism);
+    let baseline = soak_stream(seed, preset, mechanism);
 
     if std::env::var("REGEN_GOLDEN").is_ok() {
         let path = golden_path(fixture);
@@ -221,21 +220,13 @@ fn check_golden_stream(fixture: &str, preset: &str, mechanism: &str) {
         "verdict stream drifted from the fixture"
     );
 
-    for check_workers in [2, 8] {
-        assert_eq!(
-            soak_stream(check_workers, seed, preset, mechanism),
-            baseline,
-            "stream must be invariant under check_workers={check_workers}"
-        );
-    }
-
     let before = telemetry::level();
     for level in [
         telemetry::TelemetryLevel::Counters,
         telemetry::TelemetryLevel::Full,
     ] {
         telemetry::set_level(level);
-        let stream = soak_stream(4, seed, preset, mechanism);
+        let stream = soak_stream(seed, preset, mechanism);
         telemetry::set_level(before);
         assert_eq!(
             stream, baseline,
@@ -271,7 +262,7 @@ fn verdict_stream_is_identical_across_connection_counts_and_tick_pacing() {
     let config = golden_shape(42, "mixed", "protocol");
     for connections in [1, 4, 16] {
         for drive in [false, true] {
-            let outcome = soak_local(&golden_service(1), &config, connections, drive);
+            let outcome = soak_local(&golden_service(), &config, connections, drive);
             assert_eq!(
                 outcome.stream, golden,
                 "stream must be invariant under connections={connections} \

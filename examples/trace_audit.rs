@@ -6,6 +6,7 @@
 //! ```
 
 use rand::SeedableRng;
+use refstate::core::VerificationPipeline;
 use refstate::crypto::{DsaParams, KeyDirectory};
 use refstate::mechanisms::{audit_journey, run_traced_journey};
 use refstate::platform::{AgentImage, Attack, EventLog, Host, HostSpec};
@@ -113,7 +114,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nowner is suspicious -> requesting traces and re-executing...\n");
-    let report = audit_journey(&journey, &program, &directory, &ExecConfig::default(), &log);
+    let report = audit_journey(
+        &journey,
+        &program,
+        &directory,
+        &ExecConfig::default(),
+        &log,
+        &VerificationPipeline::uncached(),
+    );
     for v in &report.verdicts {
         println!("  {v}");
     }

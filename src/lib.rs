@@ -13,7 +13,7 @@
 //! * [`vm`] — the deterministic agent VM (bytecode, assembler, tracing,
 //!   replay),
 //! * [`platform`] — hosts, behaviours/attacks, input feeds, event log,
-//!   sim and threaded transports,
+//!   and the one itinerary walk every journey driver runs on,
 //! * [`core`] — the reference-state framework: attack taxonomy, check
 //!   moments, reference data, checking algorithms, the §5.1 protocol,
 //! * [`mechanisms`] — state appraisal, server replication, execution
@@ -24,7 +24,10 @@
 //! * [`crypto`] — SHA-256/HMAC/DSA and signed envelopes,
 //! * [`wire`] — the canonical binary encoding everything is hashed and
 //!   signed through,
-//! * [`bigint`] — the arbitrary-precision arithmetic under DSA.
+//! * [`bigint`] — the arbitrary-precision arithmetic under DSA,
+//! * [`telemetry`] — spans, counters and histograms behind one global
+//!   level, exported as Chrome trace JSON and metrics JSONL; also the
+//!   workspace's one JSON writer and percentile rule.
 //!
 //! # Quickstart
 //!

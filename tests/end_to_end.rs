@@ -9,7 +9,10 @@ use rand::SeedableRng;
 use refstate::core::framework::{run_framework_journey, ProtectedAgent, ProtectionConfig};
 use refstate::core::protocol::{run_protected_journey, ProtocolConfig};
 use refstate::core::rules::{Pred, RuleSet};
-use refstate::core::{CheckMoment, FailureReason, ReExecutionChecker, RuleChecker, UnorderedLists};
+use refstate::core::{
+    CheckMoment, FailureReason, ReExecutionChecker, RuleChecker, UnorderedLists,
+    VerificationPipeline,
+};
 use refstate::crypto::{DsaParams, KeyDirectory};
 use refstate::mechanisms::{audit_journey, run_traced_journey};
 use refstate::platform::{AgentImage, Attack, Event, EventLog, Host, HostId, HostSpec};
@@ -296,7 +299,14 @@ fn traces_and_protocol_agree_on_the_culprit() {
     let program = agent.program.clone();
     let journey =
         run_traced_journey(&mut hosts, "home", agent, &ExecConfig::default(), &log, 10).unwrap();
-    let report = audit_journey(&journey, &program, &dir, &ExecConfig::default(), &log);
+    let report = audit_journey(
+        &journey,
+        &program,
+        &dir,
+        &ExecConfig::default(),
+        &log,
+        &VerificationPipeline::uncached(),
+    );
     assert_eq!(report.culprit.as_ref(), Some(&protocol_culprit));
 }
 
