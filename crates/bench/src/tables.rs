@@ -174,18 +174,6 @@ pub fn measure_protected(params: AgentParams, dsa: &DsaParams, seed: u64) -> Mea
     .finish(started)
 }
 
-/// Measures all four paper configurations.
-pub fn measure_all(dsa: &DsaParams, seed: u64) -> Vec<TableRow> {
-    PAPER_CONFIGS
-        .iter()
-        .map(|&params| TableRow {
-            params,
-            plain: measure_plain(params, dsa, seed),
-            protected: measure_protected(params, dsa, seed + 1),
-        })
-        .collect()
-}
-
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }

@@ -21,7 +21,7 @@ use refstate_vm::{DataState, ExecConfig, Program, TraceMode};
 use crate::checker::{CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason};
 use crate::moment::CheckMoment;
 use crate::refdata::{HostFacilities, ReferenceData, ReferenceDataKind};
-use crate::route::{RouteRecording, SignedRoute};
+use crate::route::SignedRoute;
 use crate::verdict::{CheckVerdict, FraudEvidence};
 
 /// A programmer-chosen protection level.
@@ -31,8 +31,6 @@ pub struct ProtectionConfig {
     pub moment: CheckMoment,
     /// The checking algorithm (which also declares its data needs).
     pub algorithm: Arc<dyn CheckingAlgorithm>,
-    /// How the route is recorded.
-    pub route: RouteRecording,
     /// Skip checking sessions executed by trusted hosts (§5.1: "trusted
     /// hosts will not attack by definition").
     pub skip_trusted: bool,
@@ -50,7 +48,6 @@ impl ProtectionConfig {
         ProtectionConfig {
             moment: CheckMoment::AfterSession,
             algorithm,
-            route: RouteRecording::SignedAppend,
             skip_trusted: true,
             exec: ExecConfig::default(),
             max_hops: 64,
@@ -60,12 +57,6 @@ impl ProtectionConfig {
     /// Sets the checking moment.
     pub fn moment(mut self, moment: CheckMoment) -> Self {
         self.moment = moment;
-        self
-    }
-
-    /// Sets the route recording strategy.
-    pub fn route(mut self, route: RouteRecording) -> Self {
-        self.route = route;
         self
     }
 
@@ -81,7 +72,6 @@ impl fmt::Debug for ProtectionConfig {
         f.debug_struct("ProtectionConfig")
             .field("moment", &self.moment)
             .field("algorithm", &self.algorithm.name())
-            .field("route", &self.route)
             .field("skip_trusted", &self.skip_trusted)
             .finish_non_exhaustive()
     }
@@ -115,7 +105,7 @@ pub struct FrameworkOutcome {
     /// Evidence for the first detected fraud, if any. When present the
     /// journey was aborted at the detection point.
     pub fraud: Option<FraudEvidence>,
-    /// The signed route (when [`RouteRecording::SignedAppend`] is used).
+    /// The signed route: every station appends its signed entry.
     pub route: SignedRoute,
 }
 
@@ -295,9 +285,7 @@ impl Leg for FrameworkLeg<'_> {
         record: SessionRecord,
     ) -> ControlFlow<FraudEvidence, usize> {
         let host = &mut visit.hosts[visit.at];
-        if self.config.route == RouteRecording::SignedAppend {
-            self.route.append_signed_by(host);
-        }
+        self.route.append_signed_by(host);
         if !(self.config.skip_trusted && host.is_trusted()) {
             self.kept.push(Kept {
                 seq: visit.seq(),

@@ -115,6 +115,6 @@ pub use pipeline::{
     PipelineStatsSnapshot, ReplayCache, ReplaySummary, ShardStats, VerificationPipeline,
 };
 pub use refdata::{HostFacilities, ReferenceData, ReferenceDataKind, ReferenceDataRequest};
-pub use route::{RouteEntry, RouteRecording, SignedRoute};
+pub use route::{RouteEntry, SignedRoute};
 pub use rules::{CmpOp, Expr, Pred, RuleSet};
 pub use verdict::{CheckVerdict, FraudEvidence};

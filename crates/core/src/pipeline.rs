@@ -45,13 +45,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use refstate_crypto::{sha256, Digest};
-use refstate_store::{StateStore, StoreError};
 use refstate_telemetry as telemetry;
 use refstate_vm::{
     run_compiled_session, CompiledProgram, DataState, ExecConfig, InputLog, Program, ReplayIo,
     SessionEnd, SessionFingerprint, SessionOutcome, VmError,
 };
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::to_wire;
 
 use crate::checker::{state_diff, CheckOutcome, FailureReason};
 
@@ -75,44 +74,6 @@ pub enum ReplaySummary {
     /// The re-execution itself failed (tampered log, broken code),
     /// rendered.
     Failed(String),
-}
-
-impl Encode for ReplaySummary {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ReplaySummary::Ok {
-                state_digest,
-                end,
-                log_consumed,
-            } => {
-                w.put_u8(0);
-                state_digest.encode(w);
-                end.encode(w);
-                w.put_bool(*log_consumed);
-            }
-            ReplaySummary::Failed(error) => {
-                w.put_u8(1);
-                w.put_str(error);
-            }
-        }
-    }
-}
-
-impl Decode for ReplaySummary {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take_u8()? {
-            0 => Ok(ReplaySummary::Ok {
-                state_digest: Digest::decode(r)?,
-                end: SessionEnd::decode(r)?,
-                log_consumed: r.take_bool()?,
-            }),
-            1 => Ok(ReplaySummary::Failed(r.take_str()?.to_owned())),
-            tag => Err(WireError::InvalidTag {
-                context: "ReplaySummary",
-                tag,
-            }),
-        }
-    }
 }
 
 /// Number of lock-striped shards in a [`ReplayCache`].
@@ -140,43 +101,6 @@ struct CacheKey {
     initial: Digest,
     input: Digest,
     step_limit: u64,
-}
-
-impl Encode for CacheKey {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(&self.code_hash.to_le_bytes());
-        self.initial.encode(w);
-        self.input.encode(w);
-        w.put_u64(self.step_limit);
-    }
-}
-
-impl Decode for CacheKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let code_hash = u128::from_le_bytes(r.take_raw(16)?.try_into().expect("16 bytes"));
-        Ok(CacheKey {
-            code_hash,
-            initial: Digest::decode(r)?,
-            input: Digest::decode(r)?,
-            step_limit: r.take_u64()?,
-        })
-    }
-}
-
-/// One persisted cache entry: the full key followed by its summary.
-fn encode_cache_record(key: &CacheKey, value: &ReplaySummary) -> Vec<u8> {
-    let mut w = Writer::new();
-    key.encode(&mut w);
-    value.encode(&mut w);
-    w.into_inner()
-}
-
-fn decode_cache_record(record: &[u8]) -> Result<(CacheKey, ReplaySummary), WireError> {
-    let mut r = Reader::new(record);
-    let key = CacheKey::decode(&mut r)?;
-    let summary = ReplaySummary::decode(&mut r)?;
-    r.finish()?;
-    Ok((key, summary))
 }
 
 /// One lock-striped shard: the memo map plus a monotone use counter for
@@ -210,9 +134,6 @@ impl Shard {
 pub struct ReplayCache {
     shards: Vec<Mutex<Shard>>,
     capacity: usize,
-    /// Write-through target: every insert is appended to this namespace,
-    /// so a persistent cache can be rebuilt hot on the next open.
-    store: Option<(Arc<dyn StateStore>, String)>,
 }
 
 impl Default for ReplayCache {
@@ -248,37 +169,7 @@ impl ReplayCache {
                 })
             })
             .collect();
-        ReplayCache {
-            shards,
-            capacity,
-            store: None,
-        }
-    }
-
-    /// A cache backed by `store`: previously persisted entries are loaded
-    /// hot (in append order, so LRU age mirrors insertion history), and
-    /// every future insert is written through to the `namespace` log.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures; a persisted record that no longer
-    /// decodes is reported as [`StoreError::Corrupt`].
-    pub fn persistent(
-        capacity: usize,
-        store: Arc<dyn StateStore>,
-        namespace: &str,
-    ) -> Result<Self, StoreError> {
-        let mut cache = Self::with_capacity(capacity);
-        for (index, record) in store.appended(namespace)?.iter().enumerate() {
-            let (key, summary) = decode_cache_record(record).map_err(|e| StoreError::Corrupt {
-                segment: format!("log namespace {namespace}"),
-                offset: index as u64,
-                detail: e.to_string(),
-            })?;
-            cache.insert_resident(key, summary);
-        }
-        cache.store = Some((store, namespace.to_owned()));
-        Ok(cache)
+        ReplayCache { shards, capacity }
     }
 
     /// The hard bound on memoized sessions.
@@ -302,19 +193,6 @@ impl ReplayCache {
     }
 
     fn insert(&self, key: CacheKey, value: ReplaySummary) {
-        if let Some((store, namespace)) = &self.store {
-            // Write-through before the in-memory insert: a crash between
-            // the two loses only a memo the next open would re-derive.
-            store
-                .append(namespace, &encode_cache_record(&key, &value))
-                .expect("replay cache write-through failed");
-        }
-        self.insert_resident(key, value);
-    }
-
-    /// The in-memory half of an insert (also the load path, which must
-    /// not write records back through to the store).
-    fn insert_resident(&self, key: CacheKey, value: ReplaySummary) {
         let mut shard = self.shard(&key).lock();
         let tick = shard.touch();
         if shard.entries.len() >= shard.cap && !shard.entries.contains_key(&key) {
@@ -994,64 +872,6 @@ mod tests {
             cache.len()
         );
         assert!(cache.evictions() >= 60);
-    }
-
-    #[test]
-    fn persistent_cache_reloads_hot_from_its_store() {
-        use refstate_store::MemoryStore;
-        let (program, initials, input) = distinct_sessions(8);
-        let store: Arc<dyn refstate_store::StateStore> = Arc::new(MemoryStore::new());
-        let exec = ExecConfig::default();
-
-        // First life: populate through the write-through cache.
-        {
-            let cache = ReplayCache::persistent(1024, store.clone(), "replay").unwrap();
-            let pipeline = VerificationPipeline::with_cache(Arc::new(cache));
-            for initial in &initials {
-                pipeline.replay(&program, initial, &input, &exec);
-            }
-            let stats = pipeline.snapshot();
-            assert_eq!(stats.misses, 8);
-            assert_eq!(stats.hits, 0);
-        }
-        assert_eq!(store.appended("replay").unwrap().len(), 8);
-
-        // Second life: the same store warms the new cache, so every
-        // session hits without a single replay.
-        let cache = ReplayCache::persistent(1024, store.clone(), "replay").unwrap();
-        assert_eq!(cache.len(), 8);
-        let pipeline = VerificationPipeline::with_cache(Arc::new(cache));
-        for initial in &initials {
-            let summary = pipeline.replay(&program, initial, &input, &exec);
-            assert!(matches!(summary, ReplaySummary::Ok { .. }));
-        }
-        let stats = pipeline.snapshot();
-        assert_eq!(stats.hits, 8, "warm cache answers everything");
-        assert_eq!(stats.replays, 0);
-        // Warm loads do not write records back through to the store.
-        assert_eq!(store.appended("replay").unwrap().len(), 8);
-
-        // Corrupt records are reported, not silently dropped.
-        store.append("broken", b"not a cache record").unwrap();
-        assert!(matches!(
-            ReplayCache::persistent(16, store, "broken"),
-            Err(refstate_store::StoreError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn replay_summary_wire_round_trip() {
-        use refstate_wire::{from_wire, to_wire};
-        let (program, initial, input, _resulting) = session();
-        let pipeline = VerificationPipeline::uncached();
-        let ok = pipeline.replay(&program, &initial, &input, &ExecConfig::default());
-        let failed = ReplaySummary::Failed("step limit exceeded".into());
-        for summary in [ok, failed] {
-            assert_eq!(
-                from_wire::<ReplaySummary>(&to_wire(&summary)).unwrap(),
-                summary
-            );
-        }
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! When checking happens only after the task (§3.5), the route must be
 //! stored "in a secure way" so the attacker can be identified later. The
-//! paper lists three options, all implemented here: dynamically recording
-//! stations in a signed chain appended to the agent, reporting each
-//! migration to the owner, or fixing an a-priori signed itinerary.
+//! paper lists three options: dynamically recording stations in a signed
+//! chain appended to the agent, reporting each migration to the owner, or
+//! fixing an a-priori signed itinerary. The first is implemented here:
+//! each station appends a signed entry to the agent's data ("dynamically
+//! recording the stations, appending this information digitally signed to
+//! the agent data").
 
 use std::fmt;
 
@@ -12,30 +15,6 @@ use rand::RngCore;
 use refstate_crypto::{DsaKeyPair, KeyDirectory, Signed, VerifyError};
 use refstate_platform::{AgentId, Host, HostId};
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
-
-/// The three route-recording strategies of §3.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteRecording {
-    /// Each station appends a signed entry to the agent's data
-    /// ("dynamically recording the stations, appending this information
-    /// digitally signed to the agent data").
-    #[default]
-    SignedAppend,
-    /// Each station reports the migration to the owner as it happens.
-    ReportToOwner,
-    /// The owner fixes and signs the itinerary before departure.
-    AprioriItinerary,
-}
-
-impl fmt::Display for RouteRecording {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RouteRecording::SignedAppend => "signed append",
-            RouteRecording::ReportToOwner => "report to owner",
-            RouteRecording::AprioriItinerary => "a-priori itinerary",
-        })
-    }
-}
 
 /// One hop in a recorded route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,17 +315,6 @@ mod tests {
             route.verify(&dir),
             Err(RouteError::BadSignature { seq: 0, .. })
         ));
-    }
-
-    #[test]
-    fn recording_modes_display() {
-        assert_eq!(RouteRecording::SignedAppend.to_string(), "signed append");
-        assert_eq!(RouteRecording::ReportToOwner.to_string(), "report to owner");
-        assert_eq!(
-            RouteRecording::AprioriItinerary.to_string(),
-            "a-priori itinerary"
-        );
-        assert_eq!(RouteRecording::default(), RouteRecording::SignedAppend);
     }
 
     #[test]

@@ -147,54 +147,6 @@ impl KeyDirectory {
             None => Some((n.as_str(), k)),
         })
     }
-
-    /// Writes every entry visible to this view into the store under
-    /// `namespace` (key = the entry's visible name, value = the public
-    /// key's wire encoding). On a master directory that persists the full
-    /// scoped names, so [`KeyDirectory::load_from`] restores a directory
-    /// whose tenant views resolve exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's failure.
-    pub fn persist_to(
-        &self,
-        store: &dyn refstate_store::StateStore,
-        namespace: &str,
-    ) -> Result<(), refstate_store::StoreError> {
-        for (name, key) in self.iter() {
-            store.put(namespace, name.as_bytes(), &refstate_wire::to_wire(key))?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a master directory from entries previously written by
-    /// [`KeyDirectory::persist_to`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures; an entry that no longer decodes as a
-    /// public key (or whose name is not UTF-8) is reported as
-    /// [`refstate_store::StoreError::Corrupt`].
-    pub fn load_from(
-        store: &dyn refstate_store::StateStore,
-        namespace: &str,
-    ) -> Result<KeyDirectory, refstate_store::StoreError> {
-        let mut directory = KeyDirectory::new();
-        for (index, (name, value)) in store.scan(namespace)?.into_iter().enumerate() {
-            let corrupt = |detail: String| refstate_store::StoreError::Corrupt {
-                segment: format!("kv namespace {namespace}"),
-                offset: index as u64,
-                detail,
-            };
-            let name = String::from_utf8(name)
-                .map_err(|_| corrupt("principal name is not UTF-8".to_owned()))?;
-            let key: DsaPublicKey =
-                refstate_wire::from_wire(&value).map_err(|e| corrupt(e.to_string()))?;
-            directory.register(name, key);
-        }
-        Ok(directory)
-    }
 }
 
 #[cfg(test)]
@@ -286,50 +238,6 @@ mod tests {
         assert_eq!(inner.namespace(), Some("a/b"));
         assert_eq!(inner.lookup("h1"), Some(k.public()));
         assert_eq!(inner.len(), 1);
-    }
-
-    #[test]
-    fn persist_and_load_round_trip_preserves_tenant_views() {
-        use refstate_store::MemoryStore;
-        let mut rng = StdRng::seed_from_u64(7);
-        let params = DsaParams::generate(128, 48, &mut rng);
-        let ka = DsaKeyPair::generate(&params, &mut rng);
-        let kb = DsaKeyPair::generate(&params, &mut rng);
-        let mut master = KeyDirectory::new();
-        master.register("alice/h1", ka.public().clone());
-        master.register("alice/h2", kb.public().clone());
-        master.register("bob/h1", kb.public().clone());
-
-        let store = MemoryStore::new();
-        master.persist_to(&store, "keydir").unwrap();
-        let restored = KeyDirectory::load_from(&store, "keydir").unwrap();
-        assert_eq!(restored.len(), 3);
-        let alice = restored.namespaced("alice");
-        assert_eq!(alice.lookup("h1"), Some(ka.public()));
-        assert_eq!(alice.lookup("h2"), Some(kb.public()));
-        assert_eq!(restored.namespaced("bob").len(), 1);
-
-        // Persisting a *view* writes bare names under the namespace.
-        let view_store = MemoryStore::new();
-        master
-            .namespaced("alice")
-            .persist_to(&view_store, "keys")
-            .unwrap();
-        use refstate_store::StateStore;
-        let names: Vec<Vec<u8>> = view_store
-            .scan("keys")
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(names, vec![b"h1".to_vec(), b"h2".to_vec()]);
-
-        // Undecodable entries are reported as corruption.
-        store.put("keydir", b"mallory/h1", b"garbage").unwrap();
-        assert!(matches!(
-            KeyDirectory::load_from(&store, "keydir"),
-            Err(refstate_store::StoreError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl GeneratedScenario {
     pub fn route_len(&self) -> usize {
         self.route.len()
     }
-
-    /// Total number of hosts, replicas included.
-    pub fn host_count(&self) -> usize {
-        self.specs.len()
-    }
 }
 
 /// Mixes the fleet seed and scenario id into one 64-bit stream seed

@@ -229,12 +229,6 @@ impl Host {
         self.keys.public()
     }
 
-    /// Mutable access to the host's input feed (to model data arriving at
-    /// the host between agent visits).
-    pub fn feed_mut(&mut self) -> &mut InputFeed {
-        &mut self.spec.feed
-    }
-
     /// Signs a payload in the host's name.
     pub fn sign<T: Encode>(&mut self, payload: T) -> Signed<T> {
         Signed::seal(payload, self.spec.id.as_str(), &self.keys, &mut self.rng)

@@ -46,11 +46,11 @@
 //!   checkpoints sit exactly at `--start`'s offsets
 //! * `--key-pool N`, `--queue-capacity N`, `--settle-workers N` (0 = one
 //!   per core) — service knobs (in-process / `--listen`)
-//! * `--state-dir DIR` — durable state: persist registrations, the key
-//!   directory, the replay cache, the VM compile table, and per-owner
-//!   verdict streams to an append-only log store in `DIR`, so a
-//!   restarted server warm-starts with its caches hot and its streams
-//!   checkpointed
+//! * `--state-dir DIR` — durable state: persist the seed, registrations
+//!   and per-owner verdict streams to an append-only log store in `DIR`,
+//!   so a restarted server restores its owners and resumes their
+//!   checkpointed streams (keys are re-derived from the seed; caches
+//!   start cold)
 //! * `--tick-driver on|off` — run the group-commit tick driver, woken
 //!   by every accepted submit (default on for `--listen`, off for
 //!   in-process soaks; a `--connect` soak uses the server's)

@@ -40,10 +40,10 @@
 //! or both), and telemetry levels — parallelism and observability change
 //! cost, never outcomes. Golden fixtures in `tests/` pin this. With a
 //! durable state dir ([`ServeConfig::state_dir`]) the contract extends
-//! *across process lifetimes*: a warm restart restores registrations,
-//! caches, and checkpointed per-owner verdict streams, and a resumed
-//! run's stream is byte-identical to an uninterrupted one
-//! (`tests/warm_restart.rs`).
+//! *across process lifetimes*: a warm restart restores registrations and
+//! checkpointed per-owner verdict streams, re-derives every host key from
+//! the seed, and starts its caches cold, and a resumed run's stream is
+//! byte-identical to an uninterrupted one (`tests/warm_restart.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -105,11 +105,11 @@ pub struct ServeConfig {
     /// one worker under its exec lock.
     pub settle_workers: usize,
     /// Durable-state directory. When set, the service opens (or creates)
-    /// an append-only [`LogStore`] there and persists its registrations,
-    /// key directory, replay cache, compile table, and per-owner verdict
-    /// streams — a restart on the same directory warm-starts with its
-    /// caches hot and its streams checkpointed. `None` keeps everything
-    /// in memory.
+    /// an append-only [`LogStore`] there and persists its seed, its
+    /// registrations and each owner's verdict stream with its checkpoint:
+    /// a restart on the same directory restores every owner and resumes
+    /// its stream. Keys are re-derived from the seed and the caches start
+    /// cold. `None` keeps everything in memory.
     pub state_dir: Option<std::path::PathBuf>,
 }
 
@@ -125,19 +125,17 @@ impl Default for ServeConfig {
     }
 }
 
-/// Store namespaces the service persists under (see [`StateStore`]).
-/// `meta` pins the service seed, `compile` holds VM program images,
-/// `keydir` the master key directory, `owners` the registration records
-/// (keyed by big-endian registration index, so scan order is
-/// registration order), `checkpoint` each owner's stream position, and
-/// `replay` the replay-cache write-through log. Each owner's verdict
-/// lines append under `stream/<owner>`.
+/// Store namespaces the service persists under (see [`StateStore`]):
+/// only what a restart cannot re-derive. `meta` pins the service seed,
+/// `owners` holds the registration records (keyed by big-endian
+/// registration index, so scan order is registration order) and
+/// `checkpoint` each owner's stream position. Each owner's verdict lines
+/// append under `stream/<owner>`. Host keys, replay memos and compiled
+/// programs are functions of the seed and the registrations, so a
+/// restart recomputes them instead of reading them back.
 const NS_META: &str = "meta";
-const NS_COMPILE: &str = "compile";
-const NS_KEYDIR: &str = "keydir";
 const NS_OWNERS: &str = "owners";
 const NS_CHECKPOINT: &str = "checkpoint";
-const NS_REPLAY: &str = "replay";
 
 fn stream_ns(owner: &str) -> String {
     format!("stream/{owner}")
@@ -324,9 +322,9 @@ impl Service {
             Arc::new(store) as Arc<dyn StateStore>
         });
         if let Some(store) = &store {
-            // Pin the seed: every persisted record (keys, streams, replay
-            // memos) is a function of it, so reopening under a different
-            // seed would silently mix two incompatible histories.
+            // Pin the seed: restored owners re-derive their host keys
+            // from it, so reopening under a different seed would silently
+            // continue each stream under another key pool.
             match store.get(NS_META, b"seed").expect("state dir meta read") {
                 Some(bytes) => {
                     let persisted = bytes
@@ -343,34 +341,12 @@ impl Service {
                     .put(NS_META, b"seed", &config.seed.to_le_bytes())
                     .expect("state dir meta write"),
             }
-            // Warm the VM compile table from the persisted program images.
-            for (key, image) in store.scan(NS_COMPILE).expect("state dir compile scan") {
-                let hash = refstate_vm::warm_compile_cache(&image)
-                    .unwrap_or_else(|e| panic!("state dir corrupt: compile image: {e}"));
-                assert_eq!(
-                    key,
-                    hash.to_le_bytes(),
-                    "state dir corrupt: compile image keyed under the wrong hash"
-                );
-            }
         }
-        let cache = Arc::new(match &store {
-            Some(store) => {
-                ReplayCache::persistent(ReplayCache::DEFAULT_CAPACITY, Arc::clone(store), NS_REPLAY)
-                    .unwrap_or_else(|e| panic!("state dir corrupt: replay cache: {e}"))
-            }
-            None => ReplayCache::new(),
-        });
-        let master = match &store {
-            Some(store) => KeyDirectory::load_from(store.as_ref(), NS_KEYDIR)
-                .unwrap_or_else(|e| panic!("state dir corrupt: key directory: {e}")),
-            None => KeyDirectory::new(),
-        };
         let service = Service {
             config,
             params_pool,
-            master: Mutex::new(master),
-            cache,
+            master: Mutex::new(KeyDirectory::new()),
+            cache: Arc::new(ReplayCache::new()),
             registry: MechanismRegistry::builtin(),
             owners: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
@@ -454,12 +430,12 @@ impl Service {
         self.install_owner(registration, false)
     }
 
-    /// Installs one owner shard. `restore = false` is a client
-    /// registration: the host keys are registered into the master
-    /// directory and (with a store) the registration, key-directory
-    /// delta, and an empty stream position are persisted. `restore =
-    /// true` replays a persisted registration on open: the master
-    /// directory and stream position come from the store instead.
+    /// Installs one owner shard, registering its host keys into the
+    /// master directory either way. `restore = false` is a client
+    /// registration: its stream starts at zero and (with a store) the
+    /// registration record is persisted. `restore = true` replays a
+    /// persisted registration on open: the record is not written again,
+    /// and the stream position is read back from the store.
     fn install_owner(&self, registration: RegisterOwner, restore: bool) -> Response {
         let RegisterOwner {
             owner,
@@ -500,19 +476,11 @@ impl Service {
         // keyed deterministically from the pool, registered under the
         // owner's namespace and handed back as a view. The view is built
         // once and shared by every journey — no per-journey clones — and
-        // warmed here so no first verification pays a table build. On a
-        // warm restart the master directory was already loaded from the
-        // store, so a restored owner skips straight to the view.
-        if !restore {
-            for name in host_universe() {
-                let key = &self.params_pool[key_index(seed, &name, self.params_pool.len())];
-                master.register(format!("{owner}/{name}"), key.public().clone());
-            }
-            if let Some(store) = &self.store {
-                master
-                    .persist_to(store.as_ref(), NS_KEYDIR)
-                    .expect("state dir keydir write");
-            }
+        // warmed here so no first verification pays a table build. A
+        // restored owner re-derives the same keys from the same pool.
+        for name in host_universe() {
+            let key = &self.params_pool[key_index(seed, &name, self.params_pool.len())];
+            master.register(format!("{owner}/{name}"), key.public().clone());
         }
         let directory = master.namespaced(&owner);
         directory.warm();
@@ -923,14 +891,7 @@ impl Service {
                 break;
             }
         }
-        // Settle the durable state: persist the VM compile table (so a
-        // restart re-compiles nothing) and flush everything to disk.
         if let Some(store) = &self.store {
-            for (hash, image) in refstate_vm::cached_program_images() {
-                store
-                    .put(NS_COMPILE, &hash.to_le_bytes(), &image)
-                    .expect("state dir compile write");
-            }
             store.sync().expect("state dir sync");
         }
         Response::ShuttingDown { settled }

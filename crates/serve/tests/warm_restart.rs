@@ -1,16 +1,21 @@
 //! Warm-restart coverage: a service stopped and reopened on the same
-//! state dir restores its registrations, streams, and caches, and a
-//! resumed soak produces byte-identical verdicts to an uninterrupted run.
+//! state dir restores its registrations and streams, re-derives its keys,
+//! and a resumed soak produces byte-identical verdicts to an
+//! uninterrupted run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_serve::{
     run_soak_concurrent, LocalPipelined, RegisterOwner, Request, Response, ServeConfig, Service,
     SoakConfig, SoakOutcome,
 };
+use refstate_store::{LogStore, StateStore};
 
 struct TempDir(PathBuf);
 
@@ -77,15 +82,39 @@ fn merge_by_owner(legs: &[&str], owners: usize) -> String {
     merged
 }
 
-#[test]
-fn resumed_soak_stream_matches_an_uninterrupted_run() {
-    let base = SoakConfig {
+/// The 24-journey, three-owner soak the restart tests split into two
+/// legs of 12.
+fn base_soak() -> SoakConfig {
+    SoakConfig {
         owners: 3,
         journeys: 24,
         seed: 23,
         tick_every: 4,
         ..SoakConfig::default()
-    };
+    }
+}
+
+/// The first leg of `base`: its first 12 journeys.
+fn first_leg(base: &SoakConfig) -> SoakConfig {
+    SoakConfig {
+        journeys: 12,
+        ..base.clone()
+    }
+}
+
+/// The second leg of `base`: the last 12 journeys, resumed on a state dir.
+fn resumed_leg(base: &SoakConfig) -> SoakConfig {
+    SoakConfig {
+        journeys: 12,
+        start: 12,
+        resume: true,
+        ..base.clone()
+    }
+}
+
+#[test]
+fn resumed_soak_stream_matches_an_uninterrupted_run() {
+    let base = base_soak();
 
     // The uninterrupted reference: one cold service, all 24 journeys.
     let cold_outcome = soak(serve_config(None), &base, 1);
@@ -97,24 +126,12 @@ fn resumed_soak_stream_matches_an_uninterrupted_run() {
 
         // Leg 1: half the journeys against a durable service, then the
         // soak's Shutdown stops it and the process-side state drops.
-        let leg1 = soak(
-            serve_config(Some(dir.path())),
-            &SoakConfig {
-                journeys: 12,
-                ..base.clone()
-            },
-            1,
-        );
+        let leg1 = soak(serve_config(Some(dir.path())), &first_leg(&base), 1);
 
         // Leg 2: reopen the same dir and resume where leg 1 stopped.
         let leg2 = soak(
             serve_config(Some(dir.path())),
-            &SoakConfig {
-                journeys: 12,
-                start: 12,
-                resume: true,
-                ..base.clone()
-            },
+            &resumed_leg(&base),
             connections,
         );
 
@@ -138,8 +155,8 @@ fn resumed_soak_stream_matches_an_uninterrupted_run() {
 }
 
 #[test]
-fn warm_replay_cache_serves_hits_on_restart() {
-    let dir = TempDir::new("cache");
+fn restored_owner_settles_without_registering_again() {
+    let dir = TempDir::new("restore");
     let submit_and_settle = |service: &Service| {
         for journey in 0..8u64 {
             let reply = service.handle(Request::Submit {
@@ -167,34 +184,65 @@ fn warm_replay_cache_serves_hits_on_restart() {
     assert!(matches!(reply, Response::Registered { .. }), "{reply:?}");
     let cold_stats = submit_and_settle(&first);
     assert!(cold_stats.cache_misses > 0, "a cold cache misses");
-    // A clean stop persists the caches and syncs the log.
     assert!(matches!(
         first.handle(Request::Shutdown),
         Response::ShuttingDown { .. }
     ));
     drop(first);
 
-    // The restarted service needs no registration — and re-running the
-    // same journeys hits the preloaded replay cache where the first
-    // process missed.
+    // The restarted service needs no registration: the owner comes back
+    // from the store with its keys re-derived, and its caches start cold.
     let second = Service::new(serve_config(Some(dir.path())));
     let warm_stats = submit_and_settle(&second);
     assert_eq!(warm_stats.verified, 8, "restored owner settles journeys");
-    assert!(
-        warm_stats.cache_hits > cold_stats.cache_hits,
-        "warm cache hits ({}) must beat cold hits ({})",
-        warm_stats.cache_hits,
-        cold_stats.cache_hits
-    );
-    assert!(
-        warm_stats.cache_misses < cold_stats.cache_misses,
-        "warm cache misses ({}) must undercut cold misses ({})",
-        warm_stats.cache_misses,
-        cold_stats.cache_misses
+    assert_eq!(
+        (warm_stats.cache_hits, warm_stats.cache_misses),
+        (cold_stats.cache_hits, cold_stats.cache_misses),
+        "a restart brings back no cache state"
     );
     // The durable stream kept counting across the restart while the
     // process-local verified counter started over.
     assert_eq!(warm_stats.stream_offset, 16);
+}
+
+#[test]
+fn edited_state_dir_cannot_reach_a_verdict() {
+    let base = base_soak();
+    let cold_outcome = soak(serve_config(None), &base, 1);
+    let dir = TempDir::new("edited");
+    let leg1 = soak(serve_config(Some(dir.path())), &first_leg(&base), 1);
+
+    // Forge records under the namespaces older state dirs kept for host
+    // keys, replay memos and compiled programs: a decodable key of a
+    // foreign pair for a host on owner-0's routes, and two records that
+    // decode as nothing. The service derives all three, so it never
+    // reads them.
+    let store = LogStore::open(dir.path()).expect("reopen the state dir");
+    let mut rng = StdRng::seed_from_u64(0xf0_12ed);
+    let foreign = DsaKeyPair::generate(&DsaParams::test_group_256(), &mut rng);
+    let host = format!("{}/h1", SoakConfig::owner_name(0));
+    store
+        .put(
+            "keydir",
+            host.as_bytes(),
+            &refstate_wire::to_wire(foreign.public()),
+        )
+        .expect("forge a host key");
+    store
+        .append("replay", b"not a replay record")
+        .expect("forge a replay memo");
+    store
+        .put("compile", &[0u8; 16], b"not a program image")
+        .expect("forge a compile image");
+    store.sync().expect("sync the forged records");
+    drop(store);
+
+    let leg2 = soak(serve_config(Some(dir.path())), &resumed_leg(&base), 1);
+    assert_eq!(
+        merge_by_owner(&[&leg1.stream, &leg2.stream], base.owners),
+        cold_outcome.stream,
+        "forged records in the state dir moved a verdict"
+    );
 }
 
 #[test]

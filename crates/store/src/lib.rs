@@ -1,16 +1,16 @@
 //! Persistence backends for owner-side verification state.
 //!
-//! The paper's owner keeps reference-state artifacts — replay verdicts,
-//! registered host keys, verdict streams — that today live only in process
-//! memory. [`StateStore`] is the small storage contract those tables sit
-//! behind: namespaced key/value records plus namespaced append-only record
-//! logs, with a generation stamp that counts how many times the store has
-//! been opened.
+//! The paper's owner keeps state a restart cannot re-derive: its
+//! registrations and the verdict streams it has already answered.
+//! [`StateStore`] is the small storage contract that state sits behind:
+//! namespaced key/value records plus namespaced append-only record logs,
+//! with a generation stamp that counts how many times the store has been
+//! opened.
 //!
 //! Two backends ship with the crate:
 //!
-//! - [`MemoryStore`]: the current in-memory maps, for tests and for callers
-//!   that want the trait without durability.
+//! - [`MemoryStore`]: plain in-memory maps, the semantic reference for
+//!   callers that want the trait without durability.
 //! - [`LogStore`]: an append-only on-disk log with CRC-framed records,
 //!   segment rotation, and crash-safe replay-on-open (a torn or corrupt tail
 //!   record is truncated away; corruption in a sealed segment is an error).

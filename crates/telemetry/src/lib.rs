@@ -57,7 +57,7 @@ pub mod span;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -349,14 +349,6 @@ pub fn observe(name: &'static str, value: u64) {
     );
 }
 
-/// Records a duration (as nanoseconds) into the histogram `name` under the
-/// current scope. Duration-valued histograms store nanoseconds by
-/// convention; exporters and the fleet report convert to microseconds.
-#[inline]
-pub fn observe_duration(name: &'static str, duration: Duration) {
-    observe(name, duration.as_nanos() as u64);
-}
-
 /// A point-in-time copy of every counter and histogram in the collector.
 ///
 /// Flushes the calling thread's buffered metrics first; other threads'
@@ -377,6 +369,7 @@ pub fn drain_trace() -> Vec<TraceEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     // The level flag and collector are process-global, and the default test
     // harness runs #[test] fns on parallel threads — so everything that

@@ -321,11 +321,6 @@ impl Timer {
         finish_span(key, dur_ns, event);
         dur
     }
-
-    /// Like [`Timer::finish`] but discards the measurement entirely.
-    pub fn cancel(mut self) {
-        self.started = None;
-    }
 }
 
 /// An RAII span: measures from construction to drop.

@@ -228,11 +228,10 @@ pub const COMPILE_CACHE_CAP: usize = 256;
 /// adversary supplies.
 pub(crate) fn cached_by_content(program: &Program) -> Arc<CompiledProgram> {
     let cache = compile_cache();
-    let image = to_wire(program);
-    let code_hash = fnv128(&image);
+    let code_hash = fnv128(&to_wire(program));
     {
         let map = cache.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((hit, _)) = map.get(&code_hash) {
+        if let Some(hit) = map.get(&code_hash) {
             return hit.clone();
         }
     }
@@ -244,48 +243,16 @@ pub(crate) fn cached_by_content(program: &Program) -> Arc<CompiledProgram> {
     if map.len() >= COMPILE_CACHE_CAP {
         map.clear();
     }
-    map.insert(code_hash, (compiled.clone(), Arc::from(image)));
+    map.insert(code_hash, compiled.clone());
     compiled
 }
 
-/// The table behind [`cached_by_content`]. Each entry keeps the program's
-/// canonical wire image alongside its compilation (the image was already
-/// materialized to compute the content key), so persistence layers can
-/// export the table's contents without re-encoding.
-type CompileCache = Mutex<HashMap<u128, (Arc<CompiledProgram>, Arc<[u8]>)>>;
+/// The table behind [`cached_by_content`].
+type CompileCache = Mutex<HashMap<u128, Arc<CompiledProgram>>>;
 
 fn compile_cache() -> &'static CompileCache {
     static CACHE: OnceLock<CompileCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Snapshot of the process-wide compile table: each retained program's
-/// code hash and canonical wire image, sorted by code hash so callers see
-/// a deterministic order. Persistence layers use this to checkpoint the
-/// table; [`warm_compile_cache`] is the matching restore path.
-pub fn cached_program_images() -> Vec<(u128, Arc<[u8]>)> {
-    let map = compile_cache().lock().unwrap_or_else(|p| p.into_inner());
-    let mut images: Vec<(u128, Arc<[u8]>)> = map
-        .iter()
-        .map(|(hash, (_, image))| (*hash, image.clone()))
-        .collect();
-    images.sort_by_key(|(hash, _)| *hash);
-    images
-}
-
-/// Decodes a canonical program image (as produced by
-/// [`cached_program_images`]) and compiles it into the process-wide table,
-/// returning its code hash. A warm restart feeds persisted images through
-/// this before serving traffic, so the first journey of every known
-/// program skips compilation.
-///
-/// # Errors
-///
-/// Returns the [`refstate_wire::WireError`] if `image` is not a valid
-/// `Program` encoding.
-pub fn warm_compile_cache(image: &[u8]) -> Result<u128, refstate_wire::WireError> {
-    let program: Program = refstate_wire::from_wire(image)?;
-    Ok(program.compiled().code_hash())
 }
 
 /// Runs one complete execution session over a pre-compiled program.
@@ -853,27 +820,6 @@ mod tests {
         assert_ne!(ca.code_hash(), cc.code_hash());
         assert_eq!(ca.len(), 3);
         assert!(!ca.is_empty());
-    }
-
-    #[test]
-    fn compile_cache_images_round_trip_through_warming() {
-        let program = assemble("push 41\npush 1\nadd\nstore \"answer\"\nhalt").unwrap();
-        let compiled = CompiledProgram::cached(&program);
-        let images = cached_program_images();
-        let (hash, image) = images
-            .iter()
-            .find(|(hash, _)| *hash == compiled.code_hash())
-            .expect("cached program appears in the image snapshot");
-        assert_eq!(fnv128(image), *hash, "image hashes back to its key");
-        // Warming from the persisted image lands on the same shared entry.
-        let warmed_hash = warm_compile_cache(image).unwrap();
-        assert_eq!(warmed_hash, compiled.code_hash());
-        assert!(warm_compile_cache(b"garbage").is_err());
-        // Snapshot order is deterministic: sorted by code hash.
-        let hashes: Vec<u128> = cached_program_images().iter().map(|(h, _)| *h).collect();
-        let mut sorted = hashes.clone();
-        sorted.sort_unstable();
-        assert_eq!(hashes, sorted);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::program::Program;
 use crate::state::DataState;
 use crate::trace::{Trace, TraceEntry, TraceMode};
 use crate::value::Value;
-use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Execution configuration for one session.
 #[derive(Debug, Clone)]
@@ -53,31 +52,6 @@ pub enum SessionEnd {
     Migrate(String),
     /// The agent finished its task.
     Halt,
-}
-
-impl Encode for SessionEnd {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SessionEnd::Migrate(host) => {
-                w.put_u8(0);
-                w.put_str(host);
-            }
-            SessionEnd::Halt => w.put_u8(1),
-        }
-    }
-}
-
-impl Decode for SessionEnd {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take_u8()? {
-            0 => Ok(SessionEnd::Migrate(r.take_str()?.to_owned())),
-            1 => Ok(SessionEnd::Halt),
-            tag => Err(WireError::InvalidTag {
-                context: "SessionEnd",
-                tag,
-            }),
-        }
-    }
 }
 
 /// Everything one execution session produced.
@@ -976,14 +950,5 @@ mod tests {
     fn steps_counted() {
         let out = run("nop\nnop\nhalt", &mut NullIo).unwrap();
         assert_eq!(out.steps, 3);
-    }
-
-    #[test]
-    fn session_end_wire_round_trip() {
-        use refstate_wire::{from_wire, to_wire};
-        for end in [SessionEnd::Halt, SessionEnd::Migrate("host-b".into())] {
-            assert_eq!(from_wire::<SessionEnd>(&to_wire(&end)).unwrap(), end);
-        }
-        assert!(from_wire::<SessionEnd>(&[9]).is_err());
     }
 }

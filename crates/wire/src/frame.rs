@@ -164,11 +164,6 @@ impl<R: Read> FrameReader<R> {
         FrameReader { inner, max }
     }
 
-    /// The configured payload cap.
-    pub fn max_frame(&self) -> usize {
-        self.max
-    }
-
     /// Consumes the reader, returning the underlying stream.
     pub fn into_inner(self) -> R {
         self.inner
