@@ -469,12 +469,13 @@ fn check_latency_ladder(parent: &Json, path: &str) -> Result<(), JsonError> {
 /// the aggregate), a `counts` block whose admission arithmetic closes
 /// (`submitted == accepted + rejected`,
 /// `accepted == verified + dropped`), a monotone `latency_us` ladder
-/// (p50 ≤ p95 ≤ p99 ≤ max) aggregate and per connection, a `cache`
-/// block with `hit_rate` in `[0, 1]`, one `owners_detail` row per
-/// owner, and a 16-hex-digit `stream_digest` pinning the verdict
-/// stream. Optional blocks are validated when present: `tick_driver`
-/// (what the group-commit driver did: integer `ticks` and `verdicts`,
-/// the latter at most `counts.verified`), `warm_start`
+/// (p50 ≤ p95 ≤ p99 ≤ max) aggregate and per connection, one
+/// `owners_detail` row per owner, and a 16-hex-digit `stream_digest`
+/// pinning the verdict stream. Keys outside these are ignored, so
+/// artifacts written by older builds still validate. Optional blocks are
+/// validated when present: `tick_driver` (what the group-commit driver
+/// did: integer `ticks` and `verdicts`, the latter at most
+/// `counts.verified`), `warm_start`
 /// (a resumed run's restart handshake: `generation` ≥ 2,
 /// non-negative `resume_offset`, one durable-stream checkpoint row per
 /// owner with a 16-hex-digit digest), and
@@ -574,18 +575,6 @@ pub fn check_slo_schema(doc: &Json) -> Result<(), JsonError> {
         return Err(JsonError(format!(
             "per_connection: verified counts sum to {connection_verified}, \
              counts.verified is {verified}"
-        )));
-    }
-
-    let cache = doc
-        .get("cache")
-        .ok_or_else(|| JsonError("cache: missing block".into()))?;
-    require_non_negative(cache, "cache", "hits")?;
-    require_non_negative(cache, "cache", "misses")?;
-    let hit_rate = require_num(cache, "cache", "hit_rate")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(JsonError(format!(
-            "cache.hit_rate: must be within [0, 1], got {hit_rate}"
         )));
     }
 
@@ -1024,7 +1013,6 @@ mod tests {
                     {{"connection":1,"owners":1,"submitted":25,"accepted":24,
                       "rejected":1,"verified":24,
                       "latency_us":{{"p50":130,"p95":310,"p99":460,"max":900}}}}],
-                "cache":{{"hits":40,"misses":8,"hit_rate":0.833333}},
                 "owners_detail":[
                     {{"owner":"owner-0","accepted":24,"rejected":1,
                       "verified":24,"detected":10,"final_checks":24,

@@ -120,12 +120,6 @@ impl HostSpec {
         self.feed.push(tag, value);
         self
     }
-
-    /// Queues a partner message in the host's feed.
-    pub fn with_message(mut self, partner: impl Into<String>, value: Value) -> Self {
-        self.feed.push_message(partner, value);
-        self
-    }
 }
 
 /// Everything one host-side execution session produced, including what the

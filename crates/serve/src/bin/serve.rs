@@ -49,8 +49,7 @@
 //! * `--state-dir DIR` — durable state: persist the seed, registrations
 //!   and per-owner verdict streams to an append-only log store in `DIR`,
 //!   so a restarted server restores its owners and resumes their
-//!   checkpointed streams (keys are re-derived from the seed; caches
-//!   start cold)
+//!   checkpointed streams (keys are re-derived from the seed)
 //! * `--tick-driver on|off` — run the group-commit tick driver, woken
 //!   by every accepted submit (default on for `--listen`, off for
 //!   in-process soaks; a `--connect` soak uses the server's)

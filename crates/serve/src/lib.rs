@@ -15,8 +15,9 @@
 //! * [`proto`] — the request/response messages on the workspace's
 //!   canonical codec, framed by `refstate_wire::frame`,
 //! * [`service`] — a lock-free routing layer over per-owner *shards*
-//!   (namespaced key-directory views, per-owner pipelines over one
-//!   shared replay cache, bounded ingress queues, per-owner exec locks).
+//!   (each owner's own key directory and uncached pipeline, bounded
+//!   ingress queues, per-owner exec locks); no state is shared across
+//!   tenants.
 //!   Submits for different owners never contend, and a tick settles
 //!   independent owners in parallel across a small worker pool
 //!   (`settle_workers`) — each owner still settles its whole tick in one
@@ -41,9 +42,9 @@
 //! cost, never outcomes. Golden fixtures in `tests/` pin this. With a
 //! durable state dir ([`ServeConfig::state_dir`]) the contract extends
 //! *across process lifetimes*: a warm restart restores registrations and
-//! checkpointed per-owner verdict streams, re-derives every host key from
-//! the seed, and starts its caches cold, and a resumed run's stream is
-//! byte-identical to an uninterrupted one (`tests/warm_restart.rs`).
+//! checkpointed per-owner verdict streams and re-derives every host key
+//! from the seed, and a resumed run's stream is byte-identical to an
+//! uninterrupted one (`tests/warm_restart.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

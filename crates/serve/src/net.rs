@@ -90,10 +90,11 @@ impl Server {
                         let handle = thread::spawn(move || {
                             serve_connection(stream, service, shutdown, conn_id)
                         });
-                        connections
-                            .lock()
-                            .expect("connection registry")
-                            .push(handle);
+                        // Reap connections that have closed, so a resident
+                        // server tracks only the live ones.
+                        let mut registry = connections.lock().expect("connection registry");
+                        registry.retain(|h| !h.is_finished());
+                        registry.push(handle);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(5));
@@ -294,5 +295,45 @@ impl PipelinedClient {
                 "server closed before replying",
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServeConfig;
+    use std::time::Instant;
+
+    fn stream_state_round_trip(addr: SocketAddr) {
+        let mut client = PipelinedClient::connect(addr).expect("connect");
+        client.send(&Request::StreamState).expect("send");
+        let reply = client.recv().expect("recv");
+        assert!(matches!(reply, Response::StreamState { .. }), "{reply:?}");
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let server = Server::bind(Service::new(ServeConfig::default()), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        for _ in 0..16 {
+            stream_state_round_trip(addr);
+        }
+        // Each accept reaps whatever has closed, so a probe connection
+        // sees at most itself and the previous probe still tracked.
+        let tracked = || server.connections.lock().unwrap().len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            stream_state_round_trip(addr);
+            if tracked() <= 2 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{} connection handles still tracked",
+                tracked()
+            );
+        }
+        server.stop();
+        server.join();
     }
 }

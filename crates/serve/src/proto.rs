@@ -183,10 +183,6 @@ pub struct OwnerStats {
     pub flush_verifications: u64,
     /// Deferred signatures that failed a flush.
     pub flush_failures: u64,
-    /// Replay-cache hits recorded by this owner's pipeline.
-    pub cache_hits: u64,
-    /// Replay-cache misses recorded by this owner's pipeline.
-    pub cache_misses: u64,
     /// Verdicts appended to this owner's durable stream across every
     /// generation (equals `verified` summed over the state dir's whole
     /// history; equals this process's `verified` when no state dir is
@@ -413,8 +409,6 @@ impl Encode for OwnerStats {
         self.final_checks.encode(w);
         self.flush_verifications.encode(w);
         self.flush_failures.encode(w);
-        self.cache_hits.encode(w);
-        self.cache_misses.encode(w);
         self.stream_offset.encode(w);
     }
 }
@@ -451,8 +445,6 @@ impl Decode for OwnerStats {
             final_checks: u64::decode(r)?,
             flush_verifications: u64::decode(r)?,
             flush_failures: u64::decode(r)?,
-            cache_hits: u64::decode(r)?,
-            cache_misses: u64::decode(r)?,
             stream_offset: u64::decode(r)?,
         })
     }
@@ -629,8 +621,6 @@ mod tests {
             final_checks: 8,
             flush_verifications: 40,
             flush_failures: 0,
-            cache_hits: 5,
-            cache_misses: 30,
             stream_offset: 8,
         }));
         round_trip(Response::ShuttingDown { settled: 2 });

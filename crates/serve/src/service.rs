@@ -34,9 +34,10 @@
 //!   owner's `exec` lock, so concurrent tickers (several connections, the
 //!   background driver, the shutdown drain) serialize *per owner* and the
 //!   outbox always receives verdicts in admission order.
-//! * **control plane** — registration serializes on a separate control
-//!   lock (the master key directory); stats read the shard's atomics
-//!   plus brief peeks under its ingress, outbox and stream locks.
+//! * **control plane** — registration builds the owner's shard outside
+//!   every lock and commits it under the owner-table write lock; stats
+//!   read the shard's atomics plus brief peeks under its ingress, outbox
+//!   and stream locks.
 //!
 //! # Determinism contract
 //!
@@ -73,7 +74,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refstate_core::{ReplayCache, VerificationPipeline};
+use refstate_core::VerificationPipeline;
 use refstate_crypto::{DsaKeyPair, DsaParams, KeyDirectory};
 use refstate_fleet::journey::{run_journey, JourneyEnv};
 use refstate_fleet::scenario::{self, Preset};
@@ -108,8 +109,8 @@ pub struct ServeConfig {
     /// an append-only [`LogStore`] there and persists its seed, its
     /// registrations and each owner's verdict stream with its checkpoint:
     /// a restart on the same directory restores every owner and resumes
-    /// its stream. Keys are re-derived from the seed and the caches start
-    /// cold. `None` keeps everything in memory.
+    /// its stream. Keys are re-derived from the seed. `None` keeps
+    /// everything in memory.
     pub state_dir: Option<std::path::PathBuf>,
 }
 
@@ -194,7 +195,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<StreamState, refstate_wire::WireErr
 /// 25 hops (`h0..h24`), the replicated middle stages' replicas
 /// (`h1r1..h5r2`), and the cooperating presets' off-route witnesses
 /// (`v0..v3`). Registered per owner at registration time so the owner's
-/// namespaced directory view covers any journey it can submit.
+/// key directory covers any journey it can submit.
 fn host_universe() -> Vec<String> {
     let mut names: Vec<String> = (0..25).map(|i| format!("h{i}")).collect();
     for stage in 1..=5 {
@@ -225,12 +226,11 @@ pub(crate) struct OwnerShard {
     seed: u64,
     preset: Preset,
     mechanism: Arc<dyn ProtectionMechanism>,
-    /// The owner's namespaced view of the service key directory, warmed
-    /// at registration; every journey of this owner shares it (no
-    /// per-journey directory builds or clones).
+    /// The owner's own key directory (its host universe under bare
+    /// names), warmed at registration; every journey of this owner
+    /// shares it (no per-journey directory builds or clones).
     directory: KeyDirectory,
-    /// The owner's verification pipeline (replay cache shared
-    /// service-wide when enabled; hit/miss counters are per owner).
+    /// The owner's uncached verification pipeline.
     pipeline: Arc<VerificationPipeline>,
     log: EventLog,
     config: MechanismConfig,
@@ -286,14 +286,10 @@ pub(crate) struct OwnerShard {
 pub struct Service {
     config: ServeConfig,
     params_pool: Vec<DsaKeyPair>,
-    /// Control lock: the master key directory, held across a whole
-    /// registration (the only mutation path).
-    master: Mutex<KeyDirectory>,
-    /// One sharded replay cache shared by every tenant's pipeline.
-    cache: Arc<ReplayCache>,
     registry: MechanismRegistry,
     /// The routing layer: reads clone one `Arc`, only registration
-    /// writes.
+    /// writes (and its duplicate check under that write lock is what
+    /// makes registration atomic).
     owners: RwLock<Vec<Arc<OwnerShard>>>,
     shutting_down: AtomicBool,
     /// Rung by every accepted submit and by shutdown; the tick driver
@@ -345,8 +341,6 @@ impl Service {
         let service = Service {
             config,
             params_pool,
-            master: Mutex::new(KeyDirectory::new()),
-            cache: Arc::new(ReplayCache::new()),
             registry: MechanismRegistry::builtin(),
             owners: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
@@ -430,12 +424,12 @@ impl Service {
         self.install_owner(registration, false)
     }
 
-    /// Installs one owner shard, registering its host keys into the
-    /// master directory either way. `restore = false` is a client
-    /// registration: its stream starts at zero and (with a store) the
-    /// registration record is persisted. `restore = true` replays a
-    /// persisted registration on open: the record is not written again,
-    /// and the stream position is read back from the store.
+    /// Installs one owner shard, building its key directory either way.
+    /// `restore = false` is a client registration: its stream starts at
+    /// zero and (with a store) the registration record is persisted.
+    /// `restore = true` replays a persisted registration on open: the
+    /// record is not written again, and the stream position is read back
+    /// from the store.
     fn install_owner(&self, registration: RegisterOwner, restore: bool) -> Response {
         let RegisterOwner {
             owner,
@@ -464,25 +458,22 @@ impl Service {
             return reject(RejectReason::UnknownMechanism);
         };
 
-        // The control lock serializes registrations end to end, so the
-        // duplicate check and the table push are atomic with respect to
-        // other registrations.
-        let mut master = self.master.lock().expect("control lock");
+        // A fast path only: the authoritative check runs again under the
+        // owner-table write lock below.
         if self.shard(&owner).is_some() {
             return reject(RejectReason::DuplicateOwner);
         }
 
         // The owner's PKI: every host name its generator can produce,
-        // keyed deterministically from the pool, registered under the
-        // owner's namespace and handed back as a view. The view is built
+        // keyed deterministically from the pool. The directory is built
         // once and shared by every journey — no per-journey clones — and
         // warmed here so no first verification pays a table build. A
         // restored owner re-derives the same keys from the same pool.
+        let mut directory = KeyDirectory::new();
         for name in host_universe() {
             let key = &self.params_pool[key_index(seed, &name, self.params_pool.len())];
-            master.register(format!("{owner}/{name}"), key.public().clone());
+            directory.register(name, key.public().clone());
         }
-        let directory = master.namespaced(&owner);
         directory.warm();
 
         // The owner's durable stream position: zero on a fresh
@@ -531,10 +522,11 @@ impl Service {
             StreamState::default()
         };
 
-        let pipeline = Arc::new(VerificationPipeline::with_cache(Arc::clone(&self.cache)));
-        let config = MechanismConfig::default();
-        telemetry::count("serve.owner.registered", 1);
         let mut owners = self.owners.write().expect("owner table lock");
+        if owners.iter().any(|o| o.name == owner) {
+            return reject(RejectReason::DuplicateOwner);
+        }
+        telemetry::count("serve.owner.registered", 1);
         let index = owners.len() as u32;
         if !restore {
             if let Some(store) = &self.store {
@@ -560,9 +552,9 @@ impl Service {
             preset,
             mechanism,
             directory,
-            pipeline,
+            pipeline: Arc::new(VerificationPipeline::uncached()),
             log: EventLog::new(),
-            config,
+            config: MechanismConfig::default(),
             ingress: Mutex::new(VecDeque::new()),
             exec: Mutex::new(()),
             outbox: Mutex::new(Vec::new()),
@@ -823,7 +815,6 @@ impl Service {
                 reason: RejectReason::UnknownOwner,
             };
         };
-        let replay = shard.pipeline.snapshot();
         let pending = shard.ingress.lock().expect("ingress lock").len() as u64;
         let undrained = shard.outbox.lock().expect("outbox lock").len() as u64;
         let stream_offset = shard.stream.lock().expect("stream lock").offset;
@@ -839,8 +830,6 @@ impl Service {
             final_checks: shard.final_checks.load(Ordering::Relaxed),
             flush_verifications: shard.flush_verifications.load(Ordering::Relaxed),
             flush_failures: shard.flush_failures.load(Ordering::Relaxed),
-            cache_hits: replay.hits,
-            cache_misses: replay.misses,
             stream_offset,
         })
     }
@@ -988,6 +977,70 @@ mod tests {
             mechanism: "protocol".into(),
         }));
         assert!(matches!(bad_name, Response::Error { .. }));
+    }
+
+    #[test]
+    fn racing_registrations_of_one_name_admit_exactly_one() {
+        let service = Service::new(ServeConfig::default());
+        let start = std::sync::Barrier::new(8);
+        let replies: Vec<Response> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8u64)
+                .map(|seed| {
+                    let (service, start) = (&service, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        service.handle(Request::Register(RegisterOwner {
+                            owner: "alice".into(),
+                            seed,
+                            preset: "mixed".into(),
+                            mechanism: "protocol".into(),
+                        }))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let admitted = replies
+            .iter()
+            .filter(|r| matches!(r, Response::Registered { .. }))
+            .count();
+        assert_eq!(admitted, 1, "{replies:?}");
+        assert!(
+            replies.iter().all(|r| matches!(
+                r,
+                Response::Registered { .. }
+                    | Response::Rejected {
+                        reason: RejectReason::DuplicateOwner,
+                        ..
+                    }
+            )),
+            "{replies:?}"
+        );
+        assert_eq!(service.owner_names(), vec!["alice".to_owned()]);
+    }
+
+    #[test]
+    fn owner_directories_hold_only_their_own_hosts() {
+        let service = Service::new(ServeConfig::default());
+        register(&service, "alice", 1, "mixed", "protocol");
+        register(&service, "bob", 2, "mixed", "protocol");
+        let mut universe = host_universe();
+        universe.sort();
+        let pool = &service.params_pool;
+        let alice = &service.shard("alice").unwrap().directory;
+        let bob = &service.shard("bob").unwrap().directory;
+        for (dir, seed) in [(alice, 1), (bob, 2)] {
+            let names: Vec<&str> = dir.iter().map(|(name, _)| name).collect();
+            assert_eq!(names, universe);
+            for (name, key) in dir.iter() {
+                let pooled = pool[key_index(seed, name, pool.len())].public();
+                assert_eq!(key, pooled, "{name}");
+            }
+        }
+        assert!(
+            universe.iter().any(|h| alice.lookup(h) != bob.lookup(h)),
+            "different seeds draw different keys for some host"
+        );
     }
 
     #[test]

@@ -328,26 +328,6 @@ pub struct SoakOutcome {
 }
 
 impl SoakOutcome {
-    /// Replay-cache hits summed over owners.
-    pub fn cache_hits(&self) -> u64 {
-        self.owners.iter().map(|o| o.cache_hits).sum()
-    }
-
-    /// Replay-cache misses summed over owners.
-    pub fn cache_misses(&self) -> u64 {
-        self.owners.iter().map(|o| o.cache_misses).sum()
-    }
-
-    /// Replay-cache hit rate over all owners (0 when no cache traffic).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits() + self.cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits() as f64 / total as f64
-        }
-    }
-
     /// Aggregate throughput: verdicts drained per wall-clock second.
     pub fn journeys_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -427,12 +407,6 @@ impl SoakOutcome {
             w.end_object();
         }
         w.end_array();
-        w.key("cache");
-        w.begin_object();
-        w.field_u64("hits", self.cache_hits());
-        w.field_u64("misses", self.cache_misses());
-        w.field_f64("hit_rate", self.cache_hit_rate());
-        w.end_object();
         w.key("owners_detail");
         w.begin_array();
         for owner in &self.owners {

@@ -182,8 +182,7 @@ fn restored_owner_settles_without_registering_again() {
         mechanism: "protocol".into(),
     }));
     assert!(matches!(reply, Response::Registered { .. }), "{reply:?}");
-    let cold_stats = submit_and_settle(&first);
-    assert!(cold_stats.cache_misses > 0, "a cold cache misses");
+    submit_and_settle(&first);
     assert!(matches!(
         first.handle(Request::Shutdown),
         Response::ShuttingDown { .. }
@@ -191,15 +190,10 @@ fn restored_owner_settles_without_registering_again() {
     drop(first);
 
     // The restarted service needs no registration: the owner comes back
-    // from the store with its keys re-derived, and its caches start cold.
+    // from the store with its keys re-derived.
     let second = Service::new(serve_config(Some(dir.path())));
     let warm_stats = submit_and_settle(&second);
     assert_eq!(warm_stats.verified, 8, "restored owner settles journeys");
-    assert_eq!(
-        (warm_stats.cache_hits, warm_stats.cache_misses),
-        (cold_stats.cache_hits, cold_stats.cache_misses),
-        "a restart brings back no cache state"
-    );
     // The durable stream kept counting across the restart while the
     // process-local verified counter started over.
     assert_eq!(warm_stats.stream_offset, 16);

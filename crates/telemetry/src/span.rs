@@ -278,11 +278,6 @@ impl Timer {
         }
     }
 
-    /// An inert timer that records nothing when finished.
-    pub fn disabled() -> Self {
-        Self { started: None }
-    }
-
     /// Returns `true` if the timer is actually measuring.
     pub fn is_active(&self) -> bool {
         self.started.is_some()
