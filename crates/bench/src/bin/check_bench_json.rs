@@ -1,5 +1,5 @@
-//! CI gate for the committed perf-trajectory artifacts and the fleet
-//! CLI's exported telemetry artifacts.
+//! CI gate for the committed perf-trajectory artifacts and the fleet and
+//! serve CLIs' exported telemetry artifacts.
 //!
 //! With no arguments it reads `BENCH_fleet.json` and `BENCH_bigint.json`
 //! from the workspace root (or the paths given positionally, in that
@@ -9,8 +9,9 @@
 //! rotting silently.
 //!
 //! `--trace PATH`, `--metrics PATH`, and `--slo PATH` instead validate a
-//! Chrome `trace_event` JSON file (as written by `fleet --trace-out`), a
-//! metrics JSONL stream (`fleet --metrics-out`), and a
+//! Chrome `trace_event` JSON file (as written by `fleet --trace-out` or
+//! `serve --trace-out`), a metrics JSONL stream (`--metrics-out` of
+//! either), and a
 //! `refstate-soak-slo-v1` soak artifact (`serve --soak --slo-out`); when
 //! any of these flags is given, only the named artifacts are checked.
 //!

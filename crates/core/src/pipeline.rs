@@ -17,7 +17,7 @@
 //!   labels; the cache key itself uses SHA-256 digests — see below),
 //! * re-execution goes through the VM's pre-compiled fast path
 //!   ([`refstate_vm::run_compiled_session`] over
-//!   [`CompiledProgram::cached`]),
+//!   [`Program::compiled`]),
 //! * results land in an `Arc`-shared, sharded [`ReplayCache`], so
 //!   duplicate re-executions across hops, replicas, and mechanisms
 //!   become lock-striped cache hits,
@@ -396,7 +396,7 @@ impl VerificationPipeline {
         // The probe timer covers key hashing plus the shard lookup — the
         // true cost of a cache hit; misses hand off to the replay timer.
         let probe = telemetry::Timer::start();
-        let compiled = CompiledProgram::cached(program);
+        let compiled = program.compiled();
         let key = self.cache.as_ref().map(|cache| {
             let key = CacheKey {
                 code_hash: compiled.code_hash(),
@@ -455,7 +455,7 @@ impl VerificationPipeline {
         input: &InputLog,
         exec: &ExecConfig,
     ) -> Result<(SessionOutcome, bool), VmError> {
-        let compiled = CompiledProgram::cached(program);
+        let compiled = program.compiled();
         self.run_replay(&compiled, initial, input, exec, None)
     }
 

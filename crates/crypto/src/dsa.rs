@@ -720,10 +720,21 @@ impl Decode for DsaPublicKey {
 }
 
 /// A DSA private/public key pair.
-#[derive(Debug, Clone)]
+///
+/// `Debug` shows only the public half, so formatting a pair (or a struct
+/// holding one) never prints the private exponent.
+#[derive(Clone)]
 pub struct DsaKeyPair {
     x: Uint,
     public: DsaPublicKey,
+}
+
+impl fmt::Debug for DsaKeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DsaKeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DsaKeyPair {
@@ -848,6 +859,15 @@ mod tests {
             let sig = keys.sign(msg, &mut rng);
             assert!(keys.public().verify(msg, &sig));
         }
+    }
+
+    #[test]
+    fn debug_shows_only_the_public_half() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let keys = DsaKeyPair::generate(&DsaParams::test_group_256(), &mut rng);
+        let shown = format!("{keys:?}");
+        assert!(shown.contains(&format!("{:x}", keys.public().y())));
+        assert!(!shown.contains(&format!("{:x}", keys.x)), "{shown}");
     }
 
     #[test]

@@ -215,7 +215,7 @@ fn score(
 fn run_scenario(
     id: u64,
     config: &FleetConfig,
-    keys: &[DsaKeyPair],
+    keys: &[Arc<DsaKeyPair>],
     pipeline: &Arc<VerificationPipeline>,
 ) -> ScenarioResult {
     let scenario = scenario::generate(config.seed, id, config.preset);
@@ -301,8 +301,8 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     let keygen = telemetry::span("fleet.keygen", "fleet");
     let params = DsaParams::test_group_256();
     let mut key_rng = StdRng::seed_from_u64(config.seed ^ 0x5ee3_d00d_cafe_f00d);
-    let keys: Vec<DsaKeyPair> = (0..config.key_pool)
-        .map(|_| DsaKeyPair::generate(&params, &mut key_rng))
+    let keys: Vec<Arc<DsaKeyPair>> = (0..config.key_pool)
+        .map(|_| Arc::new(DsaKeyPair::generate(&params, &mut key_rng)))
         .collect();
     // Build every pooled key's fixed-base verification table up front:
     // the workers share the pool, so no journey pays a first-use table

@@ -54,7 +54,7 @@ fn compatible(mechanism: &dyn ProtectionMechanism, scenario: &GeneratedScenario)
 /// verify against.
 pub(crate) fn scenario_directory<'k>(
     scenario: &GeneratedScenario,
-    key: impl Fn(usize, &HostSpec) -> &'k DsaKeyPair,
+    key: impl Fn(usize, &HostSpec) -> &'k Arc<DsaKeyPair>,
 ) -> KeyDirectory {
     let mut directory = KeyDirectory::new();
     for (pos, spec) in scenario.specs.iter().enumerate() {
@@ -64,9 +64,10 @@ pub(crate) fn scenario_directory<'k>(
 }
 
 /// Runs the host-side journey of `scenario` under `mechanism`: fresh
-/// hosts keyed by `key(pos, spec)`, the churn event when a route host
-/// left the network, and [`ProtectionMechanism::run_split`] under the
-/// mechanism's telemetry scope and a `journey` span.
+/// hosts, each sharing its pooled pair `key(pos, spec)`, the churn event
+/// when a route host left the network, and
+/// [`ProtectionMechanism::run_split`] under the mechanism's telemetry
+/// scope and a `journey` span.
 ///
 /// Returns `None` when the mechanism's topology cannot run the scenario
 /// (replicated-stage mechanisms need stages, disjoint-set mechanisms need
@@ -77,7 +78,7 @@ pub fn run_journey<'k>(
     env: &JourneyEnv<'_>,
     scenario: &GeneratedScenario,
     mechanism: &dyn ProtectionMechanism,
-    key: impl Fn(usize, &HostSpec) -> &'k DsaKeyPair,
+    key: impl Fn(usize, &HostSpec) -> &'k Arc<DsaKeyPair>,
 ) -> Option<(SplitVerdict, Instant)> {
     if !compatible(mechanism, scenario) {
         return None;
@@ -91,7 +92,7 @@ pub fn run_journey<'k>(
             // pos+1 keeps h0's stream distinct from the generator's own
             // seed for this scenario (pos 0 would XOR with zero).
             let session_seed = scenario_seed(env.seed, id ^ ((pos as u64 + 1) << 48));
-            Host::with_keys(spec.clone(), key(pos, spec).clone(), session_seed)
+            Host::with_keys(spec.clone(), Arc::clone(key(pos, spec)), session_seed)
         })
         .collect();
     let _scope = telemetry::scoped(mechanism.name());
@@ -136,8 +137,8 @@ mod tests {
     fn event_timelines_are_pinned() {
         let params = DsaParams::test_group_256();
         let mut rng = StdRng::seed_from_u64(42);
-        let keys: Vec<DsaKeyPair> = (0..8)
-            .map(|_| DsaKeyPair::generate(&params, &mut rng))
+        let keys: Vec<Arc<DsaKeyPair>> = (0..8)
+            .map(|_| Arc::new(DsaKeyPair::generate(&params, &mut rng)))
             .collect();
         let key = |pos: usize, _: &HostSpec| &keys[pos % keys.len()];
         let config = MechanismConfig::default();

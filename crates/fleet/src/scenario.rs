@@ -8,11 +8,14 @@
 //! scenario id, and the preset — workers can generate scenarios in any
 //! order on any thread and always produce the same fleet.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use refstate_mechanisms::replication::StageSpec;
 use refstate_platform::{AgentImage, Attack, HostId, HostSpec};
-use refstate_vm::{assemble, DataState, Value};
+use refstate_vm::{assemble, DataState, Program, Value};
 
 /// The scenario families the generator can draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +177,35 @@ pub fn scenario_seed(fleet_seed: u64, id: u64) -> u64 {
 /// The shape deliberately matches the paper's measurement agent (and
 /// `mechanisms::matrix`): state attacks on `total` are detectable by any
 /// reference-state mechanism, input attacks are not.
+///
+/// Every journey of one route length gets a clone of one shared
+/// [`Program`], so only the first assembles it and all of them run one
+/// compiled form.
 pub fn build_route_agent(id: u64, n: usize) -> AgentImage {
     assert!(n >= 2, "a route needs at least two hosts");
+    let mut state = DataState::new();
+    state.set("total", Value::Int(0));
+    state.set("hop", Value::Int(0));
+    AgentImage::new(format!("fleet-{id}"), route_program(n), state)
+}
+
+/// The route program for `n` hosts, assembled from
+/// [`route_program_source`] on first use and shared by every later call.
+fn route_program(n: usize) -> Program {
+    static PROGRAMS: Mutex<BTreeMap<usize, Program>> = Mutex::new(BTreeMap::new());
+    // A panicking assembly inserts nothing, so a poisoned table is whole.
+    PROGRAMS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(n)
+        .or_insert_with(|| {
+            assemble(&route_program_source(n)).expect("generated route program assembles")
+        })
+        .clone()
+}
+
+/// The assembly text of [`build_route_agent`]'s program for `n` hosts.
+fn route_program_source(n: usize) -> String {
     let mut asm = String::from(
         "input \"n\"\nload \"total\"\nadd\nstore \"total\"\nload \"hop\"\npush 1\nadd\nstore \"hop\"\n",
     );
@@ -186,11 +216,7 @@ pub fn build_route_agent(id: u64, n: usize) -> AgentImage {
     for hop in 1..n {
         asm.push_str(&format!("to_{hop}:\npush \"h{hop}\"\nmigrate\n"));
     }
-    let program = assemble(&asm).expect("generated route program assembles");
-    let mut state = DataState::new();
-    state.set("total", Value::Int(0));
-    state.set("hop", Value::Int(0));
-    AgentImage::new(format!("fleet-{id}"), program, state)
+    asm
 }
 
 /// Draws one detectable state/control-flow attack.
@@ -646,6 +672,8 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -874,6 +902,14 @@ mod tests {
         for n in 2..26 {
             let agent = build_route_agent(0, n);
             assert_eq!(agent.state.get_int("total"), Some(0));
+            let other = build_route_agent(1, n);
+            assert_eq!(agent.program, other.program);
+            assert!(
+                Arc::ptr_eq(&agent.program.compiled(), &other.program.compiled()),
+                "journeys of length {n} share one compiled program"
+            );
+            let fresh = assemble(&route_program_source(n)).unwrap();
+            assert_eq!(agent.program, fresh);
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Hosts: identity, keys, trust attribute, behaviour, and session execution.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use refstate_crypto::{DsaKeyPair, DsaParams, DsaPublicKey, Signed};
 use refstate_vm::{
-    run_compiled_session, CompiledProgram, DataState, ExecConfig, SessionEnd, SessionIo,
-    SessionOutcome, SyscallKind, Value, VmError,
+    run_compiled_session, DataState, ExecConfig, SessionEnd, SessionIo, SessionOutcome,
+    SyscallKind, Value, VmError,
 };
 use refstate_wire::Encode;
 
@@ -150,7 +151,7 @@ impl SessionRecord {
 /// A live host: spec plus key material and a session RNG.
 pub struct Host {
     spec: HostSpec,
-    keys: DsaKeyPair,
+    keys: Arc<DsaKeyPair>,
     rng: StdRng,
     /// Deterministic session clock for syscall results.
     clock: i64,
@@ -169,7 +170,7 @@ impl fmt::Debug for Host {
 impl Host {
     /// Creates a host with fresh keys in the given DSA group.
     pub fn new(spec: HostSpec, params: &DsaParams, rng: &mut dyn RngCore) -> Self {
-        let keys = DsaKeyPair::generate(params, rng);
+        let keys = Arc::new(DsaKeyPair::generate(params, rng));
         let host_seed = rng.next_u64();
         Host::with_keys(spec, keys, host_seed)
     }
@@ -180,10 +181,11 @@ impl Host {
     /// This is the batch-friendly constructor fleet-scale drivers use:
     /// key generation (a modular exponentiation) dominates `Host::new`, so
     /// a scenario engine spinning up thousands of short-lived host sets
-    /// draws keys from a pre-generated pool instead. The resulting `Host`
-    /// owns all of its data and is `Send`, so host sets can be built on
+    /// draws keys from a pre-generated pool instead. The pool's pairs are
+    /// shared, not copied: each host holds one more reference to its
+    /// pair. The resulting `Host` is `Send`, so host sets can be built on
     /// one thread and executed on another.
-    pub fn with_keys(spec: HostSpec, keys: DsaKeyPair, session_seed: u64) -> Self {
+    pub fn with_keys(spec: HostSpec, keys: Arc<DsaKeyPair>, session_seed: u64) -> Self {
         Host {
             spec,
             keys,
@@ -273,10 +275,10 @@ impl Host {
             sent: Vec::new(),
         };
         let initial_state = image.state.clone();
-        // Live execution runs the compiled fast path; the process-wide
-        // compile cache means a program is decoded once per content, not
-        // once per step or session, across hops, replicas, and journeys.
-        let compiled = CompiledProgram::cached(&image.program);
+        // Live execution runs the compiled fast path. Clones of a program
+        // share its compiled form, so it is decoded once per lineage (every
+        // hop, replica and journey holding a clone), not once per session.
+        let compiled = image.program.compiled();
         let mut outcome = run_compiled_session(&compiled, initial_state.clone(), &mut io, config)?;
         let provenance = io.provenance;
         let elapsed = start.elapsed();

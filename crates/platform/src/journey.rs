@@ -7,6 +7,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 use refstate_vm::{ExecConfig, SessionEnd, VmError};
+use refstate_wire::to_wire;
 
 use crate::agent::AgentImage;
 use crate::event::{Event, EventLog};
@@ -169,6 +170,10 @@ fn walk_path<L: Leg>(
     max_hops: usize,
     leg: &mut L,
 ) -> Result<Option<L::Stop>, JourneyError> {
+    // The walk writes only the agent's state and a leg sees the agent by
+    // reference, so the id and program part of the image's encoding is
+    // the same on every hop: encode it once, and the state per hop.
+    let fixed_bytes = to_wire(&agent.id).len() + to_wire(&agent.program).len();
     for _ in 0..max_hops {
         let here = path.last().expect("a path starts at the start host");
         let at = hosts
@@ -212,7 +217,7 @@ fn walk_path<L: Leg>(
             from: hosts[at].id().clone(),
             to: next.clone(),
             agent: agent.id.clone(),
-            bytes: refstate_wire::to_wire(&*agent).len() + baggage,
+            bytes: fixed_bytes + to_wire(&agent.state).len() + baggage,
         });
         path.push(next);
     }
@@ -436,6 +441,72 @@ mod tests {
             log.count_matching(|e| matches!(e, Event::Migrated { .. })),
             2
         );
+    }
+
+    /// Departs with a different non-zero baggage from every host and
+    /// remembers the size of the image as it left each one.
+    struct Baggage {
+        images: Vec<usize>,
+        baggage: Vec<usize>,
+    }
+
+    impl Leg for Baggage {
+        type Stop = Infallible;
+
+        fn depart(
+            &mut self,
+            visit: Visit<'_>,
+            _record: SessionRecord,
+        ) -> ControlFlow<Infallible, usize> {
+            let baggage = 100 * (visit.seq() as usize + 1);
+            self.images.push(to_wire(visit.agent).len());
+            self.baggage.push(baggage);
+            ControlFlow::Continue(baggage)
+        }
+    }
+
+    #[test]
+    fn migrated_counts_the_departing_image_plus_baggage() {
+        let mut hosts = make_hosts([300, 120, 250]);
+        let log = EventLog::new();
+        let mut leg = Baggage {
+            images: Vec::new(),
+            baggage: Vec::new(),
+        };
+        let agent = quote_agent();
+        let walked = walk(
+            &mut hosts,
+            "h1",
+            agent,
+            &ExecConfig::default(),
+            &log,
+            10,
+            &mut leg,
+        );
+        assert!(matches!(walked.result, Ok(None)));
+        assert_eq!(walked.path.len(), 3);
+        assert!(
+            leg.images.windows(2).all(|w| w[0] < w[1]),
+            "the agent's state grows every hop: {:?}",
+            leg.images
+        );
+        let migrated: Vec<usize> = log
+            .snapshot()
+            .iter()
+            .filter_map(|event| match event {
+                Event::Migrated { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        // Every host but the last, which halts, migrates the agent on.
+        let expected: Vec<usize> = leg
+            .images
+            .iter()
+            .zip(&leg.baggage)
+            .map(|(image, baggage)| image + baggage)
+            .take(walked.path.len() - 1)
+            .collect();
+        assert_eq!(migrated, expected);
     }
 
     #[test]

@@ -58,6 +58,15 @@
 //!   format, grouped by owner)
 //! * `--telemetry off|counters|full` — observability level (default off;
 //!   verdict streams are byte-identical at every level)
+//! * `--metrics-out PATH` — write the service's metrics snapshot as JSONL
+//!   once it shuts down (needs `--telemetry counters` or `full`)
+//! * `--trace-out PATH` — write the service's Chrome `trace_event` JSON
+//!   once it shuts down (needs `--telemetry full`)
+//!
+//! The telemetry files are written by the process that ran the service,
+//! once the service has shut down: a `--listen` server after a client's
+//! `Shutdown`, or an in-process soak. A `--connect` soak has none to
+//! write, so both flags are usage errors there.
 
 use std::sync::Arc;
 
@@ -76,7 +85,8 @@ fn usage(exit: i32) -> ! {
          [--resume] [--slo-out PATH] \
          [--stream-out PATH] [service knobs] [--tick-driver on|off]\n\
          service knobs: --key-pool N --queue-capacity N \
-         --settle-workers N --state-dir DIR --telemetry off|counters|full"
+         --settle-workers N --state-dir DIR --telemetry off|counters|full \
+         --metrics-out PATH --trace-out PATH"
     );
     std::process::exit(exit);
 }
@@ -95,6 +105,8 @@ struct Options {
     slo_out: Option<String>,
     stream_out: Option<String>,
     telemetry: telemetry::TelemetryLevel,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
 }
 
 fn parse_args() -> Options {
@@ -112,6 +124,8 @@ fn parse_args() -> Options {
         slo_out: None,
         stream_out: None,
         telemetry: telemetry::TelemetryLevel::Off,
+        metrics_out: None,
+        trace_out: None,
     };
     let mut i = 1;
     let value = |i: &mut usize| -> String {
@@ -173,6 +187,8 @@ fn parse_args() -> Options {
             }
             "--slo-out" => options.slo_out = Some(value(&mut i)),
             "--stream-out" => options.stream_out = Some(value(&mut i)),
+            "--metrics-out" => options.metrics_out = Some(value(&mut i)),
+            "--trace-out" => options.trace_out = Some(value(&mut i)),
             "--telemetry" => {
                 let name = value(&mut i);
                 options.telemetry = telemetry::TelemetryLevel::parse(&name).unwrap_or_else(|| {
@@ -212,6 +228,22 @@ fn parse_args() -> Options {
         eprintln!("--resume continues a durable history; --compare-single starts one cold");
         usage(2);
     }
+    let exporting = options.metrics_out.is_some() || options.trace_out.is_some();
+    if exporting && options.connect.is_some() {
+        eprintln!(
+            "--metrics-out and --trace-out need the service in this process; \
+             a --connect soak's telemetry lives in the server"
+        );
+        usage(2);
+    }
+    if options.trace_out.is_some() && options.telemetry != telemetry::TelemetryLevel::Full {
+        eprintln!("--trace-out requires --telemetry full (the trace timeline only records there)");
+        usage(2);
+    }
+    if options.metrics_out.is_some() && options.telemetry == telemetry::TelemetryLevel::Off {
+        eprintln!("--metrics-out requires --telemetry counters or full");
+        usage(2);
+    }
     options
 }
 
@@ -221,6 +253,24 @@ fn write_file(path: &str, contents: &str) {
         std::process::exit(1);
     }
     eprintln!("wrote {path}");
+}
+
+/// Writes the metrics and trace files the flags asked for. Call it once
+/// the service has shut down: its threads have exited by then, and a
+/// thread's buffered telemetry reaches the collector when it exits.
+fn write_telemetry(options: &Options) {
+    if let Some(path) = &options.trace_out {
+        write_file(
+            path,
+            &telemetry::export::chrome_trace_json(&telemetry::drain_trace()),
+        );
+    }
+    if let Some(path) = &options.metrics_out {
+        write_file(
+            path,
+            &telemetry::export::metrics_jsonl(&telemetry::snapshot()),
+        );
+    }
 }
 
 /// An in-process soak over `connections` [`LocalPipelined`] connections
@@ -291,10 +341,12 @@ fn main() {
         eprintln!("serving on {}", server.addr());
         server.join();
         eprintln!("shut down");
+        write_telemetry(&options);
         return;
     }
 
     let mut outcome = run_load(&options);
+    write_telemetry(&options);
 
     if options.compare_single {
         // The serial deployment: one connection, one settle worker, no

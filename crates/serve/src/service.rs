@@ -285,7 +285,7 @@ pub(crate) struct OwnerShard {
 /// ```
 pub struct Service {
     config: ServeConfig,
-    params_pool: Vec<DsaKeyPair>,
+    params_pool: Vec<Arc<DsaKeyPair>>,
     registry: MechanismRegistry,
     /// The routing layer: reads clone one `Arc`, only registration
     /// writes (and its duplicate check under that write lock is what
@@ -306,8 +306,8 @@ impl Service {
         let _span = telemetry::span("serve.start", "serve");
         let params = DsaParams::test_group_256();
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5e12_ce00_0a11_ce5e);
-        let params_pool: Vec<DsaKeyPair> = (0..config.key_pool)
-            .map(|_| DsaKeyPair::generate(&params, &mut rng))
+        let params_pool: Vec<Arc<DsaKeyPair>> = (0..config.key_pool)
+            .map(|_| Arc::new(DsaKeyPair::generate(&params, &mut rng)))
             .collect();
         for key in &params_pool {
             key.public().precompute();

@@ -10,19 +10,19 @@
 //! jump targets stay pre-resolved, and [`run_compiled_session`] executes a
 //! flat loop that borrows each instruction instead of cloning it.
 //!
-//! Compilation itself is cheap but not free, so hot drivers share compiled
-//! programs through [`CompiledProgram::cached`], a process-wide table
-//! keyed by the program's [`code hash`](CompiledProgram::code_hash): a
-//! fleet re-running the same agent program across hops, replicas, and
-//! mechanisms compiles it once.
+//! Compilation itself is cheap but not free, so a program compiles once
+//! per lineage: [`Program::compiled`] keeps the compiled form in a cell
+//! every clone shares, and the drivers that run many journeys of one
+//! shape hand them clones of one `Program` (the fleet's route agents),
+//! so hops, replicas, mechanisms and journeys all reuse one compilation.
 //!
 //! The original [`crate::run_session`] loop is kept unchanged as the
 //! pinned reference oracle (the same idiom the crypto layer uses for its
 //! schoolbook `verify`); `compiled == interpreted` equivalence is pinned
 //! by tests here and by the `vm` property suite.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use refstate_telemetry as telemetry;
 use refstate_wire::to_wire;
@@ -178,17 +178,6 @@ impl CompiledProgram {
         CompiledProgram { code, code_hash }
     }
 
-    /// Returns the shared compiled form of `program`, compiling on first
-    /// use.
-    ///
-    /// Clones of one `Program` share the compilation through the
-    /// program's own cell ([`Program::compiled`]); *distinct* programs
-    /// with identical content share it through a process-wide table
-    /// keyed by content hash (bounded by [`COMPILE_CACHE_CAP`]).
-    pub fn cached(program: &Program) -> Arc<CompiledProgram> {
-        program.compiled()
-    }
-
     /// The FNV-1a-128 hash of the program's canonical wire encoding — the
     /// program component of a [`crate::SessionFingerprint`].
     pub fn code_hash(&self) -> u128 {
@@ -204,55 +193,6 @@ impl CompiledProgram {
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
-}
-
-/// Upper bound on distinct programs retained by the process-wide compile
-/// cache before it is cleared.
-pub const COMPILE_CACHE_CAP: usize = 256;
-
-/// The process-wide, content-keyed compile table behind
-/// [`Program::compiled`]: distinct `Program` values with identical
-/// instruction streams (a fleet's per-scenario agents, decoded wire
-/// copies) share one compilation. Bounded: when it exceeds
-/// [`COMPILE_CACHE_CAP`] entries it is cleared wholesale (outstanding
-/// `Arc`s keep their programs alive). Each program *lineage* pays this
-/// lookup — the wire serialization, the content hash, and the lock —
-/// once; per-session callers go through the lineage's own cell.
-///
-/// The FNV content key is sound here because every caller compiles a
-/// program it already holds and trusts (the owner's agent code, or a
-/// wire-decoded copy it is about to execute *as its own*): an aliased
-/// entry could only substitute a program the same process previously
-/// chose to run, and verification verdicts never key off this table —
-/// the replay cache in `refstate-core` uses SHA-256 for everything an
-/// adversary supplies.
-pub(crate) fn cached_by_content(program: &Program) -> Arc<CompiledProgram> {
-    let cache = compile_cache();
-    let code_hash = fnv128(&to_wire(program));
-    {
-        let map = cache.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = map.get(&code_hash) {
-            return hit.clone();
-        }
-    }
-    // Compile outside the lock; a racing compile of the same program
-    // produces an identical value, so last-insert-wins is harmless.
-    let compiled = Arc::new(CompiledProgram::compile(program));
-    debug_assert_eq!(compiled.code_hash, code_hash);
-    let mut map = cache.lock().unwrap_or_else(|p| p.into_inner());
-    if map.len() >= COMPILE_CACHE_CAP {
-        map.clear();
-    }
-    map.insert(code_hash, compiled.clone());
-    compiled
-}
-
-/// The table behind [`cached_by_content`].
-type CompileCache = Mutex<HashMap<u128, Arc<CompiledProgram>>>;
-
-fn compile_cache() -> &'static CompileCache {
-    static CACHE: OnceLock<CompileCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Runs one complete execution session over a pre-compiled program.
@@ -805,21 +745,6 @@ mod tests {
         .unwrap();
         assert_eq!(rerun.state, original.state);
         assert!(replay.fully_consumed());
-    }
-
-    #[test]
-    fn compile_cache_shares_by_content() {
-        let a = assemble("push 1\nstore \"x\"\nhalt").unwrap();
-        let b = assemble("push 1\nstore \"x\"\nhalt").unwrap();
-        let c = assemble("push 2\nstore \"x\"\nhalt").unwrap();
-        let ca = CompiledProgram::cached(&a);
-        let cb = CompiledProgram::cached(&b);
-        let cc = CompiledProgram::cached(&c);
-        assert!(Arc::ptr_eq(&ca, &cb), "identical programs share one entry");
-        assert_eq!(ca.code_hash(), cb.code_hash());
-        assert_ne!(ca.code_hash(), cc.code_hash());
-        assert_eq!(ca.len(), 3);
-        assert!(!ca.is_empty());
     }
 
     #[test]

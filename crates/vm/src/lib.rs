@@ -66,7 +66,7 @@ mod trace;
 mod value;
 
 pub use asm::{assemble, AsmError};
-pub use compiled::{run_compiled_session, CompiledProgram, COMPILE_CACHE_CAP};
+pub use compiled::{run_compiled_session, CompiledProgram};
 pub use error::VmError;
 pub use instr::{Instr, SyscallKind};
 pub use interp::{run_session, ExecConfig, Interpreter, SessionEnd, SessionOutcome};

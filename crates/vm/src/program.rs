@@ -86,12 +86,13 @@ impl Program {
     /// The shared compiled form of this program, compiling on first use.
     ///
     /// Clones of a `Program` share the result through one cell, so the
-    /// hot drivers (host execution, replay verification) pay the
-    /// compilation — and the content-hash lookup behind it — once per
-    /// program lineage, not once per session.
+    /// hot drivers (host execution, replay verification) compile once per
+    /// program lineage, not once per session. A separately assembled or
+    /// decoded copy is a lineage of its own and compiles again; drivers
+    /// that run many agents of one shape hand them clones of one program.
     pub fn compiled(&self) -> Arc<CompiledProgram> {
         self.compiled
-            .get_or_init(|| crate::compiled::cached_by_content(self))
+            .get_or_init(|| Arc::new(CompiledProgram::compile(self)))
             .clone()
     }
 
