@@ -281,12 +281,11 @@ impl Leg for FrameworkLeg<'_> {
 
     fn depart(
         &mut self,
-        visit: Visit<'_>,
+        mut visit: Visit<'_>,
         record: SessionRecord,
     ) -> ControlFlow<FraudEvidence, usize> {
-        let host = &mut visit.hosts[visit.at];
-        self.route.append_signed_by(host);
-        if !(self.config.skip_trusted && host.is_trusted()) {
+        self.route.append_signed_by(&mut visit);
+        if !(self.config.skip_trusted && visit.hosts[visit.at].is_trusted()) {
             self.kept.push(Kept {
                 seq: visit.seq(),
                 executor: visit.here().clone(),

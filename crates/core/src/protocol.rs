@@ -641,7 +641,7 @@ struct ProtocolLeg<'a> {
 impl Leg for ProtocolLeg<'_> {
     type Stop = FraudEvidence<SessionCertificate>;
 
-    fn arrive(&mut self, visit: Visit<'_>) -> ControlFlow<Self::Stop> {
+    fn arrive(&mut self, mut visit: Visit<'_>) -> ControlFlow<Self::Stop> {
         let Some((executor, signed_cert)) = self.incoming.take() else {
             return ControlFlow::Continue(());
         };
@@ -716,7 +716,7 @@ impl Leg for ProtocolLeg<'_> {
                 receiver: here.clone(),
                 initial_digest: cert.resulting_digest(),
             };
-            let signed = visit.hosts[visit.at].sign(commitment);
+            let (signed, _) = visit.sign(commitment);
             self.stats.sign_verify += t.elapsed();
             self.stats.signatures += 1;
             self.commitments.push(signed);
@@ -749,7 +749,7 @@ impl Leg for ProtocolLeg<'_> {
 
     fn depart(
         &mut self,
-        visit: Visit<'_>,
+        mut visit: Visit<'_>,
         record: SessionRecord,
     ) -> ControlFlow<Self::Stop, usize> {
         self.stats.execution += record.elapsed;
@@ -767,14 +767,14 @@ impl Leg for ProtocolLeg<'_> {
             input: record.outcome.input_log,
             next,
         };
-        let host = &mut visit.hosts[visit.at];
         let t = Instant::now();
-        let signed_cert = host.sign(cert);
+        // The certificate travels as the migration's baggage; signing
+        // encoded it already, so its length comes from there.
+        let (signed_cert, baggage) = visit.sign(cert);
         self.stats.sign_verify += t.elapsed();
         self.stats.signatures += 1;
 
         if !halted {
-            let baggage = to_wire(signed_cert.payload()).len();
             self.incoming = Some((visit.at, signed_cert));
             return ControlFlow::Continue(baggage);
         }
@@ -784,7 +784,7 @@ impl Leg for ProtocolLeg<'_> {
         // [`PendingFinalCheck`] and performed by [`settle_deferred`] — the
         // single seam every owner-side final check funnels into, so
         // batching lands in one place.
-        if !(self.config.skip_trusted && host.is_trusted()) {
+        if !(self.config.skip_trusted && visit.hosts[visit.at].is_trusted()) {
             let cert = signed_cert.payload();
             self.pending = Some(PendingFinalCheck {
                 program: visit.agent.program.clone(),

@@ -13,7 +13,7 @@ use std::fmt;
 
 use rand::RngCore;
 use refstate_crypto::{DsaKeyPair, KeyDirectory, Signed, VerifyError};
-use refstate_platform::{AgentId, Host, HostId};
+use refstate_platform::{AgentId, HostId, Visit};
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// One hop in a recorded route.
@@ -143,10 +143,16 @@ impl SignedRoute {
             .push(Signed::seal(entry, host.as_str(), keys, rng));
     }
 
-    /// Appends a hop for `host`, which signs its own entry.
-    pub(crate) fn append_signed_by(&mut self, host: &mut Host) {
-        let entry = self.next_entry(host.id().clone());
-        self.entries.push(host.sign(entry));
+    /// Appends a hop for the host `visit` is on, which signs its own
+    /// entry.
+    pub(crate) fn append_signed_by(&mut self, visit: &mut Visit<'_>) {
+        let entry = self.next_entry(visit.here().clone());
+        self.entries.push(visit.sign(entry).0);
+    }
+
+    /// The signed entries in order.
+    pub fn entries(&self) -> &[Signed<RouteEntry>] {
+        &self.entries
     }
 
     /// The recorded hosts in order.

@@ -30,6 +30,7 @@
 //! cannot host a Montgomery context (an even `p` arriving over the wire)
 //! transparently fall back to schoolbook arithmetic.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -174,6 +175,13 @@ impl DsaParams {
                 })
             })
             .as_ref()
+    }
+
+    /// The Montgomery context for `q`, where the signing and verifying
+    /// scalar arithmetic runs; `None` when the group hosts none (even `p`
+    /// or even `q` from an unvalidated wire decode).
+    pub(crate) fn q_domain(&self) -> Option<&Montgomery> {
+        self.accel().and_then(|accel| accel.q_mont.as_ref())
     }
 
     /// Computes `g ^ exponent mod p` on the fastest available path: the
@@ -634,16 +642,13 @@ fn verify_group(
     verdicts: &mut [bool],
 ) {
     let q = &params.q;
-    let shared = params
-        .accel()
-        .and_then(|accel| accel.q_mont.as_ref())
-        .map(|qm| {
-            let s: Vec<MontInt> = members
-                .iter()
-                .map(|&i| qm.to_mont(&entries[i].signature.s))
-                .collect();
-            (qm, batch_inverses(qm, &s))
-        });
+    let shared = params.q_domain().map(|qm| {
+        let s: Vec<MontInt> = members
+            .iter()
+            .map(|&i| qm.to_mont(&entries[i].signature.s))
+            .collect();
+        (qm, batch_inverses(qm, &s))
+    });
     for (n, &i) in members.iter().enumerate() {
         let BatchEntry {
             key,
@@ -675,7 +680,7 @@ fn verify_group(
 /// `v_i⁻¹ = c_i⁻¹ · c_(i−1)` and `c_(i−1)⁻¹ = c_i⁻¹ · v_i`. When the product
 /// has no inverse each value is inverted alone, so only the values that
 /// share a factor with the modulus come back `None`.
-fn batch_inverses(qm: &Montgomery, values: &[MontInt]) -> Vec<Option<MontInt>> {
+pub(crate) fn batch_inverses(qm: &Montgomery, values: &[MontInt]) -> Vec<Option<MontInt>> {
     let Some((first, rest)) = values.split_first() else {
         return Vec::new();
     };
@@ -756,37 +761,82 @@ impl DsaKeyPair {
 
     /// Signs `message` (hashed with SHA-256 internally).
     ///
-    /// Fresh randomness per signature; the internal loop retries the
-    /// negligible `r == 0` / `s == 0` cases as FIPS 186 requires. The
-    /// per-signature exponentiation `g^k mod p` runs through the group's
-    /// fixed-base table ([`DsaParams::pow_g`]) — one Montgomery
-    /// multiplication per non-zero 4-bit digit of `k` instead of a full
-    /// square-and-multiply ladder.
+    /// Fresh randomness per signature: each `k` is drawn from `rng` and
+    /// inverted alone. The internal loop retries the negligible
+    /// `r == 0` / `s == 0` cases as FIPS 186 requires. The per-signature
+    /// exponentiation `g^k mod p` runs through the group's fixed-base
+    /// table ([`DsaParams::pow_g`]) — one Montgomery multiplication per
+    /// non-zero 4-bit digit of `k` instead of a full square-and-multiply
+    /// ladder. A signer that draws its nonces ahead, in batches, is a
+    /// [`crate::Signer`]; both run the same loop.
     pub fn sign(&self, message: &[u8], rng: &mut dyn RngCore) -> Signature {
-        let timer = telemetry::Timer::start();
-        let signature = self.sign_inner(message, rng);
-        timer.finish("crypto.sign", "crypto");
-        signature
+        self.sign_from(message, &mut VecDeque::new(), rng)
     }
 
-    fn sign_inner(&self, message: &[u8], rng: &mut dyn RngCore) -> Signature {
+    /// The signing loop: each attempt takes the oldest of `nonces`, or
+    /// draws a fresh `k` from `rng` and inverts it alone when none is
+    /// queued. Every `nonces` entry must come from `rng`'s stream for this
+    /// key's group (as [`crate::draw_nonces`] fills a
+    /// [`crate::Signer`]'s queue), so the `k` sequence — and every
+    /// signature byte — is the one `rng` alone would give.
+    ///
+    /// `s = k⁻¹·(z + x·r)` finishes in the `q`-domain when the group has
+    /// one; otherwise each `k` is inverted and `s` computed on the
+    /// schoolbook path.
+    pub(crate) fn sign_from(
+        &self,
+        message: &[u8],
+        nonces: &mut VecDeque<Nonce>,
+        rng: &mut dyn RngCore,
+    ) -> Signature {
+        let timer = telemetry::Timer::start();
         let params = &self.public.params;
         let q = &params.q;
         let z = params.hash_to_z(message);
-        loop {
-            let k = random_in_unit_range(rng, q);
-            let r = params.pow_g(&k).rem(q);
-            if r.is_zero() {
-                continue;
+        let signature = loop {
+            let (r, s) = match params.q_domain() {
+                Some(qm) => {
+                    let Nonce { k, k_inv } = match nonces.pop_front() {
+                        Some(nonce) => nonce,
+                        None => Nonce::draw(qm, rng),
+                    };
+                    let r = params.pow_g(&k).rem(q);
+                    let xr = qm.from_mont(&qm.mont_mul(&qm.to_mont(&self.x), &qm.to_mont(&r)));
+                    // `to_mont` reduces the sum, which is below 3q.
+                    let s = qm.from_mont(&qm.mont_mul(&k_inv, &qm.to_mont(&(&z + &xr))));
+                    (r, s)
+                }
+                None => {
+                    let k = random_in_unit_range(rng, q);
+                    let r = params.pow_g(&k).rem(q);
+                    let k_inv = k.inv_mod(q).expect("q prime, 0 < k < q");
+                    let xr = self.x.mul_mod(&r, q);
+                    (r, k_inv.mul_mod(&z.add_mod(&xr, q), q))
+                }
+            };
+            if !r.is_zero() && !s.is_zero() {
+                break Signature { r, s };
             }
-            let k_inv = k.inv_mod(q).expect("q prime, 0 < k < q");
-            let xr = self.x.mul_mod(&r, q);
-            let s = k_inv.mul_mod(&z.add_mod(&xr, q), q);
-            if s.is_zero() {
-                continue;
-            }
-            return Signature { r, s };
-        }
+        };
+        timer.finish("crypto.sign", "crypto");
+        signature
+    }
+}
+
+/// A signing nonce drawn before its message: `k` and `k⁻¹` as a residue
+/// of the group's `q`-domain. Neither depends on the message (FIPS 186
+/// lets a signer compute them ahead).
+pub(crate) struct Nonce {
+    pub(crate) k: Uint,
+    pub(crate) k_inv: MontInt,
+}
+
+impl Nonce {
+    /// Draws the next `k` of `rng`'s stream and inverts it alone.
+    fn draw(qm: &Montgomery, rng: &mut dyn RngCore) -> Self {
+        let k = random_in_unit_range(rng, qm.modulus());
+        let k_inv = qm.inv(&qm.to_mont(&k)).expect("q prime, 0 < k < q");
+        Nonce { k, k_inv }
     }
 }
 

@@ -9,6 +9,7 @@ use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::dsa::{DsaKeyPair, Signature};
 use crate::keydir::KeyDirectory;
+use crate::signer::Signer;
 
 /// Why envelope verification failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,13 +79,33 @@ impl<T: Encode> Signed<T> {
         keys: &DsaKeyPair,
         rng: &mut dyn RngCore,
     ) -> Self {
+        Signed::seal_with(payload, signer, |bytes| keys.sign(bytes, rng)).0
+    }
+
+    /// Signs `payload` with `keys`'s next nonce, attributing it to
+    /// `signer`. Also returns the length of the payload encoding the
+    /// signature covers, so a caller that ships the payload need not
+    /// encode it again to size it.
+    pub fn seal_by(payload: T, signer: impl Into<String>, keys: &mut Signer) -> (Self, usize) {
+        Signed::seal_with(payload, signer, |bytes| keys.sign(bytes))
+    }
+
+    /// Encodes `payload` once, signs the encoding with `sign`, and wraps
+    /// the payload (not the encoding: a verifier encodes the payload it
+    /// holds) with the encoding's length.
+    fn seal_with(
+        payload: T,
+        signer: impl Into<String>,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> (Self, usize) {
         let bytes = to_wire(&payload);
-        let signature = keys.sign(&bytes, rng);
-        Signed {
+        let signature = sign(&bytes);
+        let envelope = Signed {
             payload,
             signer: signer.into(),
             signature,
-        }
+        };
+        (envelope, bytes.len())
     }
 
     /// Verifies the signature against the signer's directory key.

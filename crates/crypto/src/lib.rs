@@ -12,6 +12,8 @@
 //! * [`DsaParams`] / [`DsaKeyPair`] / [`Signature`] — FIPS 186-style DSA
 //!   with the paper's 512-bit group plus 256-bit (fast tests) and 1024-bit
 //!   groups, all precomputed by `src/bin/genparams.rs`,
+//! * [`Signer`] / [`draw_nonces`] — a key pair with its nonce stream,
+//!   whose nonces a journey draws in batches that share one inversion,
 //! * [`Signed`] — a signed envelope over any wire-encodable payload,
 //! * [`KeyDirectory`] — the public-key registry hosts use to verify each
 //!   other's statements,
@@ -50,6 +52,7 @@ mod groups;
 mod hmac;
 mod keydir;
 mod sha256;
+mod signer;
 
 pub use batch::{DeferredSignature, VerificationQueue};
 pub use digest::Digest;
@@ -60,3 +63,4 @@ pub use envelope::{Signed, VerifyError};
 pub use hmac::HmacSha256;
 pub use keydir::KeyDirectory;
 pub use sha256::{sha256, Sha256};
+pub use signer::{draw_nonces, Signer};

@@ -1,0 +1,128 @@
+//! Signing nonces drawn ahead of their messages, in batches.
+//!
+//! A DSA nonce `(k, k⁻¹)` does not depend on the message, so a signer may
+//! draw it early (FIPS 186). Drawing the next nonce of many signers at
+//! once lets them share one modular inversion per group — the trick
+//! [`crate::verify_batch`] plays on `s⁻¹`, which Naccache, M'Raïhi,
+//! Vaudenay and Raphaeli applied to `k⁻¹` ("Can D.S.A. be improved?",
+//! EUROCRYPT '94). A [`Signer`] keeps its key pair, the RNG its `k`s come
+//! from and the nonces already drawn from that RNG together, so a queued
+//! nonce can only ever sign for the key and stream it was drawn for.
+
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use refstate_bigint::{random_in_unit_range, MontInt, Uint};
+use refstate_telemetry as telemetry;
+
+use crate::dsa::{batch_inverses, DsaKeyPair, DsaPublicKey, Nonce, Signature};
+
+/// A key pair with its nonce stream: the RNG every signing `k` comes
+/// from, and the nonces [`draw_nonces`] took from it ahead of their
+/// messages, oldest first.
+///
+/// [`Signer::sign`] takes the oldest queued nonce before drawing a fresh
+/// one, so the `k` sequence is the RNG's, however the draws were batched:
+/// a `Signer` signs byte-identically to [`DsaKeyPair::sign`] over the same
+/// RNG. `Debug` shows only the public key and the queue length.
+pub struct Signer {
+    keys: Arc<DsaKeyPair>,
+    rng: StdRng,
+    nonces: VecDeque<Nonce>,
+}
+
+impl fmt::Debug for Signer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Signer")
+            .field("public", self.keys.public())
+            .field("queued", &self.nonces.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Signer {
+    /// A signer drawing its nonces from `rng`, with none queued.
+    pub fn new(keys: Arc<DsaKeyPair>, rng: StdRng) -> Self {
+        Signer {
+            keys,
+            rng,
+            nonces: VecDeque::new(),
+        }
+    }
+
+    /// The public half of the signing key.
+    pub fn public(&self) -> &DsaPublicKey {
+        self.keys.public()
+    }
+
+    /// How many nonces are drawn and waiting for a message.
+    pub fn queued(&self) -> usize {
+        self.nonces.len()
+    }
+
+    /// Signs `message` with the next nonce of the stream: the oldest
+    /// queued one, or a fresh draw inverted alone.
+    pub fn sign(&mut self, message: &[u8]) -> Signature {
+        self.keys
+            .sign_from(message, &mut self.nonces, &mut self.rng)
+    }
+}
+
+/// Draws the next nonce of every signer in `signers`, each from its own
+/// RNG, and queues it: one inversion per group for the whole draw
+/// (Montgomery's trick over the `k`s in the group's `q`-domain) instead
+/// of one per signature.
+///
+/// A signer whose group has no `q`-domain (an even `p` or `q` from an
+/// unvalidated wire decode) draws nothing here; it inverts each `k` alone
+/// when it signs.
+///
+/// Telemetry: the `crypto.nonce_batch` span once per call. The shared
+/// inversion it times is in no signature's `crypto.sign`.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use rand::SeedableRng;
+/// use rand::rngs::StdRng;
+/// use refstate_crypto::{draw_nonces, DsaKeyPair, DsaParams, Signer};
+///
+/// let keys = Arc::new(DsaKeyPair::generate(&DsaParams::test_group_256(), &mut StdRng::seed_from_u64(1)));
+/// let mut batched = Signer::new(Arc::clone(&keys), StdRng::seed_from_u64(2));
+/// let mut other = Signer::new(Arc::clone(&keys), StdRng::seed_from_u64(3));
+/// draw_nonces([&mut batched, &mut other]);
+/// assert_eq!(batched.queued(), 1);
+/// // The queued nonce is the one the RNG alone would have drawn.
+/// assert_eq!(batched.sign(b"msg"), keys.sign(b"msg", &mut StdRng::seed_from_u64(2)));
+/// ```
+pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
+    let timer = telemetry::Timer::start();
+    // Each group's signers with their fresh `k`s, in draw order.
+    let mut groups: Vec<Vec<(&mut Signer, Uint)>> = Vec::new();
+    for signer in signers {
+        let Some(qm) = signer.keys.public().params().q_domain() else {
+            continue;
+        };
+        let k = random_in_unit_range(&mut signer.rng, qm.modulus());
+        let same_q = |group: &&mut Vec<(&mut Signer, Uint)>| {
+            group[0].0.keys.public().params().q() == qm.modulus()
+        };
+        match groups.iter_mut().find(same_q) {
+            Some(group) => group.push((signer, k)),
+            None => groups.push(vec![(signer, k)]),
+        }
+    }
+    for group in groups {
+        let keys = Arc::clone(&group[0].0.keys);
+        let qm = keys.public().params().q_domain().expect("grouped by q");
+        let ks: Vec<MontInt> = group.iter().map(|(_, k)| qm.to_mont(k)).collect();
+        for ((signer, k), k_inv) in group.into_iter().zip(batch_inverses(qm, &ks)) {
+            let k_inv = k_inv.expect("q prime, 0 < k < q");
+            signer.nonces.push_back(Nonce { k, k_inv });
+        }
+    }
+    timer.finish("crypto.nonce_batch", "crypto");
+}

@@ -1,13 +1,15 @@
 //! Property tests for the crypto crate: signature correctness over random
 //! messages, tamper sensitivity, envelope round-trips, and hash behaviour.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_bigint::Uint;
 use refstate_crypto::{
-    sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
-    KeyDirectory, Sha256, Signature, Signed,
+    draw_nonces, sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
+    KeyDirectory, Sha256, Signature, Signed, Signer,
 };
 use refstate_wire::{from_wire, to_wire, Writer};
 
@@ -279,5 +281,48 @@ proptest! {
             .map(|(key, message, signature)| key.verify(message, signature))
             .collect();
         prop_assert_eq!(batch, singles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Nonces drawn in batches sign byte-identically to per-signer
+    /// `DsaKeyPair::sign` on the same seeds, whatever the signer count,
+    /// sign order and refill points. The signers mix two groups with a
+    /// key whose even `p` has no `q`-domain (it draws nothing in a batch
+    /// and inverts alone). Two refills up front leave every signer with
+    /// several queued nonces, and signer 0 never signs.
+    #[test]
+    fn batched_nonces_sign_like_per_signer_draws(
+        seeds in proptest::collection::vec(any::<u64>(), 3..9),
+        steps in proptest::collection::vec((0u8..4, any::<u8>()), 1..128),
+    ) {
+        let even_p = Arc::new(DsaKeyPair::generate(
+            even_p_key(keys().public()).params(),
+            &mut StdRng::seed_from_u64(5),
+        ));
+        let pairs = [Arc::new(keys().clone()), Arc::new(wide_keys().clone()), even_p];
+        let key = |i: usize| &pairs[i % pairs.len()];
+        let mut batched: Vec<Signer> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| Signer::new(Arc::clone(key(i)), StdRng::seed_from_u64(seed)))
+            .collect();
+        let mut alone: Vec<StdRng> = seeds.iter().map(|&seed| StdRng::seed_from_u64(seed)).collect();
+        draw_nonces(&mut batched);
+        draw_nonces(&mut batched);
+        for (n, &(op, who)) in steps.iter().enumerate() {
+            if op == 0 {
+                draw_nonces(&mut batched);
+                continue;
+            }
+            let i = 1 + usize::from(who) % (seeds.len() - 1);
+            let message = format!("step {n}").into_bytes();
+            prop_assert_eq!(batched[i].sign(&message), key(i).sign(&message, &mut alone[i]));
+        }
+        let refills = 2 + steps.iter().filter(|&&(op, _)| op == 0).count();
+        prop_assert_eq!(batched[0].queued(), refills);
+        prop_assert_eq!(batched[2].queued(), 0, "a group with no q-domain queues nothing");
     }
 }

@@ -63,6 +63,26 @@ pub(crate) fn scenario_directory<'k>(
     directory
 }
 
+/// `scenario`'s hosts, each sharing its pooled pair `key(pos, spec)`, with
+/// session RNGs seeded from `seed` and the scenario id.
+fn scenario_hosts<'k>(
+    seed: u64,
+    scenario: &GeneratedScenario,
+    key: impl Fn(usize, &HostSpec) -> &'k Arc<DsaKeyPair>,
+) -> Vec<Host> {
+    scenario
+        .specs
+        .iter()
+        .enumerate()
+        .map(|(pos, spec)| {
+            // pos+1 keeps h0's stream distinct from the generator's own
+            // seed for this scenario (pos 0 would XOR with zero).
+            let session_seed = scenario_seed(seed, scenario.id ^ ((pos as u64 + 1) << 48));
+            Host::with_keys(spec.clone(), Arc::clone(key(pos, spec)), session_seed)
+        })
+        .collect()
+}
+
 /// Runs the host-side journey of `scenario` under `mechanism`: fresh
 /// hosts, each sharing its pooled pair `key(pos, spec)`, the churn event
 /// when a route host left the network, and
@@ -84,17 +104,7 @@ pub fn run_journey<'k>(
         return None;
     }
     let id = scenario.id;
-    let mut hosts: Vec<Host> = scenario
-        .specs
-        .iter()
-        .enumerate()
-        .map(|(pos, spec)| {
-            // pos+1 keeps h0's stream distinct from the generator's own
-            // seed for this scenario (pos 0 would XOR with zero).
-            let session_seed = scenario_seed(env.seed, id ^ ((pos as u64 + 1) << 48));
-            Host::with_keys(spec.clone(), Arc::clone(key(pos, spec)), session_seed)
-        })
-        .collect();
+    let mut hosts = scenario_hosts(env.seed, scenario, key);
     let _scope = telemetry::scoped(mechanism.name());
     if let Some(gone) = &scenario.churned {
         env.log.record(Event::HostChurned { host: gone.clone() });
@@ -124,8 +134,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use refstate_crypto::{sha256, DsaParams};
+    use refstate_core::framework::{run_framework_journey, ProtectedAgent, ProtectionConfig};
+    use refstate_core::protocol::{run_protected_journey_deferred, ProtocolConfig};
+    use refstate_core::ReExecutionChecker;
+    use refstate_crypto::{sha256, DsaParams, Signature, VerificationQueue};
     use refstate_mechanisms::api::{settle, MechanismRegistry};
+    use refstate_mechanisms::chained::run_encapsulated_journey;
+    use refstate_mechanisms::run_traced_journey;
+    use refstate_wire::to_wire;
 
     use crate::scenario::{generate, Preset};
 
@@ -185,6 +201,124 @@ mod tests {
                 "chained 9eaaf28b",
                 "encapsulated a6e6e15b",
                 "cooperating 8dfff1e4",
+            ]
+        );
+    }
+
+    /// One digest per signing driver over the `(r, s)` of every signature
+    /// its outcome carries, on the first 24 seed-42 scenarios of every
+    /// preset: the protocol's commitments, deferred certificates and final
+    /// certificate, the framework's signed route, the traces commitments
+    /// and the encapsulation chain. A change to the signing path that
+    /// moves one signature byte moves its driver's row.
+    #[test]
+    fn signature_bytes_are_pinned() {
+        type Driver = fn(&mut [Host], &GeneratedScenario, &KeyDirectory) -> Vec<Signature>;
+        let drivers: [(&str, Driver); 4] = [
+            ("protocol", |hosts, scenario, directory| {
+                let protocol = ProtocolConfig::default();
+                let mut queue = VerificationQueue::new();
+                let Ok(journey) = run_protected_journey_deferred(
+                    hosts,
+                    scenario.start.clone(),
+                    scenario.agent.clone(),
+                    &protocol,
+                    &EventLog::new(),
+                    directory,
+                    &mut queue,
+                ) else {
+                    return Vec::new();
+                };
+                let commitments = journey.outcome.commitments.iter();
+                let certificate = journey.pending.iter().map(|p| &p.signed_cert);
+                let mut signatures: Vec<Signature> = commitments
+                    .map(|c| c.signature().clone())
+                    .chain(certificate.map(|c| c.signature().clone()))
+                    .collect();
+                signatures.extend(queue.flush(directory).into_iter().map(|(d, _)| d.signature));
+                signatures
+            }),
+            ("framework", |hosts, scenario, _| {
+                let checker = ReExecutionChecker::new();
+                let protection = ProtectionConfig::new(Arc::new(checker));
+                let agent = ProtectedAgent::new(scenario.agent.clone(), protection);
+                run_framework_journey(hosts, scenario.start.clone(), agent, &EventLog::new())
+                    .map(|outcome| {
+                        let entries = outcome.route.entries().iter();
+                        entries.map(|e| e.signature().clone()).collect()
+                    })
+                    .unwrap_or_default()
+            }),
+            ("traces", |hosts, scenario, _| {
+                let config = MechanismConfig::default();
+                run_traced_journey(
+                    hosts,
+                    scenario.start.clone(),
+                    scenario.agent.clone(),
+                    &config.exec,
+                    &EventLog::new(),
+                    config.max_hops,
+                )
+                .map(|journey| {
+                    let commitments = journey.commitments.iter();
+                    commitments.map(|c| c.signature().clone()).collect()
+                })
+                .unwrap_or_default()
+            }),
+            ("encapsulated", |hosts, scenario, _| {
+                let config = MechanismConfig::default();
+                let nonce = [scenario.id as u8; 32];
+                run_encapsulated_journey(
+                    hosts,
+                    scenario.start.clone(),
+                    scenario.agent.clone(),
+                    &nonce,
+                    &config.exec,
+                    &EventLog::new(),
+                    config.max_hops,
+                )
+                .map(|journey| {
+                    journey
+                        .chain
+                        .iter()
+                        .map(|c| c.signature().clone())
+                        .collect()
+                })
+                .unwrap_or_default()
+            }),
+        ];
+        let params = DsaParams::test_group_256();
+        let mut rng = StdRng::seed_from_u64(42);
+        let keys: Vec<Arc<DsaKeyPair>> = (0..8)
+            .map(|_| Arc::new(DsaKeyPair::generate(&params, &mut rng)))
+            .collect();
+        let key = |pos: usize, _: &HostSpec| &keys[pos % keys.len()];
+        let digests: Vec<String> = drivers
+            .iter()
+            .map(|(name, driver)| {
+                let mut bytes = Vec::new();
+                let mut count = 0;
+                for preset in Preset::ALL {
+                    for id in 0..24 {
+                        let scenario = generate(42, id, preset);
+                        let directory = scenario_directory(&scenario, key);
+                        let mut hosts = scenario_hosts(42, &scenario, key);
+                        for signature in driver(&mut hosts, &scenario, &directory) {
+                            bytes.extend(to_wire(&signature));
+                            count += 1;
+                        }
+                    }
+                }
+                format!("{name} {count} {}", sha256(&bytes).short())
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "protocol 3269 6e1bae15",
+                "framework 1708 bb047a92",
+                "traces 1913 eefb0819",
+                "encapsulated 1787 e86ddc35",
             ]
         );
     }

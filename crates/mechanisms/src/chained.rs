@@ -703,7 +703,7 @@ impl Leg for Encapsulating<'_> {
 
     fn depart(
         &mut self,
-        visit: Visit<'_>,
+        mut visit: Visit<'_>,
         record: SessionRecord,
     ) -> ControlFlow<ChainFraud, usize> {
         let attack = visit.hosts[visit.at].behaviour().attack();
@@ -757,7 +757,7 @@ impl Leg for Encapsulating<'_> {
                 .unwrap_or(self.anchor),
             next: record.next_hop(),
         };
-        self.chain.push(visit.hosts[visit.at].sign(payload));
+        self.chain.push(visit.sign(payload).0);
         ControlFlow::Continue(0)
     }
 }

@@ -18,7 +18,7 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
-use refstate_crypto::{sha256, Digest, KeyDirectory, Signed};
+use refstate_crypto::{sha256, Digest, KeyDirectory, Signed, VerificationQueue};
 use refstate_platform::{
     walk, AgentId, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord,
     Visit,
@@ -155,7 +155,7 @@ impl Leg for Tracing {
 
     fn depart(
         &mut self,
-        visit: Visit<'_>,
+        mut visit: Visit<'_>,
         record: SessionRecord,
     ) -> ControlFlow<Infallible, usize> {
         let (seq, executor) = (visit.seq(), visit.here().clone());
@@ -168,8 +168,7 @@ impl Leg for Tracing {
             resulting_digest: sha256(&to_wire(&record.outcome.state)),
             next: record.next_hop(),
         };
-        self.commitments
-            .push(visit.hosts[visit.at].sign(commitment));
+        self.commitments.push(visit.sign(commitment).0);
         self.stores.push(StoredSession {
             executor,
             seq,
@@ -238,6 +237,20 @@ pub fn audit_journey(
     let owner = HostId::new("owner");
     let mut verdicts = Vec::new();
 
+    // Every commitment signature in one batch, which shares one inversion
+    // instead of paying one per commitment. The walk reads session i's
+    // verdict where it judges session i, so the first failure, and all it
+    // records, are the ones a check per commitment finds.
+    let mut queue = VerificationQueue::new();
+    for signed in &journey.commitments {
+        queue.defer_signed(signed);
+    }
+    let signatures: Vec<bool> = queue
+        .flush(directory)
+        .into_iter()
+        .map(|(_, ok)| ok)
+        .collect();
+
     let mut expected_initial: Option<Digest> = None;
     for (i, signed) in journey.commitments.iter().enumerate() {
         let commitment = signed.payload();
@@ -263,10 +276,8 @@ pub fn audit_journey(
             }
         };
 
-        // 1. The commitment signature must verify. Checked lazily (one
-        //    fused double exponentiation via `Signed::verify`) so a
-        //    failing session keeps the audit's early exit.
-        if signed.verify(directory).is_err() {
+        // 1. The commitment signature must verify.
+        if !signatures[i] {
             return fail(
                 FailureReason::ProgramRejected {
                     detail: "commitment signature invalid".into(),

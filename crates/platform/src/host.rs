@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use refstate_crypto::{DsaKeyPair, DsaParams, DsaPublicKey, Signed};
+use refstate_crypto::{DsaKeyPair, DsaParams, DsaPublicKey, Signed, Signer};
 use refstate_vm::{
     run_compiled_session, DataState, ExecConfig, SessionEnd, SessionIo, SessionOutcome,
     SyscallKind, Value, VmError,
@@ -148,11 +148,11 @@ impl SessionRecord {
     }
 }
 
-/// A live host: spec plus key material and a session RNG.
+/// A live host: spec plus key material and the session RNG its signing
+/// nonces come from.
 pub struct Host {
     spec: HostSpec,
-    keys: Arc<DsaKeyPair>,
-    rng: StdRng,
+    signer: Signer,
     /// Deterministic session clock for syscall results.
     clock: i64,
 }
@@ -188,8 +188,7 @@ impl Host {
     pub fn with_keys(spec: HostSpec, keys: Arc<DsaKeyPair>, session_seed: u64) -> Self {
         Host {
             spec,
-            keys,
-            rng: StdRng::seed_from_u64(session_seed),
+            signer: Signer::new(keys, StdRng::seed_from_u64(session_seed)),
             clock: 0,
         }
     }
@@ -222,12 +221,24 @@ impl Host {
 
     /// The host's public key (for directory registration).
     pub fn public_key(&self) -> &DsaPublicKey {
-        self.keys.public()
+        self.signer.public()
     }
 
-    /// Signs a payload in the host's name.
+    /// Signs a payload in the host's name, with the next nonce of its
+    /// stream (a queued one first).
     pub fn sign<T: Encode>(&mut self, payload: T) -> Signed<T> {
-        Signed::seal(payload, self.spec.id.as_str(), &self.keys, &mut self.rng)
+        self.seal(payload).0
+    }
+
+    /// [`Host::sign`], also returning the length of the payload encoding
+    /// the signature covers.
+    pub(crate) fn seal<T: Encode>(&mut self, payload: T) -> (Signed<T>, usize) {
+        Signed::seal_by(payload, self.spec.id.as_str(), &mut self.signer)
+    }
+
+    /// The host's signing key and nonce stream.
+    pub(crate) fn signer(&mut self) -> &mut Signer {
+        &mut self.signer
     }
 
     /// Executes one session of `image` on this host, applying the host's

@@ -6,8 +6,9 @@ use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
 
+use refstate_crypto::{draw_nonces, Signed};
 use refstate_vm::{ExecConfig, SessionEnd, VmError};
-use refstate_wire::to_wire;
+use refstate_wire::{to_wire, Encode};
 
 use crate::agent::AgentImage;
 use crate::event::{Event, EventLog};
@@ -84,6 +85,21 @@ impl Visit<'_> {
     /// The sequence number of this host's session (0 at the start host).
     pub fn seq(&self) -> u64 {
         self.path.len() as u64 - 1
+    }
+
+    /// Signs `payload` in the name of the host the agent is on. Returns
+    /// the envelope and the length of the payload encoding it signed.
+    ///
+    /// Nonces are drawn a journey at a time: when this host has none
+    /// queued, every host of the journey draws its next one, sharing one
+    /// inversion ([`draw_nonces`]). A journey that never signs draws
+    /// none. Each host signs with its own stream's nonces in stream
+    /// order, so its signatures are those [`Host::sign`] alone would make.
+    pub fn sign<T: Encode>(&mut self, payload: T) -> (Signed<T>, usize) {
+        if self.hosts[self.at].signer().queued() == 0 {
+            draw_nonces(self.hosts.iter_mut().map(Host::signer));
+        }
+        self.hosts[self.at].seal(payload)
     }
 }
 

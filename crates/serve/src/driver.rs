@@ -118,6 +118,10 @@ impl TickDriver {
                     if settled > 0 {
                         stats.ticks += 1;
                         stats.verdicts += settled;
+                        // A live `Metrics` request reads the collector,
+                        // which sees this thread's counts only once
+                        // flushed.
+                        telemetry::flush_thread();
                     }
                 }
                 stats

@@ -117,6 +117,9 @@ pub enum Request {
     /// order. A resuming soak client calls this first to verify the
     /// server's checkpoints line up with where its previous leg stopped.
     StreamState,
+    /// Read the process's metrics: every counter and histogram, answered
+    /// with [`Response::Metrics`].
+    Metrics,
 }
 
 /// One journey's final verdict, streamed back on [`Request::Drain`].
@@ -252,6 +255,11 @@ pub enum Response {
         /// One checkpoint per owner, registration order.
         owners: Vec<StreamCheckpoint>,
     },
+    /// The process's metrics snapshot as JSONL, one counter or histogram
+    /// per line, in the format `serve --metrics-out` writes at shutdown
+    /// (`refstate_telemetry::export::metrics_jsonl`). Empty at telemetry
+    /// level `off`.
+    Metrics(String),
     /// A malformed or out-of-protocol request.
     Error {
         /// Human-readable cause.
@@ -338,6 +346,7 @@ impl Encode for Request {
                 owners.encode(w);
             }
             Request::StreamState => w.put_u8(7),
+            Request::Metrics => w.put_u8(8),
         }
     }
 }
@@ -360,6 +369,7 @@ impl Decode for Request {
             5 => Request::Shutdown,
             6 => Request::TickOwners(Vec::decode(r)?),
             7 => Request::StreamState,
+            8 => Request::Metrics,
             tag => {
                 return Err(WireError::InvalidTag {
                     context: "Request",
@@ -497,6 +507,10 @@ impl Encode for Response {
                 generation.encode(w);
                 owners.encode(w);
             }
+            Response::Metrics(jsonl) => {
+                w.put_u8(9);
+                jsonl.encode(w);
+            }
         }
     }
 }
@@ -531,6 +545,7 @@ impl Decode for Response {
                 generation: u64::decode(r)?,
                 owners: Vec::decode(r)?,
             },
+            9 => Response::Metrics(String::decode(r)?),
             tag => {
                 return Err(WireError::InvalidTag {
                     context: "Response",
@@ -574,6 +589,7 @@ mod tests {
         round_trip(Request::TickOwners(vec!["alice".into(), "bob".into()]));
         round_trip(Request::TickOwners(Vec::new()));
         round_trip(Request::StreamState);
+        round_trip(Request::Metrics);
     }
 
     #[test]
@@ -638,6 +654,11 @@ mod tests {
                 StreamCheckpoint::default(),
             ],
         });
+        round_trip(Response::Metrics(String::new()));
+        round_trip(Response::Metrics(
+            "{\"type\":\"counter\",\"scope\":\"\",\"name\":\"serve.ticks\",\"index\":0,\"value\":3}\n"
+                .into(),
+        ));
     }
 
     #[test]

@@ -417,6 +417,7 @@ impl Service {
             Request::Stats { owner } => self.stats(owner),
             Request::Shutdown => self.shutdown(),
             Request::StreamState => self.stream_state(),
+            Request::Metrics => Response::Metrics(metrics_jsonl()),
         }
     }
 
@@ -885,6 +886,17 @@ impl Service {
         }
         Response::ShuttingDown { settled }
     }
+}
+
+/// The process's metrics snapshot as JSONL, or nothing at telemetry level
+/// `off`. The snapshot holds what the calling thread and every exited
+/// thread recorded, plus what the tick driver flushed after its last
+/// pass; another live connection's own counters arrive once it closes.
+fn metrics_jsonl() -> String {
+    if !telemetry::enabled() {
+        return String::new();
+    }
+    telemetry::export::metrics_jsonl(&telemetry::snapshot())
 }
 
 fn verdict_reply(
