@@ -40,8 +40,9 @@ fn require_positive(value: &Json, path: &str, key: &str) -> Result<f64, JsonErro
 }
 
 /// Validates the `BENCH_bigint.json` schema: `bench == "bigint"`, a
-/// non-empty `cases` array whose entries carry the three per-path timings
-/// (positive ns/op) plus `group` and `op` labels, and a top-level
+/// non-empty `cases` array whose entries carry the five per-path timings
+/// (positive ns/op: `schoolbook_ns`, `montgomery_ns`, `fixed_base_ns`,
+/// `generator_ns`, `inverse_ns`) plus `group` and `op` labels, and a top-level
 /// `parallelism` (the host's core count) that, when present, must be
 /// positive.
 pub fn check_bigint_schema(doc: &Json) -> Result<(), JsonError> {
@@ -65,7 +66,13 @@ pub fn check_bigint_schema(doc: &Json) -> Result<(), JsonError> {
                 return Err(JsonError(format!("{path}.{key}: missing or not a string")));
             }
         }
-        for key in ["schoolbook_ns", "montgomery_ns", "fixed_base_ns"] {
+        for key in [
+            "schoolbook_ns",
+            "montgomery_ns",
+            "fixed_base_ns",
+            "generator_ns",
+            "inverse_ns",
+        ] {
             require_positive(case, &path, key)?;
         }
     }
@@ -685,8 +692,22 @@ mod tests {
     fn bigint_schema_accepts_valid_and_rejects_broken() {
         let good = r#"{"bench":"bigint","cases":[
             {"group":"512","op":"pow_mod","schoolbook_ns":100.0,
-             "montgomery_ns":30.0,"fixed_base_ns":10.0}]}"#;
+             "montgomery_ns":30.0,"fixed_base_ns":10.0,
+             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
         assert!(check_bigint_schema(&parse(good).unwrap()).is_ok());
+        for (key, value) in [("generator_ns", "6.0"), ("inverse_ns", "2000.0")] {
+            let field = format!("\"{key}\":{value}");
+            let missing = good.replace(&field, "\"renamed\":1.0");
+            assert!(
+                check_bigint_schema(&parse(&missing).unwrap()).is_err(),
+                "{key}"
+            );
+            let zero = good.replace(&field, &format!("\"{key}\":0"));
+            assert!(
+                check_bigint_schema(&parse(&zero).unwrap()).is_err(),
+                "{key}"
+            );
+        }
 
         let wrong_name = r#"{"bench":"fleet","cases":[]}"#;
         assert!(check_bigint_schema(&parse(wrong_name).unwrap()).is_err());
@@ -694,7 +715,8 @@ mod tests {
         assert!(check_bigint_schema(&parse(empty).unwrap()).is_err());
         let negative = r#"{"bench":"bigint","cases":[
             {"group":"512","op":"pow_mod","schoolbook_ns":-1,
-             "montgomery_ns":30.0,"fixed_base_ns":10.0}]}"#;
+             "montgomery_ns":30.0,"fixed_base_ns":10.0,
+             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
         assert!(check_bigint_schema(&parse(negative).unwrap()).is_err());
     }
 
@@ -702,7 +724,8 @@ mod tests {
     fn bigint_schema_checks_parallelism_when_present() {
         let good = r#"{"bench":"bigint","cases":[
             {"group":"256","op":"pow_mod","schoolbook_ns":100.0,
-             "montgomery_ns":30.0,"fixed_base_ns":10.0}]}"#;
+             "montgomery_ns":30.0,"fixed_base_ns":10.0,
+             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
         let with = |cores: &str| good.replacen("{", &format!(r#"{{"parallelism":{cores},"#), 1);
         assert!(check_bigint_schema(&parse(&with("2")).unwrap()).is_ok());
         assert!(check_bigint_schema(&parse(&with("0")).unwrap()).is_err());

@@ -20,16 +20,20 @@ use crate::uint::Uint;
 
 /// In-place little-endian limb helpers backing the binary modular
 /// inverse: the hot loop runs thousands of shift/add/sub steps per
-/// inversion, so none of them may allocate.
+/// inversion, so none of them may allocate. Each is inlined into
+/// [`inv_odd_width`], so a literal width there reaches their loops too.
+#[inline(always)]
 fn ls_is_zero(x: &[u64]) -> bool {
     x.iter().all(|&l| l == 0)
 }
 
+#[inline(always)]
 fn ls_is_one(x: &[u64]) -> bool {
     x[0] == 1 && x[1..].iter().all(|&l| l == 0)
 }
 
 /// Numeric comparison; lengths may differ (missing high limbs are zero).
+#[inline(always)]
 fn ls_cmp(x: &[u64], y: &[u64]) -> Ordering {
     let top = x.len().max(y.len());
     for i in (0..top).rev() {
@@ -44,6 +48,7 @@ fn ls_cmp(x: &[u64], y: &[u64]) -> Ordering {
 }
 
 /// `x >>= 1` in place.
+#[inline(always)]
 fn ls_shr1(x: &mut [u64]) {
     let mut carry = 0u64;
     for l in x.iter_mut().rev() {
@@ -54,6 +59,7 @@ fn ls_shr1(x: &mut [u64]) {
 }
 
 /// `x += y` in place; the caller sizes `x` so the sum fits.
+#[inline(always)]
 fn ls_add(x: &mut [u64], y: &[u64]) {
     let mut carry = 0u64;
     for (i, xi) in x.iter_mut().enumerate() {
@@ -67,6 +73,7 @@ fn ls_add(x: &mut [u64], y: &[u64]) {
 }
 
 /// `x -= y` in place; requires `x >= y`.
+#[inline(always)]
 fn ls_sub(x: &mut [u64], y: &[u64]) {
     let mut borrow = 0u64;
     for (i, xi) in x.iter_mut().enumerate() {
@@ -237,66 +244,88 @@ impl Uint {
     /// only, no multi-precision division (HAC Algorithm 14.61
     /// specialized to odd `m`), working in place on fixed limb buffers so
     /// the loop allocates nothing.
+    ///
+    /// As in `Montgomery::cios`, each arm hands the one body its width as
+    /// a literal, so the limb loops unroll at 2 and 3 limbs: the widths of
+    /// the built-in groups' 128- and 160-bit subgroup orders `q`, the only
+    /// moduli the DSA layer inverts in (once per nonce batch and verify
+    /// flush). Any other width runs the same body with the runtime count.
     fn inv_mod_odd(&self, modulus: &Uint) -> Option<Uint> {
         debug_assert!(!modulus.is_even() && modulus >= &Uint::from(3u64));
         let a = self.rem(modulus);
         if a.is_zero() {
             return None;
         }
-        let m = modulus.limbs();
-        let width = m.len();
-        // Working values u, v in `width` limbs; Bezout coefficients x1,
-        // x2 in `width + 1` limbs (x + m overflows `width` transiently
-        // before the halving). Invariants: x1·a ≡ u, x2·a ≡ v (mod m),
-        // x1 and x2 in [0, m) at loop boundaries.
-        let mut u = vec![0u64; width];
-        u[..a.limbs().len()].copy_from_slice(a.limbs());
-        let mut v = m.to_vec();
-        let mut x1 = vec![0u64; width + 1];
-        x1[0] = 1;
-        let mut x2 = vec![0u64; width + 1];
-
-        // (x + m) / 2 when x is odd, x / 2 otherwise — stays in [0, m).
-        fn halve(x: &mut [u64], m: &[u64]) {
-            if x[0] & 1 == 1 {
-                ls_add(x, m);
-            }
-            ls_shr1(x);
+        let (a, m) = (a.limbs(), modulus.limbs());
+        match m.len() {
+            2 => inv_odd_width(2, a, m),
+            3 => inv_odd_width(3, a, m),
+            width => inv_odd_width(width, a, m),
         }
-        // x ← x - y (mod m), both in [0, m).
-        fn sub_mod_in_place(x: &mut [u64], y: &[u64], m: &[u64]) {
-            if ls_cmp(x, y) == Ordering::Less {
-                ls_add(x, m);
-            }
-            ls_sub(x, y);
-        }
-
-        while !ls_is_one(&u) && !ls_is_one(&v) {
-            while u[0] & 1 == 0 {
-                ls_shr1(&mut u);
-                halve(&mut x1, m);
-            }
-            while v[0] & 1 == 0 {
-                ls_shr1(&mut v);
-                halve(&mut x2, m);
-            }
-            if ls_cmp(&u, &v) != Ordering::Less {
-                ls_sub(&mut u, &v);
-                sub_mod_in_place(&mut x1, &x2, m);
-                if ls_is_zero(&u) {
-                    // gcd(a, m) = v, and the loop guard says v != 1: no
-                    // inverse exists.
-                    return None;
-                }
-            } else {
-                ls_sub(&mut v, &u);
-                sub_mod_in_place(&mut x2, &x1, m);
-            }
-        }
-        // gcd(a, m) = 1 landed in whichever variable reached 1.
-        let x = if ls_is_one(&u) { x1 } else { x2 };
-        Some(Uint::from_limbs(x))
     }
+}
+
+/// The body of [`Uint::inv_mod_odd`] at `width` limbs: the inverse of the
+/// non-zero `a < m` modulo the odd `m`, or `None` when they share a
+/// factor.
+#[inline(always)]
+fn inv_odd_width(width: usize, a: &[u64], m: &[u64]) -> Option<Uint> {
+    let m = &m[..width];
+    // Working values u, v in `width` limbs; Bezout coefficients x1,
+    // x2 in `width + 1` limbs (x + m overflows `width` transiently
+    // before the halving). Invariants: x1·a ≡ u, x2·a ≡ v (mod m),
+    // x1 and x2 in [0, m) at loop boundaries.
+    let mut buffers = vec![0u64; 4 * width + 2];
+    let (u, rest) = buffers.split_at_mut(width);
+    let (v, rest) = rest.split_at_mut(width);
+    let (x1, x2) = rest.split_at_mut(width + 1);
+    let x2 = &mut x2[..width + 1];
+    u[..a.len()].copy_from_slice(a);
+    v.copy_from_slice(m);
+    x1[0] = 1;
+
+    // (x + m) / 2 when x is odd, x / 2 otherwise — stays in [0, m).
+    #[inline(always)]
+    fn halve(x: &mut [u64], m: &[u64]) {
+        if x[0] & 1 == 1 {
+            ls_add(x, m);
+        }
+        ls_shr1(x);
+    }
+    // x ← x - y (mod m), both in [0, m).
+    #[inline(always)]
+    fn sub_mod_in_place(x: &mut [u64], y: &[u64], m: &[u64]) {
+        if ls_cmp(x, y) == Ordering::Less {
+            ls_add(x, m);
+        }
+        ls_sub(x, y);
+    }
+
+    while !ls_is_one(u) && !ls_is_one(v) {
+        while u[0] & 1 == 0 {
+            ls_shr1(u);
+            halve(x1, m);
+        }
+        while v[0] & 1 == 0 {
+            ls_shr1(v);
+            halve(x2, m);
+        }
+        if ls_cmp(u, v) != Ordering::Less {
+            ls_sub(u, v);
+            sub_mod_in_place(x1, x2, m);
+            if ls_is_zero(u) {
+                // gcd(a, m) = v, and the loop guard says v != 1: no
+                // inverse exists.
+                return None;
+            }
+        } else {
+            ls_sub(v, u);
+            sub_mod_in_place(x2, x1, m);
+        }
+    }
+    // gcd(a, m) = 1 landed in whichever variable reached 1.
+    let x = if ls_is_one(u) { x1 } else { x2 };
+    Some(Uint::from_limbs(x.to_vec()))
 }
 
 #[cfg(test)]

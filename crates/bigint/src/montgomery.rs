@@ -16,6 +16,16 @@
 //! scanning, Koç–Acar–Kaliski): interleaving multiplication and reduction
 //! keeps the intermediate at `k + 2` limbs instead of `2k`.
 //!
+//! The limb count `k` is only known at run time, and a loop whose trip
+//! count is a runtime value stays a loop: the compiler cannot unroll it or
+//! keep the running sum in registers. So the CIOS kernel is one
+//! `#[inline(always)]` body that a `match` on `k` calls with a literal
+//! width for the small widths the DSA groups use (2, 3 and 4 limbs: the
+//! 256-bit group's `q` and `p`, and the 160-bit `q` of the paper's
+//! groups); each arm compiles to unrolled code, and one more arm passes
+//! any other width through unchanged. Same algorithm, same results, no `unsafe`: the
+//! kernel property tests pin every arm against the schoolbook oracle.
+//!
 //! Two entry levels are exposed:
 //!
 //! * **`Uint` domain** — [`Montgomery::mul_mod`] / [`Montgomery::pow_mod`]
@@ -332,61 +342,80 @@ impl Montgomery {
 
     /// One CIOS Montgomery multiplication: writes `a·b·R⁻¹ mod n` into the
     /// `k`-limb buffer `t`. Operands must be `k` limbs and represent values
-    /// `< n`. The running sum is `k + 2` limbs wide: its low `k` limbs are
-    /// `t` itself and the two overflow words live in locals, so the
-    /// multiplication allocates nothing.
+    /// `< n`.
+    ///
+    /// The limb count is a runtime value, so a loop over it cannot be
+    /// unrolled. Each arm below therefore hands [`cios_width`] its width as
+    /// a literal, and the inlined body compiles to unrolled code at that
+    /// width: 2 limbs for the 256-bit group's 128-bit `q`, 3 for the
+    /// 160-bit `q` of the paper's groups, 4 for the 256-bit `p`. Every
+    /// other width, the 512- and 1024-bit `p` of the paper's groups
+    /// included, runs the same body with the runtime count.
     pub(crate) fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let k = self.n_limbs.len();
-        let n = &self.n_limbs[..k];
-        debug_assert_eq!(a.len(), k);
-        let b = &b[..k];
-        let t = &mut t[..k];
-        t.fill(0);
-        // The limbs above `t`: t[k] and t[k + 1] of the textbook layout.
-        let mut top: u64 = 0;
-        for &ai in a {
-            // t += ai * b
-            let mut carry: u64 = 0;
-            for (tj, &bj) in t.iter_mut().zip(b) {
-                let cur = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
-                *tj = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let cur = top as u128 + carry as u128;
-            top = cur as u64;
-            let overflow = (cur >> 64) as u64;
-
-            // Eliminate the low word: t += m·n with m ≡ -t[0]/n[0], then
-            // shift one word right (the low word is zero by construction).
-            let m = t[0].wrapping_mul(self.n0);
-            let cur = t[0] as u128 + m as u128 * n[0] as u128;
-            let mut carry = (cur >> 64) as u64;
-            debug_assert_eq!(cur as u64, 0);
-            for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                t[j - 1] = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let cur = top as u128 + carry as u128;
-            t[k - 1] = cur as u64;
-            top = overflow + ((cur >> 64) as u64);
-        }
-
-        // Conditional final subtraction into [0, n).
-        if top != 0 || ge_limbs(t, n) {
-            let mut borrow = 0u64;
-            for (tj, &nj) in t.iter_mut().zip(n) {
-                let (d1, b1) = tj.overflowing_sub(nj);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                *tj = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            debug_assert_eq!(borrow, top);
+        let (n, n0) = (&self.n_limbs[..], self.n0);
+        debug_assert_eq!(a.len(), n.len());
+        match n.len() {
+            2 => cios_width(2, n, n0, a, b, t),
+            3 => cios_width(3, n, n0, a, b, t),
+            4 => cios_width(4, n, n0, a, b, t),
+            k => cios_width(k, n, n0, a, b, t),
         }
     }
 }
 
+/// The CIOS body at width `k` (see [`Montgomery::cios`]): `t ← a·b·R⁻¹ mod
+/// n` for `k`-limb operands, with `n0 = -n⁻¹ mod 2^64`. The running sum is
+/// `k + 2` limbs wide: its low `k` limbs are `t` itself and the two
+/// overflow words live in locals, so the multiplication allocates nothing.
+#[inline(always)]
+fn cios_width(k: usize, n: &[u64], n0: u64, a: &[u64], b: &[u64], t: &mut [u64]) {
+    let (n, a, b, t) = (&n[..k], &a[..k], &b[..k], &mut t[..k]);
+    t.fill(0);
+    // The limbs above `t`: t[k] and t[k + 1] of the textbook layout.
+    let mut top: u64 = 0;
+    for &ai in a {
+        // t += ai * b
+        let mut carry: u64 = 0;
+        for (tj, &bj) in t.iter_mut().zip(b) {
+            let cur = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+            *tj = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let cur = top as u128 + carry as u128;
+        top = cur as u64;
+        let overflow = (cur >> 64) as u64;
+
+        // Eliminate the low word: t += m·n with m ≡ -t[0]/n[0], then
+        // shift one word right (the low word is zero by construction).
+        let m = t[0].wrapping_mul(n0);
+        let cur = t[0] as u128 + m as u128 * n[0] as u128;
+        let mut carry = (cur >> 64) as u64;
+        debug_assert_eq!(cur as u64, 0);
+        for j in 1..k {
+            let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+            t[j - 1] = cur as u64;
+            carry = (cur >> 64) as u64;
+        }
+        let cur = top as u128 + carry as u128;
+        t[k - 1] = cur as u64;
+        top = overflow + ((cur >> 64) as u64);
+    }
+
+    // Conditional final subtraction into [0, n).
+    if top != 0 || ge_limbs(t, n) {
+        let mut borrow = 0u64;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d1, b1) = tj.overflowing_sub(nj);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            *tj = d2;
+            borrow = (b1 as u64) + (b2 as u64);
+        }
+        debug_assert_eq!(borrow, top);
+    }
+}
+
 /// `a >= b` for equal-length little-endian limb slices.
+#[inline(always)]
 fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     for j in (0..a.len()).rev() {

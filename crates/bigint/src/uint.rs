@@ -103,6 +103,25 @@ impl Uint {
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
+    /// Returns the `width` bits starting at bit `start` (little-endian
+    /// positions, zero beyond the top bit) as one digit: a shift and a mask
+    /// over at most two limbs. `width` must be in `1..64`.
+    pub(crate) fn digit(&self, start: usize, width: usize) -> usize {
+        debug_assert!((1..64).contains(&width));
+        let limb = start / Self::LIMB_BITS;
+        let off = start % Self::LIMB_BITS;
+        let low = self.limbs.get(limb).map_or(0, |l| l >> off);
+        // `off > 0` whenever the digit straddles a limb boundary.
+        let high = if off + width > Self::LIMB_BITS {
+            self.limbs
+                .get(limb + 1)
+                .map_or(0, |l| l << (Self::LIMB_BITS - off))
+        } else {
+            0
+        };
+        ((low | high) & ((1u64 << width) - 1)) as usize
+    }
+
     /// Interprets big-endian bytes as an unsigned integer.
     ///
     /// Leading zero bytes are permitted and ignored.
@@ -398,6 +417,25 @@ mod tests {
         let big = Uint::from_limbs(vec![0, 1]);
         assert_eq!(big.bit_len(), 65);
         assert!(big.bit(64));
+    }
+
+    #[test]
+    fn digit_reads_the_bits_one_at_a_time_would() {
+        let v = Uint::from_limbs(vec![0x8000_0000_0000_0001, 0xdead_beef_cafe_f00d, 0b101]);
+        for width in 1..64 {
+            // Past the top limb too, and across both limb boundaries.
+            for start in 0..200 {
+                let by_bits = (0..width)
+                    .rev()
+                    .fold(0, |d, b| (d << 1) | v.bit(start + b) as usize);
+                assert_eq!(
+                    v.digit(start, width),
+                    by_bits,
+                    "start {start}, width {width}"
+                );
+            }
+        }
+        assert_eq!(Uint::zero().digit(0, 8), 0);
     }
 
     #[test]

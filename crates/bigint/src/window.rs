@@ -16,6 +16,9 @@
 //! per-key tables) compose: `g^u1 · y^u2 mod p` is two table walks and a
 //! single [`Montgomery::mont_mul`], never leaving the domain.
 //!
+//! The walk reads each digit with one shift and mask over the exponent's
+//! limbs, so a digit may straddle two limbs at any `w`.
+//!
 //! # Invariants
 //!
 //! * The table is sized for exponents up to `max_exp_bits`; larger
@@ -23,10 +26,22 @@
 //!   sliding-window ladder ([`Montgomery::mont_pow`]) — correct, just not
 //!   table-accelerated.
 //! * Memory: `ceil(max_exp_bits / w) · (2^w - 1)` Montgomery residues of
-//!   modulus width, in one contiguous limb vector: 75 KiB for a 1024-bit
-//!   modulus and 160-bit exponents (40 digits × 15 entries × 128 B), 15 KiB
-//!   for a 256-bit modulus and 128-bit exponents (32 × 15 × 32 B), both at
-//!   `w = 4`.
+//!   modulus width, in one contiguous limb vector. A wider digit halves
+//!   the multiplications per walk and grows the table about `2^w / w`-fold:
+//!
+//!   | modulus, exponent | `w = 4` | `w = 8` |
+//!   |---|---|---|
+//!   | 256-bit, 128-bit | 32 × 15 × 32 B = 15 KiB, ≤ 32 mults | 16 × 255 × 32 B ≈ 128 KiB, ≤ 16 mults |
+//!   | 512-bit, 160-bit | 40 × 15 × 64 B = 37.5 KiB, ≤ 40 mults | 20 × 255 × 64 B ≈ 319 KiB, ≤ 20 mults |
+//!   | 1024-bit, 160-bit | 40 × 15 × 128 B = 75 KiB, ≤ 40 mults | 20 × 255 × 128 B ≈ 638 KiB, ≤ 20 mults |
+//!
+//!   So a caller that builds one table per base (DSA's per-key `y`-tables)
+//!   keeps `w = 4`, and only a table shared by a whole process (DSA's
+//!   group `g`-table) takes `w = 8`.
+//! * A caller sizing tables from untrusted input bounds them by residue
+//!   count, not exponent bits: `crypto::dsa` allows at most 15 360
+//!   residues per table, which covers 4 096 exponent bits at `w = 4` and
+//!   480 at `w = 8`; wider exponents take the fallback above.
 //!
 //! # Examples
 //!
@@ -48,10 +63,11 @@ use crate::montgomery::{MontInt, Montgomery};
 use crate::uint::Uint;
 
 /// Default digit width: 15-entry rows, one multiplication per 4 exponent
-/// bits. The sweet spot for the 128- to 256-bit DSA exponents this
-/// workspace signs and verifies with (fleet and serve run the 256-bit
-/// group with a 128-bit `q`; the table build amortizes within ~15
-/// exponentiations).
+/// bits. The sweet spot for a table per base, such as DSA's per-key
+/// `y`-tables over the 128- to 256-bit exponents this workspace verifies
+/// with (the table build amortizes within ~15 exponentiations); a table
+/// shared by a whole process, like DSA's group `g`-table, can afford
+/// [`FixedBase::with_window`] at 8.
 const DEFAULT_WINDOW: usize = 4;
 
 /// A precomputed fixed-base exponentiator over one [`Montgomery`] context:
@@ -145,10 +161,7 @@ impl FixedBase {
         let mut scratch = vec![0; k];
         let mut seeded = false;
         for i in 0..bits.div_ceil(self.window) {
-            let mut digit = 0usize;
-            for b in (0..self.window).rev() {
-                digit = (digit << 1) | exponent.bit(i * self.window + b) as usize;
-            }
+            let digit = exponent.digit(i * self.window, self.window);
             if digit == 0 {
                 continue;
             }

@@ -374,3 +374,111 @@ proptest! {
         prop_assert_eq!(&c * &b, c.schoolbook_mul(&b));
     }
 }
+
+/// The value of little-endian `limbs`.
+fn from_limbs(limbs: &[u64]) -> Uint {
+    let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+    Uint::from_be_bytes(&bytes)
+}
+
+/// An odd modulus of exactly `limbs.len()` limbs, at least 3.
+fn odd_modulus_of(limbs: &[u64]) -> Uint {
+    let mut limbs = limbs.to_vec();
+    limbs[0] |= 1;
+    let top = limbs.len() - 1;
+    if limbs[top] == 0 || (top == 0 && limbs[0] == 1) {
+        limbs[top] |= 2;
+    }
+    from_limbs(&limbs)
+}
+
+/// The inverse of `a` modulo `m` by the extended Euclidean algorithm on
+/// the schoolbook operations, independent of the binary inverse under
+/// test. Invariant: `t_i · a ≡ r_i (mod m)`.
+fn euclid_inverse(a: &Uint, m: &Uint) -> Option<Uint> {
+    let (mut r0, mut r1) = (m.clone(), a.rem(m));
+    let (mut t0, mut t1) = (Uint::zero(), Uint::one());
+    while !r1.is_zero() {
+        let (q, r2) = r0.divrem(&r1);
+        let t2 = t0.sub_mod(&q.mul_mod(&t1, m), m);
+        (r0, r1) = (r1, r2);
+        (t0, t1) = (t1, t2);
+    }
+    r0.is_one().then_some(t0)
+}
+
+/// The widest modulus the kernel tests draw, in limbs: past every
+/// literal-width arm of the CIOS (2, 3, 4) and inverse (2, 3) dispatch.
+const KERNEL_LIMBS: usize = 17;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every width-dispatch arm of the Montgomery kernels — the literal
+    /// widths and the runtime-width arm around them — agrees with the
+    /// schoolbook oracle: each case runs every modulus width from 1 to 17
+    /// limbs, checking `mul_mod` and `mont_pow` against `Uint::mul_mod` and
+    /// `Uint::pow_mod`, and both binary inverses (`Montgomery::inv_mod`,
+    /// `Uint::inv_mod`) against extended Euclid.
+    #[test]
+    fn kernel_arms_match_schoolbook_at_every_width(
+        words in proptest::collection::vec(any::<u64>(), 3 * KERNEL_LIMBS),
+        exponent in proptest::collection::vec(any::<u64>(), 1..3),
+    ) {
+        let exponent = from_limbs(&exponent);
+        for limbs in 1..=KERNEL_LIMBS {
+            let n = odd_modulus_of(&words[..limbs]);
+            let a = from_limbs(&words[KERNEL_LIMBS..KERNEL_LIMBS + limbs]);
+            let b = from_limbs(&words[2 * KERNEL_LIMBS..2 * KERNEL_LIMBS + limbs]);
+            let ctx = Montgomery::new(&n).expect("odd and at least 3");
+            prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul_mod(&b, &n), "mul_mod, {} limbs", limbs);
+            prop_assert_eq!(
+                ctx.from_mont(&ctx.mont_pow(&ctx.to_mont(&a), &exponent)),
+                a.pow_mod(&exponent, &n),
+                "mont_pow, {} limbs", limbs
+            );
+            let expect = euclid_inverse(&a, &n);
+            prop_assert_eq!(ctx.inv_mod(&a), expect.clone(), "Montgomery::inv_mod, {} limbs", limbs);
+            prop_assert_eq!(a.inv_mod(&n), expect, "Uint::inv_mod, {} limbs", limbs);
+            // A multiple of a factor of n has no inverse; n − 1 always has one.
+            let n_minus_1 = &n - &Uint::one();
+            prop_assert_eq!(ctx.inv_mod(&n_minus_1), Some(n_minus_1.clone()));
+            prop_assert_eq!(ctx.inv_mod(&n), None);
+        }
+    }
+
+    /// `FixedBase::with_window(w)` agrees with `Uint::pow_mod` for every
+    /// digit width 1 to 8 on 2- to 4-limb exponents (so widths 3, 5, 6 and
+    /// 7 read digits that straddle limbs), and a 5-limb exponent, wider
+    /// than the 4-limb table, takes the `mont_pow` fallback.
+    #[test]
+    fn fixed_base_windows_match_schoolbook(
+        modulus in proptest::collection::vec(any::<u64>(), 1..KERNEL_LIMBS + 1),
+        base in proptest::collection::vec(any::<u64>(), 1..4),
+        exponents in proptest::collection::vec(any::<u64>(), 14),
+    ) {
+        let n = odd_modulus_of(&modulus);
+        let base = from_limbs(&base);
+        let ctx = Arc::new(Montgomery::new(&n).expect("odd and at least 3"));
+        // 2, 3, 4 and 5 limbs: the exponents' top limbs are the first
+        // words, forced non-zero so each really has its width.
+        let mut exps = Vec::new();
+        let mut start = 0;
+        for limbs in 2..=5 {
+            let mut e = exponents[start..start + limbs].to_vec();
+            e[limbs - 1] |= 1 << 63;
+            exps.push(from_limbs(&e));
+            start += limbs;
+        }
+        for window in 1..=8 {
+            let table = FixedBase::with_window(Arc::clone(&ctx), &base, 256, window);
+            for e in &exps {
+                prop_assert_eq!(
+                    table.pow_mod(e),
+                    base.pow_mod(e, &n),
+                    "window {}, {}-bit exponent", window, e.bit_len()
+                );
+            }
+        }
+    }
+}

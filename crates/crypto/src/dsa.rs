@@ -14,21 +14,25 @@
 //! and [`DsaPublicKey`] caches a [`FixedBase`] table for its `y`; both
 //! caches are `Arc`-shared across clones, so a key registered in a
 //! [`crate::KeyDirectory`] (or pooled by the fleet engine) builds its
-//! table once and every holder benefits. The accelerated verification
-//! path ([`verify_batch`], and [`DsaPublicKey::verify_fused`] as a batch
-//! of one) collapses each check to **two table walks and one Montgomery
-//! multiplication**, and a batch pays **one inversion per group**: the
-//! `s` values of a group share a single inversion in the `q`-domain
-//! (Montgomery's trick). Verdicts stay per entry and exact — nothing is
-//! aggregated probabilistically.
+//! table once and every holder benefits. The group's `g`-table uses 8-bit
+//! digits (one multiplication per byte of the exponent, about 128 KiB for
+//! the 256-bit group, built once per process); each key's `y`-table uses
+//! 4-bit digits, since there is one per pooled key. The accelerated
+//! verification path ([`verify_batch`], and [`DsaPublicKey::verify_fused`]
+//! as a batch of one) collapses each check to **two table walks and one
+//! Montgomery multiplication**, and a batch pays **one inversion per
+//! group**: the `s` values of a group share a single inversion in the
+//! `q`-domain (Montgomery's trick). Verdicts stay per entry and exact —
+//! nothing is aggregated probabilistically.
 //!
 //! [`DsaPublicKey::verify`] deliberately stays on the schoolbook
 //! two-modexp path: it is the reference oracle the equivalence tests pin
 //! the fast paths against. All signing/verifying entry points the
 //! protocols use ([`DsaKeyPair::sign`], [`crate::Signed`],
-//! [`verify_batch`]) run on the accelerated path; parameters whose `p`
-//! cannot host a Montgomery context (an even `p` arriving over the wire)
-//! transparently fall back to schoolbook arithmetic.
+//! [`verify_batch`]) run on the accelerated path, and there is no
+//! schoolbook fallback: every [`DsaParams`] hosts both Montgomery
+//! contexts, because the wire decoder refuses a `p` or `q` that is even
+//! or below 3 and a `g` whose order does not divide `q`.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -53,18 +57,15 @@ const MR_ROUNDS: u32 = 40;
 /// for `p`, a fixed-base table for the generator `g` (sized for
 /// exponents up to `|q|` bits — every DSA exponent is reduced mod `q`),
 /// and a second Montgomery context for the subgroup order `q` so the
-/// verify-side scalar arithmetic (`w = s⁻¹`, shared across a batch by one
-/// inversion of the product of the `s` values, then `u1 = z·w`,
-/// `u2 = r·w`) runs in-domain without the division-based round trip.
-/// `q_mont` is `None` only for wire-decoded parameters with an even `q` —
-/// such a `q` is not a valid subgroup order, but decode is
-/// structural-only, so the scalar path degrades to schoolbook instead of
-/// panicking.
+/// scalar arithmetic of signing (`s = k⁻¹·(z + x·r)`) and verifying
+/// (`w = s⁻¹`, shared across a batch by one inversion of the product of
+/// the `s` values, then `u1 = z·w`, `u2 = r·w`) runs in-domain without the
+/// division-based round trip.
 #[derive(Debug)]
 pub(crate) struct GroupAccel {
     pub(crate) mont: Arc<Montgomery>,
     pub(crate) g_table: FixedBase,
-    pub(crate) q_mont: Option<Montgomery>,
+    pub(crate) q_mont: Montgomery,
 }
 
 /// Errors arising from invalid DSA domain parameters, keys, or signatures.
@@ -106,12 +107,9 @@ pub struct DsaParams {
     p: Uint,
     q: Uint,
     g: Uint,
-    /// Lazily-built Montgomery context + `g`-table, `Arc`-shared across
+    /// Lazily-built Montgomery contexts + `g`-table, `Arc`-shared across
     /// clones (the precomputed groups hand every caller the same cache).
-    /// `None` inside the cell records that `p` cannot host a Montgomery
-    /// context (even `p` from an unvalidated wire decode) — schoolbook
-    /// fallback.
-    accel: Arc<OnceLock<Option<GroupAccel>>>,
+    accel: Arc<OnceLock<GroupAccel>>,
 }
 
 impl fmt::Debug for DsaParams {
@@ -133,15 +131,33 @@ impl PartialEq for DsaParams {
 
 impl Eq for DsaParams {}
 
-/// Upper bound on the exponent width the fixed-base tables are sized
-/// for. Real DSA subgroup orders are ≤ a few hundred bits; the cap only
-/// bites on *unvalidated* wire-decoded parameters, where an adversarial
-/// multi-kilobit `q` would otherwise make the first verification
-/// allocate a table proportional to `|q| · |p|` (a memory-amplification
-/// DoS the constant-memory schoolbook path never had). Exponents wider
-/// than the table transparently fall back to the generic Montgomery
-/// ladder, so correctness is unaffected.
-const MAX_TABLE_EXP_BITS: usize = 4096;
+/// The widest field prime `p` a wire-decoded group may have, in bits.
+/// Decoding pays one exponentiation mod `p`; the cap bounds what a hostile
+/// frame can make it cost. The paper's groups use at most 1 024 bits.
+const MAX_DECODED_P_BITS: usize = 4096;
+
+/// Upper bound on the Montgomery residues one fixed-base table holds: a
+/// `w`-bit table has `2^w − 1` residues per digit row, so it covers at
+/// most `⌊15 360 / (2^w − 1)⌋ · w` exponent bits — 4 096 at `w = 4`, 480
+/// at `w = 8`. Real DSA subgroup orders are ≤ a few hundred bits; the cap
+/// only bites on wire-decoded parameters (decode checks no primality, so
+/// it admits any odd `q` narrower than `p`), where a hostile 4 095-bit `q`
+/// would otherwise make the first signature build a `g`-table of 130 560
+/// residues, 64 MiB at a 4 096-bit `p` (a memory-amplification DoS the
+/// constant-memory schoolbook path never had). Capped, each table holds
+/// at most 7.5 MiB. Exponents wider than the table transparently
+/// fall back to the generic Montgomery ladder, so correctness is
+/// unaffected.
+const MAX_TABLE_RESIDUES: usize = 15_360;
+
+/// Digit width of the group's shared `g`-table: one table per group and
+/// process, so 8-bit digits (half the multiplications of 4-bit ones on
+/// every signature) cost memory once.
+const G_WINDOW: usize = 8;
+
+/// Digit width of each key's `y`-table: there is one per pooled key, so
+/// the table stays at 4-bit digits (15 residues a row, not 255).
+const Y_WINDOW: usize = 4;
 
 impl DsaParams {
     /// Wraps validated components with an empty acceleration cache.
@@ -154,48 +170,47 @@ impl DsaParams {
         }
     }
 
-    /// How many exponent bits the group's fixed-base tables cover: the
-    /// subgroup order's width, capped by [`MAX_TABLE_EXP_BITS`].
-    fn table_exp_bits(&self) -> usize {
-        self.q.bit_len().min(MAX_TABLE_EXP_BITS)
+    /// How many exponent bits a `window`-bit table of this group covers:
+    /// the subgroup order's width, capped so the table holds at most
+    /// [`MAX_TABLE_RESIDUES`] residues.
+    fn table_exp_bits(&self, window: usize) -> usize {
+        let rows = MAX_TABLE_RESIDUES / ((1 << window) - 1);
+        self.q.bit_len().min(rows * window)
     }
 
-    /// The per-group acceleration state, built on first use; `None` when
-    /// `p` is even (REDC impossible — fall back to schoolbook).
-    pub(crate) fn accel(&self) -> Option<&GroupAccel> {
-        self.accel
-            .get_or_init(|| {
-                let mont = Arc::new(Montgomery::new(&self.p)?);
-                let g_table = FixedBase::new(Arc::clone(&mont), &self.g, self.table_exp_bits());
-                let q_mont = Montgomery::new(&self.q);
-                Some(GroupAccel {
-                    mont,
-                    g_table,
-                    q_mont,
-                })
-            })
-            .as_ref()
+    /// The per-group acceleration state, built on first use.
+    pub(crate) fn accel(&self) -> &GroupAccel {
+        self.accel.get_or_init(|| {
+            let mont = Arc::new(Montgomery::new(&self.p).expect("p is odd and at least 3"));
+            let g_table = FixedBase::with_window(
+                Arc::clone(&mont),
+                &self.g,
+                self.table_exp_bits(G_WINDOW),
+                G_WINDOW,
+            );
+            GroupAccel {
+                mont,
+                g_table,
+                q_mont: Montgomery::new(&self.q).expect("q is odd and at least 3"),
+            }
+        })
     }
 
     /// The Montgomery context for `q`, where the signing and verifying
-    /// scalar arithmetic runs; `None` when the group hosts none (even `p`
-    /// or even `q` from an unvalidated wire decode).
-    pub(crate) fn q_domain(&self) -> Option<&Montgomery> {
-        self.accel().and_then(|accel| accel.q_mont.as_ref())
+    /// scalar arithmetic runs.
+    pub(crate) fn q_domain(&self) -> &Montgomery {
+        &self.accel().q_mont
     }
 
-    /// Computes `g ^ exponent mod p` on the fastest available path: the
-    /// fixed-base `g`-table when the group hosts one, schoolbook
-    /// otherwise. This is the exponentiation under every signature and
+    /// Computes `g ^ exponent mod p` through the group's fixed-base
+    /// `g`-table. This is the exponentiation under every signature and
     /// key generation.
     pub fn pow_g(&self, exponent: &Uint) -> Uint {
-        match self.accel() {
-            Some(accel) => accel.g_table.pow_mod(exponent),
-            None => self.g.pow_mod(exponent, &self.p),
-        }
+        self.accel().g_table.pow_mod(exponent)
     }
     /// Builds parameters from explicit values, validating the group
-    /// structure (primality of `p` and `q`, `q | p - 1`, `g` of order `q`).
+    /// structure (primality of `p` and of the odd `q`, `q | p - 1`, `g` of
+    /// order `q`).
     ///
     /// # Errors
     ///
@@ -205,8 +220,8 @@ impl DsaParams {
         if !is_probable_prime(&p, 16, rng) {
             return Err(SignatureError::InvalidParams("p is not prime"));
         }
-        if !is_probable_prime(&q, 16, rng) {
-            return Err(SignatureError::InvalidParams("q is not prime"));
+        if q.is_even() || !is_probable_prime(&q, 16, rng) {
+            return Err(SignatureError::InvalidParams("q is not an odd prime"));
         }
         let p_minus_1 = &p - &Uint::one();
         if !p_minus_1.rem(&q).is_zero() {
@@ -240,10 +255,11 @@ impl DsaParams {
     ///
     /// # Panics
     ///
-    /// Panics if `q_bits + 2 > p_bits` or `q_bits < 2`.
+    /// Panics if `q_bits + 2 > p_bits` or `q_bits < 3` (the one 2-bit
+    /// prime besides 3 is the even 2).
     pub fn generate(p_bits: usize, q_bits: usize, rng: &mut dyn RngCore) -> Self {
         assert!(
-            q_bits >= 2 && q_bits + 2 <= p_bits,
+            q_bits >= 3 && q_bits + 2 <= p_bits,
             "invalid DSA size request"
         );
         loop {
@@ -321,15 +337,34 @@ impl Encode for DsaParams {
 }
 
 impl Decode for DsaParams {
+    /// Decodes `(p, q, g)` and refuses, as [`WireError::InvalidValue`],
+    /// parameters that cannot host a group: a `p` or `q` that is even or
+    /// below 3 (no Montgomery context), a `p` wider than 4 096 bits, a
+    /// `q` at least as wide as `p` (it cannot divide `p − 1`), a `g`
+    /// outside `(1, p)`, or a `g` with `g^q mod p ≠ 1` (its signatures
+    /// would fail their own verification). The shape checks come first,
+    /// so only a bounded `p` and `q` reach the one exponentiation a decode
+    /// costs. Primality needs an RNG and stays the caller's job
+    /// ([`DsaParams::new`]).
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let p = Uint::from_be_bytes(r.take_bytes()?);
         let q = Uint::from_be_bytes(r.take_bytes()?);
         let g = Uint::from_be_bytes(r.take_bytes()?);
-        // Structural sanity only (cheap); full validation needs an RNG and
-        // is the caller's job for untrusted inputs.
-        if q.is_zero() || g <= Uint::one() || g >= p {
+        let three = Uint::from(3u64);
+        if p.is_even() || p < three || q.is_even() || q < three || g <= Uint::one() || g >= p {
             return Err(WireError::InvalidValue {
                 context: "DSA params",
+            });
+        }
+        if p.bit_len() > MAX_DECODED_P_BITS || q.bit_len() >= p.bit_len() {
+            return Err(WireError::InvalidValue {
+                context: "DSA params: width",
+            });
+        }
+        let mont = Montgomery::new(&p).expect("p is odd and at least 3");
+        if !mont.pow_mod(&g, &q).is_one() {
+            return Err(WireError::InvalidValue {
+                context: "DSA params: g^q mod p",
             });
         }
         Ok(DsaParams::assemble(p, q, g))
@@ -378,7 +413,7 @@ pub struct DsaPublicKey {
     /// Lazily-built fixed-base table for `y`, `Arc`-shared across clones:
     /// a key held by a [`crate::KeyDirectory`] (or a fleet key pool)
     /// builds it once and every clone verifies through it.
-    y_table: Arc<OnceLock<Option<FixedBase>>>,
+    y_table: Arc<OnceLock<FixedBase>>,
 }
 
 impl fmt::Debug for DsaPublicKey {
@@ -419,21 +454,18 @@ impl DsaPublicKey {
         &self.y
     }
 
-    /// The group accel plus this key's `y`-table, built on first use;
-    /// `None` when the group cannot host a Montgomery context.
-    fn y_accel(&self) -> Option<(&GroupAccel, &FixedBase)> {
-        let accel = self.params.accel()?;
-        let table = self
-            .y_table
-            .get_or_init(|| {
-                Some(FixedBase::new(
-                    Arc::clone(&accel.mont),
-                    &self.y,
-                    self.params.table_exp_bits(),
-                ))
-            })
-            .as_ref()?;
-        Some((accel, table))
+    /// The group accel plus this key's `y`-table, built on first use.
+    fn y_accel(&self) -> (&GroupAccel, &FixedBase) {
+        let accel = self.params.accel();
+        let table = self.y_table.get_or_init(|| {
+            FixedBase::with_window(
+                Arc::clone(&accel.mont),
+                &self.y,
+                self.params.table_exp_bits(Y_WINDOW),
+                Y_WINDOW,
+            )
+        });
+        (accel, table)
     }
 
     /// Forces construction of the Montgomery context and both fixed-base
@@ -499,9 +531,7 @@ impl DsaPublicKey {
     /// per verification.
     ///
     /// Identical accept/reject behaviour to [`DsaPublicKey::verify`] —
-    /// the batch property tests pin this. Groups that cannot host a
-    /// Montgomery context fall back to one Shamir double exponentiation
-    /// (`g^u1 · y^u2` in a shared square-and-multiply ladder).
+    /// the batch property tests pin this.
     pub fn verify_fused(&self, message: &[u8], signature: &Signature) -> bool {
         verify_batch(&[BatchEntry {
             key: self,
@@ -514,36 +544,15 @@ impl DsaPublicKey {
     /// `u2 = r·w` are known: `v = (g^u1 · y^u2 mod p) mod q`, accepted iff
     /// `v = r`.
     fn accepts(&self, u1: &Uint, u2: &Uint, r: &Uint) -> bool {
-        let q = &self.params.q;
-        let v = match self.y_accel() {
-            Some((accel, y_table)) => {
-                let gm = accel.g_table.pow(u1);
-                let ym = y_table.pow(u2);
-                accel.mont.from_mont(&accel.mont.mont_mul(&gm, &ym)).rem(q)
-            }
-            None => double_pow_mod(&self.params.g, u1, &self.y, u2, &self.params.p).rem(q),
-        };
-        v == *r
+        let (accel, y_table) = self.y_accel();
+        let gm = accel.g_table.pow(u1);
+        let ym = y_table.pow(u2);
+        accel
+            .mont
+            .from_mont(&accel.mont.mont_mul(&gm, &ym))
+            .rem(&self.params.q)
+            == *r
     }
-}
-
-/// Computes `a^x · b^y mod m` with Shamir's trick: one shared
-/// square-and-multiply ladder over `max(|x|, |y|)` bits with the product
-/// `a·b` precomputed, instead of two independent exponentiations.
-fn double_pow_mod(a: &Uint, x: &Uint, b: &Uint, y: &Uint, m: &Uint) -> Uint {
-    let ab = a.mul_mod(b, m);
-    let bits = x.bit_len().max(y.bit_len());
-    let mut acc = Uint::one();
-    for i in (0..bits).rev() {
-        acc = acc.mul_mod(&acc, m);
-        match (x.bit(i), y.bit(i)) {
-            (true, true) => acc = acc.mul_mod(&ab, m),
-            (true, false) => acc = acc.mul_mod(a, m),
-            (false, true) => acc = acc.mul_mod(b, m),
-            (false, false) => {}
-        }
-    }
-    acc
 }
 
 /// One entry of a [`verify_batch`] call: a public key, the signed message
@@ -578,12 +587,10 @@ pub struct BatchEntry<'a> {
 /// [`DsaPublicKey::verify_fused`] is this function over one entry.
 ///
 /// A component outside `[1, q)` rejects its entry before the product is
-/// formed, so a zero `s` cannot poison the rest of its group. Two inputs
-/// skip the shared inversion: a group whose `q` cannot host a Montgomery
-/// context (even `q`, or a key whose even `p` hosts none) inverts each `s`
-/// on the schoolbook path, and a product with no inverse (possible only
-/// for a composite `q` from an unvalidated wire decode) makes each entry
-/// invert alone, so an entry fails only on its own `s`.
+/// formed, so a zero `s` cannot poison the rest of its group. A product
+/// with no inverse (possible only for a composite `q` from a wire decode,
+/// which checks no primality) makes each entry invert alone, so an entry
+/// fails only on its own `s`.
 ///
 /// Telemetry: `crypto.batch_size` and the `crypto.verify_batch` span once
 /// per call; `crypto.verify` once per entry, timing that entry's own
@@ -633,22 +640,19 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
 
 /// Judges the in-range entries `members` of one group, writing each
 /// verdict into `verdicts`: one shared inversion in the group's
-/// `q`-domain (schoolbook inversion per entry when it has none), then
-/// each entry's own tail.
+/// `q`-domain, then each entry's own tail.
 fn verify_group(
     params: &DsaParams,
     entries: &[BatchEntry<'_>],
     members: &[usize],
     verdicts: &mut [bool],
 ) {
-    let q = &params.q;
-    let shared = params.q_domain().map(|qm| {
-        let s: Vec<MontInt> = members
-            .iter()
-            .map(|&i| qm.to_mont(&entries[i].signature.s))
-            .collect();
-        (qm, batch_inverses(qm, &s))
-    });
+    let qm = params.q_domain();
+    let s: Vec<MontInt> = members
+        .iter()
+        .map(|&i| qm.to_mont(&entries[i].signature.s))
+        .collect();
+    let inverses = batch_inverses(qm, &s);
     for (n, &i) in members.iter().enumerate() {
         let BatchEntry {
             key,
@@ -658,18 +662,11 @@ fn verify_group(
         let timer = telemetry::Timer::start();
         let z = params.hash_to_z(message);
         let r = &signature.r;
-        // (u1, u2) = (z·w, r·w), in the q-domain when the group has one.
-        let scalars = match &shared {
-            Some((qm, inverses)) => inverses[n].as_ref().map(|w| {
-                let times_w = |x: &Uint| qm.from_mont(&qm.mont_mul(&qm.to_mont(x), w));
-                (times_w(&z), times_w(r))
-            }),
-            None => signature
-                .s
-                .inv_mod(q)
-                .map(|w| (z.mul_mod(&w, q), r.mul_mod(&w, q))),
-        };
-        verdicts[i] = scalars.is_some_and(|(u1, u2)| key.accepts(&u1, &u2, r));
+        // (u1, u2) = (z·w, r·w) in the q-domain.
+        verdicts[i] = inverses[n].as_ref().is_some_and(|w| {
+            let times_w = |x: &Uint| qm.from_mont(&qm.mont_mul(&qm.to_mont(x), w));
+            key.accepts(&times_w(&z), &times_w(r), r)
+        });
         timer.finish("crypto.verify", "crypto");
     }
 }
@@ -780,9 +777,7 @@ impl DsaKeyPair {
     /// [`crate::Signer`]'s queue), so the `k` sequence — and every
     /// signature byte — is the one `rng` alone would give.
     ///
-    /// `s = k⁻¹·(z + x·r)` finishes in the `q`-domain when the group has
-    /// one; otherwise each `k` is inverted and `s` computed on the
-    /// schoolbook path.
+    /// `s = k⁻¹·(z + x·r)` finishes in the `q`-domain.
     pub(crate) fn sign_from(
         &self,
         message: &[u8],
@@ -791,29 +786,17 @@ impl DsaKeyPair {
     ) -> Signature {
         let timer = telemetry::Timer::start();
         let params = &self.public.params;
-        let q = &params.q;
+        let qm = params.q_domain();
         let z = params.hash_to_z(message);
         let signature = loop {
-            let (r, s) = match params.q_domain() {
-                Some(qm) => {
-                    let Nonce { k, k_inv } = match nonces.pop_front() {
-                        Some(nonce) => nonce,
-                        None => Nonce::draw(qm, rng),
-                    };
-                    let r = params.pow_g(&k).rem(q);
-                    let xr = qm.from_mont(&qm.mont_mul(&qm.to_mont(&self.x), &qm.to_mont(&r)));
-                    // `to_mont` reduces the sum, which is below 3q.
-                    let s = qm.from_mont(&qm.mont_mul(&k_inv, &qm.to_mont(&(&z + &xr))));
-                    (r, s)
-                }
-                None => {
-                    let k = random_in_unit_range(rng, q);
-                    let r = params.pow_g(&k).rem(q);
-                    let k_inv = k.inv_mod(q).expect("q prime, 0 < k < q");
-                    let xr = self.x.mul_mod(&r, q);
-                    (r, k_inv.mul_mod(&z.add_mod(&xr, q), q))
-                }
+            let Nonce { k, k_inv } = match nonces.pop_front() {
+                Some(nonce) => nonce,
+                None => Nonce::draw(qm, rng),
             };
+            let r = params.pow_g(&k).rem(&params.q);
+            let xr = qm.from_mont(&qm.mont_mul(&qm.to_mont(&self.x), &qm.to_mont(&r)));
+            // `to_mont` reduces the sum, which is below 3q.
+            let s = qm.from_mont(&qm.mont_mul(&k_inv, &qm.to_mont(&(&z + &xr))));
             if !r.is_zero() && !s.is_zero() {
                 break Signature { r, s };
             }
@@ -1071,21 +1054,98 @@ mod tests {
         assert!(batch_inverses(&Montgomery::new(&Uint::from(7u64)).unwrap(), &[]).is_empty());
     }
 
-    #[test]
-    fn double_pow_mod_matches_two_exponentiations() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let params = small_params(&mut rng);
-        let p = params.p();
-        for seed in 0..8u64 {
-            let mut r = StdRng::seed_from_u64(seed);
-            let a = random_in_unit_range(&mut r, p);
-            let b = random_in_unit_range(&mut r, p);
-            let x = random_in_unit_range(&mut r, params.q());
-            let y = random_in_unit_range(&mut r, params.q());
-            let fused = double_pow_mod(&a, &x, &b, &y, p);
-            let split = a.pow_mod(&x, p).mul_mod(&b.pow_mod(&y, p), p);
-            assert_eq!(fused, split);
+    /// `(p, q, g)` as the wire carries them, whatever their values.
+    fn params_wire(p: &Uint, q: &Uint, g: &Uint) -> Vec<u8> {
+        let mut w = refstate_wire::Writer::new();
+        for value in [p, q, g] {
+            w.put_bytes(&value.to_be_bytes());
         }
+        w.into_inner()
+    }
+
+    #[test]
+    fn decode_refuses_parameters_that_cannot_host_a_group() {
+        use refstate_wire::from_wire;
+        let group = DsaParams::test_group_256();
+        let (p, q, g) = (group.p(), group.q(), group.g());
+        let one = Uint::one();
+        let decoded = from_wire::<DsaParams>(&params_wire(p, q, g)).expect("a valid group");
+        assert_eq!(decoded, group);
+        let key = DsaKeyPair::generate(&decoded, &mut StdRng::seed_from_u64(24));
+        let sig = key.sign(b"msg", &mut StdRng::seed_from_u64(25));
+        assert!(key.public().verify(b"msg", &sig) && key.public().verify_fused(b"msg", &sig));
+
+        // 2^e − 1 with odd e, base 2 and exponent e: 2^e ≡ 1, so only the
+        // width cap tells these apart.
+        let two = Uint::from(2u64);
+        let mersenne = |e: u64| (&(&one << e as usize) - &one, Uint::from(e));
+        let (widest_p, widest_q) = mersenne(MAX_DECODED_P_BITS as u64 - 1);
+        assert!(from_wire::<DsaParams>(&params_wire(&widest_p, &widest_q, &two)).is_ok());
+        let (wide_p, wide_q) = mersenne(MAX_DECODED_P_BITS as u64 + 1);
+        // q³ is odd and g^(q³) = 1, but it is wider than p.
+        let q_cubed = &(q * q) * q;
+
+        let p_minus_1 = p - &one;
+        for (why, p, q, g) in [
+            ("even p", &(p + &one), q, g),
+            ("p below 3", &one, q, g),
+            ("p wider than the cap", &wide_p, &wide_q, &two),
+            ("even q", p, &(q + &one), g),
+            ("q below 3", p, &one, g),
+            ("zero q", p, &Uint::zero(), g),
+            ("q as wide as p", p, p, g),
+            ("q wider than p", p, &q_cubed, g),
+            // (p − 1)^q = −1 for odd q: g's order does not divide q.
+            ("g^q mod p = p - 1", p, q, &p_minus_1),
+        ] {
+            let refused = from_wire::<DsaParams>(&params_wire(p, q, g));
+            assert!(
+                matches!(refused, Err(WireError::InvalidValue { .. })),
+                "{why}: {refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tables_keep_to_the_residue_budget_and_wide_exponents_fall_back() {
+        use refstate_wire::from_wire;
+        // q^6 is odd, narrower than the 1 024-bit p, and g^(q^6) = 1, so it
+        // decodes; the g-table covers only 480 of its bits.
+        let group = DsaParams::group_1024();
+        let wide_q = (1..6).fold(group.q().clone(), |acc, _| &acc * group.q());
+        assert!(wide_q.bit_len() > 900);
+        let hostile =
+            from_wire::<DsaParams>(&params_wire(group.p(), &wide_q, group.g())).expect("decodes");
+        assert_eq!(hostile.table_exp_bits(G_WINDOW), 480);
+        assert_eq!(hostile.table_exp_bits(Y_WINDOW), wide_q.bit_len());
+        // The widest q decode admits, one bit under a MAX_DECODED_P_BITS-bit
+        // p (`table_exp_bits` reads only q).
+        let widest = DsaParams::assemble(
+            Uint::one(),
+            &(&Uint::one() << (MAX_DECODED_P_BITS - 1)) - &Uint::one(),
+            Uint::one(),
+        );
+        for params in [&hostile, &widest] {
+            for window in 1..=8 {
+                let rows = params.table_exp_bits(window).div_ceil(window);
+                assert!(
+                    rows * ((1 << window) - 1) <= MAX_TABLE_RESIDUES,
+                    "window {window}"
+                );
+            }
+        }
+        // The real group's tables cover its whole q.
+        assert_eq!(group.table_exp_bits(G_WINDOW), group.q().bit_len());
+
+        let mut rng = StdRng::seed_from_u64(26);
+        let e = random_in_unit_range(&mut rng, &wide_q);
+        assert!(e.bit_len() > 480);
+        assert_eq!(hostile.pow_g(&e), group.g().pow_mod(&e, group.p()));
+        let key = DsaKeyPair::generate(&hostile, &mut rng);
+        let sig = key.sign(b"wide", &mut rng);
+        assert!(key.public().verify_fused(b"wide", &sig));
+        assert!(key.public().verify(b"wide", &sig));
+        assert!(!key.public().verify_fused(b"other", &sig));
     }
 
     #[test]

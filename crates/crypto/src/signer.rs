@@ -75,10 +75,6 @@ impl Signer {
 /// (Montgomery's trick over the `k`s in the group's `q`-domain) instead
 /// of one per signature.
 ///
-/// A signer whose group has no `q`-domain (an even `p` or `q` from an
-/// unvalidated wire decode) draws nothing here; it inverts each `k` alone
-/// when it signs.
-///
 /// Telemetry: the `crypto.nonce_batch` span once per call. The shared
 /// inversion it times is in no signature's `crypto.sign`.
 ///
@@ -103,9 +99,7 @@ pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
     // Each group's signers with their fresh `k`s, in draw order.
     let mut groups: Vec<Vec<(&mut Signer, Uint)>> = Vec::new();
     for signer in signers {
-        let Some(qm) = signer.keys.public().params().q_domain() else {
-            continue;
-        };
+        let qm = signer.keys.public().params().q_domain();
         let k = random_in_unit_range(&mut signer.rng, qm.modulus());
         let same_q = |group: &&mut Vec<(&mut Signer, Uint)>| {
             group[0].0.keys.public().params().q() == qm.modulus()
@@ -117,7 +111,7 @@ pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
     }
     for group in groups {
         let keys = Arc::clone(&group[0].0.keys);
-        let qm = keys.public().params().q_domain().expect("grouped by q");
+        let qm = keys.public().params().q_domain();
         let ks: Vec<MontInt> = group.iter().map(|(_, k)| qm.to_mont(k)).collect();
         for ((signer, k), k_inv) in group.into_iter().zip(batch_inverses(qm, &ks)) {
             let k_inv = k_inv.expect("q prime, 0 < k < q");

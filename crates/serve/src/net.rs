@@ -11,7 +11,10 @@
 //!   arrives, pushing the [`Response`] into a bounded queue — the
 //!   connection's *pipeline window*. A client may therefore stream many
 //!   requests before reading the first reply; once the window fills,
-//!   the reader blocks, which backpressures the socket.
+//!   the reader blocks, which backpressures the socket. With telemetry
+//!   on, the reader flushes its thread's counters to the process
+//!   collector after each request, so a `Metrics` request on any
+//!   connection sees them.
 //! * the **writer** drains that queue into response frames, batching
 //!   opportunistically: it keeps writing while responses are ready and
 //!   flushes when the queue runs dry, so a client with one request in
@@ -209,6 +212,13 @@ fn serve_connection(
                 telemetry::count_indexed("serve.conn.requests", conn_id, 1);
                 let is_shutdown = matches!(request, Request::Shutdown);
                 let response = service.handle(request);
+                if telemetry::enabled() {
+                    // Another connection's `Metrics` request reads the
+                    // collector, which sees this thread's counts only once
+                    // flushed; flushing before the reply goes out means a
+                    // client that has its reply is already counted.
+                    telemetry::flush_thread();
+                }
                 if tx.send(response).is_err() {
                     break; // writer died (client stopped reading)
                 }

@@ -890,8 +890,8 @@ impl Service {
 
 /// The process's metrics snapshot as JSONL, or nothing at telemetry level
 /// `off`. The snapshot holds what the calling thread and every exited
-/// thread recorded, plus what the tick driver flushed after its last
-/// pass; another live connection's own counters arrive once it closes.
+/// thread recorded, what every live connection flushed after its last
+/// handled request, and what the tick driver flushed after its last pass.
 fn metrics_jsonl() -> String {
     if !telemetry::enabled() {
         return String::new();
