@@ -19,10 +19,9 @@
 //! writes the machine-readable `BENCH_bigint.json` (ns/op for each path
 //! and group size, plus the derived speedups and the host's
 //! `parallelism`), so the perf trajectory of the arithmetic layer is
-//! diffable PR over PR, exactly like `BENCH_fleet.json` is for the fleet
-//! engine. Set `BENCH_BIGINT_OUT` to change the output path; set
-//! `BENCH_SMOKE=1` (CI) to shrink the measurement to a schema-shaped
-//! smoke run written to `<path>.smoke`.
+//! diffable PR over PR. Set `BENCH_BIGINT_OUT` to change the output
+//! path; set `BENCH_SMOKE=1` (CI) to shrink the measurement to a
+//! schema-shaped smoke run written to `<path>.smoke`.
 
 use std::hint::black_box;
 use std::sync::Arc;

@@ -1,11 +1,11 @@
 //! The schemas of the committed `BENCH_*.json` perf-trajectory files and
 //! of the artifacts the CLIs emit, over the workspace's one JSON parser.
 //!
-//! CI must be able to prove that the benchmark artifacts at the repo root
-//! still parse and still carry the fields the README's trajectory tables
-//! and future PRs diff against — a hand-edited or half-written file
-//! should fail the build, not rot silently. This module holds one schema
-//! predicate per artifact ([`check_bigint_schema`], [`check_fleet_schema`],
+//! CI must be able to prove that the benchmark artifact at the repo root
+//! still parses and still carries the fields the README's tables and
+//! future PRs diff against — a hand-edited or half-written file should
+//! fail the build, not rot silently. This module holds one schema
+//! predicate per artifact ([`check_bigint_schema`],
 //! [`check_chrome_trace`], [`check_metrics_jsonl`], [`check_slo_schema`]),
 //! driven by the `check_bench_json` binary in CI. The parser itself lives
 //! in [`refstate_telemetry::json`] and is re-exported here.
@@ -99,239 +99,6 @@ fn require_count(value: &Json, path: &str, key: &str) -> Result<f64, JsonError> 
             "{path}.{key}: must be an integer, got {n}"
         )))
     }
-}
-
-/// The per-mechanism verification stages a `stage_breakdown` row carries.
-const STAGE_KEYS: [&str; 3] = ["cache_hit", "replay", "sig_verify"];
-
-/// The mechanisms whose stage breakdown the trajectory file exists to
-/// track: the re-execution family (cache hit vs replay split) plus the
-/// signature-heavy encapsulation chain.
-const STAGE_MECHANISMS: [&str; 3] = ["protocol", "traces", "encapsulated"];
-
-fn check_stage_breakdown(block: &Json, block_name: &str, telemetry: &str) -> Result<(), JsonError> {
-    let stages = block
-        .get("stage_breakdown")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| {
-            JsonError(format!(
-                "{block_name}.stage_breakdown: missing or not an object"
-            ))
-        })?;
-    for (mechanism, row) in stages {
-        let row_path = format!("{block_name}.stage_breakdown.{mechanism}");
-        for stage in STAGE_KEYS {
-            let stats = row
-                .get(stage)
-                .ok_or_else(|| JsonError(format!("{row_path}.{stage}: missing stage")))?;
-            let path = format!("{row_path}.{stage}");
-            require_non_negative(stats, &path, "count")?;
-            for key in ["total_us", "p50_us", "p99_us"] {
-                require_non_negative(stats, &path, key)?;
-            }
-        }
-    }
-    if telemetry != "off" {
-        for mechanism in STAGE_MECHANISMS {
-            if !stages.contains_key(mechanism) {
-                return Err(JsonError(format!(
-                    "{block_name}.stage_breakdown: missing the {mechanism} row \
-                     (required when the block ran with telemetry on)"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates the `BENCH_fleet.json` schema: `bench == "fleet"`, positive
-/// `scenarios`/`seed`, and for each of the `mixed`, `replicated`,
-/// `chained`, `encapsulated`, `cooperating`, and `adaptive` blocks a
-/// positive `journeys_per_sec`,
-/// the verification-pipeline fields (a `replay` block with
-/// hit/miss/replay/eviction/occupancy counts and a `hit_rate` in
-/// `[0, 1]`), a `telemetry` level, a `stage_breakdown` block (whose
-/// `protocol`/`traces`/`encapsulated` rows are mandatory when the block
-/// ran with telemetry on), plus a non-empty `latency_percentiles` map
-/// whose entries carry `p50_us`/`p90_us`/`p99_us`/`max_us`. The
-/// chained-family blocks must additionally carry latency rows for the
-/// `chained` and `encapsulated` mechanisms — the rows this artifact
-/// exists to track. The `adaptive` block must additionally carry an
-/// `adaptation` object (campaign grades: `journeys_per_campaign`,
-/// `campaigns`, and a non-empty per-mechanism list whose cells hold the
-/// campaign counters and a `detection_under_adaptation` rate in `[0, 1]`
-/// or `null`). Finally the `telemetry_overhead` block must show
-/// `--telemetry full` costing at most 5% journeys/s versus `off`, and a
-/// top-level `parallelism` (the host's core count), when present, must be
-/// positive.
-///
-/// Percentiles: `latency_percentiles.*` are exact nearest rank over every
-/// journey's latency; `stage_breakdown.*.p50_us`/`p99_us` are histogram
-/// bucket bounds (see the module docs).
-pub fn check_fleet_schema(doc: &Json) -> Result<(), JsonError> {
-    if doc.get("bench").and_then(Json::as_str) != Some("fleet") {
-        return Err(JsonError("bench: expected \"fleet\"".into()));
-    }
-    require_positive(doc, "$", "scenarios")?;
-    require_num(doc, "$", "seed")?;
-    if doc.get("parallelism").is_some() {
-        require_positive(doc, "$", "parallelism")?;
-    }
-    let overhead = doc
-        .get("telemetry_overhead")
-        .ok_or_else(|| JsonError("telemetry_overhead: missing block".into()))?;
-    require_positive(overhead, "telemetry_overhead", "off_journeys_per_sec")?;
-    require_positive(overhead, "telemetry_overhead", "full_journeys_per_sec")?;
-    let overhead_pct = require_num(overhead, "telemetry_overhead", "overhead_pct")?;
-    if overhead_pct > 5.0 {
-        return Err(JsonError(format!(
-            "telemetry_overhead.overhead_pct: full telemetry must cost at most \
-             5% journeys/s, got {overhead_pct}"
-        )));
-    }
-    for block_name in [
-        "mixed",
-        "replicated",
-        "chained",
-        "encapsulated",
-        "cooperating",
-        "adaptive",
-    ] {
-        let block = doc
-            .get(block_name)
-            .ok_or_else(|| JsonError(format!("{block_name}: missing block")))?;
-        require_positive(block, block_name, "workers")?;
-        require_positive(block, block_name, "wall_seconds")?;
-        require_positive(block, block_name, "scenarios_per_sec")?;
-        require_positive(block, block_name, "journeys_per_sec")?;
-        let telemetry = block
-            .get("telemetry")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError(format!("{block_name}.telemetry: missing or not a string")))?;
-        if !matches!(telemetry, "off" | "counters" | "full") {
-            return Err(JsonError(format!(
-                "{block_name}.telemetry: expected off|counters|full, got {telemetry:?}"
-            )));
-        }
-        check_stage_breakdown(block, block_name, telemetry)?;
-        let replay = block
-            .get("replay")
-            .ok_or_else(|| JsonError(format!("{block_name}.replay: missing block")))?;
-        let replay_path = format!("{block_name}.replay");
-        for key in [
-            "hits",
-            "misses",
-            "replays",
-            "evictions",
-            "occupancy",
-            "capacity",
-        ] {
-            require_non_negative(replay, &replay_path, key)?;
-        }
-        let hit_rate = require_num(replay, &replay_path, "hit_rate")?;
-        if !(0.0..=1.0).contains(&hit_rate) {
-            return Err(JsonError(format!(
-                "{replay_path}.hit_rate: must be within [0, 1], got {hit_rate}"
-            )));
-        }
-        let latencies = block
-            .get("latency_percentiles")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| {
-                JsonError(format!(
-                    "{block_name}.latency_percentiles: missing or not an object"
-                ))
-            })?;
-        if latencies.is_empty() {
-            return Err(JsonError(format!(
-                "{block_name}.latency_percentiles: must not be empty"
-            )));
-        }
-        for (mechanism, stats) in latencies {
-            let path = format!("{block_name}.latency_percentiles.{mechanism}");
-            for key in ["p50_us", "p90_us", "p99_us", "max_us"] {
-                require_positive(stats, &path, key)?;
-            }
-        }
-        if matches!(block_name, "chained" | "encapsulated") {
-            for mechanism in ["chained", "encapsulated"] {
-                if !latencies.contains_key(mechanism) {
-                    return Err(JsonError(format!(
-                        "{block_name}.latency_percentiles: missing the {mechanism} row"
-                    )));
-                }
-            }
-        }
-        if block_name == "adaptive" {
-            check_adaptation(block)?;
-        }
-    }
-    Ok(())
-}
-
-/// Validates the `adaptive` block's campaign grades — the
-/// detection-under-adaptation trajectory this PR's battery exists to
-/// track.
-fn check_adaptation(block: &Json) -> Result<(), JsonError> {
-    let adaptation = block
-        .get("adaptation")
-        .ok_or_else(|| JsonError("adaptive.adaptation: missing block".into()))?;
-    require_positive(adaptation, "adaptive.adaptation", "journeys_per_campaign")?;
-    require_positive(adaptation, "adaptive.adaptation", "campaigns")?;
-    let mechanisms = adaptation
-        .get("mechanisms")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| {
-            JsonError("adaptive.adaptation.mechanisms: missing or not an array".into())
-        })?;
-    if mechanisms.is_empty() {
-        return Err(JsonError(
-            "adaptive.adaptation.mechanisms: must not be empty".into(),
-        ));
-    }
-    for entry in mechanisms {
-        let name = entry
-            .get("mechanism")
-            .and_then(Json::as_str)
-            .ok_or_else(|| {
-                JsonError("adaptive.adaptation.mechanisms[]: missing mechanism name".into())
-            })?;
-        let total = entry
-            .get("total")
-            .ok_or_else(|| JsonError(format!("adaptive.adaptation.{name}: missing total cell")))?;
-        let path = format!("adaptive.adaptation.{name}.total");
-        for key in [
-            "campaigns",
-            "journeys",
-            "attacked",
-            "detected",
-            "early_detections",
-            "false_accusations",
-            "latency_sum",
-        ] {
-            require_non_negative(total, &path, key)?;
-        }
-        // The rates are `null` for undefined measurements (nothing
-        // attacked / nothing detected), otherwise bounded.
-        if let Some(rate) = total
-            .get("detection_under_adaptation")
-            .and_then(Json::as_num)
-        {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(JsonError(format!(
-                    "{path}.detection_under_adaptation: must be within [0, 1], got {rate}"
-                )));
-            }
-        }
-        if let Some(rate) = total.get("false_accusation_rate").and_then(Json::as_num) {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(JsonError(format!(
-                    "{path}.false_accusation_rate: must be within [0, 1], got {rate}"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Validates a Chrome `trace_event` JSON document as emitted by the
@@ -732,221 +499,6 @@ mod tests {
         assert!(check_bigint_schema(&parse(&with("\"two\"")).unwrap()).is_err());
     }
 
-    /// One stage_breakdown row with all three stages present.
-    fn stage_row(mechanism: &str) -> String {
-        let stage = r#"{"count":4,"total_us":10.0,"p50_us":2.0,"p99_us":5.0}"#;
-        format!(r#""{mechanism}":{{"cache_hit":{stage},"replay":{stage},"sig_verify":{stage}}}"#)
-    }
-
-    fn full_stage_breakdown() -> String {
-        format!(
-            "{},{},{}",
-            stage_row("protocol"),
-            stage_row("traces"),
-            stage_row("encapsulated")
-        )
-    }
-
-    /// A valid fleet block with the replay/telemetry fields;
-    /// the `hit_rate`, latency map, telemetry level, and stage breakdown
-    /// are injectable so tests can break each one independently.
-    fn fleet_block_full(hit_rate: &str, latencies: &str, telemetry: &str, stages: &str) -> String {
-        format!(
-            r#"{{"workers":4,"wall_seconds":1.0,"scenarios_per_sec":10.0,
-                "journeys_per_sec":50.0,"telemetry":"{telemetry}",
-                "replay":{{"cache_enabled":true,"hits":10,"misses":5,
-                    "replays":5,"hit_rate":{hit_rate},"evictions":0,
-                    "occupancy":5,"capacity":65536}},
-                "stage_breakdown":{{{stages}}},
-                "latency_percentiles":{{{latencies}}}}}"#
-        )
-    }
-
-    fn fleet_block_with(hit_rate: &str, latencies: &str) -> String {
-        fleet_block_full(hit_rate, latencies, "full", &full_stage_breakdown())
-    }
-
-    const PROTOCOL_ROW: &str =
-        r#""protocol":{"p50_us":1.0,"p90_us":2.0,"p99_us":3.0,"max_us":4.0}"#;
-    const CHAINED_ROWS: &str = r#""chained":{"p50_us":1.0,"p90_us":2.0,"p99_us":3.0,"max_us":4.0},
-        "encapsulated":{"p50_us":1.0,"p90_us":2.0,"p99_us":3.0,"max_us":4.0}"#;
-
-    fn fleet_block(hit_rate: &str) -> String {
-        fleet_block_with(hit_rate, PROTOCOL_ROW)
-    }
-
-    /// A valid `adaptation` object, as the adaptive block carries it.
-    const ADAPTATION: &str = r#"{"journeys_per_campaign":8,"campaigns":15,
-        "mechanisms":[{"mechanism":"framework","total":{"campaigns":15,
-            "journeys":120,"attacked":15,"detected":15,"early_detections":0,
-            "false_accusations":0,"latency_sum":2,
-            "detection_under_adaptation":1.000000,
-            "mean_detection_latency_journeys":0.133333,
-            "false_accusation_rate":0.000000},"per_policy":{}}]}"#;
-
-    /// Adds campaign grades to a fleet block, as the bench harness's
-    /// adaptive block carries them.
-    fn adaptive_block(base: &str, adaptation: &str) -> String {
-        let trimmed = base.trim_end().strip_suffix('}').expect("block object");
-        format!("{trimmed},\"adaptation\":{adaptation}}}")
-    }
-
-    fn fleet_doc(classic: &str, chained_family: &str) -> String {
-        fleet_doc_with_adaptive(
-            classic,
-            chained_family,
-            &adaptive_block(classic, ADAPTATION),
-        )
-    }
-
-    fn fleet_doc_with_adaptive(classic: &str, chained_family: &str, adaptive: &str) -> String {
-        format!(
-            r#"{{"bench":"fleet","scenarios":256,"seed":42,
-                "telemetry_overhead":{{"off_journeys_per_sec":100.0,
-                    "full_journeys_per_sec":98.0,"overhead_pct":2.0}},
-                "mixed":{classic},
-                "replicated":{classic},"chained":{chained_family},
-                "encapsulated":{chained_family},
-                "cooperating":{classic},
-                "adaptive":{adaptive}}}"#
-        )
-    }
-
-    #[test]
-    fn fleet_schema_accepts_the_committed_shape() {
-        let good = fleet_doc(
-            &fleet_block("0.667"),
-            &fleet_block_with("0.5", CHAINED_ROWS),
-        );
-        assert!(check_fleet_schema(&parse(&good).unwrap()).is_ok());
-
-        // Every preset block is required — including the chained pair.
-        let block = fleet_block("0.667");
-        for missing in [
-            format!(r#"{{"bench":"fleet","scenarios":256,"seed":42,"mixed":{block}}}"#),
-            format!(
-                r#"{{"bench":"fleet","scenarios":256,"seed":42,"mixed":{block},"replicated":{block}}}"#
-            ),
-        ] {
-            assert!(check_fleet_schema(&parse(&missing).unwrap()).is_err());
-        }
-    }
-
-    #[test]
-    fn fleet_schema_checks_parallelism_when_present() {
-        let good = fleet_doc(
-            &fleet_block("0.667"),
-            &fleet_block_with("0.5", CHAINED_ROWS),
-        );
-        let with = |cores: &str| good.replacen("{", &format!(r#"{{"parallelism":{cores},"#), 1);
-        assert!(check_fleet_schema(&parse(&with("2")).unwrap()).is_ok());
-        assert!(check_fleet_schema(&parse(&with("0")).unwrap()).is_err());
-    }
-
-    #[test]
-    fn fleet_schema_requires_chained_family_rows() {
-        // A chained-preset block that lost its chained/encapsulated
-        // latency rows is a schema violation: the rows are the point.
-        let doc = fleet_doc(&fleet_block("0.667"), &fleet_block("0.5"));
-        let err = check_fleet_schema(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("missing the chained row"), "{err}");
-    }
-
-    #[test]
-    fn fleet_schema_requires_the_adaptation_grades() {
-        let classic = fleet_block("0.667");
-        let chained = fleet_block_with("0.5", CHAINED_ROWS);
-
-        // An adaptive block without campaign grades is a violation: the
-        // detection-under-adaptation trajectory is the block's point.
-        let doc = fleet_doc_with_adaptive(&classic, &chained, &classic);
-        let err = check_fleet_schema(&parse(&doc).unwrap()).unwrap_err();
-        assert!(
-            err.to_string().contains("adaptation: missing block"),
-            "{err}"
-        );
-
-        // So is an out-of-range detection-under-adaptation rate...
-        let bogus = ADAPTATION.replace(
-            r#""detection_under_adaptation":1.000000"#,
-            r#""detection_under_adaptation":1.5"#,
-        );
-        let doc = fleet_doc_with_adaptive(&classic, &chained, &adaptive_block(&classic, &bogus));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-
-        // ...and an empty mechanism list (nothing graded).
-        let empty = r#"{"journeys_per_campaign":8,"campaigns":15,"mechanisms":[]}"#;
-        let doc = fleet_doc_with_adaptive(&classic, &chained, &adaptive_block(&classic, empty));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-    }
-
-    #[test]
-    fn fleet_schema_requires_the_pipeline_fields() {
-        // A pre-pipeline block (no replay block) must be rejected:
-        // the trajectory file has to carry the cache facts going forward.
-        let stale = r#"{"workers":4,"wall_seconds":1.0,"scenarios_per_sec":10.0,
-            "journeys_per_sec":50.0,"latency_percentiles":{
-                "protocol":{"p50_us":1.0,"p90_us":2.0,"p99_us":3.0,"max_us":4.0}}}"#;
-        let doc = fleet_doc(stale, &fleet_block_with("0.5", CHAINED_ROWS));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-
-        // An out-of-range hit rate is a schema violation, not a number.
-        let doc = fleet_doc(&fleet_block("1.5"), &fleet_block_with("0.5", CHAINED_ROWS));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-    }
-
-    #[test]
-    fn fleet_schema_requires_stage_breakdown_rows_when_telemetry_on() {
-        // A block that ran with telemetry on but lost its protocol stage
-        // row is a violation: the breakdown is the point of the block.
-        let partial = format!("{},{}", stage_row("traces"), stage_row("encapsulated"));
-        let broken = fleet_block_full("0.5", PROTOCOL_ROW, "full", &partial);
-        let doc = fleet_doc(&broken, &fleet_block_with("0.5", CHAINED_ROWS));
-        let err = check_fleet_schema(&parse(&doc).unwrap()).unwrap_err();
-        assert!(
-            err.to_string().contains("missing the protocol row"),
-            "{err}"
-        );
-
-        // With telemetry off an empty breakdown is fine...
-        let off = fleet_block_full("0.5", PROTOCOL_ROW, "off", "");
-        let doc = fleet_doc(&off, &fleet_block_with("0.5", CHAINED_ROWS));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_ok());
-
-        // ...but an unknown level, or a row missing a stage, is not.
-        let bogus = fleet_block_full("0.5", PROTOCOL_ROW, "loud", "");
-        let doc = fleet_doc(&bogus, &fleet_block_with("0.5", CHAINED_ROWS));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-        let one_stage =
-            r#""protocol":{"cache_hit":{"count":1,"total_us":1.0,"p50_us":1.0,"p99_us":1.0}}"#;
-        let broken = fleet_block_full("0.5", PROTOCOL_ROW, "off", one_stage);
-        let doc = fleet_doc(&broken, &fleet_block_with("0.5", CHAINED_ROWS));
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-    }
-
-    #[test]
-    fn fleet_schema_bounds_telemetry_overhead() {
-        let block = fleet_block("0.5");
-        let chained = fleet_block_with("0.5", CHAINED_ROWS);
-        // Overhead above the 5% budget fails the artifact.
-        let doc = format!(
-            r#"{{"bench":"fleet","scenarios":256,"seed":42,
-                "telemetry_overhead":{{"off_journeys_per_sec":100.0,
-                    "full_journeys_per_sec":80.0,"overhead_pct":20.0}},
-                "mixed":{block},"replicated":{block},
-                "chained":{chained},"encapsulated":{chained}}}"#
-        );
-        let err = check_fleet_schema(&parse(&doc).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("at most"), "{err}");
-        // A missing overhead block fails too.
-        let doc = format!(
-            r#"{{"bench":"fleet","scenarios":256,"seed":42,
-                "mixed":{block},"replicated":{block},
-                "chained":{chained},"encapsulated":{chained}}}"#
-        );
-        assert!(check_fleet_schema(&parse(&doc).unwrap()).is_err());
-    }
-
     #[test]
     fn chrome_trace_accepts_spans_and_instants() {
         let good = r#"[
@@ -981,7 +533,7 @@ mod tests {
     #[test]
     fn metrics_jsonl_accepts_counters_and_histograms() {
         let good = concat!(
-            r#"{"type":"counter","scope":"","name":"pipeline.cache_hit","index":0,"value":12}"#,
+            r#"{"type":"counter","scope":"","name":"pipeline.replay","index":0,"value":12}"#,
             "\n",
             r#"{"type":"histogram","scope":"protocol","name":"verify.replay","index":0,"#,
             r#""count":3,"sum":600,"min":100,"max":300,"p50":200,"p90":300,"p99":300,"#,

@@ -181,7 +181,7 @@ fn main() {
                 &dir,
                 &exec,
                 &log,
-                &VerificationPipeline::uncached(),
+                &VerificationPipeline::new(),
             );
             assert!(report.clean());
         }),
@@ -217,7 +217,7 @@ fn main() {
             // directly, so strip the itinerary by letting the vote carry it.
             let agent = build_generic_agent(params);
             let log = EventLog::new();
-            let pipeline = VerificationPipeline::uncached();
+            let pipeline = VerificationPipeline::new();
             let outcome =
                 run_replicated_pipeline(&mut hosts, &stages, agent, &exec, &log, &pipeline)
                     .expect("pipeline");

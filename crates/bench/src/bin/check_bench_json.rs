@@ -1,12 +1,11 @@
-//! CI gate for the committed perf-trajectory artifacts and the fleet and
-//! serve CLIs' exported telemetry artifacts.
+//! CI gate for the committed bigint perf artifact and the fleet and serve
+//! CLIs' exported telemetry artifacts.
 //!
-//! With no arguments it reads `BENCH_fleet.json` and `BENCH_bigint.json`
-//! from the workspace root (or the paths given positionally, in that
-//! order), parses them with the in-repo JSON reader, and validates their
-//! schemas — so a perf artifact that stops being regenerable, or gets
-//! hand-edited into an unparseable state, fails the build instead of
-//! rotting silently.
+//! With no arguments it reads `BENCH_bigint.json` from the workspace root
+//! (or the bigint artifacts given positionally), parses it with the
+//! in-repo JSON reader, and validates its schema — so a perf artifact
+//! that stops being regenerable, or gets hand-edited into an unparseable
+//! state, fails the build instead of rotting silently.
 //!
 //! `--trace PATH`, `--metrics PATH`, and `--slo PATH` instead validate a
 //! Chrome `trace_event` JSON file (as written by `fleet --trace-out` or
@@ -17,7 +16,7 @@
 //!
 //! ```text
 //! cargo run -p refstate-bench --bin check_bench_json
-//! cargo run -p refstate-bench --bin check_bench_json -- fleet.json bigint.json
+//! cargo run -p refstate-bench --bin check_bench_json -- BENCH_bigint.json.smoke
 //! cargo run -p refstate-bench --bin check_bench_json -- \
 //!     --trace trace.json --metrics metrics.jsonl
 //! cargo run -p refstate-bench --bin check_bench_json -- --slo slo.json
@@ -26,8 +25,8 @@
 use std::process::ExitCode;
 
 use refstate_bench::benchjson::{
-    check_bigint_schema, check_chrome_trace, check_fleet_schema, check_metrics_jsonl,
-    check_slo_schema, parse, Json, JsonError,
+    check_bigint_schema, check_chrome_trace, check_metrics_jsonl, check_slo_schema, parse, Json,
+    JsonError,
 };
 
 fn workspace_file(name: &str) -> String {
@@ -48,7 +47,7 @@ fn check_one(path: &str, schema: impl Fn(&Json) -> Result<(), JsonError>) -> Res
 
 fn usage() -> ! {
     eprintln!(
-        "usage: check_bench_json [FLEET_JSON [BIGINT_JSON]] \
+        "usage: check_bench_json [BIGINT_JSON]... \
          [--trace TRACE_JSON] [--metrics METRICS_JSONL] [--slo SLO_JSON]"
     );
     std::process::exit(2);
@@ -97,16 +96,12 @@ fn main() -> ExitCode {
         checks.push(check_one(path, check_slo_schema));
     }
     if trace.is_none() && metrics.is_none() && slo.is_none() {
-        let fleet = positional
-            .first()
-            .cloned()
-            .unwrap_or_else(|| workspace_file("BENCH_fleet.json"));
-        let bigint = positional
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| workspace_file("BENCH_bigint.json"));
-        checks.push(check_one(&fleet, check_fleet_schema));
-        checks.push(check_one(&bigint, check_bigint_schema));
+        if positional.is_empty() {
+            positional.push(workspace_file("BENCH_bigint.json"));
+        }
+        for path in &positional {
+            checks.push(check_one(path, check_bigint_schema));
+        }
     }
 
     let mut failed = false;

@@ -27,7 +27,7 @@ pub mod benchjson;
 pub mod generic_agent;
 pub mod tables;
 
-pub use benchjson::{check_bigint_schema, check_fleet_schema, Json, JsonError};
+pub use benchjson::{check_bigint_schema, Json, JsonError};
 pub use generic_agent::{build_generic_agent, build_three_hosts, AgentParams};
 pub use tables::{
     measure_plain, measure_protected, render_tables, Measurement, TableRow, PAPER_CONFIGS,

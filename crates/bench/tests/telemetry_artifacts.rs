@@ -61,7 +61,7 @@ fn exported_artifacts_pass_the_ci_schema_checks() {
 
     // The metrics stream carries the histograms the per-stage breakdown
     // is derived from.
-    for needle in ["verify.cache_hit", "verify.replay", "crypto.verify"] {
+    for needle in ["verify.replay", "crypto.verify"] {
         assert!(
             metrics.lines().any(|l| l.contains(needle)),
             "metrics JSONL is missing {needle:?}"

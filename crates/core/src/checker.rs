@@ -226,17 +226,15 @@ impl CheckingAlgorithm for RuleChecker {
 /// state with a configurable comparator (§3.5).
 ///
 /// Every check funnels through the [`VerificationPipeline`]: replays run
-/// the compiled VM fast path, and a checker built
-/// [`with_pipeline`](ReExecutionChecker::with_pipeline) shares that
-/// pipeline's replay cache, so duplicate re-executions across hops and
-/// mechanisms collapse into digest lookups. The default checker carries a
-/// private uncached pipeline.
+/// the compiled VM fast path and are counted there. A checker built
+/// [`with_pipeline`](ReExecutionChecker::with_pipeline) counts into that
+/// shared pipeline; the default checker carries a private one.
 pub struct ReExecutionChecker {
     compare: Arc<dyn StateCompare + Send + Sync>,
     /// Also require the claimed migration target to match (defaults on).
     check_end: bool,
-    /// `true` while the comparator is the default [`ExactCompare`] — the
-    /// only comparator digest comparison is sound for.
+    /// `true` while the comparator is the default [`ExactCompare`], the
+    /// comparison the pipeline's own session check makes.
     exact: bool,
     pipeline: Arc<VerificationPipeline>,
 }
@@ -246,7 +244,6 @@ impl fmt::Debug for ReExecutionChecker {
         f.debug_struct("ReExecutionChecker")
             .field("compare", &self.compare.name())
             .field("check_end", &self.check_end)
-            .field("cached", &self.pipeline.is_cached())
             .finish()
     }
 }
@@ -264,27 +261,27 @@ impl ReExecutionChecker {
             compare: Arc::new(ExactCompare),
             check_end: true,
             exact: true,
-            pipeline: Arc::new(VerificationPipeline::uncached()),
+            pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
 
     /// Re-execution with a custom comparator (the framework's "compare
     /// method … specified by the agent programmer").
     ///
-    /// Custom comparators judge the full reference *state*, so their
-    /// checks take the pipeline's uncached full-replay path; only the
-    /// default exact comparison is answerable from the digest cache.
+    /// Custom comparators judge the full reference *state* through the
+    /// pipeline's full-replay path; the default exact comparison uses the
+    /// pipeline's session check.
     pub fn with_compare(compare: Arc<dyn StateCompare + Send + Sync>) -> Self {
         ReExecutionChecker {
             compare,
             check_end: true,
             exact: false,
-            pipeline: Arc::new(VerificationPipeline::uncached()),
+            pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
 
-    /// Routes this checker's replays through a shared pipeline (and its
-    /// replay cache, when one is attached).
+    /// Routes this checker's replays through a shared pipeline, so they
+    /// count toward its stats.
     pub fn with_pipeline(mut self, pipeline: Arc<VerificationPipeline>) -> Self {
         self.pipeline = pipeline;
         self
@@ -314,8 +311,8 @@ impl CheckingAlgorithm for ReExecutionChecker {
         let input = ctx.data.input.as_ref().expect("checked above");
 
         if self.exact {
-            // The memoizable fast path: digest comparison through the
-            // shared pipeline.
+            // The pipeline's session check: one replay, direct state
+            // comparison.
             let claimed_next = if self.check_end {
                 ctx.data.claimed_next.as_ref()
             } else {
@@ -627,27 +624,6 @@ mod tests {
             checker.check(&ctx),
             CheckOutcome::Failed(FailureReason::ProgramRejected { .. })
         ));
-    }
-
-    #[test]
-    fn checkers_sharing_a_cached_pipeline_dedup_replays() {
-        use crate::pipeline::{ReplayCache, VerificationPipeline};
-        let (program, data) = session_data(None);
-        let pipeline = Arc::new(VerificationPipeline::with_cache(Arc::new(
-            ReplayCache::new(),
-        )));
-        let a = ReExecutionChecker::new().with_pipeline(pipeline.clone());
-        let b = ReExecutionChecker::new().with_pipeline(pipeline.clone());
-        let ctx = CheckContext {
-            program: &program,
-            data: &data,
-            exec: ExecConfig::default(),
-        };
-        assert!(a.check(&ctx).passed());
-        assert!(b.check(&ctx).passed());
-        let stats = pipeline.snapshot();
-        assert_eq!(stats.replays, 1, "the second checker hit the cache");
-        assert_eq!(stats.hits, 1);
     }
 
     #[test]

@@ -120,9 +120,9 @@ impl FrameworkOutcome {
 /// data permits.
 ///
 /// The rare fraud-evidence path of the generic driver: it runs through a
-/// throwaway uncached [`crate::pipeline::VerificationPipeline`] (the
-/// compiled fast path; the per-hop *checks* themselves go through the
-/// algorithm's own — possibly cached — pipeline).
+/// throwaway [`crate::pipeline::VerificationPipeline`] (the compiled fast
+/// path; the per-hop *checks* themselves go through the algorithm's own
+/// pipeline).
 fn reference_state_for_evidence(
     program: &Program,
     data: &ReferenceData,
@@ -130,7 +130,7 @@ fn reference_state_for_evidence(
 ) -> Option<DataState> {
     let initial = data.initial_state.as_ref()?;
     let input = data.input.as_ref()?;
-    crate::pipeline::VerificationPipeline::uncached().reference_state(program, initial, input, exec)
+    crate::pipeline::VerificationPipeline::new().reference_state(program, initial, input, exec)
 }
 
 /// A session kept for checking: its sequence number, executor and

@@ -111,9 +111,7 @@ pub use checker::{
 pub use compare::{ExactCompare, IgnoreVars, StateCompare, UnorderedLists};
 pub use framework::{ProtectedAgent, ProtectionConfig};
 pub use moment::CheckMoment;
-pub use pipeline::{
-    PipelineStatsSnapshot, ReplayCache, ReplaySummary, ShardStats, VerificationPipeline,
-};
+pub use pipeline::{PipelineStatsSnapshot, ReplaySummary, VerificationPipeline};
 pub use refdata::{HostFacilities, ReferenceData, ReferenceDataKind, ReferenceDataRequest};
 pub use route::{RouteEntry, SignedRoute};
 pub use rules::{CmpOp, Expr, Pred, RuleSet};

@@ -163,9 +163,9 @@ pub struct ProtocolConfig {
     /// Hop budget.
     pub max_hops: usize,
     /// The verification pipeline every re-execution of this journey runs
-    /// through. Defaults to a private uncached pipeline; fleet drivers
-    /// install an `Arc`-shared cached one so duplicate re-executions
-    /// across journeys and mechanisms collapse into cache hits.
+    /// through. Defaults to a private pipeline; fleet drivers install an
+    /// `Arc`-shared one so every journey's replays count toward one set
+    /// of stats.
     pub pipeline: Arc<VerificationPipeline>,
 }
 
@@ -175,7 +175,7 @@ impl Default for ProtocolConfig {
             exec: ExecConfig::default(),
             skip_trusted: true,
             max_hops: 64,
-            pipeline: Arc::new(VerificationPipeline::uncached()),
+            pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
 }
@@ -200,11 +200,10 @@ pub struct ProtocolStats {
     pub signatures: u32,
     /// Number of signatures verified.
     pub verifications: u32,
-    /// Number of re-execution *checks* performed. With a shared replay
-    /// cache on [`ProtocolConfig::pipeline`], a check may be answered
-    /// from the cache without a fresh VM replay — actual replay counts
-    /// live in the pipeline's
-    /// [`snapshot`](crate::pipeline::VerificationPipeline::snapshot).
+    /// Number of re-execution *checks* performed, each one replay on
+    /// [`ProtocolConfig::pipeline`] (its
+    /// [`snapshot`](crate::pipeline::VerificationPipeline::snapshot)
+    /// counts the replays).
     pub reexecutions: u32,
 }
 
@@ -670,10 +669,8 @@ impl Leg for ProtocolLeg<'_> {
                 detail: "session certificate signature invalid".into(),
             });
         } else if receiver_checks(self.config, &visit.hosts[executor], here) {
-            // checkAfterSession: re-execute the previous session —
-            // through the shared verification pipeline, so an identical
-            // re-execution performed by any other driver (or the owner's
-            // audit later) is a cache hit.
+            // checkAfterSession: re-execute the previous session through
+            // the shared verification pipeline.
             let t = Instant::now();
             let claimed_next = cert.next.as_ref().map(|h| h.as_str().to_owned());
             let (outcome, reference) = self.config.pipeline.verify_session_with_reference(

@@ -39,7 +39,8 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use refstate_telemetry as telemetry;
 
 use refstate_bigint::{
@@ -132,16 +133,32 @@ impl PartialEq for DsaParams {
 impl Eq for DsaParams {}
 
 /// The widest field prime `p` a wire-decoded group may have, in bits.
-/// Decoding pays one exponentiation mod `p`; the cap bounds what a hostile
-/// frame can make it cost. The paper's groups use at most 1 024 bits.
+/// Decoding pays a Miller–Rabin test of `q` and one exponentiation mod
+/// `p`; the cap bounds what a hostile frame can make them cost. The
+/// paper's groups use at most 1 024 bits.
+///
+/// The worst case is a prime 4 095-bit `q` under a 4 096-bit `p`: all
+/// [`VALIDATE_MR_ROUNDS`] rounds run, then `g^q`, 17 exponentiations
+/// at about 56 ms each, so one such frame took 0.95 s to decode (release
+/// build, 2-vCPU x86-64 host, five runs from 0.94 to 0.96 s). A
+/// composite `q` of that width usually stops at trial division (21 µs
+/// for `q + 2`).
 const MAX_DECODED_P_BITS: usize = 4096;
+
+/// Miller–Rabin rounds a check of given parameters runs: on `p` and `q`
+/// in [`DsaParams::new`], on `q` in a wire decode.
+const VALIDATE_MR_ROUNDS: u32 = 16;
+
+/// Seed of the RNG a decode draws its Miller–Rabin witnesses from. A
+/// constant, so a decode is a pure function of its bytes.
+const DECODE_WITNESS_SEED: u64 = 0x6473_615f_7072_696d;
 
 /// Upper bound on the Montgomery residues one fixed-base table holds: a
 /// `w`-bit table has `2^w − 1` residues per digit row, so it covers at
 /// most `⌊15 360 / (2^w − 1)⌋ · w` exponent bits — 4 096 at `w = 4`, 480
 /// at `w = 8`. Real DSA subgroup orders are ≤ a few hundred bits; the cap
-/// only bites on wire-decoded parameters (decode checks no primality, so
-/// it admits any odd `q` narrower than `p`), where a hostile 4 095-bit `q`
+/// only bites on wire-decoded parameters (decode admits any probable-prime
+/// `q` narrower than `p`), where a hostile 4 095-bit `q`
 /// would otherwise make the first signature build a `g`-table of 130 560
 /// residues, 64 MiB at a 4 096-bit `p` (a memory-amplification DoS the
 /// constant-memory schoolbook path never had). Capped, each table holds
@@ -217,10 +234,10 @@ impl DsaParams {
     /// Returns [`SignatureError::InvalidParams`] when any structural check
     /// fails.
     pub fn new(p: Uint, q: Uint, g: Uint, rng: &mut dyn RngCore) -> Result<Self, SignatureError> {
-        if !is_probable_prime(&p, 16, rng) {
+        if !is_probable_prime(&p, VALIDATE_MR_ROUNDS, rng) {
             return Err(SignatureError::InvalidParams("p is not prime"));
         }
-        if q.is_even() || !is_probable_prime(&q, 16, rng) {
+        if q.is_even() || !is_probable_prime(&q, VALIDATE_MR_ROUNDS, rng) {
             return Err(SignatureError::InvalidParams("q is not an odd prime"));
         }
         let p_minus_1 = &p - &Uint::one();
@@ -340,12 +357,19 @@ impl Decode for DsaParams {
     /// Decodes `(p, q, g)` and refuses, as [`WireError::InvalidValue`],
     /// parameters that cannot host a group: a `p` or `q` that is even or
     /// below 3 (no Montgomery context), a `p` wider than 4 096 bits, a
-    /// `q` at least as wide as `p` (it cannot divide `p − 1`), a `g`
-    /// outside `(1, p)`, or a `g` with `g^q mod p ≠ 1` (its signatures
-    /// would fail their own verification). The shape checks come first,
-    /// so only a bounded `p` and `q` reach the one exponentiation a decode
-    /// costs. Primality needs an RNG and stays the caller's job
-    /// ([`DsaParams::new`]).
+    /// `q` at least as wide as `p`, a `q` that does not divide `p − 1`
+    /// (`p = q²` with `g = 1 + q` passes every other check, and there
+    /// `r = (g^k mod p) mod q` is always 1, so any `(1, s)` verifies), a
+    /// `g` outside `(1, p)`, a composite `q` (a nonce with no inverse mod
+    /// `q` would stop the signer), or a `g` with `g^q mod p ≠ 1` (its
+    /// signatures would fail their own verification). The shape checks
+    /// come first, so only a bounded `p` and `q` reach the exponentiations
+    /// a decode costs. The primality test is [`DsaParams::new`]'s
+    /// Miller–Rabin on `q`, with witnesses drawn from a constant seed so
+    /// the same bytes always decode the same way; a composite crafted
+    /// against those fixed witnesses could still pass. `p`'s primality is
+    /// not checked: it would cost as much again as the rest of a
+    /// worst-case decode.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let p = Uint::from_be_bytes(r.take_bytes()?);
         let q = Uint::from_be_bytes(r.take_bytes()?);
@@ -359,6 +383,17 @@ impl Decode for DsaParams {
         if p.bit_len() > MAX_DECODED_P_BITS || q.bit_len() >= p.bit_len() {
             return Err(WireError::InvalidValue {
                 context: "DSA params: width",
+            });
+        }
+        let mut witnesses = StdRng::seed_from_u64(DECODE_WITNESS_SEED);
+        if !is_probable_prime(&q, VALIDATE_MR_ROUNDS, &mut witnesses) {
+            return Err(WireError::InvalidValue {
+                context: "DSA params: q not prime",
+            });
+        }
+        if !(&p - &Uint::one()).rem(&q).is_zero() {
+            return Err(WireError::InvalidValue {
+                context: "DSA params: q does not divide p - 1",
             });
         }
         let mont = Montgomery::new(&p).expect("p is odd and at least 3");
@@ -588,9 +623,9 @@ pub struct BatchEntry<'a> {
 ///
 /// A component outside `[1, q)` rejects its entry before the product is
 /// formed, so a zero `s` cannot poison the rest of its group. A product
-/// with no inverse (possible only for a composite `q` from a wire decode,
-/// which checks no primality) makes each entry invert alone, so an entry
-/// fails only on its own `s`.
+/// with no inverse (possible only for a composite `q` crafted to pass a
+/// wire decode's fixed-witness primality test) makes each entry invert
+/// alone, so an entry fails only on its own `s`.
 ///
 /// Telemetry: `crypto.batch_size` and the `crypto.verify_batch` span once
 /// per call; `crypto.verify` once per entry, timing that entry's own
@@ -1075,15 +1110,21 @@ mod tests {
         let sig = key.sign(b"msg", &mut StdRng::seed_from_u64(25));
         assert!(key.public().verify(b"msg", &sig) && key.public().verify_fused(b"msg", &sig));
 
-        // 2^e − 1 with odd e, base 2 and exponent e: 2^e ≡ 1, so only the
-        // width cap tells these apart.
+        // 2^e − 1 with prime e, base 2 and exponent e: 2^e ≡ 1, so only the
+        // width cap tells these apart (4 093 and 4 099 are prime).
         let two = Uint::from(2u64);
         let mersenne = |e: u64| (&(&one << e as usize) - &one, Uint::from(e));
-        let (widest_p, widest_q) = mersenne(MAX_DECODED_P_BITS as u64 - 1);
-        assert!(from_wire::<DsaParams>(&params_wire(&widest_p, &widest_q, &two)).is_ok());
-        let (wide_p, wide_q) = mersenne(MAX_DECODED_P_BITS as u64 + 1);
+        let (near_cap_p, near_cap_q) = mersenne(MAX_DECODED_P_BITS as u64 - 3);
+        assert!(from_wire::<DsaParams>(&params_wire(&near_cap_p, &near_cap_q, &two)).is_ok());
+        let (wide_p, wide_q) = mersenne(MAX_DECODED_P_BITS as u64 + 3);
         // q³ is odd and g^(q³) = 1, but it is wider than p.
         let q_cubed = &(q * q) * q;
+        // 3q is odd, narrower than p and g^(3q) = 1: only primality
+        // refuses it (its nonces would have no inverse mod 3q).
+        let q_times_3 = q * &Uint::from(3u64);
+        // 1 + q has order q mod q², but q does not divide q² − 1.
+        let q_squared = q * q;
+        let one_plus_q = q + &one;
 
         let p_minus_1 = p - &one;
         for (why, p, q, g) in [
@@ -1095,6 +1136,8 @@ mod tests {
             ("zero q", p, &Uint::zero(), g),
             ("q as wide as p", p, p, g),
             ("q wider than p", p, &q_cubed, g),
+            ("composite q", p, &q_times_3, g),
+            ("q does not divide p - 1", &q_squared, q, &one_plus_q),
             // (p − 1)^q = −1 for odd q: g's order does not divide q.
             ("g^q mod p = p - 1", p, q, &p_minus_1),
         ] {
@@ -1108,14 +1151,14 @@ mod tests {
 
     #[test]
     fn tables_keep_to_the_residue_budget_and_wide_exponents_fall_back() {
-        use refstate_wire::from_wire;
-        // q^6 is odd, narrower than the 1 024-bit p, and g^(q^6) = 1, so it
-        // decodes; the g-table covers only 480 of its bits.
-        let group = DsaParams::group_1024();
-        let wide_q = (1..6).fold(group.q().clone(), |acc, _| &acc * group.q());
-        assert!(wide_q.bit_len() > 900);
-        let hostile =
-            from_wire::<DsaParams>(&params_wire(group.p(), &wide_q, group.g())).expect("decodes");
+        use refstate_wire::{from_wire, to_wire};
+        // A group whose prime q is wider than the 480 exponent bits an
+        // 8-bit g-table covers: it decodes, and the g-table stops short.
+        let mut rng = StdRng::seed_from_u64(26);
+        let hostile = from_wire::<DsaParams>(&to_wire(&DsaParams::generate(512, 496, &mut rng)))
+            .expect("decodes");
+        let wide_q = hostile.q().clone();
+        assert_eq!(wide_q.bit_len(), 496);
         assert_eq!(hostile.table_exp_bits(G_WINDOW), 480);
         assert_eq!(hostile.table_exp_bits(Y_WINDOW), wide_q.bit_len());
         // The widest q decode admits, one bit under a MAX_DECODED_P_BITS-bit
@@ -1134,13 +1177,13 @@ mod tests {
                 );
             }
         }
-        // The real group's tables cover its whole q.
+        // A built-in group's tables cover its whole q.
+        let group = DsaParams::group_1024();
         assert_eq!(group.table_exp_bits(G_WINDOW), group.q().bit_len());
 
-        let mut rng = StdRng::seed_from_u64(26);
         let e = random_in_unit_range(&mut rng, &wide_q);
         assert!(e.bit_len() > 480);
-        assert_eq!(hostile.pow_g(&e), group.g().pow_mod(&e, group.p()));
+        assert_eq!(hostile.pow_g(&e), hostile.g().pow_mod(&e, hostile.p()));
         let key = DsaKeyPair::generate(&hostile, &mut rng);
         let sig = key.sign(b"wide", &mut rng);
         assert!(key.public().verify_fused(b"wide", &sig));

@@ -19,11 +19,6 @@
 //!   through the registry (default: every registered mechanism)
 //! * `--mechanism M` — single-mechanism form of the same filter;
 //!   repeatable
-//! * `--replay-cache` / `--no-replay-cache` — share (default) or disable
-//!   the run-wide replay cache that dedups re-executions across journeys
-//!   and mechanisms; the deterministic report is byte-identical either
-//!   way (the determinism guard `replay_cache_does_not_change_the_report`
-//!   pins it)
 //! * `--telemetry off|counters|full` — observability level (default
 //!   `off`; the deterministic report is byte-identical at every level,
 //!   pinned by the telemetry determinism guard)
@@ -44,7 +39,6 @@ fn usage(registry: &MechanismRegistry, exit: i32) -> ! {
     eprintln!(
         "usage: fleet [--scenarios N] [--workers N] [--seed S] [--preset P] \
          [--mechanisms LIST] [--mechanism M]... \
-         [--replay-cache|--no-replay-cache] \
          [--telemetry off|counters|full] [--trace-out PATH] \
          [--metrics-out PATH] [--json-only|--no-json]\n\
          presets: {}\n\
@@ -124,8 +118,6 @@ fn parse_args(registry: &MechanismRegistry) -> (FleetConfig, OutputOptions) {
                     add(&mut mechanisms, mechanism);
                 }
             }
-            "--replay-cache" => config.replay_cache = true,
-            "--no-replay-cache" => config.replay_cache = false,
             "--telemetry" => {
                 let name = value(&mut i);
                 level = telemetry::TelemetryLevel::parse(&name).unwrap_or_else(|| {

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refstate_core::{ReplayCache, VerificationPipeline};
+use refstate_core::VerificationPipeline;
 use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_mechanisms::api::{
     settle, JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
@@ -65,13 +65,6 @@ pub struct FleetConfig {
     pub key_pool: usize,
     /// Shared mechanism configuration.
     pub adapter: MechanismConfig,
-    /// Share one [`ReplayCache`] across every journey, mechanism, and
-    /// worker of the run (on by default), so duplicate re-executions of
-    /// the same session collapse into cache hits. Off reproduces the
-    /// replay-per-check behaviour; the [`FleetReport`] is byte-identical
-    /// either way (pinned by a test — the cache is a memo, not a
-    /// semantic).
-    pub replay_cache: bool,
 }
 
 impl Default for FleetConfig {
@@ -84,7 +77,6 @@ impl Default for FleetConfig {
             mechanisms: MechanismRegistry::builtin().all(),
             key_pool: 64,
             adapter: MechanismConfig::default(),
-            replay_cache: true,
         }
     }
 }
@@ -288,13 +280,9 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     let metrics_before = telemetry::enabled().then(telemetry::snapshot);
 
     // One verification pipeline for the whole run: every journey's
-    // re-execution funnels through it, and with the cache on, duplicate
-    // sessions across hops, replicas, and mechanisms replay once.
-    let pipeline = Arc::new(if config.replay_cache {
-        VerificationPipeline::with_cache(Arc::new(ReplayCache::new()))
-    } else {
-        VerificationPipeline::uncached()
-    });
+    // re-execution funnels through it, so the timing block reads one
+    // replay count.
+    let pipeline = Arc::new(VerificationPipeline::new());
 
     // One shared DSA group and key pool (generation is the expensive
     // part; hosts index into the pool deterministically).
@@ -386,7 +374,6 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
         scenarios_per_sec: results.len() as f64 / wall.as_secs_f64().max(f64::EPSILON),
         journeys_per_sec: journeys as f64 / wall.as_secs_f64().max(f64::EPSILON),
         latencies,
-        replay_cache: config.replay_cache,
         replay: pipeline.snapshot(),
         telemetry: telemetry::level(),
         stages,

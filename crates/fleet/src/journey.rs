@@ -158,7 +158,7 @@ mod tests {
             .collect();
         let key = |pos: usize, _: &HostSpec| &keys[pos % keys.len()];
         let config = MechanismConfig::default();
-        let pipeline = Arc::new(VerificationPipeline::uncached());
+        let pipeline = Arc::new(VerificationPipeline::new());
         let digests: Vec<String> = MechanismRegistry::builtin()
             .iter()
             .map(|mechanism| {

@@ -597,7 +597,7 @@ impl LatencyPercentiles {
 /// telemetry duration histogram (nanosecond samples, reported in µs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageStats {
-    /// Samples observed (e.g. cache probes that hit).
+    /// Samples observed (e.g. VM replays).
     pub count: u64,
     /// Total wall time spent in this stage, microseconds.
     pub total_us: f64,
@@ -623,26 +623,23 @@ impl StageStats {
     }
 }
 
-/// Where one mechanism's verification time went: cache hits vs full VM
-/// replays vs signature verification. Built from the telemetry metric
+/// Where one mechanism's verification time went: VM replays vs
+/// signature verification. Built from the telemetry metric
 /// delta of the run; part of [`FleetTiming`] (never [`FleetReport`] — the
 /// deterministic surface carries no wall-clock facts).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
-    /// Replay-cache probes that hit (`verify.cache_hit`).
-    pub cache_hit: StageStats,
-    /// Full compiled-VM re-executions (`verify.replay`).
+    /// Compiled-VM re-executions (`verify.replay`).
     pub replay: StageStats,
     /// Single DSA signature verifications (`crypto.verify`).
     pub sig_verify: StageStats,
 }
 
 impl StageBreakdown {
-    /// Pulls the three stage histograms recorded under `mechanism`'s
+    /// Pulls the stage histograms recorded under `mechanism`'s
     /// telemetry scope out of a metrics (delta) snapshot.
     pub fn from_metrics(metrics: &MetricsSnapshot, mechanism: &'static str) -> StageBreakdown {
         StageBreakdown {
-            cache_hit: StageStats::from_histogram(metrics.histogram(mechanism, "verify.cache_hit")),
             replay: StageStats::from_histogram(metrics.histogram(mechanism, "verify.replay")),
             sig_verify: StageStats::from_histogram(metrics.histogram(mechanism, "crypto.verify")),
         }
@@ -651,7 +648,7 @@ impl StageBreakdown {
     /// `true` when no stage recorded a single sample (mechanism never
     /// touched the pipeline or crypto — e.g. `unprotected`).
     pub fn is_empty(&self) -> bool {
-        self.cache_hit.count == 0 && self.replay.count == 0 && self.sig_verify.count == 0
+        self.replay.count == 0 && self.sig_verify.count == 0
     }
 }
 
@@ -670,10 +667,9 @@ pub struct FleetTiming {
     /// Latency percentiles per mechanism name, in run order (mechanisms
     /// that ran no journeys have no entry).
     pub latencies: Vec<(&'static str, LatencyPercentiles)>,
-    /// Whether the run shared a replay cache across journeys.
-    pub replay_cache: bool,
-    /// The verification pipeline's counters: cache hits/misses, actual VM
-    /// replays, evictions, and end-of-run cache occupancy.
+    /// The verification pipeline's counters: VM replays, plus the
+    /// `hits`/`misses` pair the benchmark's informational hit-rate row
+    /// still reads (`hits` is always 0).
     pub replay: PipelineStatsSnapshot,
     /// The telemetry level the run executed under.
     pub telemetry: TelemetryLevel,
@@ -696,32 +692,19 @@ impl FleetTiming {
             self.journeys_per_sec,
             self.telemetry.name(),
         );
-        let _ = writeln!(
-            out,
-            "replay cache: {} — {} hits / {} misses ({:.1}% hit rate), {} replays, \
-             {} evictions, occupancy {}/{}",
-            if self.replay_cache { "on" } else { "off" },
-            self.replay.hits,
-            self.replay.misses,
-            self.replay.hit_rate() * 100.0,
-            self.replay.replays,
-            self.replay.evictions,
-            self.replay.cache_entries,
-            self.replay.cache_capacity,
-        );
+        let _ = writeln!(out, "replays: {}", self.replay.replays);
         if !self.stages.is_empty() {
             let _ = writeln!(
                 out,
-                "{:<20} {:>16} {:>16} {:>16}",
-                "stage (count/total)", "cache_hit", "replay", "sig_verify"
+                "{:<20} {:>16} {:>16}",
+                "stage (count/total)", "replay", "sig_verify"
             );
             let cell = |s: &StageStats| format!("{}/{:.0}µs", s.count, s.total_us);
             for (mechanism, b) in &self.stages {
                 let _ = writeln!(
                     out,
-                    "{:<20} {:>16} {:>16} {:>16}",
+                    "{:<20} {:>16} {:>16}",
                     mechanism,
-                    cell(&b.cache_hit),
                     cell(&b.replay),
                     cell(&b.sig_verify),
                 );
@@ -762,25 +745,14 @@ impl FleetTiming {
         w.field_str("telemetry", self.telemetry.name());
         w.key("replay");
         w.begin_object();
-        w.field_bool("cache_enabled", self.replay_cache);
-        w.field_u64("hits", self.replay.hits);
-        w.field_u64("misses", self.replay.misses);
         w.field_u64("replays", self.replay.replays);
-        w.field_f64("hit_rate", self.replay.hit_rate());
-        w.field_u64("evictions", self.replay.evictions);
-        w.field_u64("occupancy", self.replay.cache_entries);
-        w.field_u64("capacity", self.replay.cache_capacity);
         w.end_object();
         w.key("stage_breakdown");
         w.begin_object();
         for (mechanism, b) in &self.stages {
             w.key(mechanism);
             w.begin_object();
-            for (label, stage) in [
-                ("cache_hit", &b.cache_hit),
-                ("replay", &b.replay),
-                ("sig_verify", &b.sig_verify),
-            ] {
+            for (label, stage) in [("replay", &b.replay), ("sig_verify", &b.sig_verify)] {
                 w.key(label);
                 w.begin_object();
                 w.field_u64("count", stage.count);

@@ -64,59 +64,6 @@ fn replicated_preset_is_invariant_under_worker_count() {
 }
 
 #[test]
-fn replay_cache_does_not_change_the_report() {
-    // The determinism guard for the replay cache: cached and uncached
-    // runs must produce byte-identical FleetReport JSON — the cache is a
-    // memo, never a semantic.
-    let run_with = |cache: bool| {
-        let mut c = config(Preset::Mixed, all_builtin(), 4);
-        c.scenarios = 60;
-        c.replay_cache = cache;
-        run_fleet(&c)
-    };
-    let cached = run_with(true);
-    let uncached = run_with(false);
-    assert_eq!(cached.report.to_json(), uncached.report.to_json());
-    assert!(cached.timing.replay_cache);
-    assert!(!uncached.timing.replay_cache);
-    assert!(
-        cached.timing.replay.hits > 0,
-        "mechanisms re-checking the same sessions must hit the cache"
-    );
-    assert_eq!(uncached.timing.replay.hits, 0);
-    assert!(
-        cached.timing.replay.replays < uncached.timing.replay.replays,
-        "the cache must eliminate replays: {} vs {}",
-        cached.timing.replay.replays,
-        uncached.timing.replay.replays
-    );
-}
-
-#[test]
-fn cached_fleet_replays_fewer_than_journeys_times_hops() {
-    // Single-threaded proof of the dedup (acceptance criterion): across a
-    // mixed-preset fleet, the number of actual VM replays stays strictly
-    // below journeys × hops — the bound an uncached per-check replay
-    // discipline converges to.
-    let mut c = config(Preset::Mixed, all_builtin(), 1);
-    c.replay_cache = true;
-    let run = run_fleet(&c);
-    let journeys_times_hops: u64 = run
-        .results
-        .iter()
-        .map(|r| (r.runs.len() * r.route_len) as u64)
-        .sum();
-    let stats = run.timing.replay;
-    assert!(stats.hits > 0, "shared sessions must be answered by cache");
-    assert!(
-        stats.replays < journeys_times_hops,
-        "replays ({}) must stay strictly below journeys × hops ({})",
-        stats.replays,
-        journeys_times_hops
-    );
-}
-
-#[test]
 fn different_seed_produces_different_fleet() {
     let a = run_fleet(&config(Preset::Mixed, mechanisms(&["unprotected"]), 4));
     let mut other = config(Preset::Mixed, mechanisms(&["unprotected"]), 4);

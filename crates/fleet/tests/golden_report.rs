@@ -1,11 +1,11 @@
 //! Golden-report regression guard: the seed-42 fleet reports are
 //! committed as fixtures and compared **byte for byte**, so a future
-//! perf PR (cache policy, parallelism, arithmetic) cannot silently shift
-//! a detection or attribution score. This extends the cached-vs-uncached
-//! and worker-invariance guarantees (same-process) to a *cross-PR*
-//! guarantee: the fixture bytes only change when a PR deliberately
-//! regenerates them (`REGEN_GOLDEN=1 cargo test -p refstate-fleet --test
-//! golden_report`) and the diff shows up in review.
+//! perf PR (parallelism, arithmetic) cannot silently shift a detection
+//! or attribution score. This extends the worker-invariance guarantee
+//! (same-process) to a *cross-PR* guarantee: the fixture bytes only
+//! change when a PR deliberately regenerates them (`REGEN_GOLDEN=1 cargo
+//! test -p refstate-fleet --test golden_report`) and the diff shows up in
+//! review.
 
 use refstate_fleet::{run_fleet, FleetConfig, Preset};
 
@@ -16,7 +16,7 @@ fn golden_config(preset: Preset) -> FleetConfig {
         seed: 42,
         preset,
         key_pool: 16,
-        ..FleetConfig::default() // every builtin mechanism, cache on
+        ..FleetConfig::default() // every builtin mechanism
     }
 }
 

@@ -171,8 +171,8 @@ pub struct JourneyCtx<'a> {
     pub rng: StdRng,
     /// Deferred signature checks, settled in one batch at journey end.
     pub queue: VerificationQueue,
-    /// The verification pipeline (and replay cache, when the engine
-    /// shares one) every re-execution of this journey funnels through.
+    /// The verification pipeline every re-execution of this journey
+    /// funnels through.
     pub pipeline: Arc<VerificationPipeline>,
 }
 
@@ -204,7 +204,7 @@ impl<'a> JourneyCtx<'a> {
             log,
             rng: StdRng::seed_from_u64(seed),
             queue: VerificationQueue::new(),
-            pipeline: Arc::new(VerificationPipeline::uncached()),
+            pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
 
@@ -215,7 +215,8 @@ impl<'a> JourneyCtx<'a> {
     }
 
     /// Attaches a shared verification pipeline (fleet engines pass one
-    /// handle to every journey so replay dedup spans the whole run).
+    /// handle to every journey so one set of replay counters spans the
+    /// whole run).
     pub fn with_pipeline(mut self, pipeline: Arc<VerificationPipeline>) -> Self {
         self.pipeline = pipeline;
         self

@@ -589,7 +589,7 @@ mod tests {
             .collect();
 
         let log = EventLog::new();
-        let pipeline = Arc::new(refstate_core::VerificationPipeline::uncached());
+        let pipeline = Arc::new(refstate_core::VerificationPipeline::new());
         let mut host_sets: Vec<Vec<Host>> = attacks.iter().map(|a| hosts(a.clone())).collect();
         // Identical reseeding: one directory covers every set.
         let directory = host_directory(&host_sets[0]);

@@ -93,9 +93,7 @@ impl ReplicationOutcome {
 /// recorded input log through `pipeline`, and replicas whose claimed state
 /// or continuation diverges from that reference are reported in
 /// [`ReplicationOutcome::confirmed_tampering`] — reference-state-grade
-/// evidence on top of the vote. Honest replicas of a stage share one
-/// session fingerprint, so with a cached pipeline the confirmation costs
-/// at most one replay per divergent stage.
+/// evidence on top of the vote.
 ///
 /// # Errors
 ///
@@ -300,7 +298,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         assert!(outcome.unanimous());
@@ -317,7 +315,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         assert_eq!(outcome.final_state.unwrap().get_int("total"), Some(60));
@@ -338,7 +336,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         assert_eq!(outcome.final_state.unwrap().get_int("total"), Some(60));
@@ -357,7 +355,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         // The attackers' identical forged state wins stage 0.
@@ -407,7 +405,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         assert!(outcome.final_state.is_none());
@@ -416,13 +414,11 @@ mod tests {
 
     #[test]
     fn checked_pipeline_confirms_state_tampering_but_not_input_forgery() {
-        use refstate_core::ReplayCache;
-        use std::sync::Arc;
         // Stage 1 replica 2 tampers with its state: the vote flags it AND
         // the pipeline confirms the lie from its own log.
         let (mut hosts, stages) = build(3, 3, &[10, 20, 30], &[(1, 2)]);
         let log = EventLog::new();
-        let pipeline = VerificationPipeline::with_cache(Arc::new(ReplayCache::new()));
+        let pipeline = VerificationPipeline::new();
         let outcome = run_replicated_pipeline(
             &mut hosts,
             &stages,
@@ -493,7 +489,7 @@ mod tests {
             .collect();
         let stages = vec![StageSpec::new(["r0", "r1", "r2"])];
         let log = EventLog::new();
-        let pipeline = VerificationPipeline::uncached();
+        let pipeline = VerificationPipeline::new();
         let outcome = run_replicated_pipeline(
             &mut hosts,
             &stages,
@@ -518,7 +514,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap_err();
         assert!(matches!(err, JourneyError::UnknownHost { .. }));
@@ -559,7 +555,7 @@ mod tests {
             stage_agent(),
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         )
         .unwrap();
         assert_eq!(outcome.suspects, vec![HostId::new("y2")]);

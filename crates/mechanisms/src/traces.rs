@@ -223,9 +223,8 @@ pub fn run_traced_journey(
 ///
 /// The audit walks the sessions in order and stops at the first
 /// inconsistency (later sessions ran on a corrupted state and cannot be
-/// judged fairly). Re-executions run through `pipeline`: with a shared
-/// replay cache, a session another mechanism's check already replayed is a
-/// cache hit; [`VerificationPipeline::uncached`] replays every session.
+/// judged fairly). Re-executions run through `pipeline`, which counts
+/// them.
 pub fn audit_journey(
     journey: &TracedJourney,
     program: &Program,
@@ -484,7 +483,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert!(report.clean());
         assert_eq!(report.verdicts.len(), 3);
@@ -510,7 +509,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert_eq!(report.culprit, Some(HostId::new("b")));
         // Evidence is digest-level only (the paper's stated limitation).
@@ -535,7 +534,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert!(
             report.clean(),
@@ -562,7 +561,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }
@@ -586,7 +585,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }
@@ -619,7 +618,7 @@ mod tests {
             &dir,
             &ExecConfig::default(),
             &log,
-            &VerificationPipeline::uncached(),
+            &VerificationPipeline::new(),
         );
         assert_eq!(report.culprit, Some(HostId::new("b")));
     }

@@ -121,9 +121,8 @@ pub enum Attack {
     /// remembered a result variable from a *previous* journey of the same
     /// owner and presents that stale value instead of executing honestly
     /// for the current one. **Detectable** — the replayed state differs
-    /// from the reference state computed for the current journey's inputs,
-    /// even when the verifier's replay cache is shared across journeys
-    /// (the stale session keys to a different cache entry).
+    /// from the reference state computed for the current journey's
+    /// inputs.
     ReplayStaleState {
         /// Variable to overwrite with the remembered value.
         name: String,

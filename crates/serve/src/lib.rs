@@ -15,7 +15,7 @@
 //! * [`proto`] — the request/response messages on the workspace's
 //!   canonical codec, framed by `refstate_wire::frame`,
 //! * [`service`] — a lock-free routing layer over per-owner *shards*
-//!   (each owner's own key directory and uncached pipeline, bounded
+//!   (each owner's own key directory and verification pipeline, bounded
 //!   ingress queues, per-owner exec locks); no state is shared across
 //!   tenants.
 //!   Submits for different owners never contend, and a tick settles
@@ -58,7 +58,8 @@ pub mod soak;
 pub use driver::{TickDriver, TickDriverConfig, TickDriverStats};
 pub use net::{PipelinedClient, Server};
 pub use proto::{
-    OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
+    OwnerStats, RegisterOwner, RejectReason, Request, Response, ServiceHealth, StreamCheckpoint,
+    VerdictReply,
 };
 pub use service::{ServeConfig, Service};
 pub use soak::{

@@ -120,6 +120,9 @@ pub enum Request {
     /// Read the process's metrics: every counter and histogram, answered
     /// with [`Response::Metrics`].
     Metrics,
+    /// Read the service-wide health view, answered with
+    /// [`Response::Health`].
+    Health,
 }
 
 /// One journey's final verdict, streamed back on [`Request::Drain`].
@@ -193,6 +196,23 @@ pub struct OwnerStats {
     pub stream_offset: u64,
 }
 
+/// The service-wide health view, read via [`Request::Health`]: totals
+/// over every owner, taken under the same brief locks as
+/// [`Request::Stats`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServiceHealth {
+    /// Registered owners, one shard each.
+    pub shards: u64,
+    /// Admitted journeys awaiting a tick.
+    pub queued: u64,
+    /// Settled verdicts not yet drained.
+    pub undrained: u64,
+    /// Age of the oldest queued journey in µs (0 when none is queued).
+    pub oldest_queued_us: u64,
+    /// The state store's open-generation stamp (0 without a state dir).
+    pub generation: u64,
+}
+
 /// One owner's durable verdict-stream position, reported by
 /// [`Response::StreamState`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -260,6 +280,8 @@ pub enum Response {
     /// (`refstate_telemetry::export::metrics_jsonl`). Empty at telemetry
     /// level `off`.
     Metrics(String),
+    /// The service-wide health view.
+    Health(ServiceHealth),
     /// A malformed or out-of-protocol request.
     Error {
         /// Human-readable cause.
@@ -347,6 +369,7 @@ impl Encode for Request {
             }
             Request::StreamState => w.put_u8(7),
             Request::Metrics => w.put_u8(8),
+            Request::Health => w.put_u8(9),
         }
     }
 }
@@ -370,6 +393,7 @@ impl Decode for Request {
             6 => Request::TickOwners(Vec::decode(r)?),
             7 => Request::StreamState,
             8 => Request::Metrics,
+            9 => Request::Health,
             tag => {
                 return Err(WireError::InvalidTag {
                     context: "Request",
@@ -428,6 +452,28 @@ impl Encode for StreamCheckpoint {
         self.owner.encode(w);
         self.offset.encode(w);
         self.digest.encode(w);
+    }
+}
+
+impl Encode for ServiceHealth {
+    fn encode(&self, w: &mut Writer) {
+        self.shards.encode(w);
+        self.queued.encode(w);
+        self.undrained.encode(w);
+        self.oldest_queued_us.encode(w);
+        self.generation.encode(w);
+    }
+}
+
+impl Decode for ServiceHealth {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ServiceHealth {
+            shards: u64::decode(r)?,
+            queued: u64::decode(r)?,
+            undrained: u64::decode(r)?,
+            oldest_queued_us: u64::decode(r)?,
+            generation: u64::decode(r)?,
+        })
     }
 }
 
@@ -511,6 +557,10 @@ impl Encode for Response {
                 w.put_u8(9);
                 jsonl.encode(w);
             }
+            Response::Health(health) => {
+                w.put_u8(10);
+                health.encode(w);
+            }
         }
     }
 }
@@ -546,6 +596,7 @@ impl Decode for Response {
                 owners: Vec::decode(r)?,
             },
             9 => Response::Metrics(String::decode(r)?),
+            10 => Response::Health(ServiceHealth::decode(r)?),
             tag => {
                 return Err(WireError::InvalidTag {
                     context: "Response",
@@ -590,6 +641,7 @@ mod tests {
         round_trip(Request::TickOwners(Vec::new()));
         round_trip(Request::StreamState);
         round_trip(Request::Metrics);
+        round_trip(Request::Health);
     }
 
     #[test]
@@ -659,6 +711,14 @@ mod tests {
             "{\"type\":\"counter\",\"scope\":\"\",\"name\":\"serve.ticks\",\"index\":0,\"value\":3}\n"
                 .into(),
         ));
+        round_trip(Response::Health(ServiceHealth::default()));
+        round_trip(Response::Health(ServiceHealth {
+            shards: 2,
+            queued: 5,
+            undrained: 3,
+            oldest_queued_us: 2_500,
+            generation: 1,
+        }));
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! * **control plane** — registration builds the owner's shard outside
 //!   every lock and commits it under the owner-table write lock; stats
 //!   read the shard's atomics plus brief peeks under its ingress, outbox
-//!   and stream locks.
+//!   and stream locks, and health takes the same ingress and outbox peeks
+//!   once per owner.
 //!
 //! # Determinism contract
 //!
@@ -87,7 +88,8 @@ use refstate_telemetry as telemetry;
 
 use crate::driver::Doorbell;
 use crate::proto::{
-    OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
+    OwnerStats, RegisterOwner, RejectReason, Request, Response, ServiceHealth, StreamCheckpoint,
+    VerdictReply,
 };
 
 /// Service-wide configuration (tenant-independent).
@@ -131,9 +133,9 @@ impl Default for ServeConfig {
 /// `owners` holds the registration records (keyed by big-endian
 /// registration index, so scan order is registration order) and
 /// `checkpoint` each owner's stream position. Each owner's verdict lines
-/// append under `stream/<owner>`. Host keys, replay memos and compiled
-/// programs are functions of the seed and the registrations, so a
-/// restart recomputes them instead of reading them back.
+/// append under `stream/<owner>`. Host keys and compiled programs are
+/// functions of the seed and the registrations, so a restart recomputes
+/// them instead of reading them back.
 const NS_META: &str = "meta";
 const NS_OWNERS: &str = "owners";
 const NS_CHECKPOINT: &str = "checkpoint";
@@ -230,7 +232,7 @@ pub(crate) struct OwnerShard {
     /// names), warmed at registration; every journey of this owner
     /// shares it (no per-journey directory builds or clones).
     directory: KeyDirectory,
-    /// The owner's uncached verification pipeline.
+    /// The owner's own verification pipeline.
     pipeline: Arc<VerificationPipeline>,
     log: EventLog,
     config: MechanismConfig,
@@ -418,6 +420,7 @@ impl Service {
             Request::Shutdown => self.shutdown(),
             Request::StreamState => self.stream_state(),
             Request::Metrics => Response::Metrics(metrics_jsonl()),
+            Request::Health => Response::Health(self.health()),
         }
     }
 
@@ -553,7 +556,7 @@ impl Service {
             preset,
             mechanism,
             directory,
-            pipeline: Arc::new(VerificationPipeline::uncached()),
+            pipeline: Arc::new(VerificationPipeline::new()),
             log: EventLog::new(),
             config: MechanismConfig::default(),
             ingress: Mutex::new(VecDeque::new()),
@@ -833,6 +836,29 @@ impl Service {
             flush_failures: shard.flush_failures.load(Ordering::Relaxed),
             stream_offset,
         })
+    }
+
+    /// Totals over every owner, each read under the same brief ingress
+    /// and outbox locks [`Request::Stats`] takes.
+    fn health(&self) -> ServiceHealth {
+        let shards = self.shards();
+        let now = Instant::now();
+        let mut health = ServiceHealth {
+            shards: shards.len() as u64,
+            generation: self.store.as_ref().map_or(0, |store| store.generation()),
+            ..ServiceHealth::default()
+        };
+        for shard in &shards {
+            let ingress = shard.ingress.lock().expect("ingress lock");
+            health.queued += ingress.len() as u64;
+            if let Some(&(_, admitted)) = ingress.front() {
+                let age = now.saturating_duration_since(admitted).as_micros() as u64;
+                health.oldest_queued_us = health.oldest_queued_us.max(age);
+            }
+            drop(ingress);
+            health.undrained += shard.outbox.lock().expect("outbox lock").len() as u64;
+        }
+        health
     }
 
     /// Every owner's durable stream position, in registration order,

@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 
 use refstate_serve::{
     run_soak_concurrent, LocalPipelined, PipelinedClient, RegisterOwner, RejectReason, Request,
-    Response, ServeConfig, Server, Service, SoakConfig, SoakOutcome, TickDriver, TickDriverConfig,
+    Response, ServeConfig, Server, Service, ServiceHealth, SoakConfig, SoakOutcome, TickDriver,
+    TickDriverConfig,
 };
 use refstate_telemetry as telemetry;
 
@@ -63,6 +64,73 @@ fn backpressure_rejects_past_the_bound_and_recovers_after_a_tick() {
         });
         assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
     }
+}
+
+fn health(service: &Service) -> ServiceHealth {
+    match service.handle(Request::Health) {
+        Response::Health(health) => health,
+        other => panic!("expected health, got {other:?}"),
+    }
+}
+
+#[test]
+fn health_totals_queues_and_outboxes_over_every_owner() {
+    let mut service = Service::new(ServeConfig::default());
+    register(&mut service, "alice", 1, "mixed", "protocol");
+    register(&mut service, "bob", 2, "mixed", "framework");
+    for (owner, journey) in [
+        ("alice", 0),
+        ("bob", 0),
+        ("alice", 1),
+        ("bob", 1),
+        ("alice", 2),
+    ] {
+        let reply = service.handle(Request::Submit {
+            owner: owner.into(),
+            journey,
+        });
+        assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+    }
+    std::thread::sleep(Duration::from_millis(2));
+    let queued = health(&service);
+    assert_eq!(
+        (
+            queued.shards,
+            queued.queued,
+            queued.undrained,
+            queued.generation
+        ),
+        (2, 5, 0, 0)
+    );
+    assert!(queued.oldest_queued_us >= 2_000, "{queued:?}");
+
+    service.handle(Request::Tick);
+    let ticked = health(&service);
+    assert_eq!((ticked.queued, ticked.undrained), (0, 5));
+    assert_eq!(ticked.oldest_queued_us, 0);
+
+    for owner in ["alice", "bob"] {
+        service.handle(Request::Drain {
+            owner: owner.into(),
+        });
+    }
+    assert_eq!(
+        health(&service),
+        ServiceHealth {
+            shards: 2,
+            ..ServiceHealth::default()
+        }
+    );
+
+    let dir = std::env::temp_dir().join(format!("refstate-serve-health-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = Service::new(ServeConfig {
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    assert_eq!(health(&durable).generation, 1);
+    drop(durable);
+    std::fs::remove_dir_all(&dir).expect("remove the state dir");
 }
 
 #[test]

@@ -81,7 +81,7 @@ fn histogram_fields(w: &mut JsonWriter, hist: &HistogramSnapshot) {
 /// Renders a metrics snapshot as JSONL: one JSON object per line.
 ///
 /// Counter lines look like
-/// `{"type":"counter","scope":"protocol","name":"pipeline.cache_hit","index":0,"value":12}`;
+/// `{"type":"counter","scope":"protocol","name":"pipeline.replay","index":0,"value":12}`;
 /// histogram lines add `count`/`sum`/`min`/`max`, approximate `p50`/`p90`/`p99`,
 /// and the sparse `buckets` array of `[bucket_lower_bound, count]` pairs.
 /// Values are raw units — nanoseconds for duration histograms. The
@@ -156,7 +156,7 @@ mod tests {
         snap.counters.insert(
             MetricKey {
                 scope: "traces",
-                name: "pipeline.cache_hit",
+                name: "pipeline.replay",
                 index: 0,
             },
             7,

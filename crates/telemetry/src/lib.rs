@@ -34,12 +34,12 @@
 //! {
 //!     let _scope = telemetry::scoped("protocol");
 //!     let _span = telemetry::span("verify.replay", "pipeline");
-//!     telemetry::count("pipeline.cache_miss", 1);
+//!     telemetry::count("pipeline.replay", 1);
 //! } // span records on drop
 //! telemetry::flush_thread();
 //!
 //! let snap = telemetry::snapshot();
-//! assert_eq!(snap.counter("protocol", "pipeline.cache_miss"), 1);
+//! assert_eq!(snap.counter("protocol", "pipeline.replay"), 1);
 //! let trace = telemetry::drain_trace();
 //! assert!(trace.iter().any(|e| e.name == "verify.replay"));
 //! telemetry::set_level(telemetry::TelemetryLevel::Off);

@@ -25,13 +25,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use refstate_telemetry as telemetry;
-use refstate_wire::to_wire;
 
 use crate::error::VmError;
 use crate::instr::{Instr, SyscallKind};
 use crate::interp::{ExecConfig, SessionEnd, SessionOutcome};
 use crate::io::SessionIo;
-use crate::log::{fnv128, InputKind, InputLog, InputRecord, OutputRecord};
+use crate::log::{InputKind, InputLog, InputRecord, OutputRecord};
 use crate::program::Program;
 use crate::state::DataState;
 use crate::trace::{Trace, TraceEntry, TraceMode};
@@ -87,10 +86,8 @@ enum CInstr {
 
 /// A validated program in its pre-decoded executable form.
 ///
-/// Construction resolves every name through an interning table and caches
-/// the program's content hash, so re-execution drivers can both dispatch
-/// without per-step allocation and key replay caches without re-hashing
-/// the code.
+/// Construction resolves every name through an interning table, so
+/// re-execution drivers dispatch without per-step allocation.
 ///
 /// # Examples
 ///
@@ -106,14 +103,11 @@ enum CInstr {
 #[derive(Debug)]
 pub struct CompiledProgram {
     code: Vec<CInstr>,
-    code_hash: u128,
 }
 
 impl CompiledProgram {
-    /// Compiles a validated [`Program`] (interning names, hashing the
-    /// canonical encoding).
+    /// Compiles a validated [`Program`], interning its names.
     pub fn compile(program: &Program) -> CompiledProgram {
-        let code_hash = fnv128(&to_wire(program));
         // `Arc<str>: Borrow<str>`, so the set is queryable by plain name.
         let mut interned: BTreeSet<Arc<str>> = BTreeSet::new();
         let mut intern = |name: &str| -> Arc<str> {
@@ -175,13 +169,7 @@ impl CompiledProgram {
                 other => unreachable!("uncompiled instruction {other}"),
             })
             .collect();
-        CompiledProgram { code, code_hash }
-    }
-
-    /// The FNV-1a-128 hash of the program's canonical wire encoding — the
-    /// program component of a [`crate::SessionFingerprint`].
-    pub fn code_hash(&self) -> u128 {
-        self.code_hash
+        CompiledProgram { code }
     }
 
     /// The number of instructions.
@@ -200,9 +188,6 @@ impl CompiledProgram {
 /// Exactly equivalent to [`crate::run_session`] — same outcomes, same
 /// errors, same trace and log contents — but dispatching over the
 /// pre-decoded instruction stream without per-step instruction clones.
-/// When the session hits its step limit, the error names the session via
-/// [`ExecConfig::session_label`] so a cache-poisoning replay is
-/// diagnosable from fleet logs.
 ///
 /// # Errors
 ///
@@ -318,7 +303,6 @@ fn run_compiled_session_inner(
         if steps >= config.step_limit {
             return Err(VmError::StepLimitExceeded {
                 limit: config.step_limit,
-                session: config.session_label.clone(),
             });
         }
         let Some(instr) = code.get(pc) else {
@@ -690,24 +674,17 @@ mod tests {
     }
 
     #[test]
-    fn step_limit_error_names_the_session() {
+    fn compiled_step_limit_error_states_the_limit() {
         let program = assemble("loop:\njump loop").unwrap();
         let compiled = CompiledProgram::compile(&program);
         let config = ExecConfig {
             step_limit: 10,
-            session_label: Some("s-deadbeef".into()),
             ..Default::default()
         };
         let err =
             run_compiled_session(&compiled, DataState::new(), &mut NullIo, &config).unwrap_err();
-        assert_eq!(
-            err,
-            VmError::StepLimitExceeded {
-                limit: 10,
-                session: Some("s-deadbeef".into()),
-            }
-        );
-        assert!(err.to_string().contains("s-deadbeef"));
+        assert_eq!(err, VmError::StepLimitExceeded { limit: 10 });
+        assert_eq!(err.to_string(), "step limit of 10 exceeded");
     }
 
     #[test]

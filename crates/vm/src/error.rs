@@ -61,12 +61,6 @@ pub enum VmError {
     StepLimitExceeded {
         /// The limit that was hit.
         limit: u64,
-        /// The fingerprinted session label ([`crate::ExecConfig::session_label`])
-        /// under which the limit was hit, when the caller supplied one —
-        /// replay drivers label re-executions with the session fingerprint
-        /// so a poisoned or runaway cache entry is diagnosable from fleet
-        /// logs.
-        session: Option<String>,
     },
     /// The session I/O could not supply a requested input.
     InputUnavailable {
@@ -133,13 +127,7 @@ impl fmt::Display for VmError {
             VmError::CallStackUnderflow { pc } => {
                 write!(f, "return with empty call stack at pc {pc}")
             }
-            VmError::StepLimitExceeded { limit, session } => {
-                write!(f, "step limit of {limit} exceeded")?;
-                if let Some(session) = session {
-                    write!(f, " (session {session})")?;
-                }
-                Ok(())
-            }
+            VmError::StepLimitExceeded { limit } => write!(f, "step limit of {limit} exceeded"),
             VmError::InputUnavailable { pc, what } => {
                 write!(f, "input {what:?} unavailable at pc {pc}")
             }
@@ -161,28 +149,15 @@ mod tests {
     fn pc_extraction() {
         assert_eq!(VmError::StackUnderflow { pc: 3 }.pc(), Some(3));
         assert_eq!(VmError::FellOffEnd.pc(), None);
-        assert_eq!(
-            VmError::StepLimitExceeded {
-                limit: 10,
-                session: None
-            }
-            .pc(),
-            None
-        );
+        assert_eq!(VmError::StepLimitExceeded { limit: 10 }.pc(), None);
     }
 
     #[test]
-    fn step_limit_display_names_the_session() {
-        let anonymous = VmError::StepLimitExceeded {
-            limit: 10,
-            session: None,
-        };
-        assert_eq!(anonymous.to_string(), "step limit of 10 exceeded");
-        let labelled = VmError::StepLimitExceeded {
-            limit: 10,
-            session: Some("fp-00c0ffee".into()),
-        };
-        assert!(labelled.to_string().contains("session fp-00c0ffee"));
+    fn step_limit_display_states_the_limit() {
+        assert_eq!(
+            VmError::StepLimitExceeded { limit: 10 }.to_string(),
+            "step limit of 10 exceeded"
+        );
     }
 
     #[test]

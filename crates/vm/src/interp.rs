@@ -17,12 +17,6 @@ pub struct ExecConfig {
     pub step_limit: u64,
     /// What to record in the execution trace.
     pub trace_mode: TraceMode,
-    /// A label naming the session being (re-)executed, carried into
-    /// [`VmError::StepLimitExceeded`] so runaway replays are attributable
-    /// in fleet logs. Replay drivers set it to the session's
-    /// [`crate::SessionFingerprint::label`]; live sessions usually leave
-    /// it `None`.
-    pub session_label: Option<String>,
 }
 
 impl Default for ExecConfig {
@@ -30,7 +24,6 @@ impl Default for ExecConfig {
         ExecConfig {
             step_limit: 10_000_000,
             trace_mode: TraceMode::Off,
-            session_label: None,
         }
     }
 }
@@ -329,7 +322,6 @@ impl<'p> Interpreter<'p> {
         if self.steps >= self.config.step_limit {
             return Err(VmError::StepLimitExceeded {
                 limit: self.config.step_limit,
-                session: self.config.session_label.clone(),
             });
         }
         let instr = self
@@ -767,13 +759,7 @@ mod tests {
             ..Default::default()
         };
         let err = run_session(&program, DataState::new(), &mut NullIo, &config).unwrap_err();
-        assert_eq!(
-            err,
-            VmError::StepLimitExceeded {
-                limit: 100,
-                session: None
-            }
-        );
+        assert_eq!(err, VmError::StepLimitExceeded { limit: 100 });
     }
 
     #[test]

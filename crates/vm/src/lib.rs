@@ -71,7 +71,7 @@ pub use error::VmError;
 pub use instr::{Instr, SyscallKind};
 pub use interp::{run_session, ExecConfig, Interpreter, SessionEnd, SessionOutcome};
 pub use io::{NullIo, ReplayIo, ScriptedIo, SessionIo};
-pub use log::{InputKind, InputLog, InputRecord, OutputRecord, SessionFingerprint};
+pub use log::{InputKind, InputLog, InputRecord, OutputRecord};
 pub use machine::MachineState;
 pub use program::{Program, ProgramBuilder};
 pub use state::DataState;

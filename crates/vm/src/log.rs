@@ -1,97 +1,11 @@
-//! Input and output logs of an execution session, and the canonical
-//! session fingerprint derived from them.
+//! Input and output logs of an execution session.
 
 use std::fmt;
 
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::instr::SyscallKind;
-use crate::program::Program;
-use crate::state::DataState;
 use crate::value::Value;
-
-/// FNV-1a over 128 bits: the content hash used for session fingerprints
-/// and the compiled-program cache key.
-///
-/// Deliberately *not* cryptographic — fingerprints key replay caches and
-/// label log lines; integrity claims stay on the SHA-256 digests the
-/// protocols sign. 128 bits keeps accidental collisions out of reach for
-/// any realistic fleet size.
-pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u128;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-/// The canonical identity of one (re-)execution session: program digest ×
-/// start-state digest × input-log digest.
-///
-/// Two sessions with equal fingerprints are the same deterministic
-/// computation — re-executing either from its recorded input must produce
-/// the same resulting state — which is exactly the key a replay cache
-/// needs to collapse the redundant re-executions the verification drivers
-/// perform (the paper's reference-state recomputation, Sec. 4).
-///
-/// # Examples
-///
-/// ```
-/// use refstate_vm::{assemble, DataState, InputLog, SessionFingerprint};
-///
-/// let program = assemble("halt")?;
-/// let a = SessionFingerprint::new(&program, &DataState::new(), &InputLog::new());
-/// let b = SessionFingerprint::new(&program, &DataState::new(), &InputLog::new());
-/// assert_eq!(a, b);
-/// assert!(a.label().starts_with("fp-"));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SessionFingerprint {
-    /// Content hash of the program's canonical encoding.
-    pub program: u128,
-    /// Content hash of the session's initial data state.
-    pub start_state: u128,
-    /// Content hash of the recorded session input.
-    pub input: u128,
-}
-
-impl SessionFingerprint {
-    /// Fingerprints a session from its three components.
-    pub fn new(program: &Program, start_state: &DataState, input: &InputLog) -> Self {
-        Self::with_program_hash(fnv128(&to_wire(program)), start_state, input)
-    }
-
-    /// Fingerprints a session reusing an already-computed program hash
-    /// (see [`crate::CompiledProgram::code_hash`]): re-execution drivers
-    /// hash the code once per program, not once per session.
-    pub fn with_program_hash(program: u128, start_state: &DataState, input: &InputLog) -> Self {
-        SessionFingerprint {
-            program,
-            start_state: fnv128(&to_wire(start_state)),
-            input: fnv128(&to_wire(input)),
-        }
-    }
-
-    /// A short, log-friendly label (`fp-xxxxxxxxxxxxxxxx`) mixing all
-    /// three components; used as the [`crate::ExecConfig::session_label`]
-    /// of replay runs.
-    pub fn label(&self) -> String {
-        let mixed = (self.program ^ self.start_state.rotate_left(43) ^ self.input.rotate_left(87))
-            as u64
-            ^ (self.program >> 64) as u64;
-        format!("fp-{mixed:016x}")
-    }
-}
-
-impl fmt::Display for SessionFingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
 
 /// How a value entered the agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -348,31 +262,5 @@ mod tests {
     #[test]
     fn kind_bad_tag_rejected() {
         assert!(from_wire::<InputKind>(&[9]).is_err());
-    }
-
-    #[test]
-    fn fingerprint_separates_components() {
-        use crate::asm::assemble;
-        let p1 = assemble("halt").unwrap();
-        let p2 = assemble("nop\nhalt").unwrap();
-        let s1 = DataState::new();
-        let mut s2 = DataState::new();
-        s2.set("x", Value::Int(1));
-        let l1 = InputLog::new();
-        let l2 = sample_log();
-
-        let base = SessionFingerprint::new(&p1, &s1, &l1);
-        assert_eq!(base, SessionFingerprint::new(&p1, &s1, &l1));
-        assert_ne!(base, SessionFingerprint::new(&p2, &s1, &l1));
-        assert_ne!(base, SessionFingerprint::new(&p1, &s2, &l1));
-        assert_ne!(base, SessionFingerprint::new(&p1, &s1, &l2));
-        assert_eq!(base.to_string(), base.label());
-    }
-
-    #[test]
-    fn fnv128_is_stable_and_input_sensitive() {
-        assert_eq!(fnv128(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
-        assert_ne!(fnv128(b"a"), fnv128(b"b"));
-        assert_ne!(fnv128(b"ab"), fnv128(b"ba"));
     }
 }

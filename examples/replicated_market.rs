@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         agent,
         &ExecConfig::default(),
         &log,
-        &VerificationPipeline::uncached(),
+        &VerificationPipeline::new(),
     )?;
 
     println!("per-stage votes:");

@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &directory,
         &ExecConfig::default(),
         &log,
-        &VerificationPipeline::uncached(),
+        &VerificationPipeline::new(),
     );
     for v in &report.verdicts {
         println!("  {v}");

@@ -305,7 +305,7 @@ fn traces_and_protocol_agree_on_the_culprit() {
         &dir,
         &ExecConfig::default(),
         &log,
-        &VerificationPipeline::uncached(),
+        &VerificationPipeline::new(),
     );
     assert_eq!(report.culprit.as_ref(), Some(&protocol_culprit));
 }
