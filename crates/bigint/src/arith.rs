@@ -5,12 +5,6 @@ use std::ops::{Add, Mul, Shl, Shr, Sub};
 
 use crate::uint::Uint;
 
-/// Limb count (per operand) above which `*` switches from schoolbook to
-/// Karatsuba multiplication: 32 limbs = 2048 bits, the smallest size at
-/// which the three-multiplies recursion reliably beats the tight
-/// schoolbook inner loop on 64-bit hosts.
-pub const KARATSUBA_THRESHOLD: usize = 32;
-
 impl Uint {
     /// Adds two values.
     pub(crate) fn add_impl(&self, other: &Uint) -> Uint {
@@ -60,24 +54,9 @@ impl Uint {
         Some(Uint::from_limbs(out))
     }
 
-    /// Multiplies two values, dispatching between schoolbook and
-    /// Karatsuba by operand size.
+    /// Multiplies two values with the schoolbook algorithm: every limb
+    /// of one operand times every limb of the other.
     pub(crate) fn mul_impl(&self, other: &Uint) -> Uint {
-        if self.limbs().len().min(other.limbs().len()) >= KARATSUBA_THRESHOLD {
-            return self.karatsuba_mul(other);
-        }
-        self.schoolbook_mul(other)
-    }
-
-    /// Multiplies two values with the schoolbook algorithm, regardless of
-    /// size.
-    ///
-    /// This is the pinned reference oracle for multiplication (the same
-    /// idiom as `DsaPublicKey::verify` staying schoolbook): property tests
-    /// pin `karatsuba == schoolbook` on 2048/4096-bit operands against it,
-    /// and `*` dispatches to it below [`KARATSUBA_THRESHOLD`] limbs where
-    /// the recursion's extra additions cost more than they save.
-    pub fn schoolbook_mul(&self, other: &Uint) -> Uint {
         if self.is_zero() || other.is_zero() {
             return Uint::zero();
         }
@@ -100,55 +79,6 @@ impl Uint {
             }
         }
         Uint::from_limbs(out)
-    }
-
-    /// Karatsuba multiplication: splits both operands at half the longer
-    /// operand's limb count and recurses with three half-size products
-    /// instead of four.
-    ///
-    /// With `a = a1·B^m + a0`, `b = b1·B^m + b0` (B = 2^64):
-    ///
-    /// ```text
-    /// a·b = z2·B^2m + z1·B^m + z0
-    /// z0 = a0·b0, z2 = a1·b1, z1 = (a0+a1)(b0+b1) − z0 − z2
-    /// ```
-    ///
-    /// Recursion bottoms out in [`Uint::schoolbook_mul`] once either
-    /// operand drops below [`KARATSUBA_THRESHOLD`] limbs.
-    fn karatsuba_mul(&self, other: &Uint) -> Uint {
-        let a = self.limbs();
-        let b = other.limbs();
-        if a.len().min(b.len()) < KARATSUBA_THRESHOLD {
-            return self.schoolbook_mul(other);
-        }
-        let m = a.len().max(b.len()).div_ceil(2);
-        let (a0, a1) = self.split_at_limb(m);
-        let (b0, b1) = other.split_at_limb(m);
-
-        let z0 = a0.mul_impl(&b0);
-        let z2 = a1.mul_impl(&b1);
-        let z1 = (a0.add_impl(&a1))
-            .mul_impl(&b0.add_impl(&b1))
-            .checked_sub(&z0)
-            .and_then(|mid| mid.checked_sub(&z2))
-            .expect("(a0+a1)(b0+b1) >= a0*b0 + a1*b1");
-
-        let shift = m * Self::LIMB_BITS;
-        z2.shl_impl(2 * shift)
-            .add_impl(&z1.shl_impl(shift))
-            .add_impl(&z0)
-    }
-
-    /// Splits into `(low m limbs, remaining high limbs)`.
-    fn split_at_limb(&self, m: usize) -> (Uint, Uint) {
-        let limbs = self.limbs();
-        if limbs.len() <= m {
-            return (Uint::from_limbs(limbs.to_vec()), Uint::zero());
-        }
-        (
-            Uint::from_limbs(limbs[..m].to_vec()),
-            Uint::from_limbs(limbs[m..].to_vec()),
-        )
     }
 
     /// Left-shifts by `bits`.
@@ -350,32 +280,6 @@ mod tests {
         assert_eq!(&v >> 4, u(0));
         assert_eq!(&(&v << 100) >> 100, v);
         assert_eq!(&Uint::zero() << 5, Uint::zero());
-    }
-
-    #[test]
-    fn karatsuba_boundary_matches_schoolbook() {
-        // Deterministic operands straddling the dispatch threshold,
-        // including heavily unbalanced splits.
-        let limbs = |n: usize, salt: u64| -> Uint {
-            Uint::from_limbs(
-                (0..n as u64)
-                    .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt ^ u64::MAX)
-                    .collect(),
-            )
-        };
-        for (la, lb) in [
-            (KARATSUBA_THRESHOLD, KARATSUBA_THRESHOLD),
-            (KARATSUBA_THRESHOLD + 1, KARATSUBA_THRESHOLD),
-            (2 * KARATSUBA_THRESHOLD + 3, KARATSUBA_THRESHOLD),
-            (4 * KARATSUBA_THRESHOLD, 4 * KARATSUBA_THRESHOLD - 7),
-        ] {
-            let a = limbs(la, 0xabcd);
-            let b = limbs(lb, 0x1234);
-            assert_eq!(&a * &b, a.schoolbook_mul(&b), "{la}x{lb} limbs");
-        }
-        // Below the threshold the dispatch is schoolbook by definition.
-        let small = limbs(KARATSUBA_THRESHOLD - 1, 7);
-        assert_eq!(&small * &small, small.schoolbook_mul(&small));
     }
 
     #[test]

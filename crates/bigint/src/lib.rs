@@ -48,7 +48,6 @@ mod signed;
 mod uint;
 mod window;
 
-pub use arith::KARATSUBA_THRESHOLD;
 pub use error::ParseUintError;
 pub use montgomery::{MontInt, Montgomery};
 pub use prime::{gen_prime, is_probable_prime, SMALL_PRIMES};

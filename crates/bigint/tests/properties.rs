@@ -344,37 +344,6 @@ proptest! {
     }
 }
 
-/// Strategy: a Uint of exactly `bytes` random bytes (top byte forced
-/// non-zero so the operand really has the intended width).
-fn uint_exact(bytes: usize) -> impl Strategy<Value = Uint> {
-    proptest::collection::vec(any::<u8>(), bytes).prop_map(|mut v| {
-        if let Some(first) = v.first_mut() {
-            *first |= 0x80;
-        }
-        Uint::from_be_bytes(&v)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Karatsuba dispatch (`*` at >= 32 limbs) agrees with the pinned
-    /// schoolbook oracle on full-width 2048-bit operands.
-    #[test]
-    fn karatsuba_matches_schoolbook_2048(a in uint_exact(256), b in uint_exact(256)) {
-        prop_assert_eq!(&a * &b, a.schoolbook_mul(&b));
-    }
-
-    /// Same at 4096 bits (two recursion levels), including the uneven
-    /// split where one operand is half the other's width.
-    #[test]
-    fn karatsuba_matches_schoolbook_4096(a in uint_exact(512), b in uint_exact(512), c in uint_exact(256)) {
-        prop_assert_eq!(&a * &b, a.schoolbook_mul(&b));
-        prop_assert_eq!(&a * &c, a.schoolbook_mul(&c));
-        prop_assert_eq!(&c * &b, c.schoolbook_mul(&b));
-    }
-}
-
 /// The value of little-endian `limbs`.
 fn from_limbs(limbs: &[u64]) -> Uint {
     let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();

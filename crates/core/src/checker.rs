@@ -8,12 +8,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use refstate_crypto::{sha256, Digest};
+use refstate_crypto::Digest;
 use refstate_vm::{DataState, ExecConfig, Program};
-use refstate_wire::to_wire;
 
 use crate::compare::{ExactCompare, StateCompare};
-use crate::pipeline::VerificationPipeline;
+use crate::pipeline::{SessionClaim, VerificationPipeline};
 use crate::refdata::{ReferenceData, ReferenceDataKind, ReferenceDataRequest};
 use crate::rules::RuleSet;
 
@@ -148,11 +147,6 @@ pub trait CheckingAlgorithm: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Hashes a state canonically.
-pub(crate) fn state_digest(state: &DataState) -> Digest {
-    sha256(&to_wire(state))
-}
-
 /// Renders the variable-level difference between two states.
 pub(crate) fn state_diff(
     claimed: &DataState,
@@ -233,9 +227,6 @@ pub struct ReExecutionChecker {
     compare: Arc<dyn StateCompare + Send + Sync>,
     /// Also require the claimed migration target to match (defaults on).
     check_end: bool,
-    /// `true` while the comparator is the default [`ExactCompare`], the
-    /// comparison the pipeline's own session check makes.
-    exact: bool,
     pipeline: Arc<VerificationPipeline>,
 }
 
@@ -260,22 +251,16 @@ impl ReExecutionChecker {
         ReExecutionChecker {
             compare: Arc::new(ExactCompare),
             check_end: true,
-            exact: true,
             pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
 
     /// Re-execution with a custom comparator (the framework's "compare
     /// method … specified by the agent programmer").
-    ///
-    /// Custom comparators judge the full reference *state* through the
-    /// pipeline's full-replay path; the default exact comparison uses the
-    /// pipeline's session check.
     pub fn with_compare(compare: Arc<dyn StateCompare + Send + Sync>) -> Self {
         ReExecutionChecker {
             compare,
             check_end: true,
-            exact: false,
             pipeline: Arc::new(VerificationPipeline::new()),
         }
     }
@@ -310,56 +295,24 @@ impl CheckingAlgorithm for ReExecutionChecker {
         let claimed = ctx.data.resulting_state.as_ref().expect("checked above");
         let input = ctx.data.input.as_ref().expect("checked above");
 
-        if self.exact {
-            // The pipeline's session check: one replay, direct state
-            // comparison.
-            let claimed_next = if self.check_end {
+        let claim = SessionClaim {
+            state: claimed,
+            next: if self.check_end {
                 ctx.data.claimed_next.as_ref()
             } else {
                 None
-            };
-            return self.pipeline.verify_session(
+            },
+        };
+        self.pipeline
+            .verify_session(
                 ctx.program,
                 initial,
-                claimed,
                 input,
-                claimed_next,
+                claim,
+                self.compare.as_ref(),
                 &ctx.exec,
-            );
-        }
-
-        // Custom comparator: the full reference state is required.
-        let (outcome, fully_consumed) =
-            match self
-                .pipeline
-                .replay_full(ctx.program, initial, input, &ctx.exec)
-            {
-                Ok(result) => result,
-                Err(e) => {
-                    return CheckOutcome::Failed(FailureReason::ReplayFailed {
-                        error: e.to_string(),
-                    })
-                }
-            };
-        if !fully_consumed {
-            return crate::pipeline::padded_log_failure();
-        }
-        if !self.compare.equivalent(claimed, &outcome.state) {
-            return CheckOutcome::Failed(FailureReason::StateMismatch {
-                claimed: state_digest(claimed),
-                reference: state_digest(&outcome.state),
-                diff: state_diff(claimed, &outcome.state),
-            });
-        }
-        let claimed_next = if self.check_end {
-            ctx.data.claimed_next.as_ref()
-        } else {
-            None
-        };
-        if let Some(failure) = crate::pipeline::end_mismatch(claimed_next, &outcome.end) {
-            return failure;
-        }
-        CheckOutcome::Passed
+            )
+            .0
     }
 
     fn name(&self) -> &'static str {

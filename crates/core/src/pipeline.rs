@@ -12,9 +12,9 @@
 //! * re-execution goes through the VM's pre-compiled fast path
 //!   ([`refstate_vm::run_compiled_session`] over
 //!   [`Program::compiled`]),
-//! * a session check replays once and compares the claimed state with
-//!   the replayed one directly; only a mismatch pays for the digests its
-//!   failure report carries,
+//! * a session check replays once and judges the claimed state against
+//!   the replayed one with the caller's [`StateCompare`]; only a mismatch
+//!   pays for the digests its failure report carries,
 //! * every replay is counted in [`PipelineStats`], so fleet reports can
 //!   show what checking cost (the paper's "computation is roughly
 //!   doubled", Sec. 5.3).
@@ -35,6 +35,17 @@ use refstate_vm::{
 use refstate_wire::to_wire;
 
 use crate::checker::{state_diff, CheckOutcome, FailureReason};
+use crate::compare::StateCompare;
+
+/// What a checked host claims one session produced.
+#[derive(Debug, Clone, Copy)]
+pub struct SessionClaim<'a> {
+    /// The resulting state.
+    pub state: &'a DataState,
+    /// How the session ended: `None` skips the end check; `Some(None)`
+    /// claims a halt; `Some(Some(host))` claims a migration.
+    pub next: Option<&'a Option<String>>,
+}
 
 /// What one replayed session reduced to: the reference state's digest,
 /// for callers that compare it with a digest someone committed to, and
@@ -172,39 +183,22 @@ impl VerificationPipeline {
             .map(|(outcome, _)| outcome.state)
     }
 
-    /// The full exact-comparison session check: replay once, compare
-    /// the claimed resulting state with the replayed one, and optionally
-    /// compare the claimed session end; a state mismatch carries both
-    /// digests and the variable-level diff.
+    /// The session check: replay once, judge the claimed resulting state
+    /// against the replayed one with `compare`, then compare the claimed
+    /// session end (unless the claim skips it). A state mismatch carries
+    /// both digests and the variable-level diff.
     ///
-    /// `claimed_next` follows the checker convention: `None` skips the
-    /// end check; `Some(None)` claims a halt; `Some(Some(host))` claims a
-    /// migration.
+    /// Also hands back the replayed reference state when the check fails
+    /// on the state or the end, so fraud-evidence builders do not replay
+    /// the session a second time: `None` on a pass, and for failures where
+    /// no reference state exists (failed replays, padded logs).
     pub fn verify_session(
         &self,
         program: &Program,
         initial: &DataState,
-        claimed: &DataState,
         input: &InputLog,
-        claimed_next: Option<&Option<String>>,
-        exec: &ExecConfig,
-    ) -> CheckOutcome {
-        self.verify_session_with_reference(program, initial, claimed, input, claimed_next, exec)
-            .0
-    }
-
-    /// [`VerificationPipeline::verify_session`] that also hands back the
-    /// replayed reference state when the check fails on the state or the
-    /// end, so fraud-evidence builders do not replay the session a second
-    /// time. `None` on a pass, and for failures where no reference state
-    /// exists (failed replays, padded logs).
-    pub fn verify_session_with_reference(
-        &self,
-        program: &Program,
-        initial: &DataState,
-        claimed: &DataState,
-        input: &InputLog,
-        claimed_next: Option<&Option<String>>,
+        claim: SessionClaim<'_>,
+        compare: &dyn StateCompare,
         exec: &ExecConfig,
     ) -> (CheckOutcome, Option<DataState>) {
         let _span = telemetry::span("verify.session", "pipeline");
@@ -222,27 +216,26 @@ impl VerificationPipeline {
         if !log_consumed {
             return (padded_log_failure(), None);
         }
-        if claimed != &outcome.state {
+        if !compare.equivalent(claim.state, &outcome.state) {
             return (
                 CheckOutcome::Failed(FailureReason::StateMismatch {
-                    claimed: sha256(&to_wire(claimed)),
+                    claimed: sha256(&to_wire(claim.state)),
                     reference: sha256(&to_wire(&outcome.state)),
-                    diff: state_diff(claimed, &outcome.state),
+                    diff: state_diff(claim.state, &outcome.state),
                 }),
                 Some(outcome.state),
             );
         }
-        if let Some(failure) = end_mismatch(claimed_next, &outcome.end) {
+        if let Some(failure) = end_mismatch(claim.next, &outcome.end) {
             return (failure, Some(outcome.state));
         }
         (CheckOutcome::Passed, None)
     }
 }
 
-/// The one place the padded-log policy lives: a log longer than the
-/// program consumes is itself a lie about the session. Shared by
-/// `verify_session` and the custom-comparator checker path.
-pub(crate) fn padded_log_failure() -> CheckOutcome {
+/// The padded-log policy: a log longer than the program consumes is
+/// itself a lie about the session.
+fn padded_log_failure() -> CheckOutcome {
     CheckOutcome::Failed(FailureReason::ReplayFailed {
         error: VmError::ReplayMismatch {
             pc: 0,
@@ -252,9 +245,8 @@ pub(crate) fn padded_log_failure() -> CheckOutcome {
     })
 }
 
-/// The one place the end-check convention lives: `None` skips the check;
-/// `Some(None)` claims a halt; `Some(Some(host))` claims a migration.
-pub(crate) fn end_mismatch(
+/// The end check, under [`SessionClaim::next`]'s convention.
+fn end_mismatch(
     claimed_next: Option<&Option<String>>,
     reference_end: &SessionEnd,
 ) -> Option<CheckOutcome> {
@@ -275,6 +267,7 @@ pub(crate) fn end_mismatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::ExactCompare;
     use refstate_vm::{assemble, run_session, ScriptedIo, Value};
 
     /// One honest session of the doubling agent: (program, initial,
@@ -313,31 +306,46 @@ mod tests {
         assert_eq!(stats.replays, 2);
     }
 
+    /// The exact session check of `claimed`, ending in `next`.
+    fn check_exact(
+        pipeline: &VerificationPipeline,
+        (program, initial, input): (&Program, &DataState, &InputLog),
+        claimed: &DataState,
+        next: Option<&Option<String>>,
+    ) -> CheckOutcome {
+        let claim = SessionClaim {
+            state: claimed,
+            next,
+        };
+        let exec = ExecConfig::default();
+        pipeline
+            .verify_session(program, initial, input, claim, &ExactCompare, &exec)
+            .0
+    }
+
     #[test]
     fn verify_session_passes_honest_and_diffs_tampered() {
         let (program, initial, input, resulting) = session();
         let pipeline = VerificationPipeline::new();
-        let exec = ExecConfig::default();
+        let replayed = (&program, &initial, &input);
         assert_eq!(
-            pipeline.verify_session(&program, &initial, &resulting, &input, Some(&None), &exec),
+            check_exact(&pipeline, replayed, &resulting, Some(&None)),
             CheckOutcome::Passed
         );
         let mut tampered = resulting.clone();
         tampered.set("double", Value::Int(9999));
-        match pipeline.verify_session(&program, &initial, &tampered, &input, Some(&None), &exec) {
+        match check_exact(&pipeline, replayed, &tampered, Some(&None)) {
             CheckOutcome::Failed(FailureReason::StateMismatch { diff, .. }) => {
                 assert_eq!(diff, vec![("double".into(), "9999".into(), "100".into())]);
             }
             other => panic!("expected StateMismatch, got {other:?}"),
         }
         // Wrong claimed end: state matches, end does not.
-        match pipeline.verify_session(
-            &program,
-            &initial,
+        match check_exact(
+            &pipeline,
+            replayed,
             &resulting,
-            &input,
             Some(&Some("mallory".into())),
-            &exec,
         ) {
             CheckOutcome::Failed(FailureReason::EndMismatch { claimed, reference }) => {
                 assert_eq!(claimed, Some("mallory".into()));
@@ -363,14 +371,7 @@ mod tests {
             .collect();
         let pipeline = VerificationPipeline::new();
         assert!(matches!(
-            pipeline.verify_session(
-                &program,
-                &initial,
-                &resulting,
-                &padded,
-                None,
-                &ExecConfig::default()
-            ),
+            check_exact(&pipeline, (&program, &initial, &padded), &resulting, None),
             CheckOutcome::Failed(FailureReason::ReplayFailed { .. })
         ));
     }

@@ -41,7 +41,8 @@ use refstate_wire::{from_wire, to_wire, Decode, Encode, Reader, WireError, Write
 use crate::checker::{
     CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason, ReExecutionChecker,
 };
-use crate::pipeline::VerificationPipeline;
+use crate::compare::ExactCompare;
+use crate::pipeline::{SessionClaim, VerificationPipeline};
 use crate::refdata::ReferenceData;
 use crate::verdict::{CheckVerdict, FraudEvidence};
 
@@ -673,12 +674,16 @@ impl Leg for ProtocolLeg<'_> {
             // the shared verification pipeline.
             let t = Instant::now();
             let claimed_next = cert.next.as_ref().map(|h| h.as_str().to_owned());
-            let (outcome, reference) = self.config.pipeline.verify_session_with_reference(
+            let claim = SessionClaim {
+                state: &cert.resulting_state,
+                next: Some(&claimed_next),
+            };
+            let (outcome, reference) = self.config.pipeline.verify_session(
                 &visit.agent.program,
                 &cert.initial_state,
-                &cert.resulting_state,
                 &cert.input,
-                Some(&claimed_next),
+                claim,
+                &ExactCompare,
                 &self.config.exec,
             );
             if let CheckOutcome::Failed(reason) = outcome {

@@ -63,8 +63,6 @@ pub struct FleetConfig {
     pub mechanisms: Vec<Arc<dyn ProtectionMechanism>>,
     /// Size of the pre-generated DSA key pool hosts draw from.
     pub key_pool: usize,
-    /// Shared mechanism configuration.
-    pub adapter: MechanismConfig,
 }
 
 impl Default for FleetConfig {
@@ -76,7 +74,6 @@ impl Default for FleetConfig {
             preset: Preset::Mixed,
             mechanisms: MechanismRegistry::builtin().all(),
             key_pool: 64,
-            adapter: MechanismConfig::default(),
         }
     }
 }
@@ -93,7 +90,7 @@ impl fmt::Debug for FleetConfig {
                 &self.mechanisms.iter().map(|m| m.name()).collect::<Vec<_>>(),
             )
             .field("key_pool", &self.key_pool)
-            .finish_non_exhaustive()
+            .finish()
     }
 }
 
@@ -207,6 +204,7 @@ fn score(
 fn run_scenario(
     id: u64,
     config: &FleetConfig,
+    mechanism_config: &MechanismConfig,
     keys: &[Arc<DsaKeyPair>],
     pipeline: &Arc<VerificationPipeline>,
 ) -> ScenarioResult {
@@ -229,7 +227,7 @@ fn run_scenario(
         let env = JourneyEnv {
             seed: config.seed,
             directory: &directory,
-            config: &config.adapter,
+            config: mechanism_config,
             pipeline,
             log: &log,
         };
@@ -239,7 +237,7 @@ fn run_scenario(
         };
         let (mut verdicts, _) = {
             let _scope = telemetry::scoped(mechanism.name());
-            settle(vec![split], &config.adapter, pipeline, &log, &directory)
+            settle(vec![split], mechanism_config, pipeline, &log, &directory)
         };
         let verdict = verdicts.pop().expect("one split in, one verdict out");
         runs.push(score(
@@ -283,6 +281,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     // re-execution funnels through it, so the timing block reads one
     // replay count.
     let pipeline = Arc::new(VerificationPipeline::new());
+    let mechanism_config = MechanismConfig::default();
 
     // One shared DSA group and key pool (generation is the expensive
     // part; hosts index into the pool deterministically).
@@ -305,7 +304,8 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     let mut results: Vec<ScenarioResult> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers as u32)
             .map(|worker| {
-                let (next_id, keys, pipeline) = (&next_id, &keys, &pipeline);
+                let (next_id, mechanism_config, keys, pipeline) =
+                    (&next_id, &mechanism_config, &keys, &pipeline);
                 scope.spawn(move || {
                     let mut ran = Vec::new();
                     loop {
@@ -319,7 +319,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
                         }
                         wait.finish("fleet.queue_wait", "fleet");
                         let busy = telemetry::Timer::start();
-                        ran.push(run_scenario(id, config, keys, pipeline));
+                        ran.push(run_scenario(id, config, mechanism_config, keys, pipeline));
                         let spent = busy.finish("fleet.scenario", "fleet");
                         telemetry::count_indexed("fleet.worker.scenarios", worker, 1);
                         telemetry::count_indexed(
@@ -407,7 +407,6 @@ mod tests {
             preset: Preset::Mixed,
             mechanisms: mechanisms(names),
             key_pool: 8,
-            ..FleetConfig::default()
         }
     }
 

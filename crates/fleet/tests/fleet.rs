@@ -27,7 +27,6 @@ fn config(
         preset,
         mechanisms,
         key_pool: 16,
-        ..FleetConfig::default()
     }
 }
 

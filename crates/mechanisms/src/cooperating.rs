@@ -23,7 +23,10 @@
 
 use std::ops::ControlFlow;
 
-use refstate_core::{CheckMoment, ReferenceDataKind, ReferenceDataRequest, VerificationPipeline};
+use refstate_core::{
+    CheckMoment, ExactCompare, ReferenceDataKind, ReferenceDataRequest, SessionClaim,
+    VerificationPipeline,
+};
 use refstate_platform::{walk, Attack, Event, EventLog, HostId, Leg, SessionRecord, Visit};
 use refstate_telemetry as telemetry;
 use refstate_vm::{ExecConfig, SessionEnd};
@@ -150,12 +153,16 @@ impl Leg for Witnessing<'_> {
             SessionEnd::Halt => None,
             SessionEnd::Migrate(next) => Some(next.clone()),
         };
-        let outcome = self.pipeline.verify_session(
+        let claim = SessionClaim {
+            state: &record.outcome.state,
+            next: Some(&claimed_next),
+        };
+        let (outcome, _) = self.pipeline.verify_session(
             &visit.agent.program,
             &record.initial_state,
-            &record.outcome.state,
             &record.outcome.input_log,
-            Some(&claimed_next),
+            claim,
+            &ExactCompare,
             self.exec,
         );
         let passed = outcome.passed();

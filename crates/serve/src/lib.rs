@@ -26,9 +26,9 @@
 //!   every accepted submit, which ticks each owner with queued work —
 //!   the batch is whatever queued while the previous tick ran — making
 //!   client `Tick` requests optional pacing hints,
-//! * [`net`] — a TCP shell with pipelined connections: each connection
-//!   runs a reader/writer thread pair around a bounded response window,
-//!   so clients can keep many requests in flight on one socket,
+//! * [`net`] — a TCP shell with pipelined connections: one thread per
+//!   connection handles its requests in order over one buffered socket,
+//!   so clients can keep many requests in flight on it,
 //! * [`soak`] — the load driver: sustained multi-owner streams over 1 to
 //!   N pipelined connections (in process or over TCP), optionally
 //!   resuming a durable history, with client-observed p50/p95/p99

@@ -4,26 +4,31 @@
 //! The transport is a thin shell around [`Service::handle`]: the service
 //! is internally locked (per-owner shards — see the service module
 //! docs), so every connection thread calls straight into it with no
-//! transport-level mutex. Each connection runs two threads:
+//! transport-level mutex. Each accepted connection runs on one thread
+//! over its one socket, read through a [`BufReader`] and written through
+//! a [`BufWriter`]:
 //!
-//! * the **reader** decodes length-prefixed [`Request`] frames
-//!   ([`refstate_wire::FrameReader`]) and handles each one as it
-//!   arrives, pushing the [`Response`] into a bounded queue — the
-//!   connection's *pipeline window*. A client may therefore stream many
-//!   requests before reading the first reply; once the window fills,
-//!   the reader blocks, which backpressures the socket. With telemetry
-//!   on, the reader flushes its thread's counters to the process
-//!   collector after each request, so a `Metrics` request on any
-//!   connection sees them.
-//! * the **writer** drains that queue into response frames, batching
-//!   opportunistically: it keeps writing while responses are ready and
-//!   flushes when the queue runs dry, so a client with one request in
-//!   flight still sees one flush per reply while a pipelining client
-//!   gets batched writes.
+//! * the thread decodes a length-prefixed [`Request`] frame
+//!   ([`refstate_wire::FrameReader`]), handles it, and writes the
+//!   [`Response`]. With telemetry on, it flushes its counters to the
+//!   process collector after each request, so a `Metrics` request on any
+//!   connection sees them;
+//! * it flushes the socket whenever its read buffer holds no further
+//!   complete request. A client may therefore stream many requests
+//!   before reading the first reply: a pipelined burst gets its replies
+//!   in one write, and no reply waits on request bytes the client has not
+//!   sent yet. A client that stops reading fills the socket, which blocks
+//!   the thread's writes and so its reads (socket backpressure).
 //!
-//! Responses always come back in request order (the reader handles
-//! requests serially), so the 1:1 request/response protocol contract
-//! holds under pipelining.
+//! Responses always come back in request order (one thread handles a
+//! connection's requests serially), so the 1:1 request/response protocol
+//! contract holds under pipelining.
+//!
+//! The accept loop runs the connection threads in a [`thread::scope`], so
+//! [`Server::join`] waits for every connection to close and a closed
+//! connection leaves nothing behind. A failed accept (say, the process is
+//! out of file descriptors) is counted as `serve.net.accept_errors` and
+//! retried; it never stops the server.
 //!
 //! Determinism note: per-owner verdict streams are pinned by the service
 //! regardless of how many connections submit, tick, or drain — only each
@@ -32,24 +37,19 @@
 //! (the soak driver partitions owners across connections exactly this
 //! way); how ticks and drains interleave is then irrelevant.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use refstate_telemetry as telemetry;
-use refstate_wire::{write_message, FrameError, FrameReader};
+use refstate_wire::{write_message, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 
 use crate::driver::{TickDriver, TickDriverConfig};
 use crate::proto::{Request, Response};
 use crate::service::Service;
-
-/// How many handled-but-unwritten responses a connection may buffer
-/// before its reader stops decoding new requests (the per-connection
-/// pipeline window).
-const PIPELINE_WINDOW: usize = 128;
 
 /// A running TCP server: the bound address, the accept-loop handle, and
 /// the shared service (plus an optional background tick driver).
@@ -57,15 +57,14 @@ pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_loop: JoinHandle<()>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
     service: Arc<Service>,
     driver: Option<TickDriver>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting connections; each connection is served on its own
-    /// reader/writer thread pair against the shared service.
+    /// accepting connections; each connection is served on a thread of
+    /// its own against the shared service.
     pub fn bind(service: Service, addr: impl ToSocketAddrs) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -74,43 +73,15 @@ impl Server {
         listener.set_nonblocking(true)?;
         let service = Arc::new(service);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_loop = {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
-            let connections = Arc::clone(&connections);
-            let next_conn = AtomicU32::new(0);
-            thread::spawn(move || loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        telemetry::count("serve.net.connections", 1);
-                        let conn_id = next_conn.fetch_add(1, Ordering::Relaxed);
-                        let service = Arc::clone(&service);
-                        let shutdown = Arc::clone(&shutdown);
-                        let handle = thread::spawn(move || {
-                            serve_connection(stream, service, shutdown, conn_id)
-                        });
-                        // Reap connections that have closed, so a resident
-                        // server tracks only the live ones.
-                        let mut registry = connections.lock().expect("connection registry");
-                        registry.retain(|h| !h.is_finished());
-                        registry.push(handle);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => return,
-                }
-            })
+            thread::spawn(move || accept_until_shutdown(&listener, &service, &shutdown))
         };
         Ok(Server {
             addr,
             shutdown,
             accept_loop,
-            connections,
             service,
             driver: None,
         })
@@ -119,12 +90,6 @@ impl Server {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared service, for in-process callers (a co-located tick
-    /// driver, post-mortem stats) running beside the TCP clients.
-    pub fn service(&self) -> &Arc<Service> {
-        &self.service
     }
 
     /// Starts the background tick driver over this server's service; it
@@ -141,28 +106,18 @@ impl Server {
         ));
     }
 
-    /// Whether a `Shutdown` request has been processed.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Waits for the accept loop to exit (it exits after a client sends
-    /// [`Request::Shutdown`], or after [`Server::stop`]), then for every
-    /// connection to close. Waiting on the connections matters after a
-    /// shutdown: outboxes stay drainable, and clients on *other*
-    /// connections than the one that sent `Shutdown` may still be
-    /// draining verdicts — exiting while they do would reset their
-    /// sockets mid-read. Only then stops the tick driver, which serves
-    /// those connections until they close, and returns the shared service
-    /// for post-mortem inspection.
-    pub fn join(mut self) -> Arc<Service> {
+    /// [`Request::Shutdown`], or after [`Server::stop`]) once every
+    /// connection has closed: the connection threads are scoped to the
+    /// loop. Waiting on the connections matters after a shutdown:
+    /// outboxes stay drainable, and clients on *other* connections than
+    /// the one that sent `Shutdown` may still be draining verdicts —
+    /// exiting while they do would reset their sockets mid-read. Only then
+    /// stops the tick driver, which serves those connections until they
+    /// close, and returns the shared service for post-mortem inspection.
+    pub fn join(self) -> Arc<Service> {
         let _ = self.accept_loop.join();
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.connections.lock().expect("connection registry"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        if let Some(driver) = self.driver.take() {
+        if let Some(driver) = self.driver {
             driver.stop();
         }
         self.service
@@ -174,94 +129,109 @@ impl Server {
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    service: Arc<Service>,
-    shutdown: Arc<AtomicBool>,
-    conn_id: u32,
-) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // The pipeline window: handled responses queue here for the writer
-    // thread; a full window blocks the reader (socket backpressure).
-    let (tx, rx) = mpsc::sync_channel::<Response>(PIPELINE_WINDOW);
-    let writer_thread = thread::spawn(move || {
-        let mut writer = io::BufWriter::new(write_half);
-        while let Ok(response) = rx.recv() {
-            if write_message(&mut writer, &response, refstate_wire::DEFAULT_MAX_FRAME).is_err() {
-                return;
-            }
-            // Opportunistic batching: drain whatever else is already
-            // settled before paying the flush.
-            while let Ok(next) = rx.try_recv() {
-                if write_message(&mut writer, &next, refstate_wire::DEFAULT_MAX_FRAME).is_err() {
-                    return;
+/// Accepts connections until `shutdown` is set, each served on a scoped
+/// thread of its own; returns once the last of them has closed.
+fn accept_until_shutdown(listener: &TcpListener, service: &Service, shutdown: &AtomicBool) {
+    thread::scope(|scope| {
+        let mut next_conn = 0u32;
+        while !shutdown.load(Ordering::SeqCst) {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(error) => {
+                    // Nothing to accept yet, or the accept failed (no file
+                    // descriptor left, a peer gone before its accept):
+                    // either way, wait and keep serving.
+                    if error.kind() != io::ErrorKind::WouldBlock {
+                        telemetry::count("serve.net.accept_errors", 1);
+                    }
+                    thread::sleep(Duration::from_millis(5));
+                    continue;
                 }
-            }
-            if writer.flush().is_err() {
-                return;
+            };
+            telemetry::count("serve.net.connections", 1);
+            let conn_id = next_conn;
+            next_conn = next_conn.wrapping_add(1);
+            let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                serve_connection(&stream, service, shutdown, conn_id)
+            });
+            if spawned.is_err() {
+                // The unspawned closure dropped the stream: only this
+                // connection closes.
+                telemetry::count("serve.net.accept_errors", 1);
             }
         }
     });
+}
 
-    let mut reader = FrameReader::new(stream, refstate_wire::DEFAULT_MAX_FRAME);
+/// Serves one connection until the client hangs up, stops reading, or
+/// sends a bad frame.
+fn serve_connection(stream: &TcpStream, service: &Service, shutdown: &AtomicBool, conn_id: u32) {
+    let mut reader = BufReader::new(stream);
+    let mut writer = BufWriter::new(stream);
     loop {
-        match reader.read_message::<Request>() {
-            Ok(Some(request)) => {
-                telemetry::count_indexed("serve.conn.requests", conn_id, 1);
-                let is_shutdown = matches!(request, Request::Shutdown);
-                let response = service.handle(request);
-                if telemetry::enabled() {
-                    // Another connection's `Metrics` request reads the
-                    // collector, which sees this thread's counts only once
-                    // flushed; flushing before the reply goes out means a
-                    // client that has its reply is already counted.
-                    telemetry::flush_thread();
-                }
-                if tx.send(response).is_err() {
-                    break; // writer died (client stopped reading)
-                }
-                if is_shutdown {
-                    // The service has drained; stop accepting new
-                    // connections. This connection stays open so the
-                    // client can still drain outboxes and read stats.
-                    shutdown.store(true, Ordering::SeqCst);
-                }
-            }
-            Ok(None) => break, // clean EOF at a frame boundary
+        let request = match FrameReader::new(&mut reader, DEFAULT_MAX_FRAME).read_message() {
+            Ok(Some(request)) => request,
+            Ok(None) => return, // clean EOF at a frame boundary
             Err(error) => {
                 // Malformed frame: reply with a typed error, then close
                 // (framing is lost once a frame is bad).
-                let _ = tx.send(Response::Error {
-                    message: frame_error_message(&error),
-                });
-                break;
+                let reply = Response::Error {
+                    message: format!("bad request frame: {error}"),
+                };
+                if write_message(&mut writer, &reply, DEFAULT_MAX_FRAME).is_ok() {
+                    let _ = writer.flush();
+                }
+                return;
             }
+        };
+        telemetry::count_indexed("serve.conn.requests", conn_id, 1);
+        let is_shutdown = matches!(request, Request::Shutdown);
+        let response = service.handle(request);
+        if telemetry::enabled() {
+            // Another connection's `Metrics` request reads the collector,
+            // which sees this thread's counts only once flushed; flushing
+            // before the reply goes out means a client that has its reply
+            // is already counted.
+            telemetry::flush_thread();
+        }
+        if is_shutdown {
+            // The service has drained; stop accepting new connections.
+            // This connection stays open so the client can still drain
+            // outboxes and read stats.
+            shutdown.store(true, Ordering::SeqCst);
+        }
+        // Replies wait in the buffer only while the next request can be
+        // read without blocking.
+        if write_message(&mut writer, &response, DEFAULT_MAX_FRAME).is_err()
+            || (!holds_frame(reader.buffer()) && writer.flush().is_err())
+        {
+            return; // the socket failed, or the reply overran the frame cap
         }
     }
-    drop(tx);
-    let _ = writer_thread.join();
 }
 
-fn frame_error_message(error: &FrameError) -> String {
-    format!("bad request frame: {error}")
+/// Whether `buffered` starts with a whole frame, so reading it cannot
+/// block on the client.
+fn holds_frame(buffered: &[u8]) -> bool {
+    buffered
+        .split_first_chunk::<4>()
+        .is_some_and(|(header, payload)| payload.len() >= u32::from_le_bytes(*header) as usize)
 }
 
-/// A pipelining client: decoupled send and receive halves over one
-/// connection, so a caller can keep a window of requests in flight and
-/// collect the (request-ordered) responses as they settle.
+/// A pipelining client: requests queue until a flush sends them in one
+/// write, and the (request-ordered) responses are read as they arrive.
 ///
-/// The caller is responsible for windowing — pair every [`send`] with a
-/// later [`recv`] and keep the gap bounded (the server's own window will
-/// backpressure past ~[`128`](self) in-flight requests per connection).
+/// The caller is responsible for windowing: pair every [`send`] with a
+/// later [`recv`] and keep the gap bounded. The server writes each reply
+/// before it reads the next request, so once a window's replies fill the
+/// socket buffers, the server reads no more of it until the client
+/// receives.
 ///
 /// [`send`]: PipelinedClient::send
 /// [`recv`]: PipelinedClient::recv
 pub struct PipelinedClient {
-    writer: io::BufWriter<TcpStream>,
-    reader: FrameReader<TcpStream>,
-    unflushed: bool,
+    stream: BufReader<TcpStream>,
+    queued: Vec<u8>,
 }
 
 impl PipelinedClient {
@@ -269,28 +239,22 @@ impl PipelinedClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PipelinedClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let writer = io::BufWriter::new(stream.try_clone()?);
         Ok(PipelinedClient {
-            writer,
-            reader: FrameReader::new(stream, refstate_wire::DEFAULT_MAX_FRAME),
-            unflushed: false,
+            stream: BufReader::new(stream),
+            queued: Vec::new(),
         })
     }
 
-    /// Queues one request frame without flushing; consecutive sends
-    /// batch into one socket write.
+    /// Queues one request frame without sending it; consecutive sends
+    /// go out in one socket write.
     pub fn send(&mut self, request: &Request) -> Result<(), FrameError> {
-        write_message(&mut self.writer, request, refstate_wire::DEFAULT_MAX_FRAME)?;
-        self.unflushed = true;
-        Ok(())
+        write_message(&mut self.queued, request, DEFAULT_MAX_FRAME)
     }
 
-    /// Flushes any queued request frames to the socket.
+    /// Writes any queued request frames to the socket.
     pub fn flush(&mut self) -> Result<(), FrameError> {
-        if self.unflushed {
-            self.writer.flush().map_err(FrameError::Io)?;
-            self.unflushed = false;
-        }
+        self.stream.get_mut().write_all(&self.queued)?;
+        self.queued.clear();
         Ok(())
     }
 
@@ -298,52 +262,12 @@ impl PipelinedClient {
     /// recv can never deadlock on its own unsent request).
     pub fn recv(&mut self) -> Result<Response, FrameError> {
         self.flush()?;
-        match self.reader.read_message::<Response>()? {
+        match FrameReader::new(&mut self.stream, DEFAULT_MAX_FRAME).read_message()? {
             Some(response) => Ok(response),
             None => Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed before replying",
             ))),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::service::ServeConfig;
-    use std::time::Instant;
-
-    fn stream_state_round_trip(addr: SocketAddr) {
-        let mut client = PipelinedClient::connect(addr).expect("connect");
-        client.send(&Request::StreamState).expect("send");
-        let reply = client.recv().expect("recv");
-        assert!(matches!(reply, Response::StreamState { .. }), "{reply:?}");
-    }
-
-    #[test]
-    fn closed_connections_leave_the_registry() {
-        let server = Server::bind(Service::new(ServeConfig::default()), "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        for _ in 0..16 {
-            stream_state_round_trip(addr);
-        }
-        // Each accept reaps whatever has closed, so a probe connection
-        // sees at most itself and the previous probe still tracked.
-        let tracked = || server.connections.lock().unwrap().len();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            stream_state_round_trip(addr);
-            if tracked() <= 2 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "{} connection handles still tracked",
-                tracked()
-            );
-        }
-        server.stop();
-        server.join();
     }
 }

@@ -1198,7 +1198,6 @@ mod tests {
                 preset,
                 mechanisms: registry.all(),
                 key_pool: 8,
-                ..refstate_fleet::FleetConfig::default()
             });
             for mechanism in registry.names() {
                 let owner = format!("{}-{mechanism}", preset.name());

@@ -1,6 +1,7 @@
 //! The `serve` binary's argument checks: a size that must be positive is a
 //! usage error (exit 2, one line on stderr), not a panic from a library
-//! assert; and the telemetry files it writes once the service shuts down.
+//! assert; the telemetry files it writes once the service shuts down; and
+//! a listening server that outlives running out of file descriptors.
 
 use std::process::Command;
 
@@ -122,4 +123,79 @@ fn in_process_soak_writes_its_metrics_and_trace() {
         .count();
     assert_eq!(journeys, 16, "one journey span per submitted journey");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `--listen` server whose connections exhaust its file descriptors
+/// keeps accepting once they close: the flood neither stops the server
+/// nor makes it refuse the next client, and only `Shutdown` ends it.
+#[cfg(unix)]
+#[test]
+fn listening_server_survives_running_out_of_file_descriptors() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::process::{Child, Stdio};
+    use std::time::{Duration, Instant};
+
+    use refstate_serve::{PipelinedClient, Request, Response};
+
+    /// Kills the server if an assertion fails before it exits.
+    struct Reaped(Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let mut server = Reaped(
+        Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -n 32 && exec "$0" --listen 127.0.0.1:0"#)
+            .arg(env!("CARGO_BIN_EXE_serve"))
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh runs"),
+    );
+    // Kept open until the server exits, so its last stderr line has a
+    // reader.
+    let mut stderr = BufReader::new(server.0.stderr.take().expect("piped stderr"));
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).expect("server stderr") > 0,
+            "the server exited before serving"
+        );
+        if let Some(addr) = line.trim().strip_prefix("serving on ") {
+            break addr.to_owned();
+        }
+    };
+
+    let flood: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(&addr).expect("flood connect"))
+        .collect();
+    drop(flood);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut client = loop {
+        if let Ok(mut client) = PipelinedClient::connect(&addr) {
+            client.send(&Request::Health).expect("queue Health");
+            if let Ok(Response::Health(_)) = client.recv() {
+                break client;
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no Health reply 10 s after the flood"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    client.send(&Request::Shutdown).expect("send shutdown");
+    assert!(matches!(
+        client.recv().expect("shutdown reply"),
+        Response::ShuttingDown { .. }
+    ));
+    drop(client);
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "{status}");
+    drop(stderr);
 }

@@ -437,12 +437,13 @@ fn other_owners_progress_while_one_owner_is_mid_settle() {
 }
 
 /// The pipelined transport: many requests streamed before the first
-/// read, responses arriving strictly in request order.
+/// read, responses arriving strictly in request order — also for windows
+/// far past what one socket write or read buffer holds.
 #[test]
 fn pipelined_tcp_responses_come_back_in_request_order() {
     let server = Server::bind(
         Service::new(ServeConfig {
-            queue_capacity: 64,
+            queue_capacity: 1000,
             key_pool: 8,
             ..ServeConfig::default()
         }),
@@ -464,47 +465,51 @@ fn pipelined_tcp_responses_come_back_in_request_order() {
         Response::Registered { .. }
     ));
 
-    // A window of 32 submits with no intervening reads; the replies must
-    // come back as `Accepted` in exactly the order sent.
-    let window = 32u64;
-    for journey in 0..window {
-        client
-            .send(&Request::Submit {
-                owner: "carol".into(),
-                journey,
-            })
-            .expect("send submit");
-    }
-    for journey in 0..window {
-        match client.recv().expect("accepted") {
-            Response::Accepted { journey: j, .. } => {
-                assert_eq!(j, journey, "responses must be request-ordered")
-            }
-            other => panic!("expected Accepted, got {other:?}"),
+    let mut next = 0u64;
+    for window in [32u64, 1000] {
+        // A window of submits with no intervening reads; the replies must
+        // come back as `Accepted` in exactly the order sent.
+        let journeys = next..next + window;
+        next += window;
+        for journey in journeys.clone() {
+            client
+                .send(&Request::Submit {
+                    owner: "carol".into(),
+                    journey,
+                })
+                .expect("send submit");
         }
-    }
+        for journey in journeys.clone() {
+            match client.recv().expect("accepted") {
+                Response::Accepted { journey: j, .. } => {
+                    assert_eq!(j, journey, "responses must be request-ordered")
+                }
+                other => panic!("expected Accepted, got {other:?}"),
+            }
+        }
 
-    client
-        .send(&Request::TickOwners(vec!["carol".into()]))
-        .expect("send tick");
-    assert_eq!(
-        client.recv().expect("ticked"),
-        Response::Ticked { settled: window }
-    );
-    client
-        .send(&Request::Drain {
-            owner: "carol".into(),
-        })
-        .expect("send drain");
-    let Response::Verdicts(verdicts) = client.recv().expect("verdicts") else {
-        panic!("drain reply");
-    };
-    let journeys: Vec<u64> = verdicts.iter().map(|v| v.journey).collect();
-    assert_eq!(
-        journeys,
-        (0..window).collect::<Vec<_>>(),
-        "verdicts deliver in admission order"
-    );
+        client
+            .send(&Request::TickOwners(vec!["carol".into()]))
+            .expect("send tick");
+        assert_eq!(
+            client.recv().expect("ticked"),
+            Response::Ticked { settled: window }
+        );
+        client
+            .send(&Request::Drain {
+                owner: "carol".into(),
+            })
+            .expect("send drain");
+        let Response::Verdicts(verdicts) = client.recv().expect("verdicts") else {
+            panic!("drain reply");
+        };
+        let drained: Vec<u64> = verdicts.iter().map(|v| v.journey).collect();
+        assert_eq!(
+            drained,
+            journeys.collect::<Vec<_>>(),
+            "verdicts deliver in admission order"
+        );
+    }
 
     client.send(&Request::Shutdown).expect("send shutdown");
     assert!(matches!(
@@ -639,6 +644,44 @@ fn tcp_malformed_frame_gets_a_typed_error_reply() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+    server.stop();
+    server.join();
+}
+
+/// A reply goes out as soon as no complete request is buffered behind
+/// it: one whole frame plus the first bytes of the next gets its reply
+/// before the rest of the second frame is sent.
+#[test]
+fn tcp_reply_does_not_wait_for_a_partly_sent_request() {
+    use std::io::Write;
+
+    let server = Server::bind(Service::new(ServeConfig::default()), "127.0.0.1:0").expect("bind");
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut frame = Vec::new();
+    refstate_wire::write_message(
+        &mut frame,
+        &Request::Health,
+        refstate_wire::DEFAULT_MAX_FRAME,
+    )
+    .unwrap();
+    let (head, tail) = frame.split_at(3);
+    (&stream).write_all(&[&frame[..], head].concat()).unwrap();
+    let mut reader = refstate_wire::FrameReader::new(&stream, refstate_wire::DEFAULT_MAX_FRAME);
+    let reply: Response = reader
+        .read_message()
+        .expect("the first reply arrives within 3 s")
+        .expect("one reply frame");
+    assert!(matches!(reply, Response::Health(_)), "{reply:?}");
+    (&stream).write_all(tail).unwrap();
+    let reply: Response = reader
+        .read_message()
+        .expect("the second reply once its frame is complete")
+        .expect("one reply frame");
+    assert!(matches!(reply, Response::Health(_)), "{reply:?}");
+    drop(stream);
     server.stop();
     server.join();
 }
