@@ -2,9 +2,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use parking_lot::Mutex;
 use refstate_telemetry as telemetry;
 
 use crate::agent::AgentId;
@@ -179,6 +178,12 @@ fn kind_index(event: &Event) -> usize {
     }
 }
 
+/// Locks `mutex`, recovering it from a thread that panicked while holding
+/// it: each update under the lock leaves the event list whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug, Default)]
 struct LogInner {
     events: Mutex<Vec<Event>>,
@@ -225,27 +230,27 @@ impl EventLog {
             self.inner.tallies[kind_index(&event)].fetch_add(1, Ordering::Relaxed);
             bridge_instant(&event);
         }
-        self.inner.events.lock().push(event);
+        lock(&self.inner.events).push(event);
     }
 
     /// The number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.events.lock().len()
+        lock(&self.inner.events).len()
     }
 
     /// Returns `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.events.lock().is_empty()
+        lock(&self.inner.events).is_empty()
     }
 
     /// A snapshot of the events recorded so far.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.events.lock().clone()
+        lock(&self.inner.events).clone()
     }
 
     /// Renders the timeline, one event per line.
     pub fn render(&self) -> String {
-        let events = self.inner.events.lock();
+        let events = lock(&self.inner.events);
         let mut out = String::new();
         for (i, e) in events.iter().enumerate() {
             out.push_str(&format!("{i:4}  {e}\n"));
@@ -261,14 +266,12 @@ impl EventLog {
     /// timeline doesn't grow without bound. Verdicts never read prior
     /// ticks' events, so clearing is observationally safe there.
     pub fn clear(&self) {
-        self.inner.events.lock().clear();
+        lock(&self.inner.events).clear();
     }
 
     /// Counts events matching a predicate.
     pub fn count_matching(&self, predicate: impl Fn(&Event) -> bool) -> usize {
-        self.inner
-            .events
-            .lock()
+        lock(&self.inner.events)
             .iter()
             .filter(|e| predicate(e))
             .count()

@@ -49,7 +49,9 @@
 //! * `--state-dir DIR` — durable state: persist the seed, registrations
 //!   and per-owner verdict streams to an append-only log store in `DIR`,
 //!   so a restarted server restores its owners and resumes their
-//!   checkpointed streams (keys are re-derived from the seed)
+//!   checkpointed streams (keys are re-derived from the seed). A `DIR`
+//!   the service cannot open exits 1 with the reason as the only stderr
+//!   line. Not with `--compare-single`, whose baseline would reopen it
 //! * `--tick-driver on|off` — run the group-commit tick driver, woken
 //!   by every accepted submit (default on for `--listen`, off for
 //!   in-process soaks; a `--connect` soak uses the server's)
@@ -228,6 +230,10 @@ fn parse_args() -> Options {
         eprintln!("--resume continues a durable history; --compare-single starts one cold");
         usage(2);
     }
+    if options.serve_config.state_dir.is_some() && options.compare_single {
+        eprintln!("--compare-single's baseline would reopen the --state-dir just written");
+        usage(2);
+    }
     let exporting = options.metrics_out.is_some() || options.trace_out.is_some();
     if exporting && options.connect.is_some() {
         eprintln!(
@@ -273,6 +279,14 @@ fn write_telemetry(options: &Options) {
     }
 }
 
+/// Opens the service, or exits 1 with the reason as the only stderr line.
+fn open_service(config: ServeConfig) -> Service {
+    Service::open(config).unwrap_or_else(|error| {
+        eprintln!("{error}");
+        std::process::exit(1);
+    })
+}
+
 /// An in-process soak over `connections` [`LocalPipelined`] connections
 /// into one fresh service, with the tick driver (when `drive` is set)
 /// racing the clients' own ticks.
@@ -283,7 +297,7 @@ fn soak_in_process(
     connections: usize,
 ) -> SoakOutcome {
     let queue_capacity = serve_config.queue_capacity;
-    let service = Arc::new(Service::new(serve_config));
+    let service = Arc::new(open_service(serve_config));
     let driver = drive.then(|| TickDriver::start(Arc::clone(&service), TickDriverConfig));
     let mut outcome = run_soak_concurrent(
         |_| LocalPipelined::new(Arc::clone(&service)),
@@ -324,7 +338,7 @@ fn main() {
     telemetry::set_level(options.telemetry);
 
     if let Some(addr) = &options.listen {
-        let service = Service::new(options.serve_config.clone());
+        let service = open_service(options.serve_config.clone());
         let mut server = match Server::bind(service, addr.as_str()) {
             Ok(server) => server,
             Err(error) => {

@@ -14,6 +14,10 @@
 //!
 //! * [`proto`] — the request/response messages on the workspace's
 //!   canonical codec, framed by `refstate_wire::frame`,
+//! * [`durable`] — the state dir's format (namespaces, checkpoint codec,
+//!   stream fold, seed pinning), which only this module reads or writes;
+//!   opening a dir the service cannot use returns an [`OpenError`] that
+//!   names what failed,
 //! * [`service`] — a lock-free routing layer over per-owner *shards*
 //!   (each owner's own key directory and verification pipeline, bounded
 //!   ingress queues, per-owner exec locks); no state is shared across
@@ -50,12 +54,14 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod durable;
 pub mod net;
 pub mod proto;
 pub mod service;
 pub mod soak;
 
 pub use driver::{TickDriver, TickDriverConfig, TickDriverStats};
+pub use durable::OpenError;
 pub use net::{PipelinedClient, Server};
 pub use proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, ServiceHealth, StreamCheckpoint,

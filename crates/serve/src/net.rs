@@ -28,7 +28,8 @@
 //! [`Server::join`] waits for every connection to close and a closed
 //! connection leaves nothing behind. A failed accept (say, the process is
 //! out of file descriptors) is counted as `serve.net.accept_errors` and
-//! retried; it never stops the server.
+//! retried; it never stops the server. The accept thread flushes each
+//! accept and error it counts, so a live `Metrics` reply shows them.
 //!
 //! Determinism note: per-owner verdict streams are pinned by the service
 //! regardless of how many connections submit, tick, or drain — only each
@@ -142,13 +143,13 @@ fn accept_until_shutdown(listener: &TcpListener, service: &Service, shutdown: &A
                     // descriptor left, a peer gone before its accept):
                     // either way, wait and keep serving.
                     if error.kind() != io::ErrorKind::WouldBlock {
-                        telemetry::count("serve.net.accept_errors", 1);
+                        count_now("serve.net.accept_errors");
                     }
                     thread::sleep(Duration::from_millis(5));
                     continue;
                 }
             };
-            telemetry::count("serve.net.connections", 1);
+            count_now("serve.net.connections");
             let conn_id = next_conn;
             next_conn = next_conn.wrapping_add(1);
             let spawned = thread::Builder::new().spawn_scoped(scope, move || {
@@ -157,10 +158,20 @@ fn accept_until_shutdown(listener: &TcpListener, service: &Service, shutdown: &A
             if spawned.is_err() {
                 // The unspawned closure dropped the stream: only this
                 // connection closes.
-                telemetry::count("serve.net.accept_errors", 1);
+                count_now("serve.net.accept_errors");
             }
         }
     });
+}
+
+/// Counts one accept-loop event and flushes it at once: the accept thread
+/// lives as long as the server, and a live `Metrics` reply sees only what
+/// has been flushed (a new connection's own reply included).
+fn count_now(name: &'static str) {
+    telemetry::count(name, 1);
+    if telemetry::enabled() {
+        telemetry::flush_thread();
+    }
 }
 
 /// Serves one connection until the client hangs up, stops reading, or

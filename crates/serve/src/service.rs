@@ -83,10 +83,10 @@ use refstate_mechanisms::api::{
     settle, JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
 };
 use refstate_platform::{EventLog, HostSpec};
-use refstate_store::{LogStore, StateStore};
 use refstate_telemetry as telemetry;
 
 use crate::driver::Doorbell;
+use crate::durable::{fnv_fold, OpenError, StateDir, StreamState, FNV_BASIS};
 use crate::proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, ServiceHealth, StreamCheckpoint,
     VerdictReply,
@@ -108,11 +108,11 @@ pub struct ServeConfig {
     /// one worker under its exec lock.
     pub settle_workers: usize,
     /// Durable-state directory. When set, the service opens (or creates)
-    /// an append-only [`LogStore`] there and persists its seed, its
-    /// registrations and each owner's verdict stream with its checkpoint:
-    /// a restart on the same directory restores every owner and resumes
-    /// its stream. Keys are re-derived from the seed. `None` keeps
-    /// everything in memory.
+    /// an append-only log store there (see [`crate::durable`]) and
+    /// persists its seed, its registrations and each owner's verdict
+    /// stream with its checkpoint: a restart on the same directory
+    /// restores every owner and resumes its stream. Keys are re-derived
+    /// from the seed. `None` keeps everything in memory.
     pub state_dir: Option<std::path::PathBuf>,
 }
 
@@ -126,71 +126,6 @@ impl Default for ServeConfig {
             state_dir: None,
         }
     }
-}
-
-/// Store namespaces the service persists under (see [`StateStore`]):
-/// only what a restart cannot re-derive. `meta` pins the service seed,
-/// `owners` holds the registration records (keyed by big-endian
-/// registration index, so scan order is registration order) and
-/// `checkpoint` each owner's stream position. Each owner's verdict lines
-/// append under `stream/<owner>`. Host keys and compiled programs are
-/// functions of the seed and the registrations, so a restart recomputes
-/// them instead of reading them back.
-const NS_META: &str = "meta";
-const NS_OWNERS: &str = "owners";
-const NS_CHECKPOINT: &str = "checkpoint";
-
-fn stream_ns(owner: &str) -> String {
-    format!("stream/{owner}")
-}
-
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a hash — the fold behind both the
-/// durable stream checkpoints and the soak's
-/// [`SoakOutcome::stream_digest`](crate::soak::SoakOutcome::stream_digest),
-/// so a server-side checkpoint is directly comparable to a client-side
-/// stream artifact digest.
-pub(crate) fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for byte in bytes {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// One owner's durable verdict-stream position: how many verdicts have
-/// been appended and the running FNV-1a digest over their lines. Updated
-/// under the owner's exec lock; checkpointed to the store per tick.
-#[derive(Clone, Copy)]
-struct StreamState {
-    offset: u64,
-    digest: u64,
-}
-
-impl Default for StreamState {
-    fn default() -> Self {
-        StreamState {
-            offset: 0,
-            digest: FNV_BASIS,
-        }
-    }
-}
-
-fn encode_checkpoint(state: StreamState) -> Vec<u8> {
-    let mut w = refstate_wire::Writer::new();
-    w.put_u64(state.offset);
-    w.put_u64(state.digest);
-    w.into_inner()
-}
-
-fn decode_checkpoint(bytes: &[u8]) -> Result<StreamState, refstate_wire::WireError> {
-    let mut r = refstate_wire::Reader::new(bytes);
-    let offset = r.take_u64()?;
-    let digest = r.take_u64()?;
-    r.finish()?;
-    Ok(StreamState { offset, digest })
 }
 
 /// Every host name a generated scenario can mention: linear routes up to
@@ -246,7 +181,7 @@ pub(crate) struct OwnerShard {
     /// Settled verdicts awaiting a drain, in admission order.
     outbox: Mutex<Vec<VerdictReply>>,
     /// The owner's durable stream position (offset + digest), restored
-    /// from the store on a warm start. Only touched under `exec` (plus
+    /// from the state dir on a warm start. Only touched under `exec` (plus
     /// brief read locks from stats/stream-state queries).
     stream: Mutex<StreamState>,
     accepted: AtomicU64,
@@ -297,13 +232,25 @@ pub struct Service {
     /// Rung by every accepted submit and by shutdown; the tick driver
     /// parks on it.
     pub(crate) bell: Doorbell,
-    /// The durable backend, when `state_dir` is configured.
-    store: Option<Arc<dyn StateStore>>,
+    /// The open state dir, when `state_dir` is configured.
+    state: Option<StateDir>,
 }
 
 impl Service {
-    /// Builds a service: generates and pre-warms the key pool.
+    /// Builds a service with [`Service::open`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`OpenError`]'s text when the state dir cannot be
+    /// opened.
     pub fn new(config: ServeConfig) -> Self {
+        Service::open(config).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// Builds a service: generates and pre-warms the key pool, then, with
+    /// a `state_dir`, opens it and restores every owner it holds. A dir
+    /// the service cannot use is an [`OpenError`] naming what failed.
+    pub fn open(config: ServeConfig) -> Result<Self, OpenError> {
         assert!(config.key_pool > 0, "key pool must be non-empty");
         let _span = telemetry::span("serve.start", "serve");
         let params = DsaParams::test_group_256();
@@ -314,64 +261,25 @@ impl Service {
         for key in &params_pool {
             key.public().precompute();
         }
-        let store: Option<Arc<dyn StateStore>> = config.state_dir.as_ref().map(|dir| {
-            let store = LogStore::open(dir)
-                .unwrap_or_else(|e| panic!("cannot open state dir {}: {e}", dir.display()));
-            Arc::new(store) as Arc<dyn StateStore>
-        });
-        if let Some(store) = &store {
-            // Pin the seed: restored owners re-derive their host keys
-            // from it, so reopening under a different seed would silently
-            // continue each stream under another key pool.
-            match store.get(NS_META, b"seed").expect("state dir meta read") {
-                Some(bytes) => {
-                    let persisted = bytes
-                        .try_into()
-                        .map(u64::from_le_bytes)
-                        .unwrap_or_else(|_| panic!("state dir corrupt: malformed seed record"));
-                    assert_eq!(
-                        persisted, config.seed,
-                        "state dir was created with seed {persisted}, not {}",
-                        config.seed
-                    );
-                }
-                None => store
-                    .put(NS_META, b"seed", &config.seed.to_le_bytes())
-                    .expect("state dir meta write"),
-            }
-        }
-        let service = Service {
+        let mut service = Service {
             config,
             params_pool,
             registry: MechanismRegistry::builtin(),
             owners: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
             bell: Doorbell::default(),
-            store,
+            state: None,
         };
-        // Re-install every persisted registration, in registration order
-        // (the `owners` namespace is keyed by big-endian index).
-        let restored: Vec<RegisterOwner> = match &service.store {
-            Some(store) => store
-                .scan(NS_OWNERS)
-                .expect("state dir owners scan")
-                .into_iter()
-                .map(|(_, value)| {
-                    refstate_wire::from_wire(&value)
-                        .unwrap_or_else(|e| panic!("state dir corrupt: owner record: {e}"))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        for registration in restored {
-            let owner = registration.owner.clone();
-            let reply = service.install_owner(registration, true);
-            assert!(
-                matches!(reply, Response::Registered { .. }),
-                "state dir corrupt: restoring owner {owner}: {reply:?}"
-            );
+        if let Some(dir) = &service.config.state_dir {
+            let restore =
+                |registration, stream| match service.install_owner(registration, Some(stream)) {
+                    Response::Registered { .. } => Ok(()),
+                    refused => Err(format!("registration refused: {refused:?}")),
+                };
+            let state = StateDir::open(dir, service.config.seed, restore)?;
+            service.state = Some(state);
         }
-        service
+        Ok(service)
     }
 
     /// Whether a shutdown has been requested.
@@ -425,22 +333,20 @@ impl Service {
     }
 
     fn register(&self, registration: RegisterOwner) -> Response {
-        self.install_owner(registration, false)
+        self.install_owner(registration, None)
     }
 
     /// Installs one owner shard, building its key directory either way.
-    /// `restore = false` is a client registration: its stream starts at
-    /// zero and (with a store) the registration record is persisted.
-    /// `restore = true` replays a persisted registration on open: the
-    /// record is not written again, and the stream position is read back
-    /// from the store.
-    fn install_owner(&self, registration: RegisterOwner, restore: bool) -> Response {
-        let RegisterOwner {
-            owner,
-            seed,
-            preset,
-            mechanism,
-        } = registration;
+    /// With no `restored` stream it is a client registration: its stream
+    /// starts at zero and (with a state dir) the registration record is
+    /// persisted. A `restored` stream comes from a persisted registration
+    /// on open, which is not written again.
+    fn install_owner(
+        &self,
+        registration: RegisterOwner,
+        restored: Option<StreamState>,
+    ) -> Response {
+        let owner = &registration.owner;
         let reject = |reason| Response::Rejected {
             owner: owner.clone(),
             journey: 0,
@@ -454,17 +360,16 @@ impl Service {
                 message: format!("invalid owner name {owner:?} (non-empty, no '/')"),
             };
         }
-        let (preset_name, mechanism_name) = (preset, mechanism);
-        let Some(preset) = Preset::parse(&preset_name) else {
+        let Some(preset) = Preset::parse(&registration.preset) else {
             return reject(RejectReason::UnknownPreset);
         };
-        let Some(mechanism) = self.registry.get(&mechanism_name) else {
+        let Some(mechanism) = self.registry.get(&registration.mechanism) else {
             return reject(RejectReason::UnknownMechanism);
         };
 
         // A fast path only: the authoritative check runs again under the
         // owner-table write lock below.
-        if self.shard(&owner).is_some() {
+        if self.shard(owner).is_some() {
             return reject(RejectReason::DuplicateOwner);
         }
 
@@ -473,6 +378,7 @@ impl Service {
         // once and shared by every journey — no per-journey clones — and
         // warmed here so no first verification pays a table build. A
         // restored owner re-derives the same keys from the same pool.
+        let seed = registration.seed;
         let mut directory = KeyDirectory::new();
         for name in host_universe() {
             let key = &self.params_pool[key_index(seed, &name, self.params_pool.len())];
@@ -480,74 +386,16 @@ impl Service {
         }
         directory.warm();
 
-        // The owner's durable stream position: zero on a fresh
-        // registration, replayed (and verified against the last
-        // checkpoint) on restore.
-        let stream = if restore {
-            let store = self.store.as_ref().expect("restore implies a store");
-            let lines = store
-                .appended(&stream_ns(&owner))
-                .expect("state dir stream read");
-            let checkpoint = store
-                .get(NS_CHECKPOINT, owner.as_bytes())
-                .expect("state dir checkpoint read")
-                .map(|bytes| {
-                    decode_checkpoint(&bytes)
-                        .unwrap_or_else(|e| panic!("state dir corrupt: {owner} checkpoint: {e}"))
-                });
-            let mut state = StreamState::default();
-            let mut digest_at_checkpoint =
-                matches!(checkpoint, Some(c) if c.offset == 0).then_some(state.digest);
-            for line in &lines {
-                state.digest = fnv_fold(state.digest, line);
-                state.digest = fnv_fold(state.digest, b"\n");
-                state.offset += 1;
-                if matches!(checkpoint, Some(c) if c.offset == state.offset) {
-                    digest_at_checkpoint = Some(state.digest);
-                }
-            }
-            if let Some(checkpoint) = checkpoint {
-                // The stream may run past the checkpoint (a crash between
-                // an append and its checkpoint put), never short of it.
-                let digest = digest_at_checkpoint.unwrap_or_else(|| {
-                    panic!(
-                        "state dir corrupt: {owner} checkpoint offset {} beyond the {} appended verdicts",
-                        checkpoint.offset, state.offset
-                    )
-                });
-                assert_eq!(
-                    digest, checkpoint.digest,
-                    "state dir corrupt: {owner} stream digest diverges from its checkpoint at offset {}",
-                    checkpoint.offset
-                );
-            }
-            state
-        } else {
-            StreamState::default()
-        };
-
         let mut owners = self.owners.write().expect("owner table lock");
-        if owners.iter().any(|o| o.name == owner) {
+        if owners.iter().any(|o| o.name == *owner) {
             return reject(RejectReason::DuplicateOwner);
         }
         telemetry::count("serve.owner.registered", 1);
         let index = owners.len() as u32;
-        if !restore {
-            if let Some(store) = &self.store {
-                let record = RegisterOwner {
-                    owner: owner.clone(),
-                    seed,
-                    preset: preset_name,
-                    mechanism: mechanism_name,
-                };
-                store
-                    .put(
-                        NS_OWNERS,
-                        &index.to_be_bytes(),
-                        &refstate_wire::to_wire(&record),
-                    )
-                    .expect("state dir owner write");
-            }
+        if let (None, Some(state)) = (restored, &self.state) {
+            state
+                .put_owner(index, &registration)
+                .expect("state dir owner write");
         }
         owners.push(Arc::new(OwnerShard {
             name: owner.clone(),
@@ -562,7 +410,7 @@ impl Service {
             ingress: Mutex::new(VecDeque::new()),
             exec: Mutex::new(()),
             outbox: Mutex::new(Vec::new()),
-            stream: Mutex::new(stream),
+            stream: Mutex::new(restored.unwrap_or_default()),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             verified: AtomicU64::new(0),
@@ -571,7 +419,9 @@ impl Service {
             flush_verifications: AtomicU64::new(0),
             flush_failures: AtomicU64::new(0),
         }));
-        Response::Registered { owner }
+        Response::Registered {
+            owner: registration.owner,
+        }
     }
 
     fn submit(&self, owner: String, journey: u64) -> Response {
@@ -757,31 +607,15 @@ impl Service {
 
         // Persist the batch to the owner's durable stream (still under
         // the exec lock, so the store's append order is the verdict
-        // order) and advance the offset/digest checkpoint. Appends land
-        // before the checkpoint put: a crash in between leaves the
-        // stream ahead of its checkpoint, which replay-on-open accepts.
+        // order) and advance the offset/digest checkpoint.
         {
+            let lines: Vec<String> = replies.iter().map(VerdictReply::stream_line).collect();
             let mut stream = shard.stream.lock().expect("stream lock");
-            let ns = self.store.as_ref().map(|_| stream_ns(&shard.name));
-            for reply in &replies {
-                let line = reply.stream_line();
-                if let (Some(store), Some(ns)) = (&self.store, &ns) {
-                    store
-                        .append(ns, line.as_bytes())
-                        .expect("state dir stream append");
-                }
-                stream.digest = fnv_fold(stream.digest, line.as_bytes());
-                stream.digest = fnv_fold(stream.digest, b"\n");
-                stream.offset += 1;
-            }
-            if let Some(store) = &self.store {
-                store
-                    .put(
-                        NS_CHECKPOINT,
-                        shard.name.as_bytes(),
-                        &encode_checkpoint(*stream),
-                    )
-                    .expect("state dir checkpoint write");
+            match &self.state {
+                Some(state) => state
+                    .append(&shard.name, &mut stream, &lines)
+                    .expect("state dir stream append"),
+                None => lines.iter().for_each(|line| stream.push(line.as_bytes())),
             }
         }
 
@@ -845,7 +679,7 @@ impl Service {
         let now = Instant::now();
         let mut health = ServiceHealth {
             shards: shards.len() as u64,
-            generation: self.store.as_ref().map_or(0, |store| store.generation()),
+            generation: self.state.as_ref().map_or(0, StateDir::generation),
             ..ServiceHealth::default()
         };
         for shard in &shards {
@@ -864,7 +698,7 @@ impl Service {
     /// Every owner's durable stream position, in registration order,
     /// plus the store's open-generation stamp (0 without a state dir).
     fn stream_state(&self) -> Response {
-        let generation = self.store.as_ref().map_or(0, |store| store.generation());
+        let generation = self.state.as_ref().map_or(0, StateDir::generation);
         let owners = self
             .shards()
             .iter()
@@ -907,8 +741,8 @@ impl Service {
                 break;
             }
         }
-        if let Some(store) = &self.store {
-            store.sync().expect("state dir sync");
+        if let Some(state) = &self.state {
+            state.sync().expect("state dir sync");
         }
         Response::ShuttingDown { settled }
     }

@@ -47,11 +47,12 @@ use refstate_telemetry::json::JsonWriter;
 use refstate_telemetry::metrics::nearest_rank;
 
 use crate::driver::TickDriverStats;
+use crate::durable::{fnv_fold, FNV_BASIS};
 use crate::net::PipelinedClient;
 use crate::proto::{
     OwnerStats, RegisterOwner, RejectReason, Request, Response, StreamCheckpoint, VerdictReply,
 };
-use crate::service::{fnv_fold, Service, FNV_BASIS};
+use crate::service::Service;
 
 /// A transport that can keep many requests in flight: buffered sends, an
 /// explicit flush, and strictly request-ordered receives. The soak

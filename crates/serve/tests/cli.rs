@@ -1,7 +1,8 @@
 //! The `serve` binary's argument checks: a size that must be positive is a
 //! usage error (exit 2, one line on stderr), not a panic from a library
-//! assert; the telemetry files it writes once the service shuts down; and
-//! a listening server that outlives running out of file descriptors.
+//! assert; a state dir the service cannot open exits 1 with one line, not
+//! a panic; the telemetry files it writes once the service shuts down;
+//! and a listening server that outlives running out of file descriptors.
 
 use std::process::Command;
 
@@ -28,6 +29,74 @@ fn zero_sizes_are_usage_errors() {
     ] {
         assert_eq!(exit_code(args), Some(2), "serve {}", args.join(" "));
     }
+}
+
+/// Runs the binary with backtraces on, so a panic shows on stderr: the
+/// exit code and stderr.
+fn run_with_backtrace(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(args)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("the serve binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (output.status.code(), stderr)
+}
+
+#[test]
+fn a_state_dir_the_service_cannot_open_exits_1_with_one_line() {
+    let dir = std::env::temp_dir().join(format!("refstate-serve-cli-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("file");
+    std::fs::write(&file, b"").unwrap();
+    let file = file.to_str().expect("a UTF-8 temp path");
+    let state = dir.join("state");
+    let state = state.to_str().expect("a UTF-8 temp path");
+    let soak = |seed| {
+        run_with_backtrace(&[
+            "--soak",
+            "--owners",
+            "1",
+            "--journeys",
+            "2",
+            "--seed",
+            seed,
+            "--state-dir",
+            state,
+        ])
+    };
+    assert_eq!(soak("42").0, Some(0), "the first soak creates the dir");
+
+    let reseeded = soak("43");
+    assert!(reseeded.1.contains("seed 42, not 43"), "{}", reseeded.1);
+    let on_a_file = run_with_backtrace(&["--listen", "127.0.0.1:0", "--state-dir", file]);
+    for (case, (code, stderr)) in [("another seed", reseeded), ("a regular file", on_a_file)] {
+        assert_eq!(code, Some(1), "{case}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The single-connection baseline would reopen the history the measured
+/// run just wrote, and find its owners already registered.
+#[test]
+fn compare_single_on_a_state_dir_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("refstate-serve-cli-cmp-{}", std::process::id()));
+    let (code, stderr) = run_with_backtrace(&[
+        "--soak",
+        "--owners",
+        "1",
+        "--journeys",
+        "2",
+        "--compare-single",
+        "--state-dir",
+        dir.to_str().expect("a UTF-8 temp path"),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--compare-single"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

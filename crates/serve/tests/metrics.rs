@@ -82,13 +82,20 @@ fn metrics_request_returns_the_running_servers_snapshot() {
     joined.join().expect("server join");
 }
 
-/// Connection 0's `serve.conn.requests` in a `Metrics` reply, 0 when the
-/// reply has no such row. The counter is process-wide, so it also holds
-/// the connection 0 of every earlier server in this binary.
+/// Connection 0's `serve.conn.requests` in a `Metrics` reply. The counter
+/// is process-wide, so it also holds the connection 0 of every earlier
+/// server in this binary.
 fn first_connection_requests(jsonl: &str) -> u64 {
+    counter(jsonl, "serve.conn.requests")
+}
+
+/// The counter `name` (index 0) in a `Metrics` reply, 0 when the reply has
+/// no such row.
+fn counter(jsonl: &str, name: &str) -> u64 {
+    let row = format!("\"name\":\"{name}\",\"index\":0,");
     jsonl
         .lines()
-        .find(|line| line.contains("\"name\":\"serve.conn.requests\",\"index\":0,"))
+        .find(|line| line.contains(&row))
         .and_then(|line| line.split("\"value\":").nth(1))
         .map_or(0, |value| {
             value
@@ -134,6 +141,43 @@ fn metrics_reply_counts_another_live_connections_requests() {
         first_connection_requests(&jsonl) - before,
         N,
         "connection A's {N} requests missing from {jsonl}"
+    );
+
+    b.send(&Request::Shutdown).expect("send");
+    assert!(matches!(
+        b.recv().expect("reply"),
+        Response::ShuttingDown { .. }
+    ));
+    drop((a, b));
+    joined.join().expect("server join");
+}
+
+#[test]
+fn metrics_reply_counts_each_accepted_connection_live() {
+    let _level = LEVEL.lock().expect("a metrics test panicked");
+    telemetry::set_level(telemetry::TelemetryLevel::Counters);
+    let server = Server::bind(Service::new(ServeConfig::default()), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let joined = std::thread::spawn(move || server.join());
+    let metrics = |client: &mut PipelinedClient| {
+        client.send(&Request::Metrics).expect("send");
+        let Response::Metrics(jsonl) = client.recv().expect("reply") else {
+            panic!("metrics reply");
+        };
+        jsonl
+    };
+
+    // The accept thread outlives both connections, so each accept must
+    // reach the collector before that connection is served.
+    let mut a = PipelinedClient::connect(addr).expect("connect A");
+    let seen_by_a = counter(&metrics(&mut a), "serve.net.connections");
+    let mut b = PipelinedClient::connect(addr).expect("connect B");
+    let jsonl = metrics(&mut b);
+    telemetry::set_level(telemetry::TelemetryLevel::Off);
+    assert_eq!(
+        counter(&jsonl, "serve.net.connections"),
+        seen_by_a + 1,
+        "connection B's accept is missing from {jsonl}"
     );
 
     b.send(&Request::Shutdown).expect("send");

@@ -1,7 +1,8 @@
 //! Warm-restart coverage: a service stopped and reopened on the same
 //! state dir restores its registrations and streams, re-derives its keys,
 //! and a resumed soak produces byte-identical verdicts to an
-//! uninterrupted run.
+//! uninterrupted run. A dir the service cannot use is refused with the
+//! [`OpenError`] that names what failed.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_serve::{
-    run_soak_concurrent, LocalPipelined, RegisterOwner, Request, Response, ServeConfig, Service,
-    SoakConfig, SoakOutcome,
+    run_soak_concurrent, LocalPipelined, OpenError, RegisterOwner, Request, Response, ServeConfig,
+    Service, SoakConfig, SoakOutcome,
 };
 use refstate_store::{LogStore, StateStore};
 
@@ -251,4 +252,151 @@ fn reopening_under_a_different_seed_panics() {
         seed: 2,
         ..serve_config(Some(dir.path()))
     });
+}
+
+/// A state dir holding the base soak's first leg, edited through a bare
+/// [`LogStore`], and the error a service opening it returns.
+fn open_edited(tag: &str, edit: impl FnOnce(&LogStore)) -> OpenError {
+    let dir = TempDir::new(tag);
+    soak(serve_config(Some(dir.path())), &first_leg(&base_soak()), 1);
+    let store = LogStore::open(dir.path()).expect("reopen the state dir");
+    edit(&store);
+    store.sync().expect("sync the edit");
+    drop(store);
+    Service::open(serve_config(Some(dir.path())))
+        .err()
+        .expect("the edited state dir is refused")
+}
+
+/// A checkpoint record as the service writes it: offset, then digest.
+fn checkpoint(offset: u64, digest: u64) -> Vec<u8> {
+    let mut w = refstate_wire::Writer::new();
+    w.put_u64(offset);
+    w.put_u64(digest);
+    w.into_inner()
+}
+
+#[test]
+fn a_state_dir_that_is_a_regular_file_names_its_path() {
+    let dir = TempDir::new("file");
+    let file = dir.path().join("state");
+    fs::write(&file, b"").expect("create the file");
+    match Service::open(serve_config(Some(&file))) {
+        Err(OpenError::Store(path, _)) => assert_eq!(path, file),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a regular file opened as a state dir"),
+    }
+}
+
+#[test]
+fn reopening_under_a_different_seed_names_both_seeds() {
+    let dir = TempDir::new("reseed");
+    drop(Service::new(serve_config(Some(dir.path()))));
+    let error = Service::open(ServeConfig {
+        seed: 43,
+        ..serve_config(Some(dir.path()))
+    })
+    .err()
+    .expect("another seed is refused");
+    assert!(matches!(error, OpenError::Seed(42, 43)), "{error}");
+    assert_eq!(
+        error.to_string(),
+        "state dir was created with seed 42, not 43"
+    );
+}
+
+#[test]
+fn a_malformed_seed_record_is_a_record_error() {
+    let error = open_edited("meta", |store| {
+        store.put("meta", b"seed", &[4, 2]).expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Record("meta", key, _) if key == "seed"),
+        "{error}"
+    );
+}
+
+#[test]
+fn an_undecodable_owners_record_is_a_record_error() {
+    let error = open_edited("owners", |store| {
+        store
+            .put("owners", &0u32.to_be_bytes(), b"not a registration")
+            .expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Record("owners", key, _) if key == "00000000"),
+        "{error}"
+    );
+}
+
+#[test]
+fn an_owners_record_the_service_refuses_is_a_record_error() {
+    let error = open_edited("mechanism", |store| {
+        let record = RegisterOwner {
+            owner: SoakConfig::owner_name(1),
+            seed: 23,
+            preset: "mixed".into(),
+            mechanism: "no-such-mechanism".into(),
+        };
+        store
+            .put(
+                "owners",
+                &1u32.to_be_bytes(),
+                &refstate_wire::to_wire(&record),
+            )
+            .expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Record("owners", key, why)
+            if key == "00000001" && why.contains("UnknownMechanism")),
+        "{error}"
+    );
+}
+
+#[test]
+fn an_undecodable_checkpoint_is_a_record_error() {
+    let owner = SoakConfig::owner_name(2);
+    let error = open_edited("checkpoint", |store| {
+        store
+            .put("checkpoint", owner.as_bytes(), &[0; 5])
+            .expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Record("checkpoint", key, _) if *key == owner),
+        "{error}"
+    );
+}
+
+#[test]
+fn a_checkpoint_past_its_stream_names_the_owner_and_offset() {
+    // Leg 1 settles 4 verdicts per owner.
+    let owner = SoakConfig::owner_name(0);
+    let error = open_edited("past", |store| {
+        store
+            .put("checkpoint", owner.as_bytes(), &checkpoint(5, 0))
+            .expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Stream(name, 5, 4) if *name == owner),
+        "{error}"
+    );
+    assert!(
+        error.to_string().contains("beyond the 4 appended"),
+        "{error}"
+    );
+}
+
+#[test]
+fn a_digest_mismatch_names_the_owner_and_offset() {
+    let owner = SoakConfig::owner_name(0);
+    let error = open_edited("digest", |store| {
+        store
+            .put("checkpoint", owner.as_bytes(), &checkpoint(3, 0))
+            .expect("edit");
+    });
+    assert!(
+        matches!(&error, OpenError::Stream(name, 3, 4) if *name == owner),
+        "{error}"
+    );
+    assert!(error.to_string().contains("diverges"), "{error}");
 }

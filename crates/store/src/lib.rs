@@ -7,21 +7,18 @@
 //! with a generation stamp that counts how many times the store has been
 //! opened.
 //!
-//! Two backends ship with the crate:
-//!
-//! - [`MemoryStore`]: plain in-memory maps, the semantic reference for
-//!   callers that want the trait without durability.
-//! - [`LogStore`]: an append-only on-disk log with CRC-framed records,
-//!   segment rotation, and crash-safe replay-on-open (a torn or corrupt tail
-//!   record is truncated away; corruption in a sealed segment is an error).
+//! One backend ships with the crate: [`LogStore`], an append-only on-disk
+//! log with CRC-framed records, segment rotation, and crash-safe
+//! replay-on-open (a torn or corrupt tail record is truncated away;
+//! corruption in a sealed segment is an error). After a failed write it
+//! refuses every later one until it is reopened, so nothing is
+//! acknowledged behind a torn frame.
 
 mod crc;
 mod log;
-mod memory;
 
 pub use crc::crc32;
 pub use log::{LogStore, DEFAULT_SEGMENT_BYTES, MAX_RECORD};
-pub use memory::MemoryStore;
 
 use std::fmt;
 
@@ -39,6 +36,10 @@ pub enum StoreError {
     },
     /// A record exceeded the maximum frame size.
     RecordTooLarge { len: usize, max: usize },
+    /// An earlier write failed, so the store refuses every write until it
+    /// is reopened: a write after a torn frame would be acknowledged and
+    /// then lost when the next open truncates the tail from the tear.
+    Faulted,
 }
 
 impl fmt::Display for StoreError {
@@ -60,6 +61,9 @@ impl fmt::Display for StoreError {
                     f,
                     "record of {len} bytes exceeds the {max}-byte frame limit"
                 )
+            }
+            StoreError::Faulted => {
+                f.write_str("an earlier write failed; no write is taken until a reopen")
             }
         }
     }
@@ -104,6 +108,6 @@ pub trait StateStore: Send + Sync {
     /// each durable reopen. A warm restart observes `generation() > 1`.
     fn generation(&self) -> u64;
 
-    /// Flush buffered writes to stable storage (no-op for memory backends).
+    /// Flush buffered writes to stable storage.
     fn sync(&self) -> Result<(), StoreError>;
 }

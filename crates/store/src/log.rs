@@ -16,6 +16,9 @@
 //! good offset and the open succeeds. The same failure in a sealed
 //! (non-tail) segment means history is missing, so the open refuses with
 //! [`StoreError::Corrupt`].
+//!
+//! A failed write may leave a torn frame, which the next open truncates
+//! from, so the store then refuses every write until it is reopened.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -52,6 +55,8 @@ struct Inner {
     active: File,
     active_len: u64,
     next_seg: u64,
+    /// Set by the first failed write; every later one is refused.
+    faulted: bool,
 }
 
 /// Durable [`StateStore`] over an append-only segmented log.
@@ -272,6 +277,7 @@ impl LogStore {
                 active,
                 active_len,
                 next_seg,
+                faulted: false,
             }),
         };
         // Stamp this open so the next one observes a higher generation.
@@ -280,19 +286,14 @@ impl LogStore {
         Ok(store)
     }
 
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn write_record(&self, payload: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("log store lock");
         self.write_record_locked(&mut inner, payload)
     }
 
-    /// Writes one framed record to the active segment, rotating first if the
-    /// segment has reached the threshold. Callers hold the inner lock, so a
-    /// record's disk position always matches its table-apply order.
+    /// Writes one framed record to the active segment, unless an earlier
+    /// write failed. Callers hold the inner lock, so a record's disk
+    /// position always matches its table-apply order.
     fn write_record_locked(&self, inner: &mut Inner, payload: &[u8]) -> Result<(), StoreError> {
         if payload.len() > MAX_RECORD {
             return Err(StoreError::RecordTooLarge {
@@ -300,6 +301,17 @@ impl LogStore {
                 max: MAX_RECORD,
             });
         }
+        if inner.faulted {
+            return Err(StoreError::Faulted);
+        }
+        let written = self.write_frame(inner, payload);
+        inner.faulted = written.is_err();
+        written.map_err(StoreError::Io)
+    }
+
+    /// Frames `payload` onto the active segment, rotating first if the
+    /// segment has reached the threshold.
+    fn write_frame(&self, inner: &mut Inner, payload: &[u8]) -> std::io::Result<()> {
         if inner.active_len >= self.segment_bytes {
             inner.active.sync_all()?;
             let index = inner.next_seg;
@@ -368,5 +380,51 @@ impl StateStore for LogStore {
         let inner = self.inner.lock().expect("log store lock");
         inner.active.sync_all()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_write_refuses_every_later_one_until_reopen() {
+        let dir = std::env::temp_dir().join(format!("refstate-store-fault-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = LogStore::open(&dir).expect("open");
+        store
+            .append("log", b"before")
+            .expect("append before the fault");
+        store
+            .put("kv", b"k", b"before")
+            .expect("put before the fault");
+
+        // A read-only handle on the active segment fails the next write.
+        let read_only = File::open(dir.join(segment_name(1))).expect("segment");
+        let writable = std::mem::replace(&mut store.inner.lock().unwrap().active, read_only);
+        assert!(matches!(
+            store.append("log", b"failed"),
+            Err(StoreError::Io(_))
+        ));
+        store.inner.lock().unwrap().active = writable;
+
+        // The handle works again, but nothing is taken until a reopen.
+        assert!(matches!(
+            store.append("log", b"after"),
+            Err(StoreError::Faulted)
+        ));
+        assert!(matches!(
+            store.put("kv", b"k", b"after"),
+            Err(StoreError::Faulted)
+        ));
+        drop(store);
+        let reopened = LogStore::open(&dir).expect("reopen");
+        assert_eq!(reopened.appended("log").unwrap(), vec![b"before".to_vec()]);
+        assert_eq!(reopened.get("kv", b"k").unwrap(), Some(b"before".to_vec()));
+        reopened
+            .append("log", b"reopened")
+            .expect("a reopen clears the fault");
+        drop(reopened);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -56,10 +56,8 @@ pub mod span;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 pub use metrics::{Histogram, HistogramSnapshot, MetricKey, MetricsSnapshot};
 pub use span::{
@@ -153,6 +151,12 @@ struct TraceSink {
     len: usize,
 }
 
+/// Locks `mutex`, recovering it from a thread that panicked while holding
+/// it: each update under the collector's locks leaves its data whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The process-wide sink for metrics and trace events.
 ///
 /// One collector exists per process (see [`collector`]); its creation
@@ -185,12 +189,12 @@ impl Collector {
     }
 
     pub(crate) fn add_counter(&self, key: MetricKey, delta: u64) {
-        let mut inner = self.metrics.lock();
+        let mut inner = lock(&self.metrics);
         *inner.counters.entry(key).or_insert(0) += delta;
     }
 
     pub(crate) fn observe_raw(&self, key: MetricKey, value: u64) {
-        let mut inner = self.metrics.lock();
+        let mut inner = lock(&self.metrics);
         inner.histograms.entry(key).or_default().record(value);
     }
 
@@ -200,7 +204,7 @@ impl Collector {
         counters: impl IntoIterator<Item = (MetricKey, u64)>,
         histograms: impl IntoIterator<Item = (MetricKey, Histogram)>,
     ) {
-        let mut inner = self.metrics.lock();
+        let mut inner = lock(&self.metrics);
         for (key, delta) in counters {
             *inner.counters.entry(key).or_insert(0) += delta;
         }
@@ -214,7 +218,7 @@ impl Collector {
             return;
         }
         let capacity = self.trace_capacity.load(Ordering::Relaxed);
-        let mut sink = self.trace.lock();
+        let mut sink = lock(&self.trace);
         let room = capacity.saturating_sub(sink.len);
         if events.len() > room {
             self.trace_dropped
@@ -229,7 +233,7 @@ impl Collector {
 
     /// A point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.metrics.lock();
+        let inner = lock(&self.metrics);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             histograms: inner
@@ -244,7 +248,7 @@ impl Collector {
     /// timestamp. Call [`flush_thread`] on long-lived threads first.
     pub fn drain_trace(&self) -> Vec<TraceEvent> {
         let segments = {
-            let mut sink = self.trace.lock();
+            let mut sink = lock(&self.trace);
             sink.len = 0;
             std::mem::take(&mut sink.segments)
         };
