@@ -40,11 +40,13 @@ fn require_positive(value: &Json, path: &str, key: &str) -> Result<f64, JsonErro
 }
 
 /// Validates the `BENCH_bigint.json` schema: `bench == "bigint"`, a
-/// non-empty `cases` array whose entries carry the five per-path timings
-/// (positive ns/op: `schoolbook_ns`, `montgomery_ns`, `fixed_base_ns`,
-/// `generator_ns`, `inverse_ns`) plus `group` and `op` labels, and a top-level
-/// `parallelism` (the host's core count) that, when present, must be
-/// positive.
+/// non-empty `cases` array whose entries carry the seven per-operation
+/// timings (positive ns/op: `schoolbook_ns`, `montgomery_ns`,
+/// `fixed_base_ns`, `generator_ns`, `inverse_ns`, `sign_ns`, `verify_ns`)
+/// plus `group` and `op` labels, and a top-level `parallelism` (the host's
+/// core count) that, when present, must be positive. Each timing is the
+/// median of its rounds; its quartiles (`_q1`, `_q3`), when present, must
+/// bracket it.
 pub fn check_bigint_schema(doc: &Json) -> Result<(), JsonError> {
     if doc.get("bench").and_then(Json::as_str) != Some("bigint") {
         return Err(JsonError("bench: expected \"bigint\"".into()));
@@ -72,8 +74,22 @@ pub fn check_bigint_schema(doc: &Json) -> Result<(), JsonError> {
             "fixed_base_ns",
             "generator_ns",
             "inverse_ns",
+            "sign_ns",
+            "verify_ns",
         ] {
-            require_positive(case, &path, key)?;
+            let median = require_positive(case, &path, key)?;
+            let quartile = |suffix: &str| {
+                let key = format!("{key}_{suffix}");
+                case.get(&key)
+                    .map(|_| require_positive(case, &path, &key))
+                    .transpose()
+            };
+            let (q1, q3) = (quartile("q1")?, quartile("q3")?);
+            if q1.is_some_and(|q1| q1 > median) || q3.is_some_and(|q3| q3 < median) {
+                return Err(JsonError(format!(
+                    "{path}.{key}: quartiles {q1:?}, {q3:?} do not bracket the median {median}"
+                )));
+            }
         }
     }
     Ok(())
@@ -460,9 +476,16 @@ mod tests {
         let good = r#"{"bench":"bigint","cases":[
             {"group":"512","op":"pow_mod","schoolbook_ns":100.0,
              "montgomery_ns":30.0,"fixed_base_ns":10.0,
-             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
+             "generator_ns":6.0,"inverse_ns":2000.0,
+             "sign_ns":3000.0,"sign_ns_q1":2900.0,"sign_ns_q3":3100.0,
+             "verify_ns":7000.0}]}"#;
         assert!(check_bigint_schema(&parse(good).unwrap()).is_ok());
-        for (key, value) in [("generator_ns", "6.0"), ("inverse_ns", "2000.0")] {
+        for (key, value) in [
+            ("generator_ns", "6.0"),
+            ("inverse_ns", "2000.0"),
+            ("sign_ns", "3000.0"),
+            ("verify_ns", "7000.0"),
+        ] {
             let field = format!("\"{key}\":{value}");
             let missing = good.replace(&field, "\"renamed\":1.0");
             assert!(
@@ -476,6 +499,10 @@ mod tests {
             );
         }
 
+        // Quartiles must bracket their median.
+        let unbracketed = good.replace("\"sign_ns_q3\":3100.0", "\"sign_ns_q3\":2950.0");
+        assert!(check_bigint_schema(&parse(&unbracketed).unwrap()).is_err());
+
         let wrong_name = r#"{"bench":"fleet","cases":[]}"#;
         assert!(check_bigint_schema(&parse(wrong_name).unwrap()).is_err());
         let empty = r#"{"bench":"bigint","cases":[]}"#;
@@ -483,7 +510,8 @@ mod tests {
         let negative = r#"{"bench":"bigint","cases":[
             {"group":"512","op":"pow_mod","schoolbook_ns":-1,
              "montgomery_ns":30.0,"fixed_base_ns":10.0,
-             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
+             "generator_ns":6.0,"inverse_ns":2000.0,
+             "sign_ns":3000.0,"verify_ns":7000.0}]}"#;
         assert!(check_bigint_schema(&parse(negative).unwrap()).is_err());
     }
 
@@ -492,7 +520,8 @@ mod tests {
         let good = r#"{"bench":"bigint","cases":[
             {"group":"256","op":"pow_mod","schoolbook_ns":100.0,
              "montgomery_ns":30.0,"fixed_base_ns":10.0,
-             "generator_ns":6.0,"inverse_ns":2000.0}]}"#;
+             "generator_ns":6.0,"inverse_ns":2000.0,
+             "sign_ns":3000.0,"verify_ns":7000.0}]}"#;
         let with = |cores: &str| good.replacen("{", &format!(r#"{{"parallelism":{cores},"#), 1);
         assert!(check_bigint_schema(&parse(&with("2")).unwrap()).is_ok());
         assert!(check_bigint_schema(&parse(&with("0")).unwrap()).is_err());

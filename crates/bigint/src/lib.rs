@@ -13,6 +13,9 @@
 //! * a Montgomery reduction context ([`Montgomery`]) with sliding-window
 //!   exponentiation, and a fixed-base precomputed-table exponentiator
 //!   ([`FixedBase`]) for bases that recur across many exponentiations,
+//! * stack scalars ([`Scalar`]) for moduli of up to 256 bits, on which a
+//!   narrow context multiplies, inverts and reduces any limb slice without
+//!   the heap or a division,
 //! * probabilistic primality testing and prime generation
 //!   ([`is_probable_prime`], [`gen_prime`]).
 //!
@@ -44,6 +47,7 @@ mod modular;
 mod montgomery;
 mod prime;
 mod random;
+mod scalar;
 mod signed;
 mod uint;
 mod window;
@@ -52,5 +56,6 @@ pub use error::ParseUintError;
 pub use montgomery::{MontInt, Montgomery};
 pub use prime::{gen_prime, is_probable_prime, SMALL_PRIMES};
 pub use random::{random_below, random_bits, random_exact_bits, random_in_unit_range};
+pub use scalar::{Scalar, SCALAR_LIMBS};
 pub use uint::Uint;
 pub use window::FixedBase;

@@ -202,6 +202,12 @@ impl Uint {
     /// returning `None` when `gcd(self, modulus) != 1` (no inverse exists)
     /// or when `modulus < 2`.
     ///
+    /// An odd modulus takes the division-free binary extended GCD: this
+    /// method reduces `self` and sizes the loop's buffers on the heap, and
+    /// the loop itself is the body
+    /// [`Montgomery::scalar_inv`](crate::Montgomery::scalar_inv) runs on a
+    /// stack scratch. An even modulus takes extended Euclid.
+    ///
     /// ```
     /// use refstate_bigint::Uint;
     /// let inv = Uint::from(3u64).inv_mod(&Uint::from(11u64)).unwrap();
@@ -213,12 +219,15 @@ impl Uint {
             return None;
         }
         if !modulus.is_even() {
-            // The overwhelmingly common case (prime moduli: DSA's q, p)
-            // takes the division-free binary algorithm — an order of
-            // magnitude faster than extended Euclid at crypto sizes, and
-            // directly on the signing/verification hot path (`k⁻¹`,
-            // `s⁻¹`).
-            return self.inv_mod_odd(modulus);
+            // The common case (prime moduli) takes the division-free
+            // binary algorithm, an order of magnitude faster than extended
+            // Euclid at crypto sizes.
+            let a = self.rem(modulus);
+            let width = modulus.limb_len();
+            let mut scratch = vec![0; inv_scratch_limbs(width)];
+            let mut inverse = vec![0; width];
+            return inv_odd_into(a.limbs(), modulus.limbs(), &mut scratch, &mut inverse)
+                .then(|| Uint::from_limbs(inverse));
         }
         // General fallback: extended Euclid on (modulus, self mod
         // modulus), tracking only the Bezout coefficient of `self`.
@@ -239,47 +248,51 @@ impl Uint {
         }
         Some(t_prev.rem_euclid(modulus))
     }
+}
 
-    /// Binary extended GCD inverse for **odd** moduli: shift/subtract
-    /// only, no multi-precision division (HAC Algorithm 14.61
-    /// specialized to odd `m`), working in place on fixed limb buffers so
-    /// the loop allocates nothing.
-    ///
-    /// As in `Montgomery::cios`, each arm hands the one body its width as
-    /// a literal, so the limb loops unroll at 2 and 3 limbs: the widths of
-    /// the built-in groups' 128- and 160-bit subgroup orders `q`, the only
-    /// moduli the DSA layer inverts in (once per nonce batch and verify
-    /// flush). Any other width runs the same body with the runtime count.
-    fn inv_mod_odd(&self, modulus: &Uint) -> Option<Uint> {
-        debug_assert!(!modulus.is_even() && modulus >= &Uint::from(3u64));
-        let a = self.rem(modulus);
-        if a.is_zero() {
-            return None;
-        }
-        let (a, m) = (a.limbs(), modulus.limbs());
-        match m.len() {
-            2 => inv_odd_width(2, a, m),
-            3 => inv_odd_width(3, a, m),
-            width => inv_odd_width(width, a, m),
-        }
+/// The scratch limbs [`inv_odd_into`] needs for a `width`-limb modulus.
+pub(crate) const fn inv_scratch_limbs(width: usize) -> usize {
+    4 * width + 2
+}
+
+/// Binary extended GCD inverse for **odd** moduli: shift/subtract only, no
+/// multi-precision division (HAC Algorithm 14.61 specialized to odd `m`).
+/// Writes the inverse of `a < m` modulo the odd `m` into `out[..m.len()]`
+/// and returns `true`, or returns `false` when `a` is zero or shares a
+/// factor with `m`. The loop works in place in `scratch`
+/// ([`inv_scratch_limbs`] limbs), so it allocates nothing.
+///
+/// As in `Montgomery::cios`, each arm hands the one body its width as a
+/// literal, so the limb loops unroll at 2 and 3 limbs: the widths of the
+/// built-in groups' 128- and 160-bit subgroup orders `q`, the only moduli
+/// the DSA layer inverts in (once per nonce batch and verify flush). Any
+/// other width runs the same body with the runtime count.
+pub(crate) fn inv_odd_into(a: &[u64], m: &[u64], scratch: &mut [u64], out: &mut [u64]) -> bool {
+    debug_assert!(m[0] & 1 == 1 && ls_cmp(a, m) == Ordering::Less);
+    if ls_is_zero(a) {
+        return false;
+    }
+    match m.len() {
+        2 => inv_odd_width(2, a, m, scratch, out),
+        3 => inv_odd_width(3, a, m, scratch, out),
+        width => inv_odd_width(width, a, m, scratch, out),
     }
 }
 
-/// The body of [`Uint::inv_mod_odd`] at `width` limbs: the inverse of the
-/// non-zero `a < m` modulo the odd `m`, or `None` when they share a
-/// factor.
+/// The body of [`inv_odd_into`] at `width` limbs, for a non-zero `a`.
 #[inline(always)]
-fn inv_odd_width(width: usize, a: &[u64], m: &[u64]) -> Option<Uint> {
+fn inv_odd_width(width: usize, a: &[u64], m: &[u64], scratch: &mut [u64], out: &mut [u64]) -> bool {
     let m = &m[..width];
     // Working values u, v in `width` limbs; Bezout coefficients x1,
     // x2 in `width + 1` limbs (x + m overflows `width` transiently
     // before the halving). Invariants: x1·a ≡ u, x2·a ≡ v (mod m),
     // x1 and x2 in [0, m) at loop boundaries.
-    let mut buffers = vec![0u64; 4 * width + 2];
-    let (u, rest) = buffers.split_at_mut(width);
+    let scratch = &mut scratch[..inv_scratch_limbs(width)];
+    scratch.fill(0);
+    let (u, rest) = scratch.split_at_mut(width);
     let (v, rest) = rest.split_at_mut(width);
     let (x1, x2) = rest.split_at_mut(width + 1);
-    let x2 = &mut x2[..width + 1];
+    let a = &a[..a.len().min(width)];
     u[..a.len()].copy_from_slice(a);
     v.copy_from_slice(m);
     x1[0] = 1;
@@ -316,7 +329,7 @@ fn inv_odd_width(width: usize, a: &[u64], m: &[u64]) -> Option<Uint> {
             if ls_is_zero(u) {
                 // gcd(a, m) = v, and the loop guard says v != 1: no
                 // inverse exists.
-                return None;
+                return false;
             }
         } else {
             ls_sub(v, u);
@@ -325,7 +338,8 @@ fn inv_odd_width(width: usize, a: &[u64], m: &[u64]) -> Option<Uint> {
     }
     // gcd(a, m) = 1 landed in whichever variable reached 1.
     let x = if ls_is_one(u) { x1 } else { x2 };
-    Some(Uint::from_limbs(x.to_vec()))
+    out[..width].copy_from_slice(&x[..width]);
+    true
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! any other width through unchanged. Same algorithm, same results, no `unsafe`: the
 //! kernel property tests pin every arm against the schoolbook oracle.
 //!
-//! Two entry levels are exposed:
+//! Three entry levels are exposed:
 //!
 //! * **`Uint` domain** — [`Montgomery::mul_mod`] / [`Montgomery::pow_mod`]
 //!   take and return ordinary integers; the context handles conversions.
@@ -35,7 +35,15 @@
 //!   [`Montgomery::from_mont`] operate on [`MontInt`] residues, letting
 //!   callers (fixed-base tables, fused double exponentiation) stay inside
 //!   the domain across several operations and pay conversion only at the
-//!   edges.
+//!   edges. [`Montgomery::mont_mul_into`] and
+//!   [`Montgomery::from_mont_into`] do the same on caller buffers and
+//!   allocate nothing.
+//! * **Stack scalars** — for a modulus of at most
+//!   [`SCALAR_LIMBS`](crate::SCALAR_LIMBS) limbs (DSA's subgroup order
+//!   `q`), [`Montgomery::reduce`], [`Montgomery::scalar_mul`],
+//!   [`Montgomery::scalar_add`] and [`Montgomery::scalar_inv`] work on
+//!   `Copy` [`Scalar`](crate::Scalar)s through the same kernel, with no
+//!   heap and no division (see `scalar.rs`).
 //!
 //! # Invariants
 //!
@@ -77,19 +85,23 @@ pub struct MontInt {
 /// Construction performs the one-time precomputation (`-n⁻¹ mod 2^64` by
 /// Newton iteration, `R mod n` and `R² mod n` by one wide division each);
 /// afterwards every modular multiplication costs one CIOS pass —
-/// `O(k²)` single-word multiplications and **no division**.
+/// `O(k²)` single-word multiplications and **no division** — and so does
+/// every conversion into the domain ([`Montgomery::to_mont`] and
+/// [`Montgomery::reduce`] take Horner steps by `R² mod n`).
 #[derive(Debug, Clone)]
 pub struct Montgomery {
     /// The modulus `n` (odd, ≥ 3).
     n: Uint,
     /// `n` as exactly `k` limbs.
-    n_limbs: Vec<u64>,
+    pub(crate) n_limbs: Vec<u64>,
     /// `-n⁻¹ mod 2^64`.
     n0: u64,
     /// `R² mod n` (`k` limbs): multiplying by it converts into the domain.
-    r2: Vec<u64>,
+    pub(crate) r2: Vec<u64>,
     /// `R mod n` (`k` limbs): the Montgomery form of 1.
-    one: Vec<u64>,
+    pub(crate) one: Vec<u64>,
+    /// 1 as `k` limbs: multiplying by it converts out of the domain.
+    unit: Vec<u64>,
 }
 
 impl Montgomery {
@@ -122,12 +134,15 @@ impl Montgomery {
 
         let r_mod_n = (&Uint::one() << (64 * k)).rem(modulus);
         let r2_mod_n = (&Uint::one() << (128 * k)).rem(modulus);
+        let mut unit = vec![0; k];
+        unit[0] = 1;
         Some(Montgomery {
             n: modulus.clone(),
             n_limbs,
             n0,
             r2: to_fixed_limbs(&r2_mod_n, k),
             one: to_fixed_limbs(&r_mod_n, k),
+            unit,
         })
     }
 
@@ -136,17 +151,19 @@ impl Montgomery {
         &self.n
     }
 
-    /// Converts `value` into the Montgomery domain (reducing it modulo `n`
-    /// first if necessary).
+    /// The modulus's limb count `k`: every residue, and every buffer the
+    /// `_into` methods take, is `k` limbs.
+    pub fn limbs(&self) -> usize {
+        self.n_limbs.len()
+    }
+
+    /// Converts `value` into the Montgomery domain, reducing it modulo `n`
+    /// on the way by the same Horner steps as [`Montgomery::reduce`].
     pub fn to_mont(&self, value: &Uint) -> MontInt {
-        let k = self.n_limbs.len();
-        let reduced = if value < &self.n {
-            value.clone()
-        } else {
-            value.rem(&self.n)
-        };
+        let k = self.limbs();
+        let mut acc = vec![0; k];
         let mut limbs = vec![0; k];
-        self.cios(&to_fixed_limbs(&reduced, k), &self.r2, &mut limbs);
+        self.reduce_into(value.limbs(), &mut acc, &mut limbs);
         MontInt { limbs }
     }
 
@@ -154,12 +171,21 @@ impl Montgomery {
     /// `[0, n)`.
     pub fn from_mont(&self, value: &MontInt) -> Uint {
         self.check_width(value);
-        let k = self.n_limbs.len();
-        let mut one = vec![0; k];
-        one[0] = 1;
-        let mut limbs = vec![0; k];
-        self.cios(&value.limbs, &one, &mut limbs);
+        let mut limbs = vec![0; self.limbs()];
+        self.from_mont_into(&value.limbs, &mut limbs);
         Uint::from_limbs(limbs)
+    }
+
+    /// [`Montgomery::from_mont`] on caller buffers: writes `a·R⁻¹ mod n`,
+    /// the ordinary value of the residue `a`, into `out`. Both are `k`
+    /// limbs; nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer is not `k` limbs.
+    pub fn from_mont_into(&self, a: &[u64], out: &mut [u64]) {
+        self.check_buffers(a, &self.unit, out);
+        self.cios(a, &self.unit, out);
     }
 
     /// The Montgomery form of 1 (the multiplicative identity of the
@@ -179,9 +205,21 @@ impl Montgomery {
     pub fn mont_mul(&self, a: &MontInt, b: &MontInt) -> MontInt {
         self.check_width(a);
         self.check_width(b);
-        let mut limbs = vec![0; self.n_limbs.len()];
+        let mut limbs = vec![0; self.limbs()];
         self.cios(&a.limbs, &b.limbs, &mut limbs);
         MontInt { limbs }
+    }
+
+    /// [`Montgomery::mont_mul`] on caller buffers: `out ← a·b·R⁻¹ mod n`
+    /// for `k`-limb residues `a` and `b`, allocating nothing. `out` must
+    /// not alias either operand (the borrow checker sees to that).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer is not `k` limbs.
+    pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        self.check_buffers(a, b, out);
+        self.cios(a, b, out);
     }
 
     /// Raises a Montgomery residue to `exponent` by left-to-right
@@ -236,46 +274,34 @@ impl Montgomery {
         MontInt { limbs: acc }
     }
 
-    /// Inverts a Montgomery residue **in-domain**: given `â = a·R mod n`,
-    /// returns `a⁻¹·R mod n`, or `None` when `gcd(a, n) ≠ 1` (including
-    /// `a = 0`).
+    /// `out ← V·R mod n` for the value `V` of little-endian `limbs` (any
+    /// length, high zero limbs allowed), with `acc` a `k`-limb scratch.
     ///
-    /// The residue is inverted with the division-free binary extended GCD
-    /// ([`Uint::inv_mod`] — always on the odd-modulus path, since a
-    /// Montgomery modulus is odd by construction), then mapped back into
-    /// the domain with two REDC multiplications by `R²`:
-    /// `(a·R)⁻¹ = a⁻¹·R⁻¹ ──·R²·R⁻¹──▶ a⁻¹ ──·R²·R⁻¹──▶ a⁻¹·R`.
-    /// No trial division anywhere, and callers chaining an inverse into
-    /// further products (DSA's `w = s⁻¹` feeding `u1 = z·w`, `u2 = r·w`)
-    /// never leave the domain.
-    ///
-    /// ```
-    /// use refstate_bigint::{Montgomery, Uint};
-    /// let n = Uint::from(497u64);
-    /// let ctx = Montgomery::new(&n).unwrap();
-    /// let a = Uint::from(123u64);
-    /// let inv = ctx.inv(&ctx.to_mont(&a)).unwrap();
-    /// assert_eq!(
-    ///     ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &inv)),
-    ///     Uint::one()
-    /// );
-    /// ```
-    pub fn inv(&self, a: &MontInt) -> Option<MontInt> {
-        self.check_width(a);
-        let plain = Uint::from_limbs(a.limbs.clone()).inv_mod(&self.n)?;
-        let k = self.n_limbs.len();
-        let mut unmapped = vec![0; k];
-        self.cios(&to_fixed_limbs(&plain, k), &self.r2, &mut unmapped);
-        let mut limbs = vec![0; k];
-        self.cios(&unmapped, &self.r2, &mut limbs);
-        Some(MontInt { limbs })
-    }
-
-    /// Computes `a⁻¹ mod n` through the domain (reduce in, [`Montgomery::inv`],
-    /// convert out); `None` when `a` is not invertible. Agrees with
-    /// [`Uint::inv_mod`] for every input (property-tested).
-    pub fn inv_mod(&self, a: &Uint) -> Option<Uint> {
-        Some(self.from_mont(&self.inv(&self.to_mont(a))?))
+    /// Horner's rule over `k`-limb chunks from the top, `V = Σ cⱼ·Rʲ`: each
+    /// step folds the next chunk into the running residue and multiplies by
+    /// `R² mod n`, one CIOS pass that both shifts by `R` and re-enters the
+    /// domain. No division, and `⌈len / k⌉` passes in all.
+    pub(crate) fn reduce_into(&self, limbs: &[u64], acc: &mut [u64], out: &mut [u64]) {
+        let n = &self.n_limbs[..];
+        let len = limbs.iter().rposition(|&l| l != 0).map_or(0, |top| top + 1);
+        out.fill(0);
+        for chunk in limbs[..len].chunks(n.len()).rev() {
+            // acc ← out + chunk. `out < n` and `chunk < R`, so a carry out
+            // of `k` limbs means the sum is at least `R > n`: subtracting
+            // `n` (its borrow cancels the carry) keeps the sum's residue and
+            // brings it below `R`, which is all CIOS asks of one operand.
+            let mut carry = 0u64;
+            for (j, a) in acc.iter_mut().enumerate() {
+                let sum =
+                    out[j] as u128 + chunk.get(j).copied().unwrap_or(0) as u128 + carry as u128;
+                *a = sum as u64;
+                carry = (sum >> 64) as u64;
+            }
+            if carry != 0 {
+                sub_limbs(acc, n);
+            }
+            self.cios(acc, &self.r2, out);
+        }
     }
 
     /// Computes `(a * b) mod n` through the domain: two conversions in,
@@ -327,6 +353,17 @@ impl Montgomery {
         );
     }
 
+    fn check_buffers(&self, a: &[u64], b: &[u64], out: &[u64]) {
+        let k = self.limbs();
+        assert!(
+            a.len() == k && b.len() == k && out.len() == k,
+            "buffers of {}, {} and {} limbs for a {k}-limb Montgomery context",
+            a.len(),
+            b.len(),
+            out.len()
+        );
+    }
+
     /// `acc ← acc²·R⁻¹`: the product lands in `scratch`, then the two
     /// buffers swap, so a ladder of squarings allocates nothing.
     fn square_assign(&self, acc: &mut Vec<u64>, scratch: &mut Vec<u64>) {
@@ -335,7 +372,7 @@ impl Montgomery {
     }
 
     /// `acc ← acc·b·R⁻¹` through `scratch`, as [`Self::square_assign`].
-    pub(crate) fn mul_assign(&self, acc: &mut Vec<u64>, b: &[u64], scratch: &mut Vec<u64>) {
+    fn mul_assign(&self, acc: &mut Vec<u64>, b: &[u64], scratch: &mut Vec<u64>) {
         self.cios(acc, b, scratch);
         std::mem::swap(acc, scratch);
     }
@@ -403,20 +440,28 @@ fn cios_width(k: usize, n: &[u64], n0: u64, a: &[u64], b: &[u64], t: &mut [u64])
 
     // Conditional final subtraction into [0, n).
     if top != 0 || ge_limbs(t, n) {
-        let mut borrow = 0u64;
-        for (tj, &nj) in t.iter_mut().zip(n) {
-            let (d1, b1) = tj.overflowing_sub(nj);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *tj = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
+        let borrow = sub_limbs(t, n);
         debug_assert_eq!(borrow, top);
     }
 }
 
+/// `t ← t − n` for equal-length little-endian limb slices, wrapping;
+/// returns the borrow out of the top limb.
+#[inline(always)]
+pub(crate) fn sub_limbs(t: &mut [u64], n: &[u64]) -> u64 {
+    let mut borrow = 0u64;
+    for (tj, &nj) in t.iter_mut().zip(n) {
+        let (d1, b1) = tj.overflowing_sub(nj);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *tj = d2;
+        borrow = (b1 as u64) + (b2 as u64);
+    }
+    borrow
+}
+
 /// `a >= b` for equal-length little-endian limb slices.
 #[inline(always)]
-fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
+pub(crate) fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     for j in (0..a.len()).rev() {
         if a[j] != b[j] {
@@ -535,54 +580,6 @@ mod tests {
         let fused = ctx.from_mont(&ctx.mont_mul(&gm, &hm));
         let split = g.pow_mod(&x, &n).mul_mod(&h.pow_mod(&y, &n), &n);
         assert_eq!(fused, split);
-    }
-
-    #[test]
-    fn inv_is_in_domain_and_matches_uint_inv_mod() {
-        let n = u(497); // 7 · 71: plenty of non-invertible residues
-        let ctx = Montgomery::new(&n).unwrap();
-        for a in 0u64..497 {
-            let au = u(a);
-            let expect = au.inv_mod(&n);
-            let got = ctx.inv(&ctx.to_mont(&au));
-            match (expect, got) {
-                (None, None) => {}
-                (Some(plain), Some(residue)) => {
-                    // In-domain: the residue IS inv·R, so from_mont agrees
-                    // with the plain inverse and a·â⁻¹ is the identity.
-                    assert_eq!(ctx.from_mont(&residue), plain, "a={a}");
-                    assert_eq!(
-                        ctx.mont_mul(&ctx.to_mont(&au), &residue),
-                        ctx.one_mont(),
-                        "a={a}"
-                    );
-                }
-                (e, g) => panic!("a={a}: inv_mod says {e:?}, Montgomery::inv says {g:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn inv_mod_multi_limb_matches_uint() {
-        let p = &Uint::from(1u128 << 127) - &Uint::one();
-        let ctx = Montgomery::new(&p).unwrap();
-        let a = Uint::from_hex("deadbeefcafebabe0123456789abcdef").unwrap();
-        assert_eq!(ctx.inv_mod(&a), a.inv_mod(&p));
-        assert_eq!(ctx.inv_mod(&Uint::zero()), None);
-    }
-
-    #[test]
-    fn inv_chains_without_leaving_the_domain() {
-        // The DSA shape: w = s⁻¹, then u1 = z·w and u2 = r·w, all in-domain.
-        let q = u(99991);
-        let ctx = Montgomery::new(&q).unwrap();
-        let (s, z, r) = (u(1234), u(4321), u(77777));
-        let w = ctx.inv(&ctx.to_mont(&s)).unwrap();
-        let u1 = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&z), &w));
-        let u2 = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&r), &w));
-        let w_plain = s.inv_mod(&q).unwrap();
-        assert_eq!(u1, z.mul_mod(&w_plain, &q));
-        assert_eq!(u2, r.mul_mod(&w_plain, &q));
     }
 
     #[test]

@@ -54,8 +54,10 @@ impl Uint {
         Uint { limbs }
     }
 
-    /// Exposes the little-endian limbs (no trailing zeros).
-    pub(crate) fn limbs(&self) -> &[u64] {
+    /// The little-endian limbs, with no high zero limb (none at all for
+    /// zero): the slice [`Montgomery::reduce`](crate::Montgomery::reduce)
+    /// and [`FixedBase::pow`](crate::FixedBase::pow) take.
+    pub fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
@@ -88,12 +90,7 @@ impl Uint {
     /// assert_eq!(Uint::zero().bit_len(), 0);
     /// ```
     pub fn bit_len(&self) -> usize {
-        match self.limbs.last() {
-            None => 0,
-            Some(&top) => {
-                (self.limbs.len() - 1) * Self::LIMB_BITS + (64 - top.leading_zeros() as usize)
-            }
-        }
+        bit_len(&self.limbs)
     }
 
     /// Returns bit `i` (little-endian position), `false` beyond the top bit.
@@ -101,25 +98,6 @@ impl Uint {
         let limb = i / Self::LIMB_BITS;
         let off = i % Self::LIMB_BITS;
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
-    }
-
-    /// Returns the `width` bits starting at bit `start` (little-endian
-    /// positions, zero beyond the top bit) as one digit: a shift and a mask
-    /// over at most two limbs. `width` must be in `1..64`.
-    pub(crate) fn digit(&self, start: usize, width: usize) -> usize {
-        debug_assert!((1..64).contains(&width));
-        let limb = start / Self::LIMB_BITS;
-        let off = start % Self::LIMB_BITS;
-        let low = self.limbs.get(limb).map_or(0, |l| l >> off);
-        // `off > 0` whenever the digit straddles a limb boundary.
-        let high = if off + width > Self::LIMB_BITS {
-            self.limbs
-                .get(limb + 1)
-                .map_or(0, |l| l << (Self::LIMB_BITS - off))
-        } else {
-            0
-        };
-        ((low | high) & ((1u64 << width) - 1)) as usize
     }
 
     /// Interprets big-endian bytes as an unsigned integer.
@@ -258,6 +236,34 @@ impl Uint {
     pub(crate) fn limb_len(&self) -> usize {
         self.limbs.len()
     }
+}
+
+/// The number of significant bits of little-endian `limbs` (`0` for
+/// zero); high zero limbs are allowed.
+pub(crate) fn bit_len(limbs: &[u64]) -> usize {
+    match limbs.iter().rposition(|&l| l != 0) {
+        None => 0,
+        Some(top) => top * Uint::LIMB_BITS + (64 - limbs[top].leading_zeros() as usize),
+    }
+}
+
+/// Returns the `width` bits of little-endian `limbs` starting at bit
+/// `start` (zero beyond the top bit) as one digit: a shift and a mask over
+/// at most two limbs. `width` must be in `1..64`.
+pub(crate) fn digit(limbs: &[u64], start: usize, width: usize) -> usize {
+    debug_assert!((1..64).contains(&width));
+    let limb = start / Uint::LIMB_BITS;
+    let off = start % Uint::LIMB_BITS;
+    let low = limbs.get(limb).map_or(0, |l| l >> off);
+    // `off > 0` whenever the digit straddles a limb boundary.
+    let high = if off + width > Uint::LIMB_BITS {
+        limbs
+            .get(limb + 1)
+            .map_or(0, |l| l << (Uint::LIMB_BITS - off))
+    } else {
+        0
+    };
+    ((low | high) & ((1u64 << width) - 1)) as usize
 }
 
 impl From<u64> for Uint {
@@ -429,13 +435,14 @@ mod tests {
                     .rev()
                     .fold(0, |d, b| (d << 1) | v.bit(start + b) as usize);
                 assert_eq!(
-                    v.digit(start, width),
+                    digit(v.limbs(), start, width),
                     by_bits,
                     "start {start}, width {width}"
                 );
             }
         }
-        assert_eq!(Uint::zero().digit(0, 8), 0);
+        assert_eq!(digit(Uint::zero().limbs(), 0, 8), 0);
+        assert_eq!(bit_len(&[5, 0, 0]), 3);
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! The table lives in the Montgomery domain of a shared [`Montgomery`]
 //! context, so several tables over the same modulus (a generator table and
 //! per-key tables) compose: `g^u1 · y^u2 mod p` is two table walks and a
-//! single [`Montgomery::mont_mul`], never leaving the domain.
+//! single [`Montgomery::mont_mul_into`], never leaving the domain.
 //!
-//! The walk reads each digit with one shift and mask over the exponent's
-//! limbs, so a digit may straddle two limbs at any `w`.
+//! The walk takes its exponent as a limb slice, so a stack
+//! [`Scalar`](crate::Scalar) drives it directly, and writes into a buffer
+//! the caller owns: with a modulus of at most 64 limbs (4 096 bits, the
+//! widest DSA `p` a wire decode admits) its scratch is on the stack too,
+//! and the walk allocates nothing. It reads each digit with one shift and
+//! mask over the exponent's limbs, so a digit may straddle two limbs at any
+//! `w`.
 //!
 //! # Invariants
 //!
@@ -38,10 +43,10 @@
 //!   So a caller that builds one table per base (DSA's per-key `y`-tables)
 //!   keeps `w = 4`, and only a table shared by a whole process (DSA's
 //!   group `g`-table) takes `w = 8`.
-//! * A caller sizing tables from untrusted input bounds them by residue
-//!   count, not exponent bits: `crypto::dsa` allows at most 15 360
-//!   residues per table, which covers 4 096 exponent bits at `w = 4` and
-//!   480 at `w = 8`; wider exponents take the fallback above.
+//! * A caller sizing tables from untrusted input must bound them: DSA
+//!   sizes its tables by the subgroup order `q`, and `crypto::dsa` caps `q`
+//!   at 256 bits, so its widest `g`-table is 32 × 255 = 8 160 residues,
+//!   4 MiB under a 4 096-bit `p`.
 //!
 //! # Examples
 //!
@@ -60,7 +65,12 @@
 use std::sync::Arc;
 
 use crate::montgomery::{MontInt, Montgomery};
-use crate::uint::Uint;
+use crate::uint::{bit_len, digit, Uint};
+
+/// The widest modulus, in limbs, whose walk keeps its scratch on the
+/// stack: 4 096 bits, the widest `p` a DSA wire decode admits. Wider
+/// moduli walk with a heap scratch.
+const STACK_LIMBS: usize = 64;
 
 /// Default digit width: 15-entry rows, one multiplication per 4 exponent
 /// bits. The sweet spot for a table per base, such as DSA's per-key
@@ -141,41 +151,55 @@ impl FixedBase {
         &self.mont
     }
 
-    /// Raises the fixed base to `exponent`, returning the result in the
-    /// Montgomery domain (one multiplication per non-zero digit after the
-    /// first, which seeds the accumulator; the walk allocates its two
-    /// `k`-limb buffers once).
+    /// Raises the fixed base to the little-endian `exponent` (high zero
+    /// limbs allowed) and writes the result, in the Montgomery domain, into
+    /// the caller's `k`-limb buffer `out`: one multiplication per non-zero
+    /// digit after the first, which seeds `out`, and no allocation for a
+    /// modulus of up to 64 limbs.
     ///
     /// Stays in the domain so callers can fuse several fixed-base results
-    /// (`g^u1 · y^u2`) with [`Montgomery::mont_mul`] before converting out
-    /// once.
-    pub fn pow(&self, exponent: &Uint) -> MontInt {
-        let bits = exponent.bit_len();
+    /// (`g^u1 · y^u2`) with [`Montgomery::mont_mul_into`] before converting
+    /// out once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `k` limbs.
+    pub fn pow(&self, exponent: &[u64], out: &mut [u64]) {
+        let k = self.base.limbs.len();
+        assert_eq!(out.len(), k, "FixedBase::pow buffer width");
+        let bits = bit_len(exponent);
         if bits > self.digits * self.window {
             // Oversized exponent: correct generic fallback.
-            return self.mont.mont_pow(&self.base, exponent);
+            let exponent = Uint::from_limbs(exponent.to_vec());
+            out.copy_from_slice(&self.mont.mont_pow(&self.base, &exponent).limbs);
+            return;
         }
-        let k = self.base.limbs.len();
+        let (mut stack, mut heap) = ([0; STACK_LIMBS], Vec::new());
+        let scratch = if k <= STACK_LIMBS {
+            &mut stack[..k]
+        } else {
+            heap.resize(k, 0);
+            &mut heap[..]
+        };
         let row = (1usize << self.window) - 1;
-        let mut acc = self.mont.one_mont().limbs;
-        let mut scratch = vec![0; k];
+        out.copy_from_slice(&self.mont.one);
         let mut seeded = false;
         for i in 0..bits.div_ceil(self.window) {
-            let digit = exponent.digit(i * self.window, self.window);
+            let digit = digit(exponent, i * self.window, self.window);
             if digit == 0 {
                 continue;
             }
             let entry = (i * row + digit - 1) * k;
             let entry = &self.table[entry..entry + k];
             if seeded {
-                self.mont.mul_assign(&mut acc, entry, &mut scratch);
+                self.mont.cios(out, entry, scratch);
+                out.copy_from_slice(scratch);
             } else {
                 // 1·entry is the entry itself (residues are fully reduced).
-                acc.copy_from_slice(entry);
+                out.copy_from_slice(entry);
                 seeded = true;
             }
         }
-        MontInt { limbs: acc }
     }
 
     /// Raises the fixed base to `exponent`, returning an ordinary integer
@@ -184,7 +208,9 @@ impl FixedBase {
     /// Agrees with the schoolbook `base.pow_mod(exponent, modulus)` for
     /// every exponent (property-tested).
     pub fn pow_mod(&self, exponent: &Uint) -> Uint {
-        self.mont.from_mont(&self.pow(exponent))
+        let mut limbs = vec![0; self.mont.limbs()];
+        self.pow(exponent.limbs(), &mut limbs);
+        self.mont.from_mont(&MontInt { limbs })
     }
 }
 
@@ -238,6 +264,17 @@ mod tests {
     }
 
     #[test]
+    fn walks_a_modulus_wider_than_the_stack_scratch() {
+        // One limb past the stack scratch: the walk's scratch is on the heap.
+        let n = &(&Uint::one() << (64 * STACK_LIMBS)) + &Uint::from(3u64);
+        let m = Arc::new(Montgomery::new(&n).unwrap());
+        let g = Uint::from(7u64);
+        let table = FixedBase::new(m, &g, 64);
+        let e = Uint::from(0xdead_beef_1234u64);
+        assert_eq!(table.pow_mod(&e), g.pow_mod(&e, &n));
+    }
+
+    #[test]
     fn zero_exponent_is_one() {
         let m = ctx(497);
         let table = FixedBase::new(m, &Uint::from(4u64), 16);
@@ -253,9 +290,15 @@ mod tests {
         let gt = FixedBase::new(m.clone(), &g, 64);
         let ht = FixedBase::new(m.clone(), &h, 64);
         let (x, y) = (Uint::from(123_456u64), Uint::from(654_321u64));
-        let fused = m.from_mont(&m.mont_mul(&gt.pow(&x), &ht.pow(&y)));
+        let mut walks = [[0; 1]; 4];
+        let [gx, hy, product, fused] = &mut walks;
+        gt.pow(x.limbs(), gx);
+        // High zero limbs in the exponent change nothing.
+        ht.pow(&[y.limbs(), &[0, 0]].concat(), hy);
+        m.mont_mul_into(gx, hy, product);
+        m.from_mont_into(product, fused);
         let split = g.pow_mod(&x, &n).mul_mod(&h.pow_mod(&y, &n), &n);
-        assert_eq!(fused, split);
+        assert_eq!(Uint::from(fused[0]), split);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property-based tests for the bigint crate: ring axioms, division
 //! invariants, conversion round-trips, modular arithmetic laws, and the
-//! equivalence of the Montgomery / fixed-base fast paths with the
-//! schoolbook reference operations.
+//! equivalence of the Montgomery / fixed-base / stack-scalar fast paths
+//! with the schoolbook reference operations.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use refstate_bigint::{FixedBase, Montgomery, Uint};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use refstate_bigint::{random_in_unit_range, FixedBase, Montgomery, Scalar, Uint, SCALAR_LIMBS};
 
 /// Strategy: an arbitrary Uint up to ~256 bits built from raw bytes.
 fn uint() -> impl Strategy<Value = Uint> {
@@ -297,51 +299,6 @@ proptest! {
         let fused = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
         prop_assert_eq!(fused, a.mul_mod(&b, &m));
     }
-
-    /// The in-domain inverse agrees with `Uint::inv_mod` on random
-    /// 1024-bit operands and odd moduli: same invertibility verdict,
-    /// and `Montgomery::inv` returns the *residue* of the inverse, so
-    /// in-domain products with it land on the identity.
-    #[test]
-    fn montgomery_inv_matches_uint_inv_mod(a in uint_1024(), m in odd_modulus_1024()) {
-        let ctx = Montgomery::new(&m).expect("modulus is odd and >= 3");
-        let plain = a.inv_mod(&m);
-        let residue = ctx.inv(&ctx.to_mont(&a));
-        prop_assert_eq!(ctx.inv_mod(&a), plain.clone());
-        match (plain, residue) {
-            (None, None) => {}
-            (Some(plain), Some(residue)) => {
-                prop_assert_eq!(ctx.from_mont(&residue), plain);
-                prop_assert_eq!(
-                    ctx.mont_mul(&ctx.to_mont(&a), &residue),
-                    ctx.one_mont()
-                );
-            }
-            (plain, residue) => prop_assert!(
-                false,
-                "invertibility disagreement: inv_mod {:?} vs Montgomery::inv {:?}",
-                plain.is_some(),
-                residue.is_some()
-            ),
-        }
-    }
-
-    /// The DSA verify shape in-domain — w = s⁻¹ mod q feeding u1 = z·w
-    /// and u2 = r·w without leaving the domain — agrees with the
-    /// out-of-domain schoolbook route.
-    #[test]
-    fn montgomery_inv_product_chain_matches_schoolbook(
-        s in uint_1024(), z in uint_1024(), r in uint_1024(), q in odd_modulus_1024()
-    ) {
-        let ctx = Montgomery::new(&q).expect("modulus is odd and >= 3");
-        if let Some(w) = ctx.inv(&ctx.to_mont(&s)) {
-            let w_plain = s.inv_mod(&q).expect("same invertibility verdict");
-            let u1 = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&z), &w));
-            let u2 = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&r), &w));
-            prop_assert_eq!(u1, z.mul_mod(&w_plain, &q));
-            prop_assert_eq!(u2, r.mul_mod(&w_plain, &q));
-        }
-    }
 }
 
 /// The value of little-endian `limbs`.
@@ -387,8 +344,8 @@ proptest! {
     /// widths and the runtime-width arm around them — agrees with the
     /// schoolbook oracle: each case runs every modulus width from 1 to 17
     /// limbs, checking `mul_mod` and `mont_pow` against `Uint::mul_mod` and
-    /// `Uint::pow_mod`, and both binary inverses (`Montgomery::inv_mod`,
-    /// `Uint::inv_mod`) against extended Euclid.
+    /// `Uint::pow_mod`, and the binary inverse (`Uint::inv_mod`) against
+    /// extended Euclid.
     #[test]
     fn kernel_arms_match_schoolbook_at_every_width(
         words in proptest::collection::vec(any::<u64>(), 3 * KERNEL_LIMBS),
@@ -406,13 +363,11 @@ proptest! {
                 a.pow_mod(&exponent, &n),
                 "mont_pow, {} limbs", limbs
             );
-            let expect = euclid_inverse(&a, &n);
-            prop_assert_eq!(ctx.inv_mod(&a), expect.clone(), "Montgomery::inv_mod, {} limbs", limbs);
-            prop_assert_eq!(a.inv_mod(&n), expect, "Uint::inv_mod, {} limbs", limbs);
+            prop_assert_eq!(a.inv_mod(&n), euclid_inverse(&a, &n), "Uint::inv_mod, {} limbs", limbs);
             // A multiple of a factor of n has no inverse; n − 1 always has one.
             let n_minus_1 = &n - &Uint::one();
-            prop_assert_eq!(ctx.inv_mod(&n_minus_1), Some(n_minus_1.clone()));
-            prop_assert_eq!(ctx.inv_mod(&n), None);
+            prop_assert_eq!(n_minus_1.inv_mod(&n), Some(n_minus_1.clone()));
+            prop_assert_eq!(n.inv_mod(&n), None);
         }
     }
 
@@ -446,6 +401,51 @@ proptest! {
                     table.pow_mod(e),
                     base.pow_mod(e, &n),
                     "window {}, {}-bit exponent", window, e.bit_len()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The stack-scalar operations agree with the schoolbook `Uint` oracle
+    /// on odd moduli of every scalar width, 1 to 4 limbs: `reduce` of a
+    /// value of up to 64 limbs with `rem`; `scalar_mul` of two residues,
+    /// and of a residue with an unreduced plain value below `R`, with
+    /// `mul_mod`; `scalar_add` with `add_mod`; `scalar_inv` with `inv_mod`;
+    /// and `random_scalar` draws what `random_in_unit_range` draws.
+    #[test]
+    fn scalars_match_uint_at_every_scalar_width(
+        modulus in proptest::collection::vec(any::<u64>(), SCALAR_LIMBS),
+        value in proptest::collection::vec(any::<u64>(), 0..=64),
+        a in proptest::collection::vec(any::<u64>(), SCALAR_LIMBS),
+        b in proptest::collection::vec(any::<u64>(), SCALAR_LIMBS),
+        seed in any::<u64>(),
+    ) {
+        for limbs in 1..=SCALAR_LIMBS {
+            let n = odd_modulus_of(&modulus[..limbs]);
+            let ctx = Montgomery::new(&n).expect("odd and at least 3");
+            let plain = |s: &Scalar| Uint::from(ctx.scalar_mul(s, &Scalar::ONE));
+            prop_assert_eq!(plain(&ctx.reduce(&value)), from_limbs(&value).rem(&n), "reduce, {} limbs", limbs);
+
+            // Values below R = 2^(64·limbs), reduced or not.
+            let (a, b) = (from_limbs(&a[..limbs]), from_limbs(&b[..limbs]));
+            let (ra, rb) = (ctx.reduce(a.limbs()), ctx.reduce(b.limbs()));
+            let b_plain = Scalar::try_from(&b).expect("fits");
+            prop_assert_eq!(plain(&ctx.scalar_mul(&ra, &rb)), a.mul_mod(&b, &n), "residues, {} limbs", limbs);
+            prop_assert_eq!(Uint::from(ctx.scalar_mul(&ra, &b_plain)), a.mul_mod(&b, &n), "plain, {} limbs", limbs);
+            prop_assert_eq!(plain(&ctx.scalar_add(&ra, &rb)), a.add_mod(&b, &n), "add, {} limbs", limbs);
+            let inverse = ctx.scalar_inv(&ra);
+            prop_assert_eq!(inverse.map(|w| plain(&w)), a.inv_mod(&n), "inv, {} limbs", limbs);
+            prop_assert_eq!(ctx.scalar_inv(&ctx.reduce(n.limbs())), None);
+
+            let (mut stack, mut heap) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..4 {
+                prop_assert_eq!(
+                    Uint::from(ctx.random_scalar(&mut stack)),
+                    random_in_unit_range(&mut heap, &n)
                 );
             }
         }

@@ -25,6 +25,17 @@
 //! `q`-domain (Montgomery's trick). Verdicts stay per entry and exact —
 //! nothing is aggregated probabilistically.
 //!
+//! Signing, the nonce draw and verification use neither the heap nor a
+//! division between the message and the returned [`Signature`]. The
+//! subgroup order `q` is capped at 256 bits (FIPS 186-4's widest), so
+//! every `q`-domain value (`k`, `k⁻¹`, `z`, `r`, `s`, `w`, `u1`, `u2`) is
+//! a stack [`Scalar`] multiplied by the `q` context's CIOS kernel. The
+//! table walks write into stack buffers of up to 64 limbs (`p` is capped
+//! at 4 096 bits), and `mod q` of a value mod `p` is
+//! [`Montgomery::reduce`]'s Horner steps, not a long division. A signature
+//! allocates only its own `r` and `s`; a batch allocates its verdicts and
+//! a few buffers shared by all its entries.
+//!
 //! [`DsaPublicKey::verify`] deliberately stays on the schoolbook
 //! two-modexp path: it is the reference oracle the equivalence tests pin
 //! the fast paths against. All signing/verifying entry points the
@@ -44,8 +55,8 @@ use rand::{RngCore, SeedableRng};
 use refstate_telemetry as telemetry;
 
 use refstate_bigint::{
-    gen_prime, is_probable_prime, random_exact_bits, random_in_unit_range, FixedBase, MontInt,
-    Montgomery, Uint,
+    gen_prime, is_probable_prime, random_exact_bits, random_in_unit_range, FixedBase, Montgomery,
+    Scalar, Uint,
 };
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -60,13 +71,28 @@ const MR_ROUNDS: u32 = 40;
 /// and a second Montgomery context for the subgroup order `q` so the
 /// scalar arithmetic of signing (`s = k⁻¹·(z + x·r)`) and verifying
 /// (`w = s⁻¹`, shared across a batch by one inversion of the product of
-/// the `s` values, then `u1 = z·w`, `u2 = r·w`) runs in-domain without the
-/// division-based round trip.
+/// the `s` values, then `u1 = z·w`, `u2 = r·w`) runs on stack
+/// [`Scalar`]s without the division-based round trip.
 #[derive(Debug)]
 pub(crate) struct GroupAccel {
     pub(crate) mont: Arc<Montgomery>,
     pub(crate) g_table: FixedBase,
     pub(crate) q_mont: Montgomery,
+}
+
+impl GroupAccel {
+    /// `(g^e mod p) mod q` as a residue of the `q`-domain, for the signer's
+    /// `r`: a walk of the `g`-table, the way out of `p`'s domain and the
+    /// Horner reduction into `q`'s, all on stack buffers.
+    fn pow_g_mod_q(&self, e: &Scalar) -> Scalar {
+        let k = self.mont.limbs();
+        let mut buffers = [[0; P_LIMBS]; 2];
+        let [residue, plain] = &mut buffers;
+        let (residue, plain) = (&mut residue[..k], &mut plain[..k]);
+        self.g_table.pow(e.limbs(), residue);
+        self.mont.from_mont_into(residue, plain);
+        self.q_mont.reduce(plain)
+    }
 }
 
 /// Errors arising from invalid DSA domain parameters, keys, or signatures.
@@ -132,18 +158,27 @@ impl PartialEq for DsaParams {
 
 impl Eq for DsaParams {}
 
-/// The widest field prime `p` a wire-decoded group may have, in bits.
-/// Decoding pays a Miller–Rabin test of `q` and one exponentiation mod
-/// `p`; the cap bounds what a hostile frame can make them cost. The
+/// The widest field prime `p` a group may have, in bits. Decoding pays a
+/// Miller–Rabin test of `q` and one exponentiation mod `p`; with
+/// [`MAX_Q_BITS`] the cap bounds what a hostile frame can make them cost,
+/// and it sizes the stack buffers of the table walks ([`P_LIMBS`]). The
 /// paper's groups use at most 1 024 bits.
+const MAX_P_BITS: usize = 4096;
+
+/// The widest subgroup order `q` a group may have, in bits: FIPS 186-4's
+/// widest `N`. Every `q`-domain value then fits a stack [`Scalar`], and
+/// every fixed-base table stays small: the widest `g`-table holds
+/// 32 × 255 = 8 160 residues, 4 MiB under a 4 096-bit `p` (each key's
+/// `y`-table, at 4-bit digits, 960 residues, 480 KiB).
 ///
-/// The worst case is a prime 4 095-bit `q` under a 4 096-bit `p`: all
-/// [`VALIDATE_MR_ROUNDS`] rounds run, then `g^q`, 17 exponentiations
-/// at about 56 ms each, so one such frame took 0.95 s to decode (release
-/// build, 2-vCPU x86-64 host, five runs from 0.94 to 0.96 s). A
-/// composite `q` of that width usually stops at trial division (21 µs
-/// for `q + 2`).
-const MAX_DECODED_P_BITS: usize = 4096;
+/// The worst decode is then a prime 256-bit `q` under a 4 096-bit `p`: all
+/// [`VALIDATE_MR_ROUNDS`] rounds on `q`, then one `g^q` mod `p` with a
+/// 256-bit exponent. One such decode took 3.8 ms (release build, 2-vCPU
+/// x86-64 host, five runs of 20 decodes from 3.75 to 3.81 ms).
+const MAX_Q_BITS: usize = 256;
+
+/// Limbs of the widest `p`: the stack buffers a table walk writes into.
+const P_LIMBS: usize = MAX_P_BITS / 64;
 
 /// Miller–Rabin rounds a check of given parameters runs: on `p` and `q`
 /// in [`DsaParams::new`], on `q` in a wire decode.
@@ -152,20 +187,6 @@ const VALIDATE_MR_ROUNDS: u32 = 16;
 /// Seed of the RNG a decode draws its Miller–Rabin witnesses from. A
 /// constant, so a decode is a pure function of its bytes.
 const DECODE_WITNESS_SEED: u64 = 0x6473_615f_7072_696d;
-
-/// Upper bound on the Montgomery residues one fixed-base table holds: a
-/// `w`-bit table has `2^w − 1` residues per digit row, so it covers at
-/// most `⌊15 360 / (2^w − 1)⌋ · w` exponent bits — 4 096 at `w = 4`, 480
-/// at `w = 8`. Real DSA subgroup orders are ≤ a few hundred bits; the cap
-/// only bites on wire-decoded parameters (decode admits any probable-prime
-/// `q` narrower than `p`), where a hostile 4 095-bit `q`
-/// would otherwise make the first signature build a `g`-table of 130 560
-/// residues, 64 MiB at a 4 096-bit `p` (a memory-amplification DoS the
-/// constant-memory schoolbook path never had). Capped, each table holds
-/// at most 7.5 MiB. Exponents wider than the table transparently
-/// fall back to the generic Montgomery ladder, so correctness is
-/// unaffected.
-const MAX_TABLE_RESIDUES: usize = 15_360;
 
 /// Digit width of the group's shared `g`-table: one table per group and
 /// process, so 8-bit digits (half the multiplications of 4-bit ones on
@@ -187,24 +208,12 @@ impl DsaParams {
         }
     }
 
-    /// How many exponent bits a `window`-bit table of this group covers:
-    /// the subgroup order's width, capped so the table holds at most
-    /// [`MAX_TABLE_RESIDUES`] residues.
-    fn table_exp_bits(&self, window: usize) -> usize {
-        let rows = MAX_TABLE_RESIDUES / ((1 << window) - 1);
-        self.q.bit_len().min(rows * window)
-    }
-
     /// The per-group acceleration state, built on first use.
     pub(crate) fn accel(&self) -> &GroupAccel {
         self.accel.get_or_init(|| {
             let mont = Arc::new(Montgomery::new(&self.p).expect("p is odd and at least 3"));
-            let g_table = FixedBase::with_window(
-                Arc::clone(&mont),
-                &self.g,
-                self.table_exp_bits(G_WINDOW),
-                G_WINDOW,
-            );
+            let g_table =
+                FixedBase::with_window(Arc::clone(&mont), &self.g, self.q.bit_len(), G_WINDOW);
             GroupAccel {
                 mont,
                 g_table,
@@ -226,14 +235,20 @@ impl DsaParams {
         self.accel().g_table.pow_mod(exponent)
     }
     /// Builds parameters from explicit values, validating the group
-    /// structure (primality of `p` and of the odd `q`, `q | p - 1`, `g` of
-    /// order `q`).
+    /// structure (`p` of at most 4 096 bits and `q` of at most 256,
+    /// primality of `p` and of the odd `q`, `q | p - 1`, `g` of order `q`).
     ///
     /// # Errors
     ///
     /// Returns [`SignatureError::InvalidParams`] when any structural check
     /// fails.
     pub fn new(p: Uint, q: Uint, g: Uint, rng: &mut dyn RngCore) -> Result<Self, SignatureError> {
+        if p.bit_len() > MAX_P_BITS {
+            return Err(SignatureError::InvalidParams("p wider than 4096 bits"));
+        }
+        if q.bit_len() > MAX_Q_BITS {
+            return Err(SignatureError::InvalidParams("q wider than 256 bits"));
+        }
         if !is_probable_prime(&p, VALIDATE_MR_ROUNDS, rng) {
             return Err(SignatureError::InvalidParams("p is not prime"));
         }
@@ -272,11 +287,11 @@ impl DsaParams {
     ///
     /// # Panics
     ///
-    /// Panics if `q_bits + 2 > p_bits` or `q_bits < 3` (the one 2-bit
-    /// prime besides 3 is the even 2).
+    /// Panics if `q_bits + 2 > p_bits`, `q_bits < 3` (the one 2-bit
+    /// prime besides 3 is the even 2), `q_bits > 256` or `p_bits > 4096`.
     pub fn generate(p_bits: usize, q_bits: usize, rng: &mut dyn RngCore) -> Self {
         assert!(
-            q_bits >= 3 && q_bits + 2 <= p_bits,
+            q_bits >= 3 && q_bits + 2 <= p_bits && q_bits <= MAX_Q_BITS && p_bits <= MAX_P_BITS,
             "invalid DSA size request"
         );
         loop {
@@ -331,17 +346,14 @@ impl DsaParams {
     }
 
     /// Reduces a message to the integer `z`: the leftmost
-    /// `min(bitlen(q), 256)` bits of its SHA-256 digest (FIPS 186-4 §4.6).
-    pub(crate) fn hash_to_z(&self, message: &[u8]) -> Uint {
+    /// `min(bitlen(q), 256)` bits of its SHA-256 digest (FIPS 186-4 §4.6),
+    /// as a plain [`Scalar`]. It is below `2^bitlen(q)` but not reduced
+    /// mod `q`; each use multiplies it by a `q`-domain residue, which
+    /// reduces it.
+    pub(crate) fn hash_to_z(&self, message: &[u8]) -> Scalar {
         let digest = sha256(message);
-        let z = Uint::from_be_bytes(digest.as_bytes());
-        let digest_bits = digest.len() * 8;
-        let q_bits = self.q.bit_len();
-        if digest_bits > q_bits {
-            &z >> (digest_bits - q_bits)
-        } else {
-            z
-        }
+        let z = Scalar::from_be_bytes(digest.as_bytes()).expect("a SHA-256 digest is 32 bytes");
+        z.shr((digest.len() * 8).saturating_sub(self.q.bit_len()))
     }
 }
 
@@ -357,7 +369,8 @@ impl Decode for DsaParams {
     /// Decodes `(p, q, g)` and refuses, as [`WireError::InvalidValue`],
     /// parameters that cannot host a group: a `p` or `q` that is even or
     /// below 3 (no Montgomery context), a `p` wider than 4 096 bits, a
-    /// `q` at least as wide as `p`, a `q` that does not divide `p − 1`
+    /// `q` at least as wide as `p` or wider than 256 bits, a `q` that does
+    /// not divide `p − 1`
     /// (`p = q²` with `g = 1 + q` passes every other check, and there
     /// `r = (g^k mod p) mod q` is always 1, so any `(1, s)` verifies), a
     /// `g` outside `(1, p)`, a composite `q` (a nonce with no inverse mod
@@ -380,9 +393,14 @@ impl Decode for DsaParams {
                 context: "DSA params",
             });
         }
-        if p.bit_len() > MAX_DECODED_P_BITS || q.bit_len() >= p.bit_len() {
+        if p.bit_len() > MAX_P_BITS || q.bit_len() >= p.bit_len() {
             return Err(WireError::InvalidValue {
                 context: "DSA params: width",
+            });
+        }
+        if q.bit_len() > MAX_Q_BITS {
+            return Err(WireError::InvalidValue {
+                context: "DSA params: q width",
             });
         }
         let mut witnesses = StdRng::seed_from_u64(DECODE_WITNESS_SEED);
@@ -496,7 +514,7 @@ impl DsaPublicKey {
             FixedBase::with_window(
                 Arc::clone(&accel.mont),
                 &self.y,
-                self.params.table_exp_bits(Y_WINDOW),
+                self.params.q.bit_len(),
                 Y_WINDOW,
             )
         });
@@ -546,7 +564,7 @@ impl DsaPublicKey {
             Some(w) => w,
             None => return false,
         };
-        let z = self.params.hash_to_z(message);
+        let z = Uint::from(self.params.hash_to_z(message));
         let u1 = z.mul_mod(&w, q);
         let u2 = r.mul_mod(&w, q);
         let v = self
@@ -577,16 +595,21 @@ impl DsaPublicKey {
 
     /// The tail of every accelerated verification once `u1 = z·w` and
     /// `u2 = r·w` are known: `v = (g^u1 · y^u2 mod p) mod q`, accepted iff
-    /// `v = r`.
-    fn accepts(&self, u1: &Uint, u2: &Uint, r: &Uint) -> bool {
+    /// `v = r`. The walks, their product and the way out of `p`'s domain
+    /// run on stack buffers, and `mod q` is [`Montgomery::reduce`].
+    fn accepts(&self, u1: &Scalar, u2: &Scalar, r: &Scalar) -> bool {
         let (accel, y_table) = self.y_accel();
-        let gm = accel.g_table.pow(u1);
-        let ym = y_table.pow(u2);
-        accel
-            .mont
-            .from_mont(&accel.mont.mont_mul(&gm, &ym))
-            .rem(&self.params.q)
-            == *r
+        let k = accel.mont.limbs();
+        let mut buffers = [[0; P_LIMBS]; 3];
+        let [g_u1, y_u2, product] = &mut buffers;
+        let (g_u1, y_u2, product) = (&mut g_u1[..k], &mut y_u2[..k], &mut product[..k]);
+        accel.g_table.pow(u1.limbs(), g_u1);
+        y_table.pow(u2.limbs(), y_u2);
+        accel.mont.mont_mul_into(g_u1, y_u2, product);
+        let v = g_u1;
+        accel.mont.from_mont_into(product, v);
+        let qm = &accel.q_mont;
+        qm.scalar_mul(&qm.reduce(v), &Scalar::ONE) == *r
     }
 }
 
@@ -652,22 +675,28 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
     telemetry::observe("crypto.batch_size", entries.len() as u64);
     let timer = telemetry::Timer::start();
     let mut verdicts = vec![false; entries.len()];
-    // Entry indices per group, in batch order.
-    let mut groups: Vec<(&DsaParams, Vec<usize>)> = Vec::new();
+    // Each in-range entry's group, named by its first entry; `None` for an
+    // entry rejected here.
+    let mut leaders: Vec<Option<usize>> = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let params = &entry.key.params;
         let Signature { r, s } = entry.signature;
         if r.is_zero() || r >= &params.q || s.is_zero() || s >= &params.q {
             telemetry::Timer::start().finish("crypto.verify", "crypto");
+            leaders.push(None);
             continue;
         }
-        match groups.iter_mut().find(|(group, _)| *group == params) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((params, vec![i])),
-        }
+        let same_group = |&j: &usize| leaders[j] == Some(j) && entries[j].key.params == *params;
+        leaders.push(Some((0..i).find(same_group).unwrap_or(i)));
     }
-    for (params, members) in &groups {
-        verify_group(params, entries, members, &mut verdicts);
+    // Buffers every group reuses: its members, then `s` and the prefix
+    // products of the shared inversion.
+    let mut members = Vec::with_capacity(entries.len());
+    let mut scalars = Vec::with_capacity(2 * entries.len());
+    for (leader, _) in leaders.iter().enumerate().filter(|&(i, l)| *l == Some(i)) {
+        members.clear();
+        members.extend((leader..entries.len()).filter(|&i| leaders[i] == Some(leader)));
+        verify_group(entries, &members, &mut scalars, &mut verdicts);
     }
     timer.finish("crypto.verify_batch", "crypto");
     verdicts
@@ -675,20 +704,25 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
 
 /// Judges the in-range entries `members` of one group, writing each
 /// verdict into `verdicts`: one shared inversion in the group's
-/// `q`-domain, then each entry's own tail.
+/// `q`-domain, then each entry's own tail. `scalars` is scratch.
 fn verify_group(
-    params: &DsaParams,
     entries: &[BatchEntry<'_>],
     members: &[usize],
+    scalars: &mut Vec<Scalar>,
     verdicts: &mut [bool],
 ) {
+    let params = &entries[members[0]].key.params;
     let qm = params.q_domain();
-    let s: Vec<MontInt> = members
-        .iter()
-        .map(|&i| qm.to_mont(&entries[i].signature.s))
-        .collect();
-    let inverses = batch_inverses(qm, &s);
-    for (n, &i) in members.iter().enumerate() {
+    scalars.clear();
+    scalars.extend(
+        members
+            .iter()
+            .map(|&i| qm.reduce(entries[i].signature.s.limbs())),
+    );
+    scalars.resize(2 * members.len(), Scalar::ZERO);
+    let (w, prefix) = scalars.split_at_mut(members.len());
+    batch_invert(qm, w, prefix);
+    for (&i, w) in members.iter().zip(w.iter()) {
         let BatchEntry {
             key,
             message,
@@ -696,44 +730,42 @@ fn verify_group(
         } = entries[i];
         let timer = telemetry::Timer::start();
         let z = params.hash_to_z(message);
-        let r = &signature.r;
-        // (u1, u2) = (z·w, r·w) in the q-domain.
-        verdicts[i] = inverses[n].as_ref().is_some_and(|w| {
-            let times_w = |x: &Uint| qm.from_mont(&qm.mont_mul(&qm.to_mont(x), w));
-            key.accepts(&times_w(&z), &times_w(r), r)
-        });
+        let r = Scalar::try_from(&signature.r).expect("r < q fits a Scalar");
+        // (u1, u2) = (z·w, r·w): w is a residue and z, r are plain, so
+        // both products come out plain.
+        verdicts[i] = !w.is_zero() && key.accepts(&qm.scalar_mul(&z, w), &qm.scalar_mul(&r, w), &r);
         timer.finish("crypto.verify", "crypto");
     }
 }
 
-/// Montgomery's trick: the inverse of every residue in `values` from one
-/// [`Montgomery::inv`] plus `3(n − 1)` multiplications. The prefix
-/// products `c_i = v_0 ⋯ v_i` run forward; `c_(n−1)⁻¹` walks back, with
-/// `v_i⁻¹ = c_i⁻¹ · c_(i−1)` and `c_(i−1)⁻¹ = c_i⁻¹ · v_i`. When the product
-/// has no inverse each value is inverted alone, so only the values that
-/// share a factor with the modulus come back `None`.
-pub(crate) fn batch_inverses(qm: &Montgomery, values: &[MontInt]) -> Vec<Option<MontInt>> {
+/// Montgomery's trick: overwrites each residue in `values` with its
+/// inverse, from one [`Montgomery::scalar_inv`] plus `3(n − 1)`
+/// multiplications, with `prefix` (as long as `values`) as scratch. The
+/// prefix products `c_i = v_0 ⋯ v_i` run forward; `c_(n−1)⁻¹` walks back,
+/// with `v_i⁻¹ = c_i⁻¹ · c_(i−1)` and `c_(i−1)⁻¹ = c_i⁻¹ · v_i`. When the
+/// product has no inverse each value is inverted alone, so only the values
+/// that share a factor with the modulus have none; they become zero, which
+/// no inverse is.
+pub(crate) fn batch_invert(qm: &Montgomery, values: &mut [Scalar], prefix: &mut [Scalar]) {
     let Some((first, rest)) = values.split_first() else {
-        return Vec::new();
+        return;
     };
-    // prefix[i] = c_i for i < n − 1; the loop leaves c_(n−1) in `product`.
-    let mut prefix = Vec::with_capacity(rest.len());
-    let mut product = first.clone();
-    for v in rest {
-        let next = qm.mont_mul(&product, v);
-        prefix.push(product);
-        product = next;
+    prefix[0] = *first;
+    for (i, v) in rest.iter().enumerate() {
+        prefix[i + 1] = qm.scalar_mul(&prefix[i], v);
     }
-    let Some(mut inverse) = qm.inv(&product) else {
-        return values.iter().map(|v| qm.inv(v)).collect();
+    let Some(mut inverse) = qm.scalar_inv(&prefix[values.len() - 1]) else {
+        for v in values.iter_mut() {
+            *v = qm.scalar_inv(v).unwrap_or(Scalar::ZERO);
+        }
+        return;
     };
-    let mut inverses = vec![None; values.len()];
     for i in (1..values.len()).rev() {
-        inverses[i] = Some(qm.mont_mul(&inverse, &prefix[i - 1]));
-        inverse = qm.mont_mul(&inverse, &values[i]);
+        let v = values[i];
+        values[i] = qm.scalar_mul(&inverse, &prefix[i - 1]);
+        inverse = qm.scalar_mul(&inverse, &v);
     }
-    inverses[0] = Some(inverse);
-    inverses
+    values[0] = inverse;
 }
 
 impl Encode for DsaPublicKey {
@@ -796,10 +828,11 @@ impl DsaKeyPair {
     /// Fresh randomness per signature: each `k` is drawn from `rng` and
     /// inverted alone. The internal loop retries the negligible
     /// `r == 0` / `s == 0` cases as FIPS 186 requires. The per-signature
-    /// exponentiation `g^k mod p` runs through the group's fixed-base
-    /// table ([`DsaParams::pow_g`]) — one Montgomery multiplication per
-    /// non-zero 4-bit digit of `k` instead of a full square-and-multiply
-    /// ladder. A signer that draws its nonces ahead, in batches, is a
+    /// exponentiation `g^k mod p` walks the group's fixed-base `g`-table
+    /// (the one under [`DsaParams::pow_g`]) — one Montgomery
+    /// multiplication per non-zero 8-bit digit of `k` instead of a full
+    /// square-and-multiply ladder. A signer that draws its nonces ahead,
+    /// in batches, is a
     /// [`crate::Signer`]; both run the same loop.
     pub fn sign(&self, message: &[u8], rng: &mut dyn RngCore) -> Signature {
         self.sign_from(message, &mut VecDeque::new(), rng)
@@ -812,7 +845,8 @@ impl DsaKeyPair {
     /// [`crate::Signer`]'s queue), so the `k` sequence — and every
     /// signature byte — is the one `rng` alone would give.
     ///
-    /// `s = k⁻¹·(z + x·r)` finishes in the `q`-domain.
+    /// `s = k⁻¹·(z + x·r)` finishes on stack [`Scalar`]s in the
+    /// `q`-domain, and the only allocations are the returned `r` and `s`.
     pub(crate) fn sign_from(
         &self,
         message: &[u8],
@@ -821,19 +855,26 @@ impl DsaKeyPair {
     ) -> Signature {
         let timer = telemetry::Timer::start();
         let params = &self.public.params;
-        let qm = params.q_domain();
+        let accel = params.accel();
+        let qm = &accel.q_mont;
         let z = params.hash_to_z(message);
+        let x = Scalar::try_from(&self.x).expect("x < q fits a Scalar");
         let signature = loop {
             let Nonce { k, k_inv } = match nonces.pop_front() {
                 Some(nonce) => nonce,
                 None => Nonce::draw(qm, rng),
             };
-            let r = params.pow_g(&k).rem(&params.q);
-            let xr = qm.from_mont(&qm.mont_mul(&qm.to_mont(&self.x), &qm.to_mont(&r)));
-            // `to_mont` reduces the sum, which is below 3q.
-            let s = qm.from_mont(&qm.mont_mul(&k_inv, &qm.to_mont(&(&z + &xr))));
+            let r_residue = accel.pow_g_mod_q(&k);
+            let r = qm.scalar_mul(&r_residue, &Scalar::ONE);
+            // s = k⁻¹·z + k⁻¹·(x·r): x·r comes out plain (x plain, r a
+            // residue), and so does each product with the residue k⁻¹.
+            let xr = qm.scalar_mul(&x, &r_residue);
+            let s = qm.scalar_add(&qm.scalar_mul(&k_inv, &z), &qm.scalar_mul(&k_inv, &xr));
             if !r.is_zero() && !s.is_zero() {
-                break Signature { r, s };
+                break Signature {
+                    r: r.into(),
+                    s: s.into(),
+                };
             }
         };
         timer.finish("crypto.sign", "crypto");
@@ -841,19 +882,21 @@ impl DsaKeyPair {
     }
 }
 
-/// A signing nonce drawn before its message: `k` and `k⁻¹` as a residue
-/// of the group's `q`-domain. Neither depends on the message (FIPS 186
-/// lets a signer compute them ahead).
+/// A signing nonce drawn before its message: the plain `k` and `k⁻¹` as a
+/// residue of the group's `q`-domain. Neither depends on the message
+/// (FIPS 186 lets a signer compute them ahead).
 pub(crate) struct Nonce {
-    pub(crate) k: Uint,
-    pub(crate) k_inv: MontInt,
+    pub(crate) k: Scalar,
+    pub(crate) k_inv: Scalar,
 }
 
 impl Nonce {
     /// Draws the next `k` of `rng`'s stream and inverts it alone.
     fn draw(qm: &Montgomery, rng: &mut dyn RngCore) -> Self {
-        let k = random_in_unit_range(rng, qm.modulus());
-        let k_inv = qm.inv(&qm.to_mont(&k)).expect("q prime, 0 < k < q");
+        let k = qm.random_scalar(rng);
+        let k_inv = qm
+            .scalar_inv(&qm.reduce(k.limbs()))
+            .expect("q prime, 0 < k < q");
         Nonce { k, k_inv }
     }
 }
@@ -1066,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_inverses_match_one_inversion_each() {
+    fn batch_invert_matches_one_inversion_each() {
         // 99991 is prime: one shared inversion. 15015 = 3·5·7·11·13: the
         // product of [2, 3, 4, 16] shares the factor 3, so every value is
         // inverted alone and only 3 has no inverse.
@@ -1076,17 +1119,22 @@ mod tests {
         ] {
             let q = Uint::from(modulus);
             let qm = Montgomery::new(&q).unwrap();
-            let residues: Vec<MontInt> =
-                values.iter().map(|&v| qm.to_mont(&Uint::from(v))).collect();
-            let inverses: Vec<Option<Uint>> = batch_inverses(&qm, &residues)
+            let mut residues: Vec<Scalar> = values.iter().map(|&v| qm.reduce(&[v])).collect();
+            let mut prefix = vec![Scalar::ZERO; values.len()];
+            batch_invert(&qm, &mut residues, &mut prefix);
+            let inverses: Vec<Option<Uint>> = residues
                 .iter()
-                .map(|w| w.as_ref().map(|w| qm.from_mont(w)))
+                .map(|w| (!w.is_zero()).then(|| qm.scalar_mul(w, &Scalar::ONE).into()))
                 .collect();
             let expect: Vec<Option<Uint>> =
                 values.iter().map(|&v| Uint::from(v).inv_mod(&q)).collect();
             assert_eq!(inverses, expect, "modulus {modulus}");
         }
-        assert!(batch_inverses(&Montgomery::new(&Uint::from(7u64)).unwrap(), &[]).is_empty());
+        batch_invert(
+            &Montgomery::new(&Uint::from(7u64)).unwrap(),
+            &mut [],
+            &mut [],
+        );
     }
 
     /// `(p, q, g)` as the wire carries them, whatever their values.
@@ -1114,9 +1162,11 @@ mod tests {
         // width cap tells these apart (4 093 and 4 099 are prime).
         let two = Uint::from(2u64);
         let mersenne = |e: u64| (&(&one << e as usize) - &one, Uint::from(e));
-        let (near_cap_p, near_cap_q) = mersenne(MAX_DECODED_P_BITS as u64 - 3);
+        let (near_cap_p, near_cap_q) = mersenne(MAX_P_BITS as u64 - 3);
         assert!(from_wire::<DsaParams>(&params_wire(&near_cap_p, &near_cap_q, &two)).is_ok());
-        let (wide_p, wide_q) = mersenne(MAX_DECODED_P_BITS as u64 + 3);
+        let (wide_p, wide_q) = mersenne(MAX_P_BITS as u64 + 3);
+        // An odd q one bit past the cap, under a p wide enough for it.
+        let wide_q_past_cap = &(&one << MAX_Q_BITS) + &one;
         // q³ is odd and g^(q³) = 1, but it is wider than p.
         let q_cubed = &(q * q) * q;
         // 3q is odd, narrower than p and g^(3q) = 1: only primality
@@ -1136,6 +1186,7 @@ mod tests {
             ("zero q", p, &Uint::zero(), g),
             ("q as wide as p", p, p, g),
             ("q wider than p", p, &q_cubed, g),
+            ("q wider than 256 bits", &near_cap_p, &wide_q_past_cap, &two),
             ("composite q", p, &q_times_3, g),
             ("q does not divide p - 1", &q_squared, q, &one_plus_q),
             // (p − 1)^q = −1 for odd q: g's order does not divide q.
@@ -1147,55 +1198,85 @@ mod tests {
                 "{why}: {refused:?}"
             );
         }
+        // The q cap is a shape check: it refuses before Miller–Rabin.
+        assert_eq!(
+            from_wire::<DsaParams>(&params_wire(&near_cap_p, &wide_q_past_cap, &two)),
+            Err(WireError::InvalidValue {
+                context: "DSA params: q width"
+            })
+        );
+    }
+
+    /// A group at both caps: a 4 096-bit `p` and a 256-bit `q`, made by
+    /// `DsaParams::generate(4096, 256, ..)` from an RNG seeded with
+    /// `0x5ef5_7a7e_0004`.
+    fn group_at_both_caps() -> (Uint, Uint, Uint) {
+        let hex = |parts: &[&str]| Uint::from_hex(&parts.concat()).expect("hex constant");
+        let p = hex(&[
+            "b3135e2cd2a5e9d99bc1c4d5be06130a1b8388a3a336555ea108c785a04ed6b8",
+            "ad51162017ef589b9ec2ff592f3018d6d89f089171ad458f118af91cdf30a663",
+            "d5b4b92ca581df3236fa112c1601ac806535fa73fbb486a1d9280e669d12f697",
+            "362fb341bab287644de47ea085f654a0d86641a585a9a9f5f5e4bbd862ed792a",
+            "f18834fb9134eeea636b2748a53967cc282eda5515034be5d068bf07722a2344",
+            "354bcfc0c4d770a2cd22ef772f0ec4f083d0ebede3e1f7b6afae42465e0d17e9",
+            "1c151a7e10eeebe543160f3bbfa3866139e8f9e9ae503bbac95e4fbc511b9848",
+            "1aab419c0e04f0f31597f78a3e93d0f425ff3ef5b3071b7b7740d5e6c19d1e67",
+            "4da2fb08ba3d6a12c84fd895b8b6a8ac180920cdcf13a71e7805bacf42ef3c96",
+            "9d838934859eb6e0b3705924348cda9d6c14411223cc3e18820c9294ada1351b",
+            "2f3d296f94a12711d8c643eadfd06ebf3a767f2f82ca7e3d7c067ec41f9f0cd1",
+            "25c80b735c20ed6cb12d080f66239f6bbbab3d87db7d207564f27785b51c5180",
+            "267e5ef5bd5295b6d3f2c0a023f91e395f5fb2c69439443aff6ef028cae350b9",
+            "e55f785db9ebb5bc6a1f9f7017eaf3b04e5264a63eb7b1943fdb8989a7b82408",
+            "fb850a7fed47d56f087291fb05bb054133335838d8febcbd72fa5f296e89e774",
+            "9164f426d5e7dc3667293b365e21353e45bdd7bb48145bdb13804d543d48c419",
+        ]);
+        let q = hex(&["bea8c15abf2626e7571b5a1eb96405aacfd29f7f81b838f28e1a4fb4f14fc6b5"]);
+        let g = hex(&[
+            "925af2ea11029cf8a8a1f498206e20a3a8dc763318e45f8156e6674802c6746d",
+            "442a286e4a7b624483c0a88c91e212c698ebfea708b027eb52debbd00878102f",
+            "b0061db2bc58ffd175db76167a4ef1d57959a468a3f0b37ee0433ed8237ec1e3",
+            "666b2bde20a3eb25ea32f8b2a6f3954e893dd3df63ed06eed354fac418699080",
+            "9c6642ba8fafdc33d4fbb6168df67cb66ada5fb14a37ee5c6bc433999760fe94",
+            "561a4348d1822d71a0cbe4613f2b524a6fef7c7e23d46ca22fd3b198408b97e7",
+            "b5c4d8fbd5a4c25367dfa95da9452ec1f4aa08624f6fb380fb77269fc51a9430",
+            "4cf96e0dbcec65bd348ff0bac659939406f50ee66e80a3bb7a22a749c2bcd275",
+            "14a7fdd798603b23d3051b51f3282a71ceeda16f18d5e2a1402ee2f72266c6e6",
+            "878aa3941a52b9e778c0576eda3548ae6dfd588277ffefcb02c7b47095a5fb2a",
+            "a0e1b9aee5adecf5aa02b08a7d311961a788afbcefe30069ae40600b8ca64679",
+            "7258df2536b0028ea2e4e142595e88ef0a37e52978c83864f4d30b815c0aaf73",
+            "46182d78bfac59c1d5c05c24e8164c900a38fdeffc80db3db6101dc04a8696c2",
+            "fd41f452da1c8b83297b52a3caac303f9c48a27145b0fb3992c92afc10a93512",
+            "058d1b6dfe07c3a6790b620c4907a267a530fd5d3d98e459e8b1b3cbd7ea6310",
+            "c705d5012171cad57eb25dc3b3400381fcc10c517a3d9bf59733416ebfdd2b96",
+        ]);
+        (p, q, g)
     }
 
     #[test]
-    fn tables_keep_to_the_residue_budget_and_wide_exponents_fall_back() {
-        use refstate_wire::{from_wire, to_wire};
-        // A group whose prime q is wider than the 480 exponent bits an
-        // 8-bit g-table covers: it decodes, and the g-table stops short.
+    fn decoded_group_at_both_caps_signs_and_verifies() {
+        use refstate_wire::from_wire;
+        let (p, q, g) = group_at_both_caps();
+        assert_eq!((p.bit_len(), q.bit_len()), (MAX_P_BITS, MAX_Q_BITS));
+        let group = from_wire::<DsaParams>(&params_wire(&p, &q, &g)).expect("decodes");
         let mut rng = StdRng::seed_from_u64(26);
-        let hostile = from_wire::<DsaParams>(&to_wire(&DsaParams::generate(512, 496, &mut rng)))
-            .expect("decodes");
-        let wide_q = hostile.q().clone();
-        assert_eq!(wide_q.bit_len(), 496);
-        assert_eq!(hostile.table_exp_bits(G_WINDOW), 480);
-        assert_eq!(hostile.table_exp_bits(Y_WINDOW), wide_q.bit_len());
-        // The widest q decode admits, one bit under a MAX_DECODED_P_BITS-bit
-        // p (`table_exp_bits` reads only q).
-        let widest = DsaParams::assemble(
-            Uint::one(),
-            &(&Uint::one() << (MAX_DECODED_P_BITS - 1)) - &Uint::one(),
-            Uint::one(),
-        );
-        for params in [&hostile, &widest] {
-            for window in 1..=8 {
-                let rows = params.table_exp_bits(window).div_ceil(window);
-                assert!(
-                    rows * ((1 << window) - 1) <= MAX_TABLE_RESIDUES,
-                    "window {window}"
-                );
-            }
-        }
-        // A built-in group's tables cover its whole q.
-        let group = DsaParams::group_1024();
-        assert_eq!(group.table_exp_bits(G_WINDOW), group.q().bit_len());
-
-        let e = random_in_unit_range(&mut rng, &wide_q);
-        assert!(e.bit_len() > 480);
-        assert_eq!(hostile.pow_g(&e), hostile.g().pow_mod(&e, hostile.p()));
-        let key = DsaKeyPair::generate(&hostile, &mut rng);
-        let sig = key.sign(b"wide", &mut rng);
-        assert!(key.public().verify_fused(b"wide", &sig));
-        assert!(key.public().verify(b"wide", &sig));
+        let key = DsaKeyPair::generate(&group, &mut rng);
+        let sig = key.sign(b"at the caps", &mut rng);
+        assert!(key.public().verify_fused(b"at the caps", &sig));
+        assert!(key.public().verify(b"at the caps", &sig));
         assert!(!key.public().verify_fused(b"other", &sig));
+        // The same group one bit wider in q or p is refused.
+        let wider_q = DsaParams::new(p.clone(), &(&q << 1) + &Uint::one(), g.clone(), &mut rng);
+        assert_eq!(
+            wider_q.unwrap_err(),
+            SignatureError::InvalidParams("q wider than 256 bits")
+        );
     }
 
     #[test]
     fn hash_truncation_matches_q_width() {
         let mut rng = StdRng::seed_from_u64(19);
         let params = small_params(&mut rng);
-        let z = params.hash_to_z(b"message");
+        let z = Uint::from(params.hash_to_z(b"message"));
         assert!(z.bit_len() <= params.q().bit_len());
     }
 }

@@ -14,10 +14,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use refstate_bigint::{random_in_unit_range, MontInt, Uint};
+use refstate_bigint::Scalar;
 use refstate_telemetry as telemetry;
 
-use crate::dsa::{batch_inverses, DsaKeyPair, DsaPublicKey, Nonce, Signature};
+use crate::dsa::{batch_invert, DsaKeyPair, DsaPublicKey, Nonce, Signature};
 
 /// A key pair with its nonce stream: the RNG every signing `k` comes
 /// from, and the nonces [`draw_nonces`] took from it ahead of their
@@ -96,27 +96,42 @@ impl Signer {
 /// ```
 pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
     let timer = telemetry::Timer::start();
-    // Each group's signers with their fresh `k`s, in draw order.
-    let mut groups: Vec<Vec<(&mut Signer, Uint)>> = Vec::new();
-    for signer in signers {
-        let qm = signer.keys.public().params().q_domain();
-        let k = random_in_unit_range(&mut signer.rng, qm.modulus());
-        let same_q = |group: &&mut Vec<(&mut Signer, Uint)>| {
-            group[0].0.keys.public().params().q() == qm.modulus()
-        };
-        match groups.iter_mut().find(same_q) {
-            Some(group) => group.push((signer, k)),
-            None => groups.push(vec![(signer, k)]),
+    // Every signer with its fresh `k`, drawn from its own RNG.
+    let mut drawn: Vec<(&mut Signer, Scalar)> = signers
+        .into_iter()
+        .map(|signer| {
+            let qm = signer.keys.public().params().q_domain();
+            let k = qm.random_scalar(&mut signer.rng);
+            (signer, k)
+        })
+        .collect();
+    // Each `k` and its inverse, then the prefix products of the shared
+    // inversion: scratch every group reuses.
+    let mut scalars = Vec::with_capacity(2 * drawn.len());
+    let mut rest = &mut drawn[..];
+    while let Some(((first, _), _)) = rest.split_first() {
+        // Gather the signers that share the first one's `q` at the front.
+        let keys = Arc::clone(&first.keys);
+        let q = keys.public().params().q();
+        let mut len = 1;
+        for i in 1..rest.len() {
+            if rest[i].0.keys.public().params().q() == q {
+                rest.swap(len, i);
+                len += 1;
+            }
         }
-    }
-    for group in groups {
-        let keys = Arc::clone(&group[0].0.keys);
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
         let qm = keys.public().params().q_domain();
-        let ks: Vec<MontInt> = group.iter().map(|(_, k)| qm.to_mont(k)).collect();
-        for ((signer, k), k_inv) in group.into_iter().zip(batch_inverses(qm, &ks)) {
-            let k_inv = k_inv.expect("q prime, 0 < k < q");
-            signer.nonces.push_back(Nonce { k, k_inv });
+        scalars.clear();
+        scalars.extend(group.iter().map(|(_, k)| qm.reduce(k.limbs())));
+        scalars.resize(2 * len, Scalar::ZERO);
+        let (k_inv, prefix) = scalars.split_at_mut(len);
+        batch_invert(qm, k_inv, prefix);
+        for ((signer, k), &k_inv) in group.iter_mut().zip(k_inv.iter()) {
+            assert!(!k_inv.is_zero(), "q prime, 0 < k < q");
+            signer.nonces.push_back(Nonce { k: *k, k_inv });
         }
+        rest = tail;
     }
     timer.finish("crypto.nonce_batch", "crypto");
 }

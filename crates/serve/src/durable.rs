@@ -140,14 +140,18 @@ impl StateDir {
     /// registration order, to `install` with its stream position rebuilt
     /// and checked against its checkpoint. `install` returns why it
     /// refused a registration.
+    ///
+    /// The dir is read first and written only once it is accepted (the
+    /// seed record of a new dir, then the store's generation stamp), so a
+    /// refused open leaves it as it found it.
     pub(crate) fn open(
         path: &Path,
         seed: u64,
         mut install: impl FnMut(RegisterOwner, StreamState) -> Result<(), String>,
     ) -> Result<StateDir, OpenError> {
         let store_error = |error| OpenError::Store(path.to_path_buf(), error);
-        let store = LogStore::open(path).map_err(store_error)?;
-        match store.get(NS_META, b"seed").map_err(store_error)? {
+        let store = LogStore::open_unstamped(path).map_err(store_error)?;
+        let seeded = match store.get(NS_META, b"seed").map_err(store_error)? {
             Some(bytes) => {
                 let persisted = <[u8; 8]>::try_from(bytes.as_slice())
                     .map(u64::from_le_bytes)
@@ -158,11 +162,10 @@ impl StateDir {
                 if persisted != seed {
                     return Err(OpenError::Seed(persisted, seed));
                 }
+                true
             }
-            None => store
-                .put(NS_META, b"seed", &seed.to_le_bytes())
-                .map_err(store_error)?,
-        }
+            None => false,
+        };
         for (key, value) in store.scan(NS_OWNERS).map_err(store_error)? {
             let key: String = key.iter().map(|byte| format!("{byte:02x}")).collect();
             let refused = |why: String| OpenError::Record(NS_OWNERS, key.clone(), why);
@@ -176,6 +179,12 @@ impl StateDir {
             let stream = rebuild(owner, &lines, checkpoint.as_deref())?;
             install(registration, stream).map_err(refused)?;
         }
+        if !seeded {
+            store
+                .put(NS_META, b"seed", &seed.to_le_bytes())
+                .map_err(store_error)?;
+        }
+        store.stamp().map_err(store_error)?;
         Ok(StateDir { store })
     }
 

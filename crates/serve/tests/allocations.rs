@@ -1,0 +1,202 @@
+//! Allocation budgets: how many heap allocations a signature, a verify
+//! batch and a served journey make, counted by a forwarding global
+//! allocator.
+//!
+//! The counter is per thread (a `const`-initialized thread-local `Cell`),
+//! so the tests of this file, which the harness runs on parallel threads,
+//! never count each other's allocations. Every measured call runs on the
+//! test's own thread: the service ticks inline (`settle_workers` 1) and no
+//! tick driver runs.
+//!
+//! The bounds are the counts this code makes, rounded up a little. A
+//! change that lowers a count should lower its bound.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use refstate_crypto::{draw_nonces, verify_batch, BatchEntry, DsaKeyPair, DsaParams, Signer};
+use refstate_serve::{RegisterOwner, Request, Response, ServeConfig, Service};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation (and reallocation) on
+/// the calling thread.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the counter may be gone while its thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees hold for every block handed out.
+// The counter is a `const`-initialized thread-local `Cell` with no
+// destructor: touching it allocates nothing and cannot re-enter the
+// allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`; the caller upholds `realloc`'s other conditions.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn built_in_groups() -> [(&'static str, DsaParams); 3] {
+    [
+        ("test_group_256", DsaParams::test_group_256()),
+        ("group_512", DsaParams::group_512()),
+        ("group_1024", DsaParams::group_1024()),
+    ]
+}
+
+#[test]
+fn a_queued_nonce_signature_allocates_only_its_r_and_s() {
+    for (name, group) in built_in_groups() {
+        let keys = Arc::new(DsaKeyPair::generate(&group, &mut StdRng::seed_from_u64(1)));
+        let mut signer = Signer::new(Arc::clone(&keys), StdRng::seed_from_u64(2));
+        // The first signature builds the group's tables.
+        signer.sign(b"warm-up");
+        draw_nonces([&mut signer]);
+        assert_eq!(signer.queued(), 1);
+        let (signature, count) = allocations(|| signer.sign(b"measured"));
+        assert!(keys.public().verify(b"measured", &signature));
+        assert_eq!(count, 2, "{name}: Signer::sign with a queued nonce");
+    }
+}
+
+#[test]
+fn an_eight_entry_verify_batch_allocates_at_most_sixteen_times() {
+    for (name, group) in built_in_groups() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys: Vec<DsaKeyPair> = (0..2)
+            .map(|_| DsaKeyPair::generate(&group, &mut rng))
+            .collect();
+        for key in &keys {
+            key.public().precompute();
+        }
+        let messages: Vec<Vec<u8>> = (0..8).map(|i| format!("entry {i}").into_bytes()).collect();
+        let signatures: Vec<_> = messages
+            .iter()
+            .enumerate()
+            .map(|(i, message)| keys[i % 2].sign(message, &mut rng))
+            .collect();
+        let entries: Vec<BatchEntry<'_>> = messages
+            .iter()
+            .zip(&signatures)
+            .enumerate()
+            .map(|(i, (message, signature))| BatchEntry {
+                key: keys[i % 2].public(),
+                message,
+                signature,
+            })
+            .collect();
+        let (verdicts, count) = allocations(|| verify_batch(&entries));
+        assert_eq!(verdicts, vec![true; 8], "{name}");
+        assert!(count <= 16, "{name}: an 8-entry verify_batch made {count}");
+    }
+}
+
+fn register(service: &Service, owner: &str, seed: u64, mechanism: &str) {
+    let reply = service.handle(Request::Register(RegisterOwner {
+        owner: owner.into(),
+        seed,
+        preset: "mixed".into(),
+        mechanism: mechanism.into(),
+    }));
+    assert!(matches!(reply, Response::Registered { .. }), "{reply:?}");
+}
+
+/// Journeys each owner submits per round: one tick settles them all.
+const ROUND: u64 = 32;
+const OWNERS: u64 = 4;
+
+/// Submits journeys `first..first + ROUND` for every owner, ticks once and
+/// drains every owner; returns the verdicts drained.
+fn round(service: &Service, first: u64) -> usize {
+    for owner in 0..OWNERS {
+        for journey in first..first + ROUND {
+            let reply = service.handle(Request::Submit {
+                owner: format!("owner-{owner}"),
+                journey,
+            });
+            assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+        }
+    }
+    service.handle(Request::Tick);
+    (0..OWNERS)
+        .map(|owner| {
+            match service.handle(Request::Drain {
+                owner: format!("owner-{owner}"),
+            }) {
+                Response::Verdicts(verdicts) => verdicts.len(),
+                other => panic!("expected verdicts, got {other:?}"),
+            }
+        })
+        .sum()
+}
+
+/// Allocations per journey of one measured round through an in-process
+/// service (4 owners, `mixed`, seed 42), after one warm-up round.
+fn per_journey(mechanism: &str) -> u64 {
+    let service = Service::new(ServeConfig {
+        seed: 42,
+        ..ServeConfig::default()
+    });
+    for owner in 0..OWNERS {
+        register(&service, &format!("owner-{owner}"), owner, mechanism);
+    }
+    round(&service, 0);
+    let (settled, count) = allocations(|| round(&service, ROUND));
+    assert_eq!(settled as u64, OWNERS * ROUND, "{mechanism}");
+    count / (OWNERS * ROUND)
+}
+
+#[test]
+fn served_journeys_keep_to_their_allocation_budgets() {
+    for (mechanism, bound) in [
+        ("unprotected", 425),
+        ("framework", 630),
+        ("protocol", 760),
+        ("traces", 1_060),
+    ] {
+        let count = per_journey(mechanism);
+        assert!(
+            count <= bound,
+            "{mechanism}: {count} allocations per journey, budget {bound}"
+        );
+    }
+}

@@ -305,6 +305,40 @@ fn reopening_under_a_different_seed_names_both_seeds() {
     );
 }
 
+/// Every file in `dir` with its bytes, by name.
+fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+        .expect("list the state dir")
+        .map(|entry| {
+            let path = entry.expect("a dir entry").path();
+            let bytes = fs::read(&path).expect("read a segment");
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_refused_open_leaves_the_state_dir_as_it_found_it() {
+    let dir = TempDir::new("refused");
+    soak(serve_config(Some(dir.path())), &first_leg(&base_soak()), 1);
+    let written = dir_bytes(dir.path());
+    for _ in 0..3 {
+        let refused = Service::open(ServeConfig {
+            seed: 43,
+            ..serve_config(Some(dir.path()))
+        });
+        assert!(matches!(refused, Err(OpenError::Seed(42, 43))));
+        assert!(dir_bytes(dir.path()) == written, "a refused open wrote");
+    }
+    let service = Service::open(serve_config(Some(dir.path()))).expect("seed 42 reopens");
+    match service.handle(Request::Health) {
+        Response::Health(health) => assert_eq!(health.generation, 2),
+        other => panic!("expected health, got {other:?}"),
+    }
+}
+
 #[test]
 fn a_malformed_seed_record_is_a_record_error() {
     let error = open_edited("meta", |store| {

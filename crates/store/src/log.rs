@@ -185,18 +185,43 @@ fn replay_segment(
 }
 
 impl LogStore {
-    /// Opens (or creates) the store in `dir` with the default segment size.
+    /// Opens (or creates) the store in `dir` with the default segment size,
+    /// and stamps the open ([`LogStore::stamp`]).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         LogStore::open_with_segment_bytes(dir, DEFAULT_SEGMENT_BYTES)
     }
 
-    /// Opens with an explicit rotation threshold (small values force
-    /// rotation in tests).
+    /// [`LogStore::open`] with an explicit rotation threshold (small values
+    /// force rotation in tests).
     pub fn open_with_segment_bytes(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
     ) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
+        let store = LogStore::open_at(dir.as_ref(), segment_bytes)?;
+        store.stamp()?;
+        Ok(store)
+    }
+
+    /// Opens (or creates) the store in `dir` with the default segment size
+    /// and does not stamp it: a caller can read the store, decide it cannot
+    /// use it and drop it, leaving the dir as the open found it (apart from
+    /// a torn tail, which any open cuts off). [`LogStore::stamp`] makes it
+    /// a counted open.
+    pub fn open_unstamped(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        LogStore::open_at(dir.as_ref(), DEFAULT_SEGMENT_BYTES)
+    }
+
+    /// Stamps this open, once: appends and syncs a generation bump, so the
+    /// next open reads a generation one higher than [`StateStore::generation`]
+    /// reads now.
+    pub fn stamp(&self) -> Result<(), StoreError> {
+        self.write_record(&encode_gen_bump())?;
+        self.sync()
+    }
+
+    /// Replays the segments in `dir` into a store, unstamped.
+    fn open_at(dir: &Path, segment_bytes: u64) -> Result<Self, StoreError> {
+        let dir = dir.to_path_buf();
         fs::create_dir_all(&dir)?;
 
         let mut segments: Vec<(u64, PathBuf)> = Vec::new();
@@ -268,7 +293,7 @@ impl LogStore {
         };
         let active_len = active.metadata()?.len();
 
-        let store = LogStore {
+        Ok(LogStore {
             dir,
             segment_bytes,
             generation: bumps + 1,
@@ -279,11 +304,7 @@ impl LogStore {
                 next_seg,
                 faulted: false,
             }),
-        };
-        // Stamp this open so the next one observes a higher generation.
-        store.write_record(&encode_gen_bump())?;
-        store.sync()?;
-        Ok(store)
+        })
     }
 
     fn write_record(&self, payload: &[u8]) -> Result<(), StoreError> {

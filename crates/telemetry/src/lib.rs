@@ -198,18 +198,20 @@ impl Collector {
         inner.histograms.entry(key).or_default().record(value);
     }
 
-    /// Merges a thread's accumulated metrics in one lock acquisition.
+    /// Merges a thread's accumulated metrics in one lock acquisition, by
+    /// reference, and zeroes each one in place for the thread to reuse.
     pub(crate) fn sink_metrics(
         &self,
-        counters: impl IntoIterator<Item = (MetricKey, u64)>,
-        histograms: impl IntoIterator<Item = (MetricKey, Histogram)>,
+        counters: &mut span::LocalCounters,
+        histograms: &mut span::LocalHistograms,
     ) {
         let mut inner = lock(&self.metrics);
-        for (key, delta) in counters {
-            *inner.counters.entry(key).or_insert(0) += delta;
+        for (key, delta) in counters.iter_mut() {
+            *inner.counters.entry(key.0).or_insert(0) += std::mem::take(delta);
         }
-        for (key, hist) in histograms {
-            inner.histograms.entry(key).or_default().merge(&hist);
+        for (key, hist) in histograms.iter_mut() {
+            inner.histograms.entry(key.0).or_default().merge(hist);
+            hist.clear();
         }
     }
 

@@ -164,6 +164,16 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// Forgets every observation but keeps the bucket vector, so the next
+    /// [`Histogram::record`] allocates nothing.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// A point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

@@ -29,7 +29,7 @@ const THREAD_BUFFER_CAP: usize = 1024;
 /// entries, which the collector's content-keyed merge folds together on
 /// flush.
 #[derive(Debug, Clone, Copy)]
-struct LocalKey(MetricKey);
+pub(crate) struct LocalKey(pub(crate) MetricKey);
 
 impl PartialEq for LocalKey {
     fn eq(&self, other: &Self) -> bool {
@@ -72,14 +72,27 @@ pub struct TraceEvent {
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
+/// A thread's counters since its last flush, by call site.
+pub(crate) type LocalCounters = HashMap<LocalKey, u64, FnvBuild>;
+
+/// A thread's histograms since its last flush, by call site.
+pub(crate) type LocalHistograms = HashMap<LocalKey, Histogram, FnvBuild>;
+
 /// Per-thread telemetry sink: the trace ring plus the thread's metric
 /// accumulators. Everything here is thread-private — the hot record path
 /// touches no lock; the collector's mutexes are only taken on flush
 /// (buffer full, explicit [`flush_thread`], or thread exit).
+///
+/// A flush merges the accumulators into the collector and zeroes them in
+/// place: the maps keep their entries and each histogram its buckets, so a
+/// thread that flushes after every request (a serve connection) records
+/// the next one without allocating.
 struct ThreadBuffer {
     ring: RingBuffer<TraceEvent>,
-    counters: HashMap<LocalKey, u64, FnvBuild>,
-    histograms: HashMap<LocalKey, Histogram, FnvBuild>,
+    counters: LocalCounters,
+    histograms: LocalHistograms,
+    /// Whether a metric was recorded since the last flush.
+    dirty: bool,
 }
 
 impl ThreadBuffer {
@@ -88,25 +101,34 @@ impl ThreadBuffer {
             ring: RingBuffer::with_capacity(THREAD_BUFFER_CAP),
             counters: HashMap::default(),
             histograms: HashMap::default(),
+            dirty: false,
         }
+    }
+
+    fn count(&mut self, key: MetricKey, delta: u64) {
+        *self.counters.entry(LocalKey(key)).or_insert(0) += delta;
+        self.dirty = true;
+    }
+
+    fn observe(&mut self, key: MetricKey, value: u64) {
+        self.histograms
+            .entry(LocalKey(key))
+            .or_default()
+            .record(value);
+        self.dirty = true;
     }
 
     fn flush(&mut self) {
         let events = self.ring.drain();
-        let no_metrics = self.counters.is_empty() && self.histograms.is_empty();
-        if events.is_empty() && no_metrics {
+        if events.is_empty() && !self.dirty {
             return;
         }
         let collector = crate::collector();
         collector.sink_trace_events(events);
-        collector.sink_metrics(
-            std::mem::take(&mut self.counters)
-                .into_iter()
-                .map(|(k, v)| (k.0, v)),
-            std::mem::take(&mut self.histograms)
-                .into_iter()
-                .map(|(k, h)| (k.0, h)),
-        );
+        if self.dirty {
+            collector.sink_metrics(&mut self.counters, &mut self.histograms);
+            self.dirty = false;
+        }
     }
 }
 
@@ -159,7 +181,7 @@ pub(crate) fn push_event(event: TraceEvent) {
 pub(crate) fn local_count(key: MetricKey, delta: u64) {
     let ok = BUFFER.try_with(|buf| {
         if let Ok(mut buf) = buf.try_borrow_mut() {
-            *buf.counters.entry(LocalKey(key)).or_insert(0) += delta;
+            buf.count(key, delta);
             true
         } else {
             false
@@ -175,10 +197,7 @@ pub(crate) fn local_count(key: MetricKey, delta: u64) {
 pub(crate) fn local_observe(key: MetricKey, value: u64) {
     let ok = BUFFER.try_with(|buf| {
         if let Ok(mut buf) = buf.try_borrow_mut() {
-            buf.histograms
-                .entry(LocalKey(key))
-                .or_default()
-                .record(value);
+            buf.observe(key, value);
             true
         } else {
             false
@@ -195,10 +214,7 @@ fn finish_span(key: MetricKey, dur_ns: u64, event: Option<TraceEvent>) {
     let mut event = event;
     let ok = BUFFER.try_with(|buf| {
         if let Ok(mut buf) = buf.try_borrow_mut() {
-            buf.histograms
-                .entry(LocalKey(key))
-                .or_default()
-                .record(dur_ns);
+            buf.observe(key, dur_ns);
             if let Some(event) = event.take() {
                 if buf.ring.is_full() {
                     let drained = buf.ring.drain();
@@ -376,4 +392,43 @@ pub fn instant(
         dur_ns: None,
         args,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_merges_in_place_and_lands_each_record_once() {
+        // A buffer of its own, not this thread's: nothing else records
+        // into it, and the telemetry level stays untouched.
+        let key = |name| MetricKey {
+            scope: "span_flush_test",
+            name,
+            index: 0,
+        };
+        let mut buffer = ThreadBuffer::new();
+        for value in [10, 20] {
+            buffer.count(key("records"), 1);
+            buffer.observe(key("values"), value);
+            buffer.flush();
+            // Zeroed in place: the entries stay, empty.
+            assert_eq!(buffer.counters[&LocalKey(key("records"))], 0);
+            assert_eq!(
+                buffer.histograms[&LocalKey(key("values"))].snapshot().count,
+                0
+            );
+            assert!(!buffer.dirty);
+        }
+        buffer.flush();
+        let snapshot = crate::snapshot();
+        assert_eq!(snapshot.counter("span_flush_test", "records"), 2);
+        let values = snapshot
+            .histogram("span_flush_test", "values")
+            .expect("flushed");
+        assert_eq!(
+            (values.count, values.sum, values.min, values.max),
+            (2, 30, 10, 20)
+        );
+    }
 }
