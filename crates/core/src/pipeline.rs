@@ -75,6 +75,7 @@ pub enum ReplaySummary {
 pub struct PipelineStats {
     summaries: AtomicU64,
     replays: AtomicU64,
+    steps: AtomicU64,
 }
 
 /// A point-in-time copy of [`PipelineStats`].
@@ -90,6 +91,8 @@ pub struct PipelineStatsSnapshot {
     /// All VM re-executions performed: every summary, session check and
     /// full replay.
     pub replays: u64,
+    /// VM instructions the replays that ran to their end executed.
+    pub steps: u64,
 }
 
 /// The one verification pipeline every re-execution-based check funnels
@@ -115,6 +118,7 @@ impl VerificationPipeline {
             hits: 0,
             misses: self.stats.summaries.load(Ordering::Relaxed),
             replays: self.stats.replays.load(Ordering::Relaxed),
+            steps: self.stats.steps.load(Ordering::Relaxed),
         }
     }
 
@@ -166,6 +170,7 @@ impl VerificationPipeline {
         let result = run_compiled_session(&program.compiled(), initial.clone(), &mut replay, &exec);
         timer.finish("verify.replay", "pipeline");
         let outcome = result?;
+        self.stats.steps.fetch_add(outcome.steps, Ordering::Relaxed);
         Ok((outcome, replay.fully_consumed()))
     }
 

@@ -483,7 +483,7 @@ pub fn settle_deferred(
         });
         journey.outcome.verdicts.push(CheckVerdict {
             checked: pending.executor.clone(),
-            checker: HostId::new("owner"),
+            checker: HostId::from("owner"),
             seq: pending.seq,
             failure: failure.clone(),
         });
@@ -493,7 +493,7 @@ pub fn settle_deferred(
         if let Some(reason) = failure {
             log.record(Event::FraudDetected {
                 culprit: pending.executor.clone(),
-                detector: HostId::new("owner"),
+                detector: HostId::from("owner"),
                 reason: reason.to_string(),
             });
             // Fraud evidence carries the *complete* reference state; the
@@ -510,7 +510,7 @@ pub fn settle_deferred(
             if journey.outcome.fraud.is_none() {
                 journey.outcome.fraud = Some(FraudEvidence {
                     culprit: pending.executor.clone(),
-                    detector: HostId::new("owner"),
+                    detector: HostId::from("owner"),
                     agent: pending.agent.clone(),
                     seq: pending.seq,
                     reason,
@@ -558,8 +558,8 @@ pub fn settle_deferred(
                 None if journeys.len() == 1 => Some(0),
                 None => None,
             };
-            let owner = HostId::new("owner");
-            let culprit = HostId::new(bad.signer.clone());
+            let owner = HostId::from("owner");
+            let culprit = HostId::from(bad.signer.as_str());
             let reason = FailureReason::ProgramRejected {
                 detail: "session certificate signature invalid (deferred batch verification)"
                     .into(),
@@ -597,7 +597,7 @@ pub fn settle_deferred(
                     agent: cert
                         .as_ref()
                         .map(|c| c.agent.clone())
-                        .unwrap_or_else(|| AgentId::new("unknown")),
+                        .unwrap_or_else(|| AgentId::from("unknown")),
                     seq,
                     reason,
                     initial_state: cert
@@ -756,7 +756,7 @@ impl Leg for ProtocolLeg<'_> {
     ) -> ControlFlow<Self::Stop, usize> {
         self.stats.execution += record.elapsed;
         let next = match record.outcome.end {
-            SessionEnd::Migrate(h) => Some(HostId::new(h)),
+            SessionEnd::Migrate(h) => Some(HostId::from(h.as_str())),
             SessionEnd::Halt => None,
         };
         let halted = next.is_none();

@@ -57,14 +57,24 @@ impl Digest {
 
     /// Renders lowercase hex.
     pub fn to_hex(&self) -> String {
-        self.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+        hex(self.as_bytes())
     }
 
     /// Returns an abbreviated hex form (first 8 chars) for logs.
     pub fn short(&self) -> String {
-        let h = self.to_hex();
-        h.chars().take(8).collect()
+        hex(&self.as_bytes()[..self.len().min(4)])
     }
+}
+
+/// `bytes` as lowercase hex, written into one string of the final size.
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
+    }
+    out
 }
 
 impl fmt::Debug for Digest {
@@ -116,6 +126,18 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.to_hex(), "010203");
         assert_eq!(d.short(), "010203");
+        assert_eq!(Digest::new(&[]).short(), "");
+    }
+
+    #[test]
+    fn hex_matches_per_byte_formatting_for_every_byte_value() {
+        let every: Vec<u8> = (0..=255).collect();
+        for bytes in every.chunks(32) {
+            let d = Digest::new(bytes);
+            let expected: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(d.to_hex(), expected);
+            assert_eq!(d.short(), expected[..8]);
+        }
     }
 
     #[test]

@@ -35,12 +35,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use refstate_platform::{Attack, HostId, HostSpec};
+use refstate_platform::{Attack, HostSpec};
 use refstate_vm::Value;
 
 use crate::scenario::{
-    build_route_agent, detectable_attack, scenario_seed, undetectable_attack, GeneratedScenario,
-    Preset,
+    build_route_agent, detectable_attack, route_host, scenario_seed, undetectable_attack, witness,
+    GeneratedScenario, Preset,
 };
 
 /// Journeys per campaign: scenario id `i` is step `i % 8` of campaign
@@ -166,11 +166,11 @@ impl CampaignPlan {
                 let lie_low = rng.gen_range(1u64..4);
                 let accomplice = if rng.gen_bool(0.5) {
                     // Route collusion: the successor skips its check.
-                    HostId::new(format!("h{}", attacker_pos + 1))
+                    route_host(attacker_pos + 1)
                 } else {
                     // Cross-set collusion: recruit the witness assigned
                     // to the attacker's hop.
-                    HostId::new(format!("v{}", attacker_pos % witnesses))
+                    witness(attacker_pos % witnesses)
                 };
                 (0..JOURNEYS_PER_CAMPAIGN)
                     .map(|step| {
@@ -278,7 +278,7 @@ pub fn generate_adaptive(fleet_seed: u64, id: u64) -> GeneratedScenario {
         if step_plan.churned == Some(pos) {
             continue; // the host left the network — no spec, no keys
         }
-        let mut spec = HostSpec::new(format!("h{pos}"));
+        let mut spec = HostSpec::new(route_host(pos));
         if plan.trusted[pos] {
             spec = spec.trusted();
         }
@@ -295,27 +295,25 @@ pub fn generate_adaptive(fleet_seed: u64, id: u64) -> GeneratedScenario {
         specs.push(spec);
     }
     for w in 0..plan.witnesses {
-        specs.push(HostSpec::new(format!("v{w}")));
+        specs.push(HostSpec::new(witness(w)));
     }
 
     let attacker = step_plan
         .attack
         .clone()
-        .map(|attack| (HostId::new(format!("h{}", plan.attacker_pos)), attack));
+        .map(|attack| (route_host(plan.attacker_pos), attack));
 
     GeneratedScenario {
         id,
         kind: Preset::Adaptive,
-        start: HostId::new("h0"),
-        route: (0..plan.route_len)
-            .map(|p| HostId::new(format!("h{p}")))
-            .collect(),
+        start: route_host(0),
+        route: (0..plan.route_len).map(route_host).collect(),
         stages: None,
         agent: build_route_agent(id, plan.route_len),
         specs,
         attacker,
         attack_label: step_plan.label,
-        churned: step_plan.churned.map(|pos| HostId::new(format!("h{pos}"))),
+        churned: step_plan.churned.map(route_host),
         campaign: Some(CampaignMeta {
             campaign,
             step: step as u64,

@@ -9,7 +9,7 @@
 //! order on any thread and always produce the same fleet.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,6 +170,38 @@ pub fn scenario_seed(fleet_seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// How many route hosts (`h0 …`) and witnesses (`v0 …`) the shared id
+/// tables name; no preset draws a route or witness set this long.
+const SHARED_IDS: usize = 32;
+
+/// The id of route host `pos` (`h{pos}`).
+///
+/// Ids come from one table made on first use and shared by every
+/// scenario, so naming a host in a spec, route or attack clones a
+/// pointer. A position past the table is named on the spot.
+pub(crate) fn route_host(pos: usize) -> HostId {
+    static IDS: OnceLock<Vec<HostId>> = OnceLock::new();
+    shared_id(&IDS, 'h', pos)
+}
+
+/// The id of off-route witness `w` (`v{w}`), shared like [`route_host`]'s.
+pub(crate) fn witness(w: usize) -> HostId {
+    static IDS: OnceLock<Vec<HostId>> = OnceLock::new();
+    shared_id(&IDS, 'v', w)
+}
+
+fn shared_id(table: &OnceLock<Vec<HostId>>, prefix: char, index: usize) -> HostId {
+    let ids = table.get_or_init(|| {
+        (0..SHARED_IDS)
+            .map(|i| HostId::new(format!("{prefix}{i}")))
+            .collect()
+    });
+    match ids.get(index) {
+        Some(id) => id.clone(),
+        None => HostId::new(format!("{prefix}{index}")),
+    }
+}
+
 /// Builds the route-walking agent for an `n`-host journey: on every host
 /// it consumes one `"n"` input, adds it into `total`, advances `hop`, and
 /// either migrates to the next host or halts after the last one.
@@ -238,9 +270,7 @@ pub(crate) fn detectable_attack(rng: &mut StdRng) -> Attack {
         3 => Attack::SkipExecution,
         // Redirecting to the home host is never the legitimate next hop
         // for an attacker at position >= 1.
-        _ => Attack::RedirectMigration {
-            to: HostId::new("h0"),
-        },
+        _ => Attack::RedirectMigration { to: route_host(0) },
     }
 }
 
@@ -324,7 +354,7 @@ pub fn generate(fleet_seed: u64, id: u64, preset: Preset) -> GeneratedScenario {
             let attack = Attack::CollaborateTamper {
                 name: "total".into(),
                 value: Value::Int(-(rng.gen_range(1i64..1_000_000))),
-                accomplice: HostId::new(format!("h{}", pos + 1)),
+                accomplice: route_host(pos + 1),
             };
             (Some(pos), Some(attack))
         }
@@ -359,7 +389,7 @@ pub fn generate(fleet_seed: u64, id: u64, preset: Preset) -> GeneratedScenario {
 
     let mut specs = Vec::with_capacity(route_len);
     for pos in 0..route_len {
-        let mut spec = HostSpec::new(format!("h{pos}"));
+        let mut spec = HostSpec::new(route_host(pos));
         // The home host is trusted by definition; attackers are never
         // trusted (the paper: "trusted hosts will not attack"); other
         // hosts are trusted with probability ~0.3.
@@ -383,7 +413,7 @@ pub fn generate(fleet_seed: u64, id: u64, preset: Preset) -> GeneratedScenario {
 
     let attacker = attacker_pos.map(|pos| {
         (
-            HostId::new(format!("h{pos}")),
+            route_host(pos),
             attack.expect("attacker position implies attack"),
         )
     });
@@ -395,10 +425,8 @@ pub fn generate(fleet_seed: u64, id: u64, preset: Preset) -> GeneratedScenario {
     GeneratedScenario {
         id,
         kind,
-        start: HostId::new("h0"),
-        route: (0..route_len)
-            .map(|p| HostId::new(format!("h{p}")))
-            .collect(),
+        start: route_host(0),
+        route: (0..route_len).map(route_host).collect(),
         stages: None,
         agent: build_route_agent(id, route_len),
         specs,
@@ -450,12 +478,12 @@ fn generate_replicated(id: u64, rng: &mut StdRng) -> GeneratedScenario {
         let mut ids = Vec::with_capacity(replicas);
         for replica in 0..replicas {
             let host = if replica == 0 {
-                format!("h{stage}")
+                route_host(stage)
             } else {
-                format!("h{stage}r{replica}")
+                HostId::new(format!("h{stage}r{replica}"))
             };
             let is_attacker = attacker_stage == Some(stage) && attacker_replica == replica;
-            let mut spec = HostSpec::new(host.as_str());
+            let mut spec = HostSpec::new(host.clone());
             if stage == 0 || (!is_attacker && rng.gen_bool(0.3)) {
                 spec = spec.trusted();
             }
@@ -466,12 +494,12 @@ fn generate_replicated(id: u64, rng: &mut StdRng) -> GeneratedScenario {
             if is_attacker {
                 let attack = attack.clone().expect("attacker position implies attack");
                 spec = spec.malicious(attack.clone());
-                attacker = Some((HostId::new(host.as_str()), attack));
+                attacker = Some((host.clone(), attack));
             }
             specs.push(spec);
             ids.push(host);
         }
-        route.push(HostId::new(format!("h{stage}")));
+        route.push(route_host(stage));
         stages.push(StageSpec::new(ids));
     }
 
@@ -483,7 +511,7 @@ fn generate_replicated(id: u64, rng: &mut StdRng) -> GeneratedScenario {
     GeneratedScenario {
         id,
         kind: Preset::Replicated,
-        start: HostId::new("h0"),
+        start: route_host(0),
         agent: build_route_agent(id, stage_count),
         route,
         stages: Some(stages),
@@ -519,7 +547,7 @@ fn generate_cooperating(id: u64, rng: &mut StdRng) -> GeneratedScenario {
                 // The witness assignment is deterministic (hop index
                 // modulo witness-set size), so the recruiting attacker
                 // knows exactly whom to buy.
-                accomplice: HostId::new(format!("v{}", pos % witnesses)),
+                accomplice: witness(pos % witnesses),
             }),
         ),
         _ => (Some(pos), Some(undetectable_attack(rng))),
@@ -527,7 +555,7 @@ fn generate_cooperating(id: u64, rng: &mut StdRng) -> GeneratedScenario {
 
     let mut specs = Vec::with_capacity(route_len + witnesses);
     for pos in 0..route_len {
-        let mut spec = HostSpec::new(format!("h{pos}"));
+        let mut spec = HostSpec::new(route_host(pos));
         let is_attacker = attacker_pos == Some(pos);
         if pos == 0 || (!is_attacker && rng.gen_bool(0.3)) {
             spec = spec.trusted();
@@ -543,12 +571,12 @@ fn generate_cooperating(id: u64, rng: &mut StdRng) -> GeneratedScenario {
         specs.push(spec);
     }
     for w in 0..witnesses {
-        specs.push(HostSpec::new(format!("v{w}")));
+        specs.push(HostSpec::new(witness(w)));
     }
 
     let attacker = attacker_pos.map(|pos| {
         (
-            HostId::new(format!("h{pos}")),
+            route_host(pos),
             attack.expect("attacker position implies attack"),
         )
     });
@@ -560,10 +588,8 @@ fn generate_cooperating(id: u64, rng: &mut StdRng) -> GeneratedScenario {
     GeneratedScenario {
         id,
         kind: Preset::Cooperating,
-        start: HostId::new("h0"),
-        route: (0..route_len)
-            .map(|p| HostId::new(format!("h{p}")))
-            .collect(),
+        start: route_host(0),
+        route: (0..route_len).map(route_host).collect(),
         stages: None,
         agent: build_route_agent(id, route_len),
         specs,
@@ -600,7 +626,7 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
             15..=16 => (
                 Some(pos),
                 Some(Attack::ForgeChainEntry {
-                    accomplice: HostId::new(format!("h{}", pos - 1)),
+                    accomplice: route_host(pos - 1),
                 }),
             ),
             _ => (Some(pos), Some(undetectable_attack(rng))),
@@ -611,7 +637,7 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
             15..=16 => (
                 Some(pos),
                 Some(Attack::ForgeChainEntry {
-                    accomplice: HostId::new(format!("h{}", pos - 1)),
+                    accomplice: route_host(pos - 1),
                 }),
             ),
             _ => (Some(pos), Some(detectable_attack(rng))),
@@ -625,7 +651,7 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
 
     let mut specs = Vec::with_capacity(route_len);
     for pos in 0..route_len {
-        let mut spec = HostSpec::new(format!("h{pos}"));
+        let mut spec = HostSpec::new(route_host(pos));
         let is_attacker = attacker_pos == Some(pos);
         let is_accomplice = accomplice_pos == Some(pos);
         if pos == 0 || (!is_attacker && !is_accomplice && rng.gen_bool(0.3)) {
@@ -644,7 +670,7 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
 
     let attacker = attacker_pos.map(|pos| {
         (
-            HostId::new(format!("h{pos}")),
+            route_host(pos),
             attack.expect("attacker position implies attack"),
         )
     });
@@ -656,10 +682,8 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
     GeneratedScenario {
         id,
         kind,
-        start: HostId::new("h0"),
-        route: (0..route_len)
-            .map(|p| HostId::new(format!("h{p}")))
-            .collect(),
+        start: route_host(0),
+        route: (0..route_len).map(route_host).collect(),
         stages: None,
         agent: build_route_agent(id, route_len),
         specs,

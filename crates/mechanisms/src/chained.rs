@@ -586,7 +586,7 @@ pub fn owner_verify_encapsulations(
     directory: &KeyDirectory,
     queue: &mut VerificationQueue,
 ) -> Option<ChainFraud> {
-    let owner = HostId::new("owner");
+    let owner = HostId::from("owner");
     // One deferred batch for every signature in the chain. The flush
     // settles anything already sitting in the caller's queue too (their
     // checks were due by journey end anyway), so index the verdicts from
@@ -850,8 +850,8 @@ impl ProtectionMechanism for ChainedMac {
                 match verdict.first_break {
                     Some((_, reason)) => {
                         ctx.log.record(Event::FraudDetected {
-                            culprit: HostId::new("unknown"),
-                            detector: HostId::new("owner"),
+                            culprit: HostId::from("unknown"),
+                            detector: HostId::from("owner"),
                             reason: reason.to_string(),
                         });
                         JourneyVerdict::detected_unattributed(true)

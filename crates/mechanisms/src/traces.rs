@@ -233,7 +233,7 @@ pub fn audit_journey(
     log: &EventLog,
     pipeline: &VerificationPipeline,
 ) -> AuditReport {
-    let owner = HostId::new("owner");
+    let owner = HostId::from("owner");
     let mut verdicts = Vec::new();
 
     // Every commitment signature in one batch, which shares one inversion
@@ -343,7 +343,7 @@ pub fn audit_journey(
                 state_digest, end, ..
             } => {
                 let next = match end {
-                    SessionEnd::Migrate(h) => Some(HostId::new(h)),
+                    SessionEnd::Migrate(h) => Some(HostId::from(h.as_str())),
                     SessionEnd::Halt => None,
                 };
                 (state_digest, next)

@@ -1,6 +1,7 @@
 //! The unit of migration: agent code plus data state.
 
 use std::fmt;
+use std::sync::Arc;
 
 use refstate_crypto::{sha256, Digest};
 use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
@@ -8,6 +9,9 @@ use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
 use refstate_vm::{DataState, Program};
 
 /// A unique agent identifier, assigned by the agent's owner at creation.
+///
+/// Like [`crate::HostId`], the name is shared: a clone copies a pointer,
+/// and equality, ordering and hashing go by content.
 ///
 /// # Examples
 ///
@@ -18,12 +22,12 @@ use refstate_vm::{DataState, Program};
 /// assert_eq!(id.as_str(), "shopper-1");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AgentId(String);
+pub struct AgentId(Arc<str>);
 
 impl AgentId {
     /// Creates an agent id.
     pub fn new(id: impl Into<String>) -> Self {
-        AgentId(id.into())
+        AgentId(Arc::from(id.into()))
     }
 
     /// The id as a string slice.
@@ -40,7 +44,7 @@ impl fmt::Display for AgentId {
 
 impl From<&str> for AgentId {
     fn from(s: &str) -> Self {
-        AgentId::new(s)
+        AgentId(Arc::from(s))
     }
 }
 
@@ -52,7 +56,7 @@ impl Encode for AgentId {
 
 impl Decode for AgentId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AgentId(r.take_str()?.to_owned()))
+        Ok(AgentId(Arc::from(r.take_str()?)))
     }
 }
 
@@ -95,7 +99,7 @@ impl AgentImage {
 
 impl From<String> for AgentId {
     fn from(s: String) -> Self {
-        AgentId(s)
+        AgentId::new(s)
     }
 }
 

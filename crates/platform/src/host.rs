@@ -20,6 +20,10 @@ use crate::feed::InputFeed;
 
 /// A host (agent platform) identifier.
 ///
+/// The name is shared, not owned: cloning an id (into an event, a path,
+/// a check verdict) copies a pointer. Equality, ordering and hashing go
+/// by the name's content.
+///
 /// # Examples
 ///
 /// ```
@@ -29,12 +33,12 @@ use crate::feed::InputFeed;
 /// assert_eq!(id.as_str(), "airline-a");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct HostId(String);
+pub struct HostId(Arc<str>);
 
 impl HostId {
     /// Creates a host id.
     pub fn new(id: impl Into<String>) -> Self {
-        HostId(id.into())
+        HostId(Arc::from(id.into()))
     }
 
     /// The id as a string slice.
@@ -51,13 +55,13 @@ impl fmt::Display for HostId {
 
 impl From<&str> for HostId {
     fn from(s: &str) -> Self {
-        HostId::new(s)
+        HostId(Arc::from(s))
     }
 }
 
 impl From<String> for HostId {
     fn from(s: String) -> Self {
-        HostId(s)
+        HostId::new(s)
     }
 }
 
@@ -69,7 +73,7 @@ impl refstate_wire::Encode for HostId {
 
 impl refstate_wire::Decode for HostId {
     fn decode(r: &mut refstate_wire::Reader<'_>) -> Result<Self, refstate_wire::WireError> {
-        Ok(HostId(r.take_str()?.to_owned()))
+        Ok(HostId(Arc::from(r.take_str()?)))
     }
 }
 
@@ -142,7 +146,7 @@ impl SessionRecord {
     /// The host the session sends the agent to (`None` when it halted).
     pub fn next_hop(&self) -> Option<HostId> {
         match &self.outcome.end {
-            SessionEnd::Migrate(host) => Some(HostId::new(host.clone())),
+            SessionEnd::Migrate(host) => Some(HostId::from(host.as_str())),
             SessionEnd::Halt => None,
         }
     }

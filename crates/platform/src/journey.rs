@@ -8,7 +8,7 @@ use std::ops::ControlFlow;
 
 use refstate_crypto::{draw_nonces, Signed};
 use refstate_vm::{ExecConfig, SessionEnd, VmError};
-use refstate_wire::{to_wire, Encode};
+use refstate_wire::{Encode, Writer};
 
 use crate::agent::AgentImage;
 use crate::event::{Event, EventLog};
@@ -188,8 +188,12 @@ fn walk_path<L: Leg>(
 ) -> Result<Option<L::Stop>, JourneyError> {
     // The walk writes only the agent's state and a leg sees the agent by
     // reference, so the id and program part of the image's encoding is
-    // the same on every hop: encode it once, and the state per hop.
-    let fixed_bytes = to_wire(&agent.id).len() + to_wire(&agent.program).len();
+    // the same on every hop. One writer sizes it once, then the state on
+    // every hop, reusing its buffer.
+    let mut sizer = Writer::new();
+    agent.id.encode(&mut sizer);
+    agent.program.encode(&mut sizer);
+    let fixed_bytes = sizer.len();
     for _ in 0..max_hops {
         let here = path.last().expect("a path starts at the start host");
         let at = hosts
@@ -210,7 +214,17 @@ fn walk_path<L: Leg>(
 
         let record = hosts[at].execute_session(agent, exec, log)?;
         agent.state = record.outcome.state.clone();
-        let end = record.outcome.end.clone();
+        // Look the target up while the record is at hand; an unknown one
+        // is reported only after the leg has seen the departure.
+        let next = match &record.outcome.end {
+            SessionEnd::Migrate(next) => Some(
+                hosts
+                    .iter()
+                    .position(|h| h.id().as_str() == next)
+                    .ok_or_else(|| HostId::from(next.as_str())),
+            ),
+            SessionEnd::Halt => None,
+        };
         let visit = Visit {
             hosts: &mut *hosts,
             at,
@@ -222,18 +236,19 @@ fn walk_path<L: Leg>(
             ControlFlow::Break(stop) => return Ok(Some(stop)),
         };
 
-        let SessionEnd::Migrate(next) = end else {
+        let Some(next) = next else {
             return Ok(None);
         };
-        let next = HostId::new(next);
-        if !hosts.iter().any(|h| h.id() == &next) {
-            return Err(JourneyError::UnknownHost { host: next });
-        }
+        let next = hosts[next.map_err(|host| JourneyError::UnknownHost { host })?]
+            .id()
+            .clone();
+        sizer.clear();
+        agent.state.encode(&mut sizer);
         log.record(Event::Migrated {
             from: hosts[at].id().clone(),
             to: next.clone(),
             agent: agent.id.clone(),
-            bytes: fixed_bytes + to_wire(&agent.state).len() + baggage,
+            bytes: fixed_bytes + sizer.len() + baggage,
         });
         path.push(next);
     }
@@ -338,6 +353,7 @@ mod tests {
     use rand::SeedableRng;
     use refstate_crypto::DsaParams;
     use refstate_vm::{assemble, DataState, Value};
+    use refstate_wire::to_wire;
 
     use crate::host::HostSpec;
 

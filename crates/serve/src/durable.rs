@@ -194,24 +194,30 @@ impl StateDir {
         self.store.put(NS_OWNERS, &index.to_be_bytes(), &record)
     }
 
-    /// Appends a settled batch's verdict lines to `owner`'s stream,
-    /// advancing `stream` past each, then checkpoints the new position.
-    /// The appends land before the checkpoint: a crash in between leaves
-    /// the stream ahead of its checkpoint, which [`StateDir::open`]
-    /// accepts.
+    /// Appends a settled batch's verdict lines to `owner`'s stream and
+    /// checkpoints the position past them, in one store write; `stream`
+    /// advances once that write succeeds. The appends land before the
+    /// checkpoint: a write torn in between leaves the stream ahead of its
+    /// checkpoint, which [`StateDir::open`] accepts.
     pub(crate) fn append(
         &self,
         owner: &str,
         stream: &mut StreamState,
         lines: &[String],
     ) -> Result<(), StoreError> {
-        let ns = stream_ns(owner);
+        let mut advanced = *stream;
         for line in lines {
-            self.store.append(&ns, line.as_bytes())?;
-            stream.push(line.as_bytes());
+            advanced.push(line.as_bytes());
         }
-        self.store
-            .put(NS_CHECKPOINT, owner.as_bytes(), &stream.encode())
+        self.store.append_then_put(
+            &stream_ns(owner),
+            lines,
+            NS_CHECKPOINT,
+            owner.as_bytes(),
+            &advanced.encode(),
+        )?;
+        *stream = advanced;
+        Ok(())
     }
 
     /// Flushes every write to stable storage.

@@ -1,6 +1,6 @@
 //! Allocation budgets: how many heap allocations a signature, a verify
-//! batch and a served journey make, counted by a forwarding global
-//! allocator.
+//! batch, a generated scenario and a served journey make, counted by a
+//! forwarding global allocator.
 //!
 //! The counter is per thread (a `const`-initialized thread-local `Cell`),
 //! so the tests of this file, which the harness runs on parallel threads,
@@ -9,7 +9,8 @@
 //! tick driver runs.
 //!
 //! The bounds are the counts this code makes, rounded up a little. A
-//! change that lowers a count should lower its bound.
+//! change that lowers a count should lower its bound. Each test prints
+//! its readings on stderr, one line each (`-- --nocapture` shows them).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_crypto::{draw_nonces, verify_batch, BatchEntry, DsaKeyPair, DsaParams, Signer};
+use refstate_fleet::scenario::{generate, Preset};
 use refstate_serve::{RegisterOwner, Request, Response, ServeConfig, Service};
 
 thread_local! {
@@ -93,6 +95,7 @@ fn a_queued_nonce_signature_allocates_only_its_r_and_s() {
         draw_nonces([&mut signer]);
         assert_eq!(signer.queued(), 1);
         let (signature, count) = allocations(|| signer.sign(b"measured"));
+        eprintln!("allocations: {name} queued-nonce sign: {count}");
         assert!(keys.public().verify(b"measured", &signature));
         assert_eq!(count, 2, "{name}: Signer::sign with a queued nonce");
     }
@@ -125,9 +128,32 @@ fn an_eight_entry_verify_batch_allocates_at_most_sixteen_times() {
             })
             .collect();
         let (verdicts, count) = allocations(|| verify_batch(&entries));
+        eprintln!("allocations: {name} 8-entry verify_batch: {count}");
         assert_eq!(verdicts, vec![true; 8], "{name}");
         assert!(count <= 16, "{name}: an 8-entry verify_batch made {count}");
     }
+}
+
+/// Scenarios of one measured generation pass.
+const SCENARIOS: u64 = 256;
+
+#[test]
+fn a_mixed_scenario_keeps_to_its_allocation_budget() {
+    let pass = || {
+        for id in 0..SCENARIOS {
+            drop(generate(42, id, Preset::Mixed));
+        }
+    };
+    // The warm-up pass assembles every route length's shared program and
+    // names the shared host ids.
+    pass();
+    let ((), count) = allocations(pass);
+    let per_scenario = count / SCENARIOS;
+    eprintln!("allocations: scenario::generate per mixed scenario: {per_scenario}");
+    assert!(
+        per_scenario <= 65,
+        "{per_scenario} allocations per mixed scenario, budget 65"
+    );
 }
 
 fn register(service: &Service, owner: &str, seed: u64, mechanism: &str) {
@@ -188,12 +214,13 @@ fn per_journey(mechanism: &str) -> u64 {
 #[test]
 fn served_journeys_keep_to_their_allocation_budgets() {
     for (mechanism, bound) in [
-        ("unprotected", 425),
-        ("framework", 630),
-        ("protocol", 760),
-        ("traces", 1_060),
+        ("unprotected", 235),
+        ("framework", 375),
+        ("protocol", 530),
+        ("traces", 810),
     ] {
         let count = per_journey(mechanism);
+        eprintln!("allocations: {mechanism} per served journey: {count}");
         assert!(
             count <= bound,
             "{mechanism}: {count} allocations per journey, budget {bound}"

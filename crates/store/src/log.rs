@@ -71,12 +71,28 @@ fn segment_name(index: u64) -> String {
     format!("seg-{index:06}.log")
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+/// Appends `payload`'s frame to `out`, refusing a payload over
+/// [`MAX_RECORD`].
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), StoreError> {
+    if payload.len() > MAX_RECORD {
+        return Err(StoreError::RecordTooLarge {
+            len: payload.len(),
+            max: MAX_RECORD,
+        });
+    }
+    out.reserve(FRAME_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(())
+}
+
+/// The `ns` entry of `map`, made if missing: only then is the name copied.
+fn entry<'m, T: Default>(map: &'m mut BTreeMap<String, T>, ns: &str) -> &'m mut T {
+    if !map.contains_key(ns) {
+        map.insert(ns.to_owned(), T::default());
+    }
+    map.get_mut(ns).expect("inserted above")
 }
 
 fn encode_put(ns: &str, key: &[u8], value: &[u8]) -> Vec<u8> {
@@ -316,23 +332,26 @@ impl LogStore {
     /// write failed. Callers hold the inner lock, so a record's disk
     /// position always matches its table-apply order.
     fn write_record_locked(&self, inner: &mut Inner, payload: &[u8]) -> Result<(), StoreError> {
-        if payload.len() > MAX_RECORD {
-            return Err(StoreError::RecordTooLarge {
-                len: payload.len(),
-                max: MAX_RECORD,
-            });
-        }
+        let mut framed = Vec::new();
+        push_frame(&mut framed, payload)?;
+        self.write_frames_locked(inner, &framed)
+    }
+
+    /// Writes whole frames to the active segment in one `write_all`,
+    /// unless an earlier write failed; a failed write refuses every later
+    /// one.
+    fn write_frames_locked(&self, inner: &mut Inner, frames: &[u8]) -> Result<(), StoreError> {
         if inner.faulted {
             return Err(StoreError::Faulted);
         }
-        let written = self.write_frame(inner, payload);
+        let written = self.write_frames(inner, frames);
         inner.faulted = written.is_err();
         written.map_err(StoreError::Io)
     }
 
-    /// Frames `payload` onto the active segment, rotating first if the
+    /// Writes `frames` onto the active segment, rotating first if the
     /// segment has reached the threshold.
-    fn write_frame(&self, inner: &mut Inner, payload: &[u8]) -> std::io::Result<()> {
+    fn write_frames(&self, inner: &mut Inner, frames: &[u8]) -> std::io::Result<()> {
         if inner.active_len >= self.segment_bytes {
             inner.active.sync_all()?;
             let index = inner.next_seg;
@@ -345,9 +364,42 @@ impl LogStore {
             inner.active_len = 0;
             inner.next_seg = index + 1;
         }
-        let framed = frame(payload);
-        inner.active.write_all(&framed)?;
-        inner.active_len += framed.len() as u64;
+        inner.active.write_all(frames)?;
+        inner.active_len += frames.len() as u64;
+        Ok(())
+    }
+
+    /// Appends `records` to the `ns` log, then puts `key = value` in
+    /// `put_ns`: the effect of an [`StateStore::append`] per record and a
+    /// [`StateStore::put`], written with one `write_all` under one lock.
+    ///
+    /// Each record and the put keep a frame of their own, so a write torn
+    /// anywhere leaves the tables before the call plus a prefix of whole
+    /// records on the next open. Nothing is written when any of them is
+    /// too large ([`StoreError::RecordTooLarge`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`StateStore::append`]: too large, faulted by an earlier
+    /// write, or the write's I/O error (after which the store is faulted).
+    pub fn append_then_put(
+        &self,
+        ns: &str,
+        records: &[impl AsRef<[u8]>],
+        put_ns: &str,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<(), StoreError> {
+        let mut frames = Vec::new();
+        for record in records {
+            push_frame(&mut frames, &encode_append(ns, record.as_ref()))?;
+        }
+        push_frame(&mut frames, &encode_put(put_ns, key, value))?;
+        let mut inner = self.inner.lock().expect("log store lock");
+        self.write_frames_locked(&mut inner, &frames)?;
+        let log = entry(&mut inner.tables.logs, ns);
+        log.extend(records.iter().map(|record| record.as_ref().to_vec()));
+        entry(&mut inner.tables.kv, put_ns).insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 }
@@ -356,12 +408,7 @@ impl StateStore for LogStore {
     fn put(&self, ns: &str, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("log store lock");
         self.write_record_locked(&mut inner, &encode_put(ns, key, value))?;
-        inner
-            .tables
-            .kv
-            .entry(ns.to_owned())
-            .or_default()
-            .insert(key.to_vec(), value.to_vec());
+        entry(&mut inner.tables.kv, ns).insert(key.to_vec(), value.to_vec());
         Ok(())
     }
 
@@ -383,7 +430,7 @@ impl StateStore for LogStore {
     fn append(&self, ns: &str, record: &[u8]) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock().expect("log store lock");
         self.write_record_locked(&mut inner, &encode_append(ns, record))?;
-        let log = inner.tables.logs.entry(ns.to_owned()).or_default();
+        let log = entry(&mut inner.tables.logs, ns);
         log.push(record.to_vec());
         Ok(log.len() as u64 - 1)
     }
@@ -436,6 +483,10 @@ mod tests {
         ));
         assert!(matches!(
             store.put("kv", b"k", b"after"),
+            Err(StoreError::Faulted)
+        ));
+        assert!(matches!(
+            store.append_then_put("log", &[b"after"], "kv", b"k", b"after"),
             Err(StoreError::Faulted)
         ));
         drop(store);

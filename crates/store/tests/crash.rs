@@ -1,6 +1,6 @@
 //! Crash-path coverage for the on-disk backend: torn tails, CRC damage in
-//! live and sealed segments, replay-on-open idempotence, rotation, and the
-//! generation stamp.
+//! live and sealed segments, a batched write torn at every byte,
+//! replay-on-open idempotence, rotation, and the generation stamp.
 
 use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -232,4 +232,65 @@ fn oversized_records_are_rejected_up_front() {
     // The store stays usable after the rejection.
     store.append("log", b"small").unwrap();
     assert_eq!(store.appended("log").unwrap(), vec![b"small".to_vec()]);
+}
+
+#[test]
+fn a_batch_torn_at_any_byte_reopens_to_a_whole_record_prefix() {
+    let dir = TempDir::new("batch");
+    let records: Vec<Vec<u8>> = (0..4).map(|i| format!("line-{i}").into_bytes()).collect();
+    let (segment, start, end) = {
+        let store = LogStore::open(dir.path()).unwrap();
+        store.append("log", b"before").unwrap();
+        store.put("cp", b"owner", b"v0").unwrap();
+        let segment = segment_paths(dir.path()).pop().expect("one segment");
+        let start = fs::metadata(&segment).unwrap().len() as usize;
+        store
+            .append_then_put("log", &records, "cp", b"owner", b"v1")
+            .unwrap();
+        store.sync().unwrap();
+        let end = fs::metadata(&segment).unwrap().len() as usize;
+        (segment, start, end)
+    };
+    // One frame per record: header (8) + op (1) + "log" (4 + 3) + the
+    // record (4 + 6); then the put's: header + op + "cp" (4 + 2) +
+    // "owner" (4 + 5) + "v1" (4 + 2).
+    let record_frame = 8 + 1 + 4 + 3 + 4 + 6;
+    assert_eq!(end - start, 4 * record_frame + 8 + 1 + 6 + 9 + 6);
+    let written = fs::read(&segment).unwrap();
+    for cut in start..=end {
+        fs::write(&segment, &written[..cut]).unwrap();
+        let store = LogStore::open_unstamped(dir.path()).unwrap();
+        let whole = ((cut - start) / record_frame).min(records.len());
+        let mut expected = vec![b"before".to_vec()];
+        expected.extend_from_slice(&records[..whole]);
+        assert_eq!(store.appended("log").unwrap(), expected, "cut at {cut}");
+        let checkpoint: &[u8] = if cut == end { b"v1" } else { b"v0" };
+        assert_eq!(
+            store.get("cp", b"owner").unwrap().as_deref(),
+            Some(checkpoint),
+            "cut at {cut}"
+        );
+    }
+}
+
+#[test]
+fn an_oversized_record_fails_its_whole_batch_before_any_write() {
+    let dir = TempDir::new("huge-batch");
+    let store = LogStore::open(dir.path()).unwrap();
+    let segment = segment_paths(dir.path()).pop().expect("one segment");
+    let before = fs::read(&segment).unwrap();
+    let huge = vec![0u8; refstate_store::MAX_RECORD + 1];
+    match store.append_then_put("log", &[b"small".to_vec(), huge], "cp", b"k", b"v") {
+        Err(StoreError::RecordTooLarge { .. }) => {}
+        other => panic!("expected RecordTooLarge, got {other:?}"),
+    }
+    assert_eq!(fs::read(&segment).unwrap(), before);
+    assert!(store.appended("log").unwrap().is_empty());
+    assert_eq!(store.get("cp", b"k").unwrap(), None);
+    // The store stays usable after the rejection.
+    store
+        .append_then_put("log", &[b"small"], "cp", b"k", b"v")
+        .unwrap();
+    assert_eq!(store.appended("log").unwrap(), vec![b"small".to_vec()]);
+    assert_eq!(store.get("cp", b"k").unwrap(), Some(b"v".to_vec()));
 }

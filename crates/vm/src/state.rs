@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -16,6 +17,10 @@ use crate::value::Value;
 /// the wire encoding — and therefore every hash and signature over a state —
 /// is canonical.
 ///
+/// Clones share the map, and a write copies it first if another clone
+/// still holds it (copy-on-write), so handing a state to a session, a
+/// record and a check costs a pointer each until one of them writes.
+///
 /// # Examples
 ///
 /// ```
@@ -28,15 +33,18 @@ use crate::value::Value;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataState {
-    vars: BTreeMap<String, Value>,
+    vars: Arc<BTreeMap<String, Value>>,
 }
 
 impl DataState {
     /// Creates an empty state.
     pub fn new() -> Self {
-        DataState {
-            vars: BTreeMap::new(),
-        }
+        Self::default()
+    }
+
+    /// The map to write into, copied first if another clone shares it.
+    fn vars_mut(&mut self) -> &mut BTreeMap<String, Value> {
+        Arc::make_mut(&mut self.vars)
     }
 
     /// Returns the value of `name`, if set.
@@ -46,12 +54,15 @@ impl DataState {
 
     /// Sets `name` to `value`, returning the previous value.
     pub fn set(&mut self, name: impl Into<String>, value: Value) -> Option<Value> {
-        self.vars.insert(name.into(), value)
+        self.vars_mut().insert(name.into(), value)
     }
 
     /// Removes `name`, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.vars.remove(name)
+        if !self.vars.contains_key(name) {
+            return None;
+        }
+        self.vars_mut().remove(name)
     }
 
     /// Returns `true` if `name` is set.
@@ -101,14 +112,14 @@ impl fmt::Display for DataState {
 impl FromIterator<(String, Value)> for DataState {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
         DataState {
-            vars: iter.into_iter().collect(),
+            vars: Arc::new(iter.into_iter().collect()),
         }
     }
 }
 
 impl Extend<(String, Value)> for DataState {
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
-        self.vars.extend(iter);
+        self.vars_mut().extend(iter);
     }
 }
 
@@ -121,7 +132,7 @@ impl Encode for DataState {
 impl Decode for DataState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DataState {
-            vars: BTreeMap::decode(r)?,
+            vars: Arc::new(BTreeMap::decode(r)?),
         })
     }
 }
@@ -183,6 +194,25 @@ mod tests {
         s.set("a", Value::Int(1));
         assert_eq!(s.to_string(), "{a=1, b=2}");
         assert_eq!(DataState::new().to_string(), "{}");
+    }
+
+    #[test]
+    fn clones_share_the_map_until_one_writes() {
+        let mut a = DataState::new();
+        a.set("x", Value::Int(1));
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.vars, &b.vars));
+        b.set("x", Value::Int(2));
+        assert!(!Arc::ptr_eq(&a.vars, &b.vars));
+        assert_eq!(a.get_int("x"), Some(1));
+        assert_eq!(b.get_int("x"), Some(2));
+        // Removing an absent name is no write: the map stays shared.
+        let mut c = a.clone();
+        assert_eq!(c.remove("missing"), None);
+        assert!(Arc::ptr_eq(&a.vars, &c.vars));
+        assert_eq!(c.remove("x"), Some(Value::Int(1)));
+        assert!(c.is_empty());
+        assert_eq!(a.get_int("x"), Some(1));
     }
 
     #[test]

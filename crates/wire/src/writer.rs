@@ -47,6 +47,12 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    /// Discards everything written, keeping the buffer's capacity, so one
+    /// writer can encode value after value without reallocating.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
