@@ -172,7 +172,7 @@ impl Service {
             .shards()
             .into_iter()
             .rev()
-            .partition(|shard| !shard.ingress.lock().expect("ingress lock").is_empty());
+            .partition(|shard| !shard.state().ingress.is_empty());
         let scan = timer.finish("serve.tick_driver.scan", "serve");
         telemetry::observe("serve.tick_driver.scan_us", scan.as_micros() as u64);
         if !idle.is_empty() {
@@ -264,14 +264,10 @@ mod tests {
         // A journey slipped into the queue without a ring: a polling
         // driver would find and settle it, a rung-only one never looks.
         let shard = Arc::clone(&service.shards()[0]);
-        shard
-            .ingress
-            .lock()
-            .expect("ingress lock")
-            .push_back((0, Instant::now()));
+        shard.state().ingress.push_back((0, Instant::now()));
         thread::sleep(Duration::from_millis(50));
         assert_eq!(driver.stop(), TickDriverStats::default());
-        assert_eq!(shard.ingress.lock().expect("ingress lock").len(), 1);
+        assert_eq!(shard.state().ingress.len(), 1);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!
 //! Opening the dir is the only read, and every fault it meets is an
 //! [`OpenError`], never a panic. The write path returns the store's error.
+//! A service without a state dir runs on `StateDir::memory`, a stand-in
+//! whose writes persist nothing.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -66,7 +68,7 @@ impl Default for StreamState {
 
 impl StreamState {
     /// Advances the position past one verdict line.
-    pub(crate) fn push(&mut self, line: &[u8]) {
+    fn push(&mut self, line: &[u8]) {
         self.digest = fnv_fold(fnv_fold(self.digest, line), b"\n");
         self.offset += 1;
     }
@@ -129,12 +131,20 @@ impl fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// An open state dir (see the module docs for its format).
+/// An open state dir (see the module docs for its format), or the
+/// in-memory stand-in.
 pub(crate) struct StateDir {
-    store: LogStore,
+    /// `None` for the stand-in, whose writes persist nothing.
+    store: Option<LogStore>,
 }
 
 impl StateDir {
+    /// The stand-in for a service without a state dir: writes persist
+    /// nothing, and [`StateDir::append`] still advances the stream.
+    pub(crate) fn memory() -> StateDir {
+        StateDir { store: None }
+    }
+
     /// Opens (or creates) the state dir at `path` for a service seeded
     /// with `seed`, and hands each persisted registration, in
     /// registration order, to `install` with its stream position rebuilt
@@ -185,13 +195,16 @@ impl StateDir {
                 .map_err(store_error)?;
         }
         store.stamp().map_err(store_error)?;
-        Ok(StateDir { store })
+        Ok(StateDir { store: Some(store) })
     }
 
     /// Persists a client registration as the `index`th owners record.
     pub(crate) fn put_owner(&self, index: u32, owner: &RegisterOwner) -> Result<(), StoreError> {
-        let record = refstate_wire::to_wire(owner);
-        self.store.put(NS_OWNERS, &index.to_be_bytes(), &record)
+        if let Some(store) = &self.store {
+            let record = refstate_wire::to_wire(owner);
+            store.put(NS_OWNERS, &index.to_be_bytes(), &record)?;
+        }
+        Ok(())
     }
 
     /// Appends a settled batch's verdict lines to `owner`'s stream and
@@ -209,25 +222,28 @@ impl StateDir {
         for line in lines {
             advanced.push(line.as_bytes());
         }
-        self.store.append_then_put(
-            &stream_ns(owner),
-            lines,
-            NS_CHECKPOINT,
-            owner.as_bytes(),
-            &advanced.encode(),
-        )?;
+        if let Some(store) = &self.store {
+            store.append_then_put(
+                &stream_ns(owner),
+                lines,
+                NS_CHECKPOINT,
+                owner.as_bytes(),
+                &advanced.encode(),
+            )?;
+        }
         *stream = advanced;
         Ok(())
     }
 
     /// Flushes every write to stable storage.
     pub(crate) fn sync(&self) -> Result<(), StoreError> {
-        self.store.sync()
+        self.store.as_ref().map_or(Ok(()), LogStore::sync)
     }
 
-    /// How many times the dir has been opened, this open included.
+    /// How many times the dir has been opened, this open included (0 for
+    /// the stand-in).
     pub(crate) fn generation(&self) -> u64 {
-        self.store.generation()
+        self.store.as_ref().map_or(0, LogStore::generation)
     }
 }
 

@@ -19,8 +19,9 @@
 //!   opening a dir the service cannot use returns an [`OpenError`] that
 //!   names what failed,
 //! * [`service`] — a lock-free routing layer over per-owner *shards*
-//!   (each owner's own key directory and verification pipeline, bounded
-//!   ingress queues, per-owner exec locks); no state is shared across
+//!   (each owner's own key directory and verification pipeline, one lock
+//!   over its bounded ingress queue, outbox, stream position and counts,
+//!   and an exec lock that orders its ticks); no state is shared across
 //!   tenants.
 //!   Submits for different owners never contend, and a tick settles
 //!   independent owners in parallel across a small worker pool

@@ -197,7 +197,7 @@ pub struct OwnerStats {
 }
 
 /// The service-wide health view, read via [`Request::Health`]: totals
-/// over every owner, taken under the same brief locks as
+/// over every owner, each taken under the same brief lock as
 /// [`Request::Stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceHealth {

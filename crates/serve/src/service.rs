@@ -20,25 +20,24 @@
 //! * **routing** — the owner table is an `RwLock<Vec<Arc<OwnerShard>>>`;
 //!   request dispatch takes a read lock just long enough to clone one
 //!   `Arc`. Only registration writes it.
-//! * **per-owner shards** — each owner's mutable state lives in its own
-//!   `OwnerShard` behind three fine-grained locks: `ingress` (the
-//!   bounded submit queue), `outbox` (settled verdicts awaiting drain),
-//!   and `exec` (the tick-execution lock). Submits for different owners
-//!   never share a lock, and a submit for owner A proceeds while owner
-//!   B's batch is mid-settle.
+//! * **per-owner shards** — each owner's mutable state (its bounded
+//!   ingress queue, its outbox of undrained verdicts, its stream position
+//!   and the counts `Stats` reports) is one `OwnerState` behind one
+//!   `state` lock, held for one brief section per request. Submits for
+//!   different owners never share a lock.
 //! * **the doorbell** — an accepted submit then rings the tick driver's
 //!   doorbell: one atomic load while the bell is already rung, one swap
 //!   plus a thread unpark on the clear → rung edge, and no lock.
-//! * **the exec lock pins verdict order** — a tick drains an owner's
-//!   ingress, runs the batch, and appends to the outbox all under that
-//!   owner's `exec` lock, so concurrent tickers (several connections, the
-//!   background driver, the shutdown drain) serialize *per owner* and the
-//!   outbox always receives verdicts in admission order.
+//! * **the exec lock pins verdict order** — a tick holds its owner's
+//!   `exec` lock from the drain to the outbox append, so concurrent
+//!   tickers (several connections, the background driver, the shutdown
+//!   drain) serialize *per owner* and verdicts reach the stream and the
+//!   outbox in admission order. `exec` guards no data: a tick runs,
+//!   settles and persists its batch between two brief `state` sections,
+//!   so only another tick (the shutdown drain's included) waits on a
+//!   tick or inherits its panic.
 //! * **control plane** — registration builds the owner's shard outside
-//!   every lock and commits it under the owner-table write lock; stats
-//!   read the shard's atomics plus brief peeks under its ingress, outbox
-//!   and stream locks, and health takes the same ingress and outbox peeks
-//!   once per owner.
+//!   every lock and commits it under the owner-table write lock.
 //!
 //! # Determinism contract
 //!
@@ -70,7 +69,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -153,9 +152,9 @@ fn key_index(owner_seed: u64, name: &str, pool: usize) -> usize {
     (scenario::scenario_seed(owner_seed, hash) % pool as u64) as usize
 }
 
-/// One tenant's resident state: immutable registration-derived fields
-/// plus three fine-grained locks and lock-free counters. See the module
-/// docs for the locking discipline.
+/// One tenant's resident state: immutable registration-derived fields,
+/// the tick-execution lock, and one lock over everything that changes.
+/// See the module docs for the locking discipline.
 pub(crate) struct OwnerShard {
     pub(crate) name: String,
     /// Registration index, used for per-owner indexed telemetry.
@@ -164,33 +163,44 @@ pub(crate) struct OwnerShard {
     preset: Preset,
     mechanism: Arc<dyn ProtectionMechanism>,
     /// The owner's own key directory (its host universe under bare
-    /// names), warmed at registration; every journey of this owner
-    /// shares it (no per-journey directory builds or clones).
+    /// names, keyed from the pre-warmed pool); every journey of this
+    /// owner shares it (no per-journey directory builds or clones).
     directory: KeyDirectory,
     /// The owner's own verification pipeline.
     pipeline: Arc<VerificationPipeline>,
     log: EventLog,
     config: MechanismConfig,
-    /// Admitted journeys awaiting the next tick, in admission order.
-    /// Locked only for brief push/drain/peek sections.
-    pub(crate) ingress: Mutex<VecDeque<(u64, Instant)>>,
     /// The tick-execution lock: held across drain → run → settle →
-    /// outbox-append, so concurrent tickers serialize per owner and the
-    /// outbox receives verdicts in admission order.
+    /// persist → outbox-append. It guards no data.
     exec: Mutex<()>,
+    /// Everything that changes, held for brief sections only.
+    state: Mutex<OwnerState>,
+}
+
+/// An owner's mutable state, behind [`OwnerShard`]'s `state` lock.
+#[derive(Default)]
+pub(crate) struct OwnerState {
+    /// Admitted journeys awaiting the next tick, in admission order.
+    pub(crate) ingress: VecDeque<(u64, Instant)>,
     /// Settled verdicts awaiting a drain, in admission order.
-    outbox: Mutex<Vec<VerdictReply>>,
+    outbox: Vec<VerdictReply>,
     /// The owner's durable stream position (offset + digest), restored
-    /// from the state dir on a warm start. Only touched under `exec` (plus
-    /// brief read locks from stats/stream-state queries).
-    stream: Mutex<StreamState>,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    verified: AtomicU64,
-    detected: AtomicU64,
-    final_checks: AtomicU64,
-    flush_verifications: AtomicU64,
-    flush_failures: AtomicU64,
+    /// from the state dir on a warm start.
+    stream: StreamState,
+    accepted: u64,
+    rejected: u64,
+    verified: u64,
+    detected: u64,
+    final_checks: u64,
+    flush_verifications: u64,
+    flush_failures: u64,
+}
+
+impl OwnerShard {
+    /// The owner's mutable state, for one brief section.
+    pub(crate) fn state(&self) -> MutexGuard<'_, OwnerState> {
+        self.state.lock().expect("owner state lock")
+    }
 }
 
 /// The resident multi-tenant verification service.
@@ -232,8 +242,8 @@ pub struct Service {
     /// Rung by every accepted submit and by shutdown; the tick driver
     /// parks on it.
     pub(crate) bell: Doorbell,
-    /// The open state dir, when `state_dir` is configured.
-    state: Option<StateDir>,
+    /// The open state dir, or its in-memory stand-in.
+    dir: StateDir,
 }
 
 impl Service {
@@ -268,16 +278,15 @@ impl Service {
             owners: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
             bell: Doorbell::default(),
-            state: None,
+            dir: StateDir::memory(),
         };
-        if let Some(dir) = &service.config.state_dir {
+        if let Some(path) = &service.config.state_dir {
             let restore =
                 |registration, stream| match service.install_owner(registration, Some(stream)) {
                     Response::Registered { .. } => Ok(()),
                     refused => Err(format!("registration refused: {refused:?}")),
                 };
-            let state = StateDir::open(dir, service.config.seed, restore)?;
-            service.state = Some(state);
+            service.dir = StateDir::open(path, service.config.seed, restore)?;
         }
         Ok(service)
     }
@@ -338,9 +347,9 @@ impl Service {
 
     /// Installs one owner shard, building its key directory either way.
     /// With no `restored` stream it is a client registration: its stream
-    /// starts at zero and (with a state dir) the registration record is
-    /// persisted. A `restored` stream comes from a persisted registration
-    /// on open, which is not written again.
+    /// starts at zero and the registration record is persisted. A
+    /// `restored` stream comes from a persisted registration on open,
+    /// which is not written again.
     fn install_owner(
         &self,
         registration: RegisterOwner,
@@ -375,16 +384,17 @@ impl Service {
 
         // The owner's PKI: every host name its generator can produce,
         // keyed deterministically from the pool. The directory is built
-        // once and shared by every journey — no per-journey clones — and
-        // warmed here so no first verification pays a table build. A
-        // restored owner re-derives the same keys from the same pool.
+        // once and shared by every journey — no per-journey clones. Each
+        // key is a clone of a pool key, and a clone shares its key's
+        // table, which `Service::open` already built: no first
+        // verification pays a table build. A restored owner re-derives
+        // the same keys from the same pool.
         let seed = registration.seed;
         let mut directory = KeyDirectory::new();
         for name in host_universe() {
             let key = &self.params_pool[key_index(seed, &name, self.params_pool.len())];
             directory.register(name, key.public().clone());
         }
-        directory.warm();
 
         let mut owners = self.owners.write().expect("owner table lock");
         if owners.iter().any(|o| o.name == *owner) {
@@ -392,8 +402,8 @@ impl Service {
         }
         telemetry::count("serve.owner.registered", 1);
         let index = owners.len() as u32;
-        if let (None, Some(state)) = (restored, &self.state) {
-            state
+        if restored.is_none() {
+            self.dir
                 .put_owner(index, &registration)
                 .expect("state dir owner write");
         }
@@ -407,17 +417,11 @@ impl Service {
             pipeline: Arc::new(VerificationPipeline::new()),
             log: EventLog::new(),
             config: MechanismConfig::default(),
-            ingress: Mutex::new(VecDeque::new()),
             exec: Mutex::new(()),
-            outbox: Mutex::new(Vec::new()),
-            stream: Mutex::new(restored.unwrap_or_default()),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            verified: AtomicU64::new(0),
-            detected: AtomicU64::new(0),
-            final_checks: AtomicU64::new(0),
-            flush_verifications: AtomicU64::new(0),
-            flush_failures: AtomicU64::new(0),
+            state: Mutex::new(OwnerState {
+                stream: restored.unwrap_or_default(),
+                ..OwnerState::default()
+            }),
         }));
         Response::Registered {
             owner: registration.owner,
@@ -433,26 +437,28 @@ impl Service {
             };
         };
         let reason = {
-            // One brief ingress lock covers the shutdown check, the bound
-            // check, and the push. The shutdown check must sit *inside*
-            // the lock: checked before it, a submit could read "not
-            // shutting down", lose the race with a shutdown drain, and
-            // push a journey nobody will ever settle. Inside the lock,
-            // any push that beats the drain's first ingress peek is seen
-            // and settled by it, and any push after the flag is visible
-            // is refused — either way the drain invariant holds.
-            let mut ingress = shard.ingress.lock().expect("ingress lock");
+            // One brief state section covers the shutdown check, the
+            // bound check, the push and its count. The shutdown check
+            // must sit *inside* it: checked before, a submit could read
+            // "not shutting down", lose the race with a shutdown drain,
+            // and push a journey nobody will ever settle. Inside, any push
+            // that beats the drain's first emptiness check is seen and
+            // settled by it, and any push after the flag is visible is
+            // refused — either way the drain invariant holds.
+            let mut state = shard.state();
             if self.is_shutting_down() {
+                state.rejected += 1;
                 Some(RejectReason::ShuttingDown)
-            } else if ingress.len() >= self.config.queue_capacity {
+            } else if state.ingress.len() >= self.config.queue_capacity {
+                state.rejected += 1;
                 Some(RejectReason::QueueFull)
             } else {
-                ingress.push_back((journey, Instant::now()));
+                state.ingress.push_back((journey, Instant::now()));
+                state.accepted += 1;
                 None
             }
         };
         if let Some(reason) = reason {
-            shard.rejected.fetch_add(1, Ordering::Relaxed);
             telemetry::count_indexed("serve.owner.rejected", shard.index, 1);
             return Response::Rejected {
                 owner,
@@ -461,7 +467,6 @@ impl Service {
             };
         }
         self.bell.ring();
-        shard.accepted.fetch_add(1, Ordering::Relaxed);
         telemetry::count_indexed("serve.owner.accepted", shard.index, 1);
         Response::Accepted { owner, journey }
     }
@@ -530,13 +535,15 @@ impl Service {
     }
 
     fn tick_shard(&self, shard: &OwnerShard) -> u64 {
-        // The exec lock is held across drain → run → settle → append:
-        // concurrent tickers serialize here, per owner, which is what
-        // pins the outbox to admission order.
+        // The exec lock is held across drain → run → settle → persist →
+        // append: concurrent tickers serialize here, per owner, which is
+        // what pins the stream and the outbox to admission order. Only a
+        // tick moves the stream, so the position copied out at the drain
+        // is still current at the write-back.
         let _exec = shard.exec.lock().expect("exec lock");
-        let jobs: Vec<(u64, Instant)> = {
-            let mut ingress = shard.ingress.lock().expect("ingress lock");
-            ingress.drain(..).collect()
+        let (jobs, mut stream): (Vec<(u64, Instant)>, StreamState) = {
+            let mut state = shard.state();
+            (state.ingress.drain(..).collect(), state.stream)
         };
         if jobs.is_empty() {
             return 0;
@@ -587,16 +594,6 @@ impl Service {
                 &shard.directory,
             )
         };
-        shard
-            .final_checks
-            .fetch_add(stats.final_checks as u64, Ordering::Relaxed);
-        shard
-            .flush_verifications
-            .fetch_add(stats.flush_verifications as u64, Ordering::Relaxed);
-        shard.flush_failures.fetch_add(
-            (stats.flush_failures + stats.unattributed_failures) as u64,
-            Ordering::Relaxed,
-        );
         let replies: Vec<VerdictReply> = jobs
             .iter()
             .zip(&verdicts)
@@ -605,30 +602,23 @@ impl Service {
             })
             .collect();
 
-        // Persist the batch to the owner's durable stream (still under
-        // the exec lock, so the store's append order is the verdict
-        // order) and advance the offset/digest checkpoint.
-        {
-            let lines: Vec<String> = replies.iter().map(VerdictReply::stream_line).collect();
-            let mut stream = shard.stream.lock().expect("stream lock");
-            match &self.state {
-                Some(state) => state
-                    .append(&shard.name, &mut stream, &lines)
-                    .expect("state dir stream append"),
-                None => lines.iter().for_each(|line| stream.push(line.as_bytes())),
-            }
-        }
+        // Persist the batch and advance the stream checkpoint under the
+        // exec lock alone, so the store's append order is the verdict order.
+        let lines: Vec<String> = replies.iter().map(VerdictReply::stream_line).collect();
+        self.dir
+            .append(&shard.name, &mut stream, &lines)
+            .expect("state dir stream append");
 
         let settled = replies.len() as u64;
-        let mut outbox = shard.outbox.lock().expect("outbox lock");
-        for reply in replies {
-            shard.verified.fetch_add(1, Ordering::Relaxed);
-            if reply.detected {
-                shard.detected.fetch_add(1, Ordering::Relaxed);
-            }
-            outbox.push(reply);
-        }
-        drop(outbox);
+        let mut state = shard.state();
+        state.stream = stream;
+        state.verified += settled;
+        state.detected += replies.iter().filter(|reply| reply.detected).count() as u64;
+        state.final_checks += stats.final_checks as u64;
+        state.flush_verifications += stats.flush_verifications as u64;
+        state.flush_failures += (stats.flush_failures + stats.unattributed_failures) as u64;
+        state.outbox.extend(replies);
+        drop(state);
         telemetry::count_indexed("serve.owner.verified", shard.index, settled);
         settled
     }
@@ -641,7 +631,7 @@ impl Service {
                 reason: RejectReason::UnknownOwner,
             };
         };
-        let verdicts = std::mem::take(&mut *shard.outbox.lock().expect("outbox lock"));
+        let verdicts = std::mem::take(&mut shard.state().outbox);
         Response::Verdicts(verdicts)
     }
 
@@ -653,44 +643,41 @@ impl Service {
                 reason: RejectReason::UnknownOwner,
             };
         };
-        let pending = shard.ingress.lock().expect("ingress lock").len() as u64;
-        let undrained = shard.outbox.lock().expect("outbox lock").len() as u64;
-        let stream_offset = shard.stream.lock().expect("stream lock").offset;
+        let state = shard.state();
         Response::Stats(OwnerStats {
             owner,
-            accepted: shard.accepted.load(Ordering::Relaxed),
-            rejected: shard.rejected.load(Ordering::Relaxed),
-            verified: shard.verified.load(Ordering::Relaxed),
-            detected: shard.detected.load(Ordering::Relaxed),
-            pending,
-            undrained,
+            accepted: state.accepted,
+            rejected: state.rejected,
+            verified: state.verified,
+            detected: state.detected,
+            pending: state.ingress.len() as u64,
+            undrained: state.outbox.len() as u64,
             queue_capacity: self.config.queue_capacity as u64,
-            final_checks: shard.final_checks.load(Ordering::Relaxed),
-            flush_verifications: shard.flush_verifications.load(Ordering::Relaxed),
-            flush_failures: shard.flush_failures.load(Ordering::Relaxed),
-            stream_offset,
+            final_checks: state.final_checks,
+            flush_verifications: state.flush_verifications,
+            flush_failures: state.flush_failures,
+            stream_offset: state.stream.offset,
         })
     }
 
-    /// Totals over every owner, each read under the same brief ingress
-    /// and outbox locks [`Request::Stats`] takes.
+    /// Totals over every owner, each read in one brief state section, as
+    /// [`Request::Stats`] reads it.
     fn health(&self) -> ServiceHealth {
         let shards = self.shards();
         let now = Instant::now();
         let mut health = ServiceHealth {
             shards: shards.len() as u64,
-            generation: self.state.as_ref().map_or(0, StateDir::generation),
+            generation: self.dir.generation(),
             ..ServiceHealth::default()
         };
         for shard in &shards {
-            let ingress = shard.ingress.lock().expect("ingress lock");
-            health.queued += ingress.len() as u64;
-            if let Some(&(_, admitted)) = ingress.front() {
+            let state = shard.state();
+            health.queued += state.ingress.len() as u64;
+            if let Some(&(_, admitted)) = state.ingress.front() {
                 let age = now.saturating_duration_since(admitted).as_micros() as u64;
                 health.oldest_queued_us = health.oldest_queued_us.max(age);
             }
-            drop(ingress);
-            health.undrained += shard.outbox.lock().expect("outbox lock").len() as u64;
+            health.undrained += state.outbox.len() as u64;
         }
         health
     }
@@ -698,12 +685,12 @@ impl Service {
     /// Every owner's durable stream position, in registration order,
     /// plus the store's open-generation stamp (0 without a state dir).
     fn stream_state(&self) -> Response {
-        let generation = self.state.as_ref().map_or(0, StateDir::generation);
+        let generation = self.dir.generation();
         let owners = self
             .shards()
             .iter()
             .map(|shard| {
-                let stream = shard.stream.lock().expect("stream lock");
+                let stream = shard.state().stream;
                 StreamCheckpoint {
                     owner: shard.name.clone(),
                     offset: stream.offset,
@@ -734,16 +721,11 @@ impl Service {
             for shard in &shards {
                 drop(shard.exec.lock().expect("exec lock"));
             }
-            if shards
-                .iter()
-                .all(|s| s.ingress.lock().expect("ingress lock").is_empty())
-            {
+            if shards.iter().all(|s| s.state().ingress.is_empty()) {
                 break;
             }
         }
-        if let Some(state) = &self.state {
-            state.sync().expect("state dir sync");
-        }
+        self.dir.sync().expect("state dir sync");
         Response::ShuttingDown { settled }
     }
 }
@@ -1223,6 +1205,60 @@ mod tests {
         assert_eq!(verdicts.len(), 1);
         assert!(verdicts[0].infra_error);
         assert!(!verdicts[0].detected);
+    }
+
+    /// An owner mid-tick holds only its exec lock across the settle and
+    /// the store write, so every request but a tick still answers it.
+    #[test]
+    fn an_owner_mid_tick_answers_everything_but_a_tick() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let service = Service::new(ServeConfig::default());
+        register(&service, "alice", 7, "mixed", "framework");
+        let shard = service.shard("alice").expect("alice is registered");
+        let owner = || "alice".to_owned();
+        let requests = [
+            Request::Submit {
+                owner: owner(),
+                journey: 0,
+            },
+            Request::Drain { owner: owner() },
+            Request::Stats { owner: owner() },
+            Request::StreamState,
+            Request::Health,
+        ];
+        let (sent, replies) = mpsc::channel();
+        std::thread::scope(|scope| {
+            // Held on this thread, so a failed assertion drops it while
+            // unwinding and the requests below can finish.
+            let exec = shard.exec.lock().expect("exec lock");
+            let service = &service;
+            scope.spawn(move || {
+                for request in requests {
+                    sent.send(service.handle(request)).expect("test waits");
+                }
+            });
+            let mut answered = Vec::new();
+            for _ in 0..5 {
+                let reply = replies
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("no answer after {answered:?}"));
+                answered.push(reply);
+            }
+            drop(exec);
+            assert!(matches!(answered[0], Response::Accepted { .. }));
+            assert_eq!(answered[1], Response::Verdicts(Vec::new()));
+            let Response::Stats(stats) = &answered[2] else {
+                panic!("stats: {:?}", answered[2]);
+            };
+            assert_eq!((stats.accepted, stats.pending), (1, 1));
+            assert!(matches!(answered[3], Response::StreamState { .. }));
+            let Response::Health(health) = &answered[4] else {
+                panic!("health: {:?}", answered[4]);
+            };
+            assert_eq!(health.queued, 1);
+        });
     }
 
     #[test]

@@ -214,10 +214,10 @@ fn per_journey(mechanism: &str) -> u64 {
 #[test]
 fn served_journeys_keep_to_their_allocation_budgets() {
     for (mechanism, bound) in [
-        ("unprotected", 235),
-        ("framework", 375),
-        ("protocol", 530),
-        ("traces", 810),
+        ("unprotected", 218),
+        ("framework", 350),
+        ("protocol", 505),
+        ("traces", 780),
     ] {
         let count = per_journey(mechanism);
         eprintln!("allocations: {mechanism} per served journey: {count}");

@@ -2,7 +2,8 @@
 //! usage error (exit 2, one line on stderr), not a panic from a library
 //! assert; a state dir the service cannot open exits 1 with one line, not
 //! a panic; the telemetry files it writes once the service shuts down;
-//! and a listening server that outlives running out of file descriptors.
+//! and a listening server that outlives running out of file descriptors,
+//! or a torn stream append.
 
 use std::process::Command;
 
@@ -194,50 +195,72 @@ fn in_process_soak_writes_its_metrics_and_trace() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `serve --listen 127.0.0.1:0 ARGS` server started by `sh -c` after
+/// `limits` (shell commands), killed if a test fails before it exits.
+#[cfg(unix)]
+struct Listening {
+    child: std::process::Child,
+    /// Kept open until the server exits, so its last stderr line has a
+    /// reader.
+    _stderr: std::io::BufReader<std::process::ChildStderr>,
+    addr: String,
+}
+
+#[cfg(unix)]
+impl Listening {
+    fn start(limits: &str, args: &[&str]) -> Listening {
+        use std::io::BufRead;
+
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                r#"{limits} && exec "$0" --listen 127.0.0.1:0 "$@""#
+            ))
+            .arg(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("sh runs");
+        let mut stderr = std::io::BufReader::new(child.stderr.take().expect("piped stderr"));
+        let addr = loop {
+            let mut line = String::new();
+            assert!(
+                stderr.read_line(&mut line).expect("server stderr") > 0,
+                "the server exited before serving"
+            );
+            if let Some(addr) = line.trim().strip_prefix("serving on ") {
+                break addr.to_owned();
+            }
+        };
+        Listening {
+            child,
+            _stderr: stderr,
+            addr,
+        }
+    }
+}
+
+#[cfg(unix)]
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// A `--listen` server whose connections exhaust its file descriptors
 /// keeps accepting once they close: the flood neither stops the server
 /// nor makes it refuse the next client, and only `Shutdown` ends it.
 #[cfg(unix)]
 #[test]
 fn listening_server_survives_running_out_of_file_descriptors() {
-    use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
-    use std::process::{Child, Stdio};
     use std::time::{Duration, Instant};
 
     use refstate_serve::{PipelinedClient, Request, Response};
 
-    /// Kills the server if an assertion fails before it exits.
-    struct Reaped(Child);
-    impl Drop for Reaped {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
-    let mut server = Reaped(
-        Command::new("sh")
-            .arg("-c")
-            .arg(r#"ulimit -n 32 && exec "$0" --listen 127.0.0.1:0"#)
-            .arg(env!("CARGO_BIN_EXE_serve"))
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("sh runs"),
-    );
-    // Kept open until the server exits, so its last stderr line has a
-    // reader.
-    let mut stderr = BufReader::new(server.0.stderr.take().expect("piped stderr"));
-    let addr = loop {
-        let mut line = String::new();
-        assert!(
-            stderr.read_line(&mut line).expect("server stderr") > 0,
-            "the server exited before serving"
-        );
-        if let Some(addr) = line.trim().strip_prefix("serving on ") {
-            break addr.to_owned();
-        }
-    };
+    let mut server = Listening::start("ulimit -n 32", &[]);
+    let addr = server.addr.clone();
 
     let flood: Vec<TcpStream> = (0..64)
         .map(|_| TcpStream::connect(&addr).expect("flood connect"))
@@ -264,7 +287,75 @@ fn listening_server_survives_running_out_of_file_descriptors() {
         Response::ShuttingDown { .. }
     ));
     drop(client);
-    let status = server.0.wait().expect("server exits");
+    let status = server.child.wait().expect("server exits");
     assert!(status.success(), "{status}");
-    drop(stderr);
+}
+
+/// A `--state-dir` server on a full disk (a file-size limit tears a
+/// stream append) still answers the owner whose tick failed: `Health`,
+/// `Drain`, `StreamState` and `Stats` each get a reply on a fresh
+/// connection. Which journeys survive the failed write is not pinned.
+#[cfg(unix)]
+#[test]
+fn listening_server_answers_an_owner_whose_stream_append_tore() {
+    use refstate_serve::{PipelinedClient, RegisterOwner, Request, Response};
+
+    let dir = std::env::temp_dir().join(format!("refstate-serve-cli-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let state = dir.to_str().expect("a UTF-8 temp path");
+    let server = Listening::start(
+        r#"trap "" XFSZ && ulimit -f 16"#,
+        &["--tick-driver", "off", "--state-dir", state],
+    );
+    let owner = || "alice".to_owned();
+    let mut client = PipelinedClient::connect(&server.addr).expect("connect");
+    let mut ask = |request: &Request| {
+        client.send(request).expect("queue request");
+        client.recv()
+    };
+    let registered = ask(&Request::Register(RegisterOwner {
+        owner: owner(),
+        seed: 7,
+        preset: "mixed".into(),
+        mechanism: "framework".into(),
+    }));
+    assert!(matches!(registered, Ok(Response::Registered { .. })));
+    let torn = (0..10_000u64).find(|&journey| {
+        let submitted = ask(&Request::Submit {
+            owner: owner(),
+            journey,
+        });
+        assert!(matches!(submitted, Ok(Response::Accepted { .. })));
+        let Ok(Response::Ticked { settled: 1 }) = ask(&Request::Tick) else {
+            return true;
+        };
+        let drained = ask(&Request::Drain { owner: owner() });
+        assert!(matches!(drained, Ok(Response::Verdicts(v)) if v.len() == 1));
+        false
+    });
+    assert!(torn.is_some(), "no tick failed in 10 000 journeys");
+
+    for request in [
+        Request::Health,
+        Request::Drain { owner: owner() },
+        Request::StreamState,
+        Request::Stats { owner: owner() },
+    ] {
+        let mut client = PipelinedClient::connect(&server.addr).expect("connect");
+        client.send(&request).expect("queue request");
+        let reply = client.recv();
+        let answered = matches!(
+            (&request, &reply),
+            (Request::Health, Ok(Response::Health(_)))
+                | (Request::Drain { .. }, Ok(Response::Verdicts(_)))
+                | (Request::StreamState, Ok(Response::StreamState { .. }))
+                | (Request::Stats { .. }, Ok(Response::Stats(_)))
+        );
+        assert!(
+            answered,
+            "{request:?} after journey {torn:?} tore: {reply:?}"
+        );
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

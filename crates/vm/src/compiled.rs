@@ -327,7 +327,7 @@ fn run_compiled_session_inner(
             }
             CInstr::Store(name) => {
                 let v = pop!();
-                state.set(name.as_ref(), v);
+                state.store(name, v);
             }
             CInstr::Delete(name) => {
                 state.remove(name);

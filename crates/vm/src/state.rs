@@ -57,6 +57,18 @@ impl DataState {
         self.vars_mut().insert(name.into(), value)
     }
 
+    /// Sets `name` to `value` like [`DataState::set`], but copies the name
+    /// only for a new variable: an existing one is overwritten in place.
+    pub(crate) fn store(&mut self, name: &str, value: Value) {
+        let vars = self.vars_mut();
+        match vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                vars.insert(name.to_owned(), value);
+            }
+        }
+    }
+
     /// Removes `name`, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
         if !self.vars.contains_key(name) {
@@ -152,6 +164,9 @@ mod tests {
         assert_eq!(s.get_int("a"), Some(2));
         assert_eq!(s.remove("a"), Some(Value::Int(2)));
         assert!(!s.contains("a"));
+        s.store("a", Value::Int(3));
+        s.store("a", Value::Int(4));
+        assert_eq!((s.get_int("a"), s.len()), (Some(4), 1));
     }
 
     #[test]
@@ -206,6 +221,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&a.vars, &b.vars));
         assert_eq!(a.get_int("x"), Some(1));
         assert_eq!(b.get_int("x"), Some(2));
+        // An in-place store copies a shared map first, too.
+        let mut d = a.clone();
+        d.store("x", Value::Int(3));
+        assert_eq!((a.get_int("x"), d.get_int("x")), (Some(1), Some(3)));
         // Removing an absent name is no write: the map stays shared.
         let mut c = a.clone();
         assert_eq!(c.remove("missing"), None);
