@@ -26,13 +26,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use refstate_crypto::{sha256, Digest};
+use refstate_crypto::{sha256_of, Digest};
 use refstate_telemetry as telemetry;
 use refstate_vm::{
     run_compiled_session, DataState, ExecConfig, InputLog, Program, ReplayIo, SessionEnd,
     SessionOutcome, VmError,
 };
-use refstate_wire::to_wire;
 
 use crate::checker::{state_diff, CheckOutcome, FailureReason};
 use crate::compare::StateCompare;
@@ -137,7 +136,7 @@ impl VerificationPipeline {
         self.stats.summaries.fetch_add(1, Ordering::Relaxed);
         match self.replay_full(program, initial, input, exec) {
             Ok((outcome, log_consumed)) => ReplaySummary::Ok {
-                state_digest: sha256(&to_wire(&outcome.state)),
+                state_digest: sha256_of(&outcome.state),
                 end: outcome.end,
                 log_consumed,
             },
@@ -224,8 +223,8 @@ impl VerificationPipeline {
         if !compare.equivalent(claim.state, &outcome.state) {
             return (
                 CheckOutcome::Failed(FailureReason::StateMismatch {
-                    claimed: sha256(&to_wire(claim.state)),
-                    reference: sha256(&to_wire(&outcome.state)),
+                    claimed: sha256_of(claim.state),
+                    reference: sha256_of(&outcome.state),
                     diff: state_diff(claim.state, &outcome.state),
                 }),
                 Some(outcome.state),

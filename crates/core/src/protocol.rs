@@ -30,13 +30,13 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use refstate_crypto::{sha256, Digest, KeyDirectory, Signed, VerificationQueue};
+use refstate_crypto::{sha256_of, Digest, KeyDirectory, Signed, VerificationQueue};
 use refstate_platform::{
     walk, AgentId, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord,
     Visit,
 };
 use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd};
-use refstate_wire::{from_wire, to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::{from_wire, Decode, Encode, Reader, WireError, Writer};
 
 use crate::checker::{
     CheckContext, CheckOutcome, CheckingAlgorithm, FailureReason, ReExecutionChecker,
@@ -69,12 +69,12 @@ pub struct SessionCertificate {
 impl SessionCertificate {
     /// Digest of the claimed resulting state.
     pub fn resulting_digest(&self) -> Digest {
-        sha256(&to_wire(&self.resulting_state))
+        sha256_of(&self.resulting_state)
     }
 
     /// Digest of the initial state.
     pub fn initial_digest(&self) -> Digest {
-        sha256(&to_wire(&self.initial_state))
+        sha256_of(&self.initial_state)
     }
 }
 
@@ -559,7 +559,7 @@ pub fn settle_deferred(
                 None => None,
             };
             let owner = HostId::from("owner");
-            let culprit = HostId::from(bad.signer.as_str());
+            let culprit = HostId::from(&*bad.signer);
             let reason = FailureReason::ProgramRejected {
                 detail: "session certificate signature invalid (deferred batch verification)"
                     .into(),
@@ -855,6 +855,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use refstate_crypto::sha256;
     use refstate_crypto::DsaParams;
     use refstate_platform::{Attack, HostSpec};
     use refstate_vm::{assemble, Value};

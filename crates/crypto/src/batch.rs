@@ -16,6 +16,8 @@
 //! instead of at the next hop (the deferred variant's documented
 //! trade-off).
 
+use std::sync::Arc;
+
 use refstate_telemetry as telemetry;
 use refstate_wire::{to_wire, Encode};
 
@@ -26,8 +28,9 @@ use crate::keydir::KeyDirectory;
 /// One deferred signature check: who claimed to sign which bytes.
 #[derive(Debug, Clone)]
 pub struct DeferredSignature {
-    /// The claimed signer (looked up in the [`KeyDirectory`] at flush).
-    pub signer: String,
+    /// The claimed signer (looked up in the [`KeyDirectory`] at flush),
+    /// shared with the envelope it came from.
+    pub signer: Arc<str>,
     /// The canonical bytes the signature covers.
     pub message: Vec<u8>,
     /// The signature to verify.
@@ -66,7 +69,7 @@ impl VerificationQueue {
     }
 
     /// Defers one raw signature check.
-    pub fn defer(&mut self, signer: impl Into<String>, message: Vec<u8>, signature: Signature) {
+    pub fn defer(&mut self, signer: impl Into<Arc<str>>, message: Vec<u8>, signature: Signature) {
         self.deferred.push(DeferredSignature {
             signer: signer.into(),
             message,
@@ -78,7 +81,7 @@ impl VerificationQueue {
     /// bytes, and signature are lifted out of the envelope).
     pub fn defer_signed<T: Encode>(&mut self, signed: &Signed<T>) {
         self.defer(
-            signed.signer(),
+            Arc::clone(signed.signer_name()),
             to_wire(signed.payload()),
             signed.signature().clone(),
         );
@@ -183,8 +186,8 @@ mod tests {
             verdicts.iter().map(|(_, ok)| *ok).collect::<Vec<_>>(),
             expected
         );
-        assert_eq!(verdicts[1].0.signer, "h1");
-        assert_eq!(verdicts[2].0.signer, "ghost");
+        assert_eq!(&*verdicts[1].0.signer, "h1");
+        assert_eq!(&*verdicts[2].0.signer, "ghost");
     }
 
     #[test]

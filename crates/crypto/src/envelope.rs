@@ -3,9 +3,10 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::RngCore;
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::{with_scratch, Decode, Encode, Reader, WireError, Writer};
 
 use crate::dsa::{DsaKeyPair, Signature};
 use crate::keydir::KeyDirectory;
@@ -49,6 +50,9 @@ impl Error for VerifyError {}
 /// `Signed<StateDigest>`, and similar values; the generic envelope keeps the
 /// sign-then-verify discipline in one place.
 ///
+/// The signer's name is shared, not owned: a host seals with its own id's
+/// name, and cloning an envelope or deferring its check copies a pointer.
+///
 /// # Examples
 ///
 /// ```
@@ -67,7 +71,7 @@ impl Error for VerifyError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signed<T> {
     payload: T,
-    signer: String,
+    signer: Arc<str>,
     signature: Signature,
 }
 
@@ -75,7 +79,7 @@ impl<T: Encode> Signed<T> {
     /// Signs `payload` with `keys`, attributing it to `signer`.
     pub fn seal(
         payload: T,
-        signer: impl Into<String>,
+        signer: impl Into<Arc<str>>,
         keys: &DsaKeyPair,
         rng: &mut dyn RngCore,
     ) -> Self {
@@ -86,26 +90,28 @@ impl<T: Encode> Signed<T> {
     /// `signer`. Also returns the length of the payload encoding the
     /// signature covers, so a caller that ships the payload need not
     /// encode it again to size it.
-    pub fn seal_by(payload: T, signer: impl Into<String>, keys: &mut Signer) -> (Self, usize) {
+    pub fn seal_by(payload: T, signer: impl Into<Arc<str>>, keys: &mut Signer) -> (Self, usize) {
         Signed::seal_with(payload, signer, |bytes| keys.sign(bytes))
     }
 
-    /// Encodes `payload` once, signs the encoding with `sign`, and wraps
-    /// the payload (not the encoding: a verifier encodes the payload it
-    /// holds) with the encoding's length.
+    /// Encodes `payload` once, into the thread's scratch writer, signs
+    /// the encoding with `sign`, and wraps the payload (not the encoding:
+    /// a verifier encodes the payload it holds) with the encoding's length.
     fn seal_with(
         payload: T,
-        signer: impl Into<String>,
+        signer: impl Into<Arc<str>>,
         sign: impl FnOnce(&[u8]) -> Signature,
     ) -> (Self, usize) {
-        let bytes = to_wire(&payload);
-        let signature = sign(&bytes);
+        let (signature, len) = with_scratch(|w| {
+            payload.encode(w);
+            (sign(w.as_bytes()), w.len())
+        });
         let envelope = Signed {
             payload,
             signer: signer.into(),
             signature,
         };
-        (envelope, bytes.len())
+        (envelope, len)
     }
 
     /// Verifies the signature against the signer's directory key.
@@ -119,17 +125,20 @@ impl<T: Encode> Signed<T> {
         let key = directory
             .lookup(&self.signer)
             .ok_or_else(|| VerifyError::UnknownSigner {
-                signer: self.signer.clone(),
+                signer: self.signer.to_string(),
             })?;
-        let bytes = to_wire(&self.payload);
         // The fused double exponentiation: same accept/reject behaviour
         // as the two-modexp `DsaPublicKey::verify` (property-tested) at
         // ~60% of its cost.
-        if key.verify_fused(&bytes, &self.signature) {
+        let valid = with_scratch(|w| {
+            self.payload.encode(w);
+            key.verify_fused(w.as_bytes(), &self.signature)
+        });
+        if valid {
             Ok(())
         } else {
             Err(VerifyError::BadSignature {
-                signer: self.signer.clone(),
+                signer: self.signer.to_string(),
             })
         }
     }
@@ -154,6 +163,11 @@ impl<T> Signed<T> {
 
     /// The claimed signer name.
     pub fn signer(&self) -> &str {
+        &self.signer
+    }
+
+    /// The claimed signer name, shared: cloning it copies a pointer.
+    pub fn signer_name(&self) -> &Arc<str> {
         &self.signer
     }
 
@@ -185,7 +199,7 @@ impl<T: Encode> Encode for Signed<T> {
 impl<T: Decode> Decode for Signed<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let payload = T::decode(r)?;
-        let signer = r.take_str()?.to_owned();
+        let signer = Arc::from(r.take_str()?);
         let signature = Signature::decode(r)?;
         Ok(Signed {
             payload,

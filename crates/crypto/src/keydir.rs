@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use refstate_telemetry as telemetry;
-
 use crate::dsa::DsaPublicKey;
 
 /// A registry mapping principal names (host identifiers, owner names) to
@@ -16,10 +14,7 @@ use crate::dsa::DsaPublicKey;
 ///
 /// Every stored key carries its own lazily-built fixed-base
 /// exponentiation table (see [`DsaPublicKey::precompute`]), shared with
-/// all clones of that key. A directory that will verify many signatures —
-/// the owner-side batch flush, a fleet engine's PKI — can force all
-/// tables up front with [`KeyDirectory::warm`] so no journey pays a
-/// first-use table build.
+/// all clones of that key.
 ///
 /// # Examples
 ///
@@ -54,20 +49,6 @@ impl KeyDirectory {
     /// Looks up the key for `name`.
     pub fn lookup(&self, name: &str) -> Option<&DsaPublicKey> {
         self.keys.get(name)
-    }
-
-    /// Builds the verification tables (Montgomery context, `g`- and
-    /// `y`-tables) of every registered key now, instead of on each key's
-    /// first verification.
-    ///
-    /// Idempotent and cheap to repeat: keys whose tables exist (their own
-    /// or via a clone elsewhere — pooled fleet keys share caches) are
-    /// skipped by the underlying `OnceLock`.
-    pub fn warm(&self) {
-        let _span = telemetry::span("crypto.keydir_warm", "crypto");
-        for key in self.keys.values() {
-            key.precompute();
-        }
     }
 
     /// Returns the number of registered principals.

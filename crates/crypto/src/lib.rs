@@ -62,5 +62,5 @@ pub use dsa::{
 pub use envelope::{Signed, VerifyError};
 pub use hmac::HmacSha256;
 pub use keydir::KeyDirectory;
-pub use sha256::{sha256, Sha256};
-pub use signer::{draw_nonces, Signer};
+pub use sha256::{sha256, sha256_of, Sha256};
+pub use signer::{draw_nonces, draw_nonces_of, Signer};

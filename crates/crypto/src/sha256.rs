@@ -1,5 +1,7 @@
 //! SHA-256 (FIPS 180-4).
 
+use refstate_wire::{with_scratch, Encode};
+
 use crate::digest::Digest;
 
 const K: [u32; 64] = [
@@ -172,6 +174,22 @@ pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// SHA-256 of `value`'s canonical encoding: `sha256(&to_wire(value))`,
+/// encoded in the thread's scratch writer instead of a fresh buffer.
+///
+/// ```
+/// use refstate_crypto::{sha256, sha256_of};
+/// use refstate_wire::to_wire;
+///
+/// assert_eq!(sha256_of(&42u64), sha256(&to_wire(&42u64)));
+/// ```
+pub fn sha256_of<T: Encode + ?Sized>(value: &T) -> Digest {
+    with_scratch(|w| {
+        value.encode(w);
+        sha256(w.as_bytes())
+    })
 }
 
 #[cfg(test)]

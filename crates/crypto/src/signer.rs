@@ -9,6 +9,7 @@
 //! from and the nonces already drawn from that RNG together, so a queued
 //! nonce can only ever sign for the key and stream it was drawn for.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -95,27 +96,46 @@ impl Signer {
 /// assert_eq!(batched.sign(b"msg"), keys.sign(b"msg", &mut StdRng::seed_from_u64(2)));
 /// ```
 pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
+    let mut signers: Vec<&mut Signer> = signers.into_iter().collect();
+    draw_nonces_of(&mut signers, |signer| &mut **signer);
+}
+
+thread_local! {
+    /// [`draw_nonces_of`]'s scratch, kept between calls: each holder's
+    /// index with its fresh `k`, and the shared inversion's scalars.
+    static DRAWN: Cell<Vec<(usize, Scalar)>> = const { Cell::new(Vec::new()) };
+    static SCALARS: Cell<Vec<Scalar>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`draw_nonces`] over the signer that each of `holders` keeps
+/// (`signer(holder)`), for a caller that holds its signers inside other
+/// values, such as a journey's hosts.
+///
+/// The draw and the shared inversion work in scratch the thread keeps
+/// between calls, so once its first draw has sized it, a draw allocates
+/// only where a signer's queue grows.
+pub fn draw_nonces_of<T>(holders: &mut [T], signer: impl Fn(&mut T) -> &mut Signer) {
     let timer = telemetry::Timer::start();
-    // Every signer with its fresh `k`, drawn from its own RNG.
-    let mut drawn: Vec<(&mut Signer, Scalar)> = signers
-        .into_iter()
-        .map(|signer| {
-            let qm = signer.keys.public().params().q_domain();
-            let k = qm.random_scalar(&mut signer.rng);
-            (signer, k)
-        })
-        .collect();
+    // Every holder's index with its signer's fresh `k`, drawn from the
+    // signer's own RNG.
+    let mut drawn = DRAWN.take();
+    drawn.clear();
+    drawn.extend(holders.iter_mut().enumerate().map(|(i, holder)| {
+        let signer = signer(holder);
+        let qm = signer.keys.public().params().q_domain();
+        (i, qm.random_scalar(&mut signer.rng))
+    }));
     // Each `k` and its inverse, then the prefix products of the shared
     // inversion: scratch every group reuses.
-    let mut scalars = Vec::with_capacity(2 * drawn.len());
+    let mut scalars = SCALARS.take();
     let mut rest = &mut drawn[..];
-    while let Some(((first, _), _)) = rest.split_first() {
+    while let Some((&(first, _), _)) = rest.split_first() {
         // Gather the signers that share the first one's `q` at the front.
-        let keys = Arc::clone(&first.keys);
+        let keys = Arc::clone(&signer(&mut holders[first]).keys);
         let q = keys.public().params().q();
         let mut len = 1;
         for i in 1..rest.len() {
-            if rest[i].0.keys.public().params().q() == q {
+            if signer(&mut holders[rest[i].0]).keys.public().params().q() == q {
                 rest.swap(len, i);
                 len += 1;
             }
@@ -127,11 +147,13 @@ pub fn draw_nonces<'a>(signers: impl IntoIterator<Item = &'a mut Signer>) {
         scalars.resize(2 * len, Scalar::ZERO);
         let (k_inv, prefix) = scalars.split_at_mut(len);
         batch_invert(qm, k_inv, prefix);
-        for ((signer, k), &k_inv) in group.iter_mut().zip(k_inv.iter()) {
+        for (&(i, k), &k_inv) in group.iter().zip(k_inv.iter()) {
             assert!(!k_inv.is_zero(), "q prime, 0 < k < q");
-            signer.nonces.push_back(Nonce { k: *k, k_inv });
+            signer(&mut holders[i]).nonces.push_back(Nonce { k, k_inv });
         }
         rest = tail;
     }
+    DRAWN.set(drawn);
+    SCALARS.set(scalars);
     timer.finish("crypto.nonce_batch", "crypto");
 }

@@ -11,7 +11,7 @@ use refstate_crypto::{
     draw_nonces, sha256, verify_batch, BatchEntry, DsaKeyPair, DsaParams, DsaPublicKey, HmacSha256,
     KeyDirectory, Sha256, Signature, Signed, Signer,
 };
-use refstate_wire::{from_wire, to_wire, Writer};
+use refstate_wire::{from_wire, to_wire, Encode, Writer};
 
 /// One key pair in a small (fast) group, shared across cases.
 fn keys() -> &'static DsaKeyPair {
@@ -297,5 +297,30 @@ proptest! {
         }
         let refills = 2 + steps.iter().filter(|&&(op, _)| op == 0).count();
         prop_assert_eq!(batched[0].queued(), refills);
+    }
+}
+
+// Boosted in CI with `PROPTEST_CASES`, so no explicit case count.
+proptest! {
+    /// An envelope's signer is a shared name, but it encodes as the
+    /// payload, the signer as a string and the signature, and decodes to
+    /// an equal envelope.
+    #[test]
+    fn envelope_encodes_its_signer_as_a_string(
+        payload in any::<u64>(),
+        signer in "[a-z0-9-]{0,12}",
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let env = Signed::seal(payload, signer.as_str(), keys(), &mut rng);
+        let mut w = Writer::new();
+        w.put_u64(payload);
+        w.put_str(&signer);
+        env.signature().encode(&mut w);
+        let bytes = w.into_inner();
+        prop_assert_eq!(&to_wire(&env), &bytes);
+        let back: Signed<u64> = from_wire(&bytes).unwrap();
+        prop_assert_eq!(back.signer(), signer.as_str());
+        prop_assert_eq!(back, env);
     }
 }

@@ -39,8 +39,8 @@ use refstate_platform::{Attack, HostSpec};
 use refstate_vm::Value;
 
 use crate::scenario::{
-    build_route_agent, detectable_attack, route_host, scenario_seed, undetectable_attack, witness,
-    GeneratedScenario, Preset,
+    build_route_agent, detectable_attack, provision, route_host, scenario_seed,
+    undetectable_attack, witness, GeneratedScenario, Preset,
 };
 
 /// Journeys per campaign: scenario id `i` is step `i % 8` of campaign
@@ -283,10 +283,7 @@ pub fn generate_adaptive(fleet_seed: u64, id: u64) -> GeneratedScenario {
             spec = spec.trusted();
         }
         let offer = plan.offers[step][pos];
-        for _ in 0..3 {
-            spec = spec.with_input("n", Value::Int(offer));
-        }
-        spec = spec.with_input("unused", Value::Int(0));
+        spec = provision(spec, offer);
         if pos == plan.attacker_pos {
             if let Some(attack) = &step_plan.attack {
                 spec = spec.malicious(attack.clone());

@@ -26,6 +26,7 @@
 //! `replication` on a stage-less linear route) is skipped and surfaces as
 //! `n/a` in the report rather than a fake 0.00 rate.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -208,7 +209,7 @@ fn run_scenario(
     keys: &[Arc<DsaKeyPair>],
     pipeline: &Arc<VerificationPipeline>,
 ) -> ScenarioResult {
-    let scenario = scenario::generate(config.seed, id, config.preset);
+    let mut scenario = scenario::generate(config.seed, id, config.preset);
     // Campaign steps run under one span so traces group each journey by
     // its engagement.
     let _campaign_span = scenario
@@ -222,7 +223,13 @@ fn run_scenario(
     // mechanism.
     let directory = journey::scenario_directory(&scenario, key);
     let mut runs = Vec::with_capacity(config.mechanisms.len());
-    for mechanism in &config.mechanisms {
+    for (i, mechanism) in config.mechanisms.iter().enumerate() {
+        // Each mechanism runs on fresh hosts; the last takes the specs.
+        let specs = if i + 1 == config.mechanisms.len() {
+            Cow::Owned(std::mem::take(&mut scenario.specs))
+        } else {
+            Cow::Borrowed(&scenario.specs[..])
+        };
         let log = EventLog::new();
         let env = JourneyEnv {
             seed: config.seed,
@@ -231,7 +238,8 @@ fn run_scenario(
             pipeline,
             log: &log,
         };
-        let Some((split, started)) = journey::run_journey(&env, &scenario, mechanism.as_ref(), key)
+        let Some((split, started)) =
+            journey::run_journey(&env, &scenario, specs, mechanism.as_ref(), key)
         else {
             continue;
         };

@@ -10,6 +10,7 @@
 //! [`refstate_mechanisms::api::settle`] — the fleet engine one journey at
 //! a time, the service an owner's whole tick in one batch.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,14 +37,15 @@ pub struct JourneyEnv<'a> {
     pub log: &'a EventLog,
 }
 
-/// Whether `mechanism`'s topology can run `scenario`: replicated-stage
-/// mechanisms need stages, disjoint-set mechanisms need off-route hosts
-/// (replicas or witness spares).
-fn compatible(mechanism: &dyn ProtectionMechanism, scenario: &GeneratedScenario) -> bool {
-    let has_spares = scenario
-        .specs
-        .iter()
-        .any(|spec| !scenario.route.contains(&spec.id));
+/// Whether `mechanism`'s topology can run `scenario` on `specs`:
+/// replicated-stage mechanisms need stages, disjoint-set mechanisms need
+/// off-route hosts (replicas or witness spares).
+fn compatible(
+    mechanism: &dyn ProtectionMechanism,
+    scenario: &GeneratedScenario,
+    specs: &[HostSpec],
+) -> bool {
+    let has_spares = specs.iter().any(|spec| !scenario.route.contains(&spec.id));
     mechanism
         .profile()
         .compatible_with(scenario.stages.is_some(), has_spares)
@@ -63,31 +65,39 @@ pub(crate) fn scenario_directory<'k>(
     directory
 }
 
-/// `scenario`'s hosts, each sharing its pooled pair `key(pos, spec)`, with
-/// session RNGs seeded from `seed` and the scenario id.
+/// The hosts of scenario `id`, one per spec of `specs` (moved in, or
+/// cloned when borrowed), each sharing its pooled pair `key(pos, spec)`,
+/// with session RNGs seeded from `seed` and the scenario id.
 fn scenario_hosts<'k>(
     seed: u64,
-    scenario: &GeneratedScenario,
+    id: u64,
+    specs: Cow<'_, [HostSpec]>,
     key: impl Fn(usize, &HostSpec) -> &'k Arc<DsaKeyPair>,
 ) -> Vec<Host> {
-    scenario
-        .specs
-        .iter()
+    specs
+        .into_owned()
+        .into_iter()
         .enumerate()
         .map(|(pos, spec)| {
             // pos+1 keeps h0's stream distinct from the generator's own
             // seed for this scenario (pos 0 would XOR with zero).
-            let session_seed = scenario_seed(seed, scenario.id ^ ((pos as u64 + 1) << 48));
-            Host::with_keys(spec.clone(), Arc::clone(key(pos, spec)), session_seed)
+            let session_seed = scenario_seed(seed, id ^ ((pos as u64 + 1) << 48));
+            let keys = Arc::clone(key(pos, &spec));
+            Host::with_keys(spec, keys, session_seed)
         })
         .collect()
 }
 
 /// Runs the host-side journey of `scenario` under `mechanism`: fresh
-/// hosts, each sharing its pooled pair `key(pos, spec)`, the churn event
-/// when a route host left the network, and
-/// [`ProtectionMechanism::run_split`] under the mechanism's telemetry
+/// hosts built from `specs`, each sharing its pooled pair
+/// `key(pos, spec)`, the churn event when a route host left the network,
+/// and [`ProtectionMechanism::run_split`] under the mechanism's telemetry
 /// scope and a `journey` span.
+///
+/// `specs` are the scenario's host specs. Owned ones move into the hosts;
+/// borrowed ones are cloned, for a driver that runs the scenario again
+/// (the fleet engine, under each of its mechanisms: it moves the specs
+/// into the last one's hosts).
 ///
 /// Returns `None` when the mechanism's topology cannot run the scenario
 /// (replicated-stage mechanisms need stages, disjoint-set mechanisms need
@@ -97,14 +107,15 @@ fn scenario_hosts<'k>(
 pub fn run_journey<'k>(
     env: &JourneyEnv<'_>,
     scenario: &GeneratedScenario,
+    specs: Cow<'_, [HostSpec]>,
     mechanism: &dyn ProtectionMechanism,
     key: impl Fn(usize, &HostSpec) -> &'k Arc<DsaKeyPair>,
 ) -> Option<(SplitVerdict, Instant)> {
-    if !compatible(mechanism, scenario) {
+    if !compatible(mechanism, scenario, &specs) {
         return None;
     }
     let id = scenario.id;
-    let mut hosts = scenario_hosts(env.seed, scenario, key);
+    let mut hosts = scenario_hosts(env.seed, id, specs, key);
     let _scope = telemetry::scoped(mechanism.name());
     if let Some(gone) = &scenario.churned {
         env.log.record(Event::HostChurned { host: gone.clone() });
@@ -120,8 +131,8 @@ pub fn run_journey<'k>(
         env.config,
         env.log,
         ctx_seed,
-    )
-    .with_pipeline(env.pipeline.clone());
+        env.pipeline.clone(),
+    );
     if let Some(stages) = &scenario.stages {
         ctx = ctx.with_stages(stages.clone());
     }
@@ -175,8 +186,9 @@ mod tests {
                             pipeline: &pipeline,
                             log: &log,
                         };
+                        let specs = Cow::Borrowed(&scenario.specs[..]);
                         let Some((split, _)) =
-                            run_journey(&env, &scenario, mechanism.as_ref(), key)
+                            run_journey(&env, &scenario, specs, mechanism.as_ref(), key)
                         else {
                             continue;
                         };
@@ -302,7 +314,8 @@ mod tests {
                     for id in 0..24 {
                         let scenario = generate(42, id, preset);
                         let directory = scenario_directory(&scenario, key);
-                        let mut hosts = scenario_hosts(42, &scenario, key);
+                        let specs = Cow::Borrowed(&scenario.specs[..]);
+                        let mut hosts = scenario_hosts(42, scenario.id, specs, key);
                         for signature in driver(&mut hosts, &scenario, &directory) {
                             bytes.extend(to_wire(&signature));
                             count += 1;

@@ -9,7 +9,7 @@
 //! order on any thread and always produce the same fleet.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,6 +200,23 @@ fn shared_id(table: &OnceLock<Vec<HostId>>, prefix: char, index: usize) -> HostI
         Some(id) => id.clone(),
         None => HostId::new(format!("{prefix}{index}")),
     }
+}
+
+/// Queues a route host's inputs: three copies of the summed input
+/// `offer`, so control-flow attacks that revisit a host hit the hop
+/// budget instead of starving the feed, plus the never-read `"unused"`
+/// tag [`Attack::DropInput`] targets.
+///
+/// Both tags come from one table made on first use, like the host ids,
+/// so provisioning a spec names no tag.
+pub(crate) fn provision(spec: HostSpec, offer: i64) -> HostSpec {
+    static TAGS: OnceLock<[Arc<str>; 2]> = OnceLock::new();
+    let [summed, unused] = TAGS.get_or_init(|| [Arc::from("n"), Arc::from("unused")]);
+    let mut spec = spec;
+    for _ in 0..3 {
+        spec = spec.with_input(Arc::clone(summed), Value::Int(offer));
+    }
+    spec.with_input(Arc::clone(unused), Value::Int(0))
 }
 
 /// Builds the route-walking agent for an `n`-host journey: on every host
@@ -397,14 +414,8 @@ pub fn generate(fleet_seed: u64, id: u64, preset: Preset) -> GeneratedScenario {
         if pos == 0 || (!is_attacker && rng.gen_bool(0.3)) {
             spec = spec.trusted();
         }
-        // Several copies of the summed input so control-flow attacks that
-        // revisit a host hit the hop budget instead of starving the feed,
-        // plus the never-read "unused" tag DropInput targets.
         let offer = rng.gen_range(1i64..1000);
-        for _ in 0..3 {
-            spec = spec.with_input("n", Value::Int(offer));
-        }
-        spec = spec.with_input("unused", Value::Int(0));
+        spec = provision(spec, offer);
         if is_attacker {
             spec = spec.malicious(attack.clone().expect("attacker position implies attack"));
         }
@@ -487,10 +498,7 @@ fn generate_replicated(id: u64, rng: &mut StdRng) -> GeneratedScenario {
             if stage == 0 || (!is_attacker && rng.gen_bool(0.3)) {
                 spec = spec.trusted();
             }
-            for _ in 0..3 {
-                spec = spec.with_input("n", Value::Int(offer));
-            }
-            spec = spec.with_input("unused", Value::Int(0));
+            spec = provision(spec, offer);
             if is_attacker {
                 let attack = attack.clone().expect("attacker position implies attack");
                 spec = spec.malicious(attack.clone());
@@ -561,10 +569,7 @@ fn generate_cooperating(id: u64, rng: &mut StdRng) -> GeneratedScenario {
             spec = spec.trusted();
         }
         let offer = rng.gen_range(1i64..1000);
-        for _ in 0..3 {
-            spec = spec.with_input("n", Value::Int(offer));
-        }
-        spec = spec.with_input("unused", Value::Int(0));
+        spec = provision(spec, offer);
         if is_attacker {
             spec = spec.malicious(attack.clone().expect("attacker position implies attack"));
         }
@@ -658,10 +663,7 @@ fn generate_chained(id: u64, rng: &mut StdRng, kind: Preset) -> GeneratedScenari
             spec = spec.trusted();
         }
         let offer = rng.gen_range(1i64..1000);
-        for _ in 0..3 {
-            spec = spec.with_input("n", Value::Int(offer));
-        }
-        spec = spec.with_input("unused", Value::Int(0));
+        spec = provision(spec, offer);
         if is_attacker {
             spec = spec.malicious(attack.clone().expect("attacker position implies attack"));
         }

@@ -14,6 +14,8 @@
 //!
 //! Case counts scale with `PROPTEST_CASES` (CI runs a boosted job).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,6 +48,7 @@ fn run_mechanism(
         &config,
         &log,
         seed,
+        Arc::default(),
     );
     mechanism.run(&mut ctx)
 }

@@ -179,11 +179,17 @@ pub struct JourneyCtx<'a> {
 impl<'a> JourneyCtx<'a> {
     /// Builds a linear-route context. `seed` fixes the context's RNG
     /// stream; derive it from the scenario so results are
-    /// scheduling-independent.
+    /// scheduling-independent. `pipeline` is the verification pipeline
+    /// the journey's re-executions run through (fleet engines pass one
+    /// handle to every journey so one set of replay counters spans the
+    /// whole run).
     ///
     /// # Panics
     ///
     /// Panics if `route` is empty.
+    // The driver's environment (PKI, configuration, log, pipeline) plus
+    // the journey's own hosts, route, agent and seed.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         hosts: &'a mut [Host],
         route: Vec<HostId>,
@@ -192,6 +198,7 @@ impl<'a> JourneyCtx<'a> {
         config: &'a MechanismConfig,
         log: &'a EventLog,
         seed: u64,
+        pipeline: Arc<VerificationPipeline>,
     ) -> Self {
         assert!(!route.is_empty(), "a journey needs a route");
         JourneyCtx {
@@ -204,21 +211,13 @@ impl<'a> JourneyCtx<'a> {
             log,
             rng: StdRng::seed_from_u64(seed),
             queue: VerificationQueue::new(),
-            pipeline: Arc::new(VerificationPipeline::new()),
+            pipeline,
         }
     }
 
     /// Attaches replica stages (replicated-topology scenarios).
     pub fn with_stages(mut self, stages: Vec<StageSpec>) -> Self {
         self.stages = Some(stages);
-        self
-    }
-
-    /// Attaches a shared verification pipeline (fleet engines pass one
-    /// handle to every journey so one set of replay counters spans the
-    /// whole run).
-    pub fn with_pipeline(mut self, pipeline: Arc<VerificationPipeline>) -> Self {
-        self.pipeline = pipeline;
         self
     }
 

@@ -50,13 +50,15 @@ use std::ops::ControlFlow;
 use rand::RngCore;
 use refstate_core::CheckMoment;
 use refstate_core::{ReferenceDataKind, ReferenceDataRequest};
-use refstate_crypto::{sha256, Digest, HmacSha256, KeyDirectory, Signed, VerificationQueue};
+use refstate_crypto::{
+    sha256, sha256_of, Digest, HmacSha256, KeyDirectory, Signed, VerificationQueue,
+};
 use refstate_platform::{
     walk, AgentId, AgentImage, Attack, Event, EventLog, Host, HostId, JourneyError, Leg,
     SessionRecord, Visit,
 };
 use refstate_vm::{DataState, ExecConfig};
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::api::{
     JourneyCtx, JourneyVerdict, MechanismProfile, ProtectionMechanism, RouteTopology, SplitVerdict,
@@ -226,7 +228,7 @@ impl Decode for Encapsulation {
 /// of the entire signed link, so any change to payload *or* signature
 /// breaks every later `prev_head`.
 pub fn encapsulation_head(link: &Signed<Encapsulation>) -> Digest {
-    sha256(&to_wire(link))
+    sha256_of(link)
 }
 
 /// The public anchor of an encapsulation chain.
@@ -426,7 +428,7 @@ impl Leg for MacChaining<'_> {
         let mut link = ChainLink {
             seq,
             executor: here.clone(),
-            result_digest: sha256(&to_wire(&record.outcome.state)),
+            result_digest: sha256_of(&record.outcome.state),
             next: record.next_hop(),
             mac: self.anchor, // placeholder, overwritten below
         };
@@ -749,7 +751,7 @@ impl Leg for Encapsulating<'_> {
         let payload = Encapsulation {
             seq: self.chain.last().map(|l| l.payload().seq + 1).unwrap_or(0),
             executor: visit.here().clone(),
-            result_digest: sha256(&to_wire(&record.outcome.state)),
+            result_digest: sha256_of(&record.outcome.state),
             prev_head: self
                 .chain
                 .last()
@@ -844,7 +846,7 @@ impl ProtectionMechanism for ChainedMac {
         match journey {
             Ok(journey) => {
                 let _verify = ctx.stage("chained.verify");
-                let final_digest = sha256(&to_wire(&journey.final_state));
+                let final_digest = sha256_of(&journey.final_state);
                 let verdict =
                     verify_mac_chain(&journey.links, &secret, &agent_id, &start, &final_digest);
                 match verdict.first_break {
@@ -923,7 +925,7 @@ impl ProtectionMechanism for EncapsulatedResults {
             return JourneyVerdict::clean(false).into();
         };
         let anchor = encapsulation_anchor(&agent_id, &nonce);
-        let final_digest = sha256(&to_wire(final_state));
+        let final_digest = sha256_of(final_state);
         let _verify = ctx.stage("encapsulated.verify");
         match owner_verify_encapsulations(
             &journey.chain,
@@ -957,6 +959,8 @@ mod tests {
     use refstate_crypto::DsaParams;
     use refstate_platform::HostSpec;
     use refstate_vm::{assemble, Value};
+    use refstate_wire::to_wire;
+    use std::sync::Arc;
 
     use crate::api::MechanismConfig;
 
@@ -1008,7 +1012,16 @@ mod tests {
         let log = EventLog::new();
         let n = hs.len();
         let route: Vec<HostId> = (0..n).map(|p| HostId::new(format!("h{p}"))).collect();
-        let mut ctx = JourneyCtx::new(hs, route, route_agent(n), &directory, &config, &log, 77);
+        let mut ctx = JourneyCtx::new(
+            hs,
+            route,
+            route_agent(n),
+            &directory,
+            &config,
+            &log,
+            77,
+            Arc::default(),
+        );
         mechanism.run(&mut ctx)
     }
 
@@ -1035,6 +1048,7 @@ mod tests {
             &config,
             &log,
             77,
+            Arc::default(),
         );
         let verdict = EncapsulatedResults.run(&mut ctx);
         assert!(!verdict.detected);
@@ -1076,7 +1090,7 @@ mod tests {
                 &journey.chain,
                 &encapsulation_anchor(&agent_id, &nonce),
                 &HostId::new("h0"),
-                &sha256(&to_wire(final_state)),
+                &sha256_of(final_state),
                 &journey.path,
                 &directory,
                 &mut queue,
@@ -1232,7 +1246,7 @@ mod tests {
             10,
         )
         .unwrap();
-        let final_digest = sha256(&to_wire(&journey.final_state));
+        let final_digest = sha256_of(&journey.final_state);
         let ok = verify_mac_chain(&journey.links, &secret, &agent, &start, &final_digest);
         assert!(!ok.tampered());
 

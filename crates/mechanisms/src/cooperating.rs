@@ -194,6 +194,7 @@ mod tests {
     use refstate_crypto::DsaParams;
     use refstate_platform::{AgentImage, EventLog, Host, HostSpec};
     use refstate_vm::{assemble, DataState, Value};
+    use std::sync::Arc;
 
     fn summing_agent() -> AgentImage {
         let program = assemble(
@@ -264,6 +265,7 @@ mod tests {
             &config,
             &log,
             13,
+            Arc::default(),
         );
         let verdict = CooperatingAgents.run(&mut ctx);
         (verdict, log)
@@ -382,6 +384,7 @@ mod tests {
             &config,
             &log,
             13,
+            Arc::default(),
         );
         let verdict = CooperatingAgents.run(&mut ctx);
         assert!(!verdict.detected);

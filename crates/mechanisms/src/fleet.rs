@@ -442,6 +442,7 @@ mod tests {
             &config,
             &log,
             9,
+            Arc::default(),
         )
         .with_stages(vec![
             StageSpec::new(["a"]),
@@ -522,6 +523,7 @@ mod tests {
             &config,
             &log,
             9,
+            Arc::default(),
         );
         let deferred = SessionCheckingProtocol.run(&mut ctx);
         assert!(ctx.queue.is_empty(), "the batched run drains its queue");
@@ -583,6 +585,7 @@ mod tests {
                     &config,
                     &log,
                     9,
+                    Arc::default(),
                 );
                 SessionCheckingProtocol.run(&mut ctx)
             })
@@ -597,8 +600,16 @@ mod tests {
         for (i, hs) in host_sets.iter_mut().enumerate() {
             let mut agent = three_host_agent();
             agent.id = refstate_platform::AgentId::new(format!("fleet-{i}"));
-            let mut ctx = JourneyCtx::new(hs, route(), agent, &directory, &config, &log, 9)
-                .with_pipeline(pipeline.clone());
+            let mut ctx = JourneyCtx::new(
+                hs,
+                route(),
+                agent,
+                &directory,
+                &config,
+                &log,
+                9,
+                pipeline.clone(),
+            );
             let split = SessionCheckingProtocol.run_split(&mut ctx);
             assert!(
                 matches!(split, SplitVerdict::Pending(_)),
@@ -618,6 +629,7 @@ mod tests {
             &config,
             &log,
             9,
+            Arc::default(),
         );
         let appraisal = match StateAppraisal.run_split(&mut ctx) {
             SplitVerdict::Settled(v) => v,
@@ -671,8 +683,16 @@ mod tests {
                 let directory = host_directory(&hs);
                 let log = EventLog::new();
                 let route = vec![HostId::new("a"), HostId::new("b"), HostId::new("c")];
-                let mut ctx =
-                    JourneyCtx::new(&mut hs, route, agent.clone(), &directory, &config, &log, 9);
+                let mut ctx = JourneyCtx::new(
+                    &mut hs,
+                    route,
+                    agent.clone(),
+                    &directory,
+                    &config,
+                    &log,
+                    9,
+                    Arc::default(),
+                );
                 let verdict = mechanism.run(&mut ctx);
                 let case = format!("{} / {}", mechanism.name(), agent.id);
                 assert!(
@@ -705,6 +725,7 @@ mod tests {
             &config,
             &log,
             9,
+            Arc::default(),
         );
         let verdict = ReplicatedStages.run(&mut ctx);
         assert!(!verdict.detected);

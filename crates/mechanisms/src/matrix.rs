@@ -18,6 +18,8 @@
 //! * consecutive-host collusion defeats the session-checking protocol but
 //!   not replication.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refstate_core::protocol::host_directory;
@@ -241,6 +243,7 @@ pub fn run_cell(mechanism: &dyn ProtectionMechanism, scenario: &ScenarioSpec) ->
         &config,
         &log,
         2,
+        Arc::default(),
     )
     .with_stages(vec![
         StageSpec::new(["a"]),

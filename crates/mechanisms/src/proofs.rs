@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use refstate_crypto::{sha256, Digest};
+use refstate_crypto::{sha256_of, Digest};
 use refstate_platform::AgentId;
 use refstate_vm::{
     DataState, ExecConfig, InputLog, Interpreter, MachineState, Program, SessionEnd, SessionIo,
@@ -172,7 +172,7 @@ impl Prover {
             steps,
             final_state: outcome.state,
             input: outcome.input_log,
-            initial_digest: sha256(&to_wire(&initial)),
+            initial_digest: sha256_of(&initial),
         };
         Ok(Prover {
             snapshots,
@@ -370,7 +370,7 @@ impl Verifier {
         if first_state.pc != 0
             || !first_state.stack.is_empty()
             || first_state.steps != 0
-            || sha256(&to_wire(&first_state.state)) != proof.initial_digest
+            || sha256_of(&first_state.state) != proof.initial_digest
         {
             return Err(ProofError::WrongStart);
         }
@@ -443,6 +443,7 @@ impl Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use refstate_crypto::sha256;
     use refstate_vm::{assemble, ScriptedIo};
 
     fn compute_program() -> Program {

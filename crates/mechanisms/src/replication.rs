@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use refstate_core::{ReplaySummary, VerificationPipeline};
-use refstate_crypto::{sha256, Digest};
+use refstate_crypto::{sha256, sha256_of, Digest};
 use refstate_platform::{AgentImage, Event, EventLog, Host, HostId, JourneyError};
 use refstate_vm::{DataState, ExecConfig, InputLog, SessionEnd};
 use refstate_wire::to_wire;
@@ -186,7 +186,7 @@ pub fn run_replicated_pipeline(
                 .iter()
                 .find(|(_, voters)| voters.contains(replica))
                 .and_then(|(digest, _)| states.get(digest))
-                .map(|claimed| sha256(&to_wire(claimed)));
+                .map(sha256_of);
             let diverged = match pipeline.replay(&agent.program, &state, input, exec) {
                 ReplaySummary::Ok {
                     state_digest, end, ..

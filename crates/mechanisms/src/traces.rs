@@ -18,13 +18,13 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
-use refstate_crypto::{sha256, Digest, KeyDirectory, Signed, VerificationQueue};
+use refstate_crypto::{sha256_of, Digest, KeyDirectory, Signed, VerificationQueue};
 use refstate_platform::{
     walk, AgentId, AgentImage, Event, EventLog, Host, HostId, JourneyError, Leg, SessionRecord,
     Visit,
 };
 use refstate_vm::{DataState, ExecConfig, InputLog, Program, SessionEnd, Trace, TraceMode};
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use refstate_core::verdict::CheckVerdict;
 use refstate_core::{FailureReason, ReplaySummary, VerificationPipeline};
@@ -163,9 +163,9 @@ impl Leg for Tracing {
             agent: visit.agent.id.clone(),
             seq,
             executor: executor.clone(),
-            initial_digest: sha256(&to_wire(&record.initial_state)),
-            trace_digest: sha256(&to_wire(&record.outcome.trace)),
-            resulting_digest: sha256(&to_wire(&record.outcome.state)),
+            initial_digest: sha256_of(&record.initial_state),
+            trace_digest: sha256_of(&record.outcome.trace),
+            resulting_digest: sha256_of(&record.outcome.state),
             next: record.next_hop(),
         };
         self.commitments.push(visit.sign(commitment).0);
@@ -313,7 +313,7 @@ pub fn audit_journey(
                 )
             }
         };
-        if sha256(&to_wire(&store.trace)) != commitment.trace_digest {
+        if sha256_of(&store.trace) != commitment.trace_digest {
             return fail(
                 FailureReason::ProgramRejected {
                     detail: "stored trace does not match committed trace hash".into(),
@@ -322,7 +322,7 @@ pub fn audit_journey(
                 None,
             );
         }
-        if sha256(&to_wire(&store.initial_state)) != commitment.initial_digest {
+        if sha256_of(&store.initial_state) != commitment.initial_digest {
             return fail(
                 FailureReason::ProgramRejected {
                     detail: "stored initial state does not match committed hash".into(),
@@ -400,6 +400,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use refstate_crypto::sha256;
     use refstate_crypto::DsaParams;
     use refstate_platform::{Attack, HostSpec};
     use refstate_vm::{assemble, Value};
@@ -606,7 +607,7 @@ mod tests {
             agent: AgentId::new("summer"),
             seq: 1,
             executor: HostId::new("b"),
-            initial_digest: sha256(&to_wire(&forged_state)),
+            initial_digest: sha256_of(&forged_state),
             trace_digest: journey.commitments[1].payload().trace_digest,
             resulting_digest: journey.commitments[1].payload().resulting_digest,
             next: journey.commitments[1].payload().next.clone(),

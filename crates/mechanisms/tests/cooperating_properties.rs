@@ -14,6 +14,8 @@
 //!
 //! Case counts scale with `PROPTEST_CASES` (CI runs a boosted job).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,6 +88,7 @@ fn run_split(n: usize, w: usize, pos: usize, attack: Option<Attack>, seed: u64) 
         &config,
         &log,
         seed,
+        Arc::default(),
     );
     CooperatingAgents.run(&mut ctx)
 }

@@ -3,8 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use refstate_crypto::{sha256, Digest};
-use refstate_wire::{to_wire, Decode, Encode, Reader, WireError, Writer};
+use refstate_crypto::{sha256_of, Digest};
+use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use refstate_vm::{DataState, Program};
 
@@ -88,12 +88,12 @@ impl AgentImage {
 
     /// Hash of the (canonical encoding of the) agent code.
     pub fn code_digest(&self) -> Digest {
-        sha256(&to_wire(&self.program))
+        sha256_of(&self.program)
     }
 
     /// Hash of the current data state.
     pub fn state_digest(&self) -> Digest {
-        sha256(&to_wire(&self.state))
+        sha256_of(&self.state)
     }
 }
 

@@ -1,7 +1,6 @@
 //! Per-host input feeds: the data a host supplies to visiting agents.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use refstate_crypto::Signed;
 use refstate_vm::Value;
@@ -45,6 +44,14 @@ impl FeedItem {
 /// twice continues consuming where it left off), matching how a shop would
 /// keep serving quotes.
 ///
+/// A feed is one small vector of tagged items in push order (and one of
+/// messages), first-in first-out per tag; a host's feed holds a handful,
+/// so finding a tag's next item is a short scan. Tags are shared: every
+/// item of a tag points at one `Arc<str>`, a push of a tag already queued
+/// reuses its name, and a caller that passes a shared name (a generator's
+/// tag table) adds none. So building a feed allocates its vector, and
+/// cloning one (a spec per journey) allocates one vector per part.
+///
 /// # Examples
 ///
 /// ```
@@ -58,8 +65,26 @@ impl FeedItem {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InputFeed {
-    inputs: BTreeMap<String, VecDeque<FeedItem>>,
-    messages: BTreeMap<String, VecDeque<Value>>,
+    inputs: Vec<(Arc<str>, FeedItem)>,
+    messages: Vec<(Arc<str>, Value)>,
+}
+
+/// `name` as the pointer an entry of `queued` already shares, or as a new
+/// shared name when none does.
+fn shared<'a, T: 'a>(
+    queued: impl IntoIterator<Item = &'a (Arc<str>, T)>,
+    name: impl AsRef<str> + Into<Arc<str>>,
+) -> Arc<str> {
+    match queued.into_iter().find(|(n, _)| **n == *name.as_ref()) {
+        Some((n, _)) => Arc::clone(n),
+        None => name.into(),
+    }
+}
+
+/// Removes and returns the first entry of `queued` named `name`.
+fn take_first<T>(queued: &mut Vec<(Arc<str>, T)>, name: &str) -> Option<T> {
+    let at = queued.iter().position(|(n, _)| **n == *name)?;
+    Some(queued.remove(at).1)
 }
 
 impl InputFeed {
@@ -69,45 +94,49 @@ impl InputFeed {
     }
 
     /// Queues a plain input value for `tag`.
-    pub fn push(&mut self, tag: impl Into<String>, value: Value) -> &mut Self {
-        self.inputs
-            .entry(tag.into())
-            .or_default()
-            .push_back(FeedItem::plain(value));
-        self
+    pub fn push(&mut self, tag: impl AsRef<str> + Into<Arc<str>>, value: Value) -> &mut Self {
+        self.push_item(tag, FeedItem::plain(value))
     }
 
     /// Queues a signed input value for `tag` (§4.3 extension).
-    pub fn push_signed(&mut self, tag: impl Into<String>, envelope: Signed<Value>) -> &mut Self {
-        self.inputs
-            .entry(tag.into())
-            .or_default()
-            .push_back(FeedItem::signed(envelope));
+    pub fn push_signed(
+        &mut self,
+        tag: impl AsRef<str> + Into<Arc<str>>,
+        envelope: Signed<Value>,
+    ) -> &mut Self {
+        self.push_item(tag, FeedItem::signed(envelope))
+    }
+
+    fn push_item(&mut self, tag: impl AsRef<str> + Into<Arc<str>>, item: FeedItem) -> &mut Self {
+        let tag = shared(&self.inputs, tag);
+        self.inputs.push((tag, item));
         self
     }
 
     /// Queues a message from `partner`.
-    pub fn push_message(&mut self, partner: impl Into<String>, value: Value) -> &mut Self {
-        self.messages
-            .entry(partner.into())
-            .or_default()
-            .push_back(value);
+    pub fn push_message(
+        &mut self,
+        partner: impl AsRef<str> + Into<Arc<str>>,
+        value: Value,
+    ) -> &mut Self {
+        let partner = shared(&self.messages, partner);
+        self.messages.push((partner, value));
         self
     }
 
     /// Takes the next input for `tag`.
     pub fn take(&mut self, tag: &str) -> Option<FeedItem> {
-        self.inputs.get_mut(tag).and_then(VecDeque::pop_front)
+        take_first(&mut self.inputs, tag)
     }
 
     /// Takes the next message from `partner`.
     pub fn take_message(&mut self, partner: &str) -> Option<Value> {
-        self.messages.get_mut(partner).and_then(VecDeque::pop_front)
+        take_first(&mut self.messages, partner)
     }
 
     /// Number of values still queued for `tag`.
     pub fn remaining(&self, tag: &str) -> usize {
-        self.inputs.get(tag).map_or(0, VecDeque::len)
+        self.inputs.iter().filter(|(t, _)| **t == *tag).count()
     }
 
     /// Removes the next queued value for `tag` entirely (the
@@ -119,10 +148,8 @@ impl InputFeed {
     /// Replaces every queued value for `tag` with `value`, stripping any
     /// provenance (the [`crate::Attack::ForgeInput`] attack).
     pub fn forge_all(&mut self, tag: &str, value: &Value) {
-        if let Some(queue) = self.inputs.get_mut(tag) {
-            for item in queue.iter_mut() {
-                *item = FeedItem::plain(value.clone());
-            }
+        for (_, item) in self.inputs.iter_mut().filter(|(t, _)| **t == *tag) {
+            *item = FeedItem::plain(value.clone());
         }
     }
 }
@@ -142,6 +169,19 @@ mod tests {
         assert_eq!(feed.take("a").unwrap().value, Value::Int(2));
         assert!(feed.take("a").is_none());
         assert!(feed.take("zzz").is_none());
+    }
+
+    #[test]
+    fn a_queued_tag_shares_its_name() {
+        let mut feed = InputFeed::new();
+        feed.push("a", Value::Int(1)).push("a", Value::Int(2));
+        let shared: Arc<str> = Arc::from("b");
+        feed.push(Arc::clone(&shared), Value::Int(3));
+        assert!(Arc::ptr_eq(&feed.inputs[0].0, &feed.inputs[1].0));
+        assert!(Arc::ptr_eq(&feed.inputs[2].0, &shared));
+        feed.push_message("m", Value::Int(4))
+            .push_message("m", Value::Int(5));
+        assert!(Arc::ptr_eq(&feed.messages[0].0, &feed.messages[1].0));
     }
 
     #[test]

@@ -45,6 +45,12 @@ impl HostId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The id's shared name: cloning it (say, into a signature's signer)
+    /// copies a pointer.
+    pub fn name(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
 }
 
 impl fmt::Display for HostId {
@@ -121,7 +127,7 @@ impl HostSpec {
     }
 
     /// Queues an input value in the host's feed.
-    pub fn with_input(mut self, tag: impl Into<String>, value: Value) -> Self {
+    pub fn with_input(mut self, tag: impl AsRef<str> + Into<Arc<str>>, value: Value) -> Self {
         self.feed.push(tag, value);
         self
     }
@@ -237,7 +243,7 @@ impl Host {
     /// [`Host::sign`], also returning the length of the payload encoding
     /// the signature covers.
     pub(crate) fn seal<T: Encode>(&mut self, payload: T) -> (Signed<T>, usize) {
-        Signed::seal_by(payload, self.spec.id.as_str(), &mut self.signer)
+        Signed::seal_by(payload, self.spec.id.name(), &mut self.signer)
     }
 
     /// The host's signing key and nonce stream.

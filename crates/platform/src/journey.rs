@@ -6,9 +6,9 @@ use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
 
-use refstate_crypto::{draw_nonces, Signed};
+use refstate_crypto::{draw_nonces_of, Signed};
 use refstate_vm::{ExecConfig, SessionEnd, VmError};
-use refstate_wire::{Encode, Writer};
+use refstate_wire::{with_scratch, Encode};
 
 use crate::agent::AgentImage;
 use crate::event::{Event, EventLog};
@@ -92,12 +92,12 @@ impl Visit<'_> {
     ///
     /// Nonces are drawn a journey at a time: when this host has none
     /// queued, every host of the journey draws its next one, sharing one
-    /// inversion ([`draw_nonces`]). A journey that never signs draws
+    /// inversion ([`draw_nonces_of`]). A journey that never signs draws
     /// none. Each host signs with its own stream's nonces in stream
     /// order, so its signatures are those [`Host::sign`] alone would make.
     pub fn sign<T: Encode>(&mut self, payload: T) -> (Signed<T>, usize) {
         if self.hosts[self.at].signer().queued() == 0 {
-            draw_nonces(self.hosts.iter_mut().map(Host::signer));
+            draw_nonces_of(self.hosts, Host::signer);
         }
         self.hosts[self.at].seal(payload)
     }
@@ -188,12 +188,13 @@ fn walk_path<L: Leg>(
 ) -> Result<Option<L::Stop>, JourneyError> {
     // The walk writes only the agent's state and a leg sees the agent by
     // reference, so the id and program part of the image's encoding is
-    // the same on every hop. One writer sizes it once, then the state on
-    // every hop, reusing its buffer.
-    let mut sizer = Writer::new();
-    agent.id.encode(&mut sizer);
-    agent.program.encode(&mut sizer);
-    let fixed_bytes = sizer.len();
+    // the same on every hop. The thread's scratch writer sizes it once,
+    // then the state on every hop.
+    let fixed_bytes = with_scratch(|w| {
+        agent.id.encode(w);
+        agent.program.encode(w);
+        w.len()
+    });
     for _ in 0..max_hops {
         let here = path.last().expect("a path starts at the start host");
         let at = hosts
@@ -242,13 +243,15 @@ fn walk_path<L: Leg>(
         let next = hosts[next.map_err(|host| JourneyError::UnknownHost { host })?]
             .id()
             .clone();
-        sizer.clear();
-        agent.state.encode(&mut sizer);
+        let state_bytes = with_scratch(|w| {
+            agent.state.encode(w);
+            w.len()
+        });
         log.record(Event::Migrated {
             from: hosts[at].id().clone(),
             to: next.clone(),
             agent: agent.id.clone(),
-            bytes: fixed_bytes + sizer.len() + baggage,
+            bytes: fixed_bytes + state_bytes + baggage,
         });
         path.push(next);
     }

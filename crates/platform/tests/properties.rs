@@ -1,14 +1,35 @@
 //! Property tests for the platform: feed FIFO discipline, attack
 //! post-conditions, and journey determinism.
 
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refstate_crypto::DsaParams;
+use refstate_crypto::{DsaKeyPair, DsaParams, Signed};
 use refstate_platform::{
-    run_plain_journey, AgentImage, Attack, EventLog, Host, HostSpec, InputFeed,
+    run_plain_journey, AgentImage, Attack, EventLog, FeedItem, Host, HostSpec, InputFeed,
 };
 use refstate_vm::{assemble, DataState, ExecConfig, Value};
+
+/// Producer envelopes over the values `0..8`, sealed once for every case.
+fn envelopes() -> &'static [Signed<Value>] {
+    static ENVELOPES: OnceLock<Vec<Signed<Value>>> = OnceLock::new();
+    ENVELOPES.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(11);
+        let keys = DsaKeyPair::generate(&DsaParams::test_group_256(), &mut rng);
+        (0..8)
+            .map(|v| Signed::seal(Value::Int(v), "producer", &keys, &mut rng))
+            .collect()
+    })
+}
+
+/// What a model queue entry records of a feed item: its value and
+/// whether it carries provenance.
+fn seen(item: Option<FeedItem>) -> Option<(Value, bool)> {
+    item.map(|item| (item.value, item.provenance.is_some()))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -119,5 +140,52 @@ proptest! {
         let record = host.execute_session(&agent, &ExecConfig::default(), &log).unwrap();
         prop_assert_eq!(record.outcome.state.get_int("v"), Some(forged));
         prop_assert_eq!(record.outcome.input_log.records()[0].value.clone(), Value::Int(honest));
+    }
+}
+
+// Boosted in CI with `PROPTEST_CASES`, so no explicit case count.
+proptest! {
+    /// Interleaved `push`, `push_signed`, `take`, `drop_next` and
+    /// `forge_all` over three tags act on the feed as on one FIFO queue
+    /// per tag: every take returns the model's front, and `remaining`
+    /// agrees after every step.
+    #[test]
+    fn feed_matches_a_queue_per_tag(
+        ops in proptest::collection::vec((0u8..5, 0u8..3, 0i64..8), 0..48),
+    ) {
+        let mut feed = InputFeed::new();
+        let mut model: BTreeMap<u8, VecDeque<(Value, bool)>> = BTreeMap::new();
+        for (op, tag, v) in ops {
+            let name = ["a", "b", "c"][tag as usize];
+            let queue = model.entry(tag).or_default();
+            match op {
+                0 => {
+                    feed.push(name, Value::Int(v));
+                    queue.push_back((Value::Int(v), false));
+                }
+                1 => {
+                    feed.push_signed(name, envelopes()[v as usize].clone());
+                    queue.push_back((Value::Int(v), true));
+                }
+                2 => prop_assert_eq!(seen(feed.take(name)), queue.pop_front()),
+                3 => prop_assert_eq!(seen(feed.drop_next(name)), queue.pop_front()),
+                _ => {
+                    feed.forge_all(name, &Value::Int(-v));
+                    for entry in queue.iter_mut() {
+                        *entry = (Value::Int(-v), false);
+                    }
+                }
+            }
+            for (tag, queue) in &model {
+                prop_assert_eq!(feed.remaining(["a", "b", "c"][*tag as usize]), queue.len());
+            }
+        }
+        for (tag, queue) in &mut model {
+            let name = ["a", "b", "c"][*tag as usize];
+            while let Some(expected) = queue.pop_front() {
+                prop_assert_eq!(seen(feed.take(name)), Some(expected));
+            }
+            prop_assert!(feed.take(name).is_none());
+        }
     }
 }

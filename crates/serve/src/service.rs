@@ -67,6 +67,7 @@
 //!   start of each tick (verdicts never read prior ticks' events), so a
 //!   resident service does not accumulate timeline state forever.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -571,11 +572,13 @@ impl Service {
                     "serve.queue_wait_us",
                     queued_at.elapsed().as_micros() as u64,
                 );
-                let generated = scenario::generate(shard.seed, journey, shard.preset);
+                let mut generated = scenario::generate(shard.seed, journey, shard.preset);
+                // The scenario runs once, so its specs move into the hosts.
+                let specs = Cow::Owned(std::mem::take(&mut generated.specs));
                 // A topology mismatch (e.g. `replication` on a linear
                 // preset) is the owner's registration error, surfaced as
                 // an infrastructure verdict rather than a dropped journey.
-                run_journey(&env, &generated, shard.mechanism.as_ref(), key)
+                run_journey(&env, &generated, specs, shard.mechanism.as_ref(), key)
                     .map_or_else(|| JourneyVerdict::clean(false).into(), |(split, _)| split)
             })
             .collect();

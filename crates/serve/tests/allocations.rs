@@ -1,6 +1,8 @@
 //! Allocation budgets: how many heap allocations a signature, a verify
 //! batch, a generated scenario and a served journey make, counted by a
-//! forwarding global allocator.
+//! forwarding global allocator. Three per-layer readings split a journey
+//! so a regression names its layer: one route-agent VM session, one
+//! scenario's host set, and one session-certificate seal.
 //!
 //! The counter is per thread (a `const`-initialized thread-local `Cell`),
 //! so the tests of this file, which the harness runs on parallel threads,
@@ -18,9 +20,14 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refstate_crypto::{draw_nonces, verify_batch, BatchEntry, DsaKeyPair, DsaParams, Signer};
-use refstate_fleet::scenario::{generate, Preset};
+use refstate_core::protocol::SessionCertificate;
+use refstate_crypto::{
+    draw_nonces, verify_batch, BatchEntry, DsaKeyPair, DsaParams, Signed, Signer,
+};
+use refstate_fleet::scenario::{build_route_agent, generate, Preset};
+use refstate_platform::{Host, HostId};
 use refstate_serve::{RegisterOwner, Request, Response, ServeConfig, Service};
+use refstate_vm::{run_compiled_session, ExecConfig, ScriptedIo, SessionEnd, Value};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -151,8 +158,98 @@ fn a_mixed_scenario_keeps_to_its_allocation_budget() {
     let per_scenario = count / SCENARIOS;
     eprintln!("allocations: scenario::generate per mixed scenario: {per_scenario}");
     assert!(
-        per_scenario <= 65,
-        "{per_scenario} allocations per mixed scenario, budget 65"
+        per_scenario <= 16,
+        "{per_scenario} allocations per mixed scenario, budget 16"
+    );
+}
+
+#[test]
+fn a_route_agent_session_keeps_to_its_allocation_budget() {
+    let agent = build_route_agent(7, 4);
+    let compiled = agent.program.compiled();
+    let session = || {
+        let mut io = ScriptedIo::new();
+        io.push_input("n", Value::Int(5));
+        let (outcome, count) = allocations(|| {
+            run_compiled_session(
+                &compiled,
+                agent.state.clone(),
+                &mut io,
+                &ExecConfig::default(),
+            )
+        });
+        (outcome.expect("route agent runs"), count)
+    };
+    // The warm-up session sizes the thread's reused operand stack.
+    session();
+    let (outcome, count) = session();
+    eprintln!("allocations: route-agent run_compiled_session: {count}");
+    assert_eq!(outcome.end, SessionEnd::Migrate("h1".into()));
+    // The state's copy on first write (map and node), the input log and
+    // the migration target's string.
+    assert!(
+        count <= 4,
+        "{count} allocations per route-agent session, budget 4"
+    );
+}
+
+#[test]
+fn a_scenario_host_set_keeps_to_its_allocation_budget() {
+    let keys = Arc::new(DsaKeyPair::generate(
+        &DsaParams::test_group_256(),
+        &mut StdRng::seed_from_u64(5),
+    ));
+    let mut total = 0;
+    for id in 0..SCENARIOS {
+        let specs = generate(42, id, Preset::Mixed).specs;
+        let (hosts, count) = allocations(|| {
+            specs
+                .into_iter()
+                .map(|spec| Host::with_keys(spec, Arc::clone(&keys), id))
+                .collect::<Vec<Host>>()
+        });
+        assert!(!hosts.is_empty());
+        total += count;
+    }
+    let per_scenario = total / SCENARIOS;
+    eprintln!("allocations: host set per mixed scenario: {per_scenario}");
+    // The specs move into the hosts: only the host vector is new.
+    assert!(
+        per_scenario <= 1,
+        "{per_scenario} allocations per host set, budget 1"
+    );
+}
+
+#[test]
+fn a_certificate_seal_allocates_only_its_signature() {
+    let keys = Arc::new(DsaKeyPair::generate(
+        &DsaParams::test_group_256(),
+        &mut StdRng::seed_from_u64(6),
+    ));
+    let mut signer = Signer::new(keys, StdRng::seed_from_u64(7));
+    let executor = HostId::new("h1");
+    let agent = build_route_agent(9, 4);
+    let certificate = |seq: u64| SessionCertificate {
+        agent: agent.id.clone(),
+        seq,
+        executor: executor.clone(),
+        initial_state: agent.state.clone(),
+        resulting_state: agent.state.clone(),
+        input: Default::default(),
+        next: Some(HostId::new("h2")),
+    };
+    // The warm-up seal sizes the thread's scratch writer and builds the
+    // group's tables.
+    Signed::seal_by(certificate(0), executor.name(), &mut signer);
+    let cert = certificate(1);
+    draw_nonces([&mut signer]);
+    let ((sealed, len), count) =
+        allocations(|| Signed::seal_by(cert, executor.name(), &mut signer));
+    eprintln!("allocations: SessionCertificate seal ({len} B): {count}");
+    assert_eq!(sealed.signer(), "h1");
+    assert_eq!(
+        count, 2,
+        "a certificate seal allocates its signature's r and s"
     );
 }
 
@@ -214,10 +311,10 @@ fn per_journey(mechanism: &str) -> u64 {
 #[test]
 fn served_journeys_keep_to_their_allocation_budgets() {
     for (mechanism, bound) in [
-        ("unprotected", 218),
-        ("framework", 350),
-        ("protocol", 505),
-        ("traces", 780),
+        ("unprotected", 70),
+        ("framework", 135),
+        ("protocol", 170),
+        ("traces", 233),
     ] {
         let count = per_journey(mechanism);
         eprintln!("allocations: {mechanism} per served journey: {count}");

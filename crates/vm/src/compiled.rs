@@ -21,6 +21,7 @@
 //! schoolbook `verify`); `compiled == interpreted` equivalence is pinned
 //! by tests here and by the `vm` property suite.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -199,7 +200,12 @@ pub fn run_compiled_session(
     config: &ExecConfig,
 ) -> Result<SessionOutcome, VmError> {
     let timer = telemetry::Timer::start();
-    let result = run_compiled_session_inner(program, initial_state, io, config);
+    let mut stack = STACK.take();
+    let result = run_compiled_session_inner(program, initial_state, io, config, &mut stack);
+    if stack.capacity() <= KEPT_STACK {
+        stack.clear();
+        STACK.set(stack);
+    }
     if timer.is_active() {
         if let Ok(outcome) = &result {
             telemetry::observe("vm.session_steps", outcome.steps);
@@ -209,15 +215,25 @@ pub fn run_compiled_session(
     result
 }
 
+thread_local! {
+    /// The operand stack a thread's sessions reuse, empty between them.
+    static STACK: Cell<Vec<Value>> = const { Cell::new(Vec::new()) };
+}
+
+/// The largest operand stack (in values) a thread keeps for its next
+/// session; a deeper one is freed instead.
+const KEPT_STACK: usize = 256;
+
+/// The dispatch loop, on `stack`, which starts empty.
 fn run_compiled_session_inner(
     program: &CompiledProgram,
     initial_state: DataState,
     io: &mut dyn SessionIo,
     config: &ExecConfig,
+    stack: &mut Vec<Value>,
 ) -> Result<SessionOutcome, VmError> {
     let code = &program.code;
     let mut pc = 0usize;
-    let mut stack: Vec<Value> = Vec::new();
     let mut call_stack: Vec<usize> = Vec::new();
     let mut state = initial_state;
     let mut steps: u64 = 0;
@@ -505,7 +521,7 @@ fn run_compiled_session_inner(
             CInstr::Nop => {}
             CInstr::Input(tag) => {
                 let v = io.input(pc, tag)?;
-                record_input!(InputKind::Tagged(tag.as_ref().to_owned()), &v);
+                record_input!(InputKind::Tagged(Arc::clone(tag)), &v);
                 stack.push(v);
             }
             CInstr::Syscall(kind) => {
@@ -515,7 +531,7 @@ fn run_compiled_session_inner(
             }
             CInstr::Recv(partner) => {
                 let v = io.recv(pc, partner)?;
-                record_input!(InputKind::Message(partner.as_ref().to_owned()), &v);
+                record_input!(InputKind::Message(Arc::clone(partner)), &v);
                 stack.push(v);
             }
             CInstr::Send(partner) => {

@@ -500,7 +500,7 @@ impl<'p> Interpreter<'p> {
             Instr::Nop => {}
             Instr::Input(tag) => {
                 let v = io.input(self.pc, &tag)?;
-                self.record_input(InputKind::Tagged(tag), &v);
+                self.record_input(InputKind::Tagged(tag.into()), &v);
                 self.stack.push(v);
             }
             Instr::Syscall(kind) => {
@@ -510,7 +510,7 @@ impl<'p> Interpreter<'p> {
             }
             Instr::Recv(partner) => {
                 let v = io.recv(self.pc, &partner)?;
-                self.record_input(InputKind::Message(partner), &v);
+                self.record_input(InputKind::Message(partner.into()), &v);
                 self.stack.push(v);
             }
             Instr::Send(partner) => {

@@ -183,18 +183,26 @@ impl ReplayIo {
         }
     }
 
-    fn next_value(&mut self, pc: usize, expected: InputKind) -> Result<Value, VmError> {
+    /// The next recorded value, if its kind is the one the program
+    /// requested: `requested(kind)` says whether it is, and `expected()`
+    /// names the request, built only for an error.
+    fn next_value(
+        &mut self,
+        pc: usize,
+        requested: impl Fn(&InputKind) -> bool,
+        expected: impl Fn() -> InputKind,
+    ) -> Result<Value, VmError> {
         let (kind, value) =
             self.records
                 .get(self.next)
                 .ok_or_else(|| VmError::InputUnavailable {
                     pc,
-                    what: format!("replay:{expected}"),
+                    what: format!("replay:{}", expected()),
                 })?;
-        if *kind != expected {
+        if !requested(kind) {
             return Err(VmError::ReplayMismatch {
                 pc,
-                detail: format!("log records {kind}, program requested {expected}"),
+                detail: format!("log records {kind}, program requested {}", expected()),
             });
         }
         self.next += 1;
@@ -216,15 +224,27 @@ impl ReplayIo {
 
 impl SessionIo for ReplayIo {
     fn input(&mut self, pc: usize, tag: &str) -> Result<Value, VmError> {
-        self.next_value(pc, InputKind::Tagged(tag.to_owned()))
+        self.next_value(
+            pc,
+            |kind| matches!(kind, InputKind::Tagged(t) if **t == *tag),
+            || InputKind::Tagged(tag.into()),
+        )
     }
 
     fn syscall(&mut self, pc: usize, kind: SyscallKind) -> Result<Value, VmError> {
-        self.next_value(pc, InputKind::Syscall(kind))
+        self.next_value(
+            pc,
+            |k| *k == InputKind::Syscall(kind),
+            || InputKind::Syscall(kind),
+        )
     }
 
     fn recv(&mut self, pc: usize, partner: &str) -> Result<Value, VmError> {
-        self.next_value(pc, InputKind::Message(partner.to_owned()))
+        self.next_value(
+            pc,
+            |kind| matches!(kind, InputKind::Message(p) if **p == *partner),
+            || InputKind::Message(partner.into()),
+        )
     }
 
     fn send(&mut self, _pc: usize, partner: &str, value: Value) -> Result<(), VmError> {

@@ -1,6 +1,7 @@
 //! Input and output logs of an execution session.
 
 use std::fmt;
+use std::sync::Arc;
 
 use refstate_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -8,14 +9,18 @@ use crate::instr::SyscallKind;
 use crate::value::Value;
 
 /// How a value entered the agent.
+///
+/// Tags and partner names are shared: the compiled program interns each
+/// once, and a recorded input (and every clone of its log) points at the
+/// program's copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputKind {
     /// `input <tag>` — data received via the current host.
-    Tagged(String),
+    Tagged(Arc<str>),
     /// `syscall time` / `syscall random` — host service result.
     Syscall(SyscallKind),
     /// `recv <partner>` — a message from a communication partner.
-    Message(String),
+    Message(Arc<str>),
 }
 
 impl fmt::Display for InputKind {
@@ -48,10 +53,10 @@ impl Encode for InputKind {
 impl Decode for InputKind {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {
-            0 => InputKind::Tagged(r.take_str()?.to_owned()),
+            0 => InputKind::Tagged(Arc::decode(r)?),
             1 => InputKind::Syscall(SyscallKind::Time),
             2 => InputKind::Syscall(SyscallKind::Random),
-            3 => InputKind::Message(r.take_str()?.to_owned()),
+            3 => InputKind::Message(Arc::decode(r)?),
             tag => {
                 return Err(WireError::InvalidTag {
                     context: "InputKind",

@@ -21,6 +21,12 @@ use crate::value::Value;
 /// still holds it (copy-on-write), so handing a state to a session, a
 /// record and a check costs a pointer each until one of them writes.
 ///
+/// The names are shared too: each is an `Arc<str>`, and a compiled
+/// program's `store` hands over the name it interned at compilation. So
+/// the copy a session's first write makes is one map whose names are
+/// pointer copies, and a write to an existing variable copies no name.
+/// The encoding is that of a `BTreeMap<String, Value>` of the same pairs.
+///
 /// # Examples
 ///
 /// ```
@@ -33,7 +39,7 @@ use crate::value::Value;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataState {
-    vars: Arc<BTreeMap<String, Value>>,
+    vars: Arc<BTreeMap<Arc<str>, Value>>,
 }
 
 impl DataState {
@@ -43,7 +49,7 @@ impl DataState {
     }
 
     /// The map to write into, copied first if another clone shares it.
-    fn vars_mut(&mut self) -> &mut BTreeMap<String, Value> {
+    fn vars_mut(&mut self) -> &mut BTreeMap<Arc<str>, Value> {
         Arc::make_mut(&mut self.vars)
     }
 
@@ -52,21 +58,20 @@ impl DataState {
         self.vars.get(name)
     }
 
-    /// Sets `name` to `value`, returning the previous value.
-    pub fn set(&mut self, name: impl Into<String>, value: Value) -> Option<Value> {
-        self.vars_mut().insert(name.into(), value)
+    /// Sets `name` to `value`, returning the previous value. Only a new
+    /// variable takes the name: an existing one is overwritten in place.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<Arc<str>>, value: Value) -> Option<Value> {
+        let vars = self.vars_mut();
+        match vars.get_mut(name.as_ref()) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => vars.insert(name.into(), value),
+        }
     }
 
-    /// Sets `name` to `value` like [`DataState::set`], but copies the name
-    /// only for a new variable: an existing one is overwritten in place.
-    pub(crate) fn store(&mut self, name: &str, value: Value) {
-        let vars = self.vars_mut();
-        match vars.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                vars.insert(name.to_owned(), value);
-            }
-        }
+    /// [`DataState::set`] for a name the caller already shares: a new
+    /// variable clones the pointer, not the name.
+    pub(crate) fn store(&mut self, name: &Arc<str>, value: Value) {
+        self.set(Arc::clone(name), value);
     }
 
     /// Removes `name`, returning its value.
@@ -94,7 +99,7 @@ impl DataState {
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.vars.iter().map(|(k, v)| (k.as_str(), v))
+        self.vars.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Convenience accessor for integer variables.
@@ -123,15 +128,17 @@ impl fmt::Display for DataState {
 
 impl FromIterator<(String, Value)> for DataState {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+        let vars = iter.into_iter().map(|(k, v)| (Arc::from(k), v));
         DataState {
-            vars: Arc::new(iter.into_iter().collect()),
+            vars: Arc::new(vars.collect()),
         }
     }
 }
 
 impl Extend<(String, Value)> for DataState {
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
-        self.vars_mut().extend(iter);
+        let vars = iter.into_iter().map(|(k, v)| (Arc::from(k), v));
+        self.vars_mut().extend(vars);
     }
 }
 
@@ -141,6 +148,8 @@ impl Encode for DataState {
     }
 }
 
+/// Refuses names out of order or repeated (`map key order`), as a
+/// `BTreeMap<String, Value>` does, so only the canonical image decodes.
 impl Decode for DataState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DataState {
@@ -164,8 +173,9 @@ mod tests {
         assert_eq!(s.get_int("a"), Some(2));
         assert_eq!(s.remove("a"), Some(Value::Int(2)));
         assert!(!s.contains("a"));
-        s.store("a", Value::Int(3));
-        s.store("a", Value::Int(4));
+        let a: Arc<str> = Arc::from("a");
+        s.store(&a, Value::Int(3));
+        s.store(&a, Value::Int(4));
         assert_eq!((s.get_int("a"), s.len()), (Some(4), 1));
     }
 
@@ -223,7 +233,7 @@ mod tests {
         assert_eq!(b.get_int("x"), Some(2));
         // An in-place store copies a shared map first, too.
         let mut d = a.clone();
-        d.store("x", Value::Int(3));
+        d.store(&Arc::from("x"), Value::Int(3));
         assert_eq!((a.get_int("x"), d.get_int("x")), (Some(1), Some(3)));
         // Removing an absent name is no write: the map stays shared.
         let mut c = a.clone();

@@ -1,12 +1,18 @@
 //! Property tests for the VM: replay determinism (the property the whole
 //! protection scheme rests on), trace/log consistency, snapshot-resume
-//! equivalence, and assembler round-trips.
+//! equivalence, assembler round-trips, and the wire identity of the
+//! shared-name state and input-kind representations.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use refstate_vm::{
-    assemble, run_compiled_session, run_session, CompiledProgram, DataState, ExecConfig, Instr,
-    Interpreter, NullIo, Program, ReplayIo, ScriptedIo, SessionEnd, TraceEntry, TraceMode, Value,
+    assemble, run_compiled_session, run_session, CompiledProgram, DataState, ExecConfig, InputKind,
+    Instr, Interpreter, NullIo, Program, ReplayIo, ScriptedIo, SessionEnd, TraceEntry, TraceMode,
+    Value,
 };
+use refstate_wire::{from_wire, to_wire, Encode, WireError, Writer};
 
 /// Strategy: a random but always-valid straight-line program fragment that
 /// manipulates one accumulator variable and consumes external inputs.
@@ -215,5 +221,86 @@ proptest! {
         prop_assert_eq!(out.state.get_int("prod"), Some(a.wrapping_mul(b)));
         prop_assert_eq!(out.state.get_int("diff"), Some(a.wrapping_sub(b)));
         prop_assert_eq!(out.end, SessionEnd::Halt);
+    }
+}
+
+/// One variable's value: an int, or a short string for odd draws.
+fn var_value(n: i64, s: &str) -> Value {
+    if n % 2 == 0 {
+        Value::Int(n)
+    } else {
+        Value::Str(s.to_owned())
+    }
+}
+
+proptest! {
+    /// A state's names are shared `Arc<str>`s, but its bytes are those of
+    /// a `BTreeMap<String, Value>` of the same pairs, however the state
+    /// was built; the map's bytes decode back to the same state.
+    #[test]
+    fn data_state_encodes_like_a_string_map(
+        pairs in proptest::collection::btree_map("[a-d]{1,3}", (-50i64..50, "[x-z]{0,3}"), 0..8),
+    ) {
+        let map: BTreeMap<String, Value> = pairs
+            .iter()
+            .map(|(name, (n, s))| (name.clone(), var_value(*n, s)))
+            .collect();
+        let collected: DataState = map.clone().into_iter().collect();
+        let mut set_backwards = DataState::new();
+        for (name, value) in map.iter().rev() {
+            set_backwards.set(name.as_str(), Value::Int(0));
+            set_backwards.set(name.clone(), value.clone());
+        }
+        let bytes = to_wire(&map);
+        prop_assert_eq!(&to_wire(&collected), &bytes);
+        prop_assert_eq!(&to_wire(&set_backwards), &bytes);
+        prop_assert_eq!(from_wire::<DataState>(&bytes).unwrap(), collected);
+    }
+
+    /// Decoding accepts only strictly ascending names: a repeated or
+    /// out-of-order name is refused with `map key order`, as a
+    /// `BTreeMap<String, Value>` refuses it.
+    #[test]
+    fn data_state_decode_refuses_unordered_or_repeated_names(
+        names in proptest::collection::vec("[a-c]{1,2}", 0..6),
+    ) {
+        let mut w = Writer::new();
+        w.put_len(names.len());
+        for (i, name) in names.iter().enumerate() {
+            w.put_str(name);
+            Value::Int(i as i64).encode(&mut w);
+        }
+        let bytes = w.into_inner();
+        let canonical = names.windows(2).all(|pair| pair[0] < pair[1]);
+        let as_map = from_wire::<BTreeMap<String, Value>>(&bytes);
+        match from_wire::<DataState>(&bytes) {
+            Ok(state) => {
+                prop_assert!(canonical);
+                prop_assert_eq!(state.len(), names.len());
+                prop_assert_eq!(to_wire(&state), bytes);
+            }
+            Err(e) => {
+                prop_assert!(!canonical);
+                prop_assert_eq!(&e, &WireError::InvalidValue { context: "map key order" });
+                prop_assert_eq!(as_map.unwrap_err(), e);
+            }
+        }
+    }
+
+    /// A recorded input's kind encodes its shared tag or partner as the
+    /// string it names, and decodes back equal.
+    #[test]
+    fn input_kinds_encode_their_names_as_strings(name in "[a-z]{0,8}", partner in any::<bool>()) {
+        let (kind, byte) = if partner {
+            (InputKind::Message(Arc::from(name.as_str())), 3)
+        } else {
+            (InputKind::Tagged(Arc::from(name.as_str())), 0)
+        };
+        let mut w = Writer::new();
+        w.put_u8(byte);
+        w.put_str(&name);
+        let bytes = w.into_inner();
+        prop_assert_eq!(&to_wire(&kind), &bytes);
+        prop_assert_eq!(from_wire::<InputKind>(&bytes).unwrap(), kind);
     }
 }

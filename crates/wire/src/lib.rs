@@ -40,13 +40,18 @@ pub use error::WireError;
 pub use frame::{write_frame, write_message, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 pub use reader::Reader;
 pub use traits::{Decode, Encode};
-pub use writer::Writer;
+pub use writer::{with_scratch, Writer};
 
 /// Encodes a value to its canonical byte representation.
+///
+/// The value is encoded into this thread's scratch writer
+/// ([`with_scratch`]) and copied out, so the result is allocated once, at
+/// its exact length, however many times the encoding grew.
 pub fn to_wire<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    value.encode(&mut w);
-    w.into_inner()
+    with_scratch(|w| {
+        value.encode(w);
+        w.as_bytes().to_vec()
+    })
 }
 
 /// Decodes a value from bytes, requiring that all input is consumed.

@@ -1,6 +1,7 @@
 //! The [`Encode`] / [`Decode`] traits and implementations for std types.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::WireError;
 use crate::reader::Reader;
@@ -16,11 +17,10 @@ pub trait Encode {
     /// Appends the canonical encoding of `self` to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Convenience: encodes into a fresh byte vector.
+    /// Convenience: encodes into a fresh byte vector, like
+    /// [`crate::to_wire`].
     fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.into_inner()
+        crate::to_wire(self)
     }
 }
 
@@ -121,6 +121,13 @@ impl Encode for String {
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(r.take_str()?.to_owned())
+    }
+}
+
+/// A shared string decodes into one allocation, like a `String`.
+impl Decode for Arc<str> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Arc::from(r.take_str()?))
     }
 }
 
@@ -244,6 +251,13 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
 impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, w: &mut Writer) {
         (*self).encode(w);
+    }
+}
+
+/// A shared value encodes as the value it points to.
+impl<T: Encode + ?Sized> Encode for Arc<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
     }
 }
 

@@ -1,5 +1,7 @@
 //! The encoding half: an append-only byte sink with primitive helpers.
 
+use std::cell::Cell;
+
 /// An append-only byte buffer with little-endian primitive helpers.
 ///
 /// All multi-byte integers are written little-endian; lengths are `u32`.
@@ -35,6 +37,11 @@ impl Writer {
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_inner(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Returns the number of bytes written so far.
@@ -115,6 +122,41 @@ impl Writer {
     }
 }
 
+thread_local! {
+    /// The buffer [`with_scratch`] lends out, kept between calls.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's scratch writer, empty but keeping the
+/// capacity earlier calls grew it to.
+///
+/// An encoding that is hashed, signed or measured and then dropped needs
+/// no buffer of its own: after a thread's first few encodes, encoding
+/// into the scratch writer allocates nothing. A nested call (an `f` that
+/// encodes through `with_scratch` again) gets a fresh writer of its own,
+/// so the scratch is never shared.
+///
+/// # Examples
+///
+/// ```
+/// use refstate_wire::{to_wire, with_scratch, Encode};
+///
+/// let len = with_scratch(|w| {
+///     "agent".encode(w);
+///     w.len()
+/// });
+/// assert_eq!(len, to_wire("agent").len());
+/// ```
+pub fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+    let mut writer = Writer {
+        buf: SCRATCH.take(),
+    };
+    writer.clear();
+    let result = f(&mut writer);
+    SCRATCH.set(writer.buf);
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +199,22 @@ mod tests {
         w.put_raw(&[1, 2, 3]);
         assert_eq!(w.len(), 3);
         assert!(!w.is_empty());
+    }
+
+    #[test]
+    fn scratch_starts_empty_and_nests() {
+        let outer = with_scratch(|w| {
+            w.put_u32(1);
+            let inner = with_scratch(|inner| {
+                assert!(inner.is_empty());
+                inner.put_u8(2);
+                inner.as_bytes().to_vec()
+            });
+            assert_eq!(inner, vec![2]);
+            w.as_bytes().to_vec()
+        });
+        assert_eq!(outer, vec![1, 0, 0, 0]);
+        assert!(with_scratch(|w| w.is_empty()));
     }
 
     #[test]
