@@ -524,9 +524,9 @@ impl DsaPublicKey {
     /// Forces construction of the Montgomery context and both fixed-base
     /// tables (`g` and `y`) now instead of on the first verification.
     ///
-    /// Long-lived key holders — [`crate::KeyDirectory::warm`], the fleet
-    /// engine's pooled keys — call this once up front so first-use table
-    /// builds never land inside a measured journey.
+    /// Long-lived key holders, such as the fleet engine's pooled keys,
+    /// call this once up front so first-use table builds never land
+    /// inside a measured journey.
     pub fn precompute(&self) {
         let _span = telemetry::span("crypto.precompute", "crypto");
         let _ = self.y_accel();
